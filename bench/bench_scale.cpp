@@ -6,7 +6,7 @@
 // nodes) each drives RAFDA_SCALE_TASKS Service.work calls against the
 // server tier, scheduled in VirtualClock fairness: the event heap always
 // runs the client earliest in virtual time, and SimNetwork completions
-// land in the same heap.  The sharded object directory
+// fold into the same order digest.  The sharded object directory
 // (RAFDA_SCALE_SHARDS shards, default 8) serves a resolution per client
 // node, so lookup traffic spreads over the ring instead of serializing
 // through one registry node.

@@ -3,54 +3,51 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 namespace rafda::net {
 
 SimNetwork::SimNetwork(std::uint64_t seed) : seed_(seed) {}
 
-Rng& SimNetwork::link_rng(NodeId src, NodeId dst) {
-    auto it = link_rng_.find({src, dst});
-    if (it == link_rng_.end()) {
-        const std::uint64_t salt =
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-            static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst));
-        it = link_rng_.emplace(std::make_pair(src, dst), Rng(Rng::mix(seed_, salt)))
-                 .first;
-    }
-    return it->second;
+SimNetwork::Link& SimNetwork::link_record(NodeId src, NodeId dst) {
+    const std::uint64_t key = link_key(src, dst);
+    return links_.try_emplace(key, Rng(Rng::mix(seed_, key))).first->second;
+}
+
+const SimNetwork::Link* SimNetwork::find_link(NodeId src, NodeId dst) const {
+    auto it = links_.find(link_key(src, dst));
+    return it == links_.end() ? nullptr : &it->second;
 }
 
 void SimNetwork::set_default_link(LinkParams params) { default_link_ = params; }
 
 void SimNetwork::set_link(NodeId src, NodeId dst, LinkParams params) {
-    links_[{src, dst}] = params;
+    link_record(src, dst).params = params;
 }
 
 const LinkParams& SimNetwork::link(NodeId src, NodeId dst) const {
-    auto it = links_.find({src, dst});
-    return it == links_.end() ? default_link_ : it->second;
+    const Link* l = find_link(src, dst);
+    return l && l->params ? *l->params : default_link_;
 }
 
-SimNetwork::LinkMetrics& SimNetwork::link_metrics(NodeId src, NodeId dst) {
-    auto it = link_metrics_.find({src, dst});
-    if (it == link_metrics_.end()) {
+SimNetwork::LinkMetrics& SimNetwork::link_metrics(NodeId src, NodeId dst, Link& l) {
+    LinkMetrics& m = l.metrics;
+    if (!m.messages) {
         const std::string prefix = "net.link." + std::to_string(src) + "." +
                                    std::to_string(dst) + ".";
-        LinkMetrics m;
         m.messages = &registry_->counter(prefix + "messages");
         m.bytes = &registry_->counter(prefix + "bytes");
         m.drops = &registry_->counter(prefix + "drops");
         m.coalesced = &registry_->counter(prefix + "coalesced");
         m.busy_us = &registry_->counter(prefix + "busy_us");
         m.utilization_ppm = &registry_->gauge(prefix + "utilization_ppm");
-        it = link_metrics_.emplace(std::make_pair(src, dst), m).first;
     }
-    return it->second;
+    return m;
 }
 
 void SimNetwork::attach_metrics(obs::Registry* registry) {
     registry_ = registry;
-    link_metrics_.clear();
+    for (auto& [_, l] : links_) l.metrics = LinkMetrics{};
 }
 
 Delivery SimNetwork::transfer_at(NodeId src, NodeId dst, std::size_t size,
@@ -65,10 +62,11 @@ Delivery SimNetwork::transfer_coalesced_at(NodeId src, NodeId dst, std::size_t s
 
 Delivery SimNetwork::sequence_transfer(NodeId src, NodeId dst, std::size_t size,
                                        std::uint64_t send_us, bool try_coalesce) {
-    const LinkParams& params = link(src, dst);
-    LinkStats& stats = stats_[{src, dst}];
-    LinkMetrics* metrics = registry_ ? &link_metrics(src, dst) : nullptr;
-    std::uint64_t& busy_until = busy_until_[{src, dst}];
+    Link& l = link_record(src, dst);
+    const LinkParams& params = l.params ? *l.params : default_link_;
+    LinkStats& stats = l.stats;
+    LinkMetrics* metrics = registry_ ? &link_metrics(src, dst, l) : nullptr;
+    std::uint64_t& busy_until = l.busy_until;
     // The channel carries one message at a time: a transfer sent while the
     // link is occupied queues behind the in-flight one — unless the caller
     // asked to coalesce, in which case the bytes join the in-flight frame
@@ -85,17 +83,15 @@ Delivery SimNetwork::sequence_transfer(NodeId src, NodeId dst, std::size_t size,
         // Flight-recorder edge detection: record the transition the first
         // time a transfer observes this link's down-state change.  Pure
         // observation — no clock advance, no PRNG draw.
-        auto [it, inserted] = fault_seen_.try_emplace({src, dst}, false);
-        if (it->second != lost || (inserted && lost)) {
+        if (l.fault_down != lost)
             journal_->record(obs::JournalEvent::Kind::FaultEdge, depart, src, dst,
                              lost ? 1 : 0, 0, "link");
-        }
-        it->second = lost;
+        l.fault_down = lost;
     }
     if (!lost) {
         const double p = fault_plan_.drop_override(src, dst, depart)
                              .value_or(params.drop_probability);
-        lost = link_rng(src, dst).chance(p);
+        lost = l.rng.chance(p);
     }
     if (lost) {
         ++stats.drops;
@@ -161,17 +157,20 @@ std::optional<std::uint64_t> SimNetwork::transfer(NodeId src, NodeId dst,
 void SimNetwork::charge_compute(std::uint64_t us) { clock_us_ += us; }
 
 std::uint64_t SimNetwork::link_busy_until(NodeId src, NodeId dst) const {
-    auto it = busy_until_.find({src, dst});
-    return it == busy_until_.end() ? 0 : it->second;
+    const Link* l = find_link(src, dst);
+    return l ? l->busy_until : 0;
 }
 
 const LinkStats& SimNetwork::stats(NodeId src, NodeId dst) const {
-    return stats_[{src, dst}];
+    static const LinkStats kIdle;
+    const Link* l = find_link(src, dst);
+    return l ? l->stats : kIdle;
 }
 
 LinkStats SimNetwork::total_stats() const {
     LinkStats total;
-    for (const auto& [_, s] : stats_) {
+    for (const auto& [_, l] : links_) {
+        const LinkStats& s = l.stats;
         total.messages += s.messages;
         total.bytes += s.bytes;
         total.drops += s.drops;
@@ -183,27 +182,40 @@ LinkStats SimNetwork::total_stats() const {
 
 void SimNetwork::visit_links(
     const std::function<void(NodeId, NodeId, const LinkStats&)>& fn) const {
-    for (const auto& [key, s] : stats_) fn(key.first, key.second, s);
+    // The table is unordered; sort at visit time so tables and exports
+    // keep their (src, dst) order.
+    std::vector<std::pair<std::pair<NodeId, NodeId>, const LinkStats*>> order;
+    for (const auto& [key, l] : links_) {
+        if (!l.carried()) continue;
+        order.push_back({{static_cast<NodeId>(static_cast<std::uint32_t>(key >> 32)),
+                          static_cast<NodeId>(static_cast<std::uint32_t>(key))},
+                         &l.stats});
+    }
+    std::sort(order.begin(), order.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (const auto& [ends, s] : order) fn(ends.first, ends.second, *s);
 }
 
 void SimNetwork::reset_stats() {
-    stats_.clear();
     // Utilization after a reset measures busy time over virtual time
     // elapsed *since the reset* — without this epoch the denominator keeps
     // growing from t=0 and post-reset utilization is biased toward zero.
-    // busy_until_ is left alone: channel occupancy is physical link state,
+    // busy_until is left alone: channel occupancy is physical link state,
     // so a message in flight still blocks the link across a reset.
     stats_epoch_us_ = clock_us_;
-    // Keep the registry mirrors in step: they are cumulative shadows of
-    // stats_, so clearing one but not the other would make `rafdac stats`
-    // diverge from total_stats() after a reset.
-    for (auto& [_, m] : link_metrics_) {
-        m.messages->reset();
-        m.bytes->reset();
-        m.drops->reset();
-        m.coalesced->reset();
-        m.busy_us->reset();
-        m.utilization_ppm->reset();
+    for (auto& [_, l] : links_) {
+        l.stats = LinkStats{};
+        // Keep the registry mirrors in step: they are cumulative shadows
+        // of the stats, so clearing one but not the other would make
+        // `rafdac stats` diverge from total_stats() after a reset.
+        if (LinkMetrics& m = l.metrics; m.messages) {
+            m.messages->reset();
+            m.bytes->reset();
+            m.drops->reset();
+            m.coalesced->reset();
+            m.busy_us->reset();
+            m.utilization_ppm->reset();
+        }
     }
 }
 

@@ -20,8 +20,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
+#include <unordered_map>
 
 #include "net/faults.hpp"
 #include "obs/journal.hpp"
@@ -119,15 +119,19 @@ public:
     /// Time until which the directed link is occupied (0 = never used).
     std::uint64_t link_busy_until(NodeId src, NodeId dst) const;
 
+    /// Accounting for one directed link; a link that has carried nothing
+    /// since the last reset_stats() reads as all zeros.  Never creates
+    /// state: querying an idle link does not make visit_links list it.
     const LinkStats& stats(NodeId src, NodeId dst) const;
     LinkStats total_stats() const;
-    /// Per-link traversal in (src, dst) order, for tables and exports.
+    /// Traversal of the links that carried traffic since the last
+    /// reset_stats(), in (src, dst) order, for tables and exports.
     void visit_links(
         const std::function<void(NodeId, NodeId, const LinkStats&)>& fn) const;
     /// Clears per-link stats and marks the current watermark as the new
     /// epoch for utilization_ppm, so post-reset utilization is busy time
     /// over time *since the reset* rather than since t=0.  Channel
-    /// occupancy (`busy_until_`) deliberately survives: it is physical
+    /// occupancy (`busy_until`) deliberately survives: it is physical
     /// link state, not accounting — an in-flight message does not vanish
     /// because an observer zeroed its dashboards.
     void reset_stats();
@@ -163,7 +167,7 @@ public:
 
     /// Publishes each sequenced transfer's completion (arrival when
     /// delivered, loss-observable time when dropped) to an external event
-    /// sink — how the scheduler's event heap sees network completions on
+    /// sink — how the scheduler's order digest sees network completions on
     /// the same timeline as client work (DESIGN.md §18).  Purely
     /// observational: called after the transfer is fully accounted, never
     /// advances clocks or draws from a PRNG.  Pass nullptr (the default)
@@ -184,31 +188,55 @@ private:
         obs::Counter* busy_us = nullptr;
         obs::Gauge* utilization_ppm = nullptr;
     };
-    LinkMetrics& link_metrics(NodeId src, NodeId dst);
-    Rng& link_rng(NodeId src, NodeId dst);
+    /// Everything the network knows about one directed link, so a
+    /// transfer resolves its link with a single hash lookup (DESIGN.md
+    /// §13).  Records are created on first use — by set_link or by a
+    /// transfer — and never by a read.
+    struct Link {
+        explicit Link(Rng r) : rng(r) {}
+        /// set_link override; the default link applies when absent.
+        std::optional<LinkParams> params;
+        /// Every transfer counts exactly one message, coalesced entry or
+        /// drop, so a link carried traffic since the last reset_stats()
+        /// iff carried() — what visit_links lists.
+        LinkStats stats;
+        bool carried() const noexcept {
+            return stats.messages || stats.coalesced || stats.drops;
+        }
+        /// Time until which the channel is occupied (0 = never used).
+        std::uint64_t busy_until = 0;
+        /// Last fault-plan down-state a transfer observed (journal edge
+        /// detection only; a never-evaluated link counts as up, so the
+        /// first observation of a down link records an entering edge).
+        bool fault_down = false;
+        /// Registry mirrors, resolved on the first transfer after
+        /// attach_metrics (null until then).
+        LinkMetrics metrics;
+        /// The link's own drop stream, seeded from `seed_` and the link
+        /// endpoints, so lossy traffic on one link can never perturb the
+        /// sequence another link sees.
+        Rng rng;
+    };
+    static std::uint64_t link_key(NodeId src, NodeId dst) noexcept {
+        return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
+               static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst));
+    }
+    Link& link_record(NodeId src, NodeId dst);
+    const Link* find_link(NodeId src, NodeId dst) const;
+    LinkMetrics& link_metrics(NodeId src, NodeId dst, Link& l);
     Delivery sequence_transfer(NodeId src, NodeId dst, std::size_t size,
                                std::uint64_t send_us, bool try_coalesce);
 
     LinkParams default_link_;
-    std::map<std::pair<NodeId, NodeId>, LinkParams> links_;
-    mutable std::map<std::pair<NodeId, NodeId>, LinkStats> stats_;
-    std::map<std::pair<NodeId, NodeId>, std::uint64_t> busy_until_;
+    /// One record per directed link, keyed by link_key(src, dst).
+    std::unordered_map<std::uint64_t, Link> links_;
     obs::Registry* registry_ = nullptr;
     obs::Journal* journal_ = nullptr;
-    /// Last observed fault-plan down-state per directed link (journal
-    /// edge detection only; absent = never evaluated, first observation
-    /// of a down link records an entering edge).
-    std::map<std::pair<NodeId, NodeId>, bool> fault_seen_;
-    std::map<std::pair<NodeId, NodeId>, LinkMetrics> link_metrics_;
     std::uint64_t clock_us_ = 0;
     /// Watermark value at the last reset_stats(); utilization_ppm
     /// denominators measure elapsed time from here.
     std::uint64_t stats_epoch_us_ = 0;
-    /// Each directed link draws drop decisions from its own stream
-    /// (seeded from `seed_` and the link endpoints), so lossy traffic on
-    /// one link can never perturb the sequence another link sees.
     std::uint64_t seed_;
-    std::map<std::pair<NodeId, NodeId>, Rng> link_rng_;
     FaultPlan fault_plan_;
     CompletionSink completion_sink_;
 };

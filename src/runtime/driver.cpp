@@ -185,11 +185,12 @@ WorkloadDriver::Report WorkloadDriver::run() {
                       remaining);
     });
 
-    // Passive marker for a network transfer completion (VirtualClock only):
-    // the transfer is already fully accounted by SimNetwork when the sink
-    // fires, so the event carries no work — it exists to sequence network
-    // completions into the same popped stream (and digest) as client work.
-    const std::uint32_t kNetArrival = heap.register_handler([](const Event&) {});
+    // Kind 2 is reserved and never posted.  Network completions need no
+    // continuation — SimNetwork has fully accounted a transfer when its
+    // sink fires — so they fold into the digest below instead of riding
+    // the heap.  Event kinds are digested, so the slot keeps the heartbeat
+    // at kind 3 and RoundRobin digests (E14, E15) stable.
+    heap.register_handler([](const Event&) {});
 
     // Controller heartbeat for the adaptation engine (DESIGN.md §19): an
     // ordinary heap event, so adaptation decisions sit at deterministic
@@ -203,6 +204,10 @@ WorkloadDriver::Report WorkloadDriver::run() {
         system_->adaptation_enabled()
             ? system_->adaptation()->policy().interval_us
             : 0;
+    // Stop rule: the heartbeat re-posts while any client or fleet step is
+    // pending.  The heap holds only steps and this one heartbeat, which is
+    // popped while its handler runs, so a non-empty heap means exactly
+    // that; once the last step has run the controller goes quiet.
     const std::uint32_t kAdaptTick = heap.register_handler([&](const Event& e) {
         system_->adaptation_tick();
         if (!heap.empty())
@@ -233,13 +238,20 @@ WorkloadDriver::Report WorkloadDriver::run() {
         heap.post(vclock ? system_->network().now_us() + adapt_interval : 1, 0,
                   kAdaptTick);
 
+    // VirtualClock runs witness the network's own transfer stream in the
+    // order digest: each completion folds (src, dst) and (at_us,
+    // delivered) as it is sequenced, between the pops of the client steps
+    // that caused it.  Nothing is posted, so the heap never holds more
+    // than one event per live client plus the heartbeat.
     if (vclock)
         system_->network().set_completion_sink(
-            [&heap, kNetArrival](net::NodeId src, net::NodeId dst,
-                                 std::uint64_t at_us, bool) {
-                heap.post(at_us, dst, kNetArrival,
-                          static_cast<std::uint64_t>(
-                              static_cast<std::uint32_t>(src)));
+            [&heap](net::NodeId src, net::NodeId dst, std::uint64_t at_us,
+                    bool delivered) {
+                heap.fold((static_cast<std::uint64_t>(
+                               static_cast<std::uint32_t>(src))
+                           << 32) |
+                          static_cast<std::uint32_t>(dst));
+                heap.fold((at_us << 1) | (delivered ? 1 : 0));
             });
 
     // Dispatch loop.  RoundRobin keys are round numbers: a popped key

@@ -25,9 +25,10 @@
 //  - VirtualClock: the key is the client node's clock, so the next client
 //    to run is always the one earliest in virtual time — the event-driven
 //    order a discrete-event simulator wants at scale, and the mode
-//    bench_scale (E13) runs.  SimNetwork transfer completions feed the
-//    same heap as passive arrival events, sequencing network and client
-//    work on one timeline.
+//    bench_scale (E13) runs.  SimNetwork transfer completions fold into
+//    the heap's order digest as they are sequenced, so the digest
+//    witnesses network and client work on one timeline while the heap
+//    holds only client steps (and the adaptation heartbeat).
 //
 // Either way the dispatch order is a pure function of the workload and
 // the network seed — runs are bit-for-bit reproducible, and the heap's

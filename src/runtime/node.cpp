@@ -386,7 +386,7 @@ net::CallReply Node::handle_request(const net::CallRequest& req,
                                            id_);
                 Value result = interp_.call_virtual(Value::of_ref(req.target_oid),
                                                     req.method, req.desc, std::move(args));
-                reply.result = model::MethodSig::parse(req.desc).ret().is_void()
+                reply.result = interp_.sig_info(req.desc).second
                                    ? net::MarshalledValue::null()
                                    : export_value(result);
                 break;

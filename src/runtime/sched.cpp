@@ -27,16 +27,17 @@ std::uint64_t EventHeap::post(std::uint64_t at_us, std::int32_t node,
     return e.seq;
 }
 
+void EventHeap::fold(std::uint64_t word) noexcept {
+    for (int k = 0; k < 8; ++k) {
+        digest_ ^= (word >> (8 * k)) & 0xff;
+        digest_ *= 1099511628211ULL;  // FNV-1a prime
+    }
+}
+
 void EventHeap::fold_digest(const Event& e) noexcept {
-    auto mix = [this](std::uint64_t v) {
-        for (int k = 0; k < 8; ++k) {
-            digest_ ^= (v >> (8 * k)) & 0xff;
-            digest_ *= 1099511628211ULL;  // FNV-1a prime
-        }
-    };
-    mix(e.at_us);
-    mix(e.seq);
-    mix(e.kind);
+    fold(e.at_us);
+    fold(e.seq);
+    fold(e.kind);
 }
 
 Event EventHeap::pop() {

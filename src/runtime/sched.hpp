@@ -2,9 +2,11 @@
 // million-client scale-out model (DESIGN.md §18).
 //
 // Every unit of pending work in a large workload — a client ready to
-// issue its next invocation, a transfer completion published by the
-// network — is one small POD event in a global priority queue ordered by
-// (virtual time, tie-break sequence).  Client tasks are resumable steps:
+// issue its next invocation, an adaptation heartbeat — is one small POD
+// event in a global priority queue ordered by (virtual time, tie-break
+// sequence).  Work that needs no continuation, such as a transfer the
+// network has already sequenced, never enters the heap: it is folded
+// straight into the order digest (fold()).  Client tasks are resumable steps:
 // a client holds *no* host stack while pending, only its event, so 10⁵–10⁶
 // simulated clients cost O(bytes per pending event) rather than O(stack
 // per client).
@@ -59,9 +61,15 @@ public:
     /// Virtual time of the most recently popped event (0 before any pop).
     std::uint64_t last_popped_at() const noexcept { return last_at_; }
 
-    /// FNV-1a over the popped (at_us, seq, kind) stream: two runs dispatch
-    /// the same events in the same order iff the digests match.
+    /// FNV-1a over the popped (at_us, seq, kind) stream and every folded
+    /// word, in the order they happened: two runs dispatch the same events
+    /// and fold the same words in the same order iff the digests match.
     std::uint64_t order_digest() const noexcept { return digest_; }
+
+    /// Folds one externally sequenced word into the order digest without
+    /// posting an event — how a stream that needs no dispatch (network
+    /// completions) is still witnessed by the digest.
+    void fold(std::uint64_t word) noexcept;
 
     /// Pops and returns the minimum (at_us, seq) event without dispatching
     /// it (the driver's loop wants control between pop and handle).

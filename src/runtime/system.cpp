@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <unordered_map>
 
 #include "model/assembler.hpp"
 #include "model/verifier.hpp"
@@ -362,7 +363,14 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     // per-call vector churn (DESIGN.md §17).
     support::PooledBuffer request_frame(buffer_pool_);
     Bytes& request_bytes = request_frame.bytes();
-    BatchLane& lane = batch_lanes_[{src, dst}];
+    // Batch lanes exist only while batching is on.  With it off nothing
+    // can join a frame, so the lookup is skipped; lanes left over from an
+    // earlier batching-on stretch are closed, so re-enabling starts clean.
+    BatchLane* lane = nullptr;
+    if (batching_.enabled)
+        lane = &batch_lanes_[{src, dst}];
+    else if (!batch_lanes_.empty())
+        batch_lanes_.clear();
     bool coalesce = false;
     net::BatchContext entry_ctx;
     {
@@ -375,14 +383,14 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
         // against the clock *after* the encode charge (the entry's own
         // size sets the charge), so encode first and fall back to a full
         // frame when the link turns out to be free by then.
-        if (batching_.enabled && lane.joinable && lane.protocol == protocol &&
+        if (lane && lane->joinable && lane->protocol == protocol &&
             c.supports_batch_entries() &&
-            1 + lane.entries < std::max<std::uint32_t>(2, batching_.max_frame_calls)) {
+            1 + lane->entries < std::max<std::uint32_t>(2, batching_.max_frame_calls)) {
             ByteWriter w(request_bytes);
-            c.encode_batch_entry(req, lane.ctx, w);
+            c.encode_batch_entry(req, lane->ctx, w);
             coalesce = caller.clock_us() + codec_cost(request_bytes.size()).first <
                        network_.link_busy_until(src, dst);
-            if (coalesce) entry_ctx = lane.ctx;
+            if (coalesce) entry_ctx = lane->ctx;
         }
         if (!coalesce) {
             ByteWriter w(request_bytes);
@@ -416,8 +424,10 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
                                                             req.sim_send_us)
                            : network_.transfer_at(src, dst, request_bytes.size(),
                                                   req.sim_send_us);
-        if (inbound.delivered && coalesce) {
-            if (++lane.entries == 1) batch_frames_->add();
+        if (!lane) {
+            // Batching off: no frame is ever joinable.
+        } else if (inbound.delivered && coalesce) {
+            if (++lane->entries == 1) batch_frames_->add();
             batch_coalesced_->add();
             batch_entry_bytes_->add(request_bytes.size());
             // The entry rode the open frame's propagation window instead
@@ -427,12 +437,12 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
         } else if (inbound.delivered) {
             // This full frame now occupies the link; a same-protocol
             // follower may append to it while it is in flight.
-            lane = BatchLane{protocol, net::BatchContext{src, req.request_id}, 0,
-                             batching_.enabled && c.supports_batch_entries()};
+            *lane = BatchLane{protocol, net::BatchContext{src, req.request_id}, 0,
+                              c.supports_batch_entries()};
         } else {
             // The frame (or the frame this entry joined) died on the
             // wire; nothing in flight is joinable any more.
-            lane.joinable = false;
+            lane->joinable = false;
         }
         if (!inbound.delivered) {
             pm.drops->add();
@@ -536,7 +546,7 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
         outbound = network_.transfer_at(dst, src, reply_bytes.size(), callee.clock_us());
         // The reply frame is what now occupies the reverse link; a later
         // request on that link must open its own frame.
-        batch_lanes_[{dst, src}].joinable = false;
+        if (lane) batch_lanes_[{dst, src}].joinable = false;
         if (!outbound.delivered) {
             pm.drops->add();
             if (traced) tracer_.note("dropped", "reply");
@@ -662,20 +672,33 @@ void System::wire_node(Node& n) {
 
         // Proxy dispatch: one class-level native per generated proxy class.
         // Each dispatcher caches its class's registry handles (one
-        // calls/bytes counter pair per remote edge, one latency histogram
-        // per method, one counter for loopback) so the hot path never
-        // builds a metric name.
+        // calls/bytes counter pair per remote edge, one counter for
+        // loopback) and, per proxied method, the descriptor string and
+        // latency histogram — so the hot path never builds a descriptor or
+        // a metric name.  Method entries are checked against the pool
+        // generation, which a rewrite that could recycle a Method bumps.
+        struct ProxyMethod {
+            std::uint64_t gen = 0;
+            std::string desc;
+            obs::Histogram* latency = nullptr;
+        };
         for (const std::string& proto : result_.report.protocols()) {
             auto dispatch = [this, node_id, proto, cls,
                              edge_counters = std::map<net::NodeId, obs::Counter*>{},
                              byte_counters = std::map<net::NodeId, obs::Counter*>{},
-                             latency_hists =
-                                 std::map<std::string, obs::Histogram*>{},
+                             methods = std::unordered_map<const model::Method*,
+                                                          ProxyMethod>{},
                              local_counter = static_cast<obs::Counter*>(nullptr)](
                                 vm::Interpreter& vm, const model::Method& m,
                                 const Value& receiver,
                                 std::vector<Value> args) mutable {
                 Node& self = node(node_id);
+                ProxyMethod& meth = methods[&m];
+                if (meth.gen != vm.pool().generation()) {
+                    meth.gen = vm.pool().generation();
+                    meth.desc = m.descriptor();
+                    meth.latency = nullptr;
+                }
                 net::CallRequest req;
                 req.kind = net::RequestKind::Invoke;
                 req.request_id = next_request_id();
@@ -685,7 +708,7 @@ void System::wire_node(Node& n) {
                 std::int32_t target_node =
                     vm.get_field(receiver.as_ref(), naming::kProxyNodeField).as_int();
                 req.method = m.name;
-                req.desc = m.descriptor();
+                req.desc = meth.desc;
                 obs::ScopedSpan span;
                 if (tracer_.enabled()) {
                     span = obs::ScopedSpan(tracer_, "rpc.invoke " + cls + "." + m.name,
@@ -708,7 +731,7 @@ void System::wire_node(Node& n) {
                                                 req.target_oid, *rep);
                             adapt_replica_reads_->add();
                             return vm.call_virtual(Value::of_ref(rep->oid),
-                                                   m.name, m.descriptor(),
+                                                   m.name, meth.desc,
                                                    std::move(args));
                         }
                     } else {
@@ -724,7 +747,7 @@ void System::wire_node(Node& n) {
                             &metrics_.counter("runtime.local_calls." + cls);
                     local_counter->add();
                     return vm.call_virtual(Value::of_ref(req.target_oid), m.name,
-                                           m.descriptor(), std::move(args));
+                                           meth.desc, std::move(args));
                 }
                 obs::Counter*& edge = edge_counters[target_node];
                 obs::Counter*& edge_bytes = byte_counters[target_node];
@@ -738,7 +761,7 @@ void System::wire_node(Node& n) {
                     edge_bytes = bytes_ctr;
                 }
                 edge->add();
-                obs::Histogram*& lat = latency_hists[m.name];
+                obs::Histogram*& lat = meth.latency;
                 if (!lat)
                     lat = &metrics_.histogram("rpc.latency." + cls + "." + m.name);
                 req.stat_class = cls;

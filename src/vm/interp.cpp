@@ -107,10 +107,12 @@ Value Interpreter::at_api_boundary(const std::function<Value()>& body) {
 void Interpreter::register_native(const std::string& owner, const std::string& name,
                                   const std::string& desc, NativeFn fn) {
     natives_[native_key(owner, name, desc)] = std::move(fn);
+    ++natives_gen_;
 }
 
 void Interpreter::register_class_native(const std::string& owner, ClassNativeFn fn) {
     class_natives_[owner] = std::move(fn);
+    ++natives_gen_;
 }
 
 ObjId Interpreter::allocate(const std::string& class_name) {
@@ -328,14 +330,32 @@ Interpreter::SiteCache* Interpreter::caches_for(const Method& m) {
     return sites.data();
 }
 
-Value Interpreter::invoke_native(const ClassFile& cls, const Method& m,
-                                 const Value& receiver, std::vector<Value> args) {
-    ++counters_.native_calls;
-    auto it = natives_.find(native_key(cls.name, m.name, m.descriptor()));
-    if (it != natives_.end()) return it->second(*this, receiver, std::move(args));
-    auto cit = class_natives_.find(cls.name);
-    if (cit != class_natives_.end()) return cit->second(*this, m, receiver, std::move(args));
-    throw VmError("unbound native method " + cls.name + "." + m.name + m.descriptor());
+Interpreter::NativeBinding Interpreter::bind_native(const ClassFile& cls,
+                                                    const Method& m) {
+    // The declaring class may differ from `cls` for inherited natives;
+    // resolve against the class that actually declares the method.
+    const std::string desc = m.descriptor();
+    const ClassFile* declaring = &cls;
+    for (const ClassFile* cur = &cls; cur;
+         cur = cur->super_name.empty() ? nullptr : pool_->find(cur->super_name)) {
+        if (cur->find_method(m.name, desc) == &m) {
+            declaring = cur;
+            break;
+        }
+    }
+    NativeBinding b;
+    b.gen = cache_gen();
+    b.natives_gen = natives_gen_;
+    auto it = natives_.find(native_key(declaring->name, m.name, desc));
+    if (it != natives_.end()) {
+        b.fn = &it->second;
+        return b;
+    }
+    auto cit = class_natives_.find(declaring->name);
+    if (cit == class_natives_.end())
+        throw VmError("unbound native method " + declaring->name + "." + m.name + desc);
+    b.class_fn = &cit->second;
+    return b;
 }
 
 [[gnu::noinline]] Value Interpreter::invoke_native_entry(
@@ -343,17 +363,11 @@ Value Interpreter::invoke_native(const ClassFile& cls, const Method& m,
     Value receiver = m.is_static ? Value::null() : locals_with_receiver.front();
     std::vector<Value> args(locals_with_receiver.begin() + (m.is_static ? 0 : 1),
                             locals_with_receiver.end());
-    // The declaring class may differ from `cls` for inherited natives;
-    // resolve against the class that actually declares the method.
-    const ClassFile* declaring = &cls;
-    for (const ClassFile* cur = &cls; cur;
-         cur = cur->super_name.empty() ? nullptr : pool_->find(cur->super_name)) {
-        if (cur->find_method(m.name, m.descriptor()) == &m) {
-            declaring = cur;
-            break;
-        }
-    }
-    return invoke_native(*declaring, m, receiver, std::move(args));
+    ++counters_.native_calls;
+    NativeBinding& b = native_bindings_[&m];
+    if (b.gen != cache_gen() || b.natives_gen != natives_gen_) b = bind_native(cls, m);
+    if (b.fn) return (*b.fn)(*this, receiver, std::move(args));
+    return (*b.class_fn)(*this, m, receiver, std::move(args));
 }
 
 [[gnu::noinline]] bool Interpreter::native_stack_exhausted() {

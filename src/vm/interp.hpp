@@ -114,9 +114,15 @@ public:
     Heap& heap() noexcept { return heap_; }
     const Heap& heap() const noexcept { return heap_; }
 
+    /// Binds natives.  Either call may replace an earlier binding at any
+    /// time, even after the method ran: the next call uses the new one.
     void register_native(const std::string& owner, const std::string& name,
                          const std::string& desc, NativeFn fn);
     void register_class_native(const std::string& owner, ClassNativeFn fn);
+
+    /// Cached (parameter count, returns void) per method descriptor, so
+    /// hot paths never re-parse signatures.
+    std::pair<int, bool> sig_info(const std::string& desc);
 
     /// Allocates an instance of `class_name` (no constructor run).
     ObjId allocate(const std::string& class_name);
@@ -266,14 +272,21 @@ private:
                   std::vector<Value> locals);
     Value invoke(const model::ClassFile& cls, const model::Method& m,
                  std::vector<Value> locals_with_receiver);
-    Value invoke_native(const model::ClassFile& cls, const model::Method& m,
-                        const Value& receiver, std::vector<Value> args);
+    /// The native bound to one method, resolved once per method and
+    /// reused while `gen == cache_gen()` and `natives_gen == natives_gen_`
+    /// — so a proxied call never rebuilds a lookup key.  Exactly one of
+    /// `fn` / `class_fn` is set; both point into natives_/class_natives_,
+    /// whose nodes stay put.
+    struct NativeBinding {
+        std::uint64_t gen = 0;
+        std::uint64_t natives_gen = 0;
+        const NativeFn* fn = nullptr;
+        const ClassNativeFn* class_fn = nullptr;
+    };
+    NativeBinding bind_native(const model::ClassFile& cls, const model::Method& m);
     const model::Method& resolve_virtual_cached(const std::string& dynamic,
                                                 const std::string& name,
                                                 const std::string& desc);
-    /// Cached (parameter count, returns void) per method descriptor, so
-    /// the hot invoke path never re-parses signatures.
-    std::pair<int, bool> sig_info(const std::string& desc);
     std::vector<Value>& statics_of(const std::string& class_name);
     /// The side table of `m` (one SiteCache per instruction), created on
     /// first execution.
@@ -356,6 +369,10 @@ private:
     std::unordered_set<std::string> initializing_;
     std::unordered_map<std::string, NativeFn> natives_;
     std::unordered_map<std::string, ClassNativeFn> class_natives_;
+    /// Bumped by every register_native / register_class_native, so a
+    /// re-registration invalidates the bindings already resolved.
+    std::uint64_t natives_gen_ = 0;
+    std::unordered_map<const model::Method*, NativeBinding> native_bindings_;
     std::unordered_map<std::string, const model::Method*> vcache_;
     std::uint64_t vcache_gen_ = 0;
     std::unordered_map<std::string, std::pair<int, bool>> sig_cache_;

@@ -183,6 +183,50 @@ TEST(SimNetwork, BusyTimeIsAccountedPerLink) {
     EXPECT_EQ(links, 1u);
 }
 
+TEST(SimNetwork, ReadsNeverCreateListedLinks) {
+    // stats() is a read: querying an idle link, or configuring one that
+    // never carries traffic, must not make it appear in visit_links (and
+    // so in the `rafdac net` tables).
+    SimNetwork net;
+    net.set_default_link(LinkParams{10, 0.0, 0.0});
+    net.set_link(2, 3, LinkParams{5, 0.0, 0.0});
+    net.transfer_at(1, 0, 1, 0);
+    EXPECT_EQ(net.stats(0, 1).messages, 0u);  // idle, never used
+    EXPECT_EQ(net.stats(2, 3).busy_us, 0u);   // configured, never used
+    EXPECT_EQ(net.link_busy_until(0, 1), 0u);
+    std::vector<std::pair<NodeId, NodeId>> listed;
+    net.visit_links([&listed](NodeId src, NodeId dst, const LinkStats&) {
+        listed.emplace_back(src, dst);
+    });
+    EXPECT_EQ(listed, (std::vector<std::pair<NodeId, NodeId>>{{1, 0}}));
+    EXPECT_EQ(net.total_stats().messages, 1u);
+
+    // A reset clears the accounting and the listing but keeps channel
+    // occupancy: a message in flight still blocks the link.
+    net.transfer_at(2, 3, 1, 100);
+    net.reset_stats();
+    EXPECT_EQ(net.link_busy_until(2, 3), 105u);
+    EXPECT_EQ(net.stats(2, 3).messages, 0u);
+    std::size_t after_reset = 0;
+    net.visit_links([&after_reset](NodeId, NodeId, const LinkStats&) { ++after_reset; });
+    EXPECT_EQ(after_reset, 0u);
+    EXPECT_EQ(net.transfer_at(2, 3, 1, 100).at_us, 110u);  // queues behind 105
+}
+
+TEST(SimNetwork, VisitLinksIsOrderedBySourceThenDestination) {
+    SimNetwork net;
+    net.set_default_link(LinkParams{1, 0.0, 0.0});
+    for (auto [src, dst] : std::vector<std::pair<NodeId, NodeId>>{
+             {3, 1}, {0, 2}, {3, 0}, {1, 7}, {0, 1}})
+        net.transfer_at(src, dst, 1, 0);
+    std::vector<std::pair<NodeId, NodeId>> listed;
+    net.visit_links([&listed](NodeId src, NodeId dst, const LinkStats&) {
+        listed.emplace_back(src, dst);
+    });
+    EXPECT_EQ(listed, (std::vector<std::pair<NodeId, NodeId>>{
+                          {0, 1}, {0, 2}, {1, 7}, {3, 0}, {3, 1}}));
+}
+
 TEST(SimNetwork, LegacyTransferSendsAtTheWatermark) {
     // transfer() is transfer_at(now): with one message in flight at a time
     // the channel is always idle at send, so the old arithmetic holds.

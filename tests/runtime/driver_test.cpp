@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "model/assembler.hpp"
@@ -310,15 +311,82 @@ TEST(WorkloadDriver, FleetClientsAggregateIntoTotals) {
     EXPECT_EQ(report.fleet_clients, 10u);
     EXPECT_EQ(report.tasks_run, 40u);
     EXPECT_TRUE(report.clients.empty());
-    // VirtualClock dispatches one step event per task plus the network's
-    // transfer-completion events (request + reply per RPC).
-    EXPECT_GE(report.events_dispatched, 40u);
+    // VirtualClock dispatches exactly one step event per task: network
+    // completions fold into the digest without entering the heap.
+    EXPECT_EQ(report.events_dispatched, 40u);
     EXPECT_GT(report.peak_pending_events, 0u);
-    // Pending state is one step event per live client plus in-flight
-    // arrivals — nowhere near tasks × clients.
-    EXPECT_LE(report.peak_pending_events, 30u);
+    // Pending state is one step event per live client — nowhere near
+    // tasks × clients.
+    EXPECT_LE(report.peak_pending_events, 10u);
     EXPECT_NE(report.event_order_digest, 0u);
     EXPECT_GT(report.latency_p50_us, 0u);
+}
+
+TEST(WorkloadDriver, VirtualClockAdaptationHeartbeatStopsWithTheLastStep) {
+    // The adaptation heartbeat rides the VirtualClock heap beside the
+    // client steps and re-posts only while a step is pending.  Pins the
+    // tick count, the heartbeat count and every decision of one seeded
+    // run: a hot singleton on node 0, called only from node 1.
+    model::ClassPool pool;
+    vm::install_prelude(pool);
+    model::assemble_into(pool, R"(
+class Counter {
+  static field total I
+  static method bump (I)I {
+    getstatic Counter.total I
+    load 0
+    add
+    dup
+    putstatic Counter.total I
+    returnvalue
+  }
+}
+)");
+    model::verify_pool(pool);
+    SystemOptions options;
+    options.network_seed = 11;
+    options.default_link = net::LinkParams{20, 0.0, 0.0};
+    System system(pool, options);
+    for (int k = 0; k < 3; ++k) system.add_node();
+    system.policy().set_singleton_home("Counter", 0, "RMI");
+    AdaptPolicy policy;
+    policy.interval_us = 600;
+    policy.migrate_threshold_bytes = 64;
+    policy.min_window_calls = 4;
+    system.enable_adaptation(policy);
+
+    WorkloadDriver driver(system);
+    driver.set_fairness(WorkloadDriver::Fairness::VirtualClock);
+    auto bump = [](System& sys, net::NodeId node) {
+        sys.call_static(node, "Counter", "bump", "(I)I", {Value::of_int(1)});
+    };
+    driver.add_client(1, 40, bump);
+    driver.add_client(2, 24, bump);
+    WorkloadDriver::Report report = driver.run();
+
+    ASSERT_EQ(report.tasks_run, 64u);
+    EXPECT_EQ(report.faults, 0u);
+    // Every dispatched event that is not a step is a heartbeat.  The last
+    // one pops after the final step, finds the interval gate closed and
+    // does not re-post: the controller goes quiet with the workload.
+    const std::uint64_t heartbeats = report.events_dispatched - report.tasks_run;
+    EXPECT_EQ(heartbeats, 4u);
+    EXPECT_EQ(system.adaptation()->ticks_run(), 2u);
+    std::vector<std::tuple<std::string, std::string, net::NodeId, net::NodeId,
+                           std::uint64_t>>
+        decisions;
+    for (const AdaptDecision& d : system.adaptation()->decisions())
+        decisions.emplace_back(adapt_action_name(d.action), d.cls, d.from, d.to,
+                               d.t_us);
+    // Node 1 dominates first; once its 40 calls are done node 2 is the
+    // only caller left, and the singleton follows it.
+    EXPECT_EQ(decisions,
+              (std::vector<std::tuple<std::string, std::string, net::NodeId,
+                                      net::NodeId, std::uint64_t>>{
+                  {"migrate", "Counter", 0, 1, 640},
+                  {"migrate", "Counter", 1, 2, 1860}}));
+    EXPECT_EQ(system.find_singleton("Counter").first, 2);
+    EXPECT_EQ(report.makespan_us, 1880u);
 }
 
 TEST(WorkloadDriver, EventOrderDigestIsReproducible) {

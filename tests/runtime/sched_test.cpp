@@ -78,6 +78,29 @@ TEST(EventHeap, OrderDigestIsDeterministicAndOrderSensitive) {
     EXPECT_NE(digest_of(false), digest_of(true));
 }
 
+TEST(EventHeap, FoldedWordsJoinTheDigestWithoutEvents) {
+    // fold() witnesses a stream that needs no dispatch: it changes the
+    // digest in order with the popped events but posts nothing.
+    auto digest_of = [](bool fold_first) {
+        EventHeap heap;
+        const std::uint32_t k = heap.register_handler([](const Event&) {});
+        heap.post(10, 0, k);
+        if (fold_first) heap.fold(7);
+        heap.run();
+        if (!fold_first) heap.fold(7);
+        EXPECT_EQ(heap.posted(), 1u);
+        EXPECT_EQ(heap.dispatched(), 1u);
+        EXPECT_EQ(heap.peak_pending(), 1u);
+        return heap.order_digest();
+    };
+    EventHeap plain;
+    plain.post(10, 0, plain.register_handler([](const Event&) {}));
+    plain.run();
+    EXPECT_NE(digest_of(true), plain.order_digest());
+    EXPECT_EQ(digest_of(true), digest_of(true));
+    EXPECT_NE(digest_of(true), digest_of(false));
+}
+
 TEST(EventHeap, HandlersRepostIntoTheSameOrder) {
     // A handler posting follow-up work models a resumable client step: the
     // new event merges into the global order by (at_us, seq).

@@ -413,5 +413,96 @@ TEST(Quickening, WarmSitesComputeTheSameValuesAsCold) {
     EXPECT_GT(f.interp->counters().ic_hits(), 0u);
 }
 
+// Native bindings are resolved once per method and reused; these pin the
+// invalidation rules: re-registration and pool rewrites both rebind.
+
+Interpreter::NativeFn returning(std::int32_t v) {
+    return [v](Interpreter&, const Value&, std::vector<Value>) {
+        return Value::of_int(v);
+    };
+}
+
+TEST(NativeBinding, ReRegisteredNativeRunsTheNewFunction) {
+    Fixture f(R"(
+class Host {
+  native static method f ()I
+  static method viaGuest ()I {
+    invokestatic Host.f ()I
+    returnvalue
+  }
+}
+)");
+    f.interp->register_native("Host", "f", "()I", returning(1));
+    EXPECT_EQ(f.interp->call_static("Host", "f", "()I").as_int(), 1);
+    EXPECT_EQ(f.interp->call_static("Host", "viaGuest", "()I").as_int(), 1);
+
+    f.interp->register_native("Host", "f", "()I", returning(2));
+    EXPECT_EQ(f.interp->call_static("Host", "f", "()I").as_int(), 2);
+    EXPECT_EQ(f.interp->call_static("Host", "viaGuest", "()I").as_int(), 2);
+}
+
+TEST(NativeBinding, ReRegisteredClassNativeRunsTheNewHandler) {
+    Fixture f(R"(
+class ProxyLike {
+  ctor ()V {
+    return
+  }
+  native method alpha ()I
+  native method beta ()I
+}
+)");
+    auto handler = [](std::int32_t base) {
+        return [base](Interpreter&, const model::Method& m, const Value&,
+                      std::vector<Value>) {
+            return Value::of_int(base + (m.name == "alpha" ? 1 : 2));
+        };
+    };
+    Value p = f.interp->construct("ProxyLike", "()V", {});
+    f.interp->register_class_native("ProxyLike", handler(10));
+    EXPECT_EQ(f.interp->call_virtual(p, "alpha", "()I").as_int(), 11);
+    EXPECT_EQ(f.interp->call_virtual(p, "beta", "()I").as_int(), 12);
+
+    f.interp->register_class_native("ProxyLike", handler(20));
+    EXPECT_EQ(f.interp->call_virtual(p, "alpha", "()I").as_int(), 21);
+
+    // A method-level native registered later takes precedence over the
+    // class handler the method was already bound to.
+    f.interp->register_native("ProxyLike", "beta", "()I", returning(99));
+    EXPECT_EQ(f.interp->call_virtual(p, "beta", "()I").as_int(), 99);
+    EXPECT_EQ(f.interp->call_virtual(p, "alpha", "()I").as_int(), 21);
+}
+
+TEST(NativeBinding, PoolRewriteAfterRunRebinds) {
+    // Erasing `a` after it ran shifts `b` into a's old storage, so the
+    // Method address a's binding was cached under now names `b`.  The
+    // generation bump of the mutable handout must force a rebind.
+    Fixture f(R"(
+class Host {
+  native static method a ()I
+  native static method b ()I
+}
+)");
+    f.interp->register_native("Host", "a", "()I", returning(1));
+    f.interp->register_native("Host", "b", "()I", returning(2));
+    const model::Method* a_addr = f.pool.get("Host").find_method("a", "()I");
+    EXPECT_EQ(f.interp->call_static("Host", "a", "()I").as_int(), 1);
+
+    ClassFile* cls = f.pool.find_mutable("Host");
+    ASSERT_NE(cls, nullptr);
+    cls->methods.erase(cls->methods.begin());
+    ASSERT_EQ(f.pool.get("Host").find_method("b", "()I"), a_addr);
+    EXPECT_EQ(f.interp->call_static("Host", "b", "()I").as_int(), 2);
+}
+
+TEST(NativeBinding, EveryCallIsCounted) {
+    Fixture f("class Host {\n native static method f ()I\n}\n");
+    f.interp->register_native("Host", "f", "()I", returning(7));
+    const std::uint64_t before = f.interp->counters().native_calls;
+    for (int k = 0; k < 5; ++k) f.interp->call_static("Host", "f", "()I");
+    f.interp->register_native("Host", "f", "()I", returning(8));
+    for (int k = 0; k < 3; ++k) f.interp->call_static("Host", "f", "()I");
+    EXPECT_EQ(f.interp->counters().native_calls - before, 8u);
+}
+
 }  // namespace
 }  // namespace rafda::vm

@@ -52,6 +52,18 @@ case " $presets " in
         build/bench/bench_scale --benchmark_min_time=0.01s ||
         echo "WARN: bench_scale failed (non-gating)"
 
+    # Host-performance benchmark smoke (non-gating): perfbench/ builds its
+    # own copy of src/ under .bench_build/ and runs every workload at tiny
+    # sizes, checking metric names, same-seed repeatability and that a
+    # broken oracle fails the run (perfbench/NOTES.md).
+    echo "== perf smoke: perfbench =="
+    if command -v python3 >/dev/null 2>&1; then
+        python3 perfbench/smoke_test.py ||
+            echo "WARN: perfbench smoke failed (non-gating)"
+    else
+        echo "WARN: python3 not found; perfbench smoke skipped (non-gating)"
+    fi
+
     # Differential guard (gating): the legacy driver workloads must be a
     # *degenerate event order* of the event-heap scheduler — re-running
     # E5/E9/E10/E12 on the same build must reproduce their JSON sidecars
