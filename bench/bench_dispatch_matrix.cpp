@@ -76,12 +76,16 @@ void run_remote(benchmark::State& state, const std::string& protocol) {
     for (auto _ : state)
         benchmark::DoNotOptimize(
             n0.call_virtual(svc, "work", "(J)J", {Value::of_long(++k)}));
-    const auto& stats = system.remote_stats().at(protocol);
-    double calls = static_cast<double>(stats.calls ? stats.calls : 1);
+    const obs::Snapshot snap = system.metrics().snapshot();
+    const std::string p = "rpc.proto." + protocol + ".";
+    const std::uint64_t n = snap.counter_value(p + "calls");
+    double calls = static_cast<double>(n ? n : 1);
     state.counters["virtual_us_per_call"] =
         static_cast<double>(system.network().now_us() - t0) / calls;
     state.counters["wire_bytes_per_call"] =
-        static_cast<double>(stats.request_bytes + stats.reply_bytes) / calls;
+        static_cast<double>(snap.counter_value(p + "request_bytes") +
+                            snap.counter_value(p + "reply_bytes")) /
+        calls;
 }
 
 void BM_RemoteRMI(benchmark::State& state) { run_remote(state, "RMI"); }
@@ -128,10 +132,13 @@ void run_payload(benchmark::State& state, const std::string& protocol) {
     for (auto _ : state)
         benchmark::DoNotOptimize(
             n0.call_virtual(svc, "echo", "(S)S", {Value::of_str(payload)}));
-    const auto& stats = system.remote_stats().at(protocol);
+    const obs::Snapshot snap = system.metrics().snapshot();
+    const std::string p = "rpc.proto." + protocol + ".";
+    const std::uint64_t calls = snap.counter_value(p + "calls");
     state.counters["wire_bytes_per_call"] =
-        static_cast<double>(stats.request_bytes + stats.reply_bytes) /
-        static_cast<double>(stats.calls ? stats.calls : 1);
+        static_cast<double>(snap.counter_value(p + "request_bytes") +
+                            snap.counter_value(p + "reply_bytes")) /
+        static_cast<double>(calls ? calls : 1);
 }
 
 void BM_PayloadRMI(benchmark::State& state) { run_payload(state, "RMI"); }

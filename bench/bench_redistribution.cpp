@@ -145,7 +145,7 @@ class Buf {
         else system.migrate_instance(0, eng.as_ref(), 1, "RMI");
         system.reset_stats();
         system.node(0).interp().call_virtual(eng, "query", "(I)I", {Value::of_int(1)});
-        return system.remote_stats().at("RMI").calls;
+        return system.metrics().snapshot().counter_value("rpc.proto.RMI.calls");
     };
     std::printf("%-46s %12s\n", "migrating a chatty 2-object cluster", "calls/query");
     std::printf("%-46s %12llu\n", "migrate_instance (engine only)",

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -241,22 +240,18 @@ inline model::ClassPool assemble_app(const char* src) {
 inline std::string traffic_matrix_json(const runtime::System& system) {
     std::string out = "[";
     bool first = true;
-    for (const auto& [cls, t] : system.class_traffic()) {
-        std::set<std::pair<net::NodeId, net::NodeId>> edges;
-        for (const auto& [e, _] : t.calls) edges.insert(e);
-        for (const auto& [e, _] : t.bytes) edges.insert(e);
-        for (const std::pair<net::NodeId, net::NodeId>& edge : edges) {
+    for (const auto& [cls, row] : system.traffic()) {
+        for (const auto& [edge, ctr] : row.edges) {
+            const std::uint64_t calls = ctr.calls->value();
+            const std::uint64_t bytes = ctr.bytes->value();
+            if (!calls && !bytes) continue;
             if (!first) out += ",";
             first = false;
-            auto lookup = [&edge](const auto& m) {
-                auto it = m.find(edge);
-                return it == m.end() ? std::uint64_t{0} : it->second;
-            };
             out += "{\"class\":\"" + obs::json_escape(cls) +
                    "\",\"src\":" + std::to_string(edge.first) +
                    ",\"dst\":" + std::to_string(edge.second) +
-                   ",\"calls\":" + std::to_string(lookup(t.calls)) +
-                   ",\"bytes\":" + std::to_string(lookup(t.bytes)) + "}";
+                   ",\"calls\":" + std::to_string(calls) +
+                   ",\"bytes\":" + std::to_string(bytes) + "}";
         }
     }
     return out + "]";

@@ -110,9 +110,12 @@ int main() {
     std::cout << "--- phase 2: same objects, same code, C now remote ---\n";
     phase("after 3 more pokes:", 3);
 
-    const auto& rmi = system.remote_stats().at("RMI");
-    std::cout << "\nremote calls over RMI: " << rmi.calls << " ("
-              << rmi.request_bytes + rmi.reply_bytes << " bytes on the wire), "
+    const obs::Snapshot snap = system.metrics().snapshot();
+    std::cout << "\nremote calls over RMI: " << snap.counter_value("rpc.proto.RMI.calls")
+              << " ("
+              << snap.counter_value("rpc.proto.RMI.request_bytes") +
+                     snap.counter_value("rpc.proto.RMI.reply_bytes")
+              << " bytes on the wire), "
               << "migrations: " << system.migrations() << "\n";
     std::cout << "\nA and B were never told; their reference to C is value "
               << c.as_ref() << " in both phases.\n";

@@ -117,10 +117,7 @@ void deploy(const char* title, const char* config) {
 
     std::cout << title << "\n  final balance: " << balance
               << "   virtual time: " << system.network().now_us() << "us";
-    std::uint64_t wire = 0;
-    for (const auto& [_, s] : system.remote_stats())
-        wire += s.request_bytes + s.reply_bytes;
-    std::cout << "   wire bytes: " << wire << "\n";
+    std::cout << "   wire bytes: " << system.rpc_totals().bytes << "\n";
 }
 
 }  // namespace

@@ -147,14 +147,16 @@ void run(bool distribute) {
     system.call_static(0, "Main", "main", "()V");
     std::cout << system.node(0).interp().output();
 
-    auto stats = system.remote_stats();
-    if (stats.empty()) {
+    // Only Inventory ever goes remote, and only over RMI.
+    const obs::Snapshot snap = system.metrics().snapshot();
+    const std::uint64_t calls = snap.counter_value("rpc.proto.RMI.calls");
+    if (calls == 0) {
         std::cout << "  (no remote traffic: everything ran in one address space)\n";
     } else {
-        for (const auto& [proto, s] : stats)
-            std::cout << "  (" << proto << ": " << s.calls << " remote calls, "
-                      << s.request_bytes + s.reply_bytes << " bytes, virtual time "
-                      << system.network().now_us() << "us)\n";
+        std::cout << "  (RMI: " << calls << " remote calls, "
+                  << snap.counter_value("rpc.proto.RMI.request_bytes") +
+                         snap.counter_value("rpc.proto.RMI.reply_bytes")
+                  << " bytes, virtual time " << system.network().now_us() << "us)\n";
     }
 }
 

@@ -144,18 +144,6 @@ Delivery SimNetwork::sequence_transfer(NodeId src, NodeId dst, std::size_t size,
     return Delivery{true, arrival, coalesce};
 }
 
-std::optional<std::uint64_t> SimNetwork::transfer(NodeId src, NodeId dst,
-                                                  std::size_t size) {
-    const std::uint64_t send = clock_us_;
-    Delivery d = transfer_at(src, dst, size, send);
-    // transfer_at already advanced the watermark to the event time, which
-    // for a send at the watermark is exactly the old global-clock advance.
-    if (!d.delivered) return std::nullopt;
-    return d.at_us - send;
-}
-
-void SimNetwork::charge_compute(std::uint64_t us) { clock_us_ += us; }
-
 std::uint64_t SimNetwork::link_busy_until(NodeId src, NodeId dst) const {
     const Link* l = find_link(src, dst);
     return l ? l->busy_until : 0;

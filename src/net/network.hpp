@@ -95,17 +95,6 @@ public:
     Delivery transfer_coalesced_at(NodeId src, NodeId dst, std::size_t size,
                                    std::uint64_t send_us);
 
-    /// Legacy synchronous transfer: sends at the global watermark and
-    /// returns the delay, or nullopt when the message was dropped (the
-    /// watermark still advances by the link's latency — losing a message
-    /// costs the propagation delay before the sender can observe it).
-    /// Equivalent to `transfer_at(src, dst, size, now_us())`.
-    std::optional<std::uint64_t> transfer(NodeId src, NodeId dst, std::size_t size);
-
-    /// Advances the global watermark by a compute cost charged to no
-    /// particular node (legacy; per-node work belongs on Node clocks).
-    void charge_compute(std::uint64_t us);
-
     /// Pulls the global watermark up to `t` (no-op when already past):
     /// how per-node clock advances become visible to `now_us()`.
     void observe(std::uint64_t t) noexcept {

@@ -38,10 +38,9 @@ void Journal::set_capacity(std::size_t n) {
     total_ = 0;
 }
 
-void Journal::record(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t node,
+void Journal::append(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t node,
                      std::int32_t peer, std::uint64_t a, std::uint64_t b,
-                     std::string detail) {
-    if (!enabled_) return;
+                     std::string_view detail) {
     JournalEvent& slot = ring_[head_];
     slot.kind = kind;
     slot.seq = next_seq_++;
@@ -54,11 +53,8 @@ void Journal::record(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t n
     // ring's lifetime (reuse pool), so an unbounded detail would pin
     // arbitrary heap per slot at scale.  kMaxDetail covers every emitter's
     // legitimate payload (protocol names, methods, "request"/"reply").
-    if (detail.size() > kMaxDetail) {
-        detail.resize(kMaxDetail);
-        detail += "...";
-    }
-    slot.detail = std::move(detail);
+    slot.detail.assign(detail.substr(0, kMaxDetail));
+    if (detail.size() > kMaxDetail) slot.detail += "...";
     if (slot.detail.capacity() > kMaxDetail + 16) slot.detail.shrink_to_fit();
     head_ = (head_ + 1) % capacity_;
     if (size_ < capacity_) ++size_;

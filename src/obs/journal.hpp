@@ -11,12 +11,14 @@
 // timeline.
 //
 // Overhead discipline (DESIGN.md §16):
-//   * Disabled (the default) the journal is a single `enabled()` branch.
-//     Call sites MUST guard `if (j.enabled()) j.record(...)` so no event
-//     arguments — in particular no detail strings — are ever built on the
-//     disabled path.  Nothing is allocated until the first enable.
+//   * Disabled (the default) record() is a single inline `enabled()`
+//     branch, so call sites need no guard of their own: the detail is a
+//     string_view over text the caller already holds.  Only a detail that
+//     has to be *built* (concatenated) is built under `enabled()`.
+//     Nothing is allocated until the first enable.
 //   * Enabled, the ring is allocated once at `capacity()` slots and then
-//     reused; recording is a slot assignment, never a push_back.  Memory
+//     reused; recording is a slot assignment (the detail is copied into
+//     the slot's existing string), never a push_back.  Memory
 //     stays bounded no matter how long the run is: old events are
 //     overwritten, and `overwritten()` says how many fell off the back.
 //   * Recording never reads clocks, never draws from a PRNG and never
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rafda::obs {
@@ -90,13 +93,15 @@ public:
     void set_capacity(std::size_t n);
     std::size_t capacity() const noexcept { return capacity_; }
 
-    /// Appends one event (callers must guard with `enabled()`; record()
-    /// re-checks defensively).  When the ring is full the oldest event is
-    /// overwritten — recording is O(1) and allocation-free apart from the
-    /// detail string moved into the slot.
+    /// Appends one event; a no-op while disabled.  When the ring is full
+    /// the oldest event is overwritten.  `detail` is copied into the
+    /// slot's reused string (truncated at kMaxDetail), so recording is
+    /// O(1) and allocation-free once every slot has been written.
     void record(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t node,
                 std::int32_t peer, std::uint64_t a, std::uint64_t b,
-                std::string detail);
+                std::string_view detail) {
+        if (enabled_) append(kind, t_us, node, peer, a, b, detail);
+    }
 
     /// Events currently held (<= capacity()).
     std::size_t size() const noexcept { return size_; }
@@ -122,6 +127,10 @@ public:
     std::string to_json() const;
 
 private:
+    void append(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t node,
+                std::int32_t peer, std::uint64_t a, std::uint64_t b,
+                std::string_view detail);
+
     bool enabled_ = false;
     std::size_t capacity_ = kDefaultCapacity;
     std::vector<JournalEvent> ring_;  // allocated on first enable

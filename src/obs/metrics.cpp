@@ -160,11 +160,6 @@ void Registry::visit_counters(
     for (const auto& [name, c] : counters_) fn(name, c->value());
 }
 
-void Registry::visit_histograms(
-    const std::function<void(const std::string&, const Histogram&)>& fn) const {
-    for (const auto& [name, h] : histograms_) fn(name, *h);
-}
-
 Snapshot Registry::snapshot() const {
     Snapshot out;
     for (const auto& [name, c] : counters_) {

@@ -178,12 +178,6 @@ public:
     void visit_counters(
         const std::function<void(const std::string&, std::uint64_t)>& fn) const;
 
-    /// Visits every histogram in name order — how the adaptation engine
-    /// enumerates the per-method `rpc.latency.*` family without taking a
-    /// full snapshot per controller tick.
-    void visit_histograms(
-        const std::function<void(const std::string&, const Histogram&)>& fn) const;
-
     Snapshot snapshot() const;
 
     /// Zeroes every counter/gauge/histogram in place; handles stay valid.

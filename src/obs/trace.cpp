@@ -9,17 +9,8 @@
 namespace rafda::obs {
 
 std::uint64_t Tracer::begin(std::string name, std::int32_t node) {
-    if (!enabled_) return 0;
-    Span s;
-    s.id = next_id_++;
-    s.parent = current_span();
-    s.trace = s.parent ? spans_[open_.back()].trace : s.id;
-    s.name = std::move(name);
-    s.node = node;
-    s.start_us = now();
-    open_.push_back(spans_.size());
-    spans_.push_back(std::move(s));
-    return spans_.back().id;
+    // A local child is a remote-parented span whose parent is on this stack.
+    return begin_remote(std::move(name), node, current_trace(), current_span());
 }
 
 std::uint64_t Tracer::begin_remote(std::string name, std::int32_t node,
@@ -50,9 +41,9 @@ void Tracer::end(std::uint64_t id) {
     }
 }
 
-void Tracer::note(const std::string& key, std::string value) {
-    if (!enabled_ || open_.empty()) return;
-    spans_[open_.back()].notes.emplace_back(key, std::move(value));
+void Tracer::add_note(std::string_view key, std::string_view value) {
+    if (open_.empty()) return;
+    spans_[open_.back()].notes.emplace_back(key, value);
 }
 
 std::uint64_t Tracer::current_span() const noexcept {

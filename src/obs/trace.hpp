@@ -22,13 +22,17 @@
 // into each VM's logical time), injected via set_clock — results are
 // exactly reproducible, never wall-clock noise.
 //
-// Disabled by default: begin() is a single branch returning 0, so the
-// hot RPC path pays nothing when tracing is off.
+// Disabled by default: begin() and note() are a single branch, and
+// ScopedSpan's lazily named form never builds its name, so the hot RPC
+// path pays nothing — and needs no `enabled()` guards — when tracing is
+// off.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -73,8 +77,15 @@ public:
     /// no-op, so callers can pair begin/end unconditionally.
     void end(std::uint64_t id);
 
-    /// Attaches a key/value note to the innermost open span.
-    void note(const std::string& key, std::string value);
+    /// Attaches a key/value note to the innermost open span (no-op while
+    /// disabled).  Integer values are formatted only when tracing is on.
+    void note(std::string_view key, std::string_view value) {
+        if (enabled_) add_note(key, value);
+    }
+    template <typename Int, typename = std::enable_if_t<std::is_integral_v<Int>>>
+    void note(std::string_view key, Int value) {
+        if (enabled_) add_note(key, std::to_string(value));
+    }
 
     /// Id of the innermost open span / its trace (0 when none).
     std::uint64_t current_span() const noexcept;
@@ -91,6 +102,7 @@ public:
 
 private:
     std::uint64_t now() const { return clock_ ? clock_() : 0; }
+    void add_note(std::string_view key, std::string_view value);
 
     bool enabled_ = false;
     std::function<std::uint64_t()> clock_;
@@ -106,6 +118,22 @@ public:
     ScopedSpan() = default;
     ScopedSpan(Tracer& tracer, std::string name, std::int32_t node = -1)
         : tracer_(&tracer), id_(tracer.begin(std::move(name), node)) {}
+
+    /// Lazily named span: `name()` runs only when tracing is on, so a call
+    /// site can pass a concatenation without an `enabled()` guard.
+    template <typename NameFn,
+              typename = std::enable_if_t<std::is_invocable_r_v<std::string, NameFn&>>>
+    ScopedSpan(Tracer& tracer, NameFn&& name, std::int32_t node = -1)
+        : tracer_(&tracer), id_(tracer.enabled() ? tracer.begin(name(), node) : 0) {}
+
+    /// Lazily named span whose parentage arrived on the wire (begin_remote).
+    template <typename NameFn>
+    static ScopedSpan remote(Tracer& tracer, NameFn&& name, std::int32_t node,
+                             std::uint64_t trace, std::uint64_t parent) {
+        return adopt(tracer, tracer.enabled()
+                                 ? tracer.begin_remote(name(), node, trace, parent)
+                                 : 0);
+    }
 
     /// Takes ownership of an already-open span (e.g. from begin_remote).
     static ScopedSpan adopt(Tracer& tracer, std::uint64_t id) {

@@ -1,7 +1,6 @@
 #include "runtime/adapt.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "net/faults.hpp"
 #include "runtime/system.hpp"
@@ -11,11 +10,14 @@ namespace rafda::runtime {
 
 namespace {
 
-constexpr const char* kLatencyPrefix = "rpc.latency.";
-constexpr const char* kLocalDiscoverPrefix = "runtime.local_discovers.";
-
-bool has_prefix(const std::string& s, const char* prefix) {
-    return s.rfind(prefix, 0) == 0;
+/// Windowed delta of a cumulative reading; rebases `prev` to `now`.
+/// System::reset_stats() rebases every baseline, so `now < prev` only
+/// follows a registry reset behind the engine's back — the whole reading
+/// is then the window.
+std::uint64_t take_delta(std::uint64_t& prev, std::uint64_t now) {
+    const std::uint64_t d = now >= prev ? now - prev : now;
+    prev = now;
+    return d;
 }
 
 }  // namespace
@@ -47,71 +49,49 @@ void AdaptationEngine::track_instance(const std::string& cls, net::NodeId node,
     tracked_[cls] = {node, oid};
 }
 
+void AdaptationEngine::rebase() {
+    prev_.clear();
+    prev_link_bytes_.clear();
+}
+
 void AdaptationEngine::sample_windows(
     std::map<std::string, ClassWindow>& out,
     std::map<std::pair<net::NodeId, net::NodeId>, std::uint64_t>& link_bytes) {
-    // Traffic matrix: per-class per-edge calls/bytes deltas.
-    for (const auto& [cls, traffic] : system_->class_traffic()) {
-        ClassWindow& w = out[cls];
-        auto& prev = prev_class_[cls];
-        for (const auto& [edge, calls] : traffic.calls) {
-            const auto bit = traffic.bytes.find(edge);
-            const std::uint64_t bytes = bit == traffic.bytes.end() ? 0 : bit->second;
-            auto& [pc, pb] = prev[edge];
+    for (const auto& [cls, row] : system_->traffic()) {
+        // Traffic matrix: per-edge calls/bytes deltas.  A class gets a
+        // window once any of its edges carried traffic.
+        ClassWindow w;
+        bool seen = false;
+        for (const auto& [edge, ctr] : row.edges) {
+            seen = seen || ctr.calls->value() || ctr.bytes->value();
             Edge e;
-            e.calls = calls >= pc ? calls - pc : calls;  // clamp across resets
-            e.bytes = bytes >= pb ? bytes - pb : bytes;
-            pc = calls;
-            pb = bytes;
+            e.calls = take_delta(prev_[ctr.calls], ctr.calls->value());
+            e.bytes = take_delta(prev_[ctr.bytes], ctr.bytes->value());
             if (e.calls == 0 && e.bytes == 0) continue;
             w.edges[edge] = e;
             w.calls += e.calls;
             w.bytes += e.bytes;
         }
+        // Per-method latency histograms: windowed call counts split into
+        // reads and writes by the original-bytecode classifier.  `make`/
+        // `discover` are control-plane operations, not class methods.
+        for (const auto& [method, h] : row.latency) {
+            const std::uint64_t delta = take_delta(prev_[h], h->count());
+            if (delta == 0 || method == "make" || method == "discover") continue;
+            (system_->replicas().method_is_readonly(cls, method) ? w.reads : w.writes) +=
+                delta;
+        }
+        // Local singleton discovers: access the middleware cannot intercept.
+        if (row.local_discovers)
+            w.local_discovers =
+                take_delta(prev_[row.local_discovers], row.local_discovers->value());
+        if (seen) out.emplace(cls, std::move(w));
     }
-
-    // Per-method latency histograms: windowed call counts split into reads
-    // and writes by the original-bytecode classifier.  `make`/`discover`
-    // are control-plane operations, not class methods — excluded.
-    system_->metrics().visit_histograms(
-        [&](const std::string& name, const obs::Histogram& h) {
-            if (!has_prefix(name, kLatencyPrefix)) return;
-            const std::string rest = name.substr(std::strlen(kLatencyPrefix));
-            const auto dot = rest.rfind('.');
-            if (dot == std::string::npos) return;
-            const std::string cls = rest.substr(0, dot);
-            const std::string method = rest.substr(dot + 1);
-            std::uint64_t& prev = prev_hist_counts_[name];
-            const std::uint64_t count = h.count();
-            const std::uint64_t delta = count >= prev ? count - prev : count;
-            prev = count;
-            if (delta == 0 || method == "make" || method == "discover") return;
-            auto it = out.find(cls);
-            if (it == out.end()) return;
-            if (system_->replicas().method_is_readonly(cls, method))
-                it->second.reads += delta;
-            else
-                it->second.writes += delta;
-        });
-
-    // Local singleton discovers: access the middleware cannot intercept.
-    system_->metrics().visit_counters([&](const std::string& name,
-                                          std::uint64_t value) {
-        if (!has_prefix(name, kLocalDiscoverPrefix)) return;
-        const std::string cls = name.substr(std::strlen(kLocalDiscoverPrefix));
-        std::uint64_t& prev = prev_local_discovers_[name];
-        const std::uint64_t delta = value >= prev ? value - prev : value;
-        prev = value;
-        auto it = out.find(cls);
-        if (it != out.end()) it->second.local_discovers += delta;
-    });
 
     // Per-link byte deltas for the congestion term.
     system_->network().visit_links([&](net::NodeId src, net::NodeId dst,
                                        const net::LinkStats& s) {
-        std::uint64_t& prev = prev_link_bytes_[{src, dst}];
-        const std::uint64_t delta = s.bytes >= prev ? s.bytes - prev : s.bytes;
-        prev = s.bytes;
+        const std::uint64_t delta = take_delta(prev_link_bytes_[{src, dst}], s.bytes);
         if (delta) link_bytes[{src, dst}] = delta;
     });
 }
@@ -151,10 +131,9 @@ AdaptDecision& AdaptationEngine::record(AdaptDecision d) {
     decisions_.push_back(std::move(d));
     AdaptDecision& r = decisions_.back();
     decisions_ctr_->add();
-    if (system_->journal().enabled())
-        system_->journal().record(obs::JournalEvent::Kind::Adapt, r.t_us, r.from,
-                                  r.to, static_cast<std::uint64_t>(r.action),
-                                  r.projected_saved_bytes, r.cls);
+    system_->journal().record(obs::JournalEvent::Kind::Adapt, r.t_us, r.from, r.to,
+                              static_cast<std::uint64_t>(r.action),
+                              r.projected_saved_bytes, r.cls);
     return r;
 }
 

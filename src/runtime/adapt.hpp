@@ -40,6 +40,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -132,6 +133,11 @@ public:
     void track_instance(const std::string& cls, net::NodeId node,
                         std::uint64_t oid);
 
+    /// Drops every windowed-delta baseline: System::reset_stats() calls
+    /// this as it zeroes the counters the windows are deltas of, so the
+    /// next window counts from zero.
+    void rebase();
+
 private:
     struct Edge {
         std::uint64_t calls = 0;
@@ -172,13 +178,10 @@ private:
     std::vector<AdaptDecision> decisions_;
     std::vector<std::size_t> pending_;  // indices awaiting realized backfill
 
-    /// Previous cumulative readings (the windowed-delta baselines).
-    std::map<std::string, std::map<std::pair<net::NodeId, net::NodeId>,
-                                   std::pair<std::uint64_t, std::uint64_t>>>
-        prev_class_;
+    /// Previous cumulative readings (the windowed-delta baselines), keyed
+    /// by the traffic-table handle read and by directed link.
+    std::unordered_map<const void*, std::uint64_t> prev_;
     std::map<std::pair<net::NodeId, net::NodeId>, std::uint64_t> prev_link_bytes_;
-    std::map<std::string, std::uint64_t> prev_hist_counts_;
-    std::map<std::string, std::uint64_t> prev_local_discovers_;
 
     /// Registry handles (resolved once at construction).
     obs::Counter* decisions_ctr_ = nullptr;

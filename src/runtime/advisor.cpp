@@ -1,7 +1,6 @@
 #include "runtime/advisor.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 namespace rafda::runtime {
@@ -11,36 +10,22 @@ PolicyAdvisor::PolicyAdvisor(System& system, std::uint64_t min_calls,
     : system_(&system), min_calls_(min_calls), min_dominance_(min_dominance) {}
 
 std::vector<Recommendation> PolicyAdvisor::advise() const {
-    // The advisor's only input is the metrics registry: the
-    // `rpc.class_calls.<cls>.<src>.<dst>` counters the proxy dispatchers
-    // maintain.  Rebuild the per-class edge map from those names.
-    std::map<std::string, System::ClassTraffic> by_class;
-    system_->metrics().visit_counters([&](const std::string& name, std::uint64_t value) {
-        constexpr const char* kPrefix = "rpc.class_calls.";
-        constexpr std::size_t kPrefixLen = 16;
-        if (!value || name.compare(0, kPrefixLen, kPrefix) != 0) return;
-        const std::size_t dst_dot = name.rfind('.');
-        const std::size_t src_dot = name.rfind('.', dst_dot - 1);
-        if (src_dot == std::string::npos || src_dot < kPrefixLen) return;
-        const std::string cls = name.substr(kPrefixLen, src_dot - kPrefixLen);
-        const net::NodeId src = std::stoi(name.substr(src_dot + 1, dst_dot - src_dot - 1));
-        const net::NodeId dst = std::stoi(name.substr(dst_dot + 1));
-        by_class[cls].calls[{src, dst}] += value;
-    });
-
+    // The advisor's only input is the typed traffic table: the
+    // per-(src, dst) call counters the proxy dispatchers maintain.
     std::vector<Recommendation> out;
-    for (const auto& [cls, traffic] : by_class) {
-        std::uint64_t total = traffic.total();
-        if (total < min_calls_) continue;
-
+    for (const auto& [cls, row] : system_->traffic()) {
+        std::uint64_t total = 0;
         std::pair<net::NodeId, net::NodeId> best_edge{0, 0};
         std::uint64_t best_calls = 0;
-        for (const auto& [edge, calls] : traffic.calls) {
+        for (const auto& [edge, ctr] : row.edges) {
+            const std::uint64_t calls = ctr.calls->value();
+            total += calls;
             if (calls > best_calls) {
                 best_calls = calls;
                 best_edge = edge;
             }
         }
+        if (total == 0 || total < min_calls_) continue;
         double dominance = static_cast<double>(best_calls) / static_cast<double>(total);
         if (dominance < min_dominance_) continue;
         // Remote traffic only exists when caller != callee node, but keep

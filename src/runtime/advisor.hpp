@@ -2,7 +2,7 @@
 // complete system for deciding and capturing distribution policy", Sec 4).
 //
 // The System records which node issues remote calls against each class's
-// proxies (System::class_traffic).  The advisor turns that observation into
+// proxies (System::traffic).  The advisor turns that observation into
 // placement recommendations: if node n makes the overwhelming share of
 // remote calls to instances of A, A's instances (and future placements)
 // belong on n.  Recommendations can be inspected, or applied — which

@@ -66,22 +66,13 @@ WorkloadDriver::Report WorkloadDriver::run() {
     obs::Counter& retries = system_->metrics().counter("rpc.retries");
 
     // Cumulative RPC counters across all protocols, for window deltas.
-    auto rpc_totals = [&] {
-        std::pair<std::uint64_t, std::uint64_t> t{0, 0};  // {calls, bytes}
-        for (const auto& [proto, s] : system_->remote_stats()) {
-            t.first += s.calls + s.creates + s.discovers;
-            t.second += s.request_bytes + s.reply_bytes;
-        }
-        return t;
-    };
     std::uint64_t window_start = system_->network().now_us();
-    auto [win_calls, win_bytes] = window_us_ ? rpc_totals()
-                                             : std::pair<std::uint64_t,
-                                                         std::uint64_t>{0, 0};
+    auto [win_calls, win_bytes] =
+        window_us_ ? system_->rpc_totals() : System::RpcTotals{};
     std::uint64_t win_tasks_done = 0;
     std::uint64_t tasks_done = 0;
     auto close_window = [&](std::uint64_t end) {
-        auto [calls, bytes] = rpc_totals();
+        const auto [calls, bytes] = system_->rpc_totals();
         Window w;
         w.start_us = window_start;
         w.end_us = end;

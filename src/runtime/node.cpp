@@ -380,10 +380,8 @@ net::CallReply Node::handle_request(const net::CallRequest& req,
                 args.reserve(req.args.size());
                 for (const net::MarshalledValue& a : req.args)
                     args.push_back(import_value(a, protocol));
-                obs::ScopedSpan span;
-                if (system_->tracer().enabled())
-                    span = obs::ScopedSpan(system_->tracer(), "vm.execute " + req.method,
-                                           id_);
+                obs::ScopedSpan span(
+                    system_->tracer(), [&] { return "vm.execute " + req.method; }, id_);
                 Value result = interp_.call_virtual(Value::of_ref(req.target_oid),
                                                     req.method, req.desc, std::move(args));
                 reply.result = interp_.sig_info(req.desc).second

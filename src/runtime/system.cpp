@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 
 #include "model/assembler.hpp"
@@ -36,6 +37,19 @@ model::ClassPool prepare_pool(const model::ClassPool& original) {
     if (!prepared.contains(kRemoteFaultClass))
         model::assemble_into(prepared, kRemoteFaultRir);
     return prepared;
+}
+
+/// The (node, oid) the proxy object `proxy` forwards to.
+std::pair<net::NodeId, vm::ObjId> proxy_target(vm::Interpreter& interp, vm::ObjId proxy) {
+    return {interp.get_field(proxy, naming::kProxyNodeField).as_int(),
+            static_cast<vm::ObjId>(interp.get_field(proxy, naming::kProxyOidField).as_long())};
+}
+
+void set_proxy_target(vm::Interpreter& interp, vm::ObjId proxy, net::NodeId node,
+                      vm::ObjId oid) {
+    interp.set_field(proxy, naming::kProxyNodeField, Value::of_int(node));
+    interp.set_field(proxy, naming::kProxyOidField,
+                     Value::of_long(static_cast<std::int64_t>(oid)));
 }
 
 }  // namespace
@@ -192,9 +206,8 @@ void System::note_recovery(net::NodeId node_id, const Wal::ReplayResult& res,
         wal_recoveries_->add();
         wal_replayed_->add(res.records);
     }
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::Recover, t_us, node_id, -1,
-                        res.records, res.bytes, {});
+    journal_.record(obs::JournalEvent::Kind::Recover, t_us, node_id, -1, res.records,
+                    res.bytes, {});
 }
 
 CircuitBreaker& System::breaker(net::NodeId dst, const std::string& protocol) {
@@ -239,9 +252,8 @@ net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& 
         if (br && br->state == CircuitBreaker::State::Open) {
             if (caller.clock_us() >= br->opened_at_us + rp.breaker_cooldown_us) {
                 br->set_state(CircuitBreaker::State::HalfOpen);
-                if (journal_.enabled())
-                    journal_.record(obs::JournalEvent::Kind::Breaker,
-                                    caller.clock_us(), dst, src, 2, 0, protocol);
+                journal_.record(obs::JournalEvent::Kind::Breaker, caller.clock_us(), dst,
+                                src, 2, 0, protocol);
             } else {
                 rpc_breaker_open_->add();
                 throw Dropped{"breaker open for node " + std::to_string(dst) + " via " +
@@ -264,10 +276,11 @@ net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& 
             req.attempt = attempt;
             try {
                 obs::ScopedSpan span;
-                if (tracer_.enabled() && attempt > 0) {
+                if (attempt > 0) {
                     span = obs::ScopedSpan(
-                        tracer_, "rpc.attempt " + std::to_string(attempt), src);
-                    tracer_.note("request_id", std::to_string(req.request_id));
+                        tracer_, [&] { return "rpc.attempt " + std::to_string(attempt); },
+                        src);
+                    tracer_.note("request_id", req.request_id);
                 }
                 net::CallReply reply = rpc_attempt(src, dst, protocol, req, pm);
                 // Any decoded reply — fault or not — proves the transport
@@ -276,7 +289,7 @@ net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& 
                 if (br) {
                     const bool reopened = br->state != CircuitBreaker::State::Closed;
                     br->record_success();
-                    if (reopened && journal_.enabled())
+                    if (reopened)
                         journal_.record(obs::JournalEvent::Kind::Breaker,
                                         caller.clock_us(), dst, src, 0, 0, protocol);
                 }
@@ -289,9 +302,8 @@ net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& 
         if (failed && br &&
             br->record_failure(rp.breaker_threshold, caller.clock_us())) {
             log_info("runtime", "breaker opened for node ", dst, " via ", protocol);
-            if (journal_.enabled())
-                journal_.record(obs::JournalEvent::Kind::Breaker, caller.clock_us(),
-                                dst, src, 1, 0, protocol);
+            journal_.record(obs::JournalEvent::Kind::Breaker, caller.clock_us(), dst, src,
+                            1, 0, protocol);
         }
         // Retry decision.  Reply-loss means the callee already executed:
         // without dedup a retry would re-execute (the §12 instance leak),
@@ -307,10 +319,8 @@ net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& 
         if (rp.jitter_us) delay += retry_jitter_rng_.below(rp.jitter_us + 1);
         if (req.deadline_us && caller.clock_us() + delay >= req.deadline_us) {
             rpc_timeouts_->add();
-            if (journal_.enabled())
-                journal_.record(obs::JournalEvent::Kind::RpcTimeout,
-                                caller.clock_us(), src, dst, req.request_id, 0,
-                                "client");
+            journal_.record(obs::JournalEvent::Kind::RpcTimeout, caller.clock_us(), src,
+                            dst, req.request_id, 0, "client");
             last.what = "deadline exceeded after " + std::to_string(attempt + 1) +
                         " attempt(s): " + last.what;
             break;
@@ -320,9 +330,8 @@ net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& 
         ++retries_spent_;
         rpc_retries_->add();
         if (last.executed_remotely) rpc_retries_reply_loss_->add();
-        if (journal_.enabled())
-            journal_.record(obs::JournalEvent::Kind::RpcRetry, caller.clock_us(),
-                            src, dst, req.request_id, attempt + 1, {});
+        journal_.record(obs::JournalEvent::Kind::RpcRetry, caller.clock_us(), src, dst,
+                        req.request_id, attempt + 1, {});
     }
     throw last;
 }
@@ -342,7 +351,6 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     net::Codec& c = codec(protocol);
     Node& caller = node(src);
     Node& callee = node(dst);
-    const bool traced = tracer_.enabled();
     // Stamp the caller's trace context into the wire header; the server
     // side parents its dispatch span from these fields, not from the stack.
     req.trace_id = tracer_.current_trace();
@@ -357,6 +365,20 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
             std::llround(2.0 * c.cpu_cost_ns_per_byte() * static_cast<double>(size) /
                          1000.0));  // encode + decode
         return std::pair<std::uint64_t, std::uint64_t>{total / 2, total - total / 2};
+    };
+    // A message lost at `at_us` on the link from -> to: the caller observes
+    // the failure then.  `executed` marks the reply-loss arm of
+    // at-most-once, where the callee already ran the call (DESIGN.md §12).
+    auto lose = [&](std::uint64_t at_us, net::NodeId from, net::NodeId to,
+                    const char* where, bool executed, std::string what) {
+        pm.drops->add();
+        tracer_.note("dropped", where);
+        journal_.record(obs::JournalEvent::Kind::RpcDrop, at_us, from, to,
+                        req.request_id, 0, where);
+        caller.reconcile_clock(at_us);
+        caller.sync_guest_time();
+        if (executed) callee.sync_guest_time();
+        return Dropped{std::move(what), executed};
     };
 
     // The request frame encodes straight into a pooled buffer; no
@@ -374,9 +396,8 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     bool coalesce = false;
     net::BatchContext entry_ctx;
     {
-        obs::ScopedSpan span;
-        if (traced)
-            span = obs::ScopedSpan(tracer_, "codec.encode_request " + protocol, src);
+        obs::ScopedSpan span(tracer_, [&] { return "codec.encode_request " + protocol; },
+                             src);
         // Batch join: if the directed link still carries an earlier
         // same-protocol request frame with room, tentatively encode this
         // call as a compact continuation entry.  The join must be decided
@@ -402,7 +423,7 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
         caller.advance_clock(codec_cost(request_bytes.size()).first);
     }
     req.sim_send_us = caller.clock_us();
-    if (journal_.enabled())
+    if (journal_.enabled())  // the only detail built per call
         journal_.record(obs::JournalEvent::Kind::RpcSend, req.sim_send_us, src, dst,
                         req.request_id, request_bytes.size(),
                         req.stat_class.empty()
@@ -411,14 +432,11 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
                                   (req.method.empty() ? "" : "." + req.method));
     net::Delivery inbound;
     {
-        obs::ScopedSpan span;
-        if (traced) {
-            span = obs::ScopedSpan(tracer_,
-                                   "net.transfer " + std::to_string(src) + "->" +
-                                       std::to_string(dst),
-                                   src);
-            tracer_.note("bytes", std::to_string(request_bytes.size()));
-        }
+        obs::ScopedSpan span(
+            tracer_,
+            [&] { return "net.transfer " + std::to_string(src) + "->" + std::to_string(dst); },
+            src);
+        tracer_.note("bytes", request_bytes.size());
         inbound = coalesce ? network_.transfer_coalesced_at(src, dst,
                                                             request_bytes.size(),
                                                             req.sim_send_us)
@@ -433,7 +451,7 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
             // The entry rode the open frame's propagation window instead
             // of paying its own.
             batch_latency_saved_us_->add(network_.link(src, dst).latency_us);
-            if (traced) tracer_.note("coalesced", "request");
+            tracer_.note("coalesced", "request");
         } else if (inbound.delivered) {
             // This full frame now occupies the link; a same-protocol
             // follower may append to it while it is in flight.
@@ -444,21 +462,12 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
             // wire; nothing in flight is joinable any more.
             lane->joinable = false;
         }
-        if (!inbound.delivered) {
-            pm.drops->add();
-            if (traced) tracer_.note("dropped", "request");
-            if (journal_.enabled())
-                journal_.record(obs::JournalEvent::Kind::RpcDrop, inbound.at_us, src,
-                                dst, req.request_id, 0, "request");
-            // The sender observes the failure once the propagation window
-            // has passed; the decode half of the codec budget is never
-            // spent — the request never reached a parser.
-            caller.reconcile_clock(inbound.at_us);
-            caller.sync_guest_time();
-            throw Dropped{"request lost on link " + std::to_string(src) + "->" +
-                              std::to_string(dst),
-                          /*executed_remotely=*/false};
-        }
+        // The decode half of the codec budget is never spent on a lost
+        // request — it never reached a parser.
+        if (!inbound.delivered)
+            throw lose(inbound.at_us, src, dst, "request", false,
+                       "request lost on link " + std::to_string(src) + "->" +
+                           std::to_string(dst));
     }
     req.sim_arrival_us = inbound.at_us;
     // A request landing on a crashed node dies there — never executed.
@@ -468,28 +477,19 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     const net::FaultPlan& plan = network_.fault_plan();
     plan.notify_restarts(dst, inbound.at_us);
     if (plan.node_down(dst, inbound.at_us)) {
-        pm.drops->add();
-        if (traced) tracer_.note("dropped", "dest_crashed");
         note_node_fault(dst, true, inbound.at_us);
-        if (journal_.enabled())
-            journal_.record(obs::JournalEvent::Kind::RpcDrop, inbound.at_us, src,
-                            dst, req.request_id, 0, "dest_crashed");
-        caller.reconcile_clock(inbound.at_us);
-        caller.sync_guest_time();
-        throw Dropped{"request reached crashed node " + std::to_string(dst),
-                      /*executed_remotely=*/false};
+        throw lose(inbound.at_us, src, dst, "dest_crashed", false,
+                   "request reached crashed node " + std::to_string(dst));
     }
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::RpcArrive, inbound.at_us, dst, src,
-                        req.request_id, request_bytes.size(), {});
+    journal_.record(obs::JournalEvent::Kind::RpcArrive, inbound.at_us, dst, src,
+                    req.request_id, request_bytes.size(), {});
     // The server cannot see the request before both its own prior work and
     // the wire delivery are done: clock reconciliation, join point one.
     callee.reconcile_clock(inbound.at_us);
     net::CallRequest decoded;
     {
-        obs::ScopedSpan span;
-        if (traced)
-            span = obs::ScopedSpan(tracer_, "codec.decode_request " + protocol, dst);
+        obs::ScopedSpan span(tracer_, [&] { return "codec.decode_request " + protocol; },
+                             dst);
         decoded = coalesce ? c.decode_batch_entry(request_bytes, entry_ctx)
                            : c.decode_request(request_bytes);
         decoded.sim_send_us = req.sim_send_us;
@@ -498,34 +498,25 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     }
     net::CallReply reply;
     {
-        obs::ScopedSpan span;
-        if (traced) {
-            const std::string& what =
-                decoded.kind == net::RequestKind::Invoke ? decoded.method : decoded.cls;
-            span = obs::ScopedSpan::adopt(
-                tracer_, tracer_.begin_remote("rpc.dispatch " + what, dst,
-                                              decoded.trace_id, decoded.parent_span));
-            if (decoded.attempt)
-                tracer_.note("attempt", std::to_string(decoded.attempt));
-        }
+        const std::string& what =
+            decoded.kind == net::RequestKind::Invoke ? decoded.method : decoded.cls;
+        obs::ScopedSpan span = obs::ScopedSpan::remote(
+            tracer_, [&] { return "rpc.dispatch " + what; }, dst, decoded.trace_id,
+            decoded.parent_span);
+        if (decoded.attempt) tracer_.note("attempt", decoded.attempt);
         // Dispatch is charged on the destination node's clock; its guest
         // code observes the server's own time, not the caller's.
         callee.sync_guest_time();
-        if (journal_.enabled())
-            journal_.record(
-                obs::JournalEvent::Kind::RpcDispatch, callee.clock_us(), dst, src,
-                decoded.request_id, decoded.attempt,
-                decoded.kind == net::RequestKind::Invoke ? decoded.method
-                                                         : decoded.cls);
+        journal_.record(obs::JournalEvent::Kind::RpcDispatch, callee.clock_us(), dst, src,
+                        decoded.request_id, decoded.attempt, what);
         reply = callee.handle_request(decoded, protocol);
     }
 
     support::PooledBuffer reply_frame(buffer_pool_);
     Bytes& reply_bytes = reply_frame.bytes();
     {
-        obs::ScopedSpan span;
-        if (traced)
-            span = obs::ScopedSpan(tracer_, "codec.encode_reply " + protocol, dst);
+        obs::ScopedSpan span(tracer_, [&] { return "codec.encode_reply " + protocol; },
+                             dst);
         ByteWriter w(reply_bytes);
         c.encode_reply_into(reply, w);
         pm.reply_bytes->add(reply_bytes.size());
@@ -535,33 +526,19 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     }
     net::Delivery outbound;
     {
-        obs::ScopedSpan span;
-        if (traced) {
-            span = obs::ScopedSpan(tracer_,
-                                   "net.transfer " + std::to_string(dst) + "->" +
-                                       std::to_string(src),
-                                   dst);
-            tracer_.note("bytes", std::to_string(reply_bytes.size()));
-        }
+        obs::ScopedSpan span(
+            tracer_,
+            [&] { return "net.transfer " + std::to_string(dst) + "->" + std::to_string(src); },
+            dst);
+        tracer_.note("bytes", reply_bytes.size());
         outbound = network_.transfer_at(dst, src, reply_bytes.size(), callee.clock_us());
         // The reply frame is what now occupies the reverse link; a later
         // request on that link must open its own frame.
         if (lane) batch_lanes_[{dst, src}].joinable = false;
-        if (!outbound.delivered) {
-            pm.drops->add();
-            if (traced) tracer_.note("dropped", "reply");
-            if (journal_.enabled())
-                journal_.record(obs::JournalEvent::Kind::RpcDrop, outbound.at_us,
-                                dst, src, req.request_id, 0, "reply");
-            caller.reconcile_clock(outbound.at_us);
-            caller.sync_guest_time();
-            callee.sync_guest_time();
-            // The dispatch above already ran: this is the "executed but
-            // reply lost" arm of at-most-once (DESIGN.md §12).
-            throw Dropped{"reply lost on link " + std::to_string(dst) + "->" +
-                              std::to_string(src),
-                          /*executed_remotely=*/true};
-        }
+        if (!outbound.delivered)
+            throw lose(outbound.at_us, dst, src, "reply", true,
+                       "reply lost on link " + std::to_string(dst) + "->" +
+                           std::to_string(src));
     }
     // Join point two: the caller resumes no earlier than the reply arrival.
     // The server is NOT pulled forward by the reply's flight time — it is
@@ -571,14 +548,12 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     // pipeline closes), which is what lets its next request depart while
     // the link still carries this one.
     caller.reconcile_reply(outbound.at_us);
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::RpcReply, outbound.at_us, src, dst,
-                        req.request_id, reply_bytes.size(), {});
+    journal_.record(obs::JournalEvent::Kind::RpcReply, outbound.at_us, src, dst,
+                    req.request_id, reply_bytes.size(), {});
     net::CallReply decoded_reply;
     {
-        obs::ScopedSpan span;
-        if (traced)
-            span = obs::ScopedSpan(tracer_, "codec.decode_reply " + protocol, src);
+        obs::ScopedSpan span(tracer_, [&] { return "codec.decode_reply " + protocol; },
+                             src);
         decoded_reply = c.decode_reply(reply_bytes);
         caller.advance_clock(codec_cost(reply_bytes.size()).second);
     }
@@ -588,6 +563,26 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     return decoded_reply;
 }
 
+Value System::remote_call(Node& self, net::NodeId dst, const std::string& protocol,
+                          net::CallRequest& req, obs::Histogram& latency,
+                          obs::Counter* edge_bytes) {
+    const std::uint64_t t0 = self.clock_us();
+    auto account = [&] {
+        if (edge_bytes) edge_bytes->add(req.sim_wire_bytes);
+        latency.record(self.clock_us() - t0);
+    };
+    net::CallReply reply;
+    try {
+        reply = rpc(self.id(), dst, protocol, req);
+    } catch (const Dropped& d) {
+        account();
+        self.throw_remote_fault(d.what);
+    }
+    account();
+    if (reply.is_fault) self.rethrow_fault(reply);
+    return self.import_value(reply.result, protocol);
+}
+
 void System::wire_node(Node& n) {
     const net::NodeId node_id = n.id();
     vm::Interpreter& interp = n.interp();
@@ -595,43 +590,41 @@ void System::wire_node(Node& n) {
     for (const std::string& cls : result_.report.substituted_classes()) {
         const std::string o_int_desc = "L" + naming::o_int(cls) + ";";
         const std::string o_local = naming::o_local(cls);
+        ClassTraffic* row = &traffic_[cls];
+        // make()/discover() for a remote placement: one Create/Discover
+        // round-trip, timed into rpc.latency.<cls>.{make,discover}.
+        auto factory_call = [this, cls, node_id, row](net::RequestKind kind,
+                                                      const Placement& p) {
+            const bool create = kind == net::RequestKind::Create;
+            obs::ScopedSpan span(
+                tracer_, [&] { return (create ? "rpc.create " : "rpc.discover ") + cls; },
+                node_id);
+            net::CallRequest req;
+            req.kind = kind;
+            req.request_id = next_request_id();
+            req.src_node = node_id;
+            req.cls = cls;
+            req.stat_class = cls;
+            return remote_call(node(node_id), p.node, p.protocol, req,
+                               latency_histogram(*row, cls, create ? "make" : "discover"));
+        };
 
         // A_O_Factory.make(): the policy decides where the instance lives.
         interp.register_native(
             naming::o_factory(cls), "make", "()" + o_int_desc,
-            [this, cls, node_id, o_local,
-             lat = static_cast<obs::Histogram*>(nullptr)](
-                vm::Interpreter& vm, const Value&, std::vector<Value>) mutable {
+            [this, cls, node_id, o_local, factory_call](vm::Interpreter& vm, const Value&,
+                                                        std::vector<Value>) {
                 Placement p = policy_.instance_placement(cls, node_id);
                 if (p.node == node_id) return vm.construct(o_local, "()V", {});
-                obs::ScopedSpan span;
-                if (tracer_.enabled())
-                    span = obs::ScopedSpan(tracer_, "rpc.create " + cls, node_id);
-                net::CallRequest req;
-                req.kind = net::RequestKind::Create;
-                req.request_id = next_request_id();
-                req.src_node = node_id;
-                req.cls = cls;
-                req.stat_class = cls;
-                if (!lat) lat = &metrics_.histogram("rpc.latency." + cls + ".make");
-                const std::uint64_t t0 = node(node_id).clock_us();
-                try {
-                    net::CallReply reply = rpc(node_id, p.node, p.protocol, req);
-                    lat->record(node(node_id).clock_us() - t0);
-                    if (reply.is_fault) node(node_id).rethrow_fault(reply);
-                    return node(node_id).import_value(reply.result, p.protocol);
-                } catch (const Dropped& d) {
-                    lat->record(node(node_id).clock_us() - t0);
-                    node(node_id).throw_remote_fault(d.what);
-                }
+                return factory_call(net::RequestKind::Create, p);
             });
 
         // A_C_Factory.discover(): singleton lookup with one-shot clinit.
         const std::string c_int_desc = "L" + naming::c_int(cls) + ";";
         interp.register_native(
             naming::c_factory(cls), "discover", "()" + c_int_desc,
-            [this, cls, node_id, lat = static_cast<obs::Histogram*>(nullptr)](
-                vm::Interpreter&, const Value&, std::vector<Value>) mutable {
+            [this, cls, node_id, factory_call](vm::Interpreter&, const Value&,
+                                               std::vector<Value>) {
                 // With the sharded directory enabled the singleton home is
                 // resolved through the owning shard (a modelled control
                 // round-trip) instead of the free host-side policy oracle.
@@ -647,32 +640,12 @@ void System::wire_node(Node& n) {
                         note_local_discover(cls, node_id);
                     return node(node_id).local_singleton(cls);
                 }
-                obs::ScopedSpan span;
-                if (tracer_.enabled())
-                    span = obs::ScopedSpan(tracer_, "rpc.discover " + cls, node_id);
-                net::CallRequest req;
-                req.kind = net::RequestKind::Discover;
-                req.request_id = next_request_id();
-                req.src_node = node_id;
-                req.cls = cls;
-                req.stat_class = cls;
-                if (!lat)
-                    lat = &metrics_.histogram("rpc.latency." + cls + ".discover");
-                const std::uint64_t t0 = node(node_id).clock_us();
-                try {
-                    net::CallReply reply = rpc(node_id, p.node, p.protocol, req);
-                    lat->record(node(node_id).clock_us() - t0);
-                    if (reply.is_fault) node(node_id).rethrow_fault(reply);
-                    return node(node_id).import_value(reply.result, p.protocol);
-                } catch (const Dropped& d) {
-                    lat->record(node(node_id).clock_us() - t0);
-                    node(node_id).throw_remote_fault(d.what);
-                }
+                return factory_call(net::RequestKind::Discover, p);
             });
 
         // Proxy dispatch: one class-level native per generated proxy class.
-        // Each dispatcher caches its class's registry handles (one
-        // calls/bytes counter pair per remote edge, one counter for
+        // Each dispatcher caches its class's traffic-table edges (one
+        // calls/bytes counter pair per remote target, one counter for
         // loopback) and, per proxied method, the descriptor string and
         // latency histogram — so the hot path never builds a descriptor or
         // a metric name.  Method entries are checked against the pool
@@ -683,9 +656,8 @@ void System::wire_node(Node& n) {
             obs::Histogram* latency = nullptr;
         };
         for (const std::string& proto : result_.report.protocols()) {
-            auto dispatch = [this, node_id, proto, cls,
-                             edge_counters = std::map<net::NodeId, obs::Counter*>{},
-                             byte_counters = std::map<net::NodeId, obs::Counter*>{},
+            auto dispatch = [this, node_id, proto, cls, row,
+                             edges = std::map<net::NodeId, EdgeTraffic>{},
                              methods = std::unordered_map<const model::Method*,
                                                           ProxyMethod>{},
                              local_counter = static_cast<obs::Counter*>(nullptr)](
@@ -709,12 +681,9 @@ void System::wire_node(Node& n) {
                     vm.get_field(receiver.as_ref(), naming::kProxyNodeField).as_int();
                 req.method = m.name;
                 req.desc = meth.desc;
-                obs::ScopedSpan span;
-                if (tracer_.enabled()) {
-                    span = obs::ScopedSpan(tracer_, "rpc.invoke " + cls + "." + m.name,
-                                           node_id);
-                    tracer_.note("target_node", std::to_string(target_node));
-                }
+                obs::ScopedSpan span(
+                    tracer_, [&] { return "rpc.invoke " + cls + "." + m.name; }, node_id);
+                tracer_.note("target_node", target_node);
                 // Read-mostly replication (DESIGN.md §19): a node-local
                 // copy of the target serves read-only methods without
                 // touching the wire; anything else aimed at a replicated
@@ -749,36 +718,17 @@ void System::wire_node(Node& n) {
                     return vm.call_virtual(Value::of_ref(req.target_oid), m.name,
                                            meth.desc, std::move(args));
                 }
-                obs::Counter*& edge = edge_counters[target_node];
-                obs::Counter*& edge_bytes = byte_counters[target_node];
-                if (!edge) {
-                    // Resolved through the matrix cap: past
-                    // class_matrix_cap distinct edges these point at the
-                    // overflow aggregates instead of named counters.
-                    auto [calls_ctr, bytes_ctr] =
-                        matrix_counters(cls, node_id, target_node);
-                    edge = calls_ctr;
-                    edge_bytes = bytes_ctr;
-                }
-                edge->add();
-                obs::Histogram*& lat = meth.latency;
-                if (!lat)
-                    lat = &metrics_.histogram("rpc.latency." + cls + "." + m.name);
+                // Resolved through the matrix cap: past class_matrix_cap
+                // distinct edges this is the overflow aggregate pair.
+                EdgeTraffic& edge = edges[target_node];
+                if (!edge.calls) edge = traffic_edge(*row, cls, node_id, target_node);
+                edge.calls->add();
+                if (!meth.latency) meth.latency = &latency_histogram(*row, cls, m.name);
                 req.stat_class = cls;
                 req.args.reserve(args.size());
                 for (const Value& a : args) req.args.push_back(self.export_value(a));
-                const std::uint64_t t0 = self.clock_us();
-                try {
-                    net::CallReply reply = rpc(node_id, target_node, proto, req);
-                    edge_bytes->add(req.sim_wire_bytes);
-                    lat->record(self.clock_us() - t0);
-                    if (reply.is_fault) self.rethrow_fault(reply);
-                    return self.import_value(reply.result, proto);
-                } catch (const Dropped& d) {
-                    edge_bytes->add(req.sim_wire_bytes);
-                    lat->record(self.clock_us() - t0);
-                    self.throw_remote_fault(d.what);
-                }
+                return remote_call(self, target_node, proto, req, *meth.latency,
+                                   edge.bytes);
             };
             interp.register_class_native(naming::o_proxy(cls, proto), dispatch);
             interp.register_class_native(naming::c_proxy(cls, proto), dispatch);
@@ -827,49 +777,22 @@ vm::ObjId System::migrate_instance(net::NodeId from, vm::ObjId oid, net::NodeId 
     if (!iface)
         throw RuntimeError("can only migrate local implementations, not " + cls_name);
 
-    obs::ScopedSpan span;
-    if (tracer_.enabled()) {
-        span = obs::ScopedSpan(tracer_, "runtime.migrate " + cls_name, from);
-        tracer_.note("from", std::to_string(from));
-        tracer_.note("to", std::to_string(to));
-    }
-
-    // Marshal the object state (references become remote references).
-    const model::Layout& layout = result_.pool.layout_of(cls_name);
-    net::CallRequest transfer_msg;  // used for wire-size accounting
-    transfer_msg.kind = net::RequestKind::Create;
-    transfer_msg.request_id = next_request_id();
-    transfer_msg.src_node = from;
-    transfer_msg.cls = cls_name;
-    for (const model::FieldSlot& slot : layout.slots)
-        transfer_msg.args.push_back(f.export_value(f.interp().get_field(oid, slot.name)));
+    obs::ScopedSpan span(tracer_, [&] { return "runtime.migrate " + cls_name; }, from);
+    tracer_.note("from", from);
+    tracer_.note("to", to);
 
     // Migration uses a reliable control channel: account the transfer cost
     // (an injected "drop" still draws from the PRNG and occupies the link,
     // but the move proceeds regardless).  It is a stop-the-world control
     // operation — the vacated slot and the policy tables are global state —
-    // so *every* node reconciles to the landing time (a synchronization
-    // barrier, DESIGN.md §13), which is exactly the old global-clock
-    // behaviour.
-    net::Codec& c = codec(proto);
-    Bytes payload = c.encode_request(transfer_msg);
-    net::Delivery landed = network_.transfer_at(from, to, payload.size(), f.clock_us());
-    for (const auto& n : nodes_) n->reconcile_clock(landed.at_us);
-
-    // The barrier also quiesces the wire model: any batch lane still
-    // marked joinable refers to a frame opened before the migration, and a
-    // post-migration call must never coalesce onto a frame addressed to
-    // the old home (§17 composed with migration; regression-tested).
-    for (auto& [_, lane] : batch_lanes_) lane.joinable = false;
+    // so it is a synchronization barrier at the landing time (DESIGN.md
+    // §13), which is exactly the old global-clock behaviour.
+    const ShippedState state = ship_state(f, oid, to, proto);
+    barrier(state.landed.at_us);
     // Replicas of the moved object lose their provenance at the same
     // barrier — the primary no longer lives at (from, oid).
     if (replicas_.active()) replicas_.drop_primary(from, oid);
-
-    // Materialise on the target node.
-    vm::ObjId new_oid = t.interp().allocate(cls_name);
-    for (std::size_t k = 0; k < layout.slots.size(); ++k)
-        t.interp().set_field(new_oid, layout.slots[k].name,
-                             t.import_value(transfer_msg.args[k], proto));
+    const vm::ObjId new_oid = install_state(t, state, proto);
 
     // Swap the vacated slot for a proxy: local references on `from` now go
     // remote, and proxies elsewhere chain through it (Figure 1).
@@ -885,20 +808,16 @@ vm::ObjId System::migrate_instance(net::NodeId from, vm::ObjId oid, net::NodeId 
         f.wal()->append_transmute(f.clock_us(), oid, proxy_cls.name, to, new_oid);
 
     migrations_counter_->add();
-    migration_bytes_counter_->add(payload.size());
+    migration_bytes_counter_->add(state.bytes);
     if (directory_.enabled()) {
         // The owning shard learns the relocation, so directory lookups for
         // (from, oid) resolve straight to the new home instead of chasing
-        // the proxy chain; stale per-node caches are shed at the same
-        // barrier the migration already imposes.
+        // the proxy chain.
         directory_.put_object(from, oid, to, new_oid);
-        directory_.invalidate_caches();
-        dir_updates_->add();
-        dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
+        directory_changed();
     }
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::Migrate, landed.at_us, from, to,
-                        oid, new_oid, cls_name);
+    journal_.record(obs::JournalEvent::Kind::Migrate, state.landed.at_us, from, to, oid,
+                    new_oid, cls_name);
     f.sync_guest_time();
     t.sync_guest_time();
     log_info("runtime", "migrated ", cls_name, " (", from, ",", oid, ") -> (", to, ",",
@@ -913,9 +832,7 @@ void System::migrate_singleton(const std::string& cls, net::NodeId to,
     policy_.set_singleton_home(cls, to, proto);
     if (directory_.enabled()) {
         directory_.put_singleton(cls, to, proto);
-        directory_.invalidate_caches();
-        dir_updates_->add();
-        dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
+        directory_changed();
     }
     if (current.node == to) return;
     Node& home = node(current.node);
@@ -1015,11 +932,8 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
         throw RuntimeError("node " + std::to_string(crashed) +
                            " has no durable image to recover from");
 
-    obs::ScopedSpan span;
-    if (tracer_.enabled()) {
-        span = obs::ScopedSpan(tracer_, "runtime.recover_onto", target);
-        tracer_.note("crashed", std::to_string(crashed));
-    }
+    obs::ScopedSpan span(tracer_, "runtime.recover_onto", target);
+    tracer_.note("crashed", crashed);
 
     // Decode the durable image offline — the crashed node itself is not
     // touched (it is down; its own in-memory state is dead anyway).
@@ -1029,13 +943,12 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
 
     // Reading the image is a bulk transfer from the crashed node's stable
     // storage to the target: charged on the wire like a migration, and
-    // like migration it is a stop-the-world control operation — every
-    // node reconciles to the landing time (DESIGN.md §13 barrier).
+    // like migration it is a stop-the-world control operation (DESIGN.md
+    // §13 barrier).
     const std::size_t image_bytes = c.wal()->snapshot().size() + c.wal()->log().size();
     net::Delivery landed =
         network_.transfer_at(crashed, target, image_bytes, t.clock_us());
-    for (const auto& n : nodes_) n->reconcile_clock(landed.at_us);
-    for (auto& [_, lane] : batch_lanes_) lane.joinable = false;
+    barrier(landed.at_us);
 
     // Pass 1 — allocate every object on the target in image (arena)
     // order; the remap table carries old oid -> new oid.
@@ -1165,27 +1078,18 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
         for (vm::ObjId id = 1; id <= interp.heap().size(); ++id) {
             const vm::Object& o = interp.heap().get(id);
             if (o.is_array || !o.cls || !naming::parse_proxy(o.cls->name)) continue;
-            if (interp.get_field(id, naming::kProxyNodeField).as_int() != crashed)
-                continue;
-            const std::uint64_t old_oid = static_cast<std::uint64_t>(
-                interp.get_field(id, naming::kProxyOidField).as_long());
+            const auto [to_node, old_oid] = proxy_target(interp, id);
+            if (to_node != crashed) continue;
             const auto it = remap.find(old_oid);
             if (it == remap.end()) continue;
-            interp.set_field(id, naming::kProxyNodeField, Value::of_int(target));
-            interp.set_field(id, naming::kProxyOidField,
-                             Value::of_long(static_cast<std::int64_t>(it->second)));
+            set_proxy_target(interp, id, target, it->second);
         }
     }
 
-    if (directory_.enabled()) {
-        directory_.invalidate_caches();
-        dir_updates_->add();
-        dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
-    }
+    if (directory_.enabled()) directory_changed();
     if (wal_relocated_) wal_relocated_->add(relocated);
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::Recover, landed.at_us, crashed,
-                        target, img.objects.size(), image_bytes, {});
+    journal_.record(obs::JournalEvent::Kind::Recover, landed.at_us, crashed, target,
+                    img.objects.size(), image_bytes, {});
     for (const auto& n : nodes_) n->sync_guest_time();
     log_info("runtime", "recovered node ", crashed, " onto ", target, ": ",
              img.objects.size(), " objects (", relocated, " relocated, ",
@@ -1229,30 +1133,13 @@ vm::ObjId System::create_replica(net::NodeId primary, vm::ObjId oid,
     if (primary == reader)
         throw RuntimeError("replica reader is the primary's own node");
     ensure_replica_counters();
-    Node& p = node(primary);
     Node& r = node(reader);
-    const std::string& impl = p.interp().class_of(oid).name;
-    const model::Layout& layout = result_.pool.layout_of(impl);
     const std::string proto = policy_.default_protocol();
-
-    net::CallRequest msg;
-    msg.kind = net::RequestKind::Create;
-    msg.request_id = next_request_id();
-    msg.src_node = primary;
-    msg.cls = impl;
-    for (const model::FieldSlot& slot : layout.slots)
-        msg.args.push_back(p.export_value(p.interp().get_field(oid, slot.name)));
-    Bytes payload = codec(proto).encode_request(msg);
     // Reliable control channel, like migration — but NOT a barrier: only
     // the reader learns (its clock reconciles to the landing).
-    net::Delivery landed =
-        network_.transfer_at(primary, reader, payload.size(), p.clock_us());
-    r.reconcile_clock(landed.at_us);
-
-    vm::ObjId copy = r.interp().allocate(impl);
-    for (std::size_t k = 0; k < layout.slots.size(); ++k)
-        r.interp().set_field(copy, layout.slots[k].name,
-                             r.import_value(msg.args[k], proto));
+    const ShippedState state = ship_state(node(primary), oid, reader, proto);
+    r.reconcile_clock(state.landed.at_us);
+    const vm::ObjId copy = install_state(r, state, proto);
     replicas_.put(primary, oid, cls, Replica{reader, copy, true});
     r.sync_guest_time();
     log_info("runtime", "replicated ", cls, " (", primary, ",", oid, ") -> node ",
@@ -1263,32 +1150,59 @@ vm::ObjId System::create_replica(net::NodeId primary, vm::ObjId oid,
 void System::refresh_replica(const std::string& cls, net::NodeId primary,
                              vm::ObjId oid, Replica& r) {
     ensure_replica_counters();
-    Node& p = node(primary);
     Node& reader = node(r.node);
-    const std::string& impl = p.interp().class_of(oid).name;
-    const model::Layout& layout = result_.pool.layout_of(impl);
     const std::string proto = policy_.default_protocol();
-
-    net::CallRequest msg;
-    msg.kind = net::RequestKind::Create;
-    msg.request_id = next_request_id();
-    msg.src_node = primary;
-    msg.cls = impl;
-    for (const model::FieldSlot& slot : layout.slots)
-        msg.args.push_back(p.export_value(p.interp().get_field(oid, slot.name)));
-    Bytes payload = codec(proto).encode_request(msg);
-    net::Delivery landed =
-        network_.transfer_at(primary, r.node, payload.size(), p.clock_us());
-    reader.reconcile_clock(landed.at_us);
-
-    for (std::size_t k = 0; k < layout.slots.size(); ++k)
-        reader.interp().set_field(r.oid, layout.slots[k].name,
-                                  reader.import_value(msg.args[k], proto));
+    const ShippedState state = ship_state(node(primary), oid, r.node, proto);
+    reader.reconcile_clock(state.landed.at_us);
+    install_state(reader, state, proto, r.oid);
     r.valid = true;
     adapt_replica_refreshes_->add();
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::Adapt, landed.at_us, primary,
-                        r.node, 4, payload.size(), cls);
+    journal_.record(obs::JournalEvent::Kind::Adapt, state.landed.at_us, primary, r.node,
+                    4, state.bytes, cls);
+}
+
+System::ShippedState System::ship_state(Node& from, vm::ObjId oid, net::NodeId to,
+                                        const std::string& proto) {
+    ShippedState s;
+    s.cls = &from.interp().class_of(oid).name;
+    s.layout = &result_.pool.layout_of(*s.cls);
+    net::CallRequest msg;  // marshalled state; encoded for wire-size accounting
+    msg.kind = net::RequestKind::Create;
+    msg.request_id = next_request_id();
+    msg.src_node = from.id();
+    msg.cls = *s.cls;
+    for (const model::FieldSlot& slot : s.layout->slots)
+        msg.args.push_back(from.export_value(from.interp().get_field(oid, slot.name)));
+    s.bytes = codec(proto).encode_request(msg).size();
+    s.landed = network_.transfer_at(from.id(), to, s.bytes, from.clock_us());
+    s.fields = std::move(msg.args);
+    return s;
+}
+
+vm::ObjId System::install_state(Node& to, const ShippedState& s,
+                                const std::string& proto, vm::ObjId into) {
+    if (!into) into = to.interp().allocate(*s.cls);
+    for (std::size_t k = 0; k < s.layout->slots.size(); ++k)
+        to.interp().set_field(into, s.layout->slots[k].name,
+                              to.import_value(s.fields[k], proto));
+    return into;
+}
+
+void System::barrier(std::uint64_t t_us) {
+    for (const auto& n : nodes_) n->reconcile_clock(t_us);
+    // The barrier also quiesces the wire model: a batch lane still marked
+    // joinable refers to a frame opened before the control operation, and
+    // a later call must never coalesce onto a frame addressed to an old
+    // home (§17 composed with migration; regression-tested).
+    for (auto& [_, lane] : batch_lanes_) lane.joinable = false;
+}
+
+void System::directory_changed() {
+    // Stale per-node caches are shed at the barrier the control operation
+    // already imposes.
+    directory_.invalidate_caches();
+    dir_updates_->add();
+    dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
 }
 
 void System::invalidate_replicas(net::NodeId primary, vm::ObjId oid,
@@ -1325,13 +1239,14 @@ void System::invalidate_replicas(net::NodeId primary, vm::ObjId oid,
         last_t = d.at_us;
     }
     adapt_invalidations_->add(flipped.size());
-    if (journal_.enabled())
-        journal_.record(obs::JournalEvent::Kind::Adapt, last_t, primary, -1, 3,
-                        flipped.size(), cls);
+    journal_.record(obs::JournalEvent::Kind::Adapt, last_t, primary, -1, 3, flipped.size(),
+                    cls);
 }
 
 void System::note_local_discover(const std::string& cls, net::NodeId node_id) {
-    metrics_.counter("runtime.local_discovers." + cls).add();
+    obs::Counter*& local = traffic_[cls].local_discovers;
+    if (!local) local = &metrics_.counter("runtime.local_discovers." + cls);
+    local->add();
     if (!replicas_.active()) return;
     // A raw local reference just escaped the dispatch seam on this node;
     // conservatively assume the holder may write through it.
@@ -1387,10 +1302,8 @@ std::size_t System::migrate_closure(net::NodeId from, vm::ObjId oid, net::NodeId
             if (!v.is_ref()) continue;
             const std::string& vcls = t.interp().class_of(v.as_ref()).name;
             if (!naming::parse_proxy(vcls)) continue;
-            auto [term_node, term_oid] = resolve_terminal(
-                t.interp().get_field(v.as_ref(), naming::kProxyNodeField).as_int(),
-                static_cast<vm::ObjId>(
-                    t.interp().get_field(v.as_ref(), naming::kProxyOidField).as_long()));
+            const auto [via_node, via_oid] = proxy_target(t.interp(), v.as_ref());
+            auto [term_node, term_oid] = resolve_terminal(via_node, via_oid);
             if (term_node == to)
                 t.interp().set_field(moved, slot.name, Value::of_ref(term_oid));
         }
@@ -1399,95 +1312,40 @@ std::size_t System::migrate_closure(net::NodeId from, vm::ObjId oid, net::NodeId
 }
 
 std::pair<net::NodeId, vm::ObjId> System::resolve_terminal(net::NodeId node_id,
-                                                           vm::ObjId oid) {
+                                                           vm::ObjId oid, int* hops) {
     // Cycle guard: a chain can visit each (node, oid) at most once.
     std::set<std::pair<net::NodeId, vm::ObjId>> seen;
     while (true) {
         if (!seen.insert({node_id, oid}).second)
             throw RuntimeError("proxy chain cycle at node " + std::to_string(node_id));
         vm::Interpreter& interp = node(node_id).interp();
-        const std::string& cls = interp.class_of(oid).name;
-        if (!naming::parse_proxy(cls)) return {node_id, oid};
-        net::NodeId next = interp.get_field(oid, naming::kProxyNodeField).as_int();
-        vm::ObjId next_oid = static_cast<vm::ObjId>(
-            interp.get_field(oid, naming::kProxyOidField).as_long());
-        node_id = next;
-        oid = next_oid;
+        if (!naming::parse_proxy(interp.class_of(oid).name)) return {node_id, oid};
+        std::tie(node_id, oid) = proxy_target(interp, oid);
+        if (hops) ++*hops;
     }
 }
 
 int System::shorten_chain(net::NodeId node_id, vm::ObjId oid) {
     vm::Interpreter& interp = node(node_id).interp();
     if (!naming::parse_proxy(interp.class_of(oid).name)) return 0;
-    net::NodeId first_node = interp.get_field(oid, naming::kProxyNodeField).as_int();
-    vm::ObjId first_oid = static_cast<vm::ObjId>(
-        interp.get_field(oid, naming::kProxyOidField).as_long());
-    auto [term_node, term_oid] = resolve_terminal(first_node, first_oid);
-
-    // Count the intermediate proxies being bypassed.
+    // Every proxy past this one is an intermediate hop being bypassed.
+    const auto [first_node, first_oid] = proxy_target(interp, oid);
     int hops = 0;
-    {
-        net::NodeId n = first_node;
-        vm::ObjId o = first_oid;
-        while (naming::parse_proxy(node(n).interp().class_of(o).name)) {
-            ++hops;
-            vm::Interpreter& cur = node(n).interp();
-            net::NodeId next = cur.get_field(o, naming::kProxyNodeField).as_int();
-            vm::ObjId next_oid = static_cast<vm::ObjId>(
-                cur.get_field(o, naming::kProxyOidField).as_long());
-            n = next;
-            o = next_oid;
-        }
-    }
+    const auto [term_node, term_oid] = resolve_terminal(first_node, first_oid, &hops);
     if (hops == 0) return 0;
-    interp.set_field(oid, naming::kProxyNodeField, Value::of_int(term_node));
-    interp.set_field(oid, naming::kProxyOidField,
-                     Value::of_long(static_cast<std::int64_t>(term_oid)));
+    set_proxy_target(interp, oid, term_node, term_oid);
     chain_shortenings_counter_->add();
     chain_hops_removed_counter_->add(static_cast<std::uint64_t>(hops));
     return hops;
 }
 
-const std::map<std::string, RemoteStats>& System::remote_stats() const {
-    remote_stats_view_.clear();
-    for (const auto& [proto, pm] : proto_metrics_) {
-        RemoteStats s;
-        s.calls = pm.calls->value();
-        s.creates = pm.creates->value();
-        s.discovers = pm.discovers->value();
-        s.faults = pm.faults->value();
-        s.drops = pm.drops->value();
-        s.request_bytes = pm.request_bytes->value();
-        s.reply_bytes = pm.reply_bytes->value();
-        if (s.calls || s.creates || s.discovers || s.faults || s.drops ||
-            s.request_bytes || s.reply_bytes)
-            remote_stats_view_[proto] = s;
+System::RpcTotals System::rpc_totals() const {
+    RpcTotals t;
+    for (const auto& [_, pm] : proto_metrics_) {
+        t.calls += pm.calls->value() + pm.creates->value() + pm.discovers->value();
+        t.bytes += pm.request_bytes->value() + pm.reply_bytes->value();
     }
-    return remote_stats_view_;
-}
-
-const std::map<std::string, System::ClassTraffic>& System::class_traffic() const {
-    static constexpr const char* kCalls = "rpc.class_calls.";
-    static constexpr const char* kBytes = "rpc.class_bytes.";
-    static constexpr std::size_t kPrefixLen = 16;  // both prefixes
-    class_traffic_view_.clear();
-    metrics_.visit_counters([&](const std::string& name, std::uint64_t value) {
-        if (!value) return;
-        const bool is_calls = name.compare(0, kPrefixLen, kCalls) == 0;
-        const bool is_bytes = !is_calls && name.compare(0, kPrefixLen, kBytes) == 0;
-        if (!is_calls && !is_bytes) return;
-        // <cls>.<src>.<dst> — class names contain no dots, so split from
-        // the right.
-        const std::size_t dst_dot = name.rfind('.');
-        const std::size_t src_dot = name.rfind('.', dst_dot - 1);
-        if (src_dot == std::string::npos || src_dot < kPrefixLen) return;
-        const std::string cls = name.substr(kPrefixLen, src_dot - kPrefixLen);
-        const net::NodeId src = std::stoi(name.substr(src_dot + 1, dst_dot - src_dot - 1));
-        const net::NodeId dst = std::stoi(name.substr(dst_dot + 1));
-        ClassTraffic& ct = class_traffic_view_[cls];
-        (is_calls ? ct.calls : ct.bytes)[{src, dst}] += value;
-    });
-    return class_traffic_view_;
+    return t;
 }
 
 void System::enable_directory(DirectoryPolicy policy) {
@@ -1558,31 +1416,34 @@ std::pair<net::NodeId, vm::ObjId> System::directory_resolve(net::NodeId asker,
     return {n, static_cast<vm::ObjId>(o)};
 }
 
-std::pair<obs::Counter*, obs::Counter*> System::matrix_counters(
-    const std::string& cls, net::NodeId src, net::NodeId dst) {
-    const std::string key =
-        cls + "." + std::to_string(src) + "." + std::to_string(dst);
-    if (matrix_keys_.find(key) == matrix_keys_.end()) {
-        if (class_matrix_cap_ != 0 && matrix_keys_.size() >= class_matrix_cap_) {
-            if (!matrix_calls_overflow_) {
-                // The aggregate bucket: traffic past the cap is exactly
-                // accounted here, just without per-edge attribution.  The
-                // class_traffic() parser skips these names (no src.dst
-                // suffix), so views stay well-formed.
-                matrix_calls_overflow_ =
-                    &metrics_.counter("rpc.class_calls.overflow");
-                matrix_bytes_overflow_ =
-                    &metrics_.counter("rpc.class_bytes.overflow");
-                matrix_overflow_entries_ =
-                    &metrics_.counter("rpc.class_matrix.overflow_entries");
-            }
-            matrix_overflow_entries_->add();
-            return {matrix_calls_overflow_, matrix_bytes_overflow_};
+EdgeTraffic System::traffic_edge(ClassTraffic& row, const std::string& cls,
+                                 net::NodeId src, net::NodeId dst) {
+    const auto it = row.edges.find({src, dst});
+    if (it != row.edges.end()) return it->second;
+    if (class_matrix_cap_ != 0 && matrix_edges_ >= class_matrix_cap_) {
+        if (!matrix_overflow_.calls) {
+            // The aggregate bucket: traffic past the cap is exactly
+            // accounted here, just without per-edge attribution (and
+            // without a table edge).
+            matrix_overflow_ = {&metrics_.counter("rpc.class_calls.overflow"),
+                                &metrics_.counter("rpc.class_bytes.overflow")};
+            matrix_overflow_entries_ =
+                &metrics_.counter("rpc.class_matrix.overflow_entries");
         }
-        matrix_keys_.insert(key);
+        matrix_overflow_entries_->add();
+        return matrix_overflow_;
     }
-    return {&metrics_.counter("rpc.class_calls." + key),
-            &metrics_.counter("rpc.class_bytes." + key)};
+    ++matrix_edges_;
+    const std::string key = cls + "." + std::to_string(src) + "." + std::to_string(dst);
+    return row.edges[{src, dst}] = {&metrics_.counter("rpc.class_calls." + key),
+                                    &metrics_.counter("rpc.class_bytes." + key)};
+}
+
+obs::Histogram& System::latency_histogram(ClassTraffic& row, const std::string& cls,
+                                          const std::string& method) {
+    obs::Histogram*& h = row.latency[method];
+    if (!h) h = &metrics_.histogram("rpc.latency." + cls + "." + method);
+    return *h;
 }
 
 std::uint64_t System::migrations() const noexcept {
@@ -1597,6 +1458,8 @@ void System::reset_stats() {
     // utilization epoch: both now describe "since the reset", so timeline
     // events and windowed rates stay comparable (DESIGN.md §16).
     journal_.rebase(network_.now_us());
+    // The adaptation windows are deltas of the counters just zeroed.
+    if (adapt_) adapt_->rebase();
     // Breaker *state* is semantic, not accounting: re-publish it so the
     // zeroed gauges don't claim every breaker is closed.
     for (auto& [key, b] : breakers_) b.set_state(b.state);

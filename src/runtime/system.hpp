@@ -13,7 +13,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -54,16 +53,30 @@ struct SystemOptions {
     DurabilityPolicy durability;
 };
 
-/// Per-protocol accounting of remote traffic.
-struct RemoteStats {
-    std::uint64_t calls = 0;      // Invoke requests sent
-    std::uint64_t creates = 0;    // Create requests sent
-    std::uint64_t discovers = 0;  // Discover requests sent
-    std::uint64_t faults = 0;     // fault replies received
-    std::uint64_t drops = 0;      // requests/replies lost in the network
-    std::uint64_t request_bytes = 0;
-    std::uint64_t reply_bytes = 0;
+/// One traffic-matrix edge: the registry counters behind
+/// `rpc.class_calls.<cls>.<src>.<dst>` and `rpc.class_bytes.<cls>.<src>.<dst>`.
+struct EdgeTraffic {
+    obs::Counter* calls = nullptr;
+    obs::Counter* bytes = nullptr;
 };
+
+/// One class's row of the typed traffic table (DESIGN.md §10): the
+/// registry handles the dispatch path bumps, keyed the way readers want
+/// them, so the adaptation engine, the advisor and the benches never parse
+/// metric names.  Handles are resolved on first use and survive
+/// System::reset_stats (the values are zeroed in place).
+struct ClassTraffic {
+    /// Materialized (src, dst) edges.  At most SystemOptions::
+    /// class_matrix_cap edges exist across all classes; traffic on later
+    /// edges counts only into the overflow aggregates.
+    std::map<std::pair<net::NodeId, net::NodeId>, EdgeTraffic> edges;
+    /// `rpc.latency.<cls>.<method>`, including the `make` and `discover`
+    /// control operations.
+    std::map<std::string, obs::Histogram*> latency;
+    /// `runtime.local_discovers.<cls>`; null until the first local discover.
+    obs::Counter* local_discovers = nullptr;
+};
+using TrafficTable = std::map<std::string, ClassTraffic>;
 
 /// Name of the guest throwable raised when the network loses a message.
 inline constexpr const char* kRemoteFaultClass = "RemoteFault";
@@ -252,7 +265,9 @@ public:
     /// Follows the proxy chain starting at (node, oid) — as left behind by
     /// repeated migrations — to the terminal implementation object.
     /// Returns {node, oid}; identity if the slot holds a local object.
-    std::pair<net::NodeId, vm::ObjId> resolve_terminal(net::NodeId node, vm::ObjId oid);
+    /// `hops`, when given, is incremented once per proxy traversed.
+    std::pair<net::NodeId, vm::ObjId> resolve_terminal(net::NodeId node, vm::ObjId oid,
+                                                       int* hops = nullptr);
 
     /// Re-points the proxy at (node, oid) directly at its terminal
     /// location, collapsing the forwarding chain (a control-plane
@@ -260,34 +275,18 @@ public:
     /// number of hops eliminated (0 if already direct or not a proxy).
     int shorten_chain(net::NodeId node, vm::ObjId oid);
 
-    /// Per-protocol traffic view, rebuilt on each call from the metrics
-    /// registry (`rpc.proto.<proto>.*`).  Protocols with no recorded
-    /// traffic are omitted, so emptiness means "no RPC attempted".
-    const std::map<std::string, RemoteStats>& remote_stats() const;
+    /// The typed per-class traffic table: a row for every substituted
+    /// class once a node is wired, whether or not it saw traffic.
+    const TrafficTable& traffic() const noexcept { return traffic_; }
 
-    /// Remote Invoke counts per original class, keyed by (calling node,
-    /// target node): the raw signal a placement decision needs ("who talks
-    /// to whom, and where does the callee live").
-    struct ClassTraffic {
-        std::map<std::pair<net::NodeId, net::NodeId>, std::uint64_t> calls;
-        /// Wire bytes (requests + replies, retries included) per edge,
-        /// from the `rpc.class_bytes.<cls>.<src>.<dst>` counters.
-        std::map<std::pair<net::NodeId, net::NodeId>, std::uint64_t> bytes;
-        std::uint64_t total() const {
-            std::uint64_t n = 0;
-            for (const auto& [_, c] : calls) n += c;
-            return n;
-        }
-        std::uint64_t total_bytes() const {
-            std::uint64_t n = 0;
-            for (const auto& [_, c] : bytes) n += c;
-            return n;
-        }
+    /// Remote requests (invokes + creates + discovers) and wire bytes
+    /// (requests + replies) summed over every protocol's `rpc.proto.*`
+    /// counters.
+    struct RpcTotals {
+        std::uint64_t calls = 0;
+        std::uint64_t bytes = 0;
     };
-    /// View over the `rpc.class_calls.<cls>.<src>.<dst>` (and matching
-    /// class_bytes) registry counters, rebuilt on each call; all-zero
-    /// edges are omitted.
-    const std::map<std::string, ClassTraffic>& class_traffic() const;
+    RpcTotals rpc_totals() const;
     std::uint64_t migrations() const noexcept;
     void reset_stats();
 
@@ -348,17 +347,15 @@ public:
     void note_dedup_hit(std::uint64_t request_id, net::NodeId node,
                         std::uint64_t t_us) {
         rpc_dedup_hits_->add();
-        if (journal_.enabled())
-            journal_.record(obs::JournalEvent::Kind::DedupHit, t_us, node, -1,
-                            request_id, 0, {});
+        journal_.record(obs::JournalEvent::Kind::DedupHit, t_us, node, -1, request_id, 0,
+                        {});
     }
     /// Bumped by Node when it refuses an expired request.
     void note_server_timeout(std::uint64_t request_id, net::NodeId node,
                              std::uint64_t t_us) {
         rpc_timeouts_->add();
-        if (journal_.enabled())
-            journal_.record(obs::JournalEvent::Kind::RpcTimeout, t_us, node, -1,
-                            request_id, 0, "server");
+        journal_.record(obs::JournalEvent::Kind::RpcTimeout, t_us, node, -1, request_id,
+                        0, "server");
     }
 
     net::Codec& codec(const std::string& protocol);
@@ -380,12 +377,16 @@ private:
     ProtoMetrics& proto_metrics(const std::string& protocol);
 
     /// Resolves the {calls, bytes} counter pair for one traffic-matrix
-    /// edge, enforcing SystemOptions::class_matrix_cap: the first `cap`
-    /// distinct (class, src, dst) edges materialize named counters, later
-    /// ones account into the overflow aggregates (nothing is dropped —
-    /// `rpc.class_matrix.overflow_entries` counts redirected resolutions).
-    std::pair<obs::Counter*, obs::Counter*> matrix_counters(
-        const std::string& cls, net::NodeId src, net::NodeId dst);
+    /// edge of `row`, enforcing SystemOptions::class_matrix_cap: the first
+    /// `cap` distinct (class, src, dst) edges materialize named counters
+    /// and table edges, later ones account into the overflow aggregates
+    /// (nothing is dropped — `rpc.class_matrix.overflow_entries` counts
+    /// redirected resolutions).
+    EdgeTraffic traffic_edge(ClassTraffic& row, const std::string& cls, net::NodeId src,
+                             net::NodeId dst);
+    /// `rpc.latency.<cls>.<method>`, entered into `row` on first use.
+    obs::Histogram& latency_histogram(ClassTraffic& row, const std::string& cls,
+                                      const std::string& method);
 
     /// Singleton placement via the directory: per-node cache, then a
     /// control round-trip to the owning shard (first demand materializes
@@ -399,6 +400,39 @@ private:
 
     void wire_node(Node& node);
     std::uint64_t next_request_id() { return ++request_counter_; }
+    /// The client half of every remote native (make, discover, proxy
+    /// invoke): runs `req` through rpc(), records the caller-observed
+    /// latency (and the wire bytes into `edge_bytes` when given), then
+    /// rethrows a guest fault, imports the result, or turns a network loss
+    /// into a guest RemoteFault.
+    vm::Value remote_call(Node& self, net::NodeId dst, const std::string& protocol,
+                          net::CallRequest& req, obs::Histogram& latency,
+                          obs::Counter* edge_bytes = nullptr);
+
+    /// An object's field state in flight over the reliable control channel
+    /// (migration, replica creation and refresh).
+    struct ShippedState {
+        const std::string* cls = nullptr;  // implementation class
+        const model::Layout* layout = nullptr;
+        std::vector<net::MarshalledValue> fields;  // one per layout slot
+        std::size_t bytes = 0;                     // encoded wire size
+        net::Delivery landed;
+    };
+    /// Marshals (from, oid)'s fields, encodes them as a Create message and
+    /// charges the transfer from `from`'s clock to `to`.  The caller
+    /// decides who reconciles to the landing time.
+    ShippedState ship_state(Node& from, vm::ObjId oid, net::NodeId to,
+                            const std::string& proto);
+    /// Imports shipped state into object `into` on `to` (0 = a fresh
+    /// instance of the shipped class); returns the object id.
+    vm::ObjId install_state(Node& to, const ShippedState& s, const std::string& proto,
+                            vm::ObjId into = 0);
+    /// Stop-the-world control barrier (DESIGN.md §13): every node
+    /// reconciles to `t_us` and no batch lane stays joinable.
+    void barrier(std::uint64_t t_us);
+    /// After a directory write: sheds per-node caches and republishes the
+    /// directory.updates / directory.entries metrics.
+    void directory_changed();
 
     /// One wire round-trip (the legacy rpc body): no retries, no breaker.
     net::CallReply rpc_attempt(net::NodeId src, net::NodeId dst,
@@ -444,11 +478,11 @@ private:
     obs::Counter* dir_cache_hits_ = nullptr;
     obs::Counter* dir_updates_ = nullptr;
     obs::Gauge* dir_entries_ = nullptr;
-    /// Materialized traffic-matrix edges (bounded by class_matrix_cap, so
-    /// this set is itself bounded) and the overflow aggregates beyond it.
-    std::set<std::string> matrix_keys_;
-    obs::Counter* matrix_calls_overflow_ = nullptr;
-    obs::Counter* matrix_bytes_overflow_ = nullptr;
+    /// The typed traffic table, the number of edges it materialized
+    /// (bounded by class_matrix_cap) and the overflow aggregates beyond.
+    TrafficTable traffic_;
+    std::size_t matrix_edges_ = 0;
+    EdgeTraffic matrix_overflow_;
     obs::Counter* matrix_overflow_entries_ = nullptr;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::map<std::string, std::unique_ptr<net::Codec>> codecs_;
@@ -457,10 +491,6 @@ private:
     obs::Counter* migration_bytes_counter_ = nullptr;
     obs::Counter* chain_shortenings_counter_ = nullptr;
     obs::Counter* chain_hops_removed_counter_ = nullptr;
-    // Lazily rebuilt compatibility views over the registry; cached so the
-    // accessors can keep their historical const-reference return types.
-    mutable std::map<std::string, RemoteStats> remote_stats_view_;
-    mutable std::map<std::string, ClassTraffic> class_traffic_view_;
     std::uint64_t request_counter_ = 0;
     bool method_profiling_ = false;
     RetryPolicy reliability_;

@@ -150,7 +150,7 @@ link 2 -> 0 latency 800
                               {Value::of_int(2), Value::of_int(60)})
                   .as_str(),
               "out of stock sku 2");
-    EXPECT_GT(system.remote_stats().at("RMI").calls, 0u);
+    EXPECT_GT(system.metrics().snapshot().counter_value("rpc.proto.RMI.calls"), 0u);
 
     // --- adapt: pull the warehouse closure to node 0 -------------------
     // The object lives on node 1 (created there by policy); find it via

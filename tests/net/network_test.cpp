@@ -2,16 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 namespace rafda::net {
 namespace {
 
+/// transfer_at(src, dst, size, now_us()): sends at the global watermark and
+/// returns the delay, or nullopt when the message was dropped.
+std::optional<std::uint64_t> send_now(SimNetwork& net, NodeId src, NodeId dst,
+                                      std::size_t size) {
+    const std::uint64_t send = net.now_us();
+    const Delivery d = net.transfer_at(src, dst, size, send);
+    if (!d.delivered) return std::nullopt;
+    return d.at_us - send;
+}
+
 TEST(SimNetwork, LatencyAndBandwidthShapeDelay) {
     SimNetwork net;
     LinkParams fast{100, 1000.0, 0.0};  // 100us + size/1000
     net.set_default_link(fast);
-    auto d = net.transfer(0, 1, 5000);
+    auto d = send_now(net, 0, 1, 5000);
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(*d, 105u);
     EXPECT_EQ(net.now_us(), 105u);
@@ -20,33 +31,33 @@ TEST(SimNetwork, LatencyAndBandwidthShapeDelay) {
 TEST(SimNetwork, ZeroBandwidthMeansLatencyOnly) {
     SimNetwork net;
     net.set_default_link(LinkParams{250, 0.0, 0.0});
-    EXPECT_EQ(*net.transfer(0, 1, 1 << 20), 250u);
+    EXPECT_EQ(*send_now(net, 0, 1, 1 << 20), 250u);
 }
 
 TEST(SimNetwork, PerLinkOverrides) {
     SimNetwork net;
     net.set_default_link(LinkParams{100, 0.0, 0.0});
     net.set_link(0, 1, LinkParams{5, 0.0, 0.0});
-    EXPECT_EQ(*net.transfer(0, 1, 10), 5u);
-    EXPECT_EQ(*net.transfer(1, 0, 10), 100u);  // override is directional
-    EXPECT_EQ(*net.transfer(0, 2, 10), 100u);
+    EXPECT_EQ(*send_now(net, 0, 1, 10), 5u);
+    EXPECT_EQ(*send_now(net, 1, 0, 10), 100u);  // override is directional
+    EXPECT_EQ(*send_now(net, 0, 2, 10), 100u);
 }
 
 TEST(SimNetwork, ClockAccumulates) {
     SimNetwork net;
     net.set_default_link(LinkParams{10, 0.0, 0.0});
-    net.transfer(0, 1, 1);
-    net.transfer(1, 0, 1);
-    net.charge_compute(7);
+    send_now(net, 0, 1, 1);
+    send_now(net, 1, 0, 1);
+    net.observe(net.now_us() + 7);  // compute charged to no node
     EXPECT_EQ(net.now_us(), 27u);
 }
 
 TEST(SimNetwork, StatsPerLink) {
     SimNetwork net;
     net.set_default_link(LinkParams{1, 0.0, 0.0});
-    net.transfer(0, 1, 100);
-    net.transfer(0, 1, 50);
-    net.transfer(1, 0, 10);
+    send_now(net, 0, 1, 100);
+    send_now(net, 0, 1, 50);
+    send_now(net, 1, 0, 10);
     EXPECT_EQ(net.stats(0, 1).messages, 2u);
     EXPECT_EQ(net.stats(0, 1).bytes, 150u);
     EXPECT_EQ(net.stats(1, 0).messages, 1u);
@@ -62,7 +73,7 @@ TEST(SimNetwork, DropInjectionIsDeterministic) {
         SimNetwork net(seed);
         net.set_default_link(LinkParams{1, 0.0, 0.5});
         std::vector<bool> outcomes;
-        for (int i = 0; i < 64; ++i) outcomes.push_back(net.transfer(0, 1, 1).has_value());
+        for (int i = 0; i < 64; ++i) outcomes.push_back(send_now(net, 0, 1, 1).has_value());
         return outcomes;
     };
     EXPECT_EQ(run(7), run(7));
@@ -74,7 +85,7 @@ TEST(SimNetwork, DropRateApproximatesProbability) {
     net.set_default_link(LinkParams{1, 0.0, 0.25});
     int delivered = 0;
     for (int i = 0; i < 4000; ++i)
-        if (net.transfer(0, 1, 1)) ++delivered;
+        if (send_now(net, 0, 1, 1)) ++delivered;
     EXPECT_NEAR(delivered / 4000.0, 0.75, 0.03);
     EXPECT_GT(net.stats(0, 1).drops, 0u);
 }
@@ -85,16 +96,16 @@ TEST(SimNetwork, DroppedTransferChargesLatency) {
     // virtual time, which made lossy links *faster* than reliable ones.
     SimNetwork net;
     net.set_default_link(LinkParams{50, 0.0, 1.0});
-    EXPECT_FALSE(net.transfer(0, 1, 1000).has_value());
+    EXPECT_FALSE(send_now(net, 0, 1, 1000).has_value());
     EXPECT_EQ(net.now_us(), 50u);
-    EXPECT_FALSE(net.transfer(0, 1, 1000).has_value());
+    EXPECT_FALSE(send_now(net, 0, 1, 1000).has_value());
     EXPECT_EQ(net.now_us(), 100u);
 }
 
 TEST(SimNetwork, NoDropsAtZeroProbability) {
     SimNetwork net;
     net.set_default_link(LinkParams{1, 0.0, 0.0});
-    for (int i = 0; i < 1000; ++i) EXPECT_TRUE(net.transfer(0, 1, 1).has_value());
+    for (int i = 0; i < 1000; ++i) EXPECT_TRUE(send_now(net, 0, 1, 1).has_value());
 }
 
 TEST(SimNetwork, RegistryMirrorsPerLinkStats) {
@@ -103,8 +114,8 @@ TEST(SimNetwork, RegistryMirrorsPerLinkStats) {
     net.set_default_link(LinkParams{1, 0.0, 0.25});
     net.attach_metrics(&reg);
 
-    for (int i = 0; i < 400; ++i) net.transfer(0, 1, 8);
-    net.transfer(1, 0, 16);
+    for (int i = 0; i < 400; ++i) send_now(net, 0, 1, 8);
+    send_now(net, 1, 0, 16);
 
     const LinkStats& s01 = net.stats(0, 1);
     EXPECT_GT(s01.drops, 0u);  // the seed produces drops at p=0.25
@@ -121,9 +132,9 @@ TEST(SimNetwork, DetachingStopsMirroring) {
     SimNetwork net;
     net.set_default_link(LinkParams{1, 0.0, 0.0});
     net.attach_metrics(&reg);
-    net.transfer(0, 1, 5);
+    send_now(net, 0, 1, 5);
     net.attach_metrics(nullptr);
-    net.transfer(0, 1, 5);
+    send_now(net, 0, 1, 5);
     EXPECT_EQ(net.stats(0, 1).messages, 2u);
     EXPECT_EQ(reg.snapshot().counter_value("net.link.0.1.messages"), 1u);
 }
@@ -134,9 +145,9 @@ TEST(SimNetwork, TransfersBeforeAttachAreNotBackfilled) {
     obs::Registry reg;
     SimNetwork net;
     net.set_default_link(LinkParams{1, 0.0, 0.0});
-    net.transfer(0, 1, 5);
+    send_now(net, 0, 1, 5);
     net.attach_metrics(&reg);
-    net.transfer(0, 1, 5);
+    send_now(net, 0, 1, 5);
     EXPECT_EQ(net.stats(0, 1).bytes, 10u);
     EXPECT_EQ(reg.snapshot().counter_value("net.link.0.1.bytes"), 5u);
 }
@@ -228,12 +239,12 @@ TEST(SimNetwork, VisitLinksIsOrderedBySourceThenDestination) {
 }
 
 TEST(SimNetwork, LegacyTransferSendsAtTheWatermark) {
-    // transfer() is transfer_at(now): with one message in flight at a time
-    // the channel is always idle at send, so the old arithmetic holds.
+    // transfer_at(now): with one message in flight at a time the channel is
+    // always idle at send, so the old global-clock arithmetic holds.
     SimNetwork net;
     net.set_default_link(LinkParams{100, 1000.0, 0.0});
-    EXPECT_EQ(*net.transfer(0, 1, 5000), 105u);
-    EXPECT_EQ(*net.transfer(0, 1, 5000), 105u);
+    EXPECT_EQ(*send_now(net, 0, 1, 5000), 105u);
+    EXPECT_EQ(*send_now(net, 0, 1, 5000), 105u);
     EXPECT_EQ(net.now_us(), 210u);
 }
 
@@ -245,8 +256,8 @@ TEST(SimNetwork, ResetStatsAlsoResetsMirroredRegistryCounters) {
     SimNetwork net;
     net.set_default_link(LinkParams{1, 1000.0, 0.0});
     net.attach_metrics(&reg);
-    net.transfer(0, 1, 2000);
-    net.transfer(1, 0, 4000);
+    send_now(net, 0, 1, 2000);
+    send_now(net, 1, 0, 4000);
     ASSERT_EQ(reg.snapshot().counter_value("net.link.0.1.bytes"), 2000u);
 
     net.reset_stats();
@@ -260,7 +271,7 @@ TEST(SimNetwork, ResetStatsAlsoResetsMirroredRegistryCounters) {
     EXPECT_EQ(util->gauge, 0);
 
     // And the mirror keeps tracking from zero afterwards.
-    net.transfer(0, 1, 3000);
+    send_now(net, 0, 1, 3000);
     EXPECT_EQ(reg.snapshot().counter_value("net.link.0.1.bytes"), 3000u);
     EXPECT_EQ(net.stats(0, 1).bytes, 3000u);
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rafda::obs {
@@ -69,6 +70,39 @@ TEST(Journal, WrapAroundKeepsNewestAndCountsOverwritten) {
         EXPECT_EQ(events[k].a, 6 + k);
         EXPECT_EQ(events[k].seq, 7 + k);
     }
+}
+
+TEST(Journal, StringViewDetailsTruncateAndSurviveWrap) {
+    // record() copies the viewed text into the slot's reused string: only
+    // the view is copied, details past kMaxDetail are cut with "...", and a
+    // reused slot never keeps a stale tail from its previous occupant.
+    Journal j;
+    j.set_capacity(2);
+    j.set_enabled(true);
+    const std::string longer(Journal::kMaxDetail + 10, 'x');
+    const std::string cut = std::string(Journal::kMaxDetail, 'x') + "...";
+    const std::string exact(Journal::kMaxDetail, 'y');
+    const std::string buffer = "abcdef";
+    j.record(Kind::RpcSend, 1, 0, 1, 1, 0, longer);
+    j.record(Kind::RpcSend, 2, 0, 1, 2, 0, exact);
+    std::vector<JournalEvent> events = collect(j);
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].detail, cut);
+    EXPECT_EQ(events[1].detail, exact);  // exactly kMaxDetail: kept whole
+
+    j.record(Kind::RpcSend, 3, 0, 1, 3, 0, std::string_view(buffer).substr(1, 3));
+    j.record(Kind::RpcSend, 4, 0, 1, 4, 0, {});
+    events = collect(j);
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].detail, "bcd");
+    EXPECT_EQ(events[1].detail, "");
+
+    j.record(Kind::RpcSend, 5, 0, 1, 5, 0, longer);
+    events = collect(j);
+    EXPECT_EQ(events[0].detail, "");
+    EXPECT_EQ(events[1].detail, cut);
+    EXPECT_EQ(events[1].seq, 5u);
+    EXPECT_EQ(j.overwritten(), 3u);
 }
 
 TEST(Journal, CapacityZeroClampsToOne) {

@@ -137,6 +137,38 @@ TEST_F(TracerFixture, ScopedSpanAdoptAndMoveTransferOwnership) {
     EXPECT_EQ(tracer.current_span(), 0u);  // closed exactly once, at scope exit
 }
 
+TEST_F(TracerFixture, LazyNamesAndIntegerNotesCostNothingWhenDisabled) {
+    int built = 0;
+    auto name = [&] {
+        ++built;
+        return std::string("codec.encode_request RMI");
+    };
+    Tracer off;
+    {
+        ScopedSpan s(off, name, 0);
+        off.note("bytes", 61);
+        EXPECT_EQ(s.id(), 0u);
+    }
+    EXPECT_EQ(built, 0);  // never formatted on the disabled path
+    EXPECT_TRUE(off.spans().empty());
+
+    {
+        ScopedSpan s(tracer, name, 0);
+        tracer.note("bytes", std::size_t{61});
+        ScopedSpan r = ScopedSpan::remote(
+            tracer, [] { return std::string("rpc.dispatch poke"); }, 1, 99, s.id());
+        EXPECT_EQ(tracer.current_span(), r.id());
+    }
+    EXPECT_EQ(built, 1);
+    ASSERT_NE(find("codec.encode_request RMI"), nullptr);
+    EXPECT_EQ(find("codec.encode_request RMI")->notes[0].second, "61");
+    const Span* dispatch = find("rpc.dispatch poke");
+    ASSERT_NE(dispatch, nullptr);
+    EXPECT_EQ(dispatch->trace, 99u);
+    EXPECT_EQ(dispatch->node, 1);
+    EXPECT_EQ(tracer.current_span(), 0u);
+}
+
 TEST_F(TracerFixture, ClearDropsSpansAndOpenStack) {
     tracer.begin("a");
     tracer.clear();

@@ -187,6 +187,41 @@ TEST(Adapt, SkewedTrafficMigratesSingletonTowardCaller) {
     EXPECT_LE(adapted.makespan_us, base.makespan_us);
 }
 
+TEST(Adapt, ResetStatsRebasesTheWindows) {
+    // Regression: reset_stats() zeroes the counters the windows are deltas
+    // of.  The engine used to keep its pre-reset baselines, so M post-reset
+    // calls after N pre-reset ones read as a window of M - N.
+    model::ClassPool pool;
+    vm::install_prelude(pool);
+    model::assemble_into(pool, kApp);
+    model::verify_pool(pool);
+    SystemOptions options;
+    options.default_link = net::LinkParams{20, 0.0, 0.0};
+    System system(pool, options);
+    for (int k = 0; k < 3; ++k) system.add_node();
+    system.policy().set_singleton_home("Counter", 0, "RMI");
+    AdaptPolicy policy;
+    policy.min_window_calls = 8;
+    system.enable_adaptation(policy);
+    auto bump = [&system](int calls) {
+        for (int k = 0; k < calls; ++k)
+            system.call_static(1, "Counter", "bump", "(I)I", {vm::Value::of_int(1)});
+    };
+
+    bump(6);
+    ASSERT_TRUE(system.adaptation_tick(/*force=*/true));
+    EXPECT_TRUE(system.adaptation()->decisions().empty());  // 6 < min_window_calls
+
+    system.reset_stats();
+    bump(10);
+    ASSERT_TRUE(system.adaptation_tick(/*force=*/true));
+    const std::vector<AdaptDecision>& decisions = system.adaptation()->decisions();
+    ASSERT_EQ(decisions.size(), 1u);
+    EXPECT_EQ(decisions[0].window_calls, 10u);
+    EXPECT_EQ(decisions[0].action, AdaptDecision::Action::Migrate);
+    EXPECT_EQ(decisions[0].to, 1);
+}
+
 TEST(Adapt, MigrateThresholdGatesTheController) {
     AdaptRunConfig off;
     AdaptOutcome base = run_workload(off);

@@ -120,7 +120,7 @@ TEST_F(ClosureFixture, IntraClusterCallsStayLocalAfterMove) {
     // Exactly one remote hop: the driver's call to the engine.  The
     // engine->cache and engine->stats calls are local on node 1 because
     // the closure moved as a unit and back-references were re-pointed.
-    EXPECT_EQ(system->remote_stats().at("RMI").calls, 1u);
+    EXPECT_EQ(system->metrics().snapshot().counter_value("rpc.proto.RMI.calls"), 1u);
 }
 
 TEST_F(ClosureFixture, SingleMigrationLeavesChatter) {
@@ -130,7 +130,8 @@ TEST_F(ClosureFixture, SingleMigrationLeavesChatter) {
     system->migrate_instance(0, engine.as_ref(), 1, "RMI");
     system->reset_stats();
     EXPECT_EQ(n0.call_virtual(engine, "query", "(I)I", {Value::of_int(2)}).as_int(), 20);
-    EXPECT_EQ(system->remote_stats().at("RMI").calls, 3u);  // query + count + lookup
+    EXPECT_EQ(system->metrics().snapshot().counter_value("rpc.proto.RMI.calls"),
+              3u);  // query + count + lookup
 }
 
 TEST_F(ClosureFixture, StatePreservedAcrossClosureMove) {

@@ -459,25 +459,50 @@ TEST(WorkloadDriver, MatrixCapOverflowPreservesTotals) {
     // materializing past the cap, but nothing is lost: the overflow
     // aggregates absorb the excess, so capped and uncapped runs agree on
     // the grand totals (and on the wire — the cap is accounting only).
+    // Either way the typed traffic table matches the registry's
+    // rpc.class_calls.* / rpc.class_bytes.* counters edge for edge.
     model::ClassPool pool = make_pool();
     auto run = [&pool](std::size_t cap) {
         SystemOptions options;
         options.class_matrix_cap = cap;
         auto system = std::make_unique<System>(pool, options);
         WorkloadDriver::Report r = drive(*system, 6, 4);
+        const obs::Registry& reg = system->metrics();
         std::uint64_t named_calls = 0;
-        for (const auto& [_, t] : system->class_traffic())
-            named_calls += t.total();
+        std::uint64_t named_bytes = 0;
+        std::size_t table_edges = 0;
+        for (const auto& [cls, row] : system->traffic()) {
+            for (const auto& [edge, ctr] : row.edges) {
+                const std::string key = cls + "." + std::to_string(edge.first) + "." +
+                                        std::to_string(edge.second);
+                EXPECT_EQ(ctr.calls, reg.find_counter("rpc.class_calls." + key)) << key;
+                EXPECT_EQ(ctr.bytes, reg.find_counter("rpc.class_bytes." + key)) << key;
+                named_calls += ctr.calls->value();
+                named_bytes += ctr.bytes->value();
+                ++table_edges;
+            }
+        }
+        std::size_t registry_edges = 0;
+        reg.visit_counters([&](const std::string& name, std::uint64_t) {
+            if (name.rfind("rpc.class_calls.", 0) == 0 && name != "rpc.class_calls.overflow")
+                ++registry_edges;
+        });
+        EXPECT_EQ(table_edges, registry_edges);
+        EXPECT_LE(table_edges, cap);
         const std::uint64_t overflow_calls =
             system->metrics().counter("rpc.class_calls.overflow").value();
+        const std::uint64_t overflow_bytes =
+            system->metrics().counter("rpc.class_bytes.overflow").value();
         const std::uint64_t redirected =
             system->metrics().counter("rpc.class_matrix.overflow_entries").value();
         return std::tuple{named_calls + overflow_calls, overflow_calls, redirected,
-                          system->network().total_stats().bytes, r.tasks_run};
+                          system->network().total_stats().bytes, r.tasks_run,
+                          named_bytes + overflow_bytes};
     };
     const auto capped = run(2);
     const auto uncapped = run(1024);
     EXPECT_EQ(std::get<0>(capped), std::get<0>(uncapped));  // calls conserved
+    EXPECT_EQ(std::get<5>(capped), std::get<5>(uncapped));  // bytes conserved
     EXPECT_GT(std::get<1>(capped), 0u);   // the cap actually bit
     EXPECT_GT(std::get<2>(capped), 0u);   // ...and counted its redirections
     EXPECT_EQ(std::get<1>(uncapped), 0u);

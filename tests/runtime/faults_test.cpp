@@ -99,7 +99,7 @@ TEST_F(FaultsFixture, GuestExceptionCrossesTheWire) {
                                   {svc, Value::of_int(1000)})
                   .as_str(),
               "fault:input too large");
-    EXPECT_EQ(system->remote_stats().at("RMI").faults, 1u);
+    EXPECT_EQ(system->metrics().snapshot().counter_value("rpc.proto.RMI.faults"), 1u);
 }
 
 TEST_F(FaultsFixture, UncaughtRemoteGuestExceptionSurfacesAtBoundary) {
@@ -123,7 +123,7 @@ TEST_F(FaultsFixture, TotalLossRaisesRemoteFault) {
         EXPECT_EQ(e.class_name(), kRemoteFaultClass);
         EXPECT_NE(e.message().find("lost"), std::string::npos);
     }
-    EXPECT_GT(system->remote_stats().at("RMI").drops, 0u);
+    EXPECT_GT(system->metrics().snapshot().counter_value("rpc.proto.RMI.drops"), 0u);
 }
 
 TEST_F(FaultsFixture, RemoteFaultIsCatchableAsThrowable) {

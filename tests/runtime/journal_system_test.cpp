@@ -285,27 +285,24 @@ TEST_F(JournalSystemFixture, TrafficMatrixCountsBytesAndLatencyHistograms) {
     for (int k = 0; k < 5; ++k)
         system->node(0).interp().call_virtual(svc, "work", "(I)I", {Value::of_int(1)});
 
-    const auto& traffic = system->class_traffic();
-    ASSERT_TRUE(traffic.count("Service"));
-    const System::ClassTraffic& ct = traffic.at("Service");
-    ASSERT_TRUE(ct.calls.count({0, 1}));
-    EXPECT_EQ(ct.calls.at({0, 1}), 5u);
-    ASSERT_TRUE(ct.bytes.count({0, 1}));
-    EXPECT_GT(ct.bytes.at({0, 1}), 0u);
-    EXPECT_EQ(ct.total_bytes(), ct.bytes.at({0, 1}));
+    ASSERT_TRUE(system->traffic().count("Service"));
+    const ClassTraffic& row = system->traffic().at("Service");
+    ASSERT_EQ(row.edges.size(), 1u);  // only the invoked edge carries calls
+    ASSERT_TRUE(row.edges.count({0, 1}));
+    const EdgeTraffic& edge = row.edges.at({0, 1});
+    EXPECT_EQ(edge.calls->value(), 5u);
+    EXPECT_GT(edge.bytes->value(), 0u);
 
-    // The per-edge bytes mirror the registry counter they are built from,
-    // and the wire actually carried at least that much on the 0->1 link
-    // (the link also carried the Create, so >=).
+    // The per-edge bytes are the registry counter itself.
     obs::Snapshot snap = system->metrics().snapshot();
-    EXPECT_EQ(ct.bytes.at({0, 1}),
-              snap.counter_value("rpc.class_bytes.Service.0.1"));
+    EXPECT_EQ(edge.bytes->value(), snap.counter_value("rpc.class_bytes.Service.0.1"));
 
     // Per-method virtual-latency histogram: one sample per call, nonzero
-    // round-trip.
+    // round-trip; the table holds the registry's handle.
     const obs::Histogram* lat =
         system->metrics().find_histogram("rpc.latency.Service.work");
     ASSERT_NE(lat, nullptr);
+    EXPECT_EQ(row.latency.at("work"), lat);
     EXPECT_EQ(lat->count(), 5u);
     EXPECT_GT(lat->min(), 0u);
     EXPECT_LE(lat->quantile(0.5), lat->quantile(0.99));

@@ -192,23 +192,29 @@ TEST_F(ObservabilityFixture, StatsViewsAreRegistryBacked) {
     for (int k = 0; k < 5; ++k) system->node(0).interp().call_virtual(c, "poke", "()I");
 
     obs::Snapshot snap = system->metrics().snapshot();
-    const RemoteStats& rmi = system->remote_stats().at("RMI");
-    EXPECT_EQ(rmi.calls, 5u);
-    EXPECT_EQ(rmi.calls, snap.counter_value("rpc.proto.RMI.calls"));
-    EXPECT_EQ(rmi.creates, snap.counter_value("rpc.proto.RMI.creates"));
-    EXPECT_EQ(rmi.request_bytes, snap.counter_value("rpc.proto.RMI.request_bytes"));
-    EXPECT_GT(rmi.request_bytes, 0u);
+    EXPECT_EQ(snap.counter_value("rpc.proto.RMI.calls"), 5u);
+    EXPECT_EQ(system->rpc_totals().calls, snap.counter_value("rpc.proto.RMI.calls") +
+                                              snap.counter_value("rpc.proto.RMI.creates"));
+    EXPECT_EQ(system->rpc_totals().bytes,
+              snap.counter_value("rpc.proto.RMI.request_bytes") +
+                  snap.counter_value("rpc.proto.RMI.reply_bytes"));
+    EXPECT_GT(snap.counter_value("rpc.proto.RMI.request_bytes"), 0u);
 
+    // The typed traffic table holds the very registry handles.
     EXPECT_EQ(snap.counter_value("rpc.class_calls.C.0.1"), 5u);
-    const auto& traffic = system->class_traffic();
-    ASSERT_TRUE(traffic.count("C"));
-    EXPECT_EQ(traffic.at("C").calls.at({0, 1}), 5u);
-    EXPECT_EQ(traffic.at("C").total(), 5u);
+    ASSERT_TRUE(system->traffic().count("C"));
+    const ClassTraffic& row = system->traffic().at("C");
+    ASSERT_EQ(row.edges.size(), 1u);
+    EXPECT_EQ(row.edges.at({0, 1}).calls,
+              system->metrics().find_counter("rpc.class_calls.C.0.1"));
+    EXPECT_EQ(row.edges.at({0, 1}).calls->value(), 5u);
+    EXPECT_EQ(row.latency.at("poke"), system->metrics().find_histogram("rpc.latency.C.poke"));
 
-    // reset_stats() zeroes the registry, and the views follow.
+    // reset_stats() zeroes the registry, and the table reads the zeros.
     system->reset_stats();
-    EXPECT_TRUE(system->class_traffic().empty());
-    EXPECT_TRUE(system->remote_stats().empty());
+    EXPECT_EQ(row.edges.at({0, 1}).calls->value(), 0u);
+    EXPECT_EQ(system->rpc_totals().calls, 0u);
+    EXPECT_EQ(system->rpc_totals().bytes, 0u);
     EXPECT_EQ(system->metrics().snapshot().counter_value("rpc.proto.RMI.calls"), 0u);
 }
 
@@ -241,8 +247,8 @@ TEST_F(ObservabilityFixture, DispatchHandlesSurviveResetAndRegistryGrowth) {
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->count, 2u);  // histogram resumed from zero, not stale
     EXPECT_GT(lat->sum, 0u);
-    // And the derived views read the same post-reset truth.
-    EXPECT_EQ(system->class_traffic().at("C").calls.at({0, 1}), 2u);
+    // And the traffic table reads the same post-reset truth.
+    EXPECT_EQ(system->traffic().at("C").edges.at({0, 1}).calls->value(), 2u);
 }
 
 TEST_F(ObservabilityFixture, AdvisorReadsExclusivelyFromRegistry) {

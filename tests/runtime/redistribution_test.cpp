@@ -139,7 +139,7 @@ TEST_F(Fig1Fixture, StatePreservedAcrossMigration) {
     n0().call_virtual(a, "act", "()V");
     EXPECT_EQ(n0().call_virtual(b, "observe", "()I").as_int(), 3);
     // The calls after migration were remote.
-    EXPECT_GT(system->remote_stats().at("RMI").calls, 0u);
+    EXPECT_GT(system->metrics().snapshot().counter_value("rpc.proto.RMI.calls"), 0u);
     // String state (the label) also moved.
     EXPECT_EQ(n0().call_virtual(c, "describe", "()S").as_str(), "shared=3");
 }

@@ -262,7 +262,7 @@ TEST_F(ReliableFixture, BreakerOpensFailsFastAndRecovers) {
     EXPECT_EQ(open_snap.find("rpc.breaker.1.RMI.state")->gauge, 1);
 
     // While open: fail fast, no wire traffic, rejection counted.
-    const std::uint64_t drops_before = system->remote_stats().at("RMI").drops;
+    const std::uint64_t drops_before = counter("rpc.proto.RMI.drops");
     try {
         send_create(3);
         FAIL() << "expected fast-fail Dropped";
@@ -271,7 +271,7 @@ TEST_F(ReliableFixture, BreakerOpensFailsFastAndRecovers) {
         EXPECT_NE(d.what.find("breaker open"), std::string::npos);
     }
     EXPECT_EQ(counter("rpc.breaker_open"), 1u);
-    EXPECT_EQ(system->remote_stats().at("RMI").drops, drops_before);
+    EXPECT_EQ(counter("rpc.proto.RMI.drops"), drops_before);
 
     // After the cooldown a half-open probe goes through and closes it.
     system->node(0).advance_clock(6000);

@@ -121,7 +121,8 @@ TEST_F(SystemFixture, SingleNodeMatchesLocalBinding) {
     EXPECT_EQ(distributed, local_result);
     EXPECT_EQ(distributed, 2);
     // No remote traffic on a single node.
-    EXPECT_TRUE(system.remote_stats().empty());
+    EXPECT_EQ(system.rpc_totals().calls, 0u);
+    EXPECT_EQ(system.rpc_totals().bytes, 0u);
 }
 
 TEST_F(SystemFixture, PolicyPlacesInstancesRemotely) {
@@ -142,11 +143,11 @@ TEST_F(SystemFixture, PolicyPlacesInstancesRemotely) {
     system.node(0).interp().call_virtual(a, "act", "()V");
     EXPECT_EQ(system.node(0).interp().call_virtual(b, "observe", "()I").as_int(), 3);
 
-    const auto& stats = system.remote_stats().at("RMI");
-    EXPECT_GT(stats.calls, 0u);
-    EXPECT_EQ(stats.creates, 1u);
-    EXPECT_EQ(stats.faults, 0u);
-    EXPECT_GT(stats.request_bytes, 0u);
+    const obs::Snapshot stats = system.metrics().snapshot();
+    EXPECT_GT(stats.counter_value("rpc.proto.RMI.calls"), 0u);
+    EXPECT_EQ(stats.counter_value("rpc.proto.RMI.creates"), 1u);
+    EXPECT_EQ(stats.counter_value("rpc.proto.RMI.faults"), 0u);
+    EXPECT_GT(stats.counter_value("rpc.proto.RMI.request_bytes"), 0u);
 }
 
 TEST_F(SystemFixture, RemoteAndLocalVersionsInterchangeable) {
@@ -185,7 +186,7 @@ TEST_F(SystemFixture, SingletonHomePolicy) {
     system.policy().set_singleton_home("Registry", 1, "SOAP");
     EXPECT_EQ(system.call_static(0, "Registry", "register", "()I").as_int(), 1);
     // The singleton object physically lives on node 1.
-    EXPECT_GT(system.remote_stats().at("SOAP").discovers, 0u);
+    EXPECT_GT(system.metrics().snapshot().counter_value("rpc.proto.SOAP.discovers"), 0u);
 }
 
 TEST_F(SystemFixture, ProtocolSelectionPerClass) {
@@ -196,8 +197,9 @@ TEST_F(SystemFixture, ProtocolSelectionPerClass) {
     Value c = system.construct(0, "C", "()V");
     EXPECT_EQ(system.node(0).interp().class_of(c.as_ref()).name, "C_O_Proxy_SOAP");
     system.node(0).interp().call_virtual(c, "poke", "()V");
-    EXPECT_TRUE(system.remote_stats().count("SOAP"));
-    EXPECT_FALSE(system.remote_stats().count("RMI"));
+    const obs::Snapshot snap = system.metrics().snapshot();
+    EXPECT_GT(snap.counter_value("rpc.proto.SOAP.request_bytes"), 0u);
+    EXPECT_EQ(snap.counter_value("rpc.proto.RMI.request_bytes"), 0u);
 }
 
 TEST_F(SystemFixture, ReferencesTravelBetweenNodes) {

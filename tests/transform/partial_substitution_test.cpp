@@ -150,7 +150,7 @@ TEST(PartialSubstitution, OnlySubstitutedClassesAreRemotable) {
     system.policy().set_instance_home("CacheBox", 1, "RMI");
     system.call_static(0, "Main", "main", "()V");
     EXPECT_EQ(system.node(0).interp().output(), "r=42\n");
-    EXPECT_GT(system.remote_stats().at("RMI").calls, 0u);
+    EXPECT_GT(system.metrics().snapshot().counter_value("rpc.proto.RMI.calls"), 0u);
     // ...while Engine was constructed as a plain local object (no proxy
     // classes exist for it at all).
     EXPECT_FALSE(system.transformed_pool().contains("Engine_O_Proxy_RMI"));

@@ -4,6 +4,12 @@
 #
 #   tools/check.sh            # both presets
 #   tools/check.sh sanitize   # just one
+#
+# Not run here, because it builds twice: tools/sidecar_diff.sh <base-rev>
+# builds <base-rev> from a throwaway checkout and byte-compares every
+# BENCH_E*.json sidecar against the working tree's, masking only the
+# host-timing fields (E3 analyze_us_*, E11 host_overhead_pct, E13
+# peak_rss_kb).
 set -eu
 
 cd "$(dirname "$0")/.."

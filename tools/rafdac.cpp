@@ -180,9 +180,20 @@ int cmd_deploy(const std::string& input, const std::string& config_path,
     system.call_static(0, main_cls, "main", "()V");
     std::cout << system.node(0).interp().output();
     std::cerr << "[rafdac] virtual time " << system.network().now_us() << "us";
-    for (const auto& [proto, s] : system.remote_stats())
-        std::cerr << "; " << proto << ": " << s.calls + s.creates + s.discovers
-                  << " requests, " << s.request_bytes + s.reply_bytes << " bytes";
+    const obs::Snapshot snap = system.metrics().snapshot();
+    std::vector<std::string> protocols = system.report().protocols();
+    std::sort(protocols.begin(), protocols.end());
+    for (const std::string& proto : protocols) {
+        const std::string p = "rpc.proto." + proto + ".";
+        const std::uint64_t requests = snap.counter_value(p + "calls") +
+                                       snap.counter_value(p + "creates") +
+                                       snap.counter_value(p + "discovers");
+        if (requests)
+            std::cerr << "; " << proto << ": " << requests << " requests, "
+                      << snap.counter_value(p + "request_bytes") +
+                             snap.counter_value(p + "reply_bytes")
+                      << " bytes";
+    }
     std::cerr << "\n";
     return 0;
 }
