@@ -164,7 +164,7 @@ void Node::apply_restarts(std::uint64_t restarts) {
         log_info("node", "node ", id_, " restarted: dropping ", reply_cache_.size(),
                  " cached replies");
     reply_cache_.clear();
-    reply_cache_order_.clear();
+    reply_index_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -174,6 +174,7 @@ void Node::enable_durability(const DurabilityPolicy& policy) {
     if (wal_) return;
     durability_ = policy;
     wal_ = std::make_unique<Wal>();
+    for (CachedReply& e : reply_cache_) e.record.encode(e.request_id, e.reply);
     last_snapshot_us_ = clock_us_;
     interp_.set_observer(this);
 }
@@ -206,13 +207,20 @@ void Node::on_class_init(const std::string& cls) {
 void Node::cache_reply(std::uint64_t request_id, const net::CallReply& reply,
                        bool journal) {
     const RetryPolicy& rp = system_->reliability();
-    while (reply_cache_order_.size() >= rp.dedup_capacity) {
-        reply_cache_.erase(reply_cache_order_.front());
-        reply_cache_order_.pop_front();
+    // handle_request only caches with a nonzero capacity, but WAL replay
+    // and recover_node_onto reach here whatever the capacity is now.
+    if (rp.dedup_capacity == 0) return;
+    auto [slot, fresh] = reply_index_.try_emplace(request_id, nullptr);
+    if (!fresh) return;
+    while (reply_cache_.size() >= rp.dedup_capacity) {
+        reply_index_.erase(reply_cache_.front().request_id);
+        reply_cache_.pop_front();
     }
-    reply_cache_.emplace(request_id, reply);
-    reply_cache_order_.push_back(request_id);
-    if (journal && wal_) wal_->append_reply(clock_us_, request_id, reply);
+    CachedReply& entry = reply_cache_.emplace_back(CachedReply{request_id, reply, {}});
+    slot->second = &entry;
+    if (!wal_) return;
+    entry.record.encode(request_id, reply);
+    if (journal) wal_->append_reply(clock_us_, entry.record);
 }
 
 void Node::maybe_snapshot() {
@@ -253,8 +261,8 @@ void Node::take_snapshot() {
         wal_->append_proxy_import(t, std::get<0>(key), std::get<1>(key),
                                   std::get<2>(key), std::get<3>(key), local_oid);
     // Reply cache in FIFO order so replay reproduces the eviction queue.
-    for (std::uint64_t rid : reply_cache_order_)
-        wal_->append_reply(t, rid, reply_cache_.at(rid));
+    // Each record reuses the entry's stored encoding.
+    for (const CachedReply& e : reply_cache_) wal_->append_reply(t, e.record);
     wal_->commit_snapshot();
     last_snapshot_us_ = clock_us_;
     log_debug("node", "node ", id_, " checkpoint: ", wal_->snapshot().size(),
@@ -335,7 +343,7 @@ void Node::recover_from_wal() {
     singletons_.clear();
     imported_.clear();
     reply_cache_.clear();
-    reply_cache_order_.clear();
+    reply_index_.clear();
     NodeRecovery visitor(*this);
     const Wal::ReplayResult res = wal_->recover(visitor);
     interp_.set_observer(this);
@@ -350,14 +358,14 @@ net::CallReply Node::handle_request(const net::CallRequest& req,
     const RetryPolicy& rp = system_->reliability();
     const bool dedup = rp.dedup && rp.dedup_capacity > 0;
     if (dedup) {
-        auto it = reply_cache_.find(req.request_id);
-        if (it != reply_cache_.end()) {
+        auto it = reply_index_.find(req.request_id);
+        if (it != reply_index_.end()) {
             // A retry of a request this node already executed: replay the
             // reply.  This is the arm that turns at-most-once into
             // exactly-once — the retried Create/Invoke must NOT run again
             // (it would leak an instance / duplicate a side effect).
             system_->note_dedup_hit(req.request_id, id_, clock_us_);
-            return it->second;
+            return it->second->reply;
         }
     }
     net::CallReply reply;

@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 
 #include "net/message.hpp"
 #include "net/network.hpp"
@@ -147,7 +148,8 @@ private:
 
     /// Bounded FIFO insert into the reply cache (shared by handle_request
     /// and WAL replay); appends a Reply record when `journal` is set and
-    /// durability is on.
+    /// durability is on.  Capacity 0 caches nothing, and a request id
+    /// already cached keeps its first reply.
     void cache_reply(std::uint64_t request_id, const net::CallReply& reply,
                      bool journal);
     /// Snapshot-interval check, called at request-dispatch boundaries
@@ -166,10 +168,20 @@ private:
     std::map<std::tuple<net::NodeId, std::uint64_t, std::string, std::string>, vm::ObjId>
         imported_;
     std::map<std::string, vm::ObjId> singletons_;
-    /// Bounded request-id → reply cache (FIFO eviction at the policy's
+    /// One reply-cache entry.  While the node is durable it also holds
+    /// the reply's WAL encoding, made once and shared by the live Reply
+    /// record and every checkpoint until the entry is evicted.
+    struct CachedReply {
+        std::uint64_t request_id;
+        net::CallReply reply;
+        EncodedReply record;
+    };
+    /// Bounded reply cache in FIFO order (eviction at the policy's
     /// dedup_capacity); populated only while dedup is enabled.
-    std::map<std::uint64_t, net::CallReply> reply_cache_;
-    std::deque<std::uint64_t> reply_cache_order_;
+    std::deque<CachedReply> reply_cache_;
+    /// request id -> its reply_cache_ entry (deque push_back/pop_front
+    /// leave references to the other entries valid).
+    std::unordered_map<std::uint64_t, const CachedReply*> reply_index_;
     std::uint64_t restarts_seen_ = 0;
     /// Pipeline mode: deferred success-path reply horizon (max arrival
     /// seen since the mode was turned on; drained by set_pipeline(false)).

@@ -1,5 +1,6 @@
 #include "runtime/wal.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "support/error.hpp"
@@ -8,15 +9,49 @@ namespace rafda::runtime {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-    std::array<std::uint32_t, 256> table{};
+// -- CRC-32 ------------------------------------------------------------
+
+constexpr std::uint32_t kCrcPoly = 0xEDB88320u;
+
+// Slicing-by-8 tables, built at compile time: kCrc[0] is the classic
+// byte-at-a-time table; kCrc[k][n] is the CRC of byte n followed by k
+// zero bytes, so one step folds eight input bytes with eight lookups.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t n = 0; n < 256; ++n) {
         std::uint32_t c = n;
-        for (int k = 0; k < 8; ++k)
-            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[n] = c;
+        for (int k = 0; k < 8; ++k) c = (c & 1) ? kCrcPoly ^ (c >> 1) : c >> 1;
+        t[0][n] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::uint32_t n = 0; n < 256; ++n)
+            t[k][n] = (t[k - 1][n] >> 8) ^ t[0][t[k - 1][n] & 0xFFu];
+    return t;
+}
+
+constexpr auto kCrc = make_crc_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+    return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+void store_le32(std::uint8_t* p, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+// GF(2) polynomial arithmetic modulo the CRC polynomial, in the reflected
+// bit order the CRC uses (x^0 is bit 31) — zlib's crc32_combine machinery.
+
+/// a·b mod P.  Branch-free per bit of `a` (the operands are effectively
+/// random, so a taken/not-taken branch would mispredict half the time).
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+    std::uint32_t p = 0;
+    for (; a; a <<= 1) {
+        p ^= b & (0u - (a >> 31));
+        b = (b >> 1) ^ (kCrcPoly & (0u - (b & 1)));
+    }
+    return p;
 }
 
 // -- Value codecs -------------------------------------------------------
@@ -118,11 +153,41 @@ net::CallReply get_reply(ByteReader& r) {
 }  // namespace
 
 std::uint32_t wal_crc32(const std::uint8_t* data, std::size_t len) {
-    static const std::array<std::uint32_t, 256> table = make_crc_table();
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t k = 0; k < len; ++k)
-        c = table[(c ^ data[k]) & 0xFFu] ^ (c >> 8);
+    for (; len >= 8; data += 8, len -= 8) {
+        const std::uint32_t lo = c ^ load_le32(data);
+        const std::uint32_t hi = load_le32(data + 4);
+        c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+            kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^ kCrc[3][hi & 0xFFu] ^
+            kCrc[2][(hi >> 8) & 0xFFu] ^ kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+    }
+    for (; len; ++data, --len) c = kCrc[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t wal_crc32_shift(std::size_t len) {
+    // One table step on a zero byte multiplies the register by x^8, so
+    // running x^0 through `len` zero bytes leaves x^(8·len) mod P.  The
+    // zero high word drops four of each eight-byte step's lookups.
+    std::uint32_t c = 1u << 31;  // x^0
+    for (; len >= 8; len -= 8)
+        c = kCrc[7][c & 0xFFu] ^ kCrc[6][(c >> 8) & 0xFFu] ^
+            kCrc[5][(c >> 16) & 0xFFu] ^ kCrc[4][c >> 24];
+    for (; len; --len) c = kCrc[0][c & 0xFFu] ^ (c >> 8);
+    return c;
+}
+
+std::uint32_t wal_crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                                std::uint32_t shift_b) {
+    return multmodp(shift_b, crc_a) ^ crc_b;
+}
+
+void EncodedReply::encode(std::uint64_t request_id, const net::CallReply& reply) {
+    ByteWriter w(body);
+    w.varu64(request_id);
+    put_reply(w, reply);
+    crc = wal_crc32(body.data(), body.size());
+    shift = wal_crc32_shift(body.size());
 }
 
 void Wal::stamp(ByteWriter& w, Kind kind, std::uint64_t t_us) {
@@ -130,133 +195,149 @@ void Wal::stamp(ByteWriter& w, Kind kind, std::uint64_t t_us) {
     w.varu64(t_us);
 }
 
-void Wal::frame(const Bytes& payload) {
+void Wal::emit(std::uint32_t crc, std::span<const std::uint8_t> head,
+               std::span<const std::uint8_t> tail) {
     Bytes& sink = in_snapshot_ ? scratch_ : log_;
-    ByteWriter header;
-    header.u32(static_cast<std::uint32_t>(payload.size()));
-    header.u32(wal_crc32(payload.data(), payload.size()));
-    sink.insert(sink.end(), header.data().begin(), header.data().end());
-    sink.insert(sink.end(), payload.begin(), payload.end());
+    const std::size_t len = head.size() + tail.size();
+    const std::size_t at = sink.size();
+    sink.resize(at + 8 + len);
+    std::uint8_t* out = sink.data() + at;
+    store_le32(out, static_cast<std::uint32_t>(len));
+    store_le32(out + 4, crc);
+    out = std::copy(head.begin(), head.end(), out + 8);
+    std::copy(tail.begin(), tail.end(), out);
     if (!in_snapshot_) {
         ++stats_.records;
         if (records_ctr_) records_ctr_->add();
-        if (bytes_ctr_) bytes_ctr_->add(8 + payload.size());
+        if (bytes_ctr_) bytes_ctr_->add(8 + len);
     }
 }
 
+void Wal::frame() {
+    emit(wal_crc32(payload_.data(), payload_.size()), payload_, {});
+}
+
 void Wal::append_alloc(std::uint64_t t_us, const std::string& cls) {
-    ByteWriter w;
+    ByteWriter w(payload_);
     stamp(w, Kind::Alloc, t_us);
     w.str(cls);
-    frame(w.data());
+    frame();
 }
 
 void Wal::append_alloc_array(std::uint64_t t_us, const std::string& elem_desc,
                              std::uint64_t length) {
-    ByteWriter w;
+    ByteWriter w(payload_);
     stamp(w, Kind::AllocArray, t_us);
     w.str(elem_desc);
     w.varu64(length);
-    frame(w.data());
+    frame();
 }
 
 void Wal::append_field_put(std::uint64_t t_us, std::uint64_t oid, std::uint64_t slot,
                            const vm::Value& v) {
-    ByteWriter w;
+    ByteWriter w(payload_);
     stamp(w, Kind::FieldPut, t_us);
     w.varu64(oid);
     w.varu64(slot);
     put_value(w, v);
-    frame(w.data());
+    frame();
 }
 
 void Wal::append_array_put(std::uint64_t t_us, std::uint64_t oid, std::uint64_t index,
                            const vm::Value& v) {
-    ByteWriter w;
+    ByteWriter w(payload_);
     stamp(w, Kind::ArrayPut, t_us);
     w.varu64(oid);
     w.varu64(index);
     put_value(w, v);
-    frame(w.data());
+    frame();
 }
 
 void Wal::append_static_put(std::uint64_t t_us, const std::string& cls,
                             const std::string& field, const vm::Value& v) {
-    ByteWriter w;
+    ByteWriter w(payload_);
     stamp(w, Kind::StaticPut, t_us);
     w.str(cls);
     w.str(field);
     put_value(w, v);
-    frame(w.data());
+    frame();
 }
 
 void Wal::append_class_init(std::uint64_t t_us, const std::string& cls) {
-    ByteWriter w;
+    ByteWriter w(payload_);
     stamp(w, Kind::ClassInit, t_us);
     w.str(cls);
-    frame(w.data());
+    frame();
 }
 
 void Wal::append_singleton(std::uint64_t t_us, const std::string& cls,
                            std::uint64_t oid) {
-    ByteWriter w;
+    ByteWriter w(payload_);
     stamp(w, Kind::Singleton, t_us);
     w.str(cls);
     w.varu64(oid);
-    frame(w.data());
+    frame();
 }
 
 void Wal::append_singleton_drop(std::uint64_t t_us, const std::string& cls) {
-    ByteWriter w;
+    ByteWriter w(payload_);
     stamp(w, Kind::SingletonDrop, t_us);
     w.str(cls);
-    frame(w.data());
+    frame();
 }
 
 void Wal::append_proxy_import(std::uint64_t t_us, std::int32_t origin_node,
                               std::uint64_t origin_oid, const std::string& iface,
                               const std::string& protocol, std::uint64_t local_oid) {
-    ByteWriter w;
+    ByteWriter w(payload_);
     stamp(w, Kind::ProxyImport, t_us);
     w.i32(origin_node);
     w.varu64(origin_oid);
     w.str(iface);
     w.str(protocol);
     w.varu64(local_oid);
-    frame(w.data());
+    frame();
 }
 
 void Wal::append_reply(std::uint64_t t_us, std::uint64_t request_id,
                        const net::CallReply& reply) {
-    ByteWriter w;
-    stamp(w, Kind::Reply, t_us);
-    w.varu64(request_id);
-    put_reply(w, reply);
-    frame(w.data());
+    reply_.encode(request_id, reply);
+    append_reply(t_us, reply_);
+}
+
+void Wal::append_reply(std::uint64_t t_us, const EncodedReply& reply) {
+    if (reply_prefix_.empty() || t_us != reply_prefix_t_) {
+        ByteWriter w(reply_prefix_);
+        stamp(w, Kind::Reply, t_us);
+        reply_prefix_t_ = t_us;
+        reply_prefix_crc_ = wal_crc32(reply_prefix_.data(), reply_prefix_.size());
+    }
+    emit(wal_crc32_combine(reply_prefix_crc_, reply.crc, reply.shift), reply_prefix_,
+         reply.body);
 }
 
 void Wal::append_transmute(std::uint64_t t_us, std::uint64_t oid,
                            const std::string& proxy_cls, std::int32_t node,
                            std::uint64_t remote_oid) {
-    ByteWriter w;
+    ByteWriter w(payload_);
     stamp(w, Kind::Transmute, t_us);
     w.varu64(oid);
     w.str(proxy_cls);
     w.i32(node);
     w.varu64(remote_oid);
-    frame(w.data());
+    frame();
 }
 
 void Wal::append_relocate(std::uint64_t t_us, std::uint64_t oid,
                           const std::string& proxy_cls, std::int32_t node,
                           std::uint64_t remote_oid) {
-    ByteWriter w;
+    ByteWriter w(payload_);
     stamp(w, Kind::Relocate, t_us);
     w.varu64(oid);
     w.str(proxy_cls);
     w.i32(node);
     w.varu64(remote_oid);
-    frame(w.data());
+    frame();
 }
 
 void Wal::begin_snapshot() {
@@ -266,8 +347,9 @@ void Wal::begin_snapshot() {
 
 void Wal::commit_snapshot() {
     in_snapshot_ = false;
-    snapshot_ = std::move(scratch_);
-    scratch_ = Bytes{};
+    // The retired snapshot's buffer becomes the next checkpoint's scratch.
+    snapshot_.swap(scratch_);
+    scratch_.clear();
     log_.clear();
     ++stats_.snapshots;
     if (snapshots_ctr_) snapshots_ctr_->add();
@@ -278,14 +360,8 @@ Wal::ReplayResult Wal::replay(const Bytes& stream, WalVisitor& v) {
     ReplayResult result;
     std::size_t pos = 0;
     while (pos + 8 <= stream.size()) {
-        const std::uint32_t len = static_cast<std::uint32_t>(stream[pos]) |
-                                  static_cast<std::uint32_t>(stream[pos + 1]) << 8 |
-                                  static_cast<std::uint32_t>(stream[pos + 2]) << 16 |
-                                  static_cast<std::uint32_t>(stream[pos + 3]) << 24;
-        const std::uint32_t crc = static_cast<std::uint32_t>(stream[pos + 4]) |
-                                  static_cast<std::uint32_t>(stream[pos + 5]) << 8 |
-                                  static_cast<std::uint32_t>(stream[pos + 6]) << 16 |
-                                  static_cast<std::uint32_t>(stream[pos + 7]) << 24;
+        const std::uint32_t len = load_le32(stream.data() + pos);
+        const std::uint32_t crc = load_le32(stream.data() + pos + 4);
         if (pos + 8 + len > stream.size()) break;  // torn frame
         const std::uint8_t* payload = stream.data() + pos + 8;
         if (wal_crc32(payload, len) != crc) break;  // corrupt frame
@@ -368,6 +444,10 @@ Wal::ReplayResult Wal::replay(const Bytes& stream, WalVisitor& v) {
                 throw CodecError("unknown WAL record kind " +
                                  std::to_string(static_cast<int>(kind)));
         }
+        if (!r.at_end())
+            throw CodecError("WAL record kind " + std::to_string(static_cast<int>(kind)) +
+                             " has " + std::to_string(r.remaining()) +
+                             " trailing payload bytes");
         pos += 8 + len;
         ++result.records;
         result.bytes = pos;

@@ -10,7 +10,10 @@
 //
 // Records are CRC-framed: `[u32 len][u32 crc32][payload]` with the CRC
 // over the payload, and the payload `[u8 kind][varu64 t_us][fields...]`
-// stamped with the node's virtual clock at append time.  Recovery replays
+// stamped with the node's virtual clock at append time.  A Reply record's
+// fields are encoded once per cached reply (EncodedReply) and reused by
+// every checkpoint, whose record CRCs come from CRC combination rather
+// than a second pass over the bytes.  Recovery replays
 // the snapshot and then the log; a torn tail (truncated frame or CRC
 // mismatch — the moral equivalent of a crash mid-write) stops replay
 // cleanly at the last complete record, applying nothing of the tail.
@@ -21,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "net/message.hpp"
@@ -91,6 +95,19 @@ public:
                              std::uint64_t /*remote_oid*/) {}
 };
 
+/// A Reply record's fields — `[varu64 request_id][reply]` — encoded once,
+/// with the CRC and CRC shift that let any `[kind][t_us]` prefix be
+/// combined in without re-reading them.  A node keeps one per reply-cache
+/// entry, so the live record and every later checkpoint share it.
+struct EncodedReply {
+    Bytes body;
+    std::uint32_t crc = 0;           // wal_crc32 over body
+    std::uint32_t shift = 1u << 31;  // wal_crc32_shift(body.size()); x^0 when empty
+
+    /// (Re)encodes `reply` under `request_id`, reusing body's capacity.
+    void encode(std::uint64_t request_id, const net::CallReply& reply);
+};
+
 class Wal {
 public:
     /// Outcome of one stream replay.
@@ -122,6 +139,11 @@ public:
                              const std::string& protocol, std::uint64_t local_oid);
     void append_reply(std::uint64_t t_us, std::uint64_t request_id,
                       const net::CallReply& reply);
+    /// The same Reply record from an encoding made earlier: the record
+    /// bytes are copied and its CRC is combined from the stamp prefix's
+    /// (memoized per `t_us`, so a checkpoint checksums it once) and the
+    /// body's.
+    void append_reply(std::uint64_t t_us, const EncodedReply& reply);
     void append_transmute(std::uint64_t t_us, std::uint64_t oid,
                           const std::string& proxy_cls, std::int32_t node,
                           std::uint64_t remote_oid);
@@ -180,9 +202,12 @@ private:
         Relocate = 12,
     };
 
-    /// Frames `payload` (kind + stamp + fields already encoded) with its
+    /// Frames payload_ (kind + stamp + fields already encoded) with its
     /// length and CRC into the current sink.
-    void frame(const Bytes& payload);
+    void frame();
+    /// Appends `[u32 len][u32 crc][head][tail]` to the current sink.
+    void emit(std::uint32_t crc, std::span<const std::uint8_t> head,
+              std::span<const std::uint8_t> tail);
     /// Starts a payload: [u8 kind][varu64 t_us].
     static void stamp(ByteWriter& w, Kind kind, std::uint64_t t_us);
 
@@ -190,14 +215,28 @@ private:
     Bytes snapshot_;
     Bytes scratch_;            // checkpoint under construction
     bool in_snapshot_ = false;
+    Bytes payload_;            // record being encoded; capacity reused
+    EncodedReply reply_;       // append_reply(t, id, reply)'s encoding
+    Bytes reply_prefix_;       // [Reply][varu64 reply_prefix_t_]
+    std::uint64_t reply_prefix_t_ = 0;
+    std::uint32_t reply_prefix_crc_ = 0;
     WalStats stats_;
     obs::Counter* records_ctr_ = nullptr;
     obs::Counter* bytes_ctr_ = nullptr;
     obs::Counter* snapshots_ctr_ = nullptr;
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`;
-/// exposed for tests that hand-build or corrupt frames.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`,
+/// eight bytes per step (slicing-by-8); exposed for tests that hand-build
+/// or corrupt frames.
 std::uint32_t wal_crc32(const std::uint8_t* data, std::size_t len);
+
+/// x^(8·len) mod P: the operator that advances a CRC past `len` bytes.
+std::uint32_t wal_crc32_shift(std::size_t len);
+
+/// CRC of A‖B from crc(A), crc(B) and B's shift — zlib's crc32_combine
+/// algebra: multmodp(shift_b, crc_a) ^ crc_b.
+std::uint32_t wal_crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                                std::uint32_t shift_b);
 
 }  // namespace rafda::runtime

@@ -278,6 +278,133 @@ TEST_F(DurableFixture, DurableOffRegistersNothing) {
     EXPECT_FALSE(wal_counters);
 }
 
+TEST_F(DurableFixture, RestartWithDedupCapacityZeroCachesNothing) {
+    // Regression: replaying Reply records after the capacity dropped to 0
+    // ran cache_reply's eviction loop on an empty queue (front/pop_front
+    // on an empty deque).  Replay must cache nothing instead.
+    system->reliability().dedup = true;
+    send_create(900);
+    send_create(901);
+    const std::size_t heap_before = system->node(1).interp().heap().size();
+
+    system->reliability().dedup_capacity = 0;
+    const std::uint64_t t0 = system->node(0).clock_us();
+    crash_window(1, t0, t0 + 100);
+    system->node(0).advance_clock(200);
+    send_create(900);  // triggers the restart replay; capacity 0 = no dedup
+    EXPECT_EQ(system->node(1).wal()->stats().recoveries, 1u);
+    EXPECT_EQ(counter("rpc.dedup_hits"), 0u);
+    EXPECT_GT(system->node(1).interp().heap().size(), heap_before);
+
+    // With the capacity back, the restart's empty cache shows: 901
+    // re-executes once, then dedups as usual.
+    system->reliability().dedup_capacity = 1024;
+    send_create(901);
+    EXPECT_EQ(counter("rpc.dedup_hits"), 0u);
+    send_create(901);
+    EXPECT_EQ(counter("rpc.dedup_hits"), 1u);
+}
+
+/// Re-appends every replayed record through Wal's field-by-field API.
+struct Reappend final : WalVisitor {
+    explicit Reappend(Wal& out) : w(out) {}
+    Wal& w;
+    std::size_t replies = 0;
+
+    void on_alloc(std::uint64_t t, const std::string& cls) override {
+        w.append_alloc(t, cls);
+    }
+    void on_alloc_array(std::uint64_t t, const std::string& elem,
+                        std::uint64_t n) override {
+        w.append_alloc_array(t, elem, n);
+    }
+    void on_field_put(std::uint64_t t, std::uint64_t oid, std::uint64_t slot,
+                      const Value& v) override {
+        w.append_field_put(t, oid, slot, v);
+    }
+    void on_array_put(std::uint64_t t, std::uint64_t oid, std::uint64_t index,
+                      const Value& v) override {
+        w.append_array_put(t, oid, index, v);
+    }
+    void on_static_put(std::uint64_t t, const std::string& cls, const std::string& field,
+                       const Value& v) override {
+        w.append_static_put(t, cls, field, v);
+    }
+    void on_class_init(std::uint64_t t, const std::string& cls) override {
+        w.append_class_init(t, cls);
+    }
+    void on_singleton(std::uint64_t t, const std::string& cls, std::uint64_t oid) override {
+        w.append_singleton(t, cls, oid);
+    }
+    void on_singleton_drop(std::uint64_t t, const std::string& cls) override {
+        w.append_singleton_drop(t, cls);
+    }
+    void on_proxy_import(std::uint64_t t, std::int32_t node, std::uint64_t oid,
+                         const std::string& iface, const std::string& protocol,
+                         std::uint64_t local) override {
+        w.append_proxy_import(t, node, oid, iface, protocol, local);
+    }
+    void on_reply(std::uint64_t t, std::uint64_t id, const net::CallReply& reply) override {
+        ++replies;
+        w.append_reply(t, id, reply);
+    }
+    void on_transmute(std::uint64_t t, std::uint64_t oid, const std::string& cls,
+                      std::int32_t node, std::uint64_t remote) override {
+        w.append_transmute(t, oid, cls, node, remote);
+    }
+    void on_relocate(std::uint64_t t, std::uint64_t oid, const std::string& cls,
+                     std::int32_t node, std::uint64_t remote) override {
+        w.append_relocate(t, oid, cls, node, remote);
+    }
+};
+
+TEST_F(DurableFixture, CheckpointMatchesFreshEncodingAndIsRebuiltByRestart) {
+    // Checkpoints copy each cached reply's stored encoding and combine its
+    // CRC; the oracle is the plain field-by-field append of the same
+    // records, which must produce the same bytes.
+    system->reliability().dedup = true;
+    system->reliability().dedup_capacity = 48;  // FIFO eviction churns
+    Value svc = system->construct(0, "Service", "()V");
+    for (int k = 0; k < 120; ++k) {
+        system->node(0).interp().call_virtual(svc, "work", "(I)I", {Value::of_int(k)});
+        send_create(5000 + static_cast<std::uint64_t>(k / 2));  // every other one dedups
+    }
+    EXPECT_EQ(counter("rpc.dedup_hits"), 60u);
+
+    Node& server = system->node(1);
+    server.take_snapshot();
+    const Bytes checkpoint = server.wal()->snapshot();
+    Wal fresh;
+    Reappend oracle(fresh);
+    EXPECT_TRUE(Wal::replay(checkpoint, oracle).clean);
+    EXPECT_EQ(oracle.replies, 48u);
+    EXPECT_EQ(fresh.log(), checkpoint);
+
+    // Crash and restart in place with no calls in between: replay rebuilds
+    // every stored encoding, so the next checkpoint is the same bytes.
+    server.apply_restarts(1);
+    ASSERT_EQ(server.wal()->stats().recoveries, 1u);
+    server.take_snapshot();
+    EXPECT_EQ(server.wal()->snapshot(), checkpoint);
+}
+
+TEST_F(DurableFixture, DurabilitySwitchedOnLaterEncodesTheCachedReplies) {
+    // Replies cached while the node was volatile get their WAL encoding
+    // when durability comes on, so the first checkpoint carries them whole.
+    make_system(/*durable=*/false);
+    system->reliability().dedup = true;
+    for (std::uint64_t id = 700; id < 710; ++id) send_create(id);
+    system->enable_durability(DurabilityPolicy{});
+
+    Node& server = system->node(1);
+    server.take_snapshot();
+    Wal fresh;
+    Reappend oracle(fresh);
+    EXPECT_TRUE(Wal::replay(server.wal()->snapshot(), oracle).clean);
+    EXPECT_EQ(oracle.replies, 10u);
+    EXPECT_EQ(fresh.log(), server.wal()->snapshot());
+}
+
 // ---- the adaptation engine rides migration-by-recovery ----------------
 
 struct EngineOutcome {

@@ -1,11 +1,14 @@
 // WAL framing and replay (DESIGN.md §20): every record kind round-trips,
 // a torn tail — the log truncated at *any* byte offset inside the final
 // record — stops replay cleanly at the last complete record, corrupted
-// frames are rejected by the CRC rather than silently applied, and a
-// committed snapshot truncates the log.
+// frames are rejected by the CRC rather than silently applied, a
+// checksummed record with unread payload bytes is a framing error, a
+// committed snapshot truncates the log, and the slicing-by-8 CRC and its
+// combine algebra agree with a bit-at-a-time reference.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "runtime/wal.hpp"
 #include "support/error.hpp"
@@ -262,6 +265,142 @@ TEST(Wal, EmptyAndCrcKnownAnswer) {
     EXPECT_EQ(wal_crc32(reinterpret_cast<const std::uint8_t*>(kat), 9),
               0xCBF43926u);
     EXPECT_EQ(wal_crc32(nullptr, 0), 0u);
+}
+
+TEST(Wal, StoredReplyEncodingFramesLikeAFreshOne) {
+    // A reply encoded once and appended under several stamps — with the
+    // stamp changing between appends, as live records and checkpoints
+    // interleave — frames exactly as the field-by-field append does.
+    net::CallReply ok;
+    ok.request_id = 77;
+    ok.result = net::MarshalledValue::of_long(-5);
+    net::CallReply ref;
+    ref.request_id = 78;
+    ref.result = net::MarshalledValue::of_ref(3, 1ull << 40, "Service_O_Int");
+    net::CallReply fault;
+    fault.request_id = 79;
+    fault.is_fault = true;
+    fault.fault_class = "RemoteFault";
+    fault.fault_msg = std::string(300, 'x');  // body past one slicing step
+    EncodedReply ok_enc, ref_enc, fault_enc;
+    ok_enc.encode(77, ok);
+    ref_enc.encode(78, ref);
+    fault_enc.encode(79, fault);
+
+    Wal fresh, stored;
+    for (std::uint64_t t : {1ull, 1ull, 300ull, 300ull, 1ull << 35, 2ull}) {
+        fresh.append_reply(t, 77, ok);
+        fresh.append_reply(t, 78, ref);
+        fresh.append_reply(t, 79, fault);
+        stored.append_reply(t, ok_enc);
+        stored.append_reply(t, ref_enc);
+        stored.append_reply(t, fault_enc);
+    }
+    EXPECT_EQ(stored.log(), fresh.log());
+    EXPECT_EQ(stored.stats().records, fresh.stats().records);
+    // Both sides share the stamp-prefix memo, so the stamps are checked
+    // against the replay too.
+    RecordingVisitor v;
+    EXPECT_TRUE(Wal::replay(stored.log(), v).clean);
+    ASSERT_EQ(v.events.size(), 18u);
+    std::size_t i = 0;
+    for (std::uint64_t t : {1ull, 1ull, 300ull, 300ull, 1ull << 35, 2ull})
+        for (std::uint64_t id : {77u, 78u, 79u})
+            EXPECT_EQ(v.events[i++].rfind("reply " + std::to_string(t) + " " +
+                                              std::to_string(id) + " ",
+                                          0),
+                      0u)
+                << v.events[i - 1];
+}
+
+/// Hand-frames `payload` exactly as the WAL does: [u32 len][u32 crc].
+Bytes hand_frame(const Bytes& payload) {
+    ByteWriter w;
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.u32(wal_crc32(payload.data(), payload.size()));
+    w.raw(payload);
+    return w.take();
+}
+
+TEST(Wal, TrailingPayloadBytesUnderAGoodCrcThrow) {
+    // ClassInit(t=1, "C") decodes from the first five payload bytes; a
+    // sixth byte under a matching CRC cannot be a torn write, so replay
+    // reports a framing bug rather than dropping it silently.
+    ByteWriter w;
+    w.u8(6);  // Kind::ClassInit
+    w.varu64(1);
+    w.str("C");
+    Bytes exact = w.take();
+    RecordingVisitor ok;
+    Wal::ReplayResult r = Wal::replay(hand_frame(exact), ok);
+    EXPECT_TRUE(r.clean);
+    ASSERT_EQ(ok.events, std::vector<std::string>{"clinit 1 C"});
+
+    Bytes padded = exact;
+    padded.push_back(0xAB);
+    RecordingVisitor v;
+    EXPECT_THROW(Wal::replay(hand_frame(padded), v), CodecError);
+}
+
+/// CRC-32 one bit at a time straight from the reflected polynomial: the
+/// oracle the table-driven kernel must reproduce.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t len) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < len; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return ~c;
+}
+
+/// Deterministic bytes for the CRC sweeps.
+Bytes lcg_bytes(std::size_t n, std::uint64_t seed) {
+    Bytes out(n);
+    for (std::uint8_t& b : out) {
+        seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+        b = static_cast<std::uint8_t>(seed >> 56);
+    }
+    return out;
+}
+
+TEST(Wal, CrcMatchesBitwiseReferenceAtEveryLengthAndOffset) {
+    // Every length 0..1024 from each of the 8 start offsets an 8-byte step
+    // can be misaligned by.  Each input lives in a buffer that ends exactly
+    // where it does, so an over-read is a heap overflow under ASan.
+    const Bytes master = lcg_bytes(1024 + 8, 0xC0FFEE);
+    for (std::size_t off = 0; off < 8; ++off) {
+        for (std::size_t len = 0; len <= 1024; ++len) {
+            const Bytes buf(master.begin(),
+                            master.begin() + static_cast<std::ptrdiff_t>(off + len));
+            ASSERT_EQ(wal_crc32(buf.data() + off, len),
+                      crc32_bitwise(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+        }
+    }
+}
+
+TEST(Wal, CrcCombineEqualsWholeBufferCrcOnRandomSplits) {
+    std::uint64_t lcg = 0x5EED;
+    auto next = [&] {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return lcg >> 33;
+    };
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::size_t len = next() % 600;
+        const Bytes whole = lcg_bytes(len, next());
+        // Trials 0 and 1 pin the empty halves; the rest split anywhere.
+        const std::size_t split = trial == 0 ? 0 : trial == 1 ? len : next() % (len + 1);
+        const std::uint8_t* b = whole.data() + split;
+        const std::size_t len_b = len - split;
+        EXPECT_EQ(wal_crc32_combine(wal_crc32(whole.data(), split), wal_crc32(b, len_b),
+                                    wal_crc32_shift(len_b)),
+                  wal_crc32(whole.data(), len))
+            << "length " << len << " split " << split;
+    }
+    // The zero-length shift is the identity, and an empty prefix adds
+    // nothing.
+    EXPECT_EQ(wal_crc32_combine(0x12345678u, 0, wal_crc32_shift(0)), 0x12345678u);
+    EXPECT_EQ(wal_crc32_combine(0, 0x9ABCDEF0u, wal_crc32_shift(17)), 0x9ABCDEF0u);
 }
 
 }  // namespace

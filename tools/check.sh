@@ -178,11 +178,12 @@ esac
 # WAL-replay fuzz smoke (gating when the sanitize preset ran): the torn-tail
 # sweep and the bit-flip fuzz replay adversarial byte streams through the
 # frame decoder — exactly the code that parses untrusted durable state on
-# recovery — under ASan+UBSan.
+# recovery — and the CRC sweeps run the slicing-by-8 kernel's word loads
+# over exactly-sized buffers, all under ASan+UBSan.
 case " $presets " in
 *" sanitize "*)
     echo "== WAL replay fuzz smoke (sanitize) =="
     build-sanitize/tests/runtime/wal_test \
-        --gtest_filter='Wal.TornTail*:Wal.BitFlip*'
+        --gtest_filter='Wal.TornTail*:Wal.BitFlip*:Wal.Crc*'
     ;;
 esac
