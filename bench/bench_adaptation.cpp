@@ -7,8 +7,8 @@
 //
 //   pinned-0   — worker stays on node 0 (never adapts)
 //   pinned-1   — worker stays on node 1
-//   adaptive   — a greedy controller migrates the worker next to the
-//                source whenever a phase cost exceeds the previous one
+//   adaptive   — the harness migrates the worker next to the source
+//                whenever a phase cost fails to improve on the previous one
 //
 // The table prints per-phase virtual time per strategy; adaptive should
 // track the cheaper placement after each environment change, at the price
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "runtime/adapter.hpp"
 #include "runtime/system.hpp"
 #include "vm/interp.hpp"
 
@@ -113,13 +112,8 @@ RunResult run(int strategy) {
         worker_node = 1;
     }
 
-    // The adaptive strategy is the library's GreedyAdapter: the harness only
-    // reports phase costs and declares the affinity target.
-    std::unique_ptr<runtime::GreedyAdapter> adapter;
-    if (strategy < 0)
-        adapter = std::make_unique<runtime::GreedyAdapter>(system, worker_node, worker_oid, "RMI");
-
     RunResult result;
+    std::uint64_t prev_cost = 0;
     for (int phase = 0; phase < kPhases; ++phase) {
         net::NodeId want = (phase / 2) % 2 == 0 ? 1 : 0;  // environment change
         if (want != src_node) {
@@ -136,13 +130,15 @@ RunResult run(int strategy) {
         result.phase_us.push_back(cost);
         result.total_us += cost;
 
-        if (adapter) {
-            adapter->set_affinity(src_node);
-            adapter->report_phase_cost(cost);
+        // Phase-cost rule: staying put is only justified while phase costs
+        // still fall; otherwise move the worker next to the source.
+        if (strategy < 0 && phase > 0 && cost >= prev_cost && worker_node != src_node) {
+            worker_oid = system.migrate_instance(worker_node, worker_oid, src_node, "RMI");
+            worker_node = src_node;
         }
+        prev_cost = cost;
         result.migrations += system.migrations() - migrations_before;
     }
-    (void)worker_oid;
     return result;
 }
 

@@ -1,6 +1,7 @@
 #include "runtime/adapt.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "net/faults.hpp"
 #include "runtime/system.hpp"
@@ -110,11 +111,11 @@ void AdaptationEngine::backfill_realized(
 }
 
 bool AdaptationEngine::primary_of(const std::string& cls, net::NodeId& node,
-                                  std::uint64_t& oid, bool& is_singleton) const {
+                                  std::uint64_t& oid, bool& is_singleton) {
     const auto it = tracked_.find(cls);
     if (it != tracked_.end()) {
-        node = it->second.first;
-        oid = it->second.second;
+        it->second = system_->resolve_terminal(it->second.first, it->second.second);
+        std::tie(node, oid) = it->second;
         is_singleton = false;
         return true;
     }
@@ -203,7 +204,7 @@ void AdaptationEngine::decide_class(
         const auto it = from_src.find(n);
         const std::uint64_t absorbed = it == from_src.end() ? 0 : it->second;
         return static_cast<double>(w.bytes - absorbed) +
-               policy_.queue_weight * static_cast<double>(inbound_hot(n));
+               static_cast<double>(inbound_hot(n));
     };
 
     const double home_score = score(home);

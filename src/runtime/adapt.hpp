@@ -27,7 +27,7 @@
 // The score of placing a class at node n over one window is
 //
 //     score(n) = (window_bytes_total - window_bytes_from(n))
-//              + queue_weight * hottest_inbound_link_bytes(n)
+//              + hottest_inbound_link_bytes(n)
 //
 // i.e. the wire bytes the class would still cause if it lived on n, plus
 // a congestion penalty for aiming the class's traffic at an already-hot
@@ -66,8 +66,6 @@ struct AdaptPolicy {
     double replicate_ratio = 0.9;
     /// Windows with fewer observed calls than this are noise: no decision.
     std::uint64_t min_window_calls = 8;
-    /// Weight of the hottest-inbound-link congestion term in the score.
-    double queue_weight = 1.0;
 };
 
 /// One controller decision, kept for `rafdac adapt` and the benches.
@@ -127,9 +125,10 @@ public:
         return decisions_;
     }
 
-    /// Explicitly registers an instance for the controller (tests; the
-    /// autonomous path finds singletons by itself).  The engine keeps the
-    /// tracking entry current across its own migrations.
+    /// Registers an instance for the controller (singletons are found
+    /// without registration).  The entry stays current across the engine's
+    /// own migrations and across moves made outside it (migrate_instance,
+    /// migrate_closure), whose proxy chains the next tick follows.
     void track_instance(const std::string& cls, net::NodeId node,
                         std::uint64_t oid);
 
@@ -160,11 +159,12 @@ private:
                         std::map<std::pair<net::NodeId, net::NodeId>,
                                  std::uint64_t>& link_bytes);
     void backfill_realized(const std::map<std::string, ClassWindow>& windows);
-    /// Resolves the class's current primary: tracked instance first, then
-    /// the instantiated singleton.  Returns false when the class has no
-    /// movable object.
+    /// Resolves the class's current primary: tracked instance first
+    /// (followed through any proxy chain a migration outside the engine
+    /// left behind), then the instantiated singleton.  Returns false when
+    /// the class has no movable object.
     bool primary_of(const std::string& cls, net::NodeId& node,
-                    std::uint64_t& oid, bool& is_singleton) const;
+                    std::uint64_t& oid, bool& is_singleton);
     void decide_class(const std::string& cls, const ClassWindow& w,
                       const std::map<std::pair<net::NodeId, net::NodeId>,
                                      std::uint64_t>& link_bytes,

@@ -35,9 +35,7 @@ std::uint64_t ShardedDirectory::hash_key(const std::string& key) noexcept {
     return fmix64(fnv1a(key.data(), key.size()));
 }
 
-void ShardedDirectory::configure(std::vector<net::NodeId> owners,
-                                 const DirectoryPolicy& policy) {
-    policy_ = policy;
+void ShardedDirectory::configure(std::vector<net::NodeId> owners) {
     owners_ = std::move(owners);
     ring_.clear();
     tables_.clear();
@@ -45,13 +43,12 @@ void ShardedDirectory::configure(std::vector<net::NodeId> owners,
     if (owners_.empty()) return;
     std::sort(owners_.begin(), owners_.end());
     owners_.erase(std::unique(owners_.begin(), owners_.end()), owners_.end());
-    const std::uint32_t vnodes = policy_.vnodes == 0 ? 1 : policy_.vnodes;
-    ring_.reserve(owners_.size() * vnodes);
+    ring_.reserve(owners_.size() * kDirectoryVnodes);
     for (net::NodeId owner : owners_) {
         // Ring points hash (owner, replica) so the layout depends only on
         // the owner set — never on insertion order or host pointers.
         std::uint64_t h = fnv1a(reinterpret_cast<const char*>(&owner), sizeof(owner));
-        for (std::uint32_t r = 0; r < vnodes; ++r) {
+        for (std::uint32_t r = 0; r < kDirectoryVnodes; ++r) {
             std::uint64_t point =
                 fmix64(fnv1a(reinterpret_cast<const char*>(&r), sizeof(r), h));
             ring_.emplace_back(point, owner);
@@ -134,7 +131,6 @@ std::size_t ShardedDirectory::total_entries() const noexcept {
 
 const DirLocation* ShardedDirectory::cached_singleton(net::NodeId asker,
                                                       const std::string& cls) const {
-    if (!policy_.cache) return nullptr;
     auto node_cache = caches_.find(asker);
     if (node_cache == caches_.end()) return nullptr;
     auto it = node_cache->second.find("S/" + cls);
@@ -143,7 +139,6 @@ const DirLocation* ShardedDirectory::cached_singleton(net::NodeId asker,
 
 void ShardedDirectory::cache_singleton(net::NodeId asker, const std::string& cls,
                                        const DirLocation& loc) {
-    if (!policy_.cache) return;
     caches_[asker]["S/" + cls] = loc;
 }
 

@@ -30,22 +30,20 @@
 
 namespace rafda::runtime {
 
+/// Virtual ring points per shard node; more points = smoother key spread,
+/// same determinism.
+inline constexpr std::uint32_t kDirectoryVnodes = 64;
+/// Size of one control message (query or answer) in wire bytes.
+inline constexpr std::uint64_t kDirectoryLookupBytes = 48;
+/// CPU charged on the owning shard node per served lookup — the
+/// serialization a *single*-shard directory exhibits and sharding spreads.
+inline constexpr std::uint64_t kDirectoryLookupCpuUs = 2;
+
 /// Knobs for the directory; `System::enable_directory` applies them.
 struct DirectoryPolicy {
     /// Shard owners: the first `shards` node ids (0 = every node owns a
     /// shard).
     std::uint32_t shards = 0;
-    /// Virtual ring points per shard node; more points = smoother key
-    /// spread, same determinism.
-    std::uint32_t vnodes = 64;
-    /// Size of one control message (query or answer) in wire bytes.
-    std::uint64_t lookup_bytes = 48;
-    /// CPU charged on the owning shard node per served lookup — the
-    /// serialization a *single*-shard directory exhibits and sharding
-    /// spreads.
-    std::uint64_t lookup_cpu_us = 2;
-    /// Per-node resolution caches (invalidated by migration).
-    bool cache = true;
 };
 
 /// Where an entry lives: a node plus, for singletons, the protocol the
@@ -59,12 +57,11 @@ struct DirLocation {
 class ShardedDirectory {
 public:
     /// Builds the consistent-hash ring over `owners` (deterministic: ring
-    /// points depend only on node ids and `vnodes`).  Empty `owners`
-    /// disables the directory.
-    void configure(std::vector<net::NodeId> owners, const DirectoryPolicy& policy);
+    /// points depend only on node ids and kDirectoryVnodes).  Empty
+    /// `owners` disables the directory.
+    void configure(std::vector<net::NodeId> owners);
 
     bool enabled() const noexcept { return !ring_.empty(); }
-    const DirectoryPolicy& policy() const noexcept { return policy_; }
     std::size_t shard_count() const noexcept { return owners_.size(); }
     const std::vector<net::NodeId>& owners() const noexcept { return owners_; }
 
@@ -111,8 +108,7 @@ public:
 
     // ---- per-node resolution caches (soft state) ----
 
-    /// Cached singleton resolution for (asker, cls); nullptr on miss or
-    /// when caching is off.
+    /// Cached singleton resolution for (asker, cls); nullptr on miss.
     const DirLocation* cached_singleton(net::NodeId asker,
                                         const std::string& cls) const;
     void cache_singleton(net::NodeId asker, const std::string& cls,
@@ -124,7 +120,6 @@ public:
 private:
     std::map<std::string, DirLocation>& table_for(const std::string& key);
 
-    DirectoryPolicy policy_;
     std::vector<net::NodeId> owners_;
     /// Sorted ring points: (hash, shard node).
     std::vector<std::pair<std::uint64_t, net::NodeId>> ring_;

@@ -1210,8 +1210,6 @@ void System::invalidate_replicas(net::NodeId primary, vm::ObjId oid,
     const std::vector<Replica*> flipped = replicas_.invalidate(primary, oid);
     if (flipped.empty()) return;
     ensure_replica_counters();
-    const std::uint64_t msg_bytes =
-        directory_.enabled() ? directory_.policy().lookup_bytes : 48;
     Node& p = node(primary);
 
     // Write-invalidate routes through the shard owning the object's
@@ -1224,7 +1222,7 @@ void System::invalidate_replicas(net::NodeId primary, vm::ObjId oid,
         const net::NodeId owner = directory_.object_owner(primary, oid);
         if (owner != primary) {
             net::Delivery hop =
-                network_.transfer_at(primary, owner, msg_bytes, origin_clock);
+                network_.transfer_at(primary, owner, kDirectoryLookupBytes, origin_clock);
             node(owner).reconcile_clock(hop.at_us);
             origin = owner;
             origin_clock = node(owner).clock_us();
@@ -1234,7 +1232,7 @@ void System::invalidate_replicas(net::NodeId primary, vm::ObjId oid,
     for (Replica* rep : flipped) {
         if (rep->node == origin) continue;  // colocated with the origin
         net::Delivery d =
-            network_.transfer_at(origin, rep->node, msg_bytes, origin_clock);
+            network_.transfer_at(origin, rep->node, kDirectoryLookupBytes, origin_clock);
         node(rep->node).reconcile_clock(d.at_us);
         last_t = d.at_us;
     }
@@ -1359,7 +1357,7 @@ void System::enable_directory(DirectoryPolicy policy) {
     owners.reserve(shards);
     for (std::size_t k = 0; k < shards; ++k)
         owners.push_back(static_cast<net::NodeId>(k));
-    directory_.configure(std::move(owners), policy);
+    directory_.configure(std::move(owners));
     dir_lookups_ = &metrics_.counter("directory.lookups");
     dir_remote_ = &metrics_.counter("directory.remote");
     dir_cache_hits_ = &metrics_.counter("directory.cache_hits");
@@ -1371,13 +1369,14 @@ void System::directory_control_trip(net::NodeId asker, net::NodeId owner) {
     dir_remote_->add();
     Node& a = node(asker);
     Node& o = node(owner);
-    const std::uint64_t bytes = directory_.policy().lookup_bytes;
-    net::Delivery query = network_.transfer_at(asker, owner, bytes, a.clock_us());
+    net::Delivery query =
+        network_.transfer_at(asker, owner, kDirectoryLookupBytes, a.clock_us());
     o.reconcile_clock(query.at_us);
     // Serving the lookup costs the shard node CPU — the serialization a
     // single-shard directory concentrates and the ring spreads.
-    o.advance_clock(directory_.policy().lookup_cpu_us);
-    net::Delivery answer = network_.transfer_at(owner, asker, bytes, o.clock_us());
+    o.advance_clock(kDirectoryLookupCpuUs);
+    net::Delivery answer =
+        network_.transfer_at(owner, asker, kDirectoryLookupBytes, o.clock_us());
     a.reconcile_clock(answer.at_us);
 }
 

@@ -10,7 +10,6 @@
 #include "model/assembler.hpp"
 #include "model/binio.hpp"
 #include "model/verifier.hpp"
-#include "runtime/adapter.hpp"
 #include "runtime/policy_config.hpp"
 #include "runtime/system.hpp"
 #include "transform/local_binder.hpp"
@@ -231,8 +230,8 @@ TEST_F(ScenarioFixture, TransformedArtefactSurvivesSerialisation) {
 }
 
 TEST_F(ScenarioFixture, AdapterDrivesGeneratedWorkload) {
-    // GreedyAdapter steering a generated program's root object between
-    // nodes as its dependency (we fake the affinity signal) moves.
+    // The phase-cost rule steering a generated program's root object
+    // between nodes as its dependency (we fake the affinity signal) moves.
     corpus::ProgramParams params;
     params.classes = 3;
     params.seed = 77;
@@ -242,18 +241,29 @@ TEST_F(ScenarioFixture, AdapterDrivesGeneratedWorkload) {
     system.add_node();
 
     Value root = system.construct(0, "Gen2", "(J)V", {Value::of_long(9)});
-    runtime::GreedyAdapter adapter(system, 0, root.as_ref(), "RMI");
+    net::NodeId root_node = 0;
+    vm::ObjId root_oid = root.as_ref();
+    std::uint64_t prev_cost = 0;
+    std::uint64_t moves = 0;
     std::int64_t last = 0;
     for (int phase = 0; phase < 4; ++phase) {
-        adapter.set_affinity(phase % 2);
+        const net::NodeId affinity = phase % 2;
         std::uint64_t t0 = system.network().now_us();
         for (int k = 0; k < 3; ++k)
             last = system.node(0)
                        .interp()
                        .call_virtual(root, "step", "(J)J", {Value::of_long(k)})
                        .as_long();
-        adapter.report_phase_cost(system.network().now_us() - t0);
+        const std::uint64_t cost = system.network().now_us() - t0;
+        if (phase > 0 && cost >= prev_cost && root_node != affinity) {
+            root_oid = system.migrate_instance(root_node, root_oid, affinity, "RMI");
+            root_node = affinity;
+            ++moves;
+        }
+        prev_cost = cost;
     }
+    EXPECT_GT(moves, 0u);
+    EXPECT_EQ(system.migrations(), moves);
     // Compare against a never-migrated local run.
     transform::PipelineResult local = transform::run_pipeline(pool);
     vm::Interpreter interp(local.pool);

@@ -14,7 +14,10 @@
 //     defers and is retried by a later tick, with exactly-once execution
 //     preserved under retries + dedup (the E10 invariant);
 //   - two runs from one seed take identical decisions at identical
-//     virtual times.
+//     virtual times;
+//   - a tracked instance is followed wherever it moves, by the engine or
+//     by anyone else, and moving it toward its callers pays off in the
+//     next window.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -302,6 +305,118 @@ TEST(Adapt, DecisionsAreDeterministicFromTheSeed) {
     EXPECT_EQ(a.makespan_us, b.makespan_us);
     EXPECT_EQ(a.wire_bytes, b.wire_bytes);
     EXPECT_EQ(a.digest, b.digest);
+}
+
+// ---- tracked instances ----
+
+constexpr const char* kCellApp = R"(
+class Cell {
+  field n I
+  ctor ()V {
+    return
+  }
+  method poke ()I {
+    load 0
+    load 0
+    getfield Cell.n I
+    const 1
+    add
+    putfield Cell.n I
+    load 0
+    getfield Cell.n I
+    returnvalue
+  }
+}
+)";
+
+/// One Cell deployed on node 2 and tracked by the engine; node 0 holds the
+/// reference `cell`.
+struct AdaptTracked : ::testing::Test {
+    model::ClassPool pool;
+    std::unique_ptr<System> system;
+    vm::Value cell;
+
+    void SetUp() override {
+        vm::install_prelude(pool);
+        model::assemble_into(pool, kCellApp);
+        model::verify_pool(pool);
+        SystemOptions options;
+        options.default_link = net::LinkParams{20, 0.0, 0.0};
+        system = std::make_unique<System>(pool, options);
+        for (int k = 0; k < 3; ++k) system->add_node();
+        system->policy().set_instance_home("Cell", 2, "RMI");
+        cell = system->construct(0, "Cell", "()V");
+        system->enable_adaptation();
+        const auto [home, oid] = system->resolve_terminal(0, cell.as_ref());
+        system->adaptation()->track_instance("Cell", home, oid);
+    }
+
+    /// `calls` pokes through `ref` from node `from`; returns the virtual
+    /// time they took.
+    std::uint64_t poke(net::NodeId from, vm::Value ref, int calls) {
+        const std::uint64_t t0 = system->network().now_us();
+        for (int k = 0; k < calls; ++k)
+            system->node(from).interp().call_virtual(ref, "poke", "()I");
+        return system->network().now_us() - t0;
+    }
+
+    std::pair<net::NodeId, vm::ObjId> where() {
+        return system->resolve_terminal(0, cell.as_ref());
+    }
+};
+
+TEST_F(AdaptTracked, InstanceMovedOutsideTheEngineIsFollowed) {
+    // Regression: the engine kept the tracked (node, oid) it was given.
+    // After a migration it did not make, that slot is a proxy, and the next
+    // tick threw "can only migrate local implementations" out of tick().
+    poke(0, cell, 30);
+    const auto [home, oid] = where();
+    system->migrate_instance(home, oid, 1, "RMI");
+    ASSERT_EQ(where().first, 1);
+
+    ASSERT_NO_THROW(system->adaptation_tick(/*force=*/true));
+    const std::vector<AdaptDecision>& decisions = system->adaptation()->decisions();
+    ASSERT_EQ(decisions.size(), 1u);
+    EXPECT_EQ(decisions[0].action, AdaptDecision::Action::Migrate);
+    EXPECT_EQ(decisions[0].from, 1);
+    EXPECT_EQ(decisions[0].to, 0);
+    EXPECT_EQ(where().first, 0);
+    EXPECT_EQ(system->node(0).interp().call_virtual(cell, "poke", "()I").as_int(), 31);
+}
+
+TEST_F(AdaptTracked, OidStaysCorrectAcrossTwoMoves) {
+    // Window 1: node 0 calls, so the engine moves the cell 2 -> 0.
+    poke(0, cell, 20);
+    ASSERT_TRUE(system->adaptation_tick(/*force=*/true));
+    const auto [home, oid] = where();
+    ASSERT_EQ(home, 0);
+
+    // Window 2: only node 1 calls, straight at the new home; the engine
+    // moves the cell 0 -> 1 from its own tracking entry.
+    vm::Value on_1 = system->node(1).import_ref(0, oid, "Cell_O_Int", "RMI");
+    poke(1, on_1, 20);
+    ASSERT_TRUE(system->adaptation_tick(/*force=*/true));
+
+    const std::vector<AdaptDecision>& decisions = system->adaptation()->decisions();
+    ASSERT_EQ(decisions.size(), 2u);
+    EXPECT_EQ(decisions[0].from, 2);
+    EXPECT_EQ(decisions[0].to, 0);
+    EXPECT_EQ(decisions[1].from, 0);
+    EXPECT_EQ(decisions[1].to, 1);
+    const auto [node, live] = where();
+    EXPECT_EQ(node, 1);
+    EXPECT_EQ(system->node(1).interp().class_of(live).name, "Cell_O_Local");
+    // One object throughout: every poke landed on the same state.
+    EXPECT_EQ(system->node(1).interp().call_virtual(on_1, "poke", "()I").as_int(), 41);
+}
+
+TEST_F(AdaptTracked, ClosingTheLoopLowersTheNextWindow) {
+    const std::uint64_t before = poke(0, cell, 30);
+    ASSERT_TRUE(system->adaptation_tick(/*force=*/true));
+    system->shorten_chain(0, cell.as_ref());
+    const std::uint64_t after = poke(0, cell, 30);
+    EXPECT_GT(before, 0u);
+    EXPECT_EQ(after, 0u);  // fully local now
 }
 
 }  // namespace

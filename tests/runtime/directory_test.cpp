@@ -20,12 +20,12 @@ using vm::Value;
 
 // ---- unit level: the ring and the shard tables ----
 
-ShardedDirectory make_directory(std::uint32_t owners, DirectoryPolicy policy = {}) {
+ShardedDirectory make_directory(std::uint32_t owners) {
     std::vector<net::NodeId> ids;
     for (std::uint32_t k = 0; k < owners; ++k)
         ids.push_back(static_cast<net::NodeId>(k));
     ShardedDirectory dir;
-    dir.configure(ids, policy);
+    dir.configure(ids);
     return dir;
 }
 
@@ -50,7 +50,7 @@ TEST(ShardedDirectory, RingOwnershipIsDeterministic) {
 TEST(ShardedDirectory, DisabledWithoutOwners) {
     ShardedDirectory dir;
     EXPECT_FALSE(dir.enabled());
-    dir.configure({}, DirectoryPolicy{});
+    dir.configure({});
     EXPECT_FALSE(dir.enabled());
 }
 
@@ -97,16 +97,6 @@ TEST(ShardedDirectory, CachesInvalidateGlobally) {
     ASSERT_NE(dir.cached_singleton(5, "Registry"), nullptr);
     EXPECT_EQ(dir.cached_singleton(6, "Registry"), nullptr);  // per-node
     dir.invalidate_caches();
-    EXPECT_EQ(dir.cached_singleton(5, "Registry"), nullptr);
-}
-
-TEST(ShardedDirectory, CachingCanBeDisabledByPolicy) {
-    DirectoryPolicy policy;
-    policy.cache = false;
-    ShardedDirectory dir = make_directory(2, policy);
-    DirLocation loc;
-    loc.node = 1;
-    dir.cache_singleton(5, "Registry", loc);
     EXPECT_EQ(dir.cached_singleton(5, "Registry"), nullptr);
 }
 

@@ -1,7 +1,7 @@
 // End-to-end observability: one logical RPC shows up as the documented
 // span tree, forwarding chains nest under the dispatch that caused them,
-// and the registry is the single source the stats views and the advisor
-// read from.
+// and the registry is the single source the stats views and the
+// adaptation engine read from.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -13,7 +13,6 @@
 #include "model/verifier.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/advisor.hpp"
 #include "runtime/system.hpp"
 #include "vm/prelude.hpp"
 
@@ -251,29 +250,45 @@ TEST_F(ObservabilityFixture, DispatchHandlesSurviveResetAndRegistryGrowth) {
     EXPECT_EQ(system->traffic().at("C").edges.at({0, 1}).calls->value(), 2u);
 }
 
-TEST_F(ObservabilityFixture, AdvisorReadsExclusivelyFromRegistry) {
-    // Traffic split 30/10 between nodes 0 and 1 toward objects on node 2.
+TEST_F(ObservabilityFixture, EngineReadsExclusivelyFromTrafficTable) {
+    // Traffic split 30/10 between nodes 0 and 1 toward an instance on node 2.
     system->policy().set_instance_home("C", 2, "RMI");
     Value c = system->construct(0, "C", "()V");
-    Value c_on_1 = system->node(1).import_ref(
-        2, system->resolve_terminal(0, c.as_ref()).second, "C_O_Int", "RMI");
+    const auto [home, oid] = system->resolve_terminal(0, c.as_ref());
+    ASSERT_EQ(home, 2);
+    Value c_on_1 = system->node(1).import_ref(2, oid, "C_O_Int", "RMI");
+    system->enable_adaptation();
+    system->adaptation()->track_instance("C", home, oid);
     for (int k = 0; k < 30; ++k) system->node(0).interp().call_virtual(c, "poke", "()I");
     for (int k = 0; k < 10; ++k)
         system->node(1).interp().call_virtual(c_on_1, "poke", "()I");
 
-    // The registry holds exactly the edges the advisor must see.
+    // The traffic table holds exactly the edges the engine must see, and
+    // the registry agrees with it.
+    auto table_reads = [&] {
+        std::map<std::pair<net::NodeId, net::NodeId>, std::pair<std::uint64_t, std::uint64_t>>
+            out;
+        for (const auto& [edge, ctr] : system->traffic().at("C").edges)
+            out[edge] = {ctr.calls->value(), ctr.bytes->value()};
+        return out;
+    };
+    const auto before = table_reads();
+    EXPECT_EQ(before.at({0, 2}).first, 30u);
+    EXPECT_EQ(before.at({1, 2}).first, 10u);
     obs::Snapshot snap = system->metrics().snapshot();
     EXPECT_EQ(snap.counter_value("rpc.class_calls.C.0.2"), 30u);
     EXPECT_EQ(snap.counter_value("rpc.class_calls.C.1.2"), 10u);
 
-    PolicyAdvisor advisor(*system, /*min_calls=*/16, /*min_dominance=*/0.6);
-    std::vector<Recommendation> recs = advisor.advise();
-    ASSERT_EQ(recs.size(), 1u);
-    EXPECT_EQ(recs[0].cls, "C");
-    EXPECT_EQ(recs[0].objects_on, 2);
-    EXPECT_EQ(recs[0].recommended_home, 0);
-    EXPECT_EQ(recs[0].remote_calls, 40u);
-    EXPECT_DOUBLE_EQ(recs[0].dominance, 0.75);
+    ASSERT_TRUE(system->adaptation_tick(/*force=*/true));
+    const std::vector<AdaptDecision>& decisions = system->adaptation()->decisions();
+    ASSERT_EQ(decisions.size(), 1u);
+    EXPECT_EQ(decisions[0].cls, "C");
+    EXPECT_EQ(decisions[0].action, AdaptDecision::Action::Migrate);
+    EXPECT_EQ(decisions[0].from, 2);
+    EXPECT_EQ(decisions[0].to, 0);
+    EXPECT_EQ(decisions[0].window_calls, 40u);
+    // Deciding only read the table: every edge reads as it did before.
+    EXPECT_EQ(table_reads(), before);
 }
 
 TEST_F(ObservabilityFixture, MethodProfilingRecordsPerMethodHistograms) {
