@@ -13,8 +13,6 @@
 // The table prints per-phase virtual time per strategy; adaptive should
 // track the cheaper placement after each environment change, at the price
 // of one migration per change.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -142,11 +140,8 @@ RunResult run(int strategy) {
     return result;
 }
 
-void print_series() {
-    RunResult pinned0 = run(0);
-    RunResult pinned1 = run(1);
-    RunResult adaptive = run(-1);
-
+void print_series(const RunResult& pinned0, const RunResult& pinned1,
+                  const RunResult& adaptive) {
     std::printf("per-phase virtual time (us); source hops nodes every 2 phases\n\n");
     std::printf("%-10s", "phase");
     for (int p = 0; p < kPhases; ++p) std::printf("%9d", p);
@@ -167,26 +162,8 @@ void print_series() {
                     : "NO");
 }
 
-void BM_PinnedWorstCase(benchmark::State& state) {
-    for (auto _ : state) benchmark::DoNotOptimize(run(0).total_us);
-}
-BENCHMARK(BM_PinnedWorstCase);
-
-void BM_Adaptive(benchmark::State& state) {
-    std::uint64_t virt = 0;
-    for (auto _ : state) {
-        RunResult r = run(-1);
-        virt = r.total_us;
-        benchmark::DoNotOptimize(virt);
-    }
-    state.counters["virtual_total_us"] = static_cast<double>(virt);
-}
-BENCHMARK(BM_Adaptive);
-
-void emit_summary() {
-    RunResult pinned0 = run(0);
-    RunResult pinned1 = run(1);
-    RunResult adaptive = run(-1);
+void emit_summary(const RunResult& pinned0, const RunResult& pinned1,
+                  const RunResult& adaptive) {
     bench::JsonSummary("E6")
         .add("pinned0_total_us", pinned0.total_us)
         .add("pinned1_total_us", pinned1.total_us)
@@ -202,15 +179,20 @@ void emit_summary() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace rafda::bench {
+
+int e6() {
     std::printf("=== E6: adapting distribution boundaries to the environment ===\n");
     std::printf(
         "expected shape: adaptive tracks the cheaper placement within one phase\n"
         "of each environment change; pinned placements pay full remote chatter\n"
         "half the time.\n\n");
-    print_series();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
-    emit_summary();
+    const RunResult pinned0 = run(0);
+    const RunResult pinned1 = run(1);
+    const RunResult adaptive = run(-1);
+    print_series(pinned0, pinned1, adaptive);
+    emit_summary(pinned0, pinned1, adaptive);
     return 0;
 }
+
+}  // namespace rafda::bench

@@ -19,8 +19,6 @@
 //     with identical per-call results — and the on-configuration runs
 //     twice to pin bit-for-bit determinism (same decisions at the same
 //     virtual times, same digests).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <tuple>
@@ -174,21 +172,6 @@ RunResult run_workload(bool adapt) {
     return r;
 }
 
-std::string windows_series_json(
-    const std::vector<runtime::WorkloadDriver::Window>& windows) {
-    std::string out = "[";
-    for (std::size_t k = 0; k < windows.size(); ++k) {
-        const runtime::WorkloadDriver::Window& w = windows[k];
-        if (k) out += ",";
-        out += "{\"start_us\":" + std::to_string(w.start_us) +
-               ",\"end_us\":" + std::to_string(w.end_us) +
-               ",\"tasks\":" + std::to_string(w.tasks) +
-               ",\"rpc_calls\":" + std::to_string(w.rpc_calls) +
-               ",\"wire_bytes\":" + std::to_string(w.wire_bytes) + "}";
-    }
-    return out + "]";
-}
-
 std::string decisions_json(const std::vector<DecisionKey>& decisions) {
     std::string out = "[";
     for (std::size_t k = 0; k < decisions.size(); ++k) {
@@ -225,24 +208,6 @@ bool inflection_observed(const RunResult& r) {
     }
     return after_min < before_min;
 }
-
-void BM_AdaptOff(benchmark::State& state) {
-    RunResult r;
-    for (auto _ : state) r = run_workload(false);
-    state.counters["makespan_us"] = static_cast<double>(r.makespan_us);
-    state.counters["wire_bytes"] = static_cast<double>(r.wire_bytes);
-}
-BENCHMARK(BM_AdaptOff);
-
-void BM_AdaptOn(benchmark::State& state) {
-    RunResult r;
-    for (auto _ : state) r = run_workload(true);
-    state.counters["makespan_us"] = static_cast<double>(r.makespan_us);
-    state.counters["wire_bytes"] = static_cast<double>(r.wire_bytes);
-    state.counters["migrations"] = static_cast<double>(r.migrations);
-    state.counters["replications"] = static_cast<double>(r.replications);
-}
-BENCHMARK(BM_AdaptOn);
 
 void emit_summary() {
     const RunResult off = run_workload(false);
@@ -300,15 +265,17 @@ void emit_summary() {
         .add("deterministic", std::uint64_t{deterministic})
         .add("event_order_digest", on.digest_phase2)
         .add_raw("decisions", decisions_json(on.decisions))
-        .add_raw("windows_on", windows_series_json(on.windows))
-        .add_raw("windows_off", windows_series_json(off.windows))
+        .add_raw("windows_on", bench::windows_json(on.windows))
+        .add_raw("windows_off", bench::windows_json(off.windows))
         .add_raw("traffic_matrix", on.traffic_matrix)
         .emit();
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace rafda::bench {
+
+int e14() {
     std::printf("=== E14: closed-loop adaptive redistribution ===\n");
     std::printf(
         "expected shape: the controller migrates the write-heavy Hot singleton\n"
@@ -316,8 +283,8 @@ int main(int argc, char** argv) {
         "its readers — adaptation-on finishes earlier and moves fewer wire bytes\n"
         "than adaptation-off on the same seed, with identical per-call results\n"
         "and a visible post-migration drop in the windowed wire-byte series.\n\n");
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     emit_summary();
     return 0;
 }
+
+}  // namespace rafda::bench

@@ -13,8 +13,6 @@
 // fault plan (8% loss both ways, retries + dedup) on top of batching to
 // show exactly-once semantics survive coalescing, and the batched
 // configuration runs twice to pin bit-for-bit determinism from the seed.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -26,32 +24,6 @@ namespace {
 
 using namespace rafda;
 using vm::Value;
-
-constexpr const char* kBatchApp = R"RIR(
-class Service {
-  field calls I
-  ctor ()V {
-    return
-  }
-  method work (J)J {
-    load 0
-    load 0
-    getfield Service.calls I
-    const 1
-    add
-    putfield Service.calls I
-    load 1
-    const 2L
-    mul
-    returnvalue
-  }
-  method calls ()I {
-    load 0
-    getfield Service.calls I
-    returnvalue
-  }
-}
-)RIR";
 
 constexpr int kHeavyCalls = 96;  // client 1: the hot talker
 constexpr int kLightCalls = 32;  // client 2: background traffic
@@ -79,20 +51,14 @@ struct RunResult {
 };
 
 RunResult run_workload(bool batched, bool with_faults) {
-    model::ClassPool pool = bench::assemble_app(kBatchApp);
+    model::ClassPool pool = bench::assemble_app(bench::kCountingServiceApp);
     runtime::SystemOptions options;
     options.network_seed = 11;
     // Slow WAN-ish links: 400us propagation, 25 bytes/us.  Pipelined
     // requests overlap on the wire, which is the shape batching coalesces.
     options.default_link = net::LinkParams{400, 25.0, 0.0};
     options.batching.enabled = batched;
-    if (with_faults) {
-        options.reliability.attempts = 12;
-        options.reliability.backoff_base_us = 200;
-        options.reliability.backoff_multiplier = 2.0;
-        options.reliability.backoff_cap_us = 30'000;
-        options.reliability.dedup = true;
-    }
+    if (with_faults) options.reliability = bench::reliable_retries();
     runtime::System system(pool, options);
     system.add_node();  // 0: server
     system.add_node();  // 1: heavy client
@@ -104,23 +70,9 @@ RunResult run_workload(bool batched, bool with_faults) {
         services.push_back(
             system.construct(static_cast<net::NodeId>(k), "Service", "()V"));
 
-    if (with_faults) {
-        std::uint64_t t0 = 0;
-        for (int k = 1; k <= 2; ++k)
-            t0 = std::max(t0, system.node(static_cast<net::NodeId>(k)).clock_us());
-        for (int k = 1; k <= 2; ++k) {
-            for (bool inbound : {false, true}) {
-                net::FaultWindow w;
-                w.kind = net::FaultKind::DropRate;
-                w.src = inbound ? 0 : static_cast<net::NodeId>(k);
-                w.dst = inbound ? static_cast<net::NodeId>(k) : 0;
-                w.from_us = t0;
-                w.until_us = ~0ULL;
-                w.drop_probability = kDropRate;
-                system.network().fault_plan().add(w);
-            }
-        }
-    }
+    if (with_faults)
+        bench::add_client_loss(system, 2, kDropRate, bench::clients_ready_us(system, 2),
+                               /*replies=*/true);
 
     RunResult r;
     runtime::WorkloadDriver driver(system);
@@ -159,40 +111,9 @@ RunResult run_workload(bool batched, bool with_faults) {
         system.metrics().counter("rpc.retries_reply_loss").value();
     r.dedup_hits = system.metrics().counter("rpc.dedup_hits").value();
     r.traffic_matrix = bench::traffic_matrix_json(system);
-    if (r.faults == 0)
-        for (int k = 1; k <= 2; ++k)
-            r.executions += system.node(static_cast<net::NodeId>(k))
-                                .interp()
-                                .call_virtual(services[static_cast<std::size_t>(k - 1)],
-                                              "calls", "()I")
-                                .as_int();
+    if (r.faults == 0) r.executions = bench::executions(system, services);
     return r;
 }
-
-void BM_Unbatched(benchmark::State& state) {
-    RunResult r;
-    for (auto _ : state) r = run_workload(/*batched=*/false, /*with_faults=*/false);
-    state.counters["makespan_us"] = static_cast<double>(r.makespan_us);
-    state.counters["wire_bytes"] = static_cast<double>(r.wire_bytes);
-}
-BENCHMARK(BM_Unbatched);
-
-void BM_Batched(benchmark::State& state) {
-    RunResult r;
-    for (auto _ : state) r = run_workload(/*batched=*/true, /*with_faults=*/false);
-    state.counters["makespan_us"] = static_cast<double>(r.makespan_us);
-    state.counters["wire_bytes"] = static_cast<double>(r.wire_bytes);
-    state.counters["coalesced"] = static_cast<double>(r.batch_coalesced);
-}
-BENCHMARK(BM_Batched);
-
-void BM_BatchedFaulty(benchmark::State& state) {
-    RunResult r;
-    for (auto _ : state) r = run_workload(/*batched=*/true, /*with_faults=*/true);
-    state.counters["makespan_us"] = static_cast<double>(r.makespan_us);
-    state.counters["retries"] = static_cast<double>(r.retries);
-}
-BENCHMARK(BM_BatchedFaulty);
 
 void emit_summary() {
     const RunResult plain = run_workload(false, false);
@@ -246,15 +167,17 @@ void emit_summary() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace rafda::bench {
+
+int e12() {
     std::printf("=== E12: per-link batching on a skewed pipelined workload ===\n");
     std::printf(
         "expected shape: with batching on, pipelined calls that catch a busy link\n"
         "coalesce into the in-flight frame — fewer wire bytes per call, less busy\n"
         "time on the server's inbound links, smaller makespan, byte-identical\n"
         "per-call results; exactly-once still holds under the E10 fault plan.\n\n");
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     emit_summary();
     return 0;
 }
+
+}  // namespace rafda::bench

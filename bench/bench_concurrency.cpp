@@ -12,8 +12,6 @@
 // Everything is virtual time from the seeded simulation, so the summary
 // is bit-for-bit reproducible; the bench itself verifies determinism by
 // running the contended configuration twice.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -67,7 +65,7 @@ RunResult run_clients(int n_clients, int calls, std::uint64_t window_us = 0) {
     r.latency_p95_us = report.latency_p95_us;
     r.latency_p99_us = report.latency_p99_us;
     r.traffic_matrix = bench::traffic_matrix_json(system);
-    r.windows = bench::windows_json(report);
+    r.windows = bench::windows_json(report.windows);
     obs::Snapshot snap = system.metrics().snapshot();
     for (int k = 1; k <= n_clients; ++k) {
         const std::string prefix = "net.link." + std::to_string(k) + ".0.";
@@ -78,15 +76,18 @@ RunResult run_clients(int n_clients, int calls, std::uint64_t window_us = 0) {
     return r;
 }
 
-void BM_Clients(benchmark::State& state) {
-    const int n = static_cast<int>(state.range(0));
-    RunResult r;
-    for (auto _ : state) r = run_clients(n, 32);
-    state.counters["makespan_us"] = static_cast<double>(r.makespan_us);
-    state.counters["per_call_us"] =
-        static_cast<double>(r.makespan_us) / static_cast<double>(r.tasks ? r.tasks : 1);
+/// Makespan as the client count grows, 32 calls each.
+void print_client_sweep() {
+    std::printf("%-10s %14s %14s\n", "clients", "makespan us", "us per call");
+    for (int n : {1, 2, 4, 8}) {
+        const RunResult r = run_clients(n, 32);
+        std::printf("%-10d %14llu %14.1f\n", n,
+                    static_cast<unsigned long long>(r.makespan_us),
+                    static_cast<double>(r.makespan_us) /
+                        static_cast<double>(r.tasks ? r.tasks : 1));
+    }
+    std::printf("\n");
 }
-BENCHMARK(BM_Clients)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void emit_summary() {
     constexpr int kClients = 8;
@@ -125,14 +126,17 @@ void emit_summary() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace rafda::bench {
+
+int e9() {
     std::printf("=== E9: concurrent multi-client serving ===\n");
     std::printf(
         "expected shape: N clients vs one server finish in much less than N x the\n"
         "single-client makespan (only server-side codec/dispatch work serializes);\n"
         "inbound link utilization nonzero; identical numbers on every run (seeded).\n\n");
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
+    print_client_sweep();
     emit_summary();
     return 0;
 }
+
+}  // namespace rafda::bench

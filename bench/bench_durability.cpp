@@ -13,8 +13,6 @@
 // baseline.  Everything derives from the seeded simulation, so the summary
 // is bit-for-bit reproducible; determinism is verified by running the
 // durable configuration twice.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -26,34 +24,6 @@ namespace {
 
 using namespace rafda;
 using vm::Value;
-
-/// Service with an exact execution counter, so duplicate executions from
-/// a reply-loss retry against a restarted server are directly observable.
-constexpr const char* kDurableApp = R"RIR(
-class Service {
-  field calls I
-  ctor ()V {
-    return
-  }
-  method work (J)J {
-    load 0
-    load 0
-    getfield Service.calls I
-    const 1
-    add
-    putfield Service.calls I
-    load 1
-    const 2L
-    mul
-    returnvalue
-  }
-  method calls ()I {
-    load 0
-    getfield Service.calls I
-    returnvalue
-  }
-}
-)RIR";
 
 constexpr int kCalls = 48;
 constexpr std::uint64_t kReplyDownUs = 2'000;
@@ -80,14 +50,10 @@ struct RunResult {
 /// first in-driver call executes but its reply is dropped (reply-path
 /// LinkDown); the server crashes before the surviving retry lands.
 RunResult run_crash_workload(bool durable) {
-    model::ClassPool pool = bench::assemble_app(kDurableApp);
+    model::ClassPool pool = bench::assemble_app(bench::kCountingServiceApp);
     runtime::SystemOptions options;
     options.network_seed = 11;
-    options.reliability.attempts = 12;
-    options.reliability.backoff_base_us = 200;
-    options.reliability.backoff_multiplier = 2.0;
-    options.reliability.backoff_cap_us = 30'000;
-    options.reliability.dedup = true;
+    options.reliability = bench::reliable_retries();
     options.durability.enabled = durable;
     options.durability.snapshot_interval_us = kSnapshotIntervalUs;
     runtime::System system(pool, options);
@@ -157,7 +123,7 @@ struct RelocationResult {
 /// remaining calls ride the repointed proxies.  Per-call results must
 /// match an uncrashed run exactly.
 RelocationResult run_relocation_workload(bool crash) {
-    model::ClassPool pool = bench::assemble_app(kDurableApp);
+    model::ClassPool pool = bench::assemble_app(bench::kCountingServiceApp);
     runtime::SystemOptions options;
     options.network_seed = 11;
     options.durability.enabled = true;
@@ -192,23 +158,6 @@ RelocationResult run_relocation_workload(bool crash) {
     }
     return r;
 }
-
-void BM_SoftCrash(benchmark::State& state) {
-    RunResult r;
-    for (auto _ : state) r = run_crash_workload(/*durable=*/false);
-    state.counters["makespan_us"] = static_cast<double>(r.makespan_us);
-    state.counters["executions"] = static_cast<double>(r.executions);
-}
-BENCHMARK(BM_SoftCrash);
-
-void BM_DurableCrash(benchmark::State& state) {
-    RunResult r;
-    for (auto _ : state) r = run_crash_workload(/*durable=*/true);
-    state.counters["makespan_us"] = static_cast<double>(r.makespan_us);
-    state.counters["executions"] = static_cast<double>(r.executions);
-    state.counters["wal_bytes"] = static_cast<double>(r.wal_bytes);
-}
-BENCHMARK(BM_DurableCrash);
 
 void emit_summary() {
     const RunResult soft = run_crash_workload(/*durable=*/false);
@@ -259,7 +208,9 @@ void emit_summary() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace rafda::bench {
+
+int e15() {
     std::printf("=== E15: durable nodes — WAL replay vs soft state ===\n");
     std::printf(
         "expected shape: a reply-loss retry that outlives a server crash\n"
@@ -268,8 +219,8 @@ int main(int argc, char** argv) {
         "tasks); migration-by-recovery rebuilds the dead server on another node\n"
         "with per-call results identical to an uncrashed run; identical numbers\n"
         "on every run.\n\n");
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     emit_summary();
     return 0;
 }
+
+}  // namespace rafda::bench

@@ -8,45 +8,16 @@
 // Expected shape: small constant factors — the factory seam is a few extra
 // dispatches per creation/access, not an asymptotic change.  (This is the
 // price the paper pays for making every implementation choice late-bound.)
-#include <benchmark/benchmark.h>
-
+// The summary pins the factor with exact instruction counts; host wall
+// times are printed as advisory rows.
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "transform/local_binder.hpp"
-#include "transform/pipeline.hpp"
-#include "vm/interp.hpp"
 
 namespace {
 
 using namespace rafda;
 using vm::Value;
-
-void BM_DirectNew(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(bench::kAllocApp);
-    vm::Interpreter interp(pool);
-    vm::bind_prelude_natives(interp);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            interp.call_static("Alloc", "burst", "(I)I", {Value::of_int(100)}));
-    state.counters["allocs"] = static_cast<double>(interp.counters().allocations) /
-                               static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_DirectNew);
-
-void BM_FactoryMakeInit(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(bench::kAllocApp);
-    transform::PipelineResult result = transform::run_pipeline(pool);
-    vm::Interpreter interp(result.pool);
-    vm::bind_prelude_natives(interp);
-    transform::bind_local_factories(interp, result.report);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(transform::call_transformed_static(
-            interp, pool, result.report, "Alloc", "burst", "(I)I", {Value::of_int(100)}));
-    state.counters["allocs"] = static_cast<double>(interp.counters().allocations) /
-                               static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_FactoryMakeInit);
 
 constexpr const char* kStaticApp = R"RIR(
 class Store {
@@ -74,76 +45,74 @@ class Store {
 }
 )RIR";
 
-void BM_DirectStatics(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(kStaticApp);
-    vm::Interpreter interp(pool);
-    vm::bind_prelude_natives(interp);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            interp.call_static("Store", "spin", "(I)J", {Value::of_int(200)}));
-}
-BENCHMARK(BM_DirectStatics);
-
-void BM_DiscoverStatics(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(kStaticApp);
-    transform::PipelineResult result = transform::run_pipeline(pool);
-    vm::Interpreter interp(result.pool);
-    vm::bind_prelude_natives(interp);
-    transform::bind_local_factories(interp, result.report);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(transform::call_transformed_static(
-            interp, pool, result.report, "Store", "spin", "(I)J", {Value::of_int(200)}));
-}
-BENCHMARK(BM_DiscoverStatics);
-
-// discover() itself: first call runs clinit, later calls are cached —
-// measure the steady-state lookup.
-void BM_DiscoverLookup(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(kStaticApp);
-    transform::PipelineResult result = transform::run_pipeline(pool);
-    vm::Interpreter interp(result.pool);
-    vm::bind_prelude_natives(interp);
-    transform::bind_local_factories(interp, result.report);
-    interp.call_static("Store_C_Factory", "discover", "()LStore_C_Int;");
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            interp.call_static("Store_C_Factory", "discover", "()LStore_C_Int;"));
-}
-BENCHMARK(BM_DiscoverLookup);
-
 /// Instruction counts for one burst(100) per creation path — exact, so
 /// the seam's constant factor is pinned by a number, not a timing.
-void emit_summary() {
-    model::ClassPool pool = bench::assemble_app(bench::kAllocApp);
-    vm::Interpreter direct(pool);
-    vm::bind_prelude_natives(direct);
-    direct.call_static("Alloc", "burst", "(I)I", {Value::of_int(100)});
-
-    transform::PipelineResult result = transform::run_pipeline(pool);
-    vm::Interpreter seamed(result.pool);
-    vm::bind_prelude_natives(seamed);
-    transform::bind_local_factories(seamed, result.report);
-    transform::call_transformed_static(seamed, pool, result.report, "Alloc", "burst",
-                                       "(I)I", {Value::of_int(100)});
-
+void emit_summary(const vm::Counters& direct, const vm::Counters& seamed) {
     bench::JsonSummary("E7")
-        .add("direct_instructions", direct.counters().instructions)
-        .add("factory_instructions", seamed.counters().instructions)
-        .add("direct_allocations", direct.counters().allocations)
-        .add("factory_allocations", seamed.counters().allocations)
-        .add("instruction_factor",
-             static_cast<double>(seamed.counters().instructions) /
-                 static_cast<double>(direct.counters().instructions))
+        .add("direct_instructions", direct.instructions)
+        .add("factory_instructions", seamed.instructions)
+        .add("direct_allocations", direct.allocations)
+        .add("factory_allocations", seamed.allocations)
+        .add("instruction_factor", static_cast<double>(seamed.instructions) /
+                                       static_cast<double>(direct.instructions))
         .emit();
+}
+
+void host_pair(const char* what, double direct_us, double seamed_us) {
+    std::printf("  %-38s %10.2f %10.2f %8.2fx\n", what, direct_us, seamed_us,
+                seamed_us / direct_us);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace rafda::bench {
+
+int e7() {
     std::printf("=== E7: factory seams — make/init vs new, discover vs getstatic ===\n");
     std::printf("expected shape: constant-factor overhead (a few extra dispatches).\n\n");
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
-    emit_summary();
+
+    // The seamed path is the transformed program bound to its local
+    // implementations; the wrapper build goes unused here.
+    Variants alloc(assemble_app(kAllocApp));
+    auto burst_direct = [&] {
+        alloc.original_vm.call_static("Alloc", "burst", "(I)I", {Value::of_int(100)});
+    };
+    auto burst_seamed = [&] {
+        alloc.rafda_static("Alloc", "burst", "(I)I", {Value::of_int(100)});
+    };
+    burst_direct();
+    burst_seamed();
+    const vm::Counters direct = alloc.original_vm.counters();
+    const vm::Counters seamed = alloc.rafda_vm.counters();
+
+    Variants statics(assemble_app(kStaticApp));
+    auto spin_direct = [&] {
+        statics.original_vm.call_static("Store", "spin", "(I)J", {Value::of_int(200)});
+    };
+    auto spin_seamed = [&] {
+        statics.rafda_static("Store", "spin", "(I)J", {Value::of_int(200)});
+    };
+    std::printf("host wall time (advisory, best of %d):\n", kHostReps);
+    std::printf("  %-38s %10s %10s %9s\n", "path", "direct us", "seamed us", "factor");
+    host_pair("Alloc.burst(100): new vs make+init", best_wall_us(kHostReps, burst_direct),
+              best_wall_us(kHostReps, burst_seamed));
+    host_pair("Store.spin(200): statics vs discover", best_wall_us(kHostReps, spin_direct),
+              best_wall_us(kHostReps, spin_seamed));
+    // discover() itself: the first call runs clinit, later calls hit the
+    // cached singleton — the steady-state lookup.
+    constexpr int kLookups = 1000;
+    auto discover = [&] {
+        statics.rafda_vm.call_static("Store_C_Factory", "discover", "()LStore_C_Int;");
+    };
+    discover();
+    std::printf("  %-38s %10.3f us per cached call\n\n", "Store_C_Factory.discover()",
+                best_wall_us(kHostReps,
+                             [&] {
+                                 for (int k = 0; k < kLookups; ++k) discover();
+                             }) /
+                    kLookups);
+    emit_summary(direct, seamed);
     return 0;
 }
+
+}  // namespace rafda::bench

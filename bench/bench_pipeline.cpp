@@ -1,98 +1,43 @@
 // E1 — the transformation pipeline itself (Figures 2-5 at scale).
 //
-// Measures pipeline throughput over growing inputs and reports the
-// artefact expansion factor (a class becomes interfaces + local + proxies
-// + factories), plus a breakdown table for the Figure 2 example.
-#include <benchmark/benchmark.h>
-
+// Reports the artefact expansion factor (a class becomes interfaces +
+// local + proxies + factories) with a breakdown table for the Figure 2
+// example, plus the pipeline's host throughput at 1-8 worker threads.
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "corpus/program_gen.hpp"
 #include "transform/pipeline.hpp"
-#include "vm/prelude.hpp"
 
 namespace {
 
 using namespace rafda;
 
-void print_expansion_table() {
-    corpus::ProgramParams params;
-    params.classes = 10;
-    params.seed = 3;
-    model::ClassPool pool = corpus::generate_program(params);
-    std::size_t before = pool.size();
-    transform::PipelineResult result = transform::run_pipeline(pool);
-    std::printf("artefact expansion (10-class program + prelude):\n");
-    std::printf("  classes before: %zu   after: %zu   substituted: %zu\n", before,
-                result.pool.size(), result.report.substituted_classes().size());
-    std::printf(
-        "  per substituted class: O_Int, O_Local, %zu O-proxies, C_Int, C_Local,\n"
-        "  %zu C-proxies, O_Factory, C_Factory = %zu artefacts\n\n",
-        result.report.protocols().size(), result.report.protocols().size(),
-        6 + 2 * result.report.protocols().size());
-}
-
-// Args: {program classes, worker threads}.  The thread axis pins the
-// determinism contract's cost: the output is byte-identical at any count,
-// so the only difference worth measuring is wall time.
-void BM_Pipeline(benchmark::State& state) {
-    corpus::ProgramParams params;
-    params.classes = static_cast<std::size_t>(state.range(0));
-    params.seed = 5;
-    model::ClassPool pool = corpus::generate_program(params);
-    transform::PipelineOptions options;
-    options.threads = static_cast<std::size_t>(state.range(1));
-    std::size_t out_classes = 0;
-    for (auto _ : state) {
-        transform::PipelineResult result = transform::run_pipeline(pool, options);
-        out_classes = result.pool.size();
-        benchmark::DoNotOptimize(out_classes);
-    }
-    state.counters["in_classes"] = static_cast<double>(pool.size());
-    state.counters["out_classes"] = static_cast<double>(out_classes);
-    state.counters["threads"] =
-        static_cast<double>(transform::resolve_transform_threads(options.threads));
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(pool.size()));
-}
-BENCHMARK(BM_Pipeline)
-    ->Args({4, 1})
-    ->Args({16, 1})
-    ->Args({64, 1})
-    ->Args({64, 2})
-    ->Args({64, 4})
-    ->Args({64, 8});
-
-void BM_PipelineNoVerify(benchmark::State& state) {
-    corpus::ProgramParams params;
-    params.classes = static_cast<std::size_t>(state.range(0));
-    params.seed = 5;
-    model::ClassPool pool = corpus::generate_program(params);
-    transform::PipelineOptions options;
-    options.verify_output = false;
-    options.threads = 1;  // isolates the serial generate cost
-    for (auto _ : state) {
-        transform::PipelineResult result = transform::run_pipeline(pool, options);
-        benchmark::DoNotOptimize(result.pool.size());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(pool.size()));
-}
-BENCHMARK(BM_PipelineNoVerify)->Arg(64);
-
-void BM_AnalysisOnly(benchmark::State& state) {
+/// Host wall time of the pipeline over a 64-class program at 1/2/4/8
+/// worker threads.  The output is byte-identical at any count, so wall
+/// time is the only thing the thread axis can change.
+void print_host_scaling() {
     corpus::ProgramParams params;
     params.classes = 64;
     params.seed = 5;
     model::ClassPool pool = corpus::generate_program(params);
-    for (auto _ : state) {
-        transform::Analysis a = transform::analyze(pool);
-        benchmark::DoNotOptimize(a.non_transformable_count());
+    std::printf("host wall time (advisory, best of %d): pipeline over %zu classes\n",
+                bench::kHostReps, pool.size());
+    std::printf("  %-8s %12s %14s\n", "threads", "ms/run", "classes/s");
+    for (std::size_t threads : {1, 2, 4, 8}) {
+        transform::PipelineOptions options;
+        options.threads = threads;
+        const double us = bench::best_wall_us(
+            bench::kHostReps, [&] { (void)transform::run_pipeline(pool, options); });
+        std::printf("  %-8zu %12.2f %14.0f\n",
+                    transform::resolve_transform_threads(threads), us / 1000.0,
+                    static_cast<double>(pool.size()) * 1e6 / us);
     }
+    std::printf("\n");
 }
-BENCHMARK(BM_AnalysisOnly);
 
+/// The artefact breakdown of a 10-class program, printed as a table and
+/// recorded in the summary.
 void emit_summary() {
     corpus::ProgramParams params;
     params.classes = 10;
@@ -100,6 +45,14 @@ void emit_summary() {
     model::ClassPool pool = corpus::generate_program(params);
     const std::size_t before = pool.size();
     transform::PipelineResult result = transform::run_pipeline(pool);
+    const std::size_t protocols = result.report.protocols().size();
+    std::printf("artefact expansion (10-class program + prelude):\n");
+    std::printf("  classes before: %zu   after: %zu   substituted: %zu\n", before,
+                result.pool.size(), result.report.substituted_classes().size());
+    std::printf(
+        "  per substituted class: O_Int, O_Local, %zu O-proxies, C_Int, C_Local,\n"
+        "  %zu C-proxies, O_Factory, C_Factory = %zu artefacts\n\n",
+        protocols, protocols, 6 + 2 * protocols);
     bench::JsonSummary("E1")
         .add("classes_before", static_cast<std::uint64_t>(before))
         .add("classes_after", static_cast<std::uint64_t>(result.pool.size()))
@@ -112,11 +65,13 @@ void emit_summary() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace rafda::bench {
+
+int e1() {
     std::printf("=== E1: transformation pipeline throughput and expansion ===\n\n");
-    print_expansion_table();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
+    print_host_scaling();
     emit_summary();
     return 0;
 }
+
+}  // namespace rafda::bench

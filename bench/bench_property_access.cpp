@@ -7,16 +7,11 @@
 //
 // Expected shape: original < rafda < wrapper; rafda pays one interface
 // dispatch per access, the wrapper pays the dispatch plus the target
-// indirection.
-#include <benchmark/benchmark.h>
-
+// indirection.  The summary carries exact guest instruction counts; host
+// wall time per iteration is printed as an advisory column.
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "transform/local_binder.hpp"
-#include "transform/pipeline.hpp"
-#include "vm/interp.hpp"
-#include "wrapper/wrapper_pipeline.hpp"
 
 namespace {
 
@@ -25,94 +20,66 @@ using vm::Value;
 
 constexpr int kSpin = 500;
 
-void BM_RawFieldAccess(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(bench::kHotFieldApp);
-    vm::Interpreter interp(pool);
-    vm::bind_prelude_natives(interp);
-    Value cell = interp.construct("Cell", "()V", {});
-    for (auto _ : state)
-        benchmark::DoNotOptimize(interp.call_static("Driver", "spin", "(LCell;I)J",
-                                                    {cell, Value::of_int(kSpin)}));
-    state.counters["guest_insns_per_iter"] =
-        static_cast<double>(interp.counters().instructions) /
-        static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_RawFieldAccess);
-
-void BM_InterfacePropertyAccess(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(bench::kHotFieldApp);
-    transform::PipelineResult result = transform::run_pipeline(pool);
-    vm::Interpreter interp(result.pool);
-    vm::bind_prelude_natives(interp);
-    transform::bind_local_factories(interp, result.report);
-    Value cell = interp.call_static("Cell_O_Factory", "make", "()LCell_O_Int;");
-    interp.call_static("Cell_O_Factory", "init", "(LCell_O_Int;)V", {cell});
-    for (auto _ : state)
-        benchmark::DoNotOptimize(transform::call_transformed_static(
-            interp, pool, result.report, "Driver", "spin", "(LCell;I)J",
-            {cell, Value::of_int(kSpin)}));
-    state.counters["guest_insns_per_iter"] =
-        static_cast<double>(interp.counters().instructions) /
-        static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_InterfacePropertyAccess);
-
-void BM_WrapperPropertyAccess(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(bench::kHotFieldApp);
-    wrapper::WrapperResult result = wrapper::run_wrapper_pipeline(pool);
-    vm::Interpreter interp(result.pool);
-    vm::bind_prelude_natives(interp);
-    Value cell = interp.call_static("Cell_Wrapper", "make", "()LCell_Wrapper;");
-    interp.call_static("Cell_Wrapper", "init", "(LCell_Wrapper;)V", {cell});
-    for (auto _ : state)
-        benchmark::DoNotOptimize(interp.call_static("Driver", "spin", "(LCell;I)J",
-                                                    {cell, Value::of_int(kSpin)}));
-    state.counters["guest_insns_per_iter"] =
-        static_cast<double>(interp.counters().instructions) /
-        static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_WrapperPropertyAccess);
-
 /// Exact instruction counts for one spin(500) per regime.
-void emit_summary() {
-    model::ClassPool pool = bench::assemble_app(bench::kHotFieldApp);
-
-    vm::Interpreter raw(pool);
-    vm::bind_prelude_natives(raw);
-    Value cell = raw.construct("Cell", "()V", {});
-    raw.call_static("Driver", "spin", "(LCell;I)J", {cell, Value::of_int(kSpin)});
-
-    transform::PipelineResult transformed = transform::run_pipeline(pool);
-    vm::Interpreter rafda(transformed.pool);
-    vm::bind_prelude_natives(rafda);
-    transform::bind_local_factories(rafda, transformed.report);
-    Value prop = rafda.call_static("Cell_O_Factory", "make", "()LCell_O_Int;");
-    rafda.call_static("Cell_O_Factory", "init", "(LCell_O_Int;)V", {prop});
-    transform::call_transformed_static(rafda, pool, transformed.report, "Driver",
-                                       "spin", "(LCell;I)J",
-                                       {prop, Value::of_int(kSpin)});
-
-    wrapper::WrapperResult wrapped = wrapper::run_wrapper_pipeline(pool);
-    vm::Interpreter wrapper_vm(wrapped.pool);
-    vm::bind_prelude_natives(wrapper_vm);
-    Value wcell = wrapper_vm.call_static("Cell_Wrapper", "make", "()LCell_Wrapper;");
-    wrapper_vm.call_static("Cell_Wrapper", "init", "(LCell_Wrapper;)V", {wcell});
-    wrapper_vm.call_static("Driver", "spin", "(LCell;I)J", {wcell, Value::of_int(kSpin)});
-
+void emit_summary(std::uint64_t raw, std::uint64_t interface, std::uint64_t wrapper) {
     bench::JsonSummary("E8")
-        .add("raw_instructions", raw.counters().instructions)
-        .add("interface_instructions", rafda.counters().instructions)
-        .add("wrapper_instructions", wrapper_vm.counters().instructions)
+        .add("raw_instructions", raw)
+        .add("interface_instructions", interface)
+        .add("wrapper_instructions", wrapper)
         .emit();
+}
+
+/// One counted spin(500) per regime, then the host wall time of further
+/// spins on the same interpreters (advisory; the counters are read before
+/// the timed repetitions).
+void run_regimes() {
+    bench::Variants v(bench::assemble_app(bench::kHotFieldApp));
+    Value cell = v.original_vm.construct("Cell", "()V", {});
+    Value prop = v.rafda_vm.call_static("Cell_O_Factory", "make", "()LCell_O_Int;");
+    v.rafda_vm.call_static("Cell_O_Factory", "init", "(LCell_O_Int;)V", {prop});
+    Value wcell = v.wrapper_vm.call_static("Cell_Wrapper", "make", "()LCell_Wrapper;");
+    v.wrapper_vm.call_static("Cell_Wrapper", "init", "(LCell_Wrapper;)V", {wcell});
+    auto spin_raw = [&] {
+        v.original_vm.call_static("Driver", "spin", "(LCell;I)J",
+                                  {cell, Value::of_int(kSpin)});
+    };
+    auto spin_rafda = [&] {
+        v.rafda_static("Driver", "spin", "(LCell;I)J", {prop, Value::of_int(kSpin)});
+    };
+    auto spin_wrapper = [&] {
+        v.wrapper_vm.call_static("Driver", "spin", "(LCell;I)J",
+                                 {wcell, Value::of_int(kSpin)});
+    };
+
+    spin_raw();
+    spin_rafda();
+    spin_wrapper();
+    const std::uint64_t raw_insns = v.original_vm.counters().instructions;
+    const std::uint64_t interface_insns = v.rafda_vm.counters().instructions;
+    const std::uint64_t wrapper_insns = v.wrapper_vm.counters().instructions;
+
+    std::printf("%-24s %20s %16s\n", "regime (spin 500)", "guest instructions",
+                "host us/iter");
+    auto row = [](const char* name, std::uint64_t insns, auto spin) {
+        std::printf("%-24s %20llu %16.2f\n", name, static_cast<unsigned long long>(insns),
+                    bench::best_wall_us(bench::kHostReps, spin));
+    };
+    row("raw field", raw_insns, spin_raw);
+    row("interface property", interface_insns, spin_rafda);
+    row("wrapper property", wrapper_insns, spin_wrapper);
+    std::printf("(host column: advisory, best of %d)\n\n", bench::kHostReps);
+    emit_summary(raw_insns, interface_insns, wrapper_insns);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace rafda::bench {
+
+int e8() {
     std::printf("=== E8: field access — raw vs interface properties vs wrapper ===\n");
     std::printf("expected shape: raw < interface (RAFDA) < wrapper.\n\n");
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
-    emit_summary();
+    run_regimes();
     return 0;
 }
+
+}  // namespace rafda::bench

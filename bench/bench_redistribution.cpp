@@ -2,13 +2,11 @@
 // and what do calls cost before/after?
 //
 // Reported:
-//   * migration wall time and wire bytes as the object's state grows
-//     (string blob sweep);
+//   * migration wire bytes as the object's state grows (string blob
+//     sweep);
 //   * per-call virtual time before migration (local), after migration
 //     (remote), and after migrating back (chained through two proxies) —
 //     making the forwarding-chain cost visible.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -20,12 +18,11 @@ namespace {
 using namespace rafda;
 using vm::Value;
 
-void BM_MigrationCost(benchmark::State& state) {
-    const std::size_t blob_size = static_cast<std::size_t>(state.range(0));
-    double bytes = 0;
-    std::uint64_t count = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
+/// Wire bytes of one migration as the object's state grows (string blob
+/// sweep): the state ships whole, so the cost is linear in its size.
+void print_migration_bytes_table() {
+    std::printf("%-44s %14s\n", "migration of C (RMI)", "wire bytes");
+    for (std::size_t blob_size : {0, 512, 8192, 65536}) {
         model::ClassPool pool = bench::assemble_app(bench::kFig1App);
         runtime::System system(pool);
         system.add_node();
@@ -33,49 +30,12 @@ void BM_MigrationCost(benchmark::State& state) {
         Value c = system.construct(0, "C", "()V");
         system.node(0).interp().call_virtual(
             c, "setBlob", "(S)V", {Value::of_str(std::string(blob_size, 'b'))});
-        std::uint64_t wire0 = system.network().total_stats().bytes;
-        state.ResumeTiming();
-
-        benchmark::DoNotOptimize(system.migrate_instance(0, c.as_ref(), 1, "RMI"));
-
-        state.PauseTiming();
-        bytes += static_cast<double>(system.network().total_stats().bytes - wire0);
-        ++count;
-        state.ResumeTiming();
+        const std::uint64_t wire0 = system.network().total_stats().bytes;
+        system.migrate_instance(0, c.as_ref(), 1, "RMI");
+        std::printf("  state blob %-32zu %14llu\n", blob_size,
+                    static_cast<unsigned long long>(system.network().total_stats().bytes -
+                                                    wire0));
     }
-    state.counters["wire_bytes_per_migration"] = bytes / static_cast<double>(count);
-    state.counters["state_bytes"] = static_cast<double>(blob_size);
-}
-BENCHMARK(BM_MigrationCost)->Arg(0)->Arg(512)->Arg(8192)->Arg(65536);
-
-/// Per-call virtual time at each stage of the Figure 1 lifecycle.
-void print_lifecycle_table() {
-    model::ClassPool pool = bench::assemble_app(bench::kFig1App);
-    runtime::System system(pool);
-    system.add_node();
-    system.add_node();
-    Value c = system.construct(0, "C", "()V");
-    Value a = system.construct(0, "A", "(LC;)V", {c});
-    vm::Interpreter& n0 = system.node(0).interp();
-
-    auto per_call_us = [&](int calls) {
-        std::uint64_t t0 = system.network().now_us();
-        for (int k = 0; k < calls; ++k) n0.call_virtual(a, "act", "()I");
-        return static_cast<double>(system.network().now_us() - t0) / calls;
-    };
-
-    std::printf("%-44s %14s\n", "stage (100 act() calls each)", "virt us/call");
-    std::printf("%-44s %14.1f\n", "1. C local on node 0", per_call_us(100));
-    vm::ObjId on1 = system.migrate_instance(0, c.as_ref(), 1, "RMI");
-    std::printf("%-44s %14.1f\n", "2. C migrated to node 1 (Figure 1)", per_call_us(100));
-    vm::ObjId on0 = system.migrate_instance(1, on1, 0, "RMI");
-    std::printf("%-44s %14.1f\n", "3. C migrated back (2-proxy chain)", per_call_us(100));
-    // Ablation: collapsing the forwarding chain restores locality — the
-    // slot A references on node 0 re-points at the terminal local object.
-    system.shorten_chain(0, c.as_ref());
-    (void)on0;
-    std::printf("%-44s %14.1f\n", "4. after shorten_chain (local loopback)",
-                per_call_us(100));
     std::printf("\n");
 }
 
@@ -155,35 +115,9 @@ class Buf {
     std::printf("\n");
 }
 
-void BM_CallAfterMigration(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(bench::kFig1App);
-    runtime::System system(pool);
-    system.add_node();
-    system.add_node();
-    Value c = system.construct(0, "C", "()V");
-    Value a = system.construct(0, "A", "(LC;)V", {c});
-    system.migrate_instance(0, c.as_ref(), 1, "RMI");
-    vm::Interpreter& n0 = system.node(0).interp();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(n0.call_virtual(a, "act", "()I"));
-}
-BENCHMARK(BM_CallAfterMigration);
-
-void BM_CallBeforeMigration(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(bench::kFig1App);
-    runtime::System system(pool);
-    system.add_node();
-    system.add_node();
-    Value c = system.construct(0, "C", "()V");
-    Value a = system.construct(0, "A", "(LC;)V", {c});
-    vm::Interpreter& n0 = system.node(0).interp();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(n0.call_virtual(a, "act", "()I"));
-}
-BENCHMARK(BM_CallBeforeMigration);
-
-/// Deterministic record of the Figure 1 lifecycle, measured through the
-/// metrics registry's snapshot/diff window around the first migration.
+/// Per-call virtual time at each stage of the Figure 1 lifecycle, printed
+/// as a table and recorded through the metrics registry's snapshot/diff
+/// window around the first migration.
 void emit_summary() {
     model::ClassPool pool = bench::assemble_app(bench::kFig1App);
     runtime::System system(pool);
@@ -192,21 +126,28 @@ void emit_summary() {
     Value c = system.construct(0, "C", "()V");
     Value a = system.construct(0, "A", "(LC;)V", {c});
     vm::Interpreter& n0 = system.node(0).interp();
-    auto per_call_us = [&](int calls) {
-        std::uint64_t t0 = system.network().now_us();
-        for (int k = 0; k < calls; ++k) n0.call_virtual(a, "act", "()I");
-        return static_cast<double>(system.network().now_us() - t0) / calls;
+    auto per_call_us = [&](const char* stage) {
+        constexpr int kCalls = 100;
+        const std::uint64_t t0 = system.network().now_us();
+        for (int k = 0; k < kCalls; ++k) n0.call_virtual(a, "act", "()I");
+        const double us = static_cast<double>(system.network().now_us() - t0) / kCalls;
+        std::printf("%-44s %14.1f\n", stage, us);
+        return us;
     };
 
-    const double local_us = per_call_us(100);
+    std::printf("%-44s %14s\n", "stage (100 act() calls each)", "virt us/call");
+    const double local_us = per_call_us("1. C local on node 0");
     obs::Snapshot before = system.metrics().snapshot();
     vm::ObjId on1 = system.migrate_instance(0, c.as_ref(), 1, "RMI");
-    const double remote_us = per_call_us(100);
+    const double remote_us = per_call_us("2. C migrated to node 1 (Figure 1)");
     obs::Snapshot window = obs::diff(before, system.metrics().snapshot());
     system.migrate_instance(1, on1, 0, "RMI");
-    const double chained_us = per_call_us(100);
+    const double chained_us = per_call_us("3. C migrated back (2-proxy chain)");
+    // Ablation: collapsing the forwarding chain restores locality — the
+    // slot A references on node 0 re-points at the terminal local object.
     const int hops = system.shorten_chain(0, c.as_ref());
-    const double shortened_us = per_call_us(100);
+    const double shortened_us = per_call_us("4. after shorten_chain (local loopback)");
+    std::printf("\n");
 
     bench::JsonSummary("E2")
         .add("local_us_per_call", local_us)
@@ -222,16 +163,18 @@ void emit_summary() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace rafda::bench {
+
+int e2() {
     std::printf("=== E2: Figure 1 redistribution — migration and call costs ===\n");
     std::printf(
         "expected shape: migration wire bytes grow linearly with object state;\n"
         "remote calls pay ~2x link latency; a 2-proxy chain pays ~2x a single\n"
         "hop.\n\n");
-    print_lifecycle_table();
+    print_migration_bytes_table();
     print_closure_table();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     emit_summary();
     return 0;
 }
+
+}  // namespace rafda::bench

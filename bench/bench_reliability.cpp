@@ -10,8 +10,6 @@
 // virtual-time makespan.  Everything derives from the seeded simulation,
 // so the summary is bit-for-bit reproducible; determinism is verified by
 // running the reliable configuration twice.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -22,34 +20,6 @@ namespace {
 
 using namespace rafda;
 using vm::Value;
-
-/// Like bench_util's kServiceApp but with an exact execution counter, so
-/// duplicate executions from reply-loss retries are directly observable.
-constexpr const char* kReliableApp = R"RIR(
-class Service {
-  field calls I
-  ctor ()V {
-    return
-  }
-  method work (J)J {
-    load 0
-    load 0
-    getfield Service.calls I
-    const 1
-    add
-    putfield Service.calls I
-    load 1
-    const 2L
-    mul
-    returnvalue
-  }
-  method calls ()I {
-    load 0
-    getfield Service.calls I
-    returnvalue
-  }
-}
-)RIR";
 
 constexpr int kClients = 2;
 constexpr int kCallsPerClient = 64;
@@ -72,16 +42,10 @@ struct RunResult {
 };
 
 RunResult run_workload(bool with_faults, bool reliable) {
-    model::ClassPool pool = bench::assemble_app(kReliableApp);
+    model::ClassPool pool = bench::assemble_app(bench::kCountingServiceApp);
     runtime::SystemOptions options;
     options.network_seed = 11;
-    if (reliable) {
-        options.reliability.attempts = 12;
-        options.reliability.backoff_base_us = 200;
-        options.reliability.backoff_multiplier = 2.0;
-        options.reliability.backoff_cap_us = 30'000;
-        options.reliability.dedup = true;
-    }
+    if (reliable) options.reliability = bench::reliable_retries();
     runtime::System system(pool, options);
     system.add_node();  // 0: server
     for (int k = 0; k < kClients; ++k) system.add_node();
@@ -95,21 +59,8 @@ RunResult run_workload(bool with_faults, bool reliable) {
 
     if (with_faults) {
         // Faults begin after the fault-free construction traffic.
-        std::uint64_t t0 = 0;
-        for (int k = 1; k <= kClients; ++k)
-            t0 = std::max(t0, system.node(static_cast<net::NodeId>(k)).clock_us());
-        for (int k = 1; k <= kClients; ++k) {
-            for (bool inbound : {false, true}) {
-                net::FaultWindow w;
-                w.kind = net::FaultKind::DropRate;
-                w.src = inbound ? 0 : static_cast<net::NodeId>(k);
-                w.dst = inbound ? static_cast<net::NodeId>(k) : 0;
-                w.from_us = t0;
-                w.until_us = ~0ULL;
-                w.drop_probability = kDropRate;
-                system.network().fault_plan().add(w);
-            }
-        }
+        const std::uint64_t t0 = bench::clients_ready_us(system, kClients);
+        bench::add_client_loss(system, kClients, kDropRate, t0, /*replies=*/true);
         net::FaultWindow partition;
         partition.kind = net::FaultKind::LinkDown;
         partition.src = 1;
@@ -143,39 +94,9 @@ RunResult run_workload(bool with_faults, bool reliable) {
     r.traffic_matrix = bench::traffic_matrix_json(system);
     // Count executions straight off the instances' `calls` fields: with
     // exactly-once semantics this equals the task count.
-    if (r.faults == 0) {
-        for (int k = 1; k <= kClients; ++k)
-            r.executions += system.node(static_cast<net::NodeId>(k))
-                                .interp()
-                                .call_virtual(services[static_cast<std::size_t>(k - 1)],
-                                              "calls", "()I")
-                                .as_int();
-    }
+    if (r.faults == 0) r.executions = bench::executions(system, services);
     return r;
 }
-
-void BM_FaultFree(benchmark::State& state) {
-    RunResult r;
-    for (auto _ : state) r = run_workload(/*with_faults=*/false, /*reliable=*/false);
-    state.counters["makespan_us"] = static_cast<double>(r.makespan_us);
-}
-BENCHMARK(BM_FaultFree);
-
-void BM_FaultsUnreliable(benchmark::State& state) {
-    RunResult r;
-    for (auto _ : state) r = run_workload(/*with_faults=*/true, /*reliable=*/false);
-    state.counters["makespan_us"] = static_cast<double>(r.makespan_us);
-    state.counters["surfaced_faults"] = static_cast<double>(r.faults);
-}
-BENCHMARK(BM_FaultsUnreliable);
-
-void BM_FaultsReliable(benchmark::State& state) {
-    RunResult r;
-    for (auto _ : state) r = run_workload(/*with_faults=*/true, /*reliable=*/true);
-    state.counters["makespan_us"] = static_cast<double>(r.makespan_us);
-    state.counters["retries"] = static_cast<double>(r.retries);
-}
-BENCHMARK(BM_FaultsReliable);
 
 void emit_summary() {
     const RunResult baseline = run_workload(false, false);
@@ -222,15 +143,17 @@ void emit_summary() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace rafda::bench {
+
+int e10() {
     std::printf("=== E10: reliable RPC under scheduled faults ===\n");
     std::printf(
         "expected shape: with ~8%% loss plus a 20ms partition, the legacy policy\n"
         "surfaces RemoteFaults; retries+dedup complete every task with zero surfaced\n"
         "faults and zero duplicate executions (dedup hits == reply-loss retries),\n"
         "paying a modest virtual-time premium; identical numbers on every run.\n\n");
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     emit_summary();
     return 0;
 }
+
+}  // namespace rafda::bench

@@ -4,12 +4,11 @@
 //
 // Regenerates that measurement on the synthetic JDK-like corpus: the
 // headline row at calibrated defaults, a reason breakdown, and the native-
-// density sweep backing the paper's "would increase" remark.  The timed
-// benchmark measures the analysis itself (closure over 8,200 types).
-#include <benchmark/benchmark.h>
-
-#include <chrono>
+// density sweep backing the paper's "would increase" remark.  The host
+// wall time of the analysis itself (closure over 8,200 types) is printed,
+// serial and pooled, as an advisory row.
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hpp"
 #include "corpus/jdk_corpus.hpp"
@@ -21,12 +20,11 @@ namespace {
 
 using namespace rafda;
 
-void print_experiment_tables() {
+/// `pool` is the corpus at calibrated defaults.
+void print_experiment_tables(const model::ClassPool& pool) {
     std::printf("=== E3: transformability of a JDK-1.4.1-like corpus ===\n");
     std::printf("(paper: ~40%% of 8,200 classes and interfaces non-transformable)\n\n");
 
-    corpus::JdkCorpusParams params;  // calibrated defaults
-    model::ClassPool pool = corpus::generate_jdk_corpus(params);
     transform::Analysis analysis = transform::analyze(pool);
 
     std::printf("%-34s %8s %8s %7s\n", "corpus", "types", "non-tr.", "%");
@@ -60,72 +58,45 @@ void print_experiment_tables() {
     std::printf("\n\n");
 }
 
-void BM_AnalyzeJdkCorpus(benchmark::State& state) {
-    corpus::JdkCorpusParams params;
-    params.total_types = static_cast<std::size_t>(state.range(0));
-    model::ClassPool pool = corpus::generate_jdk_corpus(params);
-    std::size_t nt = 0;
-    for (auto _ : state) {
-        transform::Analysis a = transform::analyze(pool);
-        nt = a.non_transformable_count();
-        benchmark::DoNotOptimize(nt);
-    }
-    state.counters["types"] = static_cast<double>(params.total_types);
-    state.counters["non_transformable"] = static_cast<double>(nt);
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(params.total_types));
+/// Host wall time of the closure analysis over the calibrated corpus,
+/// serial and on the transform thread pool.  The first run fills the
+/// per-class reference caches; best-of-N keeps the warm runs.
+void print_host_analysis(const model::ClassPool& pool) {
+    const std::size_t threads = transform::resolve_transform_threads(0);
+    support::ThreadPool workers(threads);
+    const double serial_us = bench::best_wall_us(
+        bench::kHostReps, [&] { (void)transform::analyze(pool, nullptr); });
+    const double pooled_us = bench::best_wall_us(
+        bench::kHostReps, [&] { (void)transform::analyze(pool, &workers); });
+    std::printf("host wall time (advisory, best of %d): analysis of %zu types\n",
+                bench::kHostReps, pool.size());
+    std::printf("  %-34s %8.2f ms\n", "serial", serial_us / 1000.0);
+    std::printf("  %-34s %8.2f ms\n",
+                ("pooled (" + std::to_string(threads) + " threads)").c_str(),
+                pooled_us / 1000.0);
+    std::printf("\n");
 }
-BENCHMARK(BM_AnalyzeJdkCorpus)->Arg(1000)->Arg(4000)->Arg(8200);
 
-void BM_GenerateJdkCorpus(benchmark::State& state) {
-    corpus::JdkCorpusParams params;
-    params.total_types = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state) {
-        model::ClassPool pool = corpus::generate_jdk_corpus(params);
-        benchmark::DoNotOptimize(pool.size());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(params.total_types));
-}
-BENCHMARK(BM_GenerateJdkCorpus)->Arg(8200);
-
-void emit_summary() {
-    corpus::JdkCorpusParams params;
-    model::ClassPool pool = corpus::generate_jdk_corpus(params);
-
-    auto time_analyze = [&](support::ThreadPool* workers) {
-        auto t0 = std::chrono::steady_clock::now();
-        transform::Analysis a = transform::analyze(pool, workers);
-        auto t1 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(a.non_transformable_count());
-        return std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
-    };
-    // Warm once (fills the per-class reference caches), then time the
-    // serial and pooled walks over the same corpus.
-    (void)time_analyze(nullptr);
-    std::int64_t serial_us = time_analyze(nullptr);
-    const std::size_t nthreads = transform::resolve_transform_threads(0);
-    support::ThreadPool workers(nthreads);
-    std::int64_t pooled_us = time_analyze(&workers);
-
+void emit_summary(const model::ClassPool& pool) {
     transform::Analysis analysis = transform::analyze(pool);
     bench::JsonSummary("E3")
         .add("types", static_cast<std::uint64_t>(analysis.total()))
         .add("non_transformable",
              static_cast<std::uint64_t>(analysis.non_transformable_count()))
         .add("non_transformable_fraction", analysis.non_transformable_fraction())
-        .add("analyze_us_serial", static_cast<std::uint64_t>(serial_us))
-        .add("analyze_us_pooled", static_cast<std::uint64_t>(pooled_us))
-        .add("analyze_threads", static_cast<std::uint64_t>(nthreads))
         .emit();
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-    print_experiment_tables();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
-    emit_summary();
+namespace rafda::bench {
+
+int e3() {
+    const model::ClassPool pool = corpus::generate_jdk_corpus(corpus::JdkCorpusParams{});
+    print_experiment_tables(pool);
+    print_host_analysis(pool);
+    emit_summary(pool);
     return 0;
 }
+
+}  // namespace rafda::bench

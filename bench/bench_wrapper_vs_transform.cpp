@@ -4,21 +4,17 @@
 //
 // Three executions of identical guest workloads: the untransformed
 // original, the RAFDA-transformed program (local binding) and the
-// wrapper-generated program.  Reported per variant: wall time plus the
-// VM's dispatch/work counters (which are noise-free).  Expected shape:
-// original < transformed < wrapper, with the wrapper clearly separated
-// (extra forwarding call per method call, extra hop per field access, and
-// 2x allocation).
-#include <benchmark/benchmark.h>
-
+// wrapper-generated program.  Reported per variant: the VM's
+// dispatch/work counters (which are noise-free) plus host wall time
+// (advisory).  Expected shape: original < transformed < wrapper, with the
+// wrapper clearly separated (extra forwarding call per method call, extra
+// hop per field access, and 2x allocation).
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "corpus/program_gen.hpp"
-#include "transform/local_binder.hpp"
-#include "transform/pipeline.hpp"
-#include "vm/interp.hpp"
-#include "wrapper/wrapper_pipeline.hpp"
 
 namespace {
 
@@ -37,143 +33,86 @@ void run_main(vm::Interpreter& interp) {
     interp.call_static(corpus::kProgramMain, "main", "()V");
 }
 
-void BM_Original(benchmark::State& state) {
-    model::ClassPool pool = corpus::generate_program(workload_params());
-    vm::Interpreter interp(pool);
-    vm::bind_prelude_natives(interp);
-    for (auto _ : state) run_main(interp);
-    state.counters["guest_instructions"] =
-        static_cast<double>(interp.counters().instructions) /
-        static_cast<double>(state.iterations());
-    state.counters["guest_invokes"] =
-        static_cast<double>(interp.counters().total_invokes()) /
-        static_cast<double>(state.iterations());
+/// The VM counters of `run`'s first execution on `interp`, then the
+/// best-of-N host wall time of further executions.  The counters come
+/// from that single counted run; the timed repetitions never touch them.
+template <typename Run>
+std::pair<vm::Counters, double> count_then_time(vm::Interpreter& interp, Run run) {
+    run();
+    const vm::Counters counted = interp.counters();
+    return {counted, bench::best_wall_us(bench::kHostReps, run)};
 }
-BENCHMARK(BM_Original);
-
-void BM_RafdaTransformed(benchmark::State& state) {
-    model::ClassPool pool = corpus::generate_program(workload_params());
-    transform::PipelineResult result = transform::run_pipeline(pool);
-    vm::Interpreter interp(result.pool);
-    vm::bind_prelude_natives(interp);
-    transform::bind_local_factories(interp, result.report);
-    for (auto _ : state) {
-        interp.clear_output();
-        transform::call_transformed_static(interp, pool, result.report,
-                                           corpus::kProgramMain, "main", "()V");
-    }
-    state.counters["guest_instructions"] =
-        static_cast<double>(interp.counters().instructions) /
-        static_cast<double>(state.iterations());
-    state.counters["guest_invokes"] =
-        static_cast<double>(interp.counters().total_invokes()) /
-        static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_RafdaTransformed);
-
-void BM_Wrapper(benchmark::State& state) {
-    model::ClassPool pool = corpus::generate_program(workload_params());
-    wrapper::WrapperResult result = wrapper::run_wrapper_pipeline(pool);
-    vm::Interpreter interp(result.pool);
-    vm::bind_prelude_natives(interp);
-    for (auto _ : state) run_main(interp);
-    state.counters["guest_instructions"] =
-        static_cast<double>(interp.counters().instructions) /
-        static_cast<double>(state.iterations());
-    state.counters["guest_invokes"] =
-        static_cast<double>(interp.counters().total_invokes()) /
-        static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_Wrapper);
-
-// Allocation comparison on an allocation-heavy app.
-void BM_AllocOriginal(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(bench::kAllocApp);
-    vm::Interpreter interp(pool);
-    vm::bind_prelude_natives(interp);
-    for (auto _ : state)
-        interp.call_static("Alloc", "burst", "(I)I", {vm::Value::of_int(200)});
-    state.counters["allocs_per_run"] =
-        static_cast<double>(interp.counters().allocations) /
-        static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_AllocOriginal);
-
-void BM_AllocRafda(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(bench::kAllocApp);
-    transform::PipelineResult result = transform::run_pipeline(pool);
-    vm::Interpreter interp(result.pool);
-    vm::bind_prelude_natives(interp);
-    transform::bind_local_factories(interp, result.report);
-    for (auto _ : state)
-        transform::call_transformed_static(interp, pool, result.report, "Alloc", "burst",
-                                           "(I)I", {vm::Value::of_int(200)});
-    state.counters["allocs_per_run"] =
-        static_cast<double>(interp.counters().allocations) /
-        static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_AllocRafda);
-
-void BM_AllocWrapper(benchmark::State& state) {
-    model::ClassPool pool = bench::assemble_app(bench::kAllocApp);
-    wrapper::WrapperResult result = wrapper::run_wrapper_pipeline(pool);
-    vm::Interpreter interp(result.pool);
-    vm::bind_prelude_natives(interp);
-    for (auto _ : state)
-        interp.call_static("Alloc", "burst", "(I)I", {vm::Value::of_int(200)});
-    state.counters["allocs_per_run"] =
-        static_cast<double>(interp.counters().allocations) /
-        static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_AllocWrapper);
 
 void print_preamble() {
     std::printf("=== E4: wrapper generation vs direct transformation (Sec 3) ===\n");
     std::printf(
         "expected shape: original < rafda-transformed < wrapper, wrapper clearly\n"
         "separated (forwarding call per method, extra hop per field access, 2x\n"
-        "allocations).  guest_* counters are deterministic.\n\n");
+        "allocations).  guest counters are deterministic; wall time is host\n"
+        "(advisory, best of %d).\n\n",
+        bench::kHostReps);
 }
 
 /// One run of the identical workload per variant; the VM work counters
 /// are exact, so the overhead factors are deterministic.
-void emit_summary() {
-    model::ClassPool pool = corpus::generate_program(workload_params());
-
-    vm::Interpreter original(pool);
-    vm::bind_prelude_natives(original);
-    run_main(original);
-
-    transform::PipelineResult transformed = transform::run_pipeline(pool);
-    vm::Interpreter rafda(transformed.pool);
-    vm::bind_prelude_natives(rafda);
-    transform::bind_local_factories(rafda, transformed.report);
-    transform::call_transformed_static(rafda, pool, transformed.report,
-                                       corpus::kProgramMain, "main", "()V");
-
-    wrapper::WrapperResult wrapped = wrapper::run_wrapper_pipeline(pool);
-    vm::Interpreter wrapper_vm(wrapped.pool);
-    vm::bind_prelude_natives(wrapper_vm);
-    run_main(wrapper_vm);
-
-    const double base = static_cast<double>(original.counters().instructions);
+void emit_summary(const vm::Counters& original, const vm::Counters& rafda,
+                  const vm::Counters& wrapper) {
+    const double base = static_cast<double>(original.instructions);
     bench::JsonSummary("E4")
-        .add("original_instructions", original.counters().instructions)
-        .add("rafda_instructions", rafda.counters().instructions)
-        .add("wrapper_instructions", wrapper_vm.counters().instructions)
-        .add("rafda_overhead_factor",
-             static_cast<double>(rafda.counters().instructions) / base)
-        .add("wrapper_overhead_factor",
-             static_cast<double>(wrapper_vm.counters().instructions) / base)
+        .add("original_instructions", original.instructions)
+        .add("rafda_instructions", rafda.instructions)
+        .add("wrapper_instructions", wrapper.instructions)
+        .add("rafda_overhead_factor", static_cast<double>(rafda.instructions) / base)
+        .add("wrapper_overhead_factor", static_cast<double>(wrapper.instructions) / base)
         .emit();
+}
+
+/// Allocations of one Alloc.burst(200) per variant, from one counted run.
+void print_allocation_table() {
+    bench::Variants v(bench::assemble_app(bench::kAllocApp));
+    const std::vector<vm::Value> args{vm::Value::of_int(200)};
+    v.original_vm.call_static("Alloc", "burst", "(I)I", args);
+    v.rafda_static("Alloc", "burst", "(I)I", args);
+    v.wrapper_vm.call_static("Alloc", "burst", "(I)I", args);
+    std::printf("%-28s %14s\n", "Alloc.burst(200)", "allocations");
+    for (const auto& [name, interp] :
+         {std::pair<const char*, vm::Interpreter*>{"original", &v.original_vm},
+          {"rafda-transformed (local)", &v.rafda_vm},
+          {"wrapper", &v.wrapper_vm}})
+        std::printf("%-28s %14llu\n", name,
+                    static_cast<unsigned long long>(interp->counters().allocations));
+    std::printf("\n");
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace rafda::bench {
+
+int e4() {
     print_preamble();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
-    emit_summary();
+    bench::Variants v(corpus::generate_program(workload_params()));
+    const auto [o, o_us] =
+        count_then_time(v.original_vm, [&] { run_main(v.original_vm); });
+    const auto [r, r_us] = count_then_time(v.rafda_vm, [&] {
+        v.rafda_vm.clear_output();
+        v.rafda_static(corpus::kProgramMain, "main", "()V");
+    });
+    const auto [w, w_us] = count_then_time(v.wrapper_vm, [&] { run_main(v.wrapper_vm); });
+
+    std::printf("%-28s %14s %14s %18s\n", "variant", "host us/run", "guest invokes",
+                "guest instructions");
+    auto row = [](const char* name, const vm::Counters& c, double us) {
+        std::printf("%-28s %14.1f %14llu %18llu\n", name, us,
+                    static_cast<unsigned long long>(c.total_invokes()),
+                    static_cast<unsigned long long>(c.instructions));
+    };
+    row("original", o, o_us);
+    row("rafda-transformed (local)", r, r_us);
+    row("wrapper", w, w_us);
+    std::printf("\n");
+    print_allocation_table();
+    emit_summary(o, r, w);
     return 0;
 }
+
+}  // namespace rafda::bench

@@ -22,8 +22,8 @@ std::uint64_t Tracer::begin_remote(std::string name, std::int32_t node,
     s.trace = trace ? trace : s.id;
     s.name = std::move(name);
     s.node = node;
-    s.start_us = now();
-    open_.push_back(spans_.size());
+    s.start_us = now(node);
+    open_.push_back(Open{spans_.size(), false});
     spans_.push_back(std::move(s));
     return spans_.back().id;
 }
@@ -34,24 +34,36 @@ void Tracer::end(std::uint64_t id) {
     // unwinds may leave children open and RAII destruction order closes
     // outer spans after inner ones anyway.
     while (!open_.empty()) {
-        std::size_t idx = open_.back();
+        const Open o = open_.back();
         open_.pop_back();
-        spans_[idx].end_us = now();
-        if (spans_[idx].id == id) break;
+        Span& s = spans_[o.index];
+        if (!o.pinned) s.end_us = now(s.node);
+        if (s.id == id) break;
+    }
+}
+
+void Tracer::pin_open(std::uint64_t id, std::uint64_t start_us, std::uint64_t end_us) {
+    for (auto it = open_.rbegin(); it != open_.rend(); ++it) {
+        Span& s = spans_[it->index];
+        if (s.id != id) continue;
+        s.start_us = start_us;
+        s.end_us = end_us;
+        it->pinned = true;
+        return;
     }
 }
 
 void Tracer::add_note(std::string_view key, std::string_view value) {
     if (open_.empty()) return;
-    spans_[open_.back()].notes.emplace_back(key, value);
+    spans_[open_.back().index].notes.emplace_back(key, value);
 }
 
 std::uint64_t Tracer::current_span() const noexcept {
-    return open_.empty() ? 0 : spans_[open_.back()].id;
+    return open_.empty() ? 0 : spans_[open_.back().index].id;
 }
 
 std::uint64_t Tracer::current_trace() const noexcept {
-    return open_.empty() ? 0 : spans_[open_.back()].trace;
+    return open_.empty() ? 0 : spans_[open_.back().index].trace;
 }
 
 void Tracer::clear() {

@@ -8,19 +8,23 @@
 //   ├─ codec.encode_request RMI
 //   ├─ net.transfer 0->1
 //   ├─ codec.decode_request RMI
-//   ├─ rpc.dispatch poke (node 1)          <- parent propagated on the wire
+//   ├─ rpc.dispatch poke (node 1)          <- parent carried with the request
 //   │  └─ vm.execute poke
 //   ├─ codec.encode_reply RMI
 //   ├─ net.transfer 1->0
 //   └─ codec.decode_reply RMI
 //
-// The parent/trace ids travel in the wire `message` header (CallRequest),
-// so forwarding chains and migrations appear as nested rpc.invoke spans
-// under the dispatch that caused them, exactly as the wire saw it.
+// The caller's trace context travels host-side with the request (set on
+// the decoded CallRequest, never encoded), so forwarding chains and
+// migrations appear as nested rpc.invoke spans under the dispatch that
+// caused them, and enabling the tracer changes no wire byte.
 //
-// Time is the simulation's virtual clock (SimNetwork::now_us, mirrored
-// into each VM's logical time), injected via set_clock — results are
-// exactly reproducible, never wall-clock noise.
+// Time is virtual: each span reads the clock of the node it runs on,
+// injected via set_clock, so concurrent clients' spans do not borrow each
+// other's progress.  An interval whose endpoints are known exactly — a
+// wire transfer's send and arrival — is pinned instead.  Like the
+// journal, the tracer is passive: results are exactly reproducible and
+// identical with tracing on or off.
 //
 // Disabled by default: begin() and note() are a single branch, and
 // ScopedSpan's lazily named form never builds its name, so the hot RPC
@@ -58,8 +62,11 @@ public:
     void set_enabled(bool on) noexcept { enabled_ = on; }
     bool enabled() const noexcept { return enabled_; }
 
-    /// Virtual-time source; unset means every span reads 0.
-    void set_clock(std::function<std::uint64_t()> clock) { clock_ = std::move(clock); }
+    /// Virtual-time source: the clock of node `node` (-1 when a span runs
+    /// on no node).  Unset means every span reads 0.
+    void set_clock(std::function<std::uint64_t(std::int32_t node)> clock) {
+        clock_ = std::move(clock);
+    }
 
     /// Opens a span as a child of the current innermost open span (a new
     /// root — and a new trace — when none is open).  Returns the span id,
@@ -76,6 +83,12 @@ public:
     /// Closes span `id` (and anything left open beneath it).  id 0 is a
     /// no-op, so callers can pair begin/end unconditionally.
     void end(std::uint64_t id);
+
+    /// Fixes open span `id`'s interval to [start_us, end_us], whatever the
+    /// clock reads when it closes.  id 0 (tracing off) is a no-op.
+    void pin(std::uint64_t id, std::uint64_t start_us, std::uint64_t end_us) {
+        if (id) pin_open(id, start_us, end_us);
+    }
 
     /// Attaches a key/value note to the innermost open span (no-op while
     /// disabled).  Integer values are formatted only when tracing is on.
@@ -101,13 +114,19 @@ public:
     std::string to_json() const;
 
 private:
-    std::uint64_t now() const { return clock_ ? clock_() : 0; }
+    struct Open {
+        std::size_t index;  // into spans_
+        bool pinned;        // end_us is fixed; closing leaves it alone
+    };
+
+    std::uint64_t now(std::int32_t node) const { return clock_ ? clock_(node) : 0; }
     void add_note(std::string_view key, std::string_view value);
+    void pin_open(std::uint64_t id, std::uint64_t start_us, std::uint64_t end_us);
 
     bool enabled_ = false;
-    std::function<std::uint64_t()> clock_;
+    std::function<std::uint64_t(std::int32_t)> clock_;
     std::vector<Span> spans_;
-    std::vector<std::size_t> open_;  // indices into spans_, innermost last
+    std::vector<Open> open_;  // innermost last
     std::uint64_t next_id_ = 1;
 };
 

@@ -107,38 +107,48 @@ WorkloadDriver::Report WorkloadDriver::run() {
     // kinds — and with them the order digest — are stable across runs.
     EventHeap heap;
 
-    // Continuation: one burst for an explicitly added client.  Pipelined
-    // clients issue the burst with reply waits deferred; the drain closes
-    // the burst before the next event dispatches, so the event order — and
-    // with it determinism — is untouched.
-    const std::uint32_t kClientStep = heap.register_handler([&](const Event& e) {
-        Client& c = clients_[static_cast<std::size_t>(e.a)];
-        Node& node = system_->node(c.node);
-        const std::size_t burst =
-            std::min(pipeline_depth_, c.tasks.size() - c.next);
+    // One burst of `burst` tasks on node `nid`, task(b) being the b-th;
+    // both step handlers below run their client through it.  A burst of
+    // more than one is pipelined: reply waits are deferred and the drain
+    // closes the burst before the next event dispatches, so the event
+    // order — and with it determinism — is untouched.  A guest exception
+    // is absorbed as a fault.  Returns the node's clock after the burst.
+    auto run_burst = [&](net::NodeId nid, std::size_t burst, auto&& task,
+                         std::uint64_t& faults, std::uint64_t& recovered) {
+        Node& node = system_->node(nid);
         if (burst > 1) node.set_pipeline(true);
         const std::uint64_t t0 = node.clock_us();
         for (std::size_t b = 0; b < burst; ++b) {
             const std::uint64_t retries_before = retries.value();
             try {
-                c.tasks[c.next](*system_, c.node);
-                if (retries.value() != retries_before) ++c.recovered;
+                task(b)(*system_, nid);
+                if (retries.value() != retries_before) ++recovered;
             } catch (const vm::GuestException& ex) {
-                ++c.faults;
-                log_debug("driver", "client ", c.node, " task ", c.next,
-                          " raised ", ex.class_name(), ": ", ex.message());
+                ++faults;
+                log_debug("driver", "client on node ", nid, " raised ",
+                          ex.class_name(), ": ", ex.message());
             }
             // The last burst member's latency is recorded after the
             // drain, so it covers the whole burst's reply horizon.
             if (b + 1 < burst) latencies.push_back(node.clock_us() - t0);
-            ++c.next;
             ++tasks_done;
         }
         if (burst > 1) node.set_pipeline(false);
         latencies.push_back(node.clock_us() - t0);
+        return node.clock_us();
+    };
+
+    // Continuation: one burst for an explicitly added client.
+    const std::uint32_t kClientStep = heap.register_handler([&](const Event& e) {
+        Client& c = clients_[static_cast<std::size_t>(e.a)];
+        const std::size_t burst =
+            std::min(pipeline_depth_, c.tasks.size() - c.next);
+        const std::uint64_t clock = run_burst(
+            c.node, burst, [&](std::size_t b) -> Task& { return c.tasks[c.next + b]; },
+            c.faults, c.recovered);
+        c.next += burst;
         if (c.next < c.tasks.size())
-            heap.post(vclock ? node.clock_us() : e.at_us + 1, c.node, e.kind,
-                      e.a);
+            heap.post(vclock ? clock : e.at_us + 1, c.node, e.kind, e.a);
     });
 
     // Continuation: one burst for a fleet client.  `a` packs (fleet,
@@ -148,32 +158,14 @@ WorkloadDriver::Report WorkloadDriver::run() {
         Fleet& f = fleets_[static_cast<std::size_t>(e.a >> 32)];
         const std::uint64_t ci = e.a & 0xffffffffULL;
         const net::NodeId nid = f.nodes[ci % f.nodes.size()];
-        Node& node = system_->node(nid);
-        std::uint64_t remaining = e.b;
         const std::size_t burst = static_cast<std::size_t>(
-            std::min<std::uint64_t>(pipeline_depth_, remaining));
-        if (burst > 1) node.set_pipeline(true);
-        const std::uint64_t t0 = node.clock_us();
-        for (std::size_t b = 0; b < burst; ++b) {
-            const std::uint64_t retries_before = retries.value();
-            try {
-                f.task(*system_, nid);
-                if (retries.value() != retries_before) ++fleet_recovered;
-            } catch (const vm::GuestException& ex) {
-                ++fleet_faults;
-                log_debug("driver", "fleet client ", nid, " raised ",
-                          ex.class_name(), ": ", ex.message());
-            }
-            if (b + 1 < burst) latencies.push_back(node.clock_us() - t0);
-            ++fleet_tasks;
-            ++tasks_done;
-        }
-        if (burst > 1) node.set_pipeline(false);
-        latencies.push_back(node.clock_us() - t0);
-        remaining -= burst;
-        if (remaining)
-            heap.post(vclock ? node.clock_us() : e.at_us + 1, nid, e.kind, e.a,
-                      remaining);
+            std::min<std::uint64_t>(pipeline_depth_, e.b));
+        const std::uint64_t clock = run_burst(
+            nid, burst, [&](std::size_t) -> Task& { return f.task; }, fleet_faults,
+            fleet_recovered);
+        fleet_tasks += burst;
+        if (const std::uint64_t remaining = e.b - burst)
+            heap.post(vclock ? clock : e.at_us + 1, nid, e.kind, e.a, remaining);
     });
 
     // Kind 2 is reserved and never posted.  Network completions need no

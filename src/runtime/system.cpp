@@ -73,7 +73,9 @@ System::System(const model::ClassPool& original, SystemOptions options)
     network_.set_default_link(options.default_link);
     network_.attach_metrics(&metrics_);
     network_.attach_journal(&journal_);
-    tracer_.set_clock([this] { return network_.now_us(); });
+    tracer_.set_clock([this](std::int32_t n) {
+        return n >= 0 ? node(n).clock_us() : network_.now_us();
+    });
     set_log_time_source(
         [this] { return static_cast<std::int64_t>(network_.now_us()); }, this);
     migrations_counter_ = &metrics_.counter("runtime.migrations");
@@ -351,10 +353,11 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
     net::Codec& c = codec(protocol);
     Node& caller = node(src);
     Node& callee = node(dst);
-    // Stamp the caller's trace context into the wire header; the server
-    // side parents its dispatch span from these fields, not from the stack.
-    req.trace_id = tracer_.current_trace();
-    req.parent_span = tracer_.current_span();
+    // The caller's trace context travels host-side, like the sim_* times:
+    // it is set on the decoded request, never encoded, so tracing cannot
+    // change a wire byte.  The server parents its dispatch span from it.
+    const std::uint64_t trace_id = tracer_.current_trace();
+    const std::uint64_t parent_span = tracer_.current_span();
 
     // Codec CPU for a payload, split so the node that serialises pays the
     // encode half and the node that parses pays the decode half.  The two
@@ -442,6 +445,7 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
                                                             req.sim_send_us)
                            : network_.transfer_at(src, dst, request_bytes.size(),
                                                   req.sim_send_us);
+        tracer_.pin(span.id(), req.sim_send_us, inbound.at_us);
         if (!lane) {
             // Batching off: no frame is ever joinable.
         } else if (inbound.delivered && coalesce) {
@@ -494,6 +498,8 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
                            : c.decode_request(request_bytes);
         decoded.sim_send_us = req.sim_send_us;
         decoded.sim_arrival_us = req.sim_arrival_us;
+        decoded.trace_id = trace_id;
+        decoded.parent_span = parent_span;
         callee.advance_clock(codec_cost(request_bytes.size()).second);
     }
     net::CallReply reply;
@@ -531,7 +537,9 @@ net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
             [&] { return "net.transfer " + std::to_string(dst) + "->" + std::to_string(src); },
             dst);
         tracer_.note("bytes", reply_bytes.size());
-        outbound = network_.transfer_at(dst, src, reply_bytes.size(), callee.clock_us());
+        const std::uint64_t reply_send_us = callee.clock_us();
+        outbound = network_.transfer_at(dst, src, reply_bytes.size(), reply_send_us);
+        tracer_.pin(span.id(), reply_send_us, outbound.at_us);
         // The reply frame is what now occupies the reverse link; a later
         // request on that link must open its own frame.
         if (lane) batch_lanes_[{dst, src}].joinable = false;

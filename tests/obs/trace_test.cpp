@@ -9,14 +9,14 @@
 namespace rafda::obs {
 namespace {
 
-/// Fixture with a hand-cranked virtual clock.
+/// Fixture with a hand-cranked virtual clock shared by every node.
 struct TracerFixture : ::testing::Test {
     Tracer tracer;
     std::uint64_t clock = 0;
 
     void SetUp() override {
         tracer.set_enabled(true);
-        tracer.set_clock([this] { return clock; });
+        tracer.set_clock([this](std::int32_t) { return clock; });
     }
 
     const Span* find(const std::string& name) const {
@@ -79,6 +79,35 @@ TEST_F(TracerFixture, EndClosesDescendantsLeftOpen) {
     tracer.end(a);  // closes c, b, then a
     for (const Span& s : tracer.spans()) EXPECT_EQ(s.end_us, 99u);
     EXPECT_EQ(tracer.current_span(), 0u);
+}
+
+TEST(Tracer, SpansReadTheClockOfTheirOwnNode) {
+    Tracer t;
+    t.set_enabled(true);
+    std::uint64_t clocks[2] = {100, 7};
+    t.set_clock([&](std::int32_t node) { return node < 0 ? 0 : clocks[node]; });
+    std::uint64_t client = t.begin("client", 0);
+    std::uint64_t server = t.begin("server", 1);
+    clocks[1] = 9;
+    t.end(server);
+    clocks[0] = 150;
+    t.end(client);
+    EXPECT_EQ(t.spans()[0].start_us, 100u);
+    EXPECT_EQ(t.spans()[0].end_us, 150u);
+    EXPECT_EQ(t.spans()[1].start_us, 7u);
+    EXPECT_EQ(t.spans()[1].end_us, 9u);
+}
+
+TEST_F(TracerFixture, PinnedSpanKeepsItsIntervalWhenClosed) {
+    std::uint64_t outer = tracer.begin("outer", 0);
+    std::uint64_t xfer = tracer.begin("net.transfer", 0);
+    tracer.pin(xfer, 10, 110);
+    tracer.pin(0, 1, 2);  // id 0 is a no-op
+    clock = 20;
+    tracer.end(outer);  // closes the pinned child too
+    EXPECT_EQ(find("net.transfer")->start_us, 10u);
+    EXPECT_EQ(find("net.transfer")->end_us, 110u);
+    EXPECT_EQ(find("outer")->end_us, 20u);
 }
 
 TEST_F(TracerFixture, BeginRemoteUsesWireParentage) {

@@ -2,17 +2,21 @@
 // (satellite of DESIGN.md §16): interleaved clients must never corrupt
 // span parentage — every trace has exactly one root, every parent edge
 // stays inside its own trace, retried attempts nest under the original
-// invoke, and no trace mixes two clients' work.
+// invoke, and no trace mixes two clients' work.  Spans read the clock of
+// the node that did the work, and tracing is passive: it changes no
+// virtual-time result and no wire byte.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/assembler.hpp"
 #include "model/verifier.hpp"
+#include "obs/journal.hpp"
 #include "obs/trace.hpp"
 #include "runtime/driver.hpp"
 #include "runtime/system.hpp"
@@ -173,6 +177,95 @@ TEST(DriverTrace, TraceStreamIsDeterministic) {
         return out;
     };
     EXPECT_EQ(shape(), shape());
+}
+
+/// Four clients, 64 work() calls each, against server node 0 over
+/// `protocol`; with `batched`, per-link batching on and pipeline depth 8.
+/// Tracing (and the journal, to witness it) is on from before the first
+/// construct when `traced`.
+struct FourClients {
+    model::ClassPool pool;
+    std::unique_ptr<System> system;
+    WorkloadDriver::Report report;
+
+    FourClients(const std::string& protocol, bool batched, bool traced) {
+        vm::install_prelude(pool);
+        model::assemble_into(pool, kApp);
+        model::verify_pool(pool);
+        SystemOptions options;
+        options.network_seed = 7;
+        options.batching.enabled = batched;
+        system = std::make_unique<System>(pool, options);
+        for (int k = 0; k <= 4; ++k) system->add_node();
+        system->policy().set_instance_home("Service", 0, protocol);
+        system->tracer().set_enabled(traced);
+        system->journal().set_enabled(traced);
+        WorkloadDriver driver(*system);
+        if (batched) driver.set_pipeline_depth(8);
+        for (net::NodeId client = 1; client <= 4; ++client) {
+            Value svc = system->construct(client, "Service", "()V");
+            driver.add_client(client, 64, [svc](System& sys, net::NodeId node) {
+                sys.node(node).interp().call_virtual(svc, "work", "(I)I",
+                                                     {Value::of_int(3)});
+            });
+        }
+        report = driver.run();
+    }
+
+    std::pair<std::uint64_t, std::uint64_t> makespan_and_wire_bytes() const {
+        return {report.makespan_us, system->network().total_stats().bytes};
+    }
+};
+
+TEST(TracerPassivity, EnablingTheTracerChangesNoVirtualTimeResult) {
+    // The tracer's version of the E11 contract: the trace context travels
+    // host-side, never in the encoded request, so SOAP's text ids and
+    // RMI's batch entries are the same size with tracing on or off.
+    for (const auto& [protocol, batched] :
+         {std::pair<std::string, bool>{"SOAP", false}, {"RMI", true}}) {
+        EXPECT_EQ(FourClients(protocol, batched, false).makespan_and_wire_bytes(),
+                  FourClients(protocol, batched, true).makespan_and_wire_bytes())
+            << protocol << (batched ? " batched" : "");
+    }
+}
+
+TEST(DriverTrace, TransferSpansRunFromSendToArrival) {
+    FourClients h("RMI", false, true);
+    ASSERT_EQ(h.report.tasks_run, 256u);
+    ASSERT_EQ(h.report.faults, 0u);
+    ASSERT_EQ(h.system->journal().overwritten(), 0u);
+
+    // Host execution is sequential, so the k-th request transfer is the
+    // k-th send/arrival pair and the k-th reply transfer the k-th reply.
+    std::vector<obs::JournalEvent> sends, arrivals, replies;
+    h.system->journal().visit([&](const obs::JournalEvent& e) {
+        if (e.kind == obs::JournalEvent::Kind::RpcSend) sends.push_back(e);
+        if (e.kind == obs::JournalEvent::Kind::RpcArrive) arrivals.push_back(e);
+        if (e.kind == obs::JournalEvent::Kind::RpcReply) replies.push_back(e);
+    });
+    std::vector<const Span*> requests, reply_spans;
+    std::size_t zero_duration = 0;
+    for (const Span& s : h.system->tracer().spans()) {
+        if (!s.name.starts_with("net.transfer")) continue;
+        if (s.duration_us() == 0) ++zero_duration;
+        (s.name.ends_with("->0") ? requests : reply_spans).push_back(&s);
+    }
+    EXPECT_EQ(zero_duration, 0u) << "of " << requests.size() + reply_spans.size();
+    ASSERT_EQ(requests.size(), sends.size());
+    ASSERT_EQ(arrivals.size(), sends.size());
+    ASSERT_EQ(reply_spans.size(), replies.size());
+    std::size_t off_requests = 0, off_replies = 0;
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+        ASSERT_EQ(arrivals[k].a, sends[k].a);  // same request id
+        EXPECT_EQ(requests[k]->node, sends[k].node);
+        if (requests[k]->start_us != sends[k].t_us ||
+            requests[k]->end_us != arrivals[k].t_us)
+            ++off_requests;
+    }
+    for (std::size_t k = 0; k < reply_spans.size(); ++k)
+        if (reply_spans[k]->end_us != replies[k].t_us) ++off_replies;
+    EXPECT_EQ(off_requests, 0u) << "of " << requests.size() << " request transfers";
+    EXPECT_EQ(off_replies, 0u) << "of " << reply_spans.size() << " reply transfers";
 }
 
 }  // namespace

@@ -7,9 +7,7 @@
 #
 # Not run here, because it builds twice: tools/sidecar_diff.sh <base-rev>
 # builds <base-rev> from a throwaway checkout and byte-compares every
-# BENCH_E*.json sidecar against the working tree's, masking only the
-# host-timing fields (E3 analyze_us_*, E11 host_overhead_pct, E13
-# peak_rss_kb).
+# BENCH_E*.json sidecar against the working tree's.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,75 +26,32 @@ for preset in $presets; do
     ctest --preset "$preset" -j "$jobs"
 done
 
-# Non-gating perf smoke: the benches most sensitive to regressions in the
-# interpreter hot path (inline caches, DESIGN.md §11), the virtual-time
-# model (per-node clocks + link occupancy, DESIGN.md §13) and the parallel
-# transformation pipeline (graph-indexed closure + thread pool, DESIGN.md
-# §14 — bench_pipeline's BM_Pipeline/64 thread axis and BENCH_E3.json's
-# analyze_us_serial/analyze_us_pooled record the scaling).  Run from the
-# repo root so the BENCH_<id>.json sidecars land here (gitignored).
-# Failures warn instead of failing the gate — perf numbers are reviewed,
-# not asserted.
 case " $presets " in
 *" default "*)
-    for bench in bench_property_access bench_dispatch_matrix bench_concurrency \
-                 bench_pipeline bench_transformability bench_reliability \
-                 bench_journal bench_batching bench_adaptive \
-                 bench_durability; do
-        echo "== perf smoke: $bench =="
-        "build/bench/$bench" --benchmark_min_time=0.05s ||
-            echo "WARN: $bench failed (non-gating)"
-    done
-
-    # Scale smoke (non-gating): the event-heap scheduler at 10^4 fleet
-    # clients (DESIGN.md §18).  The full E13 run uses 10^5; the smoke
-    # keeps CI fast while still exercising VirtualClock fairness, the
-    # network completion sink and the sharded directory.  The JSON
-    # sidecar it writes is uploaded with the other BENCH artifacts.
-    echo "== perf smoke: bench_scale (10k clients) =="
-    RAFDA_SCALE_CLIENTS=10000 \
-        build/bench/bench_scale --benchmark_min_time=0.01s ||
-        echo "WARN: bench_scale failed (non-gating)"
-
-    # Host-performance benchmark smoke (non-gating): perfbench/ builds its
-    # own copy of src/ under .bench_build/ and runs every workload at tiny
-    # sizes, checking metric names, same-seed repeatability and that a
-    # broken oracle fails the run (perfbench/NOTES.md).
-    echo "== perf smoke: perfbench =="
-    if command -v python3 >/dev/null 2>&1; then
-        python3 perfbench/smoke_test.py ||
-            echo "WARN: perfbench smoke failed (non-gating)"
-    else
-        echo "WARN: python3 not found; perfbench smoke skipped (non-gating)"
-    fi
-
-    # Differential guard (gating): the legacy driver workloads must be a
-    # *degenerate event order* of the event-heap scheduler — re-running
-    # E5/E9/E10/E12 on the same build must reproduce their JSON sidecars
-    # byte for byte (this also keeps the pooled-buffer encode and the
-    # batching off-state provably inert).  E13 is excluded: its summary
-    # carries host-varying peak RSS.
-    echo "== bench determinism guard (E5 E9 E10 E12 E14 E15) =="
+    # Experiment determinism guard (gating): build/bench/experiments runs
+    # E1-E15 (E13 at the 10^4-client smoke size) and writes one
+    # BENCH_E<n>.json sidecar each.  Every sidecar value comes from the
+    # seeded simulation or exact VM counters — host wall times are only
+    # printed — so a second run must reproduce all 15 byte for byte.  This
+    # also keeps the event heap, the pooled-buffer encode and the
+    # batching, adaptation and durability off-states provably inert.  The
+    # second run writes into the repo root (gitignored), where CI uploads
+    # the sidecars as artifacts.
+    echo "== experiments: two runs, 15 sidecars byte-identical =="
     det_dir=$(mktemp -d /tmp/rafda_det_XXXXXX)
     trap 'rm -rf "$det_dir"' EXIT INT TERM
-    cp BENCH_E5.json BENCH_E9.json BENCH_E10.json BENCH_E12.json \
-       BENCH_E14.json BENCH_E15.json "$det_dir"/
-    build/bench/bench_dispatch_matrix --benchmark_min_time=0.05s >/dev/null
-    build/bench/bench_concurrency --benchmark_min_time=0.05s >/dev/null
-    build/bench/bench_reliability --benchmark_min_time=0.05s >/dev/null
-    build/bench/bench_batching --benchmark_min_time=0.05s >/dev/null
-    build/bench/bench_adaptive --benchmark_min_time=0.05s >/dev/null
-    build/bench/bench_durability --benchmark_min_time=0.05s >/dev/null
-    for id in E5 E9 E10 E12 E14 E15; do
-        cmp "BENCH_$id.json" "$det_dir/BENCH_$id.json"
+    runner="$(pwd)/build/bench/experiments"
+    (cd "$det_dir" && RAFDA_SCALE_CLIENTS=10000 "$runner") >"$det_dir/first.log"
+    rm -f BENCH_E*.json
+    RAFDA_SCALE_CLIENTS=10000 "$runner" >"$det_dir/second.log"
+    [ "$(ls "$det_dir"/BENCH_E*.json | wc -l)" -eq 15 ]
+    for f in "$det_dir"/BENCH_E*.json; do
+        cmp "$f" "$(basename "$f")"
     done
-    echo "bench determinism OK: E5/E9/E10/E12/E14/E15 re-runs byte-identical"
+    echo "experiment determinism OK: all 15 sidecars byte-identical across runs"
 
-    # Durability off-state guard (gating): E5 and E10 run with durability
-    # off, so their sidecars double as the proof that the WAL layer is
-    # inert when disabled — any off-path write or schedule perturbation
-    # shows up as a byte diff in the cmp above.  E15's own summary must
-    # assert exactly-once across the crash (executions == tasks after WAL
+    # Durability invariants (gating): E15's own summary must assert
+    # exactly-once across the crash (executions == tasks after WAL
     # replay) and a relocation identical to the uncrashed baseline.
     echo "== durability invariants (E15) =="
     grep -q '"exactly_once":1' BENCH_E15.json
@@ -116,8 +71,8 @@ case " $presets " in
     done
     echo "determinism fields OK: E13/E14/E15 assert deterministic:1 + digest"
 
-    # BENCH sidecar schema sanity (gating): every BENCH_*.json the smoke
-    # runs produced must parse as a single JSON object whose experiment id
+    # BENCH sidecar schema sanity (gating): every BENCH_*.json the runner
+    # produced must parse as a single JSON object whose experiment id
     # matches its filename, with numeric (not stringified) metric values.
     echo "== BENCH schema sanity =="
     if command -v python3 >/dev/null 2>&1; then
@@ -171,6 +126,18 @@ PYEOF
         grep -q '"ts":' "$trace_out"
         grep -q '"pid":' "$trace_out"
         echo "chrome trace OK (grep fallback)"
+    fi
+
+    # Host-performance benchmark smoke (non-gating): perfbench/ builds its
+    # own copy of src/ under .bench_build/ and runs every workload at tiny
+    # sizes, checking metric names, same-seed repeatability and that a
+    # broken oracle fails the run (perfbench/NOTES.md).
+    echo "== perf smoke: perfbench =="
+    if command -v python3 >/dev/null 2>&1; then
+        python3 perfbench/smoke_test.py ||
+            echo "WARN: perfbench smoke failed (non-gating)"
+    else
+        echo "WARN: python3 not found; perfbench smoke skipped (non-gating)"
     fi
     ;;
 esac

@@ -5,16 +5,13 @@
 #   tools/sidecar_diff.sh <base-rev>
 #
 # <base-rev> is exported with `git archive` into a throwaway directory
-# (under $TMPDIR, removed on exit) and its benches are built there; the
-# working tree's benches are built in build/ as the tier-1 command does.
-# Both sides then run every bench_* binary with check.sh's short settings
-# (--benchmark_min_time=0.05s; bench_scale at the 10k-client smoke size)
-# from their own output directory, and every BENCH_E*.json is compared
-# byte for byte with only the host-timing fields masked:
-#
-#   E3   analyze_us_serial, analyze_us_pooled
-#   E11  host_overhead_pct
-#   E13  peak_rss_kb
+# (under $TMPDIR, removed on exit) and its experiment runner is built
+# there; the working tree's runner is built in build/ as the tier-1
+# command does.  Both sides then run `experiments` (all of E1-E15, E13 at
+# check.sh's 10^4-client smoke size) from their own output directory, and
+# every BENCH_E*.json is compared byte for byte.  Sidecars hold no host
+# timings, so nothing is masked.  <base-rev> must already have the runner
+# (bench/experiments.cpp); older revisions are refused.
 #
 # Exits non-zero on any difference or on a sidecar present on one side
 # only.  Not part of check.sh's default path: it builds twice.
@@ -29,63 +26,40 @@ cd "$(dirname "$0")/.."
 repo=$(pwd)
 jobs=$(nproc 2>/dev/null || echo 4)
 
+if ! git cat-file -e "$base_rev:bench/experiments.cpp" 2>/dev/null; then
+    echo "$0: $base_rev has no bench/experiments.cpp; it predates the" \
+         "experiment runner, so its sidecars cannot be produced the same way" >&2
+    exit 1
+fi
+
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT INT TERM
 
-benches() {
-    for src in "$1"/bench/bench_*.cpp; do
-        basename "$src" .cpp
-    done
+build_side() {  # <source dir> <build dir> <log>
+    cmake -B "$2" -S "$1" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+    cmake --build "$2" -j "$jobs" --target experiments >"$3" 2>&1 || {
+        tail -20 "$3"
+        exit 2
+    }
 }
 
 echo "== building $base_rev (throwaway checkout) =="
 mkdir -p "$work/base"
 git archive "$base_rev" | tar -x -C "$work/base"
-cmake -B "$work/base/build" -S "$work/base" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    >/dev/null
-# shellcheck disable=SC2046
-cmake --build "$work/base/build" -j "$jobs" --target $(benches "$work/base") \
-    >"$work/base-build.log" 2>&1 || {
-    tail -20 "$work/base-build.log"
-    exit 2
-}
-
+build_side "$work/base" "$work/base/build" "$work/base-build.log"
 echo "== building the working tree =="
-cmake -B build -S . >/dev/null
-# shellcheck disable=SC2046
-cmake --build build -j "$jobs" --target $(benches .) >"$work/head-build.log" 2>&1 || {
-    tail -20 "$work/head-build.log"
-    exit 2
+build_side . build "$work/head-build.log"
+
+run_side() {  # <build dir> <output dir>
+    mkdir -p "$2"
+    (cd "$2" && RAFDA_SCALE_CLIENTS=10000 "$1/bench/experiments") >"$2/run.log" 2>&1 ||
+        echo "WARN: experiments exited non-zero in $2 (see run.log)"
 }
 
-run_side() {  # <tree> <build dir> <output dir>
-    mkdir -p "$3"
-    for bench in $(benches "$1"); do
-        [ -x "$2/bench/$bench" ] || continue
-        if [ "$bench" = bench_scale ]; then
-            (cd "$3" && RAFDA_SCALE_CLIENTS=10000 \
-                "$2/bench/$bench" --benchmark_min_time=0.01s) >"$3/$bench.log" 2>&1
-        else
-            (cd "$3" && "$2/bench/$bench" --benchmark_min_time=0.05s) \
-                >"$3/$bench.log" 2>&1
-        fi || echo "WARN: $bench exited non-zero (see its log)"
-    done
-}
-
-mask() {  # <sidecar>: prints it with the host-timing fields masked
-    case $(basename "$1") in
-    BENCH_E3.json) fields='analyze_us_serial|analyze_us_pooled' ;;
-    BENCH_E11.json) fields='host_overhead_pct' ;;
-    BENCH_E13.json) fields='peak_rss_kb' ;;
-    *) cat "$1"; return ;;
-    esac
-    sed -E "s/\"($fields)\":[-+.0-9eE]+/\"\\1\":\"masked\"/g" "$1"
-}
-
-echo "== running benches: $base_rev =="
-run_side "$work/base" "$work/base/build" "$work/out-base"
-echo "== running benches: working tree =="
-run_side "$repo" "$repo/build" "$work/out-head"
+echo "== running experiments: $base_rev =="
+run_side "$work/base/build" "$work/out-base"
+echo "== running experiments: working tree =="
+run_side "$repo/build" "$work/out-head"
 
 echo "== comparing sidecars =="
 status=0
@@ -94,13 +68,11 @@ for f in $( (cd "$work/out-base" && ls BENCH_E*.json; cd "$work/out-head" && ls 
     if [ ! -f "$work/out-base/$f" ] || [ ! -f "$work/out-head/$f" ]; then
         echo "MISSING $f (present on one side only)"
         status=1
-    elif mask "$work/out-base/$f" >"$work/base.masked" &&
-         mask "$work/out-head/$f" >"$work/head.masked" &&
-         cmp -s "$work/base.masked" "$work/head.masked"; then
+    elif cmp -s "$work/out-base/$f" "$work/out-head/$f"; then
         echo "same    $f"
     else
         echo "DIFFERS $f"
-        diff "$work/base.masked" "$work/head.masked" || true
+        diff "$work/out-base/$f" "$work/out-head/$f" || true
         status=1
     fi
 done
