@@ -1,5 +1,7 @@
 #include "model/binio.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 
 namespace rafda::model {
@@ -103,7 +105,9 @@ Method read_method(ByteReader& r) {
     m.vis = static_cast<Visibility>(vis);
     m.code.max_locals = r.i32();
     std::uint32_t n = r.u32();
-    m.code.instrs.reserve(n);
+    // A corrupt count must not size the allocation: every instruction
+    // takes at least one input byte, so the input bounds the reserve.
+    m.code.instrs.reserve(std::min<std::size_t>(n, r.remaining()));
     for (std::uint32_t k = 0; k < n; ++k) m.code.instrs.push_back(read_instruction(r));
     std::uint32_t hn = r.u32();
     for (std::uint32_t k = 0; k < hn; ++k) {

@@ -28,7 +28,7 @@ Field* ClassFile::find_field(std::string_view field_name) {
 const Method* ClassFile::find_method(std::string_view method_name,
                                      std::string_view desc) const {
     for (const Method& m : methods)
-        if (m.name == method_name && m.descriptor() == desc) return &m;
+        if (m.name == method_name && m.sig.descriptor_is(desc)) return &m;
     return nullptr;
 }
 

@@ -5,18 +5,18 @@
 namespace rafda::model {
 
 int Layout::index_of(std::string_view field_name) const {
-    auto it = index_by_name.find(std::string(field_name));
+    auto it = index_by_name.find(field_name);
     if (it == index_by_name.end())
         throw VerifyError("no such field in layout: " + std::string(field_name));
     return it->second;
 }
 
 ClassFile& ClassPool::add(ClassFile cf) {
-    if (contains(cf.name)) throw VerifyError("duplicate class: " + cf.name);
-    std::string name = cf.name;
     auto owned = std::make_unique<ClassFile>(std::move(cf));
     ClassFile& ref = *owned;
-    classes_.emplace(std::move(name), std::move(owned));
+    // One map walk: try_emplace leaves `owned` untouched when the name is taken.
+    if (!classes_.try_emplace(ref.name, std::move(owned)).second)
+        throw VerifyError("duplicate class: " + ref.name);
     invalidate_caches();
     return ref;
 }
@@ -84,7 +84,7 @@ bool ClassPool::is_subtype(std::string_view sub, std::string_view super) const {
 }
 
 const Layout& ClassPool::layout_of(std::string_view name) const {
-    auto it = layouts_.find(std::string(name));
+    auto it = layouts_.find(name);
     if (it != layouts_.end()) return it->second;
 
     const ClassFile& cf = get(name);
@@ -104,7 +104,7 @@ const Layout& ClassPool::layout_of(std::string_view name) const {
 }
 
 const Layout& ClassPool::static_layout_of(std::string_view name) const {
-    auto it = static_layouts_.find(std::string(name));
+    auto it = static_layouts_.find(name);
     if (it != static_layouts_.end()) return it->second;
 
     const ClassFile& cf = get(name);
@@ -120,33 +120,31 @@ const Layout& ClassPool::static_layout_of(std::string_view name) const {
 const Method* ClassPool::resolve_virtual(std::string_view dynamic,
                                          std::string_view method_name,
                                          std::string_view desc) const {
-    for (const ClassFile* cf = find(dynamic); cf;
-         cf = cf->super_name.empty() ? nullptr : find(cf->super_name)) {
-        const Method* m = cf->find_method(method_name, desc);
-        if (m && !m->is_abstract) return m;
-    }
-    return nullptr;
+    const Method* m = nullptr;
+    const auto concrete = [&](const ClassFile& cf) {
+        m = cf.find_method(method_name, desc);
+        return m && !m->is_abstract;
+    };
+    return find_on_chain(find(dynamic), concrete) ? m : nullptr;
 }
 
 const Method* ClassPool::resolve_static(std::string_view owner,
                                         std::string_view method_name,
                                         std::string_view desc) const {
-    for (const ClassFile* cf = find(owner); cf;
-         cf = cf->super_name.empty() ? nullptr : find(cf->super_name)) {
-        const Method* m = cf->find_method(method_name, desc);
-        if (m && m->is_static) return m;
-    }
-    return nullptr;
+    const Method* m = nullptr;
+    const auto is_static = [&](const ClassFile& cf) {
+        m = cf.find_method(method_name, desc);
+        return m && m->is_static;
+    };
+    return find_on_chain(find(owner), is_static) ? m : nullptr;
 }
 
 const ClassFile* ClassPool::resolve_static_field(std::string_view owner,
                                                  std::string_view field_name) const {
-    for (const ClassFile* cf = find(owner); cf;
-         cf = cf->super_name.empty() ? nullptr : find(cf->super_name)) {
-        const Field* f = cf->find_field(field_name);
-        if (f && f->is_static) return cf;
-    }
-    return nullptr;
+    return find_on_chain(find(owner), [&](const ClassFile& cf) {
+        const Field* f = cf.find_field(field_name);
+        return f && f->is_static;
+    });
 }
 
 void ClassPool::invalidate_caches() {

@@ -14,6 +14,7 @@
 // generation() instead of subscribing to explicit invalidation events.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,6 +26,18 @@
 
 namespace rafda::model {
 
+/// Hashes std::string keys and std::string_view probes alike, so a
+/// StringMap lookup by view builds no key string.
+struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+        return std::hash<std::string_view>{}(s);
+    }
+};
+
+template <typename V>
+using StringMap = std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
+
 /// Layout of the instance fields of a class, superclass fields first.
 struct FieldSlot {
     std::string name;
@@ -34,7 +47,7 @@ struct FieldSlot {
 
 struct Layout {
     std::vector<FieldSlot> slots;
-    std::unordered_map<std::string, int> index_by_name;
+    StringMap<int> index_by_name;
 
     int index_of(std::string_view field_name) const;
     int size() const noexcept { return static_cast<int>(slots.size()); }
@@ -96,6 +109,19 @@ public:
     const ClassFile* resolve_static_field(std::string_view owner,
                                           std::string_view field_name) const;
 
+    /// The first class up the superclass chain from `start` (included)
+    /// that `pred` accepts, or nullptr.  A chain longer than the pool
+    /// repeats a class — the hierarchy is cyclic, which verify_pool
+    /// reports — so the walk stops there and lookups on such a pool end.
+    template <typename Pred>
+    const ClassFile* find_on_chain(const ClassFile* start, Pred pred) const {
+        for (std::size_t steps = 0; start && steps <= classes_.size(); ++steps) {
+            if (pred(*start)) return start;
+            start = start->super_name.empty() ? nullptr : find(start->super_name);
+        }
+        return nullptr;
+    }
+
     /// Call after externally mutating a class file's fields/hierarchy.
     /// Drops the memoized layouts and bumps generation().  add/remove and
     /// the mutable accessors call this themselves.
@@ -110,8 +136,8 @@ public:
 private:
     std::map<std::string, std::unique_ptr<ClassFile>, std::less<>> classes_;
     std::uint64_t generation_ = 1;
-    mutable std::unordered_map<std::string, Layout> layouts_;
-    mutable std::unordered_map<std::string, Layout> static_layouts_;
+    mutable StringMap<Layout> layouts_;
+    mutable StringMap<Layout> static_layouts_;
 };
 
 }  // namespace rafda::model

@@ -14,6 +14,7 @@
 // the "special classes" bucket.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +25,14 @@ enum class Kind : std::uint8_t { Void, Bool, Int, Long, Double, Str, Ref, Arr };
 
 /// Returns a human-readable name ("int", "ref", ...) for diagnostics.
 std::string_view kind_name(Kind k);
+
+/// The innermost element of a (possibly nested) array type, or the type
+/// itself when it is no array.  The view points into the descriptor or
+/// TypeDesc it was read from.
+struct BaseType {
+    Kind kind = Kind::Void;       // never Kind::Arr
+    std::string_view class_name;  // the referenced class when kind is Ref
+};
 
 /// A single value type: a primitive kind or a reference to a named class.
 class TypeDesc {
@@ -58,9 +67,20 @@ public:
 
     /// Serialises to descriptor syntax, e.g. "I" or "LY;".
     std::string descriptor() const;
+    /// descriptor().size(), without building the string.
+    std::size_t descriptor_size() const noexcept;
+    /// descriptor() == desc, compared in place.
+    bool descriptor_is(std::string_view desc) const noexcept;
+
+    /// The innermost element type, read in place; throws ParseError where
+    /// repeated element() calls would.
+    BaseType base() const;
 
     /// Parses one descriptor; throws ParseError on malformed input.
     static TypeDesc parse(std::string_view desc);
+    /// base() of parse(desc), without building a TypeDesc; throws the
+    /// ParseError parse() throws on malformed input.
+    static BaseType base_of(std::string_view desc);
 
     bool operator==(const TypeDesc& other) const = default;
 
@@ -69,6 +89,12 @@ private:
     /// For Ref: the class name.  For Arr: the element's descriptor string
     /// (kept as a string so the type stays a simple value).
     std::string class_name_;
+};
+
+/// What a call does to the operand stack, read from a method descriptor.
+struct MethodShape {
+    std::size_t params = 0;
+    bool returns_value = false;
 };
 
 /// A method signature: parameter types and return type.
@@ -83,9 +109,14 @@ public:
 
     /// Serialises to "(...)R" descriptor syntax.
     std::string descriptor() const;
+    /// descriptor() == desc, compared in place.
+    bool descriptor_is(std::string_view desc) const noexcept;
 
     /// Parses "(...)R"; throws ParseError on malformed input.
     static MethodSig parse(std::string_view desc);
+    /// Parameter count and return kind of parse(desc), without building a
+    /// MethodSig; throws the ParseError parse() throws on malformed input.
+    static MethodShape shape_of(std::string_view desc);
 
     bool operator==(const MethodSig& other) const = default;
 

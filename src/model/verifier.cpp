@@ -1,8 +1,7 @@
 #include "model/verifier.hpp"
 
+#include <algorithm>
 #include <iterator>
-#include <optional>
-#include <set>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -11,6 +10,35 @@
 namespace rafda::model {
 
 namespace {
+
+/// One thread's working storage, reused from class to class: once the
+/// buffers have grown to the largest class seen, a clean class verifies
+/// without touching the heap.  The initial capacities cover typical
+/// classes, so how a thread pool happens to spread the classes over its
+/// threads rarely decides which thread grows a buffer.
+struct Scratch {
+    std::vector<const ClassFile*> work;      // type-graph walk stack
+    std::vector<const ClassFile*> visited;   // classes a walk entered; graphs are small
+    std::vector<int> depth_at;               // stack depth per pc, -1 = unvisited
+    std::vector<std::pair<int, int>> paths;  // (pc, depth) still to explore
+
+    Scratch() {
+        work.reserve(64);
+        visited.reserve(64);
+        depth_at.reserve(256);
+        paths.reserve(64);
+    }
+};
+
+Scratch& scratch() {
+    thread_local Scratch s;
+    return s;
+}
+
+/// "Cls.method(desc)", the location of a problem inside a method body.
+std::string code_site(const ClassFile& cf, const Method& m) {
+    return cf.name + "." + m.name + m.descriptor();
+}
 
 class Verifier {
 public:
@@ -29,6 +57,8 @@ public:
     }
 
 private:
+    // Every problem string — location and message — is built only once the
+    // problem is found, so a clean pool builds none.
     void problem(const std::string& where, const std::string& what) {
         problems_.push_back(where + ": " + what);
     }
@@ -55,6 +85,38 @@ private:
             problem(cf.name, "interfaces cannot declare fields");
     }
 
+    const ClassFile* super_of(const ClassFile& cf) const {
+        return cf.super_name.empty() ? nullptr : pool_.find(cf.super_name);
+    }
+
+    void push_supertypes(const ClassFile& cf, std::vector<const ClassFile*>& work) const {
+        if (const ClassFile* s = super_of(cf)) work.push_back(s);
+        for (const std::string& i : cf.interfaces)
+            if (const ClassFile* icf = pool_.find(i)) work.push_back(icf);
+    }
+
+    /// Depth-first walk up the superclass chain and interface graph from
+    /// `from` (itself included or not), entering each class once: returns
+    /// true at the first class `stop` accepts.  Names that resolve to no
+    /// class are skipped, as are cycles.
+    template <typename Stop>
+    bool walk_up(const ClassFile& from, bool include_from, Stop stop) const {
+        Scratch& s = scratch();
+        s.work.clear();
+        s.visited.clear();
+        if (include_from) s.work.push_back(&from);
+        else push_supertypes(from, s.work);
+        while (!s.work.empty()) {
+            const ClassFile* c = s.work.back();
+            s.work.pop_back();
+            if (std::find(s.visited.begin(), s.visited.end(), c) != s.visited.end()) continue;
+            s.visited.push_back(c);
+            if (stop(*c)) return true;
+            push_supertypes(*c, s.work);
+        }
+        return false;
+    }
+
     void check_hierarchy(const ClassFile& cf) {
         if (!cf.super_name.empty()) {
             const ClassFile* super = pool_.find(cf.super_name);
@@ -69,48 +131,35 @@ private:
                 problem(cf.name, "implements non-interface " + i);
         }
         // Cycle check along the superclass chain and interface graph.
-        std::set<std::string> seen;
-        std::vector<std::string> work{cf.name};
-        bool first = true;
-        while (!work.empty()) {
-            std::string cur = std::move(work.back());
-            work.pop_back();
-            if (!first && cur == cf.name) {
-                problem(cf.name, "inheritance cycle");
-                return;
-            }
-            first = false;
-            if (!seen.insert(cur).second) continue;
-            const ClassFile* c = pool_.find(cur);
-            if (!c) continue;
-            if (!c->super_name.empty()) work.push_back(c->super_name);
-            for (const std::string& i : c->interfaces) work.push_back(i);
-        }
+        if (walk_up(cf, false, [&](const ClassFile& c) { return &c == &cf; }))
+            problem(cf.name, "inheritance cycle");
     }
 
-    /// For arrays, the innermost element type; identity otherwise.
-    static TypeDesc base_type(const TypeDesc& t) {
-        TypeDesc base = t;
-        while (base.is_array()) base = base.element();
-        return base;
+    /// True if one of members[0, i) satisfies `same`.
+    template <typename Member, typename Same>
+    static bool declared_before(const std::vector<Member>& members, std::size_t i, Same same) {
+        return std::any_of(members.begin(), members.begin() + static_cast<std::ptrdiff_t>(i),
+                           same);
     }
 
     void check_members(const ClassFile& cf) {
-        std::set<std::string> field_names;
-        for (const Field& f : cf.fields) {
-            if (!field_names.insert(f.name).second)
+        for (std::size_t i = 0; i < cf.fields.size(); ++i) {
+            const Field& f = cf.fields[i];
+            if (declared_before(cf.fields, i, [&](const Field& g) { return g.name == f.name; }))
                 problem(cf.name, "duplicate field " + f.name);
             if (f.type.is_void()) problem(cf.name + "." + f.name, "void field");
-            TypeDesc base = base_type(f.type);
-            if (base.is_ref() && !pool_.contains(base.class_name()))
+            const BaseType base = f.type.base();
+            if (base.kind == Kind::Ref && !pool_.contains(base.class_name))
                 problem(cf.name + "." + f.name,
-                        "field type names unknown class " + base.class_name());
+                        "field type names unknown class " + std::string(base.class_name));
         }
-        std::set<std::string> method_keys;
-        for (const Method& m : cf.methods) {
-            if (!method_keys.insert(m.name + m.descriptor()).second)
+        for (std::size_t i = 0; i < cf.methods.size(); ++i) {
+            const Method& m = cf.methods[i];
+            if (declared_before(cf.methods, i, [&](const Method& g) {
+                    return g.name == m.name && g.sig == m.sig;
+                }))
                 problem(cf.name, "duplicate method " + m.name + m.descriptor());
-            check_sig_types(cf.name + "." + m.name, m.sig);
+            check_sig_types(cf, m);
             if (m.is_ctor() && m.is_static)
                 problem(cf.name + "." + m.name, "static constructor");
             if (m.is_clinit() && !m.is_static)
@@ -118,84 +167,83 @@ private:
         }
     }
 
-    void check_sig_types(const std::string& where, const MethodSig& sig) {
-        for (const TypeDesc& p : sig.params()) {
-            TypeDesc base = base_type(p);
-            if (base.is_ref() && !pool_.contains(base.class_name()))
-                problem(where, "parameter names unknown class " + base.class_name());
+    void check_sig_types(const ClassFile& cf, const Method& m) {
+        for (const TypeDesc& p : m.sig.params()) {
+            const BaseType base = p.base();
+            if (base.kind == Kind::Ref && !pool_.contains(base.class_name))
+                problem(cf.name + "." + m.name,
+                        "parameter names unknown class " + std::string(base.class_name));
         }
-        TypeDesc ret_base = base_type(sig.ret());
-        if (ret_base.is_ref() && !pool_.contains(ret_base.class_name()))
-            problem(where, "return type names unknown class " + ret_base.class_name());
+        const BaseType ret = m.sig.ret().base();
+        if (ret.kind == Kind::Ref && !pool_.contains(ret.class_name))
+            problem(cf.name + "." + m.name,
+                    "return type names unknown class " + std::string(ret.class_name));
     }
 
     /// True if `cf` (a class) has an unimplemented abstract method anywhere
-    /// in its superclass chain or interfaces.
-    bool has_unimplemented_abstract(const ClassFile& cf) {
-        // Collect all (name, desc) required by interfaces and abstract
-        // declarations, then check each resolves to a concrete method.
-        std::set<std::pair<std::string, std::string>> required;
-        std::set<std::string> visited;
-        std::vector<std::string> work{cf.name};
-        while (!work.empty()) {
-            std::string cur = std::move(work.back());
-            work.pop_back();
-            if (!visited.insert(cur).second) continue;
-            const ClassFile* c = pool_.find(cur);
-            if (!c) continue;
-            for (const Method& m : c->methods)
-                if (m.is_abstract) required.insert({m.name, m.descriptor()});
-            if (!c->super_name.empty()) work.push_back(c->super_name);
-            for (const std::string& i : c->interfaces) work.push_back(i);
-        }
-        for (const auto& [name, desc] : required)
-            if (!pool_.resolve_virtual(cf.name, name, desc)) return true;
-        return false;
+    /// in its superclass chain or interfaces: some abstract declaration
+    /// there resolves to no concrete method along `cf`'s superclass chain.
+    bool has_unimplemented_abstract(const ClassFile& cf) const {
+        return walk_up(cf, true, [&](const ClassFile& c) {
+            for (const Method& m : c.methods)
+                if (m.is_abstract && !implements(cf, m)) return true;
+            return false;
+        });
+    }
+
+    /// True if ClassPool::resolve_virtual would find a concrete `decl` on
+    /// `cf`: the first method with its name and signature is concrete on
+    /// some class up the superclass chain.  Signatures are compared in place.
+    bool implements(const ClassFile& cf, const Method& decl) const {
+        return pool_.find_on_chain(&cf, [&](const ClassFile& c) {
+            const auto m = std::find_if(c.methods.begin(), c.methods.end(), [&](const Method& x) {
+                return x.name == decl.name && x.sig == decl.sig;
+            });
+            return m != c.methods.end() && !m->is_abstract;
+        }) != nullptr;
     }
 
     void check_code(const ClassFile& cf, const Method& m) {
-        const std::string where = cf.name + "." + m.name + m.descriptor();
         const Code& code = m.code;
         const int n = static_cast<int>(code.instrs.size());
         if (n == 0) {
-            problem(where, "empty body");
+            problem(code_site(cf, m), "empty body");
             return;
         }
         // Terminal instruction: last instruction must not fall off the end.
         const Op last = code.instrs[n - 1].op;
         if (last != Op::Return && last != Op::ReturnValue && last != Op::Goto &&
             last != Op::Throw)
-            problem(where, "control can fall off the end of the code");
+            problem(code_site(cf, m), "control can fall off the end of the code");
 
         for (int pc = 0; pc < n; ++pc) {
             const Instruction& i = code.instrs[pc];
             if (is_branch(i.op) && (i.a < 0 || i.a >= n))
-                problem(where, "branch target out of range at pc " + std::to_string(pc));
+                problem(code_site(cf, m),
+                        "branch target out of range at pc " + std::to_string(pc));
             if ((i.op == Op::Load || i.op == Op::Store) &&
                 (i.a < 0 || i.a >= code.max_locals))
-                problem(where, "slot out of range at pc " + std::to_string(pc));
-            check_symbols(where, i, pc);
+                problem(code_site(cf, m), "slot out of range at pc " + std::to_string(pc));
+            check_symbols(cf, m, i, pc);
         }
         for (const Handler& h : code.handlers) {
             if (h.start < 0 || h.end > n || h.start >= h.end || h.target < 0 ||
                 h.target >= n)
-                problem(where, "handler range invalid");
+                problem(code_site(cf, m), "handler range invalid");
             if (!pool_.contains(h.class_name))
-                problem(where, "handler names unknown class " + h.class_name);
+                problem(code_site(cf, m), "handler names unknown class " + h.class_name);
         }
-        check_stack(where, m);
+        check_stack(cf, m);
     }
 
-    void check_symbols(const std::string& where, const Instruction& i, int pc) {
-        auto at = [&] { return where + " at pc " + std::to_string(pc); };
+    void check_symbols(const ClassFile& cf, const Method& m, const Instruction& i, int pc) {
+        auto at = [&] { return code_site(cf, m) + " at pc " + std::to_string(pc); };
         switch (i.op) {
             case Op::NewArray: {
-                model::TypeDesc elem = model::TypeDesc::parse(i.desc);
-                model::TypeDesc base = elem;
-                while (base.is_array()) base = base.element();
-                if (base.is_ref() && !pool_.contains(base.class_name()))
-                    problem(at(), "array of unknown class " + base.class_name());
-                if (base.is_void()) problem(at(), "array of void");
+                const BaseType base = TypeDesc::base_of(i.desc);
+                if (base.kind == Kind::Ref && !pool_.contains(base.class_name))
+                    problem(at(), "array of unknown class " + std::string(base.class_name));
+                if (base.kind == Kind::Void) problem(at(), "array of void");
                 break;
             }
             case Op::New: {
@@ -217,19 +265,16 @@ private:
                     break;
                 }
                 // The field may be declared on a superclass.
-                bool found = false;
-                for (const ClassFile* cur = c; cur;
-                     cur = cur->super_name.empty() ? nullptr : pool_.find(cur->super_name)) {
-                    const Field* f = cur->find_field(i.member);
-                    if (f) {
-                        found = true;
-                        if (f->is_static) problem(at(), "instance field op on static field");
-                        if (f->type.descriptor() != i.desc)
-                            problem(at(), "field descriptor mismatch for " + i.member);
-                        break;
-                    }
+                const Field* f = nullptr;
+                if (!pool_.find_on_chain(c, [&](const ClassFile& cur) {
+                        return (f = cur.find_field(i.member)) != nullptr;
+                    })) {
+                    problem(at(), "no field " + i.member + " on " + i.owner);
+                    break;
                 }
-                if (!found) problem(at(), "no field " + i.member + " on " + i.owner);
+                if (f->is_static) problem(at(), "instance field op on static field");
+                if (!f->type.descriptor_is(i.desc))
+                    problem(at(), "field descriptor mismatch for " + i.member);
                 break;
             }
             case Op::GetStatic:
@@ -240,7 +285,7 @@ private:
                     break;
                 }
                 const Field* f = declaring->find_field(i.member);
-                if (f->type.descriptor() != i.desc)
+                if (!f->type.descriptor_is(i.desc))
                     problem(at(), "static field descriptor mismatch for " + i.member);
                 break;
             }
@@ -279,26 +324,16 @@ private:
         }
     }
 
-    /// Looks up a method declaration anywhere in the type graph above `cf`.
-    const Method* find_declared(const ClassFile& cf, std::string_view name,
-                                std::string_view desc) {
-        std::set<std::string> visited;
-        std::vector<const ClassFile*> work{&cf};
-        while (!work.empty()) {
-            const ClassFile* c = work.back();
-            work.pop_back();
-            if (!visited.insert(c->name).second) continue;
-            if (const Method* m = c->find_method(name, desc)) return m;
-            if (!c->super_name.empty())
-                if (const ClassFile* s = pool_.find(c->super_name)) work.push_back(s);
-            for (const std::string& i : c->interfaces)
-                if (const ClassFile* icf = pool_.find(i)) work.push_back(icf);
-        }
-        return nullptr;
+    /// True if a method `name`+`desc` is declared anywhere in the type
+    /// graph above `cf` (itself included).
+    bool find_declared(const ClassFile& cf, std::string_view name, std::string_view desc) const {
+        return walk_up(cf, true, [&](const ClassFile& c) {
+            return c.find_method(name, desc) != nullptr;
+        });
     }
 
     /// Net stack effect and minimum required depth of one instruction.
-    std::pair<int, int> stack_effect(const Instruction& i) {
+    static std::pair<int, int> stack_effect(const Instruction& i) {
         switch (i.op) {
             case Op::Nop: return {0, 0};
             case Op::Const: return {+1, 0};
@@ -336,10 +371,10 @@ private:
             case Op::InvokeInterface:
             case Op::InvokeStatic:
             case Op::InvokeSpecial: {
-                MethodSig sig = MethodSig::parse(i.desc);
-                int pops = static_cast<int>(sig.params().size()) +
-                           (i.op == Op::InvokeStatic ? 0 : 1);
-                int pushes = sig.ret().is_void() ? 0 : 1;
+                const MethodShape shape = MethodSig::shape_of(i.desc);
+                const int pops =
+                    static_cast<int>(shape.params) + (i.op == Op::InvokeStatic ? 0 : 1);
+                const int pushes = shape.returns_value ? 1 : 0;
                 return {pushes - pops, pops};
             }
             case Op::Return: return {0, 0};
@@ -353,31 +388,36 @@ private:
         return {0, 0};
     }
 
-    void check_stack(const std::string& where, const Method& m) {
+    /// Stack-depth dataflow over the method body.  Only pcs in [0, n) are
+    /// followed: a branch or handler target outside the code was already
+    /// reported by check_code and ends that path here.
+    void check_stack(const ClassFile& cf, const Method& m) {
         const Code& code = m.code;
         const int n = static_cast<int>(code.instrs.size());
-        std::vector<int> depth_at(n, -1);  // -1 = unvisited
-        std::vector<std::pair<int, int>> work;  // (pc, depth)
-        work.push_back({0, 0});
+        Scratch& s = scratch();
+        s.depth_at.assign(static_cast<std::size_t>(n), -1);
+        s.paths.clear();
+        s.paths.push_back({0, 0});
         for (const Handler& h : code.handlers)
-            work.push_back({h.target, 1});  // thrown object on the stack
+            s.paths.push_back({h.target, 1});  // thrown object on the stack
 
-        while (!work.empty()) {
-            auto [pc, depth] = work.back();
-            work.pop_back();
-            while (pc < n) {
-                if (depth_at[pc] != -1) {
-                    if (depth_at[pc] != depth) {
-                        problem(where, "inconsistent stack depth at pc " + std::to_string(pc));
+        while (!s.paths.empty()) {
+            auto [pc, depth] = s.paths.back();
+            s.paths.pop_back();
+            while (pc >= 0 && pc < n) {
+                if (s.depth_at[pc] != -1) {
+                    if (s.depth_at[pc] != depth) {
+                        problem(code_site(cf, m),
+                                "inconsistent stack depth at pc " + std::to_string(pc));
                         return;
                     }
                     break;  // already explored from here
                 }
-                depth_at[pc] = depth;
+                s.depth_at[pc] = depth;
                 const Instruction& i = code.instrs[pc];
                 auto [net, need] = stack_effect(i);
                 if (depth < need) {
-                    problem(where,
+                    problem(code_site(cf, m),
                             "stack underflow at pc " + std::to_string(pc) + " (" +
                                 std::string(op_name(i.op)) + ")");
                     return;
@@ -388,7 +428,7 @@ private:
                     pc = i.a;
                     continue;
                 }
-                if (i.op == Op::IfTrue || i.op == Op::IfFalse) work.push_back({i.a, depth});
+                if (i.op == Op::IfTrue || i.op == Op::IfFalse) s.paths.push_back({i.a, depth});
                 ++pc;
             }
         }

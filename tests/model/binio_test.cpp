@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <iostream>
+
 #include "corpus/program_gen.hpp"
 #include "model/assembler.hpp"
 #include "model/printer.hpp"
 #include "model/verifier.hpp"
 #include "support/error.hpp"
+#include "support/thread_pool.hpp"
 #include "transform/pipeline.hpp"
 
 namespace rafda::model {
@@ -109,6 +112,53 @@ TEST(BinIo, EmptyPool) {
     ClassPool pool;
     ClassPool loaded = load_pool(save_pool(pool));
     EXPECT_EQ(loaded.size(), 0u);
+}
+
+TEST(BinIoFuzz, ByteFlipsEndInProblemsOrATypedError) {
+    // A .rirb file is untrusted input: seeded byte flips in a transformed
+    // program's bytes must end in a problem list (possibly empty) or in a
+    // CodecError/ParseError/VerifyError from loading or verifying — never
+    // in a crash, a hang or another exception.  Under the sanitize preset
+    // this also proves no out-of-bounds access or UB on the way.
+    corpus::ProgramParams params;
+    params.classes = 4;
+    params.use_arrays = true;
+    const transform::PipelineResult result =
+        transform::run_pipeline(corpus::generate_program(params));
+    const Bytes good = save_pool(result.pool);
+    support::ThreadPool workers(2);
+
+    std::uint64_t lcg = 0x2545F4914F6CDD1Dull;  // deterministic, seedless
+    auto next = [&lcg] {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return lcg >> 16;
+    };
+    int codec = 0, parse = 0, verify = 0, problems = 0, clean = 0;
+    for (int trial = 0; trial < 1500; ++trial) {
+        Bytes bad = good;
+        const int flips = 1 + static_cast<int>(next() % 3);
+        for (int f = 0; f < flips; ++f)
+            bad[next() % bad.size()] ^= static_cast<std::uint8_t>(1 + next() % 255);
+        try {
+            const ClassPool pool = load_pool(bad);
+            const std::vector<std::string> found =
+                verify_pool_collect(pool, trial % 2 ? &workers : nullptr);
+            ++(found.empty() ? clean : problems);
+        } catch (const CodecError&) {
+            ++codec;
+        } catch (const ParseError&) {
+            ++parse;
+        } catch (const VerifyError&) {
+            ++verify;
+        }
+    }
+    // The flips reach the verifier, not only the loader's checks.
+    EXPECT_GT(codec, 0);
+    EXPECT_GT(parse, 0);
+    EXPECT_GT(problems, 0);
+    EXPECT_GT(clean, 0);
+    std::cout << "codec " << codec << ", parse " << parse << ", verify " << verify
+              << ", problems " << problems << ", clean " << clean << "\n";
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "support/error.hpp"
 
 namespace rafda::model {
@@ -75,6 +79,81 @@ TEST(MethodSig, RejectsMalformed) {
 TEST(MethodSig, Equality) {
     EXPECT_EQ(MethodSig::parse("(I)V"), MethodSig::parse("(I)V"));
     EXPECT_NE(MethodSig::parse("(I)V"), MethodSig::parse("(J)V"));
+}
+
+/// Well-formed and malformed descriptor text alike, for the in-place
+/// readers that must agree with parse() on every input.
+const std::vector<std::string> kTypeTexts = {
+    "V",  "Z",     "I",      "J",    "D",         "S",     "LX;",   "LLong.Name_O_Proxy_RMI;",
+    "L;", "[I",    "[[LX;",  "[[[S", "[LA;",      "",      "Q",     "LX",
+    "[",  "[V",    "[[V",    "II",   "LX;I",      "LA;B;", "[LX;;", "X;",
+    "()V", "(I)V", "(JLY;)I", "([LX;[[I)[S", "(LA;LB;)LC;", "()", "(I", "I)V",
+    "(V)V", "()VV", "(LB)V", "([V)V", "(Q)I", "(", ")V", "(II)LX",
+};
+
+TEST(TypeDesc, InPlaceReadersAgreeWithParse) {
+    for (const std::string& text : kTypeTexts) {
+        std::optional<TypeDesc> parsed;
+        std::string error;
+        try {
+            parsed = TypeDesc::parse(text);
+        } catch (const ParseError& e) {
+            error = e.what();
+        }
+        if (!parsed) {
+            try {
+                TypeDesc::base_of(text);
+                ADD_FAILURE() << "base_of accepted " << text;
+            } catch (const ParseError& e) {
+                EXPECT_EQ(std::string(e.what()), error) << text;
+            }
+            continue;
+        }
+        TypeDesc base = *parsed;
+        while (base.is_array()) base = base.element();
+        for (const BaseType b : {TypeDesc::base_of(text), parsed->base()}) {
+            EXPECT_EQ(b.kind, base.kind()) << text;
+            EXPECT_EQ(b.class_name, base.is_ref() ? base.class_name() : "") << text;
+        }
+        EXPECT_EQ(parsed->descriptor_size(), parsed->descriptor().size()) << text;
+        for (const std::string& other : kTypeTexts)
+            EXPECT_EQ(parsed->descriptor_is(other), parsed->descriptor() == other)
+                << text << " vs " << other;
+    }
+}
+
+TEST(MethodSig, InPlaceReadersAgreeWithParse) {
+    for (const std::string& text : kTypeTexts) {
+        std::optional<MethodSig> parsed;
+        std::string error;
+        try {
+            parsed = MethodSig::parse(text);
+        } catch (const ParseError& e) {
+            error = e.what();
+        }
+        if (!parsed) {
+            try {
+                MethodSig::shape_of(text);
+                ADD_FAILURE() << "shape_of accepted " << text;
+            } catch (const ParseError& e) {
+                EXPECT_EQ(std::string(e.what()), error) << text;
+            }
+            continue;
+        }
+        const MethodShape shape = MethodSig::shape_of(text);
+        EXPECT_EQ(shape.params, parsed->params().size()) << text;
+        EXPECT_EQ(shape.returns_value, !parsed->ret().is_void()) << text;
+        for (const std::string& other : kTypeTexts)
+            EXPECT_EQ(parsed->descriptor_is(other), parsed->descriptor() == other)
+                << text << " vs " << other;
+    }
+    // A signature built from parts compares like its concatenated text.
+    const MethodSig sig({TypeDesc::array(TypeDesc::ref("A")), TypeDesc::int_()},
+                        TypeDesc::ref("B"));
+    EXPECT_TRUE(sig.descriptor_is("([LA;I)LB;"));
+    EXPECT_FALSE(sig.descriptor_is("([LA;I)LB"));
+    EXPECT_FALSE(sig.descriptor_is("([LA;J)LB;"));
+    EXPECT_FALSE(sig.descriptor_is("([LA;I)LB;V"));
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ PYEOF
     ;;
 esac
 
-# WAL-replay fuzz smoke (gating when the sanitize preset ran): the torn-tail
+# Fuzz smokes (gating when the sanitize preset ran).  WAL replay: the torn-tail
 # sweep and the bit-flip fuzz replay adversarial byte streams through the
 # frame decoder — exactly the code that parses untrusted durable state on
 # recovery — and the CRC sweeps run the slicing-by-8 kernel's word loads
@@ -152,5 +152,13 @@ case " $presets " in
     echo "== WAL replay fuzz smoke (sanitize) =="
     build-sanitize/tests/runtime/wal_test \
         --gtest_filter='Wal.TornTail*:Wal.BitFlip*:Wal.Crc*'
+    # RIRB/verifier fuzz smoke: seeded byte flips in a transformed pool's
+    # .rirb bytes go through load_pool and verify_pool_collect (the path a
+    # corrupt artefact takes), plus the hand-built negative branch/handler
+    # targets and cyclic-hierarchy lookups, all under ASan+UBSan.
+    echo "== RIRB/verifier fuzz smoke (sanitize) =="
+    build-sanitize/tests/model/binio_test --gtest_filter='BinIoFuzz.*'
+    build-sanitize/tests/model/verifier_test \
+        --gtest_filter='Verifier.Negative*:Verifier.LookupsOnACyclicHierarchyEnd'
     ;;
 esac
