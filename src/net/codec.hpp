@@ -4,9 +4,11 @@
 // the interface for a class provide alternative remote versions, e.g.
 // SOAP-based, RMI-based, CORBA-based").  The shipped codecs are:
 //   RMIB  — compact length-prefixed binary (the RMI stand-in)
+//   CORBX — GIOP-style header and 4-byte-aligned CDR body (the CORBA
+//           stand-in); it shares RMIB's call body (net/binary_body.hpp)
 //   SOAPX — verbose XML-style text (the SOAP stand-in)
-// Both carry exactly the same message model; they differ in encoding cost
-// and wire size, which is what experiment E5 measures.
+// All three carry exactly the same message model; they differ in encoding
+// cost and wire size, which is what experiment E5 measures.
 //
 // Encoding is zero-copy: the `*_into` methods append the framed message to
 // a caller-supplied ByteWriter, which in the RPC path borrows a frame from

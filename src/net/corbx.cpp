@@ -1,5 +1,6 @@
 #include "net/corbx.hpp"
 
+#include "net/binary_body.hpp"
 #include "support/error.hpp"
 
 namespace rafda::net {
@@ -16,6 +17,7 @@ constexpr std::uint8_t kTypeReply = 1;
 // traffic — and the fault-free wire sizes in EXPERIMENTS.md E5 — is
 // byte-identical to the original framing.
 constexpr std::uint8_t kFlagReliable = 0x01;
+constexpr const char* kWho = "corbx";
 
 /// CDR-style writer: pads to 4-byte alignment before multi-byte values.
 /// Wraps the caller's ByteWriter (in the RPC path a pooled frame) and
@@ -96,45 +98,6 @@ private:
     std::size_t consumed_ = 0;
 };
 
-void write_value(CdrWriter& w, const MarshalledValue& v) {
-    w.u8(static_cast<std::uint8_t>(v.tag));
-    switch (v.tag) {
-        case ValueTag::Null: break;
-        case ValueTag::Bool: w.u8(v.b ? 1 : 0); break;
-        case ValueTag::Int: w.i32(v.i); break;
-        case ValueTag::Long: w.i64(v.j); break;
-        case ValueTag::Double: w.f64(v.d); break;
-        case ValueTag::Str: w.str(v.s); break;
-        case ValueTag::Ref:
-            w.i32(v.ref_node);
-            w.u64(v.ref_oid);
-            w.str(v.ref_class);
-            break;
-    }
-}
-
-MarshalledValue read_value(CdrReader& r) {
-    MarshalledValue v;
-    std::uint8_t tag = r.u8();
-    if (tag > static_cast<std::uint8_t>(ValueTag::Ref))
-        throw CodecError("corbx: bad value tag");
-    v.tag = static_cast<ValueTag>(tag);
-    switch (v.tag) {
-        case ValueTag::Null: break;
-        case ValueTag::Bool: v.b = r.u8() != 0; break;
-        case ValueTag::Int: v.i = r.i32(); break;
-        case ValueTag::Long: v.j = r.i64(); break;
-        case ValueTag::Double: v.d = r.f64(); break;
-        case ValueTag::Str: v.s = r.str(); break;
-        case ValueTag::Ref:
-            v.ref_node = r.i32();
-            v.ref_oid = r.u64();
-            v.ref_class = r.str();
-            break;
-    }
-    return v;
-}
-
 void write_header(CdrWriter& w, std::uint8_t type, std::uint8_t flags = 0) {
     for (char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
     w.u8(kVersionMajor);
@@ -166,74 +129,31 @@ void CorbxCodec::encode_request_into(const CallRequest& req, ByteWriter& out) co
     CdrWriter w(out);
     const bool reliable = req.attempt != 0 || req.deadline_us != 0;
     write_header(w, kTypeRequest, reliable ? kFlagReliable : 0);
-    if (reliable) {
-        w.u32(req.attempt);
-        w.u64(req.deadline_us);
-    }
-    w.u8(static_cast<std::uint8_t>(req.kind));
-    w.u64(req.request_id);
-    w.u64(req.trace_id);
-    w.u64(req.parent_span);
-    w.i32(req.src_node);
-    w.u64(req.target_oid);
-    w.str(req.cls);
-    w.str(req.method);
-    w.str(req.desc);
-    w.u32(static_cast<std::uint32_t>(req.args.size()));
-    for (const MarshalledValue& a : req.args) write_value(w, a);
+    if (reliable) binary::write_reliability(w, req);
+    binary::write_request(w, req);
 }
 
 CallRequest CorbxCodec::decode_request(const Bytes& data) const {
     CdrReader r(data);
     const std::uint8_t flags = read_header(r, kTypeRequest);
     CallRequest req;
-    if (flags & kFlagReliable) {
-        req.attempt = r.u32();
-        req.deadline_us = r.u64();
-    }
-    std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(RequestKind::Discover))
-        throw CodecError("corbx: bad request kind");
-    req.kind = static_cast<RequestKind>(kind);
-    req.request_id = r.u64();
-    req.trace_id = r.u64();
-    req.parent_span = r.u64();
-    req.src_node = r.i32();
-    req.target_oid = r.u64();
-    req.cls = r.str();
-    req.method = r.str();
-    req.desc = r.str();
-    std::uint32_t n = r.u32();
-    req.args.reserve(n);
-    for (std::uint32_t k = 0; k < n; ++k) req.args.push_back(read_value(r));
+    if (flags & kFlagReliable) binary::read_reliability(r, req);
+    binary::read_request(r, req, kWho);
+    if (!r.at_end()) throw CodecError("corbx: trailing bytes in request");
     return req;
 }
 
 void CorbxCodec::encode_reply_into(const CallReply& reply, ByteWriter& out) const {
     CdrWriter w(out);
     write_header(w, kTypeReply);
-    w.u64(reply.request_id);
-    w.u8(reply.is_fault ? 1 : 0);
-    if (reply.is_fault) {
-        w.str(reply.fault_class);
-        w.str(reply.fault_msg);
-    } else {
-        write_value(w, reply.result);
-    }
+    binary::write_reply(w, reply);
 }
 
 CallReply CorbxCodec::decode_reply(const Bytes& data) const {
     CdrReader r(data);
     read_header(r, kTypeReply);
-    CallReply reply;
-    reply.request_id = r.u64();
-    reply.is_fault = r.u8() != 0;
-    if (reply.is_fault) {
-        reply.fault_class = r.str();
-        reply.fault_msg = r.str();
-    } else {
-        reply.result = read_value(r);
-    }
+    CallReply reply = binary::read_reply(r, kWho);
+    if (!r.at_end()) throw CodecError("corbx: trailing bytes in reply");
     return reply;
 }
 

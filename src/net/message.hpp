@@ -50,12 +50,13 @@ struct CallRequest {
     // Trace context (see src/obs/trace.hpp): the caller's trace id and the
     // span the request was issued under, so the remote dispatch nests under
     // the proxy invocation that caused it — across forwarding chains too.
-    // Zero means "not traced"; codecs always carry both.
+    // Zero means "not traced".  The context travels host-side (RpcPath sets
+    // it on the decoded request), so every codec's copy on the wire is zero.
     std::uint64_t trace_id = 0;
     std::uint64_t parent_span = 0;
     // Event-sequencing metadata (simulation bookkeeping, NOT wire data):
     // the sender's virtual clock when the request was handed to the link
-    // and the arrival time the network computed for it.  System::rpc
+    // and the arrival time the network computed for it.  RpcPath::rpc
     // threads these through the request so server-side dispatch and codec
     // work are charged on the destination node's clock; codecs ignore
     // both, so wire sizes are unaffected.

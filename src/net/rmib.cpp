@@ -1,5 +1,6 @@
 #include "net/rmib.hpp"
 
+#include "net/binary_body.hpp"
 #include "support/error.hpp"
 
 namespace rafda::net {
@@ -24,69 +25,7 @@ constexpr std::uint8_t kMagicBatchEntry = 0xA4;
 constexpr std::uint8_t kEntryFlagReliable = 0x01;
 constexpr std::uint8_t kEntryFlagTraced = 0x02;
 
-void write_value(ByteWriter& w, const MarshalledValue& v) {
-    w.u8(static_cast<std::uint8_t>(v.tag));
-    switch (v.tag) {
-        case ValueTag::Null: break;
-        case ValueTag::Bool: w.u8(v.b ? 1 : 0); break;
-        case ValueTag::Int: w.i32(v.i); break;
-        case ValueTag::Long: w.i64(v.j); break;
-        case ValueTag::Double: w.f64(v.d); break;
-        case ValueTag::Str: w.str(v.s); break;
-        case ValueTag::Ref:
-            w.i32(v.ref_node);
-            w.u64(v.ref_oid);
-            w.str(v.ref_class);
-            break;
-    }
-}
-
-MarshalledValue read_value(ByteReader& r) {
-    MarshalledValue v;
-    std::uint8_t tag = r.u8();
-    if (tag > static_cast<std::uint8_t>(ValueTag::Ref))
-        throw CodecError("rmib: bad value tag");
-    v.tag = static_cast<ValueTag>(tag);
-    switch (v.tag) {
-        case ValueTag::Null: break;
-        case ValueTag::Bool: v.b = r.u8() != 0; break;
-        case ValueTag::Int: v.i = r.i32(); break;
-        case ValueTag::Long: v.j = r.i64(); break;
-        case ValueTag::Double: v.d = r.f64(); break;
-        case ValueTag::Str: v.s = r.str(); break;
-        case ValueTag::Ref:
-            v.ref_node = r.i32();
-            v.ref_oid = r.u64();
-            v.ref_class = r.str();
-            break;
-    }
-    return v;
-}
-
-std::uint8_t checked_kind(std::uint8_t kind) {
-    if (kind > static_cast<std::uint8_t>(RequestKind::Discover))
-        throw CodecError("rmib: bad request kind");
-    return kind;
-}
-
-void write_call_body(ByteWriter& w, const CallRequest& req) {
-    w.u64(req.target_oid);
-    w.str(req.cls);
-    w.str(req.method);
-    w.str(req.desc);
-    w.u32(static_cast<std::uint32_t>(req.args.size()));
-    for (const MarshalledValue& a : req.args) write_value(w, a);
-}
-
-void read_call_body(ByteReader& r, CallRequest& req) {
-    req.target_oid = r.u64();
-    req.cls = r.str();
-    req.method = r.str();
-    req.desc = r.str();
-    std::uint32_t n = r.u32();
-    req.args.reserve(n);
-    for (std::uint32_t k = 0; k < n; ++k) req.args.push_back(read_value(r));
-}
+constexpr const char* kWho = "rmib";
 
 }  // namespace
 
@@ -98,16 +37,8 @@ const std::string& RmibCodec::protocol() const {
 void RmibCodec::encode_request_into(const CallRequest& req, ByteWriter& w) const {
     const bool reliable = req.attempt != 0 || req.deadline_us != 0;
     w.u8(reliable ? kMagicRequestReliable : kMagicRequest);
-    if (reliable) {
-        w.u32(req.attempt);
-        w.u64(req.deadline_us);
-    }
-    w.u8(static_cast<std::uint8_t>(req.kind));
-    w.u64(req.request_id);
-    w.u64(req.trace_id);
-    w.u64(req.parent_span);
-    w.i32(req.src_node);
-    write_call_body(w, req);
+    if (reliable) binary::write_reliability(w, req);
+    binary::write_request(w, req);
 }
 
 CallRequest RmibCodec::decode_request(const Bytes& data) const {
@@ -118,16 +49,8 @@ CallRequest RmibCodec::decode_request(const Bytes& data) const {
     if (magic != kMagicRequest && magic != kMagicRequestReliable)
         throw CodecError("rmib: bad request magic");
     CallRequest req;
-    if (magic == kMagicRequestReliable) {
-        req.attempt = r.u32();
-        req.deadline_us = r.u64();
-    }
-    req.kind = static_cast<RequestKind>(checked_kind(r.u8()));
-    req.request_id = r.u64();
-    req.trace_id = r.u64();
-    req.parent_span = r.u64();
-    req.src_node = r.i32();
-    read_call_body(r, req);
+    if (magic == kMagicRequestReliable) binary::read_reliability(r, req);
+    binary::read_request(r, req, kWho);
     if (!r.at_end()) throw CodecError("rmib: trailing bytes in request");
     return req;
 }
@@ -145,15 +68,12 @@ void RmibCodec::encode_batch_entry(const CallRequest& req, const BatchContext& c
     w.u8(flags);
     w.varu64(req.request_id - ctx.base_request_id);
     w.u8(static_cast<std::uint8_t>(req.kind));
-    if (flags & kEntryFlagReliable) {
-        w.u32(req.attempt);
-        w.u64(req.deadline_us);
-    }
+    if (flags & kEntryFlagReliable) binary::write_reliability(w, req);
     if (flags & kEntryFlagTraced) {
         w.u64(req.trace_id);
         w.u64(req.parent_span);
     }
-    write_call_body(w, req);
+    binary::write_call_body(w, req);
 }
 
 CallRequest RmibCodec::decode_batch_entry(const Bytes& data,
@@ -166,44 +86,26 @@ CallRequest RmibCodec::decode_batch_entry(const Bytes& data,
     CallRequest req;
     req.src_node = ctx.src_node;
     req.request_id = ctx.base_request_id + r.varu64();
-    req.kind = static_cast<RequestKind>(checked_kind(r.u8()));
-    if (flags & kEntryFlagReliable) {
-        req.attempt = r.u32();
-        req.deadline_us = r.u64();
-    }
+    req.kind = binary::read_kind(r, kWho);
+    if (flags & kEntryFlagReliable) binary::read_reliability(r, req);
     if (flags & kEntryFlagTraced) {
         req.trace_id = r.u64();
         req.parent_span = r.u64();
     }
-    read_call_body(r, req);
+    binary::read_call_body(r, req, kWho);
     if (!r.at_end()) throw CodecError("rmib: trailing bytes in batch entry");
     return req;
 }
 
 void RmibCodec::encode_reply_into(const CallReply& reply, ByteWriter& w) const {
     w.u8(kMagicReply);
-    w.u64(reply.request_id);
-    w.u8(reply.is_fault ? 1 : 0);
-    if (reply.is_fault) {
-        w.str(reply.fault_class);
-        w.str(reply.fault_msg);
-    } else {
-        write_value(w, reply.result);
-    }
+    binary::write_reply(w, reply);
 }
 
 CallReply RmibCodec::decode_reply(const Bytes& data) const {
     ByteReader r(data);
     if (r.u8() != kMagicReply) throw CodecError("rmib: bad reply magic");
-    CallReply reply;
-    reply.request_id = r.u64();
-    reply.is_fault = r.u8() != 0;
-    if (reply.is_fault) {
-        reply.fault_class = r.str();
-        reply.fault_msg = r.str();
-    } else {
-        reply.result = read_value(r);
-    }
+    CallReply reply = binary::read_reply(r, kWho);
     if (!r.at_end()) throw CodecError("rmib: trailing bytes in reply");
     return reply;
 }

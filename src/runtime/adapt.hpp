@@ -119,7 +119,6 @@ public:
     /// their outcome.
     void finalize();
 
-    std::uint64_t next_due_us() const noexcept { return next_due_; }
     std::uint64_t ticks_run() const noexcept { return ticks_; }
     const std::vector<AdaptDecision>& decisions() const noexcept {
         return decisions_;

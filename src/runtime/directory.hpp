@@ -62,7 +62,6 @@ public:
     void configure(std::vector<net::NodeId> owners);
 
     bool enabled() const noexcept { return !ring_.empty(); }
-    std::size_t shard_count() const noexcept { return owners_.size(); }
     const std::vector<net::NodeId>& owners() const noexcept { return owners_; }
 
     /// The shard node owning `key` on the ring (first point clockwise of

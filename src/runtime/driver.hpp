@@ -102,8 +102,9 @@ public:
         /// `faults` tasks surfaced a guest exception to the client.
         std::uint64_t faults = 0;
         std::uint64_t recovered = 0;
-        /// Exact per-task virtual-latency quantiles (nearest-rank over
-        /// every task's client-clock delta; 0 when no task ran).
+        /// Exact per-task virtual-latency quantiles over every task's
+        /// client-clock delta: the sorted latency at index floor(q·(n−1)),
+        /// lower-neighbour rather than nearest-rank; 0 when no task ran.
         std::uint64_t latency_p50_us = 0;
         std::uint64_t latency_p95_us = 0;
         std::uint64_t latency_p99_us = 0;

@@ -75,14 +75,11 @@ net::MarshalledValue Node::export_value(const Value& v) {
     const std::string& cls = interp_.class_of(oid).name;
     // A proxy re-exports its own target, so references travel transitively.
     if (auto proxy = transform::naming::parse_proxy(cls)) {
-        std::int32_t target_node = interp_.get_field(oid, kProxyNodeField).as_int();
-        std::int64_t target_oid = interp_.get_field(oid, kProxyOidField).as_long();
+        const auto [target_node, target_oid] = proxy_target(oid);
         std::string iface = proxy->family == 'O'
                                 ? transform::naming::o_int(proxy->original)
                                 : transform::naming::c_int(proxy->original);
-        return MarshalledValue::of_ref(target_node,
-                                       static_cast<std::uint64_t>(target_oid),
-                                       std::move(iface));
+        return MarshalledValue::of_ref(target_node, target_oid, std::move(iface));
     }
     if (auto iface = transform::naming::local_to_interface(cls))
         return MarshalledValue::of_ref(id_, oid, *iface);
@@ -111,9 +108,7 @@ Value Node::import_ref(net::NodeId node, std::uint64_t oid, const std::string& i
 
     const std::string proxy_cls = interface_to_proxy(iface, protocol);
     Value proxy = interp_.construct(proxy_cls, "()V", {});
-    interp_.set_field(proxy.as_ref(), kProxyNodeField, Value::of_int(node));
-    interp_.set_field(proxy.as_ref(), kProxyOidField,
-                      Value::of_long(static_cast<std::int64_t>(oid)));
+    set_proxy_target(proxy.as_ref(), node, oid);
     imported_.emplace(std::move(key), proxy.as_ref());
     if (wal_)
         wal_->append_proxy_import(clock_us_, node, oid, iface, protocol,
@@ -121,6 +116,16 @@ Value Node::import_ref(net::NodeId node, std::uint64_t oid, const std::string& i
     log_debug("node", "node ", id_, " imported proxy ", proxy_cls, " for (", node, ",",
               oid, ")");
     return proxy;
+}
+
+std::pair<net::NodeId, vm::ObjId> Node::proxy_target(vm::ObjId proxy) {
+    return {interp_.get_field(proxy, kProxyNodeField).as_int(),
+            static_cast<vm::ObjId>(interp_.get_field(proxy, kProxyOidField).as_long())};
+}
+
+void Node::set_proxy_target(vm::ObjId proxy, net::NodeId node, vm::ObjId oid) {
+    interp_.set_field(proxy, kProxyNodeField, Value::of_int(node));
+    interp_.set_field(proxy, kProxyOidField, Value::of_long(static_cast<std::int64_t>(oid)));
 }
 
 Value Node::local_singleton(const std::string& cls) {
@@ -206,7 +211,7 @@ void Node::on_class_init(const std::string& cls) {
 
 void Node::cache_reply(std::uint64_t request_id, const net::CallReply& reply,
                        bool journal) {
-    const RetryPolicy& rp = system_->reliability();
+    const RetryPolicy& rp = system_->rpc_path().reliability();
     // handle_request only caches with a nonzero capacity, but WAL replay
     // and recover_node_onto reach here whatever the capacity is now.
     if (rp.dedup_capacity == 0) return;
@@ -269,83 +274,63 @@ void Node::take_snapshot() {
               " bytes, log truncated");
 }
 
-/// Applies replayed records to a node being recovered.  Heap records go
-/// through the interpreter's restore API (no guest code, no observer —
-/// the observer is detached during recovery); bookkeeping records rebuild
-/// the node-level maps directly.
-struct NodeRecovery final : WalVisitor {
-    explicit NodeRecovery(Node& node) : n(node) {}
-    Node& n;
-
-    void on_alloc(std::uint64_t, const std::string& cls) override {
-        n.interp_.restore_object(cls);
+vm::ObjId Node::restore_objects(const WalImage& img, bool journal) {
+    const vm::ObjId base = interp_.heap().size();
+    const bool log = journal && wal_;
+    // Every object is allocated before any field is written: a checkpoint
+    // records an object's fields right after its allocation, so they may
+    // refer to objects allocated later, and the journalled copy must
+    // replay the same way.
+    for (const WalImage::Object& o : img.objects) {
+        if (o.is_array) {
+            interp_.restore_array(o.cls, static_cast<std::size_t>(o.length));
+            if (log) wal_->append_alloc_array(clock_us_, o.cls, o.length);
+        } else {
+            interp_.restore_object(o.cls);
+            if (log) wal_->append_alloc(clock_us_, o.cls);
+        }
     }
-    void on_alloc_array(std::uint64_t, const std::string& elem_desc,
-                        std::uint64_t length) override {
-        n.interp_.restore_array(elem_desc, static_cast<std::size_t>(length));
+    // References are image-local object ids; proxy node/oid fields are
+    // plain ints/longs and copy verbatim.
+    for (std::size_t i = 0; i < img.objects.size(); ++i) {
+        const WalImage::Object& o = img.objects[i];
+        const vm::ObjId id = base + i + 1;
+        for (const auto& [slot, v] : o.fields) {
+            Value w = v;
+            if (v.is_ref()) {
+                if (v.as_ref() == 0 || v.as_ref() > img.objects.size())
+                    throw RuntimeError("durable image has a dangling reference");
+                w = Value::of_ref(base + v.as_ref());
+            }
+            interp_.restore_field(id, static_cast<std::size_t>(slot), w);
+            if (!log) continue;
+            if (o.is_array)
+                wal_->append_array_put(clock_us_, id, slot, w);
+            else
+                wal_->append_field_put(clock_us_, id, slot, w);
+        }
     }
-    void on_field_put(std::uint64_t, std::uint64_t oid, std::uint64_t slot,
-                      const vm::Value& v) override {
-        n.interp_.restore_field(static_cast<vm::ObjId>(oid),
-                                static_cast<std::size_t>(slot), v);
-    }
-    void on_array_put(std::uint64_t, std::uint64_t oid, std::uint64_t index,
-                      const vm::Value& v) override {
-        n.interp_.restore_field(static_cast<vm::ObjId>(oid),
-                                static_cast<std::size_t>(index), v);
-    }
-    void on_static_put(std::uint64_t, const std::string& cls, const std::string& field,
-                       const vm::Value& v) override {
-        n.interp_.restore_static(cls, field, v);
-    }
-    void on_class_init(std::uint64_t, const std::string& cls) override {
-        n.interp_.mark_initialized(cls);
-    }
-    void on_singleton(std::uint64_t, const std::string& cls, std::uint64_t oid) override {
-        n.singletons_[cls] = static_cast<vm::ObjId>(oid);
-    }
-    void on_singleton_drop(std::uint64_t, const std::string& cls) override {
-        n.singletons_.erase(cls);
-    }
-    void on_proxy_import(std::uint64_t, std::int32_t origin_node,
-                         std::uint64_t origin_oid, const std::string& iface,
-                         const std::string& protocol, std::uint64_t local_oid) override {
-        n.imported_[std::make_tuple(static_cast<net::NodeId>(origin_node), origin_oid,
-                                    iface, protocol)] = static_cast<vm::ObjId>(local_oid);
-    }
-    void on_reply(std::uint64_t, std::uint64_t request_id,
-                  const net::CallReply& reply) override {
-        n.cache_reply(request_id, reply, /*journal=*/false);
-    }
-    void on_transmute(std::uint64_t, std::uint64_t oid, const std::string& proxy_cls,
-                      std::int32_t node, std::uint64_t remote_oid) override {
-        // Re-applies the Figure 1 substitution a live migration performed:
-        // the slot becomes a proxy to the object's new home.
-        n.interp_.heap().transmute(
-            static_cast<vm::ObjId>(oid), n.interp_.pool().get(proxy_cls),
-            {Value::of_int(node),
-             Value::of_long(static_cast<std::int64_t>(remote_oid))});
-    }
-    void on_relocate(std::uint64_t t, std::uint64_t oid, const std::string& proxy_cls,
-                     std::int32_t node, std::uint64_t remote_oid) override {
-        // Migration-by-recovery moved the object while this node was down;
-        // the substitution is identical to a live transmute.
-        on_transmute(t, oid, proxy_cls, node, remote_oid);
-    }
-};
+    return base;
+}
 
 void Node::recover_from_wal() {
     // Crash semantics: everything volatile dies; the durable image is the
-    // snapshot plus the log.  The observer is detached so replay does not
-    // re-journal the mutations it applies.
+    // snapshot plus the log, decoded before anything is wiped.  The
+    // observer is detached so the restore does not re-journal itself.
+    WalImage img;
+    const Wal::ReplayResult res = wal_->recover(img);
     interp_.set_observer(nullptr);
     interp_.reset_vm_state();
-    singletons_.clear();
-    imported_.clear();
     reply_cache_.clear();
     reply_index_.clear();
-    NodeRecovery visitor(*this);
-    const Wal::ReplayResult res = wal_->recover(visitor);
+    restore_objects(img, /*journal=*/false);
+    for (const auto& [key, v] : img.statics) interp_.restore_static(key.first, key.second, v);
+    for (const std::string& cls : img.initialized) interp_.mark_initialized(cls);
+    singletons_ = img.singletons;
+    imported_.clear();
+    for (const auto& [key, local_oid] : img.imports) imported_[key] = local_oid;
+    for (const auto& [request_id, reply] : img.replies)
+        cache_reply(request_id, reply, /*journal=*/false);
     interp_.set_observer(this);
     log_info("node", "node ", id_, " recovered from WAL: ", res.records,
              " records replayed (", res.bytes, " bytes), ", reply_cache_.size(),
@@ -355,7 +340,7 @@ void Node::recover_from_wal() {
 
 net::CallReply Node::handle_request(const net::CallRequest& req,
                                     const std::string& protocol) {
-    const RetryPolicy& rp = system_->reliability();
+    const RetryPolicy& rp = system_->rpc_path().reliability();
     const bool dedup = rp.dedup && rp.dedup_capacity > 0;
     if (dedup) {
         auto it = reply_index_.find(req.request_id);
@@ -364,7 +349,7 @@ net::CallReply Node::handle_request(const net::CallRequest& req,
             // reply.  This is the arm that turns at-most-once into
             // exactly-once — the retried Create/Invoke must NOT run again
             // (it would leak an instance / duplicate a side effect).
-            system_->note_dedup_hit(req.request_id, id_, clock_us_);
+            system_->rpc_path().note_dedup_hit(req.request_id, id_, clock_us_);
             return it->second->reply;
         }
     }
@@ -374,7 +359,7 @@ net::CallReply Node::handle_request(const net::CallRequest& req,
     // up, and running it anyway would be a side effect nobody awaits.
     // The rejection is not cached — expiry is stable across retries.
     if (req.deadline_us && req.sim_arrival_us > req.deadline_us) {
-        system_->note_server_timeout(req.request_id, id_, clock_us_);
+        system_->rpc_path().note_server_timeout(req.request_id, id_, clock_us_);
         reply.is_fault = true;
         reply.fault_class = kRemoteFaultClass;
         reply.fault_msg = "deadline expired before dispatch on node " +

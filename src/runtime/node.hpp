@@ -14,9 +14,7 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 
 #include "net/message.hpp"
@@ -115,6 +113,11 @@ public:
     vm::Value import_ref(net::NodeId node, std::uint64_t oid, const std::string& iface,
                          const std::string& protocol);
 
+    /// The (node, oid) the proxy object `proxy` forwards to.
+    std::pair<net::NodeId, vm::ObjId> proxy_target(vm::ObjId proxy);
+    /// Re-points proxy `proxy` through the VM, so a durable node journals it.
+    void set_proxy_target(vm::ObjId proxy, net::NodeId node, vm::ObjId oid);
+
     /// Local singleton bookkeeping for Discover handling; creates the
     /// singleton and runs clinit on first use.
     vm::Value local_singleton(const std::string& cls);
@@ -128,7 +131,6 @@ public:
 
 private:
     friend class System;
-    friend struct NodeRecovery;  // WalVisitor applying replayed records
 
     /// Publishes a clock change: mirrors the runtime.node<N>.clock_us
     /// gauge and advances the network's global watermark.
@@ -155,9 +157,15 @@ private:
     /// Snapshot-interval check, called at request-dispatch boundaries
     /// (a clean point: no guest frame is live).
     void maybe_snapshot();
-    /// Durable restart: wipes the VM and node state, then replays the
-    /// snapshot and log to reconstruct the pre-crash image.
+    /// Durable restart: decodes the snapshot and log, wipes the VM and
+    /// node state, then restores the pre-crash image from the decode.
     void recover_from_wal();
+    /// Allocates `img`'s objects after this node's heap, in image order,
+    /// and fills their fields with references shifted by the returned
+    /// base (the heap size before the call: 0 on a restart's wiped heap).
+    /// Appends the matching WAL records only when `journal` is set and
+    /// this node is durable.
+    vm::ObjId restore_objects(const WalImage& img, bool journal);
 
     System* system_;
     net::NodeId id_;
@@ -165,8 +173,7 @@ private:
     std::uint64_t clock_us_ = 0;
     obs::Gauge* clock_gauge_ = nullptr;  // set when System wires the node
     /// (origin node, origin oid, interface, protocol) -> local proxy object.
-    std::map<std::tuple<net::NodeId, std::uint64_t, std::string, std::string>, vm::ObjId>
-        imported_;
+    std::map<WalImage::ImportKey, vm::ObjId> imported_;
     std::map<std::string, vm::ObjId> singletons_;
     /// One reply-cache entry.  While the node is durable it also holds
     /// the reply's WAL encoding, made once and shared by the live Reply

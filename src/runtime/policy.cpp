@@ -11,17 +11,9 @@ void DistributionPolicy::set_instance_home(const std::string& cls, net::NodeId n
     instance_homes_[cls] = Home{node, std::move(protocol)};
 }
 
-void DistributionPolicy::clear_instance_home(const std::string& cls) {
-    instance_homes_.erase(cls);
-}
-
 void DistributionPolicy::set_singleton_home(const std::string& cls, net::NodeId node,
                                             std::string protocol) {
     singleton_homes_[cls] = Home{node, std::move(protocol)};
-}
-
-void DistributionPolicy::clear_singleton_home(const std::string& cls) {
-    singleton_homes_.erase(cls);
 }
 
 Placement DistributionPolicy::instance_placement(const std::string& cls,

@@ -35,13 +35,10 @@ public:
     /// Instances of `cls` are created on `node` (empty protocol = default).
     void set_instance_home(const std::string& cls, net::NodeId node,
                            std::string protocol = "");
-    /// Back to the default: instances live where they are created.
-    void clear_instance_home(const std::string& cls);
 
     /// The singleton for `cls`'s static members lives on `node`.
     void set_singleton_home(const std::string& cls, net::NodeId node,
                             std::string protocol = "");
-    void clear_singleton_home(const std::string& cls);
 
     /// Where an instance of `cls` created by code on `creating_node` lives.
     /// Default: on the creating node itself.

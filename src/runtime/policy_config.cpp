@@ -1,6 +1,7 @@
 #include "runtime/policy_config.hpp"
 
 #include <cstdlib>
+#include <limits>
 
 #include "net/codec.hpp"
 #include "support/error.hpp"
@@ -34,12 +35,18 @@ std::uint64_t parse_u64(const std::string& tok, int lineno) {
     return static_cast<std::uint64_t>(v);
 }
 
-double parse_prob(const std::string& tok, int lineno) {
+/// A whole-token number in [lo, hi]; `what` names it in the error.
+double parse_real(const std::string& tok, double lo, double hi, const char* what,
+                  int lineno) {
     char* end = nullptr;
-    double v = std::strtod(tok.c_str(), &end);
-    if (!end || *end != '\0' || v < 0.0 || v > 1.0)
-        throw ParseError("bad probability '" + tok + "'", lineno);
+    const double v = std::strtod(tok.c_str(), &end);
+    if (tok.empty() || *end != '\0' || !(v >= lo && v <= hi))
+        throw ParseError(std::string("bad ") + what + " '" + tok + "'", lineno);
     return v;
+}
+
+double parse_prob(const std::string& tok, int lineno) {
+    return parse_real(tok, 0.0, 1.0, "probability", lineno);
 }
 
 /// Parses the trailing `from T until T [period P]` of a fault line into
@@ -108,15 +115,16 @@ void apply_policy_config(std::string_view text, DistributionPolicy& policy,
             net::NodeId src = parse_node(toks[1], lineno);
             net::NodeId dst = parse_node(toks[3], lineno);
             net::LinkParams params;
-            params.latency_us = static_cast<std::uint64_t>(
-                std::strtoull(toks[5].c_str(), nullptr, 10));
+            params.latency_us = parse_u64(toks[5], lineno);
             std::size_t t = 6;
             while (t < toks.size()) {
                 if (toks[t] == "bandwidth" && t + 1 < toks.size()) {
-                    params.bandwidth_bytes_per_us = std::strtod(toks[t + 1].c_str(), nullptr);
+                    params.bandwidth_bytes_per_us = parse_real(
+                        toks[t + 1], 0.0, std::numeric_limits<double>::max(), "bandwidth",
+                        lineno);
                     t += 2;
                 } else if (toks[t] == "drop" && t + 1 < toks.size()) {
-                    params.drop_probability = std::strtod(toks[t + 1].c_str(), nullptr);
+                    params.drop_probability = parse_prob(toks[t + 1], lineno);
                     t += 2;
                 } else {
                     throw ParseError("unknown link attribute '" + toks[t] + "'", lineno);
@@ -142,11 +150,10 @@ void apply_policy_config(std::string_view text, DistributionPolicy& policy,
                 const std::string& key = toks[t];
                 const std::string& val = toks[t + 1];
                 if (key == "base") reliability->backoff_base_us = parse_u64(val, lineno);
-                else if (key == "multiplier") {
-                    reliability->backoff_multiplier = std::strtod(val.c_str(), nullptr);
-                    if (reliability->backoff_multiplier < 1.0)
-                        throw ParseError("multiplier must be >= 1", lineno);
-                } else if (key == "cap") reliability->backoff_cap_us = parse_u64(val, lineno);
+                else if (key == "multiplier")
+                    reliability->backoff_multiplier = parse_real(
+                        val, 1.0, std::numeric_limits<double>::max(), "multiplier", lineno);
+                else if (key == "cap") reliability->backoff_cap_us = parse_u64(val, lineno);
                 else if (key == "jitter") reliability->jitter_us = parse_u64(val, lineno);
                 else if (key == "budget") reliability->retry_budget = parse_u64(val, lineno);
                 else if (key == "deadline") reliability->deadline_us = parse_u64(val, lineno);

@@ -141,10 +141,4 @@ void ReplicaManager::visit(
     for (const auto& [_, r] : it->second.copies) fn(r);
 }
 
-std::size_t ReplicaManager::total_replicas() const noexcept {
-    std::size_t n = 0;
-    for (const auto& [_, e] : entries_) n += e.copies.size();
-    return n;
-}
-
 }  // namespace rafda::runtime

@@ -87,8 +87,6 @@ public:
     void visit(net::NodeId primary_node, std::uint64_t primary_oid,
                const std::function<void(const Replica&)>& fn) const;
 
-    std::size_t total_replicas() const noexcept;
-
 private:
     bool method_is_readonly_rec(const std::string& cls, const std::string& method,
                                 std::vector<std::string>& in_progress) const;

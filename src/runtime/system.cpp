@@ -1,6 +1,5 @@
 #include "runtime/system.hpp"
 
-#include <cmath>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -39,19 +38,6 @@ model::ClassPool prepare_pool(const model::ClassPool& original) {
     return prepared;
 }
 
-/// The (node, oid) the proxy object `proxy` forwards to.
-std::pair<net::NodeId, vm::ObjId> proxy_target(vm::Interpreter& interp, vm::ObjId proxy) {
-    return {interp.get_field(proxy, naming::kProxyNodeField).as_int(),
-            static_cast<vm::ObjId>(interp.get_field(proxy, naming::kProxyOidField).as_long())};
-}
-
-void set_proxy_target(vm::Interpreter& interp, vm::ObjId proxy, net::NodeId node,
-                      vm::ObjId oid) {
-    interp.set_field(proxy, naming::kProxyNodeField, Value::of_int(node));
-    interp.set_field(proxy, naming::kProxyOidField,
-                     Value::of_long(static_cast<std::int64_t>(oid)));
-}
-
 }  // namespace
 
 System::System(const model::ClassPool& original, SystemOptions options)
@@ -66,10 +52,9 @@ System::System(const model::ClassPool& original, SystemOptions options)
               return po;
           }())),
       network_(options.network_seed),
-      reliability_(options.reliability),
-      batching_(options.batching),
-      class_matrix_cap_(options.class_matrix_cap),
-      retry_jitter_rng_(Rng::mix(options.network_seed, 0x6a697474ULL)) {
+      rpc_(*this, result_.report.protocols(), options.reliability, options.batching,
+           options.network_seed),
+      class_matrix_cap_(options.class_matrix_cap) {
     network_.set_default_link(options.default_link);
     network_.attach_metrics(&metrics_);
     network_.attach_journal(&journal_);
@@ -82,28 +67,6 @@ System::System(const model::ClassPool& original, SystemOptions options)
     migration_bytes_counter_ = &metrics_.counter("runtime.migration_bytes");
     chain_shortenings_counter_ = &metrics_.counter("runtime.chain_shortenings");
     chain_hops_removed_counter_ = &metrics_.counter("runtime.chain_hops_removed");
-    rpc_retries_ = &metrics_.counter("rpc.retries");
-    rpc_retries_reply_loss_ = &metrics_.counter("rpc.retries_reply_loss");
-    rpc_timeouts_ = &metrics_.counter("rpc.timeouts");
-    rpc_dedup_hits_ = &metrics_.counter("rpc.dedup_hits");
-    rpc_breaker_open_ = &metrics_.counter("rpc.breaker_open");
-    batch_frames_ = &metrics_.counter("rpc.batch.frames");
-    batch_coalesced_ = &metrics_.counter("rpc.batch.coalesced");
-    batch_entry_bytes_ = &metrics_.counter("rpc.batch.entry_bytes");
-    batch_latency_saved_us_ = &metrics_.counter("rpc.batch.latency_saved_us");
-    // Pool traffic is sampled live at snapshot time (cumulative over the
-    // process, unaffected by reset_stats — zero hot-path cost).
-    metrics_.register_probe("rpc.pool.acquires", [this] {
-        return static_cast<std::int64_t>(buffer_pool_.acquires());
-    });
-    metrics_.register_probe("rpc.pool.reuses", [this] {
-        return static_cast<std::int64_t>(buffer_pool_.reuses());
-    });
-    metrics_.register_probe("rpc.pool.retained", [this] {
-        return static_cast<std::int64_t>(buffer_pool_.retained());
-    });
-    for (const std::string& proto : result_.report.protocols())
-        codecs_[proto] = net::make_codec(proto);
     // The read/write classifier judges ORIGINAL bytecode — the
     // pre-transformation truth about what each method touches.
     replicas_.configure(original_);
@@ -121,34 +84,9 @@ System::System(const model::ClassPool& original, SystemOptions options)
 
 System::~System() { clear_log_time_source(this); }
 
-System::ProtoMetrics& System::proto_metrics(const std::string& protocol) {
-    auto it = proto_metrics_.find(protocol);
-    if (it == proto_metrics_.end()) {
-        const std::string prefix = "rpc.proto." + protocol + ".";
-        ProtoMetrics m;
-        m.calls = &metrics_.counter(prefix + "calls");
-        m.creates = &metrics_.counter(prefix + "creates");
-        m.discovers = &metrics_.counter(prefix + "discovers");
-        m.faults = &metrics_.counter(prefix + "faults");
-        m.drops = &metrics_.counter(prefix + "drops");
-        m.request_bytes = &metrics_.counter(prefix + "request_bytes");
-        m.reply_bytes = &metrics_.counter(prefix + "reply_bytes");
-        m.request_size = &metrics_.histogram(prefix + "request_size");
-        m.reply_size = &metrics_.histogram(prefix + "reply_size");
-        it = proto_metrics_.emplace(protocol, m).first;
-    }
-    return it->second;
-}
-
 void System::enable_method_profiling(bool on) {
     method_profiling_ = on;
     for (const auto& n : nodes_) n->interp().set_method_profiling(on);
-}
-
-net::Codec& System::codec(const std::string& protocol) {
-    auto it = codecs_.find(protocol);
-    if (it == codecs_.end()) throw RuntimeError("no codec for protocol " + protocol);
-    return *it->second;
 }
 
 Node& System::node(net::NodeId id) {
@@ -181,9 +119,10 @@ void System::enable_durability(DurabilityPolicy policy) {
         wal_records_ = &metrics_.counter("wal.records");
         wal_bytes_ = &metrics_.counter("wal.bytes");
         wal_snapshots_ = &metrics_.counter("wal.snapshots");
-        wal_recoveries_ = &metrics_.counter("wal.recoveries");
-        wal_replayed_ = &metrics_.counter("wal.replayed_records");
-        wal_relocated_ = &metrics_.counter("wal.relocated_objects");
+        // Recoveries are rare: their counters are looked up by name.
+        metrics_.counter("wal.recoveries");
+        metrics_.counter("wal.replayed_records");
+        metrics_.counter("wal.relocated_objects");
     }
     for (const auto& n : nodes_) {
         n->enable_durability(durability_);
@@ -204,391 +143,12 @@ void System::note_recovery(net::NodeId node_id, const Wal::ReplayResult& res,
     // The node is alive again and its replay applied any Relocate records,
     // so it forwards for itself now — the relocation entry has served.
     relocations_.erase(node_id);
-    if (wal_recoveries_) {
-        wal_recoveries_->add();
-        wal_replayed_->add(res.records);
+    if (durability_.enabled) {
+        metrics_.counter("wal.recoveries").add();
+        metrics_.counter("wal.replayed_records").add(res.records);
     }
     journal_.record(obs::JournalEvent::Kind::Recover, t_us, node_id, -1, res.records,
                     res.bytes, {});
-}
-
-CircuitBreaker& System::breaker(net::NodeId dst, const std::string& protocol) {
-    auto it = breakers_.find({dst, protocol});
-    if (it == breakers_.end()) {
-        CircuitBreaker b;
-        b.state_gauge = &metrics_.gauge("rpc.breaker." + std::to_string(dst) + "." +
-                                        protocol + ".state");
-        it = breakers_.emplace(std::make_pair(dst, protocol), b).first;
-    }
-    return it->second;
-}
-
-void System::visit_breakers(
-    const std::function<void(net::NodeId, const std::string&, const CircuitBreaker&)>&
-        fn) const {
-    for (const auto& [key, b] : breakers_) fn(key.first, key.second, b);
-}
-
-net::CallReply System::rpc(net::NodeId src, net::NodeId dst, const std::string& protocol,
-                           net::CallRequest& req) {
-    ProtoMetrics& pm = proto_metrics(protocol);
-    Node& caller = node(src);
-    switch (req.kind) {
-        case net::RequestKind::Invoke: pm.calls->add(); break;
-        case net::RequestKind::Create: pm.creates->add(); break;
-        case net::RequestKind::Discover: pm.discovers->add(); break;
-    }
-    const RetryPolicy& rp = reliability_;
-    if (rp.deadline_us && req.deadline_us == 0)
-        req.deadline_us = caller.clock_us() + rp.deadline_us;
-    const std::uint32_t max_attempts = std::max<std::uint32_t>(1, rp.attempts);
-    CircuitBreaker* br = rp.breaker_threshold ? &breaker(dst, protocol) : nullptr;
-    const net::FaultPlan& plan = network_.fault_plan();
-
-    Dropped last{"", false};
-    for (std::uint32_t attempt = 0;; ++attempt) {
-        // Circuit breaker gate: while open, fail fast with no wire traffic
-        // until the cooldown has elapsed, then let one half-open probe
-        // through.  Fast-fails are not failure evidence (nothing was
-        // learned about the transport), so they don't bump the counter.
-        if (br && br->state == CircuitBreaker::State::Open) {
-            if (caller.clock_us() >= br->opened_at_us + rp.breaker_cooldown_us) {
-                br->set_state(CircuitBreaker::State::HalfOpen);
-                journal_.record(obs::JournalEvent::Kind::Breaker, caller.clock_us(), dst,
-                                src, 2, 0, protocol);
-            } else {
-                rpc_breaker_open_->add();
-                throw Dropped{"breaker open for node " + std::to_string(dst) + " via " +
-                                  protocol,
-                              last.executed_remotely, /*fast_fail=*/true};
-            }
-        }
-        bool failed = false;
-        // A destination known to be crashed fails fast (the simulation
-        // analogue of connection-refused): no latency is charged and no
-        // PRNG is drawn, but the attempt still counts against the policy.
-        if (plan.node_down(dst, caller.clock_us())) {
-            pm.drops->add();
-            note_node_fault(dst, true, caller.clock_us());
-            last = Dropped{"node " + std::to_string(dst) + " is down",
-                           /*executed_remotely=*/false, /*fast_fail=*/true};
-            failed = true;
-        } else {
-            note_node_fault(dst, false, caller.clock_us());
-            req.attempt = attempt;
-            try {
-                obs::ScopedSpan span;
-                if (attempt > 0) {
-                    span = obs::ScopedSpan(
-                        tracer_, [&] { return "rpc.attempt " + std::to_string(attempt); },
-                        src);
-                    tracer_.note("request_id", req.request_id);
-                }
-                net::CallReply reply = rpc_attempt(src, dst, protocol, req, pm);
-                // Any decoded reply — fault or not — proves the transport
-                // round-trip works; guest-level faults never trip the
-                // breaker and are never retried.
-                if (br) {
-                    const bool reopened = br->state != CircuitBreaker::State::Closed;
-                    br->record_success();
-                    if (reopened)
-                        journal_.record(obs::JournalEvent::Kind::Breaker,
-                                        caller.clock_us(), dst, src, 0, 0, protocol);
-                }
-                return reply;
-            } catch (const Dropped& d) {
-                last = d;
-                failed = true;
-            }
-        }
-        if (failed && br &&
-            br->record_failure(rp.breaker_threshold, caller.clock_us())) {
-            log_info("runtime", "breaker opened for node ", dst, " via ", protocol);
-            journal_.record(obs::JournalEvent::Kind::Breaker, caller.clock_us(), dst, src,
-                            1, 0, protocol);
-        }
-        // Retry decision.  Reply-loss means the callee already executed:
-        // without dedup a retry would re-execute (the §12 instance leak),
-        // so the loss surfaces instead.
-        if (last.executed_remotely && !rp.dedup) break;
-        if (attempt + 1 >= max_attempts) break;
-        if (rp.retry_budget && retries_spent_ >= rp.retry_budget) break;
-        std::uint64_t delay = rp.backoff_base_us;
-        for (std::uint32_t k = 0; k < attempt && delay < rp.backoff_cap_us; ++k)
-            delay = static_cast<std::uint64_t>(
-                static_cast<double>(delay) * rp.backoff_multiplier);
-        if (rp.backoff_cap_us) delay = std::min(delay, rp.backoff_cap_us);
-        if (rp.jitter_us) delay += retry_jitter_rng_.below(rp.jitter_us + 1);
-        if (req.deadline_us && caller.clock_us() + delay >= req.deadline_us) {
-            rpc_timeouts_->add();
-            journal_.record(obs::JournalEvent::Kind::RpcTimeout, caller.clock_us(), src,
-                            dst, req.request_id, 0, "client");
-            last.what = "deadline exceeded after " + std::to_string(attempt + 1) +
-                        " attempt(s): " + last.what;
-            break;
-        }
-        caller.advance_clock(delay);
-        caller.sync_guest_time();
-        ++retries_spent_;
-        rpc_retries_->add();
-        if (last.executed_remotely) rpc_retries_reply_loss_->add();
-        journal_.record(obs::JournalEvent::Kind::RpcRetry, caller.clock_us(), src, dst,
-                        req.request_id, attempt + 1, {});
-    }
-    throw last;
-}
-
-void System::note_node_fault(net::NodeId dst, bool down, std::uint64_t t_us) {
-    if (!journal_.enabled()) return;
-    auto [it, inserted] = node_fault_seen_.try_emplace(dst, false);
-    if (it->second != down || (inserted && down))
-        journal_.record(obs::JournalEvent::Kind::FaultEdge, t_us, dst, -1,
-                        down ? 1 : 0, 0, "node");
-    it->second = down;
-}
-
-net::CallReply System::rpc_attempt(net::NodeId src, net::NodeId dst,
-                                   const std::string& protocol, net::CallRequest& req,
-                                   ProtoMetrics& pm) {
-    net::Codec& c = codec(protocol);
-    Node& caller = node(src);
-    Node& callee = node(dst);
-    // The caller's trace context travels host-side, like the sim_* times:
-    // it is set on the decoded request, never encoded, so tracing cannot
-    // change a wire byte.  The server parents its dispatch span from it.
-    const std::uint64_t trace_id = tracer_.current_trace();
-    const std::uint64_t parent_span = tracer_.current_span();
-
-    // Codec CPU for a payload, split so the node that serialises pays the
-    // encode half and the node that parses pays the decode half.  The two
-    // halves sum to the exact legacy combined charge, so one sequential
-    // client reduces to the old global-clock arithmetic to the microsecond.
-    auto codec_cost = [&](std::size_t size) {
-        const std::uint64_t total = static_cast<std::uint64_t>(
-            std::llround(2.0 * c.cpu_cost_ns_per_byte() * static_cast<double>(size) /
-                         1000.0));  // encode + decode
-        return std::pair<std::uint64_t, std::uint64_t>{total / 2, total - total / 2};
-    };
-    // A message lost at `at_us` on the link from -> to: the caller observes
-    // the failure then.  `executed` marks the reply-loss arm of
-    // at-most-once, where the callee already ran the call (DESIGN.md §12).
-    auto lose = [&](std::uint64_t at_us, net::NodeId from, net::NodeId to,
-                    const char* where, bool executed, std::string what) {
-        pm.drops->add();
-        tracer_.note("dropped", where);
-        journal_.record(obs::JournalEvent::Kind::RpcDrop, at_us, from, to,
-                        req.request_id, 0, where);
-        caller.reconcile_clock(at_us);
-        caller.sync_guest_time();
-        if (executed) callee.sync_guest_time();
-        return Dropped{std::move(what), executed};
-    };
-
-    // The request frame encodes straight into a pooled buffer; no
-    // per-call vector churn (DESIGN.md §17).
-    support::PooledBuffer request_frame(buffer_pool_);
-    Bytes& request_bytes = request_frame.bytes();
-    // Batch lanes exist only while batching is on.  With it off nothing
-    // can join a frame, so the lookup is skipped; lanes left over from an
-    // earlier batching-on stretch are closed, so re-enabling starts clean.
-    BatchLane* lane = nullptr;
-    if (batching_.enabled)
-        lane = &batch_lanes_[{src, dst}];
-    else if (!batch_lanes_.empty())
-        batch_lanes_.clear();
-    bool coalesce = false;
-    net::BatchContext entry_ctx;
-    {
-        obs::ScopedSpan span(tracer_, [&] { return "codec.encode_request " + protocol; },
-                             src);
-        // Batch join: if the directed link still carries an earlier
-        // same-protocol request frame with room, tentatively encode this
-        // call as a compact continuation entry.  The join must be decided
-        // against the clock *after* the encode charge (the entry's own
-        // size sets the charge), so encode first and fall back to a full
-        // frame when the link turns out to be free by then.
-        if (lane && lane->joinable && lane->protocol == protocol &&
-            c.supports_batch_entries() &&
-            1 + lane->entries < std::max<std::uint32_t>(2, batching_.max_frame_calls)) {
-            ByteWriter w(request_bytes);
-            c.encode_batch_entry(req, lane->ctx, w);
-            coalesce = caller.clock_us() + codec_cost(request_bytes.size()).first <
-                       network_.link_busy_until(src, dst);
-            if (coalesce) entry_ctx = lane->ctx;
-        }
-        if (!coalesce) {
-            ByteWriter w(request_bytes);
-            c.encode_request_into(req, w);
-        }
-        pm.request_bytes->add(request_bytes.size());
-        pm.request_size->record(request_bytes.size());
-        req.sim_wire_bytes += request_bytes.size();
-        caller.advance_clock(codec_cost(request_bytes.size()).first);
-    }
-    req.sim_send_us = caller.clock_us();
-    if (journal_.enabled())  // the only detail built per call
-        journal_.record(obs::JournalEvent::Kind::RpcSend, req.sim_send_us, src, dst,
-                        req.request_id, request_bytes.size(),
-                        req.stat_class.empty()
-                            ? protocol
-                            : req.stat_class +
-                                  (req.method.empty() ? "" : "." + req.method));
-    net::Delivery inbound;
-    {
-        obs::ScopedSpan span(
-            tracer_,
-            [&] { return "net.transfer " + std::to_string(src) + "->" + std::to_string(dst); },
-            src);
-        tracer_.note("bytes", request_bytes.size());
-        inbound = coalesce ? network_.transfer_coalesced_at(src, dst,
-                                                            request_bytes.size(),
-                                                            req.sim_send_us)
-                           : network_.transfer_at(src, dst, request_bytes.size(),
-                                                  req.sim_send_us);
-        tracer_.pin(span.id(), req.sim_send_us, inbound.at_us);
-        if (!lane) {
-            // Batching off: no frame is ever joinable.
-        } else if (inbound.delivered && coalesce) {
-            if (++lane->entries == 1) batch_frames_->add();
-            batch_coalesced_->add();
-            batch_entry_bytes_->add(request_bytes.size());
-            // The entry rode the open frame's propagation window instead
-            // of paying its own.
-            batch_latency_saved_us_->add(network_.link(src, dst).latency_us);
-            tracer_.note("coalesced", "request");
-        } else if (inbound.delivered) {
-            // This full frame now occupies the link; a same-protocol
-            // follower may append to it while it is in flight.
-            *lane = BatchLane{protocol, net::BatchContext{src, req.request_id}, 0,
-                              c.supports_batch_entries()};
-        } else {
-            // The frame (or the frame this entry joined) died on the
-            // wire; nothing in flight is joinable any more.
-            lane->joinable = false;
-        }
-        // The decode half of the codec budget is never spent on a lost
-        // request — it never reached a parser.
-        if (!inbound.delivered)
-            throw lose(inbound.at_us, src, dst, "request", false,
-                       "request lost on link " + std::to_string(src) + "->" +
-                           std::to_string(dst));
-    }
-    req.sim_arrival_us = inbound.at_us;
-    // A request landing on a crashed node dies there — never executed.
-    // (The caller observes the failure at the arrival time; a restarted
-    // node first sheds its soft state, which is how reply-cache loss
-    // across a crash is modelled.)
-    const net::FaultPlan& plan = network_.fault_plan();
-    plan.notify_restarts(dst, inbound.at_us);
-    if (plan.node_down(dst, inbound.at_us)) {
-        note_node_fault(dst, true, inbound.at_us);
-        throw lose(inbound.at_us, src, dst, "dest_crashed", false,
-                   "request reached crashed node " + std::to_string(dst));
-    }
-    journal_.record(obs::JournalEvent::Kind::RpcArrive, inbound.at_us, dst, src,
-                    req.request_id, request_bytes.size(), {});
-    // The server cannot see the request before both its own prior work and
-    // the wire delivery are done: clock reconciliation, join point one.
-    callee.reconcile_clock(inbound.at_us);
-    net::CallRequest decoded;
-    {
-        obs::ScopedSpan span(tracer_, [&] { return "codec.decode_request " + protocol; },
-                             dst);
-        decoded = coalesce ? c.decode_batch_entry(request_bytes, entry_ctx)
-                           : c.decode_request(request_bytes);
-        decoded.sim_send_us = req.sim_send_us;
-        decoded.sim_arrival_us = req.sim_arrival_us;
-        decoded.trace_id = trace_id;
-        decoded.parent_span = parent_span;
-        callee.advance_clock(codec_cost(request_bytes.size()).second);
-    }
-    net::CallReply reply;
-    {
-        const std::string& what =
-            decoded.kind == net::RequestKind::Invoke ? decoded.method : decoded.cls;
-        obs::ScopedSpan span = obs::ScopedSpan::remote(
-            tracer_, [&] { return "rpc.dispatch " + what; }, dst, decoded.trace_id,
-            decoded.parent_span);
-        if (decoded.attempt) tracer_.note("attempt", decoded.attempt);
-        // Dispatch is charged on the destination node's clock; its guest
-        // code observes the server's own time, not the caller's.
-        callee.sync_guest_time();
-        journal_.record(obs::JournalEvent::Kind::RpcDispatch, callee.clock_us(), dst, src,
-                        decoded.request_id, decoded.attempt, what);
-        reply = callee.handle_request(decoded, protocol);
-    }
-
-    support::PooledBuffer reply_frame(buffer_pool_);
-    Bytes& reply_bytes = reply_frame.bytes();
-    {
-        obs::ScopedSpan span(tracer_, [&] { return "codec.encode_reply " + protocol; },
-                             dst);
-        ByteWriter w(reply_bytes);
-        c.encode_reply_into(reply, w);
-        pm.reply_bytes->add(reply_bytes.size());
-        pm.reply_size->record(reply_bytes.size());
-        req.sim_wire_bytes += reply_bytes.size();
-        callee.advance_clock(codec_cost(reply_bytes.size()).first);
-    }
-    net::Delivery outbound;
-    {
-        obs::ScopedSpan span(
-            tracer_,
-            [&] { return "net.transfer " + std::to_string(dst) + "->" + std::to_string(src); },
-            dst);
-        tracer_.note("bytes", reply_bytes.size());
-        const std::uint64_t reply_send_us = callee.clock_us();
-        outbound = network_.transfer_at(dst, src, reply_bytes.size(), reply_send_us);
-        tracer_.pin(span.id(), reply_send_us, outbound.at_us);
-        // The reply frame is what now occupies the reverse link; a later
-        // request on that link must open its own frame.
-        if (lane) batch_lanes_[{dst, src}].joinable = false;
-        if (!outbound.delivered)
-            throw lose(outbound.at_us, dst, src, "reply", true,
-                       "reply lost on link " + std::to_string(dst) + "->" +
-                           std::to_string(src));
-    }
-    // Join point two: the caller resumes no earlier than the reply arrival.
-    // The server is NOT pulled forward by the reply's flight time — it is
-    // free to serve the next client the moment it finished encoding, which
-    // is exactly where multi-client overlap comes from.  In pipeline mode
-    // this join is deferred into the caller's horizon (drained when the
-    // pipeline closes), which is what lets its next request depart while
-    // the link still carries this one.
-    caller.reconcile_reply(outbound.at_us);
-    journal_.record(obs::JournalEvent::Kind::RpcReply, outbound.at_us, src, dst,
-                    req.request_id, reply_bytes.size(), {});
-    net::CallReply decoded_reply;
-    {
-        obs::ScopedSpan span(tracer_, [&] { return "codec.decode_reply " + protocol; },
-                             src);
-        decoded_reply = c.decode_reply(reply_bytes);
-        caller.advance_clock(codec_cost(reply_bytes.size()).second);
-    }
-    if (decoded_reply.is_fault) pm.faults->add();
-    caller.sync_guest_time();
-    callee.sync_guest_time();
-    return decoded_reply;
-}
-
-Value System::remote_call(Node& self, net::NodeId dst, const std::string& protocol,
-                          net::CallRequest& req, obs::Histogram& latency,
-                          obs::Counter* edge_bytes) {
-    const std::uint64_t t0 = self.clock_us();
-    auto account = [&] {
-        if (edge_bytes) edge_bytes->add(req.sim_wire_bytes);
-        latency.record(self.clock_us() - t0);
-    };
-    net::CallReply reply;
-    try {
-        reply = rpc(self.id(), dst, protocol, req);
-    } catch (const Dropped& d) {
-        account();
-        self.throw_remote_fault(d.what);
-    }
-    account();
-    if (reply.is_fault) self.rethrow_fault(reply);
-    return self.import_value(reply.result, protocol);
 }
 
 void System::wire_node(Node& n) {
@@ -609,12 +169,12 @@ void System::wire_node(Node& n) {
                 node_id);
             net::CallRequest req;
             req.kind = kind;
-            req.request_id = next_request_id();
+            req.request_id = rpc_.next_request_id();
             req.src_node = node_id;
             req.cls = cls;
             req.stat_class = cls;
-            return remote_call(node(node_id), p.node, p.protocol, req,
-                               latency_histogram(*row, cls, create ? "make" : "discover"));
+            return rpc_.remote_call(node(node_id), p.node, rpc_.protocol(p.protocol), req,
+                                    latency_histogram(*row, cls, create ? "make" : "discover"));
         };
 
         // A_O_Factory.make(): the policy decides where the instance lives.
@@ -663,7 +223,8 @@ void System::wire_node(Node& n) {
             std::string desc;
             obs::Histogram* latency = nullptr;
         };
-        for (const std::string& proto : result_.report.protocols()) {
+        for (const std::string& proto_name : result_.report.protocols()) {
+            Protocol* proto = &rpc_.protocol(proto_name);
             auto dispatch = [this, node_id, proto, cls, row,
                              edges = std::map<net::NodeId, EdgeTraffic>{},
                              methods = std::unordered_map<const model::Method*,
@@ -681,12 +242,10 @@ void System::wire_node(Node& n) {
                 }
                 net::CallRequest req;
                 req.kind = net::RequestKind::Invoke;
-                req.request_id = next_request_id();
+                req.request_id = rpc_.next_request_id();
                 req.src_node = node_id;
-                req.target_oid = static_cast<std::uint64_t>(
-                    vm.get_field(receiver.as_ref(), naming::kProxyOidField).as_long());
-                std::int32_t target_node =
-                    vm.get_field(receiver.as_ref(), naming::kProxyNodeField).as_int();
+                const auto [target_node, target_oid] = self.proxy_target(receiver.as_ref());
+                req.target_oid = target_oid;
                 req.method = m.name;
                 req.desc = meth.desc;
                 obs::ScopedSpan span(
@@ -735,11 +294,11 @@ void System::wire_node(Node& n) {
                 req.stat_class = cls;
                 req.args.reserve(args.size());
                 for (const Value& a : args) req.args.push_back(self.export_value(a));
-                return remote_call(self, target_node, proto, req, *meth.latency,
-                                   edge.bytes);
+                return rpc_.remote_call(self, target_node, *proto, req, *meth.latency,
+                                        edge.bytes);
             };
-            interp.register_class_native(naming::o_proxy(cls, proto), dispatch);
-            interp.register_class_native(naming::c_proxy(cls, proto), dispatch);
+            interp.register_class_native(naming::o_proxy(cls, proto_name), dispatch);
+            interp.register_class_native(naming::c_proxy(cls, proto_name), dispatch);
         }
     }
 }
@@ -854,80 +413,6 @@ void System::migrate_singleton(const std::string& cls, net::NodeId to,
     if (home.durable()) home.wal()->append_singleton_drop(home.clock_us(), cls);
 }
 
-namespace {
-
-/// Offline decode of a crashed node's durable image (snapshot + log) into
-/// a materializable picture: the heap as last-write-wins field maps, the
-/// singleton registry, the imported-proxy table and the reply cache in
-/// FIFO order.  Statics and class-init marks are deliberately ignored —
-/// they are per-address-space and the *target* node's own <clinit> runs
-/// govern there; all object state that matters lives in instance fields.
-struct RecoveredImage final : WalVisitor {
-    struct Obj {
-        bool is_array = false;
-        std::string cls;          // class name; element descriptor for arrays
-        std::uint64_t length = 0;  // arrays only
-        std::map<std::uint64_t, vm::Value> fields;  // slot -> last value
-    };
-    std::vector<Obj> objects;  // index = oid - 1 (arena order)
-    std::map<std::string, std::uint64_t> singletons;
-    std::vector<std::tuple<std::int32_t, std::uint64_t, std::string, std::string,
-                           std::uint64_t>>
-        imports;
-    std::vector<std::pair<std::uint64_t, net::CallReply>> replies;  // FIFO
-
-    void on_alloc(std::uint64_t, const std::string& cls) override {
-        objects.push_back({false, cls, 0, {}});
-    }
-    void on_alloc_array(std::uint64_t, const std::string& elem_desc,
-                        std::uint64_t length) override {
-        objects.push_back({true, elem_desc, length, {}});
-    }
-    void on_field_put(std::uint64_t, std::uint64_t oid, std::uint64_t slot,
-                      const vm::Value& v) override {
-        if (oid && oid <= objects.size()) objects[oid - 1].fields[slot] = v;
-    }
-    void on_array_put(std::uint64_t t, std::uint64_t oid, std::uint64_t index,
-                      const vm::Value& v) override {
-        on_field_put(t, oid, index, v);
-    }
-    void on_singleton(std::uint64_t, const std::string& cls,
-                      std::uint64_t oid) override {
-        singletons[cls] = oid;
-    }
-    void on_singleton_drop(std::uint64_t, const std::string& cls) override {
-        singletons.erase(cls);
-    }
-    void on_proxy_import(std::uint64_t, std::int32_t origin_node,
-                         std::uint64_t origin_oid, const std::string& iface,
-                         const std::string& protocol,
-                         std::uint64_t local_oid) override {
-        imports.emplace_back(origin_node, origin_oid, iface, protocol, local_oid);
-    }
-    void on_reply(std::uint64_t, std::uint64_t request_id,
-                  const net::CallReply& reply) override {
-        replies.emplace_back(request_id, reply);
-    }
-    void on_transmute(std::uint64_t, std::uint64_t oid, const std::string& proxy_cls,
-                      std::int32_t node, std::uint64_t remote_oid) override {
-        if (!oid || oid > objects.size()) return;
-        // The slot became a proxy before the crash: its state lives at
-        // (node, remote_oid), so the image carries only the proxy.
-        Obj& o = objects[oid - 1];
-        o.is_array = false;
-        o.cls = proxy_cls;
-        o.fields.clear();
-        o.fields[0] = Value::of_int(node);
-        o.fields[1] = Value::of_long(static_cast<std::int64_t>(remote_oid));
-    }
-    void on_relocate(std::uint64_t t, std::uint64_t oid, const std::string& proxy_cls,
-                     std::int32_t node, std::uint64_t remote_oid) override {
-        on_transmute(t, oid, proxy_cls, node, remote_oid);
-    }
-};
-
-}  // namespace
-
 std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
                                       const std::string& protocol) {
     if (crashed == target)
@@ -944,8 +429,11 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
     tracer_.note("crashed", crashed);
 
     // Decode the durable image offline — the crashed node itself is not
-    // touched (it is down; its own in-memory state is dead anyway).
-    RecoveredImage img;
+    // touched (it is down; its own in-memory state is dead anyway).  A
+    // record naming an object the image never allocated throws here,
+    // before the target is touched.  Statics and class-init marks are
+    // per-address-space: the target's own <clinit> runs govern there.
+    WalImage img;
     Wal::replay(c.wal()->snapshot(), img);
     Wal::replay(c.wal()->log(), img);
 
@@ -958,58 +446,21 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
         network_.transfer_at(crashed, target, image_bytes, t.clock_us());
     barrier(landed.at_us);
 
-    // Pass 1 — allocate every object on the target in image (arena)
-    // order; the remap table carries old oid -> new oid.
+    // Every object lands after the target's heap, in image (arena) order:
+    // old oid k becomes base + k.
+    const vm::ObjId base = t.restore_objects(img, /*journal=*/true);
     std::map<vm::ObjId, vm::ObjId> remap;
-    for (std::size_t i = 0; i < img.objects.size(); ++i) {
-        const RecoveredImage::Obj& o = img.objects[i];
-        vm::ObjId new_id;
-        if (o.is_array) {
-            new_id = t.interp().restore_array(o.cls,
-                                              static_cast<std::size_t>(o.length));
-            if (t.durable())
-                t.wal()->append_alloc_array(t.clock_us(), o.cls, o.length);
-        } else {
-            new_id = t.interp().restore_object(o.cls);
-            if (t.durable()) t.wal()->append_alloc(t.clock_us(), o.cls);
-        }
-        remap[static_cast<vm::ObjId>(i + 1)] = new_id;
-        if (replicas_.active())
-            replicas_.drop_primary(crashed, static_cast<vm::ObjId>(i + 1));
-    }
-
-    // Pass 2 — fill fields.  References were crashed-local object ids, so
-    // they remap; proxy node/oid fields are plain ints/longs (global
-    // values) and copy verbatim.
-    for (std::size_t i = 0; i < img.objects.size(); ++i) {
-        const RecoveredImage::Obj& o = img.objects[i];
-        const vm::ObjId new_id = remap.at(static_cast<vm::ObjId>(i + 1));
-        for (const auto& [slot, v] : o.fields) {
-            vm::Value w = v;
-            if (v.is_ref()) {
-                const auto it = remap.find(v.as_ref());
-                if (it == remap.end())
-                    throw RuntimeError("recovered image has a dangling reference");
-                w = Value::of_ref(it->second);
-            }
-            t.interp().restore_field(new_id, static_cast<std::size_t>(slot), w);
-            if (t.durable()) {
-                if (o.is_array)
-                    t.wal()->append_array_put(t.clock_us(), new_id, slot, w);
-                else
-                    t.wal()->append_field_put(t.clock_us(), new_id, slot, w);
-            }
-        }
+    for (vm::ObjId old_oid = 1; old_oid <= img.objects.size(); ++old_oid) {
+        remap.emplace_hint(remap.end(), old_oid, base + old_oid);
+        if (replicas_.active()) replicas_.drop_primary(crashed, old_oid);
     }
 
     // Singleton registry: the recovered instances are the authoritative
     // singletons, and policy + directory must send future discover()
     // traffic to their new home.
     for (const auto& [cls, old_oid] : img.singletons) {
-        const auto it = remap.find(old_oid);
-        if (it == remap.end()) continue;
-        t.singletons_[cls] = it->second;
-        if (t.durable()) t.wal()->append_singleton(t.clock_us(), cls, it->second);
+        t.singletons_[cls] = base + old_oid;
+        if (t.durable()) t.wal()->append_singleton(t.clock_us(), cls, base + old_oid);
         policy_.set_singleton_home(cls, target, proto);
         if (directory_.enabled()) directory_.put_singleton(cls, target, proto);
     }
@@ -1017,14 +468,11 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
     // Imported-proxy table: the copies of the crashed node's proxies keep
     // deduplicating against the same origin keys on the target (existing
     // target entries win — they already point at live local proxies).
-    for (const auto& [origin_node, origin_oid, iface, ip, local_oid] : img.imports) {
-        const auto it = remap.find(local_oid);
-        if (it == remap.end()) continue;
-        auto key = std::make_tuple(static_cast<net::NodeId>(origin_node), origin_oid,
-                                   iface, ip);
-        if (t.imported_.emplace(key, it->second).second && t.durable())
-            t.wal()->append_proxy_import(t.clock_us(), origin_node, origin_oid, iface,
-                                         ip, it->second);
+    for (const auto& [key, local_oid] : img.imports) {
+        const auto& [origin_node, origin_oid, iface, ip] = key;
+        if (t.imported_.emplace(key, base + local_oid).second && t.durable())
+            t.wal()->append_proxy_import(t.clock_us(), origin_node, origin_oid, iface, ip,
+                                         base + local_oid);
     }
 
     // Reply cache, FIFO order: retried requests the crashed node already
@@ -1054,14 +502,14 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
     std::map<vm::ObjId, std::string> singleton_of;
     for (const auto& [cls, old_oid] : img.singletons) singleton_of[old_oid] = cls;
     for (std::size_t i = 0; i < img.objects.size(); ++i) {
-        const RecoveredImage::Obj& o = img.objects[i];
+        const WalImage::Object& o = img.objects[i];
         const vm::ObjId old_oid = static_cast<vm::ObjId>(i + 1);
         if (o.is_array || naming::parse_proxy(o.cls)) continue;
         auto iface = naming::local_to_interface(o.cls);
         if (!iface) continue;
         c.wal()->append_relocate(landed.at_us, old_oid,
                                  naming::interface_to_proxy(*iface, proto), target,
-                                 remap.at(old_oid));
+                                 base + old_oid);
         // A relocated singleton is no longer this node's singleton: the
         // drop record makes the restart replay erase the registration
         // (mirroring migrate_singleton), and the in-memory erase keeps
@@ -1073,7 +521,7 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
             c.singletons_.erase(sit->second);
         }
         if (directory_.enabled()) directory_.put_object(crashed, old_oid, target,
-                                                        remap.at(old_oid));
+                                                        base + old_oid);
         ++relocated;
     }
 
@@ -1082,20 +530,20 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
     // peers journal the repoint themselves).
     for (const auto& n : nodes_) {
         if (n->id() == crashed) continue;
-        vm::Interpreter& interp = n->interp();
-        for (vm::ObjId id = 1; id <= interp.heap().size(); ++id) {
-            const vm::Object& o = interp.heap().get(id);
+        const vm::Heap& heap = n->interp().heap();
+        for (vm::ObjId id = 1; id <= heap.size(); ++id) {
+            const vm::Object& o = heap.get(id);
             if (o.is_array || !o.cls || !naming::parse_proxy(o.cls->name)) continue;
-            const auto [to_node, old_oid] = proxy_target(interp, id);
+            const auto [to_node, old_oid] = n->proxy_target(id);
             if (to_node != crashed) continue;
             const auto it = remap.find(old_oid);
             if (it == remap.end()) continue;
-            set_proxy_target(interp, id, target, it->second);
+            n->set_proxy_target(id, target, it->second);
         }
     }
 
     if (directory_.enabled()) directory_changed();
-    if (wal_relocated_) wal_relocated_->add(relocated);
+    if (durability_.enabled) metrics_.counter("wal.relocated_objects").add(relocated);
     journal_.record(obs::JournalEvent::Kind::Recover, landed.at_us, crashed, target,
                     img.objects.size(), image_bytes, {});
     for (const auto& n : nodes_) n->sync_guest_time();
@@ -1176,12 +624,12 @@ System::ShippedState System::ship_state(Node& from, vm::ObjId oid, net::NodeId t
     s.layout = &result_.pool.layout_of(*s.cls);
     net::CallRequest msg;  // marshalled state; encoded for wire-size accounting
     msg.kind = net::RequestKind::Create;
-    msg.request_id = next_request_id();
+    msg.request_id = rpc_.next_request_id();
     msg.src_node = from.id();
     msg.cls = *s.cls;
     for (const model::FieldSlot& slot : s.layout->slots)
         msg.args.push_back(from.export_value(from.interp().get_field(oid, slot.name)));
-    s.bytes = codec(proto).encode_request(msg).size();
+    s.bytes = rpc_.protocol(proto).codec->encode_request(msg).size();
     s.landed = network_.transfer_at(from.id(), to, s.bytes, from.clock_us());
     s.fields = std::move(msg.args);
     return s;
@@ -1202,7 +650,7 @@ void System::barrier(std::uint64_t t_us) {
     // joinable refers to a frame opened before the control operation, and
     // a later call must never coalesce onto a frame addressed to an old
     // home (§17 composed with migration; regression-tested).
-    for (auto& [_, lane] : batch_lanes_) lane.joinable = false;
+    rpc_.close_batch_lanes();
 }
 
 void System::directory_changed() {
@@ -1308,7 +756,7 @@ std::size_t System::migrate_closure(net::NodeId from, vm::ObjId oid, net::NodeId
             if (!v.is_ref()) continue;
             const std::string& vcls = t.interp().class_of(v.as_ref()).name;
             if (!naming::parse_proxy(vcls)) continue;
-            const auto [via_node, via_oid] = proxy_target(t.interp(), v.as_ref());
+            const auto [via_node, via_oid] = t.proxy_target(v.as_ref());
             auto [term_node, term_oid] = resolve_terminal(via_node, via_oid);
             if (term_node == to)
                 t.interp().set_field(moved, slot.name, Value::of_ref(term_oid));
@@ -1324,34 +772,25 @@ std::pair<net::NodeId, vm::ObjId> System::resolve_terminal(net::NodeId node_id,
     while (true) {
         if (!seen.insert({node_id, oid}).second)
             throw RuntimeError("proxy chain cycle at node " + std::to_string(node_id));
-        vm::Interpreter& interp = node(node_id).interp();
-        if (!naming::parse_proxy(interp.class_of(oid).name)) return {node_id, oid};
-        std::tie(node_id, oid) = proxy_target(interp, oid);
+        Node& n = node(node_id);
+        if (!naming::parse_proxy(n.interp().class_of(oid).name)) return {node_id, oid};
+        std::tie(node_id, oid) = n.proxy_target(oid);
         if (hops) ++*hops;
     }
 }
 
 int System::shorten_chain(net::NodeId node_id, vm::ObjId oid) {
-    vm::Interpreter& interp = node(node_id).interp();
-    if (!naming::parse_proxy(interp.class_of(oid).name)) return 0;
+    Node& n = node(node_id);
+    if (!naming::parse_proxy(n.interp().class_of(oid).name)) return 0;
     // Every proxy past this one is an intermediate hop being bypassed.
-    const auto [first_node, first_oid] = proxy_target(interp, oid);
+    const auto [first_node, first_oid] = n.proxy_target(oid);
     int hops = 0;
     const auto [term_node, term_oid] = resolve_terminal(first_node, first_oid, &hops);
     if (hops == 0) return 0;
-    set_proxy_target(interp, oid, term_node, term_oid);
+    n.set_proxy_target(oid, term_node, term_oid);
     chain_shortenings_counter_->add();
     chain_hops_removed_counter_->add(static_cast<std::uint64_t>(hops));
     return hops;
-}
-
-System::RpcTotals System::rpc_totals() const {
-    RpcTotals t;
-    for (const auto& [_, pm] : proto_metrics_) {
-        t.calls += pm.calls->value() + pm.creates->value() + pm.discovers->value();
-        t.bytes += pm.request_bytes->value() + pm.reply_bytes->value();
-    }
-    return t;
 }
 
 void System::enable_directory(DirectoryPolicy policy) {
@@ -1469,7 +908,7 @@ void System::reset_stats() {
     if (adapt_) adapt_->rebase();
     // Breaker *state* is semantic, not accounting: re-publish it so the
     // zeroed gauges don't claim every breaker is closed.
-    for (auto& [key, b] : breakers_) b.set_state(b.state);
+    rpc_.republish_breakers();
 }
 
 }  // namespace rafda::runtime

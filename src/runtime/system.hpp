@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "net/codec.hpp"
 #include "net/network.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -27,8 +26,7 @@
 #include "runtime/policy.hpp"
 #include "runtime/reliable.hpp"
 #include "runtime/replica.hpp"
-#include "support/pool.hpp"
-#include "support/rng.hpp"
+#include "runtime/rpc_path.hpp"
 #include "transform/pipeline.hpp"
 
 namespace rafda::runtime {
@@ -279,103 +277,21 @@ public:
     /// class once a node is wired, whether or not it saw traffic.
     const TrafficTable& traffic() const noexcept { return traffic_; }
 
-    /// Remote requests (invokes + creates + discovers) and wire bytes
-    /// (requests + replies) summed over every protocol's `rpc.proto.*`
-    /// counters.
-    struct RpcTotals {
-        std::uint64_t calls = 0;
-        std::uint64_t bytes = 0;
-    };
-    RpcTotals rpc_totals() const;
+    using RpcTotals = runtime::RpcTotals;
+    RpcTotals rpc_totals() const { return rpc_.totals(); }
     std::uint64_t migrations() const noexcept;
     void reset_stats();
 
-    // ---- internal plumbing used by Node and the proxy dispatcher ----
-
-    /// Marker thrown (C++-level) when the simulated network drops a
-    /// message; converted to a guest RemoteFault at the proxy boundary.
-    ///
-    /// RPC here is at-most-once, and the two loss points are not
-    /// equivalent: a lost *request* never executed, a lost *reply* means
-    /// the remote side already ran the call and only the result vanished.
-    /// `executed_remotely` distinguishes them so callers can reason about
-    /// side effects (retrying a create after a reply loss leaks an
-    /// instance; retrying after a request loss does not).  See DESIGN.md
-    /// §12.
-    struct Dropped {
-        std::string what;
-        bool executed_remotely = false;
-        /// True when no attempt touched the wire: an open circuit breaker
-        /// or a known-crashed destination rejected the call immediately.
-        bool fast_fail = false;
-    };
-
-    /// One reliable logical call: encodes, transfers, decodes, dispatches
-    /// and returns the reply, retrying per `reliability()` — deadline in
-    /// virtual time, exponential backoff with seeded jitter, retry budget,
-    /// circuit breaker — with the request id as the idempotency key for
-    /// the callee's reply cache.  Stamps the tracer's current trace/span
-    /// into `req`'s wire header so the remote dispatch span parents
-    /// correctly.  Throws Dropped once the policy gives up (with the
-    /// default policy that is on the first loss, exactly the legacy
-    /// at-most-once behaviour).
-    net::CallReply rpc(net::NodeId src, net::NodeId dst, const std::string& protocol,
-                       net::CallRequest& req);
-
-    /// The active reliability policy; mutate before driving traffic.
-    RetryPolicy& reliability() noexcept { return reliability_; }
-    const RetryPolicy& reliability() const noexcept { return reliability_; }
-
-    /// The active batching policy (DESIGN.md §17); mutate before driving
-    /// traffic.  Off by default — the wire schedule is then exactly the
-    /// per-frame behaviour, byte for byte.
-    BatchPolicy& batching() noexcept { return batching_; }
-    const BatchPolicy& batching() const noexcept { return batching_; }
+    /// The client half of every remote call: protocol table, reliable
+    /// call loop, batch lanes, breakers and the rpc.* counters.
+    RpcPath& rpc_path() noexcept { return rpc_; }
+    using Dropped = RpcPath::Dropped;
 
     /// The pooled message-buffer arena the RPC path encodes into; exposed
     /// for tests and the rpc.pool.* probes.
-    const support::BufferPool& buffer_pool() const noexcept { return buffer_pool_; }
-
-    /// Per-(destination node, protocol) breaker traversal in key order,
-    /// for `rafdac faults` and tests.
-    void visit_breakers(const std::function<void(
-                            net::NodeId, const std::string&, const CircuitBreaker&)>& fn) const;
-
-    /// Bumped by Node when its reply cache answers a retried request; the
-    /// (request id, node, time) triple also lands in the journal so the
-    /// timeline shows *which* retry was absorbed.
-    void note_dedup_hit(std::uint64_t request_id, net::NodeId node,
-                        std::uint64_t t_us) {
-        rpc_dedup_hits_->add();
-        journal_.record(obs::JournalEvent::Kind::DedupHit, t_us, node, -1, request_id, 0,
-                        {});
-    }
-    /// Bumped by Node when it refuses an expired request.
-    void note_server_timeout(std::uint64_t request_id, net::NodeId node,
-                             std::uint64_t t_us) {
-        rpc_timeouts_->add();
-        journal_.record(obs::JournalEvent::Kind::RpcTimeout, t_us, node, -1, request_id,
-                        0, "server");
-    }
-
-    net::Codec& codec(const std::string& protocol);
+    const support::BufferPool& buffer_pool() const noexcept { return rpc_.buffer_pool(); }
 
 private:
-    /// Cached registry handles for one protocol's `rpc.proto.<proto>.*`
-    /// metrics — resolved once, bumped through pointers on the hot path.
-    struct ProtoMetrics {
-        obs::Counter* calls = nullptr;
-        obs::Counter* creates = nullptr;
-        obs::Counter* discovers = nullptr;
-        obs::Counter* faults = nullptr;
-        obs::Counter* drops = nullptr;
-        obs::Counter* request_bytes = nullptr;
-        obs::Counter* reply_bytes = nullptr;
-        obs::Histogram* request_size = nullptr;
-        obs::Histogram* reply_size = nullptr;
-    };
-    ProtoMetrics& proto_metrics(const std::string& protocol);
-
     /// Resolves the {calls, bytes} counter pair for one traffic-matrix
     /// edge of `row`, enforcing SystemOptions::class_matrix_cap: the first
     /// `cap` distinct (class, src, dst) edges materialize named counters
@@ -399,16 +315,6 @@ private:
     void directory_control_trip(net::NodeId asker, net::NodeId owner);
 
     void wire_node(Node& node);
-    std::uint64_t next_request_id() { return ++request_counter_; }
-    /// The client half of every remote native (make, discover, proxy
-    /// invoke): runs `req` through rpc(), records the caller-observed
-    /// latency (and the wire bytes into `edge_bytes` when given), then
-    /// rethrows a guest fault, imports the result, or turns a network loss
-    /// into a guest RemoteFault.
-    vm::Value remote_call(Node& self, net::NodeId dst, const std::string& protocol,
-                          net::CallRequest& req, obs::Histogram& latency,
-                          obs::Counter* edge_bytes = nullptr);
-
     /// An object's field state in flight over the reliable control channel
     /// (migration, replica creation and refresh).
     struct ShippedState {
@@ -433,16 +339,6 @@ private:
     /// After a directory write: sheds per-node caches and republishes the
     /// directory.updates / directory.entries metrics.
     void directory_changed();
-
-    /// One wire round-trip (the legacy rpc body): no retries, no breaker.
-    net::CallReply rpc_attempt(net::NodeId src, net::NodeId dst,
-                               const std::string& protocol, net::CallRequest& req,
-                               ProtoMetrics& pm);
-    CircuitBreaker& breaker(net::NodeId dst, const std::string& protocol);
-
-    /// Journal edge detection for node-crash windows: records a FaultEdge
-    /// (peer=-1) when `down` differs from the last observation for `dst`.
-    void note_node_fault(net::NodeId dst, bool down, std::uint64_t t_us);
 
     /// Write-invalidate (DESIGN.md §19): marks every copy of the primary
     /// stale and charges one control message per freshly invalidated copy
@@ -471,6 +367,7 @@ private:
     model::ClassPool prepared_;  // original + prelude + RemoteFault
     transform::PipelineResult result_;
     net::SimNetwork network_;
+    RpcPath rpc_;
     DistributionPolicy policy_;
     ShardedDirectory directory_;
     obs::Counter* dir_lookups_ = nullptr;
@@ -485,43 +382,12 @@ private:
     EdgeTraffic matrix_overflow_;
     obs::Counter* matrix_overflow_entries_ = nullptr;
     std::vector<std::unique_ptr<Node>> nodes_;
-    std::map<std::string, std::unique_ptr<net::Codec>> codecs_;
-    std::map<std::string, ProtoMetrics> proto_metrics_;
     obs::Counter* migrations_counter_ = nullptr;
     obs::Counter* migration_bytes_counter_ = nullptr;
     obs::Counter* chain_shortenings_counter_ = nullptr;
     obs::Counter* chain_hops_removed_counter_ = nullptr;
-    std::uint64_t request_counter_ = 0;
     bool method_profiling_ = false;
-    RetryPolicy reliability_;
-    BatchPolicy batching_;
     std::size_t class_matrix_cap_ = 1024;
-    /// Per-directed-link batch lane: what frame last occupied the link
-    /// and whether a same-protocol request may still append to it.  The
-    /// decode side reuses the recorded BatchContext, modelling the
-    /// receiver having seen the frame open.
-    struct BatchLane {
-        std::string protocol;
-        net::BatchContext ctx;
-        std::uint32_t entries = 0;  // continuation entries appended so far
-        bool joinable = false;
-    };
-    std::map<std::pair<net::NodeId, net::NodeId>, BatchLane> batch_lanes_;
-    /// Message-buffer arena for the RPC hot path (request + reply frames
-    /// encode straight into pooled storage; DESIGN.md §17).
-    support::BufferPool buffer_pool_;
-    obs::Counter* batch_frames_ = nullptr;
-    obs::Counter* batch_coalesced_ = nullptr;
-    obs::Counter* batch_entry_bytes_ = nullptr;
-    obs::Counter* batch_latency_saved_us_ = nullptr;
-    std::map<std::pair<net::NodeId, std::string>, CircuitBreaker> breakers_;
-    /// Last observed node-crash state per destination (journal edge
-    /// detection only, mirroring SimNetwork::fault_seen_ for links).
-    std::map<net::NodeId, bool> node_fault_seen_;
-    /// Jitter draws come from their own stream (not the network's), so a
-    /// retry schedule can never perturb drop decisions — and vice versa.
-    Rng retry_jitter_rng_;
-    std::uint64_t retries_spent_ = 0;  // against RetryPolicy::retry_budget
     /// Closed-loop adaptation (DESIGN.md §19).  The engine is only
     /// constructed by enable_adaptation(); the replica registry is always
     /// present but costs one empty-map check until the first replica.
@@ -530,11 +396,6 @@ private:
     obs::Counter* adapt_invalidations_ = nullptr;
     obs::Counter* adapt_replica_reads_ = nullptr;
     obs::Counter* adapt_replica_refreshes_ = nullptr;
-    obs::Counter* rpc_retries_ = nullptr;
-    obs::Counter* rpc_retries_reply_loss_ = nullptr;
-    obs::Counter* rpc_timeouts_ = nullptr;
-    obs::Counter* rpc_dedup_hits_ = nullptr;
-    obs::Counter* rpc_breaker_open_ = nullptr;
     /// Durability (DESIGN.md §20).  Counters exist only once
     /// enable_durability ran — the off state registers nothing.
     DurabilityPolicy durability_;
@@ -544,9 +405,6 @@ private:
     obs::Counter* wal_records_ = nullptr;
     obs::Counter* wal_bytes_ = nullptr;
     obs::Counter* wal_snapshots_ = nullptr;
-    obs::Counter* wal_recoveries_ = nullptr;
-    obs::Counter* wal_replayed_ = nullptr;
-    obs::Counter* wal_relocated_ = nullptr;
 };
 
 }  // namespace rafda::runtime

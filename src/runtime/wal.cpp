@@ -190,6 +190,13 @@ void EncodedReply::encode(std::uint64_t request_id, const net::CallReply& reply)
     shift = wal_crc32_shift(body.size());
 }
 
+WalImage::Object& WalImage::object(std::uint64_t oid) {
+    if (oid == 0 || oid > objects.size())
+        throw CodecError("WAL record names object " + std::to_string(oid) +
+                         ", which the image never allocated");
+    return objects[oid - 1];
+}
+
 void Wal::stamp(ByteWriter& w, Kind kind, std::uint64_t t_us) {
     w.u8(static_cast<std::uint8_t>(kind));
     w.varu64(t_us);
@@ -233,22 +240,12 @@ void Wal::append_alloc_array(std::uint64_t t_us, const std::string& elem_desc,
     frame();
 }
 
-void Wal::append_field_put(std::uint64_t t_us, std::uint64_t oid, std::uint64_t slot,
-                           const vm::Value& v) {
+void Wal::append_put(Kind kind, std::uint64_t t_us, std::uint64_t oid, std::uint64_t slot,
+                     const vm::Value& v) {
     ByteWriter w(payload_);
-    stamp(w, Kind::FieldPut, t_us);
+    stamp(w, kind, t_us);
     w.varu64(oid);
     w.varu64(slot);
-    put_value(w, v);
-    frame();
-}
-
-void Wal::append_array_put(std::uint64_t t_us, std::uint64_t oid, std::uint64_t index,
-                           const vm::Value& v) {
-    ByteWriter w(payload_);
-    stamp(w, Kind::ArrayPut, t_us);
-    w.varu64(oid);
-    w.varu64(index);
     put_value(w, v);
     frame();
 }
@@ -316,23 +313,11 @@ void Wal::append_reply(std::uint64_t t_us, const EncodedReply& reply) {
          reply.body);
 }
 
-void Wal::append_transmute(std::uint64_t t_us, std::uint64_t oid,
-                           const std::string& proxy_cls, std::int32_t node,
-                           std::uint64_t remote_oid) {
+void Wal::append_move(Kind kind, std::uint64_t t_us, std::uint64_t oid,
+                      const std::string& proxy_cls, std::int32_t node,
+                      std::uint64_t remote_oid) {
     ByteWriter w(payload_);
-    stamp(w, Kind::Transmute, t_us);
-    w.varu64(oid);
-    w.str(proxy_cls);
-    w.i32(node);
-    w.varu64(remote_oid);
-    frame();
-}
-
-void Wal::append_relocate(std::uint64_t t_us, std::uint64_t oid,
-                          const std::string& proxy_cls, std::int32_t node,
-                          std::uint64_t remote_oid) {
-    ByteWriter w(payload_);
-    stamp(w, Kind::Relocate, t_us);
+    stamp(w, kind, t_us);
     w.varu64(oid);
     w.str(proxy_cls);
     w.i32(node);
@@ -382,16 +367,15 @@ Wal::ReplayResult Wal::replay(const Bytes& stream, WalVisitor& v) {
                 v.on_alloc_array(t, elem, r.varu64());
                 break;
             }
-            case Kind::FieldPut: {
-                std::uint64_t oid = r.varu64();
-                std::uint64_t slot = r.varu64();
-                v.on_field_put(t, oid, slot, get_value(r));
-                break;
-            }
+            case Kind::FieldPut:
             case Kind::ArrayPut: {
                 std::uint64_t oid = r.varu64();
-                std::uint64_t idx = r.varu64();
-                v.on_array_put(t, oid, idx, get_value(r));
+                std::uint64_t slot = r.varu64();
+                const vm::Value val = get_value(r);
+                if (kind == Kind::FieldPut)
+                    v.on_field_put(t, oid, slot, val);
+                else
+                    v.on_array_put(t, oid, slot, val);
                 break;
             }
             case Kind::StaticPut: {
@@ -426,18 +410,16 @@ Wal::ReplayResult Wal::replay(const Bytes& stream, WalVisitor& v) {
                 v.on_reply(t, req, get_reply(r));
                 break;
             }
-            case Kind::Transmute: {
-                std::uint64_t oid = r.varu64();
-                std::string cls = r.str();
-                std::int32_t node = r.i32();
-                v.on_transmute(t, oid, cls, node, r.varu64());
-                break;
-            }
+            case Kind::Transmute:
             case Kind::Relocate: {
                 std::uint64_t oid = r.varu64();
                 std::string cls = r.str();
                 std::int32_t node = r.i32();
-                v.on_relocate(t, oid, cls, node, r.varu64());
+                std::uint64_t remote = r.varu64();
+                if (kind == Kind::Transmute)
+                    v.on_transmute(t, oid, cls, node, remote);
+                else
+                    v.on_relocate(t, oid, cls, node, remote);
                 break;
             }
             default:

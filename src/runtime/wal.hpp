@@ -24,8 +24,13 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <set>
 #include <span>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "net/message.hpp"
 #include "obs/metrics.hpp"
@@ -54,8 +59,8 @@ struct WalStats {
 };
 
 /// Decoded-record sink for replay.  Every method defaults to a no-op so
-/// implementations (node restore, the migration-by-recovery image
-/// builder, tests) override only what they consume.
+/// implementations (WalImage, tests, tools) override only what they
+/// consume.
 class WalVisitor {
 public:
     virtual ~WalVisitor() = default;
@@ -95,6 +100,89 @@ public:
                              std::uint64_t /*remote_oid*/) {}
 };
 
+/// A node's durable image (snapshot + log) decoded into the state it
+/// describes: the one reader of replayed records, shared by a node's
+/// restart and by migration-by-recovery (Node::restore_objects).  A
+/// transmute or relocate replaces the object by its proxy.  A record that
+/// names an object the image never allocated is rejected while decoding
+/// (CodecError), before anything is restored.
+class WalImage final : public WalVisitor {
+public:
+    struct Object {
+        bool is_array = false;
+        std::string cls;           // class name; element descriptor for arrays
+        std::uint64_t length = 0;  // arrays only
+        std::map<std::uint64_t, vm::Value> fields;  // slot -> last value
+    };
+    /// (origin node, origin oid, interface, protocol), as Node keys them.
+    using ImportKey = std::tuple<std::int32_t, std::uint64_t, std::string, std::string>;
+
+    std::vector<Object> objects;  // arena order: index = oid - 1
+    std::map<std::pair<std::string, std::string>, vm::Value> statics;  // (cls, field)
+    std::set<std::string> initialized;
+    std::map<std::string, std::uint64_t> singletons;
+    std::vector<std::pair<ImportKey, std::uint64_t>> imports;  // -> local oid, in record order
+    std::vector<std::pair<std::uint64_t, net::CallReply>> replies;  // FIFO
+
+    void on_alloc(std::uint64_t, const std::string& cls) override {
+        objects.push_back({false, cls, 0, {}});
+    }
+    void on_alloc_array(std::uint64_t, const std::string& elem_desc,
+                        std::uint64_t length) override {
+        objects.push_back({true, elem_desc, length, {}});
+    }
+    void on_field_put(std::uint64_t, std::uint64_t oid, std::uint64_t slot,
+                      const vm::Value& v) override {
+        object(oid).fields[slot] = v;
+    }
+    void on_array_put(std::uint64_t, std::uint64_t oid, std::uint64_t index,
+                      const vm::Value& v) override {
+        object(oid).fields[index] = v;
+    }
+    void on_static_put(std::uint64_t, const std::string& cls, const std::string& field,
+                       const vm::Value& v) override {
+        statics[{cls, field}] = v;
+    }
+    void on_class_init(std::uint64_t, const std::string& cls) override {
+        initialized.insert(cls);
+    }
+    void on_singleton(std::uint64_t, const std::string& cls, std::uint64_t oid) override {
+        object(oid);
+        singletons[cls] = oid;
+    }
+    void on_singleton_drop(std::uint64_t, const std::string& cls) override {
+        singletons.erase(cls);
+    }
+    void on_proxy_import(std::uint64_t, std::int32_t origin_node, std::uint64_t origin_oid,
+                         const std::string& iface, const std::string& protocol,
+                         std::uint64_t local_oid) override {
+        object(local_oid);
+        imports.emplace_back(ImportKey{origin_node, origin_oid, iface, protocol}, local_oid);
+    }
+    void on_reply(std::uint64_t, std::uint64_t request_id,
+                  const net::CallReply& reply) override {
+        replies.emplace_back(request_id, reply);
+    }
+    /// The slot became a proxy: its state lives at (node, remote_oid), so
+    /// the image carries only the proxy's two fields.
+    void on_transmute(std::uint64_t, std::uint64_t oid, const std::string& proxy_cls,
+                      std::int32_t node, std::uint64_t remote_oid) override {
+        object(oid) = {false,
+                       proxy_cls,
+                       0,
+                       {{0, vm::Value::of_int(node)},
+                        {1, vm::Value::of_long(static_cast<std::int64_t>(remote_oid))}}};
+    }
+    void on_relocate(std::uint64_t t_us, std::uint64_t oid, const std::string& proxy_cls,
+                     std::int32_t node, std::uint64_t remote_oid) override {
+        on_transmute(t_us, oid, proxy_cls, node, remote_oid);
+    }
+
+private:
+    /// The allocated object `oid`; throws CodecError for any other id.
+    Object& object(std::uint64_t oid);
+};
+
 /// A Reply record's fields — `[varu64 request_id][reply]` — encoded once,
 /// with the CRC and CRC shift that let any `[kind][t_us]` prefix be
 /// combined in without re-reading them.  A node keeps one per reply-cache
@@ -125,9 +213,13 @@ public:
     void append_alloc_array(std::uint64_t t_us, const std::string& elem_desc,
                             std::uint64_t length);
     void append_field_put(std::uint64_t t_us, std::uint64_t oid, std::uint64_t slot,
-                          const vm::Value& v);
+                          const vm::Value& v) {
+        append_put(Kind::FieldPut, t_us, oid, slot, v);
+    }
     void append_array_put(std::uint64_t t_us, std::uint64_t oid, std::uint64_t index,
-                          const vm::Value& v);
+                          const vm::Value& v) {
+        append_put(Kind::ArrayPut, t_us, oid, index, v);
+    }
     void append_static_put(std::uint64_t t_us, const std::string& cls,
                            const std::string& field, const vm::Value& v);
     void append_class_init(std::uint64_t t_us, const std::string& cls);
@@ -146,10 +238,14 @@ public:
     void append_reply(std::uint64_t t_us, const EncodedReply& reply);
     void append_transmute(std::uint64_t t_us, std::uint64_t oid,
                           const std::string& proxy_cls, std::int32_t node,
-                          std::uint64_t remote_oid);
+                          std::uint64_t remote_oid) {
+        append_move(Kind::Transmute, t_us, oid, proxy_cls, node, remote_oid);
+    }
     void append_relocate(std::uint64_t t_us, std::uint64_t oid,
                          const std::string& proxy_cls, std::int32_t node,
-                         std::uint64_t remote_oid);
+                         std::uint64_t remote_oid) {
+        append_move(Kind::Relocate, t_us, oid, proxy_cls, node, remote_oid);
+    }
 
     // -- Snapshot protocol ----------------------------------------------
     /// Redirects subsequent appends into a fresh checkpoint stream; the
@@ -182,10 +278,6 @@ public:
         snapshots_ctr_ = snapshots;
     }
 
-    // Test access: install arbitrary (possibly damaged) streams.
-    void set_log(Bytes b) { log_ = std::move(b); }
-    void set_snapshot(Bytes b) { snapshot_ = std::move(b); }
-
 private:
     enum class Kind : std::uint8_t {
         Alloc = 1,
@@ -202,6 +294,12 @@ private:
         Relocate = 12,
     };
 
+    /// FieldPut/ArrayPut and Transmute/Relocate share a layout.
+    void append_put(Kind kind, std::uint64_t t_us, std::uint64_t oid, std::uint64_t slot,
+                    const vm::Value& v);
+    void append_move(Kind kind, std::uint64_t t_us, std::uint64_t oid,
+                     const std::string& proxy_cls, std::int32_t node,
+                     std::uint64_t remote_oid);
     /// Frames payload_ (kind + stamp + fields already encoded) with its
     /// length and CRC into the current sink.
     void frame();

@@ -52,14 +52,6 @@ std::string interface_to_proxy(std::string_view iface, std::string_view protocol
     return base + "Proxy_" + std::string(protocol);
 }
 
-std::optional<std::string> interface_to_original(std::string_view iface) {
-    for (const char* suffix : {"_O_Int", "_C_Int"}) {
-        if (ends_with(iface, suffix) && iface.size() > std::string_view(suffix).size())
-            return std::string(iface.substr(0, iface.size() - 6));
-    }
-    return std::nullopt;
-}
-
 bool is_generated(std::string_view name) {
     return ends_with(name, "_O_Int") || ends_with(name, "_O_Local") ||
            ends_with(name, "_C_Int") || ends_with(name, "_C_Local") ||

@@ -56,9 +56,6 @@ std::optional<std::string> local_to_interface(std::string_view name);
 /// "X_O_Int" + "RMI" -> "X_O_Proxy_RMI" (also for the _C_ family).
 std::string interface_to_proxy(std::string_view iface, std::string_view protocol);
 
-/// "X_O_Int" -> "X" (also for the _C_ family); nullopt for other names.
-std::optional<std::string> interface_to_original(std::string_view iface);
-
 }  // namespace naming
 
 }  // namespace rafda::transform

@@ -177,7 +177,6 @@ public:
     /// invoke is not free; `rafdac stats` and tests enable it explicitly.
     /// Requires attach_metrics first.
     void set_method_profiling(bool on) { profile_methods_ = on && metrics_; }
-    bool method_profiling() const noexcept { return profile_methods_; }
 
     /// Guest console: natives like Sys.print append here.
     const std::string& output() const noexcept { return output_; }
@@ -224,9 +223,6 @@ public:
     /// Marks <clinit> of `class_name` as already run (its effects were
     /// replayed as individual records).
     void mark_initialized(const std::string& class_name);
-    bool is_initialized(const std::string& class_name) const {
-        return initialized_.count(class_name) != 0;
-    }
     /// Visits every populated static slot as (class, field, value), and
     /// every initialised class, in sorted order — snapshot writers need a
     /// deterministic iteration over the unordered containers.

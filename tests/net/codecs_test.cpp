@@ -370,6 +370,42 @@ TEST(Codecs, RmibRejectsTrailingBytes) {
     EXPECT_THROW(rmib.decode_reply(b), CodecError);
 }
 
+class BinaryCodecs : public ::testing::TestWithParam<const char*> {
+protected:
+    std::unique_ptr<Codec> codec_ = make_codec(GetParam());
+};
+
+TEST_P(BinaryCodecs, RejectTrailingBytesAfterAValidFrame) {
+    Bytes req = codec_->encode_request(sample_request());
+    EXPECT_NO_THROW(codec_->decode_request(req));
+    req.push_back(0);
+    EXPECT_THROW(codec_->decode_request(req), CodecError);
+
+    CallReply reply;
+    reply.request_id = 9;
+    reply.result = MarshalledValue::of_int(3);
+    Bytes rep = codec_->encode_reply(reply);
+    EXPECT_NO_THROW(codec_->decode_reply(rep));
+    rep.push_back(0);
+    EXPECT_THROW(codec_->decode_reply(rep), CodecError);
+}
+
+TEST_P(BinaryCodecs, ShareTheBodyButKeepTheirErrorPrefix) {
+    // The value tag is the last byte of a non-fault reply; 0x7f is no tag.
+    CallReply reply;
+    Bytes rep = codec_->encode_reply(reply);
+    rep.back() = 0x7f;
+    const std::string prefix = std::string(GetParam()) == "RMI" ? "rmib:" : "corbx:";
+    try {
+        codec_->decode_reply(rep);
+        FAIL() << "expected CodecError";
+    } catch (const CodecError& e) {
+        EXPECT_NE(std::string(e.what()).find(prefix), std::string::npos) << e.what();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, BinaryCodecs, ::testing::Values("RMI", "CORBA"));
+
 TEST(Codecs, MakeCodecUnknownProtocol) {
     EXPECT_THROW(make_codec("DCOM"), CodecError);
     EXPECT_THROW(make_codec(""), CodecError);

@@ -16,6 +16,7 @@
 //   - durable off is provably inert: no wal.* counters even exist.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "model/verifier.hpp"
 #include "runtime/driver.hpp"
 #include "runtime/system.hpp"
+#include "support/error.hpp"
+#include "transform/naming.hpp"
 #include "vm/prelude.hpp"
 
 namespace rafda::runtime {
@@ -112,12 +115,13 @@ struct DurableFixture : ::testing::Test {
         req.cls = "Service";
         req.request_id = request_id;
         req.src_node = 0;
-        return system->rpc(0, 1, "RMI", req);
+        RpcPath& path = system->rpc_path();
+        return path.rpc(0, 1, path.protocol("RMI"), req);
     }
 };
 
 TEST_F(DurableFixture, RestartReplaysHeapAndReplyCache) {
-    system->reliability().dedup = true;
+    system->rpc_path().reliability().dedup = true;
 
     Value svc = system->construct(0, "Service", "()V");
     EXPECT_EQ(system->node(0)
@@ -232,7 +236,7 @@ TEST_F(DurableFixture, MigrationByRecoveryMatchesUncrashedResults) {
 }
 
 TEST_F(DurableFixture, RelocationChainsThroughTheCrashedNodesRestart) {
-    system->reliability().dedup = true;
+    system->rpc_path().reliability().dedup = true;
     Value svc = system->construct(0, "Service", "()V");
     system->node(0).interp().call_virtual(svc, "work", "(I)I", {Value::of_int(1)});
 
@@ -282,12 +286,12 @@ TEST_F(DurableFixture, RestartWithDedupCapacityZeroCachesNothing) {
     // Regression: replaying Reply records after the capacity dropped to 0
     // ran cache_reply's eviction loop on an empty queue (front/pop_front
     // on an empty deque).  Replay must cache nothing instead.
-    system->reliability().dedup = true;
+    system->rpc_path().reliability().dedup = true;
     send_create(900);
     send_create(901);
     const std::size_t heap_before = system->node(1).interp().heap().size();
 
-    system->reliability().dedup_capacity = 0;
+    system->rpc_path().reliability().dedup_capacity = 0;
     const std::uint64_t t0 = system->node(0).clock_us();
     crash_window(1, t0, t0 + 100);
     system->node(0).advance_clock(200);
@@ -298,7 +302,7 @@ TEST_F(DurableFixture, RestartWithDedupCapacityZeroCachesNothing) {
 
     // With the capacity back, the restart's empty cache shows: 901
     // re-executes once, then dedups as usual.
-    system->reliability().dedup_capacity = 1024;
+    system->rpc_path().reliability().dedup_capacity = 1024;
     send_create(901);
     EXPECT_EQ(counter("rpc.dedup_hits"), 0u);
     send_create(901);
@@ -362,8 +366,8 @@ TEST_F(DurableFixture, CheckpointMatchesFreshEncodingAndIsRebuiltByRestart) {
     // Checkpoints copy each cached reply's stored encoding and combine its
     // CRC; the oracle is the plain field-by-field append of the same
     // records, which must produce the same bytes.
-    system->reliability().dedup = true;
-    system->reliability().dedup_capacity = 48;  // FIFO eviction churns
+    system->rpc_path().reliability().dedup = true;
+    system->rpc_path().reliability().dedup_capacity = 48;  // FIFO eviction churns
     Value svc = system->construct(0, "Service", "()V");
     for (int k = 0; k < 120; ++k) {
         system->node(0).interp().call_virtual(svc, "work", "(I)I", {Value::of_int(k)});
@@ -392,7 +396,7 @@ TEST_F(DurableFixture, DurabilitySwitchedOnLaterEncodesTheCachedReplies) {
     // Replies cached while the node was volatile get their WAL encoding
     // when durability comes on, so the first checkpoint carries them whole.
     make_system(/*durable=*/false);
-    system->reliability().dedup = true;
+    system->rpc_path().reliability().dedup = true;
     for (std::uint64_t id = 700; id < 710; ++id) send_create(id);
     system->enable_durability(DurabilityPolicy{});
 
@@ -403,6 +407,229 @@ TEST_F(DurableFixture, DurabilitySwitchedOnLaterEncodesTheCachedReplies) {
     EXPECT_TRUE(Wal::replay(server.wal()->snapshot(), oracle).clean);
     EXPECT_EQ(oracle.replies, 10u);
     EXPECT_EQ(fresh.log(), server.wal()->snapshot());
+}
+
+TEST_F(DurableFixture, RecoveryRejectsARecordNamingAnUnallocatedObject) {
+    // A CRC-valid log whose FieldPut names an object the image never
+    // allocated: both readers of a durable image reject it while decoding,
+    // before the node they would restore onto is touched.
+    Wal& log = *system->node(1).wal();
+    ASSERT_TRUE(log.empty());
+    log.append_alloc(0, transform::naming::o_local("Service"));
+    log.append_field_put(0, 7, 0, Value::of_int(1));
+    crash_window(1, 0, ~0ULL);
+
+    const std::size_t target_heap = system->node(2).interp().heap().size();
+    EXPECT_THROW(system->recover_node_onto(1, 2), CodecError);
+    EXPECT_EQ(system->node(2).interp().heap().size(), target_heap);
+    EXPECT_EQ(system->relocation_of(1), nullptr);
+
+    const std::size_t own_heap = system->node(1).interp().heap().size();
+    EXPECT_THROW(system->node(1).apply_restarts(1), CodecError);
+    EXPECT_EQ(system->node(1).interp().heap().size(), own_heap);
+}
+
+// ---- one decoder, two restores: restart and migration-by-recovery --------
+
+constexpr const char* kImageApp = R"(
+class Peer {
+  field n I
+  ctor ()V {
+    return
+  }
+}
+class Service {
+  field calls I
+  field peer LService;
+  field other LPeer;
+  field buf [I
+  ctor ()V {
+    return
+  }
+  method work (I)I {
+    load 0
+    load 0
+    getfield Service.calls I
+    load 1
+    add
+    putfield Service.calls I
+    load 1
+    returnvalue
+  }
+  method link (LService;)V {
+    load 0
+    load 1
+    putfield Service.peer LService;
+    return
+  }
+  method attach (LPeer;)V {
+    load 0
+    load 1
+    putfield Service.other LPeer;
+    return
+  }
+  method fill (I)V {
+    load 0
+    load 1
+    newarray I
+    putfield Service.buf [I
+    load 0
+    getfield Service.buf [I
+    const 0
+    load 1
+    astore
+    return
+  }
+}
+class Counter {
+  static field total I
+  static method bump (I)I {
+    getstatic Counter.total I
+    load 0
+    add
+    dup
+    putstatic Counter.total I
+    returnvalue
+  }
+}
+special class Tally {
+  static field hits I
+  static method hit ()I {
+    getstatic Tally.hits I
+    const 1
+    add
+    dup
+    putstatic Tally.hits I
+    returnvalue
+  }
+}
+)";
+
+/// A three-node system whose durable node 1 holds every kind of state a
+/// WAL records: objects with reference fields, an array, statics, an
+/// initialised class, a slot transmuted into a proxy by a migration, a
+/// singleton, an imported proxy and cached replies.  Node 1 never
+/// snapshots, so its whole history is in the log.
+struct ImageSystem {
+    model::ClassPool original;
+    std::unique_ptr<System> system;
+
+    ImageSystem() {
+        vm::install_prelude(original);
+        model::assemble_into(original, kImageApp);
+        model::verify_pool(original);
+        SystemOptions options;
+        options.durability.enabled = true;
+        options.durability.snapshot_interval_us = 0;
+        system = std::make_unique<System>(original, options);
+        for (int k = 0; k < 3; ++k) system->add_node();
+        system->policy().set_instance_home("Service", 1, "RMI");
+        system->policy().set_singleton_home("Counter", 1, "RMI");
+        system->rpc_path().reliability().dedup = true;
+
+        vm::Interpreter& client = system->node(0).interp();
+        const Value a = system->construct(0, "Service", "()V");
+        const Value b = system->construct(0, "Service", "()V");
+        const Value moved = system->construct(0, "Service", "()V");
+        const Value peer = system->construct(0, "Peer", "()V");  // lives on node 0
+        client.call_virtual(a, "work", "(I)I", {Value::of_int(5)});
+        client.call_virtual(a, "link", "(LService_O_Int;)V", {b});
+        client.call_virtual(a, "attach", "(LPeer_O_Int;)V", {peer});
+        client.call_virtual(b, "fill", "(I)V", {Value::of_int(3)});
+        system->call_static(0, "Counter", "bump", "(I)I", {Value::of_int(4)});
+        system->node(1).interp().call_static("Tally", "hit", "()I");
+        const vm::ObjId moved_oid = system->node(0).proxy_target(moved.as_ref()).second;
+        system->migrate_instance(1, moved_oid, 2, "RMI");
+        client.call_virtual(b, "work", "(I)I", {Value::of_int(2)});
+    }
+
+    /// Node `n`'s live state as a checkpoint decodes it, leaving its WAL
+    /// exactly as it was.
+    WalImage live(net::NodeId n) {
+        Wal& wal = *system->node(n).wal();
+        const Wal before = wal;
+        system->node(n).take_snapshot();
+        WalImage img;
+        EXPECT_TRUE(Wal::replay(wal.snapshot(), img).clean);
+        wal = before;
+        return img;
+    }
+};
+
+void expect_same_objects(const std::vector<WalImage::Object>& want,
+                         const std::vector<WalImage::Object>& got, vm::ObjId base) {
+    ASSERT_EQ(got.size(), base + want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const WalImage::Object& w = want[i];
+        const WalImage::Object& g = got[base + i];
+        SCOPED_TRACE("object " + std::to_string(i + 1) + " (" + w.cls + ")");
+        EXPECT_EQ(g.is_array, w.is_array);
+        EXPECT_EQ(g.cls, w.cls);
+        EXPECT_EQ(g.length, w.length);
+        ASSERT_EQ(g.fields.size(), w.fields.size());
+        for (const auto& [slot, v] : w.fields)
+            EXPECT_EQ(g.fields.at(slot), v.is_ref() ? Value::of_ref(base + v.as_ref()) : v)
+                << "slot " << slot;
+    }
+}
+
+TEST(RestoreEquivalence, RestartReproducesTheWholeImage) {
+    ImageSystem s;
+    const WalImage before = s.live(1);
+    ASSERT_FALSE(s.system->node(1).wal()->log().empty());
+    ASSERT_TRUE(s.system->node(1).wal()->snapshot().empty());
+    // The image holds every kind of state the restore must reproduce.
+    const auto has = [&](auto pred) {
+        return std::any_of(before.objects.begin(), before.objects.end(), pred);
+    };
+    EXPECT_TRUE(has([](const WalImage::Object& o) { return o.is_array; }));
+    EXPECT_TRUE(has([](const WalImage::Object& o) {
+        return transform::naming::parse_proxy(o.cls) &&
+               o.fields.at(0) == Value::of_int(2);  // the migrated slot
+    }));
+    EXPECT_TRUE(has([](const WalImage::Object& o) {
+        return transform::naming::parse_proxy(o.cls) &&
+               o.fields.at(0) == Value::of_int(0);  // the imported Peer
+    }));
+    EXPECT_FALSE(before.statics.empty());
+    EXPECT_TRUE(before.initialized.count("Tally"));
+    EXPECT_TRUE(before.singletons.count("Counter"));
+    EXPECT_FALSE(before.imports.empty());
+    EXPECT_GE(before.replies.size(), 8u);
+
+    s.system->node(1).apply_restarts(1);
+    ASSERT_EQ(s.system->node(1).wal()->stats().recoveries, 1u);
+    const WalImage after = s.live(1);
+    expect_same_objects(before.objects, after.objects, 0);
+    EXPECT_EQ(after.statics, before.statics);
+    EXPECT_EQ(after.initialized, before.initialized);
+    EXPECT_EQ(after.singletons, before.singletons);
+    EXPECT_EQ(after.imports, before.imports);
+    EXPECT_EQ(after.replies, before.replies);  // same entries, same FIFO order
+}
+
+TEST(RestoreEquivalence, RecoveryOntoAnotherNodeShiftsEveryObjectByTheBase) {
+    for (const bool empty_target : {true, false}) {
+        SCOPED_TRACE(empty_target ? "empty target" : "target holding one object");
+        ImageSystem s;
+        // Node 2 already holds the migrated object; a fresh node 3 starts
+        // empty, and one Peer makes it non-empty.
+        Node& target = s.system->add_node();
+        if (!empty_target) s.system->construct(target.id(), "Peer", "()V");
+        const vm::ObjId base = target.interp().heap().size();
+        EXPECT_EQ(base, empty_target ? 0u : 1u);
+
+        const WalImage crashed = s.live(1);
+        net::FaultWindow crash;
+        crash.kind = net::FaultKind::NodeCrash;
+        crash.node = 1;
+        crash.until_us = ~0ULL;
+        s.system->network().fault_plan().add(crash);
+        EXPECT_EQ(s.system->recover_node_onto(1, target.id()), crashed.objects.size());
+        expect_same_objects(crashed.objects, s.live(target.id()).objects, base);
+        for (vm::ObjId old = 1; old <= crashed.objects.size(); ++old)
+            EXPECT_EQ(s.system->relocation_of(1)->remap.at(old), base + old);
+    }
 }
 
 // ---- the adaptation engine rides migration-by-recovery ----------------

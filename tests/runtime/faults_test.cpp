@@ -165,7 +165,8 @@ TEST_F(FaultsFixture, DroppedDistinguishesRequestLossFromReplyLoss) {
     lost_request.cls = "Service";
     lost_request.src_node = 0;
     try {
-        system->rpc(0, 1, "RMI", lost_request);
+        RpcPath& path = system->rpc_path();
+        path.rpc(0, 1, path.protocol("RMI"), lost_request);
         FAIL() << "expected Dropped";
     } catch (const System::Dropped& d) {
         EXPECT_FALSE(d.executed_remotely);
@@ -178,7 +179,8 @@ TEST_F(FaultsFixture, DroppedDistinguishesRequestLossFromReplyLoss) {
     lost_reply.cls = "Service";
     lost_reply.src_node = 0;
     try {
-        system->rpc(0, 1, "RMI", lost_reply);
+        RpcPath& path = system->rpc_path();
+        path.rpc(0, 1, path.protocol("RMI"), lost_reply);
         FAIL() << "expected Dropped";
     } catch (const System::Dropped& d) {
         EXPECT_TRUE(d.executed_remotely);

@@ -128,7 +128,7 @@ TEST_F(JournalSystemFixture, HappyPathLifecycleInCausalOrder) {
 
 TEST_F(JournalSystemFixture, LossRetryAndLinkFaultEdges) {
     Value svc = system->construct(0, "Service", "()V");
-    RetryPolicy& rp = system->reliability();
+    RetryPolicy& rp = system->rpc_path().reliability();
     rp.attempts = 5;
     rp.backoff_base_us = 200;
 
@@ -176,7 +176,7 @@ TEST_F(JournalSystemFixture, LossRetryAndLinkFaultEdges) {
 }
 
 TEST_F(JournalSystemFixture, DedupHitLandsInTheTimeline) {
-    RetryPolicy& rp = system->reliability();
+    RetryPolicy& rp = system->rpc_path().reliability();
     rp.attempts = 5;
     rp.backoff_base_us = 1000;
     rp.dedup = true;
@@ -206,7 +206,7 @@ TEST_F(JournalSystemFixture, DedupHitLandsInTheTimeline) {
 }
 
 TEST_F(JournalSystemFixture, BreakerTransitionsOpenHalfOpenClose) {
-    RetryPolicy& rp = system->reliability();
+    RetryPolicy& rp = system->rpc_path().reliability();
     rp.breaker_threshold = 2;
     rp.breaker_cooldown_us = 5000;
     system->network().set_link(0, 1, net::LinkParams{100, 0.0, 1.0});
@@ -218,7 +218,8 @@ TEST_F(JournalSystemFixture, BreakerTransitionsOpenHalfOpenClose) {
         req.cls = "Service";
         req.request_id = id;
         req.src_node = 0;
-        return system->rpc(0, 1, "RMI", req);
+        RpcPath& path = system->rpc_path();
+        return path.rpc(0, 1, path.protocol("RMI"), req);
     };
     EXPECT_THROW(create(1), System::Dropped);
     EXPECT_THROW(create(2), System::Dropped);  // threshold: opens

@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/system.hpp"
+#include "support/error.hpp"
 #include "vm/prelude.hpp"
 
 namespace rafda::runtime {
@@ -320,6 +321,33 @@ TEST_F(ObservabilityFixture, TracingOffRecordsNothing) {
     Value c = system->construct(0, "C", "()V");
     system->node(0).interp().call_virtual(c, "poke", "()I");
     EXPECT_TRUE(system->tracer().spans().empty());
+}
+
+TEST(ProtocolTable, OnlyProtocolsThatCarriedACallRegisterMetrics) {
+    // Every generated protocol has a codec from the start, but its
+    // rpc.proto.<p>.* handles appear on its first call and not before.
+    model::ClassPool original;
+    vm::install_prelude(original);
+    model::assemble_into(original, kApp);
+    model::verify_pool(original);
+    SystemOptions options;
+    options.pipeline.generator.protocols = {"RMI", "CORBA", "SOAP"};
+    System system(original, options);
+    system.add_node();
+    system.add_node();
+    system.policy().set_instance_home("C", 1, "RMI");
+    Value c = system.construct(0, "C", "()V");
+    system.node(0).interp().call_virtual(c, "poke", "()I");
+
+    std::map<std::string, int> per_protocol;
+    for (const auto& [name, _] : system.metrics().snapshot().samples)
+        for (const char* proto : {"RMI", "CORBA", "SOAP"})
+            if (name.rfind(std::string("rpc.proto.") + proto + ".", 0) == 0)
+                ++per_protocol[proto];
+    EXPECT_EQ(per_protocol["RMI"], 9);
+    EXPECT_EQ(per_protocol["CORBA"], 0);
+    EXPECT_EQ(per_protocol["SOAP"], 0);
+    EXPECT_THROW(system.rpc_path().protocol("DCOM"), RuntimeError);
 }
 
 }  // namespace

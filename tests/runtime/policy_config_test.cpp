@@ -77,6 +77,35 @@ TEST(PolicyConfig, ErrorsCarryLineNumbers) {
     }
 }
 
+TEST(PolicyConfig, MalformedLinkAndRetryNumbersFailAtTheirLine) {
+    // Every number on a link or retry line is parsed as a whole token and
+    // range-checked, as the fault lines already were.
+    DistributionPolicy policy;
+    net::SimNetwork network;
+    RetryPolicy rp;
+    for (const char* line : {
+             "link 0 -> 1 latency abc",
+             "link 0 -> 1 latency 5x",
+             "link 0 -> 1 latency -3",
+             "link 0 -> 1 latency 5 drop 1.5",
+             "link 0 -> 1 latency 5 drop -0.1",
+             "link 0 -> 1 latency 5 drop often",
+             "link 0 -> 1 latency 5 bandwidth -3",
+             "link 0 -> 1 latency 5 bandwidth 12MB",
+             "link 0 -> 1 latency abc drop 1.5 bandwidth -3",
+             "retry attempts 3 multiplier 2x",
+             "retry attempts 3 multiplier abc",
+         }) {
+        const std::string text = "protocol default RMI\n# two racks\n" + std::string(line);
+        try {
+            apply_policy_config(text, policy, &network, &rp);
+            ADD_FAILURE() << "accepted: " << line;
+        } catch (const ParseError& e) {
+            EXPECT_EQ(e.line(), 3) << line;
+        }
+    }
+}
+
 TEST(PolicyConfig, ParsesReliabilityDirectives) {
     DistributionPolicy policy;
     net::SimNetwork network;

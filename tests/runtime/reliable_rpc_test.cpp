@@ -89,13 +89,14 @@ struct ReliableFixture : ::testing::Test {
         req.cls = "Service";
         req.request_id = request_id;
         req.src_node = 0;
-        return system->rpc(0, 1, "RMI", req);
+        RpcPath& path = system->rpc_path();
+        return path.rpc(0, 1, path.protocol("RMI"), req);
     }
 };
 
 TEST_F(ReliableFixture, RetryRecoversFromRequestLossAndExecutesOnce) {
     Value svc = system->construct(0, "Service", "()V");
-    RetryPolicy& rp = system->reliability();
+    RetryPolicy& rp = system->rpc_path().reliability();
     rp.attempts = 5;
     rp.backoff_base_us = 200;
 
@@ -119,7 +120,7 @@ TEST_F(ReliableFixture, DedupClosesTheCreateReplyLossLeak) {
     // on the remote node; a naive retry would allocate again.  With dedup
     // on, the reply cache answers the retry and the heap gains exactly one
     // instance.
-    RetryPolicy& rp = system->reliability();
+    RetryPolicy& rp = system->rpc_path().reliability();
     rp.attempts = 5;
     rp.backoff_base_us = 1000;
     rp.dedup = true;
@@ -145,7 +146,7 @@ TEST_F(ReliableFixture, DedupClosesTheCreateReplyLossLeak) {
 TEST_F(ReliableFixture, IdempotencyKeySuppressesReExecution) {
     // The same request id sent twice executes once when dedup is on; with
     // dedup off the second send re-executes — the §12 leak made visible.
-    system->reliability().dedup = true;
+    system->rpc_path().reliability().dedup = true;
     const std::size_t heap_before = system->node(1).interp().heap().size();
     send_create(500);
     EXPECT_EQ(system->node(1).interp().heap().size(), heap_before + 1);
@@ -153,7 +154,7 @@ TEST_F(ReliableFixture, IdempotencyKeySuppressesReExecution) {
     EXPECT_EQ(system->node(1).interp().heap().size(), heap_before + 1);
     EXPECT_EQ(counter("rpc.dedup_hits"), 1u);
 
-    system->reliability().dedup = false;
+    system->rpc_path().reliability().dedup = false;
     send_create(501);
     send_create(501);
     EXPECT_EQ(system->node(1).interp().heap().size(), heap_before + 3);  // leaked
@@ -161,7 +162,7 @@ TEST_F(ReliableFixture, IdempotencyKeySuppressesReExecution) {
 }
 
 TEST_F(ReliableFixture, ReplyCacheIsBoundedFifo) {
-    RetryPolicy& rp = system->reliability();
+    RetryPolicy& rp = system->rpc_path().reliability();
     rp.dedup = true;
     rp.dedup_capacity = 2;
     send_create(1);
@@ -179,7 +180,7 @@ TEST_F(ReliableFixture, ReplyCacheIsBoundedFifo) {
 TEST_F(ReliableFixture, ReplyLossWithoutDedupSurfacesImmediately) {
     // Retrying a reply-loss without dedup would re-execute, so the policy
     // surfaces it even with attempts to spare.
-    system->reliability().attempts = 5;
+    system->rpc_path().reliability().attempts = 5;
     system->network().set_link(1, 0, net::LinkParams{100, 0.0, 1.0});
     try {
         send_create(7);
@@ -193,7 +194,7 @@ TEST_F(ReliableFixture, ReplyLossWithoutDedupSurfacesImmediately) {
 
 TEST_F(ReliableFixture, DeadlineExceededInVirtualTime) {
     Value svc = system->construct(0, "Service", "()V");
-    RetryPolicy& rp = system->reliability();
+    RetryPolicy& rp = system->rpc_path().reliability();
     rp.attempts = 10;
     rp.backoff_base_us = 200;
     rp.deadline_us = 350;
@@ -211,7 +212,7 @@ TEST_F(ReliableFixture, DeadlineExceededInVirtualTime) {
 }
 
 TEST_F(ReliableFixture, ServerRefusesExpiredRequestWithoutExecuting) {
-    system->reliability().dedup = true;
+    system->rpc_path().reliability().dedup = true;
     const std::size_t heap_before = system->node(1).interp().heap().size();
     net::CallRequest req;
     req.kind = net::RequestKind::Create;
@@ -220,7 +221,8 @@ TEST_F(ReliableFixture, ServerRefusesExpiredRequestWithoutExecuting) {
     req.src_node = 0;
     // Expires mid-flight: the link latency alone overshoots it.
     req.deadline_us = system->node(0).clock_us() + 50;
-    net::CallReply reply = system->rpc(0, 1, "RMI", req);
+    RpcPath& path = system->rpc_path();
+    net::CallReply reply = path.rpc(0, 1, path.protocol("RMI"), req);
     EXPECT_TRUE(reply.is_fault);
     EXPECT_EQ(reply.fault_class, kRemoteFaultClass);
     EXPECT_NE(reply.fault_msg.find("deadline expired"), std::string::npos);
@@ -234,13 +236,13 @@ TEST_F(ReliableFixture, ServerRefusesExpiredRequestWithoutExecuting) {
     again.cls = "Service";
     again.request_id = 600;
     again.src_node = 0;
-    net::CallReply second = system->rpc(0, 1, "RMI", again);
+    net::CallReply second = path.rpc(0, 1, path.protocol("RMI"), again);
     EXPECT_FALSE(second.is_fault);
     EXPECT_EQ(counter("rpc.dedup_hits"), 0u);
 }
 
 TEST_F(ReliableFixture, BreakerOpensFailsFastAndRecovers) {
-    RetryPolicy& rp = system->reliability();
+    RetryPolicy& rp = system->rpc_path().reliability();
     rp.breaker_threshold = 2;
     rp.breaker_cooldown_us = 5000;
     system->network().set_link(0, 1, net::LinkParams{100, 0.0, 1.0});
@@ -250,7 +252,7 @@ TEST_F(ReliableFixture, BreakerOpensFailsFastAndRecovers) {
 
     auto breaker_state = [&] {
         CircuitBreaker::State s = CircuitBreaker::State::Closed;
-        system->visit_breakers([&](net::NodeId dst, const std::string& proto,
+        system->rpc_path().visit_breakers([&](net::NodeId dst, const std::string& proto,
                                    const CircuitBreaker& b) {
             if (dst == 1 && proto == "RMI") s = b.state;
         });
@@ -282,7 +284,7 @@ TEST_F(ReliableFixture, BreakerOpensFailsFastAndRecovers) {
 }
 
 TEST_F(ReliableFixture, HalfOpenProbeFailureReopens) {
-    RetryPolicy& rp = system->reliability();
+    RetryPolicy& rp = system->rpc_path().reliability();
     rp.breaker_threshold = 1;
     rp.breaker_cooldown_us = 1000;
     system->network().set_link(0, 1, net::LinkParams{100, 0.0, 1.0});
@@ -290,13 +292,13 @@ TEST_F(ReliableFixture, HalfOpenProbeFailureReopens) {
     system->node(0).advance_clock(2000);            // cooldown elapses
     EXPECT_THROW(send_create(2), System::Dropped);  // probe fails on the wire
     CircuitBreaker::State s = CircuitBreaker::State::Closed;
-    system->visit_breakers(
+    system->rpc_path().visit_breakers(
         [&](net::NodeId, const std::string&, const CircuitBreaker& b) { s = b.state; });
     EXPECT_EQ(s, CircuitBreaker::State::Open);  // re-opened, not half-open
 }
 
 TEST_F(ReliableFixture, RetryBudgetCapsTotalRetries) {
-    RetryPolicy& rp = system->reliability();
+    RetryPolicy& rp = system->rpc_path().reliability();
     rp.attempts = 5;
     rp.backoff_base_us = 200;
     rp.retry_budget = 1;
@@ -308,7 +310,7 @@ TEST_F(ReliableFixture, RetryBudgetCapsTotalRetries) {
 }
 
 TEST_F(ReliableFixture, CrashFailsFastAndRestartLosesReplyCache) {
-    system->reliability().dedup = true;
+    system->rpc_path().reliability().dedup = true;
     const std::size_t heap_before = system->node(1).interp().heap().size();
     send_create(900);
     send_create(900);  // cache answers

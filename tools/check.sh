@@ -7,7 +7,8 @@
 #
 # Not run here, because it builds twice: tools/sidecar_diff.sh <base-rev>
 # builds <base-rev> from a throwaway checkout and byte-compares every
-# BENCH_E*.json sidecar against the working tree's.
+# BENCH_E*.json sidecar against the working tree's.  CI runs it on every
+# pull request against the PR's base (the `sidecars` job in ci.yml).
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -166,8 +166,8 @@ void configure_system(runtime::System& system, const std::string& config_path,
     runtime::AdaptPolicy adaptation;
     runtime::DurabilityPolicy durability;
     runtime::apply_policy_config(read_file(config_path), system.policy(),
-                                 &system.network(), &system.reliability(),
-                                 &system.batching(), &adaptation, &durability);
+                                 &system.network(), &system.rpc_path().reliability(),
+                                 &system.rpc_path().batching(), &adaptation, &durability);
     if (adaptation.enabled) system.enable_adaptation(adaptation);
     if (durability.enabled) system.enable_durability(durability);
 }
@@ -407,7 +407,7 @@ int cmd_faults(const std::string& input, const std::string& config_path,
         });
         os << "],\"breakers\":[";
         first = true;
-        system.visit_breakers([&](net::NodeId dst, const std::string& proto,
+        system.rpc_path().visit_breakers([&](net::NodeId dst, const std::string& proto,
                                   const runtime::CircuitBreaker& b) {
             if (!first) os << ",";
             first = false;
@@ -445,7 +445,7 @@ int cmd_faults(const std::string& input, const std::string& config_path,
     });
     std::cout << "breakers:\n";
     bool any_breaker = false;
-    system.visit_breakers([&](net::NodeId dst, const std::string& proto,
+    system.rpc_path().visit_breakers([&](net::NodeId dst, const std::string& proto,
                               const runtime::CircuitBreaker& b) {
         any_breaker = true;
         std::cout << "  node " << dst << " via " << proto << ": "
