@@ -1,8 +1,8 @@
 #include "net/soapx.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string_view>
 
@@ -120,6 +120,20 @@ RequestKind kind_from_name(const std::string& name) {
     throw CodecError("soapx: unknown request kind " + name);
 }
 
+/// Parses `text` as one whole number token within `Num`'s range: no sign
+/// on unsigned fields, no trailing bytes, no empty value.  Everything the
+/// encoder writes (std::to_string, and "%.17g" including inf and nan)
+/// round-trips.
+template <typename Num>
+Num parse_number(const std::string& text, std::string_view what) {
+    Num v{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        throw CodecError("soapx: bad number " + std::string(what) + "=\"" + text + "\"");
+    return v;
+}
+
 // ---- a tiny element parser (handles exactly what we emit) ---------------
 
 struct Element {
@@ -140,6 +154,11 @@ struct Element {
                                const std::string& fallback) const {
         auto it = attrs.find(key);
         return it == attrs.end() ? fallback : it->second;
+    }
+
+    template <typename Num>
+    Num number(const std::string& key) const {
+        return parse_number<Num>(attr(key), key);
     }
 };
 
@@ -242,16 +261,13 @@ MarshalledValue decode_value(const Element& el) {
     switch (v.tag) {
         case ValueTag::Null: break;
         case ValueTag::Bool: v.b = el.text == "true"; break;
-        case ValueTag::Int:
-            v.i = static_cast<std::int32_t>(std::strtol(el.text.c_str(), nullptr, 10));
-            break;
-        case ValueTag::Long: v.j = std::strtoll(el.text.c_str(), nullptr, 10); break;
-        case ValueTag::Double: v.d = std::strtod(el.text.c_str(), nullptr); break;
+        case ValueTag::Int: v.i = parse_number<std::int32_t>(el.text, el.name); break;
+        case ValueTag::Long: v.j = parse_number<std::int64_t>(el.text, el.name); break;
+        case ValueTag::Double: v.d = parse_number<double>(el.text, el.name); break;
         case ValueTag::Str: v.s = el.text; break;
         case ValueTag::Ref:
-            v.ref_node =
-                static_cast<std::int32_t>(std::strtol(el.attr("node").c_str(), nullptr, 10));
-            v.ref_oid = std::strtoull(el.attr("oid").c_str(), nullptr, 10);
+            v.ref_node = el.number<std::int32_t>("node");
+            v.ref_oid = el.number<std::uint64_t>("oid");
             v.ref_class = el.attr("class");
             break;
     }
@@ -320,20 +336,18 @@ CallRequest SoapxCodec::decode_request(const Bytes& data) const {
     const Element& request = only_child(only_child(envelope, "Body"), "Request");
     CallRequest req;
     req.kind = kind_from_name(request.attr("kind"));
-    req.request_id = std::strtoull(request.attr("id").c_str(), nullptr, 10);
-    req.trace_id = std::strtoull(request.attr("trace").c_str(), nullptr, 10);
-    req.parent_span = std::strtoull(request.attr("span").c_str(), nullptr, 10);
-    req.src_node =
-        static_cast<std::int32_t>(std::strtol(request.attr("src").c_str(), nullptr, 10));
-    req.target_oid = std::strtoull(request.attr("target").c_str(), nullptr, 10);
+    req.request_id = request.number<std::uint64_t>("id");
+    req.trace_id = request.number<std::uint64_t>("trace");
+    req.parent_span = request.number<std::uint64_t>("span");
+    req.src_node = request.number<std::int32_t>("src");
+    req.target_oid = request.number<std::uint64_t>("target");
     req.cls = request.attr("class");
     req.method = request.attr("method");
     req.desc = request.attr("desc");
     static const std::string kZero = "0";
-    req.attempt = static_cast<std::uint32_t>(
-        std::strtoul(request.attr_or("attempt", kZero).c_str(), nullptr, 10));
+    req.attempt = parse_number<std::uint32_t>(request.attr_or("attempt", kZero), "attempt");
     req.deadline_us =
-        std::strtoull(request.attr_or("deadline", kZero).c_str(), nullptr, 10);
+        parse_number<std::uint64_t>(request.attr_or("deadline", kZero), "deadline");
     for (const Element& child : request.children) {
         if (child.name != "arg") throw CodecError("soapx: unexpected <" + child.name + ">");
         req.args.push_back(decode_value(child));
@@ -362,7 +376,7 @@ CallReply SoapxCodec::decode_reply(const Bytes& data) const {
     if (envelope.name != "Envelope") throw CodecError("soapx: expected <Envelope>");
     const Element& reply_el = only_child(only_child(envelope, "Body"), "Reply");
     CallReply reply;
-    reply.request_id = std::strtoull(reply_el.attr("id").c_str(), nullptr, 10);
+    reply.request_id = reply_el.number<std::uint64_t>("id");
     if (reply_el.children.size() != 1)
         throw CodecError("soapx: reply must have exactly one child");
     const Element& payload = reply_el.children[0];

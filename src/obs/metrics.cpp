@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -8,7 +7,6 @@ namespace rafda::obs {
 
 void Histogram::record(std::uint64_t v) noexcept {
     ++buckets_[bucket_index(v)];
-    if (count_ < kExactCap) exact_[count_] = v;
     ++count_;
     sum_ += v;
     if (count_ == 1 || v < min_) min_ = v;
@@ -47,21 +45,6 @@ std::uint64_t Histogram::quantile_from_buckets(
         }
     }
     return max;
-}
-
-std::uint64_t Histogram::quantile(double q) const {
-    if (count_ == 0) return 0;
-    if (count_ > kExactCap) return approx_quantile(q);
-    if (q < 0.0) q = 0.0;
-    if (q > 1.0) q = 1.0;
-    // Exact nearest-rank path: every recorded value is still retained.
-    std::array<std::uint64_t, kExactCap> sorted;
-    const std::size_t n = static_cast<std::size_t>(count_);
-    std::copy(exact_.begin(), exact_.begin() + n, sorted.begin());
-    std::sort(sorted.begin(), sorted.begin() + n);
-    const std::size_t rank =
-        static_cast<std::size_t>(q * static_cast<double>(count_ - 1));
-    return sorted[rank];
 }
 
 void Histogram::reset() noexcept {

@@ -56,19 +56,12 @@ private:
 ///
 /// Bucket 0 counts exact zeros; bucket i (i >= 1) counts values in
 /// [2^(i-1), 2^i); the last bucket absorbs everything larger.  Recording
-/// is allocation-free and O(1).
-///
-/// Alongside the buckets, the first `kExactCap` recorded values are kept
-/// verbatim: while a histogram holds at most that many samples,
-/// `quantile()` is *exact* (small-N runs — most tests and several benches
-/// — get precise p50/p95/p99); beyond the cap it degrades to the bucket
-/// upper-bound approximation, whose error is bounded by the power-of-two
-/// bucket width.
+/// is allocation-free and O(1).  Quantiles are bucket upper bounds clamped
+/// to the largest recorded value, so their error is bounded by the
+/// power-of-two bucket width.
 class Histogram {
 public:
     static constexpr std::size_t kBuckets = 33;
-    /// Samples retained verbatim for the exact quantile path.
-    static constexpr std::size_t kExactCap = 256;
 
     void record(std::uint64_t v) noexcept;
 
@@ -90,10 +83,6 @@ public:
     /// Approximate quantile (q in [0,1]) from the bucket upper bounds.
     std::uint64_t approx_quantile(double q) const noexcept;
 
-    /// Best-available quantile: exact (nearest-rank over the retained
-    /// samples) while count() <= kExactCap, bucket-approximate beyond.
-    std::uint64_t quantile(double q) const;
-
     /// The bucket-approximation shared with Snapshot exports: quantile of
     /// a bucket-count array whose true values are unknown (clamped to
     /// `max`, the largest value ever recorded).
@@ -109,7 +98,6 @@ private:
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = 0;
     std::uint64_t max_ = 0;
-    std::array<std::uint64_t, kExactCap> exact_{};
 };
 
 /// One sampled metric inside a Snapshot.

@@ -34,7 +34,6 @@ void Node::set_pipeline(bool on) {
     if (!on && pipeline_horizon_us_) {
         reconcile_clock(pipeline_horizon_us_);
         pipeline_horizon_us_ = 0;
-        sync_guest_time();
     }
     pipeline_ = on;
 }
@@ -50,12 +49,8 @@ void Node::reconcile_reply(std::uint64_t t) {
 void Node::clock_changed() {
     if (clock_gauge_) clock_gauge_->set(static_cast<std::int64_t>(clock_us_));
     system_->network().observe(clock_us_);
-}
-
-void Node::sync_guest_time() {
     const std::int64_t now = static_cast<std::int64_t>(clock_us_);
-    if (interp_.logical_time() < now)
-        interp_.advance_time(now - interp_.logical_time());
+    if (interp_.logical_time() < now) interp_.advance_time(now - interp_.logical_time());
 }
 
 net::MarshalledValue Node::export_value(const Value& v) {

@@ -48,8 +48,6 @@ public:
     /// Clock reconciliation: pulls the clock up to event time `t` (a
     /// message arrival); never moves it backwards.
     void reconcile_clock(std::uint64_t t);
-    /// Pulls the guest-visible logical time (Sys.time) up to the clock.
-    void sync_guest_time();
 
     /// Pipeline mode (DESIGN.md §17): while on, this node streams its
     /// remote calls — successful reply arrivals are folded into a pending
@@ -133,7 +131,8 @@ private:
     friend class System;
 
     /// Publishes a clock change: mirrors the runtime.node<N>.clock_us
-    /// gauge and advances the network's global watermark.
+    /// gauge, advances the network's global watermark and pulls the
+    /// guest-visible logical time (Sys.time) up to the clock.
     void clock_changed();
 
     // vm::MutationObserver — journals guest mutations into the WAL,

@@ -179,7 +179,6 @@ net::CallReply RpcPath::rpc(net::NodeId src, net::NodeId dst, Protocol& proto,
             break;
         }
         caller.advance_clock(delay);
-        caller.sync_guest_time();
         ++retries_spent_;
         retries_->add();
         if (last.executed_remotely) retries_reply_loss_->add();
@@ -229,8 +228,6 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
         journal_.record(obs::JournalEvent::Kind::RpcDrop, at_us, from, to,
                         req.request_id, 0, where);
         caller.reconcile_clock(at_us);
-        caller.sync_guest_time();
-        if (executed) callee.sync_guest_time();
         return Dropped{std::move(what), executed};
     };
 
@@ -362,7 +359,6 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
         if (decoded.attempt) tracer_.note("attempt", decoded.attempt);
         // Dispatch is charged on the destination node's clock; its guest
         // code observes the server's own time, not the caller's.
-        callee.sync_guest_time();
         journal_.record(obs::JournalEvent::Kind::RpcDispatch, callee.clock_us(), dst, src,
                         decoded.request_id, decoded.attempt, what);
         reply = callee.handle_request(decoded, proto.name);
@@ -416,8 +412,6 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
         caller.advance_clock(codec_cost(reply_bytes.size()).second);
     }
     if (decoded_reply.is_fault) proto.faults->add();
-    caller.sync_guest_time();
-    callee.sync_guest_time();
     return decoded_reply;
 }
 

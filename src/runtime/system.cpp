@@ -8,6 +8,7 @@
 #include "model/verifier.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
+#include "transform/local_binder.hpp"
 #include "transform/naming.hpp"
 #include "vm/prelude.hpp"
 
@@ -306,14 +307,9 @@ void System::wire_node(Node& n) {
 Value System::call_static(net::NodeId node_id, const std::string& cls,
                           const std::string& method, const std::string& desc,
                           std::vector<Value> args) {
-    vm::Interpreter& interp = node(node_id).interp();
-    if (!result_.report.substituted(cls))
-        return interp.call_static(cls, method, desc, std::move(args));
-    Value me = interp.call_static(naming::c_factory(cls), "discover",
-                                  "()L" + naming::c_int(cls) + ";");
-    return interp.call_virtual(me, method,
-                               result_.report.map_method_desc(prepared_, desc),
-                               std::move(args));
+    return transform::call_transformed_static(node(node_id).interp(), prepared_,
+                                              result_.report, cls, method, desc,
+                                              std::move(args));
 }
 
 Value System::construct(net::NodeId node_id, const std::string& cls,
@@ -385,8 +381,6 @@ vm::ObjId System::migrate_instance(net::NodeId from, vm::ObjId oid, net::NodeId 
     }
     journal_.record(obs::JournalEvent::Kind::Migrate, state.landed.at_us, from, to, oid,
                     new_oid, cls_name);
-    f.sync_guest_time();
-    t.sync_guest_time();
     log_info("runtime", "migrated ", cls_name, " (", from, ",", oid, ") -> (", to, ",",
              new_oid, ")");
     return new_oid;
@@ -546,7 +540,6 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
     if (durability_.enabled) metrics_.counter("wal.relocated_objects").add(relocated);
     journal_.record(obs::JournalEvent::Kind::Recover, landed.at_us, crashed, target,
                     img.objects.size(), image_bytes, {});
-    for (const auto& n : nodes_) n->sync_guest_time();
     log_info("runtime", "recovered node ", crashed, " onto ", target, ": ",
              img.objects.size(), " objects (", relocated, " relocated, ",
              img.replies.size(), " cached replies) from a ", image_bytes,
@@ -597,7 +590,6 @@ vm::ObjId System::create_replica(net::NodeId primary, vm::ObjId oid,
     r.reconcile_clock(state.landed.at_us);
     const vm::ObjId copy = install_state(r, state, proto);
     replicas_.put(primary, oid, cls, Replica{reader, copy, true});
-    r.sync_guest_time();
     log_info("runtime", "replicated ", cls, " (", primary, ",", oid, ") -> node ",
              reader);
     return copy;

@@ -1,8 +1,11 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace rafda::support {
+
+constexpr std::size_t kChunksPerThread = 32;
 
 std::size_t ThreadPool::hardware_threads() {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -10,12 +13,8 @@ std::size_t ThreadPool::hardware_threads() {
 }
 
 ThreadPool::ThreadPool(std::size_t threads) : threads_(std::max<std::size_t>(1, threads)) {
-    ranges_.reserve(threads_);
-    for (std::size_t i = 0; i < threads_; ++i)
-        ranges_.push_back(std::make_unique<Range>());
     workers_.reserve(threads_ - 1);
-    for (std::size_t i = 1; i < threads_; ++i)
-        workers_.emplace_back([this, i] { worker_loop(i); });
+    for (std::size_t i = 1; i < threads_; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -27,156 +26,72 @@ ThreadPool::~ThreadPool() {
     for (std::thread& t : workers_) t.join();
 }
 
-std::uint64_t ThreadPool::items_executed() const noexcept {
-    return items_executed_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t ThreadPool::steals() const noexcept {
-    return steals_.load(std::memory_order_relaxed);
-}
-
 void ThreadPool::for_each_index(std::size_t n,
                                 const std::function<void(std::size_t)>& fn) {
-    if (n == 0) return;
-    bool inline_run = threads_ == 1 || n == 1;
+    bool inline_run = threads_ == 1 || n <= 1;
     if (!inline_run) {
         std::lock_guard<std::mutex> lk(job_mu_);
-        if (in_job_) inline_run = true;  // re-entrant call: run inline
+        inline_run = in_job_;  // re-entrant call: run inline
+        if (!inline_run) {
+            in_job_ = true;
+            job_error_ = nullptr;
+            job_fn_ = &fn;
+            job_n_ = n;
+            chunk_ = std::max<std::size_t>(1, n / (kChunksPerThread * threads_));
+            next_.store(0, std::memory_order_relaxed);
+            active_workers_ = threads_ - 1;
+            ++epoch_;
+        }
     }
     if (inline_run) {
         for (std::size_t i = 0; i < n; ++i) fn(i);
         items_executed_.fetch_add(n, std::memory_order_relaxed);
         return;
     }
-
-    {
-        std::lock_guard<std::mutex> lk(job_mu_);
-        in_job_ = true;
-        cancelled_ = false;
-        job_error_ = nullptr;
-        job_fn_ = &fn;
-        // One contiguous slice per participant; slices may be empty when
-        // n < threads_ (those participants go straight to stealing).
-        const std::size_t per = n / threads_;
-        const std::size_t extra = n % threads_;
-        std::size_t at = 0;
-        for (std::size_t i = 0; i < threads_; ++i) {
-            const std::size_t len = per + (i < extra ? 1 : 0);
-            ranges_[i]->next = at;
-            ranges_[i]->end = at + len;
-            at += len;
-        }
-        active_workers_ = threads_ - 1;
-        ++epoch_;
-    }
     job_cv_.notify_all();
 
-    work(0);  // the caller is participant 0
+    work();  // the caller participates too
 
     std::unique_lock<std::mutex> lk(job_mu_);
     done_cv_.wait(lk, [&] { return active_workers_ == 0; });
     job_fn_ = nullptr;
     in_job_ = false;
-    if (job_error_) {
-        std::exception_ptr err = job_error_;
-        job_error_ = nullptr;
-        lk.unlock();
-        std::rethrow_exception(err);
-    }
+    if (std::exception_ptr err = std::exchange(job_error_, nullptr)) std::rethrow_exception(err);
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
     std::uint64_t seen_epoch = 0;
+    std::unique_lock<std::mutex> lk(job_mu_);
     for (;;) {
-        {
-            std::unique_lock<std::mutex> lk(job_mu_);
-            job_cv_.wait(lk, [&] { return stop_ || epoch_ != seen_epoch; });
-            if (stop_) return;
-            seen_epoch = epoch_;
-        }
-        work(self);
-        {
-            std::lock_guard<std::mutex> lk(job_mu_);
-            if (--active_workers_ == 0) done_cv_.notify_one();
-        }
+        job_cv_.wait(lk, [&] { return stop_ || epoch_ != seen_epoch; });
+        if (stop_) return;
+        seen_epoch = epoch_;
+        lk.unlock();
+        work();
+        lk.lock();
+        if (--active_workers_ == 0) done_cv_.notify_one();
     }
 }
 
-/// Pops a block off the front of `r`.  Block size shrinks with the range
-/// (quarter of what is left) so tails self-balance without a tuning knob.
-bool ThreadPool::take_block(Range& r, std::size_t& begin, std::size_t& end) {
-    std::lock_guard<std::mutex> lk(r.mu);
-    if (r.next >= r.end) return false;
-    const std::size_t remaining = r.end - r.next;
-    const std::size_t block = std::max<std::size_t>(1, remaining / 4);
-    begin = r.next;
-    end = begin + block;
-    r.next = end;
-    return true;
-}
-
-/// Steals the upper half of the fullest victim range into ranges_[self].
-bool ThreadPool::steal_into(std::size_t self) {
-    // Snapshot sizes without locks; verify under the victim's lock.
-    std::size_t victim = self;
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < threads_; ++i) {
-        if (i == self) continue;
-        Range& r = *ranges_[i];
-        std::lock_guard<std::mutex> lk(r.mu);
-        const std::size_t remaining = r.end > r.next ? r.end - r.next : 0;
-        if (remaining > best) {
-            best = remaining;
-            victim = i;
-        }
-    }
-    if (victim == self || best == 0) return false;
-
-    Range& v = *ranges_[victim];
-    Range& mine = *ranges_[self];
-    std::scoped_lock lk(v.mu, mine.mu);
-    if (v.next >= v.end) return false;  // drained since the scan
-    const std::size_t remaining = v.end - v.next;
-    const std::size_t mid = v.end - (remaining + 1) / 2;
-    mine.next = mid;
-    mine.end = v.end;
-    v.end = mid;
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-void ThreadPool::record_error() {
-    std::lock_guard<std::mutex> lk(job_mu_);
-    if (!job_error_) job_error_ = std::current_exception();
-    cancelled_ = true;
-}
-
-void ThreadPool::work(std::size_t self) {
-    const std::function<void(std::size_t)>& fn = *job_fn_;
-    Range& mine = *ranges_[self];
+/// Claims chunks until the shared index passes n.  The index only hands
+/// out disjoint ranges; the job is published (and joined) under job_mu_.
+void ThreadPool::work() {
+    const std::size_t n = job_n_;
+    std::uint64_t done = 0;
     for (;;) {
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        if (!take_block(mine, begin, end)) {
-            if (!steal_into(self)) return;
-            continue;
-        }
-        {
+        const std::size_t begin = next_.fetch_add(chunk_, std::memory_order_relaxed);
+        if (begin >= n) break;
+        const std::size_t end = std::min(n, begin + chunk_);
+        try {
+            for (std::size_t i = begin; i < end; ++i, ++done) (*job_fn_)(i);
+        } catch (...) {
             std::lock_guard<std::mutex> lk(job_mu_);
-            if (cancelled_) continue;  // keep draining ranges, skip the work
+            if (!job_error_) job_error_ = std::current_exception();
+            next_.store(n, std::memory_order_relaxed);  // abandon unclaimed chunks
+            break;
         }
-        std::size_t done = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-            try {
-                fn(i);
-                ++done;
-            } catch (...) {
-                record_error();
-                break;
-            }
-        }
-        items_executed_.fetch_add(done, std::memory_order_relaxed);
     }
+    items_executed_.fetch_add(done, std::memory_order_relaxed);
 }
 
 }  // namespace rafda::support

@@ -1,30 +1,22 @@
-// Work-stealing thread pool for the static (transformation) side.
+// Shared-index thread pool for the static (transformation) side: a phase
+// owns N independent, similarly-shaped items (analyse a class, generate a
+// family, verify a class) and spreads them across cores with no ordering
+// promises — determinism is the *merger's* job, never the scheduler's.
 //
-// The pool exists for one access pattern: a phase owns N independent,
-// similarly-shaped work items (analyse a class, generate a family, verify
-// a class) and wants them spread across cores with no ordering promises —
-// determinism is the *merger's* job, never the scheduler's.
+// for_each_index(n, fn) publishes one atomic next-index per job.  The
+// calling thread and every worker claim contiguous chunks of
+// max(1, n / (32 × thread_count())) indices from it until it passes n.
+// 32 chunks per participant keep the idle tail (one thread finishing its
+// last chunk while the rest wait) short; a claim is one fetch_add — no
+// per-participant state, no lock per chunk.
 //
-// for_each_index(n, fn) partitions [0, n) into one contiguous range per
-// participant (the calling thread works too).  Each participant consumes
-// its own range front-to-back in shrinking blocks; a participant whose
-// range runs dry locks the largest remaining victim range and steals its
-// upper half.  That keeps all cores busy under skewed per-item costs
-// (one class with 300 methods next to 299 trivial ones) without a shared
-// queue in the fast path.
-//
-// Semantics:
-//   - fn(i) is called exactly once for every i in [0, n), unless a call
-//     throws: the first exception is captured, remaining unstarted blocks
-//     are abandoned, and the exception is rethrown on the caller.
-//   - Re-entrant calls (fn itself calling for_each_index on the same
-//     pool) run inline on the calling thread — safe, just not parallel.
-//   - A pool with thread_count() == 1 spawns no threads at all and runs
-//     everything inline; RAFDA_TRANSFORM_THREADS=1 therefore really is
-//     the serial program.
-//
-// items_executed() / steals() feed the obs registry's pool-occupancy
-// probes (transform.pool.*).
+//   - fn(i) runs exactly once for every i in [0, n), unless a call
+//     throws: the first exception is stored, the index jumps to n so
+//     unclaimed chunks are abandoned, and the caller rethrows it.
+//   - Re-entrant calls (fn calling for_each_index on the same pool),
+//     n <= 1 and one-thread pools run inline on the calling thread; a
+//     one-thread pool spawns no threads, so RAFDA_TRANSFORM_THREADS=1
+//     really is the serial program.
 #pragma once
 
 #include <atomic>
@@ -32,7 +24,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -56,44 +47,37 @@ public:
     /// distinct indices.
     void for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-    /// Total items executed over the pool's lifetime (all jobs).
-    std::uint64_t items_executed() const noexcept;
-    /// Range-steal events over the pool's lifetime.
-    std::uint64_t steals() const noexcept;
+    /// Total items executed over the pool's lifetime (transform.pool.tasks).
+    std::uint64_t items_executed() const noexcept {
+        return items_executed_.load(std::memory_order_relaxed);
+    }
 
     /// std::thread::hardware_concurrency with a floor of 1.
     static std::size_t hardware_threads();
 
 private:
-    struct Range {
-        std::mutex mu;
-        std::size_t next = 0;
-        std::size_t end = 0;
-    };
-
-    void worker_loop(std::size_t self);
-    void work(std::size_t self);
-    bool take_block(Range& r, std::size_t& begin, std::size_t& end);
-    bool steal_into(std::size_t self);
-    void record_error();
+    void worker_loop();
+    void work();
 
     const std::size_t threads_;
-    std::vector<std::unique_ptr<Range>> ranges_;  // one per participant
     std::vector<std::thread> workers_;
 
+    // The job: written under job_mu_ before the epoch bump, read-only
+    // while the job runs.
     std::mutex job_mu_;
     std::condition_variable job_cv_;   // workers wait for a new epoch
     std::condition_variable done_cv_;  // caller waits for workers to finish
     std::uint64_t epoch_ = 0;
     std::size_t active_workers_ = 0;
     const std::function<void(std::size_t)>* job_fn_ = nullptr;
+    std::size_t job_n_ = 0;
+    std::size_t chunk_ = 1;
     std::exception_ptr job_error_;
-    bool cancelled_ = false;  // first exception abandons remaining blocks
-    bool in_job_ = false;     // re-entrancy guard (caller thread only)
+    bool in_job_ = false;  // re-entrancy guard
     bool stop_ = false;
 
+    std::atomic<std::size_t> next_{0};  // first unclaimed index
     std::atomic<std::uint64_t> items_executed_{0};
-    std::atomic<std::uint64_t> steals_{0};
 };
 
 }  // namespace rafda::support

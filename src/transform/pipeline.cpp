@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <optional>
 
 #include "model/verifier.hpp"
 #include "obs/metrics.hpp"
@@ -58,14 +57,12 @@ std::uint64_t us_since(std::chrono::steady_clock::time_point since) {
 PipelineResult run_pipeline(const model::ClassPool& original,
                             const PipelineOptions& options) {
     const std::size_t nthreads = resolve_transform_threads(options.threads);
-    // A one-thread "pool" would only add scheduling bookkeeping; serial
-    // runs skip it entirely so thread count 1 is the plain serial program.
-    std::optional<support::ThreadPool> pool_storage;
-    support::ThreadPool* workers = nullptr;
-    if (nthreads > 1) workers = &pool_storage.emplace(nthreads);
+    // A one-thread pool spawns nothing and runs every job inline, so thread
+    // count 1 is the plain serial program.
+    support::ThreadPool workers(nthreads);
 
     auto phase_start = std::chrono::steady_clock::now();
-    Analysis analysis = analyze(original, workers);
+    Analysis analysis = analyze(original, &workers);
     const std::uint64_t analyze_us = us_since(phase_start);
 
     Substitutables subst =
@@ -99,11 +96,7 @@ PipelineResult run_pipeline(const model::ClassPool& original,
             slot.artefacts = generate_family(subst, cf, options.generator);
         }
     };
-    if (workers) {
-        workers->for_each_index(inputs.size(), produce);
-    } else {
-        for (std::size_t i = 0; i < inputs.size(); ++i) produce(i);
-    }
+    workers.for_each_index(inputs.size(), produce);
 
     // Deterministic merge: input name order, artefacts in generation
     // order — the exact add sequence of the serial loop.
@@ -120,7 +113,7 @@ PipelineResult run_pipeline(const model::ClassPool& original,
              nthreads, " threads)");
 
     phase_start = std::chrono::steady_clock::now();
-    if (options.verify_output) model::verify_pool(out, workers);
+    if (options.verify_output) model::verify_pool(out, &workers);
     const std::uint64_t verify_us = us_since(phase_start);
 
     if (options.metrics) {
@@ -130,10 +123,8 @@ PipelineResult run_pipeline(const model::ClassPool& original,
         reg.counter("transform.generate_us").add(generate_us);
         reg.counter("transform.verify_us").add(verify_us);
         reg.gauge("transform.pool.threads").set(static_cast<std::int64_t>(nthreads));
-        if (workers) {
-            reg.counter("transform.pool.tasks").add(workers->items_executed());
-            reg.counter("transform.pool.steals").add(workers->steals());
-        }
+        if (nthreads > 1)
+            reg.counter("transform.pool.tasks").add(workers.items_executed());
     }
 
     return PipelineResult{std::move(out),

@@ -8,7 +8,7 @@
 // or distributed (runtime::Node).
 //
 // The per-class work (family generation, in-place rewrites, verification)
-// fans out over a work-stealing thread pool; results are merged into the
+// fans out over a shared-index thread pool; results are merged into the
 // output pool in input name order, so the produced ClassPool — and its
 // RIRB serialisation — is byte-identical at every thread count, including
 // the fully serial RAFDA_TRANSFORM_THREADS=1.  Scheduling never decides
@@ -43,13 +43,13 @@ struct PipelineOptions {
     /// Worker threads for analysis graph construction, artefact generation
     /// and output verification.  0 = the RAFDA_TRANSFORM_THREADS
     /// environment variable when set, otherwise all hardware threads;
-    /// 1 = fully serial (no pool is created).  The output is identical at
-    /// any value.
+    /// 1 = fully serial (the pool spawns no thread).  The output is
+    /// identical at any value.
     std::size_t threads = 0;
     /// Optional measurement sink: per-phase wall times
     /// (transform.analyze_us / generate_us / verify_us counters) and pool
-    /// occupancy (transform.pool.threads gauge, transform.pool.tasks and
-    /// transform.pool.steals counters) are recorded here per run.
+    /// occupancy (transform.pool.threads gauge; the transform.pool.tasks
+    /// counter when more than one thread ran) are recorded here per run.
     obs::Registry* metrics = nullptr;
 };
 

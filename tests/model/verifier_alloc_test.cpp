@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <new>
 
 #include "corpus/jdk_corpus.hpp"
@@ -44,9 +45,21 @@ ClassPool transformed_corpus(std::size_t types) {
     return transform::run_pipeline(corpus::generate_jdk_corpus(params), options).pool;
 }
 
-/// Allocations made by one verify_pool call, after a warm-up call.
+/// Allocations made by one verify_pool call, after a warm-up in which
+/// every participant of `threads` verifies the whole pool once: each call
+/// holds its thread at a latch until all have arrived, so no participant
+/// can take two indices and every one grows its own scratch.
 std::uint64_t verify_allocations(const ClassPool& pool, support::ThreadPool* threads) {
-    verify_pool(pool, threads);
+    if (threads) {
+        const std::size_t participants = threads->thread_count();
+        std::latch all_warm(static_cast<std::ptrdiff_t>(participants));
+        threads->for_each_index(participants, [&](std::size_t) {
+            verify_pool(pool, nullptr);
+            all_warm.arrive_and_wait();
+        });
+    } else {
+        verify_pool(pool, nullptr);
+    }
     const std::uint64_t before = g_allocations.load();
     verify_pool(pool, threads);
     return g_allocations.load() - before;

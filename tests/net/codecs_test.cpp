@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "net/codec.hpp"
@@ -217,6 +219,60 @@ TEST(Codecs, SoapExtensionAttributesDecode) {
     CallRequest req = SoapxCodec().decode_request(Bytes(xml.begin(), xml.end()));
     EXPECT_EQ(req.attempt, 4u);
     EXPECT_EQ(req.deadline_us, 123456u);
+}
+
+// A request envelope with the numeric attributes `attrs` and one int
+// argument whose text is `arg`.
+Bytes soap_request(const std::string& attrs, const std::string& arg = "-3") {
+    const std::string xml = "<Envelope><Body><Request kind=\"invoke\" " + attrs +
+                            " class=\"\" method=\"m\" desc=\"(I)I\">"
+                            "<arg type=\"int\">" + arg + "</arg></Request></Body></Envelope>";
+    return Bytes(xml.begin(), xml.end());
+}
+
+TEST(Codecs, SoapRejectsMalformedNumbers) {
+    // Every number is one whole token within its field's range, as
+    // strictly as the binary codecs read theirs.
+    const SoapxCodec soapx;
+    const std::string ok = "trace=\"0\" span=\"0\" src=\"1\" target=\"5\"";
+    EXPECT_EQ(soapx.decode_request(soap_request("id=\"9\" " + ok)).request_id, 9u);
+    for (const char* id : {"id=\"12x\"", "id=\"\"", "id=\" 12\"", "id=\"-1\""})
+        EXPECT_THROW(soapx.decode_request(soap_request(std::string(id) + " " + ok)),
+                     CodecError)
+            << id;
+    EXPECT_THROW(soapx.decode_request(soap_request(
+                     "id=\"9\" trace=\"0\" span=\"0\" src=\"1\" target=\"-1\"")),
+                 CodecError);
+    EXPECT_THROW(soapx.decode_request(soap_request(
+                     "id=\"9\" trace=\"0\" span=\"0\" src=\"99999999999\" target=\"5\"")),
+                 CodecError);
+    EXPECT_THROW(
+        soapx.decode_request(soap_request("id=\"9\" " + ok + " attempt=\"4294967296\"")),
+        CodecError);
+    EXPECT_THROW(soapx.decode_request(soap_request("id=\"9\" " + ok, "7abc")), CodecError);
+
+    const std::string reply =
+        "<Envelope><Body><Reply id=\"1\"><result type=\"int\">7abc</result></Reply>"
+        "</Body></Envelope>";
+    EXPECT_THROW(soapx.decode_reply(Bytes(reply.begin(), reply.end())), CodecError);
+}
+
+TEST(Codecs, SoapRoundTripsNonFiniteDoubles) {
+    // "%.17g" writes inf and nan; the strict parser must still read them.
+    const SoapxCodec soapx;
+    CallReply reply;
+    for (double d : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::denorm_min(),
+                     -std::numeric_limits<double>::max()}) {
+        reply.result = MarshalledValue::of_double(d);
+        EXPECT_EQ(soapx.decode_reply(soapx.encode_reply(reply)), reply) << d;
+    }
+    for (double nan : {std::numeric_limits<double>::quiet_NaN(),
+                       -std::numeric_limits<double>::quiet_NaN()}) {
+        reply.result = MarshalledValue::of_double(nan);
+        EXPECT_TRUE(std::isnan(soapx.decode_reply(soapx.encode_reply(reply)).result.d));
+    }
 }
 
 // ---- RMIB batch-entry framing (DESIGN.md §17) ---------------------------

@@ -69,66 +69,25 @@ TEST(Histogram, ApproxQuantileIsMonotoneAndClamped) {
     EXPECT_EQ(Histogram().approx_quantile(0.5), 0u);
 }
 
-TEST(Histogram, QuantileIsExactForSmallN) {
-    Histogram h;
-    for (std::uint64_t v = 1; v <= 100; ++v) h.record(v);
-    // Nearest-rank over the retained samples: rank = floor(q * (N-1)).
-    EXPECT_EQ(h.quantile(0.0), 1u);
-    EXPECT_EQ(h.quantile(0.5), 50u);   // floor(0.5 * 99) = 49 -> value 50
-    EXPECT_EQ(h.quantile(0.95), 95u);  // floor(0.95 * 99) = 94 -> value 95
-    EXPECT_EQ(h.quantile(0.99), 99u);
-    EXPECT_EQ(h.quantile(1.0), 100u);
-    EXPECT_EQ(Histogram().quantile(0.5), 0u);
-}
-
 TEST(Histogram, EmptyHistogramQuantilesAreDefinedZero) {
-    // N = 0 has no nearest rank; both quantile paths must return a defined
-    // 0 rather than index an empty sample array — including right after a
-    // reset, when stale retained samples must not leak back out.
+    // N = 0 has no rank; the quantile must be a defined 0 — including
+    // right after a reset, when stale buckets must not leak back out.
     Histogram h;
-    for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
-        EXPECT_EQ(h.quantile(q), 0u) << "q=" << q;
+    for (double q : {0.0, 0.5, 0.95, 0.99, 1.0})
         EXPECT_EQ(h.approx_quantile(q), 0u) << "q=" << q;
-    }
     h.record(1234);
     h.reset();
     for (double q : {0.0, 0.5, 0.95, 0.99, 1.0})
-        EXPECT_EQ(h.quantile(q), 0u) << "q=" << q;
+        EXPECT_EQ(h.approx_quantile(q), 0u) << "q=" << q;
 }
 
 TEST(Histogram, SingleSampleQuantilesReturnTheSample) {
     Histogram h;
     h.record(77);
-    EXPECT_EQ(h.quantile(0.50), 77u);
-    EXPECT_EQ(h.quantile(0.95), 77u);
-    EXPECT_EQ(h.quantile(0.99), 77u);
-    EXPECT_EQ(h.approx_quantile(0.99), 77u);  // bucket bound clamps to max
-}
-
-TEST(Histogram, QuantileExactPathIsInsertionOrderIndependent) {
-    Histogram up, down;
-    for (std::uint64_t v = 1; v <= 50; ++v) up.record(v);
-    for (std::uint64_t v = 50; v >= 1; --v) down.record(v);
-    for (double q : {0.0, 0.5, 0.95, 0.99, 1.0})
-        EXPECT_EQ(up.quantile(q), down.quantile(q)) << "q=" << q;
-}
-
-TEST(Histogram, QuantileDegradesToBucketsBeyondExactCap) {
-    Histogram h;
-    // One past the retained-sample cap: the exact array no longer covers
-    // the population, so quantile() must fall back to the bucket
-    // approximation rather than report a truncated exact answer.
-    for (std::uint64_t v = 1; v <= Histogram::kExactCap + 1; ++v) h.record(v);
-    const std::uint64_t p50 = h.quantile(0.5);
-    EXPECT_EQ(p50, h.approx_quantile(0.5));
-    // Still monotone and clamped to the true extrema.
-    EXPECT_LE(h.quantile(0.5), h.quantile(0.99));
-    EXPECT_LE(h.quantile(0.99), Histogram::kExactCap + 1);
-
-    // At exactly the cap, the exact path still applies.
-    Histogram at_cap;
-    for (std::uint64_t v = 1; v <= Histogram::kExactCap; ++v) at_cap.record(v);
-    EXPECT_EQ(at_cap.quantile(1.0), Histogram::kExactCap);
+    // The bucket bound (127) clamps to the one recorded value.
+    EXPECT_EQ(h.approx_quantile(0.50), 77u);
+    EXPECT_EQ(h.approx_quantile(0.95), 77u);
+    EXPECT_EQ(h.approx_quantile(0.99), 77u);
 }
 
 TEST(Histogram, QuantileFromBucketsClampsToMax) {

@@ -79,10 +79,10 @@ class Registry {
 }
 )";
 
-model::ClassPool make_original() {
+model::ClassPool make_original(const char* app = kFig1App) {
     model::ClassPool pool;
     vm::install_prelude(pool);
-    model::assemble_into(pool, kFig1App);
+    model::assemble_into(pool, app);
     model::verify_pool(pool);
     return pool;
 }
@@ -308,6 +308,61 @@ class Echo {
                          .call_virtual(e, "half", "(D)D", {Value::of_double(5.0)})
                          .as_double(),
                      2.5);
+}
+
+// Guest time: Sys.time must read the clock of the node running the code,
+// also after control-plane work moved that clock without any RPC.
+constexpr const char* kClockApp = R"(
+class Box {
+  field v I
+  ctor ()V {
+    return
+  }
+}
+class Clock {
+  static method now ()J {
+    invokestatic Sys.time ()J
+    returnvalue
+  }
+}
+)";
+
+TEST(SystemGuestTime, BarrierMovesTheGuestTimeOfEveryNode) {
+    // A migration is a barrier: node 2 takes no part in it, but its clock
+    // still moves to the landing time of the slow 0 -> 1 transfer.
+    System system(make_original(kClockApp));
+    for (int k = 0; k < 3; ++k) system.add_node();
+    net::LinkParams slow;
+    slow.latency_us = 5000;
+    system.network().set_link(0, 1, slow);
+    system.policy().set_singleton_home("Clock", 2);
+    const Value box = system.construct(0, "Box", "()V");
+    system.migrate_instance(0, box.as_ref(), 1);
+
+    const std::uint64_t clock = system.node(2).clock_us();
+    ASSERT_GT(clock, 5000u);
+    EXPECT_EQ(system.call_static(2, "Clock", "now", "()J").as_long(),
+              static_cast<std::int64_t>(clock));
+}
+
+TEST(SystemGuestTime, DirectoryTripMovesTheAskersGuestTime) {
+    // A discover whose singleton is local but whose directory shard lives
+    // on another node pays a control round-trip on the asker's clock
+    // before the guest code runs there.
+    System system(make_original(kClockApp));
+    net::LinkParams link;
+    link.latency_us = 700;
+    system.network().set_default_link(link);
+    for (int k = 0; k < 3; ++k) system.add_node();
+    DirectoryPolicy policy;
+    policy.shards = 3;
+    system.enable_directory(policy);
+    ASSERT_NE(system.directory().singleton_owner("Clock"), 0);
+    ASSERT_EQ(system.node(0).clock_us(), 0u);
+
+    const std::int64_t now = system.call_static(0, "Clock", "now", "()J").as_long();
+    EXPECT_GE(now, 1400);
+    EXPECT_EQ(now, static_cast<std::int64_t>(system.node(0).clock_us()));
 }
 
 TEST_F(SystemFixture, UnknownNodeThrows) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -28,7 +29,7 @@ TEST(ThreadPool, CoversAllIndicesExactlyOnce) {
         check_all_indices_once(threads, 0);
         check_all_indices_once(threads, 1);
         check_all_indices_once(threads, 7);     // fewer than 8 workers
-        check_all_indices_once(threads, 1000);  // plenty to steal
+        check_all_indices_once(threads, 1000);  // many chunks per participant
     }
 }
 
@@ -78,9 +79,9 @@ TEST(ThreadPool, NestedForEachRunsInline) {
     EXPECT_EQ(inner_total.load(), 4u * 8u);
 }
 
-TEST(ThreadPool, StealsFromUnevenLoad) {
-    // One index is much slower than the rest; with stealing, the fast
-    // workers should pick up the slow participant's untouched range.
+TEST(ThreadPool, CompletesUnderOneSlowIndex) {
+    // One index is much slower than the rest; the other participants keep
+    // claiming chunks around it and every index still runs.
     ThreadPool pool(4);
     if (ThreadPool::hardware_threads() < 2) GTEST_SKIP() << "single core";
     std::atomic<std::size_t> count{0};
@@ -89,9 +90,39 @@ TEST(ThreadPool, StealsFromUnevenLoad) {
         count.fetch_add(1);
     });
     EXPECT_EQ(count.load(), 400u);
-    // Not asserting steals() > 0: a fast machine may finish ranges before
-    // the imbalance matters.  The counter just has to be readable.
-    (void)pool.steals();
+    EXPECT_EQ(pool.items_executed(), 400u);
+}
+
+TEST(ThreadPool, BackToBackJobsRunEveryIndexOnce) {
+    // Jobs follow each other with no pause, so workers still finishing one
+    // epoch race the publication of the next: every index of every job
+    // must run exactly once, and a throwing job must not leak into the
+    // job after it.
+    for (std::size_t threads : {2u, 3u, 8u}) {
+        ThreadPool pool(threads);
+        std::vector<std::atomic<int>> hits(64);
+        const std::size_t sizes[] = {0, 1, 2, 7, 64};
+        std::uint64_t expected = 0;
+        for (std::size_t job = 0; job < 5000; ++job) {
+            const std::size_t n = sizes[job % 5];
+            for (std::size_t i = 0; i < n; ++i) hits[i].store(0);
+            pool.for_each_index(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+            expected += n;
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(hits[i].load(), 1) << "job " << job << " index " << i << " with "
+                                             << threads << " threads";
+        }
+        EXPECT_EQ(pool.items_executed(), expected);
+
+        EXPECT_THROW(pool.for_each_index(64,
+                                         [&](std::size_t i) {
+                                             if (i == 5) throw std::runtime_error("boom");
+                                         }),
+                     std::runtime_error);
+        for (std::size_t i = 0; i < 64; ++i) hits[i].store(0);
+        pool.for_each_index(64, [&](std::size_t i) { hits[i].fetch_add(1); });
+        for (std::size_t i = 0; i < 64; ++i) ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+    }
 }
 
 TEST(ThreadPool, SingleThreadRunsCallerOnly) {

@@ -29,6 +29,14 @@ done
 
 case " $presets " in
 *" default "*)
+    # Thread-pool stress (gating): the pool, the verifier's allocation
+    # bound and pipeline determinism rerun up to 20 times under parallel
+    # load, so a scheduling-dependent failure fails the gate instead of
+    # passing most runs.
+    echo "== thread-pool stress: 20 repeats under parallel load =="
+    ctest --preset default -R 'ThreadPool\.|VerifierAlloc\.|PipelineDeterminism\.' \
+        -j "$jobs" --repeat until-fail:20
+
     # Experiment determinism guard (gating): build/bench/experiments runs
     # E1-E15 (E13 at the 10^4-client smoke size) and writes one
     # BENCH_E<n>.json sidecar each.  Every sidecar value comes from the
