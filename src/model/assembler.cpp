@@ -1,7 +1,6 @@
 #include "model/assembler.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <optional>
 
@@ -41,6 +40,14 @@ struct Parser {
     }
 
     [[noreturn]] void fail(const std::string& msg) const { throw ParseError(msg, lineno); }
+
+    /// `tok` as one whole number token within T's range; `what` names it
+    /// in the error.
+    template <class T>
+    T parse_number(std::string_view tok, const char* what) const {
+        if (const std::optional<T> v = parse_whole<T>(tok)) return *v;
+        fail(std::string("bad ") + what + " '" + std::string(tok) + "'");
+    }
 
     /// Next non-empty line, with comments stripped.  Returns false at EOF.
     bool next_line() {
@@ -242,7 +249,7 @@ struct Parser {
 
             if (head == "locals") {
                 if (toks.size() != 2) fail("locals takes one argument");
-                extra_locals = std::atoi(toks[1].c_str());
+                extra_locals = parse_number<int>(toks[1], "locals count");
                 continue;
             }
             if (head == "catch") {
@@ -297,7 +304,7 @@ struct Parser {
             case Op::Load:
             case Op::Store:
                 need_args(1);
-                out.a = std::atoi(toks[1].c_str());
+                out.a = parse_number<int>(toks[1], "slot index");
                 if (out.a < 0) fail("negative slot index");
                 return out;
             case Op::Conv: {
@@ -371,15 +378,11 @@ struct Parser {
             }
             return out;
         }
-        std::string num(rest);
-        if (num.back() == 'L' || num.back() == 'l') {
-            return static_cast<std::int64_t>(std::strtoll(num.c_str(), nullptr, 10));
-        }
-        if (num.find('.') != std::string::npos || num.find('e') != std::string::npos ||
-            num.find('E') != std::string::npos) {
-            return std::strtod(num.c_str(), nullptr);
-        }
-        return static_cast<std::int32_t>(std::strtol(num.c_str(), nullptr, 10));
+        if (rest.back() == 'L' || rest.back() == 'l')
+            return parse_number<std::int64_t>(rest.substr(0, rest.size() - 1), "long constant");
+        if (rest.find_first_of(".eE") != std::string_view::npos)
+            return parse_number<double>(rest, "double constant");
+        return parse_number<std::int32_t>(rest, "int constant");
     }
 };
 

@@ -100,14 +100,12 @@ void read_call_body(R& r, CallRequest& req, const char* who) {
     for (std::uint32_t k = 0; k < n; ++k) req.args.push_back(read_value(r, who));
 }
 
-/// A full request after its framing: kind, ids, trace context, source and
-/// the call body.
+/// A full request after its framing: kind, request id, source and the
+/// call body.
 template <class W>
 void write_request(W& w, const CallRequest& req) {
     w.u8(static_cast<std::uint8_t>(req.kind));
     w.u64(req.request_id);
-    w.u64(req.trace_id);
-    w.u64(req.parent_span);
     w.i32(req.src_node);
     write_call_body(w, req);
 }
@@ -116,8 +114,6 @@ template <class R>
 void read_request(R& r, CallRequest& req, const char* who) {
     req.kind = read_kind(r, who);
     req.request_id = r.u64();
-    req.trace_id = r.u64();
-    req.parent_span = r.u64();
     req.src_node = r.i32();
     read_call_body(r, req, who);
 }

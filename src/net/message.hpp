@@ -44,24 +44,12 @@ enum class RequestKind : std::uint8_t {
     Discover,  // return (creating if needed) the `cls` singleton
 };
 
+// Everything a codec puts on the wire, plus two accounting fields.  The
+// trace context and the request's send and arrival times are not here:
+// RpcPath keeps them host-side, so no codec can encode them.
 struct CallRequest {
     RequestKind kind = RequestKind::Invoke;
     std::uint64_t request_id = 0;
-    // Trace context (see src/obs/trace.hpp): the caller's trace id and the
-    // span the request was issued under, so the remote dispatch nests under
-    // the proxy invocation that caused it — across forwarding chains too.
-    // Zero means "not traced".  The context travels host-side (RpcPath sets
-    // it on the decoded request), so every codec's copy on the wire is zero.
-    std::uint64_t trace_id = 0;
-    std::uint64_t parent_span = 0;
-    // Event-sequencing metadata (simulation bookkeeping, NOT wire data):
-    // the sender's virtual clock when the request was handed to the link
-    // and the arrival time the network computed for it.  RpcPath::rpc
-    // threads these through the request so server-side dispatch and codec
-    // work are charged on the destination node's clock; codecs ignore
-    // both, so wire sizes are unaffected.
-    std::uint64_t sim_send_us = 0;
-    std::uint64_t sim_arrival_us = 0;
     // Accounting metadata (simulation bookkeeping, NOT wire data): the
     // original application class the call targets (set by the proxy
     // dispatcher so the RPC layer can attribute traffic per class without

@@ -17,13 +17,12 @@ constexpr std::uint8_t kMagicRequestReliable = 0xA3;
 // Batch-continuation entry: a request coalesced into an already-open
 // frame on a busy link.  It omits src_node (pinned by the frame) and
 // carries request_id as a varint delta from the frame-opening call, with
-// the reliability and trace fields flag-gated the same way 0xA3 gates
-// the reliability extension.  Only decodable against the BatchContext
-// the encoder used, so decode_request rejects it outright.
+// the reliability extension flag-gated the same way 0xA3 gates it.  Only
+// decodable against the BatchContext the encoder used, so decode_request
+// rejects it outright.
 constexpr std::uint8_t kMagicBatchEntry = 0xA4;
 
 constexpr std::uint8_t kEntryFlagReliable = 0x01;
-constexpr std::uint8_t kEntryFlagTraced = 0x02;
 
 constexpr const char* kWho = "rmib";
 
@@ -63,16 +62,11 @@ void RmibCodec::encode_batch_entry(const CallRequest& req, const BatchContext& c
         throw CodecError("rmib: batch entry precedes the frame-opening call");
     std::uint8_t flags = 0;
     if (req.attempt != 0 || req.deadline_us != 0) flags |= kEntryFlagReliable;
-    if (req.trace_id != 0 || req.parent_span != 0) flags |= kEntryFlagTraced;
     w.u8(kMagicBatchEntry);
     w.u8(flags);
     w.varu64(req.request_id - ctx.base_request_id);
     w.u8(static_cast<std::uint8_t>(req.kind));
     if (flags & kEntryFlagReliable) binary::write_reliability(w, req);
-    if (flags & kEntryFlagTraced) {
-        w.u64(req.trace_id);
-        w.u64(req.parent_span);
-    }
     binary::write_call_body(w, req);
 }
 
@@ -81,17 +75,13 @@ CallRequest RmibCodec::decode_batch_entry(const Bytes& data,
     ByteReader r(data);
     if (r.u8() != kMagicBatchEntry) throw CodecError("rmib: bad batch-entry magic");
     const std::uint8_t flags = r.u8();
-    if (flags & ~(kEntryFlagReliable | kEntryFlagTraced))
+    if (flags & ~kEntryFlagReliable)
         throw CodecError("rmib: bad batch-entry flags");
     CallRequest req;
     req.src_node = ctx.src_node;
     req.request_id = ctx.base_request_id + r.varu64();
     req.kind = binary::read_kind(r, kWho);
     if (flags & kEntryFlagReliable) binary::read_reliability(r, req);
-    if (flags & kEntryFlagTraced) {
-        req.trace_id = r.u64();
-        req.parent_span = r.u64();
-    }
     binary::read_call_body(r, req, kWho);
     if (!r.at_end()) throw CodecError("rmib: trailing bytes in batch entry");
     return req;

@@ -1,7 +1,6 @@
 #include "net/soapx.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <cstdio>
 #include <map>
 #include <string_view>
@@ -126,12 +125,8 @@ RequestKind kind_from_name(const std::string& name) {
 /// round-trips.
 template <typename Num>
 Num parse_number(const std::string& text, std::string_view what) {
-    Num v{};
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    if (ec != std::errc() || ptr != end)
-        throw CodecError("soapx: bad number " + std::string(what) + "=\"" + text + "\"");
-    return v;
+    if (const std::optional<Num> v = parse_whole<Num>(text)) return *v;
+    throw CodecError("soapx: bad number " + std::string(what) + "=\"" + text + "\"");
 }
 
 // ---- a tiny element parser (handles exactly what we emit) ---------------
@@ -298,10 +293,6 @@ void SoapxCodec::encode_request_into(const CallRequest& req, ByteWriter& w) cons
     append_text(w, kind_name(req.kind));
     append_text(w, "\" id=\"");
     append_int(w, req.request_id);
-    append_text(w, "\" trace=\"");
-    append_int(w, req.trace_id);
-    append_text(w, "\" span=\"");
-    append_int(w, req.parent_span);
     append_text(w, "\" src=\"");
     append_int(w, req.src_node);
     append_text(w, "\" target=\"");
@@ -337,8 +328,6 @@ CallRequest SoapxCodec::decode_request(const Bytes& data) const {
     CallRequest req;
     req.kind = kind_from_name(request.attr("kind"));
     req.request_id = request.number<std::uint64_t>("id");
-    req.trace_id = request.number<std::uint64_t>("trace");
-    req.parent_span = request.number<std::uint64_t>("span");
     req.src_node = request.number<std::int32_t>("src");
     req.target_oid = request.number<std::uint64_t>("target");
     req.cls = request.attr("class");

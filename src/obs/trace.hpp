@@ -14,8 +14,8 @@
 //   ├─ net.transfer 1->0
 //   └─ codec.decode_reply RMI
 //
-// The caller's trace context travels host-side with the request (set on
-// the decoded CallRequest, never encoded), so forwarding chains and
+// The caller's trace context stays host-side (RpcPath hands it to the
+// server's dispatch span; no codec encodes it), so forwarding chains and
 // migrations appear as nested rpc.invoke spans under the dispatch that
 // caused them, and enabling the tracer changes no wire byte.
 //
@@ -73,10 +73,10 @@ public:
     /// or 0 when tracing is disabled.
     std::uint64_t begin(std::string name, std::int32_t node = -1);
 
-    /// Opens a span whose parentage arrived from elsewhere (the wire
-    /// header): used by the server side of an RPC so the dispatch span is
-    /// the child of the *encoded* parent, not of whatever happens to be
-    /// on this tracer's stack.
+    /// Opens a span whose parentage arrived from elsewhere (the caller's
+    /// context, carried host-side): used by the server side of an RPC so
+    /// the dispatch span is the child of the caller's span, not of
+    /// whatever happens to be on this tracer's stack.
     std::uint64_t begin_remote(std::string name, std::int32_t node,
                                std::uint64_t trace, std::uint64_t parent);
 
@@ -145,7 +145,7 @@ public:
     ScopedSpan(Tracer& tracer, NameFn&& name, std::int32_t node = -1)
         : tracer_(&tracer), id_(tracer.enabled() ? tracer.begin(name(), node) : 0) {}
 
-    /// Lazily named span whose parentage arrived on the wire (begin_remote).
+    /// Lazily named span whose parentage arrived from elsewhere (begin_remote).
     template <typename NameFn>
     static ScopedSpan remote(Tracer& tracer, NameFn&& name, std::int32_t node,
                              std::uint64_t trace, std::uint64_t parent) {

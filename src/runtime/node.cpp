@@ -334,7 +334,7 @@ void Node::recover_from_wal() {
 }
 
 net::CallReply Node::handle_request(const net::CallRequest& req,
-                                    const std::string& protocol) {
+                                    const std::string& protocol, std::uint64_t arrival_us) {
     const RetryPolicy& rp = system_->rpc_path().reliability();
     const bool dedup = rp.dedup && rp.dedup_capacity > 0;
     if (dedup) {
@@ -353,7 +353,7 @@ net::CallReply Node::handle_request(const net::CallRequest& req,
     // An expired request must not execute: the caller has already given
     // up, and running it anyway would be a side effect nobody awaits.
     // The rejection is not cached — expiry is stable across retries.
-    if (req.deadline_us && req.sim_arrival_us > req.deadline_us) {
+    if (req.deadline_us && arrival_us > req.deadline_us) {
         system_->rpc_path().note_server_timeout(req.request_id, id_, clock_us_);
         reply.is_fault = true;
         reply.fault_class = kRemoteFaultClass;

@@ -68,9 +68,11 @@ public:
     /// system's reliability policy enables dedup, the request id is an
     /// idempotency key: a retry of an already-executed request replays the
     /// cached reply instead of re-executing (exactly-once, DESIGN.md §15).
-    /// Expired requests (deadline_us in the past at arrival) are refused
-    /// with a RemoteFault reply before any guest code runs.
-    net::CallReply handle_request(const net::CallRequest& req, const std::string& protocol);
+    /// Expired requests (deadline_us before `arrival_us`, the virtual time
+    /// the network delivered the request) are refused with a RemoteFault
+    /// reply before any guest code runs.
+    net::CallReply handle_request(const net::CallRequest& req, const std::string& protocol,
+                                  std::uint64_t arrival_us);
 
     /// Crash/restart bookkeeping: `restarts` is the number of NodeCrash
     /// windows for this node that have ended so far.  With durability off

@@ -202,9 +202,9 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
     const net::Codec& c = *proto.codec;
     Node& caller = system_.node(src);
     Node& callee = system_.node(dst);
-    // The caller's trace context travels host-side, like the sim_* times:
-    // it is set on the decoded request, never encoded, so tracing cannot
-    // change a wire byte.  The server parents its dispatch span from it.
+    // The caller's trace context travels host-side, never on the wire, so
+    // tracing cannot change a wire byte.  The server parents its dispatch
+    // span from it.
     const std::uint64_t trace_id = tracer_.current_trace();
     const std::uint64_t parent_span = tracer_.current_span();
 
@@ -272,9 +272,9 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
         req.sim_wire_bytes += request_bytes.size();
         caller.advance_clock(codec_cost(request_bytes.size()).first);
     }
-    req.sim_send_us = caller.clock_us();
+    const std::uint64_t send_us = caller.clock_us();
     if (journal_.enabled())  // the only detail built per call
-        journal_.record(obs::JournalEvent::Kind::RpcSend, req.sim_send_us, src, dst,
+        journal_.record(obs::JournalEvent::Kind::RpcSend, send_us, src, dst,
                         req.request_id, request_bytes.size(),
                         req.stat_class.empty()
                             ? proto.name
@@ -289,10 +289,10 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
         tracer_.note("bytes", request_bytes.size());
         inbound = coalesce ? network_.transfer_coalesced_at(src, dst,
                                                             request_bytes.size(),
-                                                            req.sim_send_us)
+                                                            send_us)
                            : network_.transfer_at(src, dst, request_bytes.size(),
-                                                  req.sim_send_us);
-        tracer_.pin(span.id(), req.sim_send_us, inbound.at_us);
+                                                  send_us);
+        tracer_.pin(span.id(), send_us, inbound.at_us);
         if (!lane) {
             // Batching off: no frame is ever joinable.
         } else if (inbound.delivered && coalesce) {
@@ -320,7 +320,6 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
                        "request lost on link " + std::to_string(src) + "->" +
                            std::to_string(dst));
     }
-    req.sim_arrival_us = inbound.at_us;
     // A request landing on a crashed node dies there — never executed.
     // (The caller observes the failure at the arrival time; a restarted
     // node first sheds its soft state, which is how reply-cache loss
@@ -343,10 +342,6 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
             tracer_, [&] { return "codec.decode_request " + proto.name; }, dst);
         decoded = coalesce ? c.decode_batch_entry(request_bytes, entry_ctx)
                            : c.decode_request(request_bytes);
-        decoded.sim_send_us = req.sim_send_us;
-        decoded.sim_arrival_us = req.sim_arrival_us;
-        decoded.trace_id = trace_id;
-        decoded.parent_span = parent_span;
         callee.advance_clock(codec_cost(request_bytes.size()).second);
     }
     net::CallReply reply;
@@ -354,14 +349,13 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
         const std::string& what =
             decoded.kind == net::RequestKind::Invoke ? decoded.method : decoded.cls;
         obs::ScopedSpan span = obs::ScopedSpan::remote(
-            tracer_, [&] { return "rpc.dispatch " + what; }, dst, decoded.trace_id,
-            decoded.parent_span);
+            tracer_, [&] { return "rpc.dispatch " + what; }, dst, trace_id, parent_span);
         if (decoded.attempt) tracer_.note("attempt", decoded.attempt);
         // Dispatch is charged on the destination node's clock; its guest
         // code observes the server's own time, not the caller's.
         journal_.record(obs::JournalEvent::Kind::RpcDispatch, callee.clock_us(), dst, src,
                         decoded.request_id, decoded.attempt, what);
-        reply = callee.handle_request(decoded, proto.name);
+        reply = callee.handle_request(decoded, proto.name, inbound.at_us);
     }
 
     support::PooledBuffer reply_frame(buffer_pool_);

@@ -1,6 +1,8 @@
 // Small string helpers used across the RAFDA libraries.
 #pragma once
 
+#include <charconv>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +23,17 @@ std::string_view trim(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
+
+/// `s` as one whole number token within T's range, or nullopt: no
+/// leading whitespace or '+', no trailing bytes (std::from_chars syntax).
+template <class T>
+std::optional<T> parse_whole(std::string_view s) {
+    T v{};
+    const char* end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || ptr != end) return std::nullopt;
+    return v;
+}
 
 /// Escapes &, <, >, " for embedding in SOAPX documents.
 std::string xml_escape(std::string_view s);

@@ -27,6 +27,17 @@ std::string native_key(const std::string& owner, const std::string& name,
                        const std::string& desc) {
     return owner + "#" + name + desc;
 }
+
+/// d2i/d2l: the double clamped to T's range, NaN -> 0.
+template <class T>
+T saturate(double d) {
+    if (std::isnan(d)) return 0;
+    if (d <= static_cast<double>(std::numeric_limits<T>::min()))
+        return std::numeric_limits<T>::min();
+    if (d >= static_cast<double>(std::numeric_limits<T>::max()))
+        return std::numeric_limits<T>::max();
+    return static_cast<T>(d);
+}
 }  // namespace
 
 Interpreter::Interpreter(const model::ClassPool& pool) : pool_(&pool) {}
@@ -526,10 +537,17 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
             break;
         }
         case Op::Neg: {
+            // Two's-complement negation through unsigned, so INT_MIN wraps
+            // to itself (JVM ineg/lneg) instead of overflowing.
             Value a = pop();
-            if (a.is_int()) stack.push_back(Value::of_int(-a.as_int()));
-            else if (a.is_long()) stack.push_back(Value::of_long(-a.as_long()));
-            else stack.push_back(Value::of_double(-a.as_double()));
+            if (a.is_int())
+                stack.push_back(Value::of_int(
+                    static_cast<std::int32_t>(0u - static_cast<std::uint32_t>(a.as_int()))));
+            else if (a.is_long())
+                stack.push_back(Value::of_long(static_cast<std::int64_t>(
+                    std::uint64_t{0} - static_cast<std::uint64_t>(a.as_long()))));
+            else
+                stack.push_back(Value::of_double(-a.as_double()));
             break;
         }
         case Op::And: {
@@ -548,15 +566,20 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
             break;
         }
         case Op::Conv: {
+            // JVM conversions: an int or long narrows (l2i keeps the low 32
+            // bits) or sign-extends without a trip through double; a double
+            // saturates at the target's range, with NaN -> 0 (d2i, d2l).
             Value a = pop();
             switch (static_cast<Kind>(i.a)) {
                 case Kind::Int:
-                    stack.push_back(
-                        Value::of_int(static_cast<std::int32_t>(a.widen_double())));
+                    stack.push_back(Value::of_int(
+                        a.is_double() ? saturate<std::int32_t>(a.as_double())
+                                      : static_cast<std::int32_t>(a.widen_integral())));
                     break;
                 case Kind::Long:
-                    stack.push_back(
-                        Value::of_long(static_cast<std::int64_t>(a.widen_double())));
+                    stack.push_back(Value::of_long(a.is_double()
+                                                       ? saturate<std::int64_t>(a.as_double())
+                                                       : a.widen_integral()));
                     break;
                 case Kind::Double:
                     stack.push_back(Value::of_double(a.widen_double()));
@@ -790,51 +813,12 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                     switch (i.k.index()) {  // alternative order fixed in model::Instr
                         case 0: stack.push_back(Value::null()); break;
                         case 1: stack.push_back(Value::of_bool(std::get<bool>(i.k))); break;
-                        case 2: {
-                            // Constant-increment fusion (`const n; add/sub`
-                            // over a same-width top of stack): apply the
-                            // arithmetic in place instead of a push/pop
-                            // round trip.  Wraparound matches arith(); a
-                            // jump into the Add/Sub still takes its case.
-                            const std::int32_t v = std::get<std::int32_t>(i.k);
-                            if (static_cast<std::size_t>(pc) + 1 < code.size() &&
-                                !stack.empty()) {
-                                const Instruction& nx = code[pc + 1];
-                                if ((nx.op == Op::Add || nx.op == Op::Sub) &&
-                                    stack.back().is_int()) {
-                                    const std::uint32_t x =
-                                        static_cast<std::uint32_t>(stack.back().as_int());
-                                    const std::uint32_t y = static_cast<std::uint32_t>(v);
-                                    stack.back() = Value::of_int(static_cast<std::int32_t>(
-                                        nx.op == Op::Add ? x + y : x - y));
-                                    ++counters_.instructions;  // absorbed arith
-                                    pc += 2;
-                                    continue;
-                                }
-                            }
-                            stack.push_back(Value::of_int(v));
+                        case 2:
+                            stack.push_back(Value::of_int(std::get<std::int32_t>(i.k)));
                             break;
-                        }
-                        case 3: {
-                            const std::int64_t v = std::get<std::int64_t>(i.k);
-                            if (static_cast<std::size_t>(pc) + 1 < code.size() &&
-                                !stack.empty()) {
-                                const Instruction& nx = code[pc + 1];
-                                if ((nx.op == Op::Add || nx.op == Op::Sub) &&
-                                    stack.back().is_long()) {
-                                    const std::uint64_t x =
-                                        static_cast<std::uint64_t>(stack.back().as_long());
-                                    const std::uint64_t y = static_cast<std::uint64_t>(v);
-                                    stack.back() = Value::of_long(static_cast<std::int64_t>(
-                                        nx.op == Op::Add ? x + y : x - y));
-                                    ++counters_.instructions;  // absorbed arith
-                                    pc += 2;
-                                    continue;
-                                }
-                            }
-                            stack.push_back(Value::of_long(v));
+                        case 3:
+                            stack.push_back(Value::of_long(std::get<std::int64_t>(i.k)));
                             break;
-                        }
                         case 4:
                             stack.push_back(Value::of_double(std::get<double>(i.k)));
                             break;
@@ -911,22 +895,6 @@ Value Interpreter::execute(const ClassFile& cls, const Method& m,
                         }
                     } else {
                         res = compare(i.op, a, b).as_bool();
-                    }
-                    // Compare-and-branch fusion: when the next instruction
-                    // is the conditional jump (the shape every loop header
-                    // compiles to), branch directly instead of pushing and
-                    // re-popping the boolean.  Jumps *into* the IfTrue/
-                    // IfFalse from elsewhere still take its own case.
-                    if (static_cast<std::size_t>(pc) + 1 < code.size()) {
-                        const Instruction& nx = code[pc + 1];
-                        if (nx.op == Op::IfTrue || nx.op == Op::IfFalse) {
-                            ++counters_.instructions;  // the absorbed branch
-                            if (res == (nx.op == Op::IfTrue))
-                                pc = nx.a;
-                            else
-                                pc += 2;
-                            continue;
-                        }
                     }
                     stack.push_back(Value::of_bool(res));
                     break;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "model/printer.hpp"
 #include "support/error.hpp"
 
@@ -261,6 +263,33 @@ TEST(Assembler, RejectsCommonMistakes) {
     EXPECT_THROW(assemble("class X {\n static ctor ()V {\n return\n }\n}"), ParseError);
     EXPECT_THROW(assemble("class X {\n method m (I)I\n}"), ParseError);  // no body
     EXPECT_THROW(assemble("class X {\n method m (I)I {\n goto Nowhere\n }\n}"), ParseError);
+}
+
+TEST(Assembler, RejectsMalformedNumbers) {
+    // Every number is one whole token within its type's range; a bad one
+    // is a ParseError on its own line, never a silently different value.
+    const auto method_with = [](const std::string& line) {
+        return "class X {\n  static method m ()V {\n    locals 2\n    " + line +
+               "\n    return\n  }\n}\n";
+    };
+    for (const char* line :
+         {"const 12x", "const abc", "const -", "const 1.5.5", "const 99999999999",
+          "const 99999999999999999999L", "const 1e999", "const L", "load 1x", "store 2y",
+          "load 99999999999", "locals 3x"}) {
+        try {
+            assemble(method_with(line));
+            ADD_FAILURE() << "accepted '" << line << "'";
+        } catch (const ParseError& e) {
+            EXPECT_EQ(e.line(), 4) << line;
+        }
+    }
+    // The extremes of each type still assemble exactly.
+    const std::vector<ClassFile> ok = assemble(method_with(
+        "const -2147483648\n    const 9223372036854775807L\n    const -1.5e3"));
+    const std::vector<Instruction>& code = ok[0].methods[0].code.instrs;
+    EXPECT_EQ(std::get<std::int32_t>(code[0].k), std::numeric_limits<std::int32_t>::min());
+    EXPECT_EQ(std::get<std::int64_t>(code[1].k), std::numeric_limits<std::int64_t>::max());
+    EXPECT_DOUBLE_EQ(std::get<double>(code[2].k), -1500.0);
 }
 
 TEST(Assembler, CommentsAndBlankLinesIgnored) {

@@ -18,8 +18,6 @@ CallRequest sample_request() {
     CallRequest req;
     req.kind = RequestKind::Invoke;
     req.request_id = 42;
-    req.trace_id = 7001;
-    req.parent_span = 7002;
     req.src_node = 3;
     req.target_oid = 1234567890123ULL;
     req.cls = "";
@@ -171,34 +169,37 @@ TEST_P(BothCodecs, OnlyRmibSupportsBatchEntries) {
 INSTANTIATE_TEST_SUITE_P(Protocols, BothCodecs,
                          ::testing::Values("RMI", "SOAP", "CORBA"));
 
-TEST(Codecs, LegacyRmibBytesDecodeWithZeroReliabilityDefaults) {
-    // A frame hand-assembled in the original 0xA1 layout (no extension
-    // words) must decode on the current decoder with attempt/deadline 0.
+TEST(Codecs, RmibBaseFrameLayoutDecodesWithZeroReliabilityDefaults) {
+    // A frame hand-assembled in the 0xA1 base layout pins it field by
+    // field: no extension words and no trace context, just the request id
+    // followed by the source node.  It decodes with attempt/deadline 0.
     ByteWriter w;
-    w.u8(0xA1);                     // legacy request magic
+    w.u8(0xA1);                     // base request magic
     w.u8(0);                        // kind = Invoke
     w.u64(42);                      // request_id
-    w.u64(0);                       // trace_id
-    w.u64(0);                       // parent_span
     w.i32(3);                       // src_node
     w.u64(77);                      // target_oid
     w.str("");                      // cls
     w.str("m");                     // method
     w.str("()V");                   // desc
     w.u32(0);                       // nargs
-    CallRequest req = RmibCodec().decode_request(w.take());
+    const Bytes frame = w.take();
+    CallRequest req = RmibCodec().decode_request(frame);
     EXPECT_EQ(req.request_id, 42u);
     EXPECT_EQ(req.src_node, 3);
     EXPECT_EQ(req.method, "m");
     EXPECT_EQ(req.attempt, 0u);
     EXPECT_EQ(req.deadline_us, 0u);
+    // And the encoder writes exactly this layout back.
+    EXPECT_EQ(RmibCodec().encode_request(req), frame);
 }
 
 TEST(Codecs, LegacySoapBytesDecodeWithZeroReliabilityDefaults) {
-    // A hand-written legacy envelope (no attempt/deadline attributes)
-    // against the current decoder: the extension defaults to zero.
+    // A hand-written legacy envelope (no attempt/deadline attributes, and
+    // no trace context) against the current decoder: the extension
+    // defaults to zero.
     const std::string xml =
-        "<Envelope><Body><Request kind=\"invoke\" id=\"9\" trace=\"0\" span=\"0\""
+        "<Envelope><Body><Request kind=\"invoke\" id=\"9\""
         " src=\"1\" target=\"5\" class=\"\" method=\"m\" desc=\"(I)I\">"
         "<arg type=\"int\">-3</arg></Request></Body></Envelope>";
     CallRequest req = SoapxCodec().decode_request(Bytes(xml.begin(), xml.end()));
@@ -213,7 +214,7 @@ TEST(Codecs, SoapExtensionAttributesDecode) {
     // And the forward direction as raw text: attributes written by the
     // new encoder carry through a decode of the literal document.
     const std::string xml =
-        "<Envelope><Body><Request kind=\"invoke\" id=\"9\" trace=\"0\" span=\"0\""
+        "<Envelope><Body><Request kind=\"invoke\" id=\"9\""
         " src=\"1\" target=\"5\" class=\"\" method=\"m\" desc=\"()V\""
         " attempt=\"4\" deadline=\"123456\"></Request></Body></Envelope>";
     CallRequest req = SoapxCodec().decode_request(Bytes(xml.begin(), xml.end()));
@@ -234,17 +235,17 @@ TEST(Codecs, SoapRejectsMalformedNumbers) {
     // Every number is one whole token within its field's range, as
     // strictly as the binary codecs read theirs.
     const SoapxCodec soapx;
-    const std::string ok = "trace=\"0\" span=\"0\" src=\"1\" target=\"5\"";
+    const std::string ok = "src=\"1\" target=\"5\"";
     EXPECT_EQ(soapx.decode_request(soap_request("id=\"9\" " + ok)).request_id, 9u);
     for (const char* id : {"id=\"12x\"", "id=\"\"", "id=\" 12\"", "id=\"-1\""})
         EXPECT_THROW(soapx.decode_request(soap_request(std::string(id) + " " + ok)),
                      CodecError)
             << id;
     EXPECT_THROW(soapx.decode_request(soap_request(
-                     "id=\"9\" trace=\"0\" span=\"0\" src=\"1\" target=\"-1\"")),
+                     "id=\"9\" src=\"1\" target=\"-1\"")),
                  CodecError);
     EXPECT_THROW(soapx.decode_request(soap_request(
-                     "id=\"9\" trace=\"0\" span=\"0\" src=\"99999999999\" target=\"5\"")),
+                     "id=\"9\" src=\"99999999999\" target=\"5\"")),
                  CodecError);
     EXPECT_THROW(
         soapx.decode_request(soap_request("id=\"9\" " + ok + " attempt=\"4294967296\"")),
@@ -277,9 +278,9 @@ TEST(Codecs, SoapRoundTripsNonFiniteDoubles) {
 
 // ---- RMIB batch-entry framing (DESIGN.md §17) ---------------------------
 
-TEST(RmibBatch, EntryRoundTripsAgainstItsContext) {
+TEST(RmibBatch, EntryRoundTripsAndUndercutsAFullRequest) {
     RmibCodec rmib;
-    CallRequest req = sample_request();  // trace ids set -> traced flag
+    CallRequest req = sample_request();
     BatchContext ctx{req.src_node, 40};  // id 42 -> delta 2
     ByteWriter w;
     rmib.encode_batch_entry(req, ctx, w);
@@ -291,15 +292,14 @@ TEST(RmibBatch, EntryRoundTripsAgainstItsContext) {
     EXPECT_LT(wire.size(), rmib.encode_request(req).size());
 }
 
-TEST(RmibBatch, UntracedUnreliableEntryOmitsBothExtensions) {
+TEST(RmibBatch, UnreliableEntryOmitsTheReliabilityExtension) {
     RmibCodec rmib;
     CallRequest req = sample_request();
-    req.trace_id = req.parent_span = 0;
     BatchContext ctx{req.src_node, req.request_id};  // delta 0
     ByteWriter w;
     rmib.encode_batch_entry(req, ctx, w);
     Bytes lean = w.take();
-    EXPECT_EQ(lean.at(1), 0x00);  // flags byte: no reliable, no trace
+    EXPECT_EQ(lean.at(1), 0x00);  // flags byte: not reliable
     EXPECT_EQ(rmib.decode_batch_entry(lean, ctx), req);
 
     req.attempt = 3;
@@ -336,7 +336,6 @@ TEST(RmibBatch, EncodeValidatesAgainstContext) {
 TEST(RmibBatch, DecodeRejectsUnknownFlagsAndTrailingBytes) {
     RmibCodec rmib;
     CallRequest req = sample_request();
-    req.trace_id = req.parent_span = 0;
     BatchContext ctx{req.src_node, req.request_id};
     ByteWriter w;
     rmib.encode_batch_entry(req, ctx, w);
@@ -344,6 +343,10 @@ TEST(RmibBatch, DecodeRejectsUnknownFlagsAndTrailingBytes) {
 
     Bytes bad_flags = wire;
     bad_flags[1] = 0x04;  // not a defined entry flag
+    EXPECT_THROW(rmib.decode_batch_entry(bad_flags, ctx), CodecError);
+    // 0x02 once flagged a trace context; no trace field travels any more,
+    // so it is as unknown as any other undefined bit.
+    bad_flags[1] = 0x02;
     EXPECT_THROW(rmib.decode_batch_entry(bad_flags, ctx), CodecError);
 
     Bytes trailing = wire;

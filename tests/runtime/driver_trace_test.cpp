@@ -195,6 +195,7 @@ struct FourClients {
         SystemOptions options;
         options.network_seed = 7;
         options.batching.enabled = batched;
+        options.pipeline.generator.protocols = {"RMI", "CORBA", "SOAP"};
         system = std::make_unique<System>(pool, options);
         for (int k = 0; k <= 4; ++k) system->add_node();
         system->policy().set_instance_home("Service", 0, protocol);
@@ -219,10 +220,12 @@ struct FourClients {
 
 TEST(TracerPassivity, EnablingTheTracerChangesNoVirtualTimeResult) {
     // The tracer's version of the E11 contract: the trace context travels
-    // host-side, never in the encoded request, so SOAP's text ids and
-    // RMI's batch entries are the same size with tracing on or off.
-    for (const auto& [protocol, batched] :
-         {std::pair<std::string, bool>{"SOAP", false}, {"RMI", true}}) {
+    // host-side, never in the encoded request, so SOAP's text ids, CORBA's
+    // aligned body and RMI's batch entries are the same size with tracing
+    // on or off.
+    for (const auto& [protocol, batched] : {std::pair<std::string, bool>{"SOAP", false},
+                                            {"CORBA", false},
+                                            {"RMI", true}}) {
         EXPECT_EQ(FourClients(protocol, batched, false).makespan_and_wire_bytes(),
                   FourClients(protocol, batched, true).makespan_and_wire_bytes())
             << protocol << (batched ? " batched" : "");

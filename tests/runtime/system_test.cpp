@@ -329,18 +329,27 @@ class Clock {
 
 TEST(SystemGuestTime, BarrierMovesTheGuestTimeOfEveryNode) {
     // A migration is a barrier: node 2 takes no part in it, but its clock
-    // still moves to the landing time of the slow 0 -> 1 transfer.
+    // still moves to the landing time of the slow 0 -> 1 transfer, which
+    // the journal's Migrate event records.
     System system(make_original(kClockApp));
     for (int k = 0; k < 3; ++k) system.add_node();
     net::LinkParams slow;
     slow.latency_us = 5000;
     system.network().set_link(0, 1, slow);
     system.policy().set_singleton_home("Clock", 2);
+    system.journal().set_enabled(true);
     const Value box = system.construct(0, "Box", "()V");
+    const std::uint64_t before = system.node(2).clock_us();
     system.migrate_instance(0, box.as_ref(), 1);
 
+    std::uint64_t landed = 0;
+    system.journal().visit([&](const obs::JournalEvent& e) {
+        if (e.kind == obs::JournalEvent::Kind::Migrate) landed = e.t_us;
+    });
+    ASSERT_GE(landed, 5000u);  // at least the slow link's latency
+    ASSERT_LT(before, landed);
     const std::uint64_t clock = system.node(2).clock_us();
-    ASSERT_GT(clock, 5000u);
+    ASSERT_EQ(clock, landed);
     EXPECT_EQ(system.call_static(2, "Clock", "now", "()J").as_long(),
               static_cast<std::int64_t>(clock));
 }

@@ -443,6 +443,11 @@ TEST_F(RafdacCli, UsageAndErrors) {
     EXPECT_EQ(run_cli("adapt " + app_).status, 1);   // missing config/main
     // --chrome needs a path operand.
     EXPECT_EQ(run_cli("trace " + app_ + " " + cfg_ + " Main 2 --chrome").status, 1);
+    // The node count is one whole positive integer, or a processing error.
+    for (const char* nodes : {"2x", "0", "-1", "", "99999999999"})
+        EXPECT_EQ(run_cli("deploy " + app_ + " " + cfg_ + " Main '" + nodes + "'").status, 2)
+            << nodes;
+    EXPECT_EQ(run_cli("deploy " + app_ + " " + cfg_ + " Main 3").status, 0);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Edge-case and stress coverage for the interpreter and heap.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "model/assembler.hpp"
 #include "model/verifier.hpp"
 #include "support/error.hpp"
@@ -207,18 +209,78 @@ class A {
     conv I
     returnvalue
   }
+  static method l2l (J)J {
+    load 0
+    conv J
+    returnvalue
+  }
+  static method d2i (D)I {
+    load 0
+    conv I
+    returnvalue
+  }
+  static method d2l (D)J {
+    load 0
+    conv J
+    returnvalue
+  }
   static method i2d (I)D {
     load 0
     conv D
     returnvalue
   }
+  static method ineg (I)I {
+    load 0
+    neg
+    returnvalue
+  }
+  static method lneg (J)J {
+    load 0
+    neg
+    returnvalue
+  }
 }
 )");
-    // Truncation of a long into int range (implementation-defined wrap in
-    // C++; we only require determinism, so pin the common behaviour).
-    EXPECT_EQ(f.interp->call_static("A", "l2i", "(J)I", {Value::of_long(1)}).as_int(), 1);
+    using I = std::numeric_limits<std::int32_t>;
+    using J = std::numeric_limits<std::int64_t>;
+    auto l2i = [&](std::int64_t v) {
+        return f.interp->call_static("A", "l2i", "(J)I", {Value::of_long(v)}).as_int();
+    };
+    auto l2l = [&](std::int64_t v) {
+        return f.interp->call_static("A", "l2l", "(J)J", {Value::of_long(v)}).as_long();
+    };
+    auto d2i = [&](double v) {
+        return f.interp->call_static("A", "d2i", "(D)I", {Value::of_double(v)}).as_int();
+    };
+    auto d2l = [&](double v) {
+        return f.interp->call_static("A", "d2l", "(D)J", {Value::of_double(v)}).as_long();
+    };
+    // Integral conversions follow the JVM's two's-complement rules with no
+    // trip through double: l2i keeps the low 32 bits, and a long wider
+    // than a double's mantissa survives conv J.
+    EXPECT_EQ(l2i(1), 1);
+    EXPECT_EQ(l2i((std::int64_t{1} << 32) + 1), 1);
+    EXPECT_EQ(l2i(std::int64_t{I::max()} + 1), I::min());
+    EXPECT_EQ(l2l((std::int64_t{1} << 53) + 1), (std::int64_t{1} << 53) + 1);
+    EXPECT_EQ(l2l(J::min()), J::min());
+    // d2i/d2l saturate, NaN -> 0, and truncate toward zero in range.
+    EXPECT_EQ(d2i(1e10), I::max());
+    EXPECT_EQ(d2i(-1e10), I::min());
+    EXPECT_EQ(d2i(std::numeric_limits<double>::quiet_NaN()), 0);
+    EXPECT_EQ(d2i(-2.9), -2);
+    EXPECT_EQ(d2l(1e30), J::max());
+    EXPECT_EQ(d2l(-1e30), J::min());
+    EXPECT_EQ(d2l(std::numeric_limits<double>::infinity()), J::max());
+    EXPECT_EQ(d2l(std::numeric_limits<double>::quiet_NaN()), 0);
     EXPECT_DOUBLE_EQ(
         f.interp->call_static("A", "i2d", "(I)D", {Value::of_int(-3)}).as_double(), -3.0);
+    // Negating the minimum wraps to itself (ineg/lneg), without overflow.
+    EXPECT_EQ(f.interp->call_static("A", "ineg", "(I)I", {Value::of_int(I::min())}).as_int(),
+              I::min());
+    EXPECT_EQ(
+        f.interp->call_static("A", "lneg", "(J)J", {Value::of_long(J::min())}).as_long(),
+        J::min());
+    EXPECT_EQ(f.interp->call_static("A", "ineg", "(I)I", {Value::of_int(5)}).as_int(), -5);
 }
 
 TEST(VmEdge, OutputAccumulatesAndClears) {

@@ -5,6 +5,9 @@
 #   tools/check.sh            # both presets
 #   tools/check.sh sanitize   # just one
 #
+# The sanitize pass also builds the default preset's experiment runner (if
+# needed) and byte-compares the two builds' 15 BENCH_E*.json sidecars.
+#
 # Not run here, because it builds twice: tools/sidecar_diff.sh <base-rev>
 # builds <base-rev> from a throwaway checkout and byte-compares every
 # BENCH_E*.json sidecar against the working tree's.  CI runs it on every
@@ -169,5 +172,26 @@ case " $presets " in
     build-sanitize/tests/model/binio_test --gtest_filter='BinIoFuzz.*'
     build-sanitize/tests/model/verifier_test \
         --gtest_filter='Verifier.Negative*:Verifier.LookupsOnACyclicHierarchyEnd'
+
+    # Cross-build check (gating): every sidecar value comes from the seeded
+    # simulation or exact VM counters, so the Debug+ASan+UBSan runner must
+    # write the same 15 sidecars as the default RelWithDebInfo runner.  A
+    # number that depends on undefined behaviour or on the optimiser fails
+    # here.  The default runner is (re)built first if it is missing or stale.
+    echo "== cross-build: sanitize sidecars byte-identical to default =="
+    [ -f build/CMakeCache.txt ] || cmake --preset default
+    cmake --build build -j "$jobs" --target experiments
+    xb_dir=$(mktemp -d /tmp/rafda_xbuild_XXXXXX)
+    trap 'rm -rf "${det_dir:-}" "$xb_dir"; rm -f "${trace_out:-}"' EXIT INT TERM
+    for side in build build-sanitize; do
+        runner="$(pwd)/$side/bench/experiments"
+        mkdir "$xb_dir/$side"
+        (cd "$xb_dir/$side" && RAFDA_SCALE_CLIENTS=10000 "$runner") >"$xb_dir/$side.log"
+    done
+    [ "$(ls "$xb_dir"/build-sanitize/BENCH_E*.json | wc -l)" -eq 15 ]
+    for f in "$xb_dir"/build/BENCH_E*.json; do
+        cmp "$f" "$xb_dir/build-sanitize/$(basename "$f")"
+    done
+    echo "cross-build OK: all 15 sidecars identical between default and sanitize"
     ;;
 esac

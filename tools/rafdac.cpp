@@ -75,6 +75,13 @@ namespace {
 
 using namespace rafda;
 
+/// The optional [nodes] operand: one whole positive decimal token.
+int parse_nodes(const std::string& tok) {
+    const std::optional<int> v = parse_whole<int>(tok);
+    if (!v || *v <= 0) throw Error("bad node count '" + tok + "' (want a positive integer)");
+    return *v;
+}
+
 std::string read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw Error("cannot open " + path);
@@ -686,6 +693,7 @@ int main(int argc, char** argv) {
         chrome_path = *std::next(it);
         args.erase(it, std::next(it, 2));
     }
+    const auto nodes = [&] { return args.size() == 5 ? parse_nodes(args[4]) : 2; };
     try {
         if (args.size() == 2 && args[0] == "analyze") return cmd_analyze(args[1]);
         if (args.size() == 3 && args[0] == "transform")
@@ -693,29 +701,22 @@ int main(int argc, char** argv) {
         if (args.size() == 2 && args[0] == "print") return cmd_print(args[1]);
         if (args.size() == 3 && args[0] == "run") return cmd_run(args[1], args[2]);
         if ((args.size() == 4 || args.size() == 5) && args[0] == "deploy")
-            return cmd_deploy(args[1], args[2], args[3],
-                              args.size() == 5 ? std::atoi(args[4].c_str()) : 2);
+            return cmd_deploy(args[1], args[2], args[3], nodes());
         if ((args.size() == 4 || args.size() == 5) &&
             (args[0] == "stats" || args[0] == "trace" || args[0] == "journal"))
-            return cmd_observe(args[1], args[2], args[3],
-                               args.size() == 5 ? std::atoi(args[4].c_str()) : 2,
+            return cmd_observe(args[1], args[2], args[3], nodes(),
                                args[0] == "trace"     ? ObserveMode::Trace
                                : args[0] == "journal" ? ObserveMode::Journal
                                                       : ObserveMode::Stats,
                                json, all, args[0] == "trace" ? chrome_path : "");
         if ((args.size() == 4 || args.size() == 5) && args[0] == "net")
-            return cmd_net(args[1], args[2], args[3],
-                           args.size() == 5 ? std::atoi(args[4].c_str()) : 2, json,
-                           all);
+            return cmd_net(args[1], args[2], args[3], nodes(), json, all);
         if ((args.size() == 4 || args.size() == 5) && args[0] == "faults")
-            return cmd_faults(args[1], args[2], args[3],
-                              args.size() == 5 ? std::atoi(args[4].c_str()) : 2, json);
+            return cmd_faults(args[1], args[2], args[3], nodes(), json);
         if ((args.size() == 4 || args.size() == 5) && args[0] == "adapt")
-            return cmd_adapt(args[1], args[2], args[3],
-                             args.size() == 5 ? std::atoi(args[4].c_str()) : 2, json);
+            return cmd_adapt(args[1], args[2], args[3], nodes(), json);
         if ((args.size() == 4 || args.size() == 5) && args[0] == "wal")
-            return cmd_wal(args[1], args[2], args[3],
-                           args.size() == 5 ? std::atoi(args[4].c_str()) : 2, json);
+            return cmd_wal(args[1], args[2], args[3], nodes(), json);
         return usage();
     } catch (const std::exception& e) {
         std::cerr << "rafdac: " << e.what() << "\n";
