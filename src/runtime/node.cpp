@@ -114,8 +114,16 @@ Value Node::import_ref(net::NodeId node, std::uint64_t oid, const std::string& i
 }
 
 std::pair<net::NodeId, vm::ObjId> Node::proxy_target(vm::ObjId proxy) {
-    return {interp_.get_field(proxy, kProxyNodeField).as_int(),
-            static_cast<vm::ObjId>(interp_.get_field(proxy, kProxyOidField).as_long())};
+    const model::ClassPool& pool = interp_.pool();
+    const model::ClassFile& cls = interp_.class_of(proxy);
+    ProxySlots& slots = proxy_slots_[&cls];
+    if (slots.gen != pool.generation()) {
+        const model::Layout& layout = pool.layout_of(cls.name);
+        slots = {pool.generation(), static_cast<std::size_t>(layout.index_of(kProxyNodeField)),
+                 static_cast<std::size_t>(layout.index_of(kProxyOidField))};
+    }
+    return {interp_.get_field_at(proxy, slots.node).as_int(),
+            static_cast<vm::ObjId>(interp_.get_field_at(proxy, slots.oid).as_long())};
 }
 
 void Node::set_proxy_target(vm::ObjId proxy, net::NodeId node, vm::ObjId oid) {

@@ -176,6 +176,14 @@ private:
     /// (origin node, origin oid, interface, protocol) -> local proxy object.
     std::map<WalImage::ImportKey, vm::ObjId> imported_;
     std::map<std::string, vm::ObjId> singletons_;
+    /// Layout slots of the two routing fields per proxy class, valid while
+    /// `gen` is the pool generation (proxy_target).
+    struct ProxySlots {
+        std::uint64_t gen = 0;
+        std::size_t node = 0;
+        std::size_t oid = 0;
+    };
+    std::unordered_map<const model::ClassFile*, ProxySlots> proxy_slots_;
     /// One reply-cache entry.  While the node is durable it also holds
     /// the reply's WAL encoding, made once and shared by the live Reply
     /// record and every checkpoint until the entry is evicted.

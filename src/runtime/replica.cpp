@@ -22,12 +22,11 @@ bool has_field(const model::ClassFile& cf, std::string_view field) {
 
 bool ReplicaManager::method_is_readonly(const std::string& cls,
                                         const std::string& method) const {
-    const std::string key = cls + "." + method;
-    auto it = readonly_cache_.find(key);
+    auto it = readonly_cache_.find(MethodKeyLess::View(cls, method));
     if (it != readonly_cache_.end()) return it->second;
     std::vector<std::string> in_progress;
     const bool ro = method_is_readonly_rec(cls, method, in_progress);
-    readonly_cache_[key] = ro;
+    readonly_cache_.emplace(std::pair(cls, method), ro);
     return ro;
 }
 

@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -98,7 +99,16 @@ private:
 
     const model::ClassPool* pool_ = nullptr;
     std::map<std::pair<net::NodeId, std::uint64_t>, Entry> entries_;
-    mutable std::map<std::string, bool> readonly_cache_;  // "cls.method"
+    /// Orders (class, method) keys and compares them with string_view
+    /// pairs, so a lookup builds no string.
+    struct MethodKeyLess {
+        using is_transparent = void;
+        using View = std::pair<std::string_view, std::string_view>;
+        static View view(const auto& k) { return {k.first, k.second}; }
+        bool operator()(const auto& a, const auto& b) const { return view(a) < view(b); }
+    };
+    mutable std::map<std::pair<std::string, std::string>, bool, MethodKeyLess>
+        readonly_cache_;
 };
 
 }  // namespace rafda::runtime

@@ -182,7 +182,7 @@ void System::wire_node(Node& n) {
         interp.register_native(
             naming::o_factory(cls), "make", "()" + o_int_desc,
             [this, cls, node_id, o_local, factory_call](vm::Interpreter& vm, const Value&,
-                                                        std::vector<Value>) {
+                                                        std::span<const Value>) {
                 Placement p = policy_.instance_placement(cls, node_id);
                 if (p.node == node_id) return vm.construct(o_local, "()V", {});
                 return factory_call(net::RequestKind::Create, p);
@@ -193,7 +193,7 @@ void System::wire_node(Node& n) {
         interp.register_native(
             naming::c_factory(cls), "discover", "()" + c_int_desc,
             [this, cls, node_id, factory_call](vm::Interpreter&, const Value&,
-                                               std::vector<Value>) {
+                                               std::span<const Value>) {
                 // With the sharded directory enabled the singleton home is
                 // resolved through the owning shard (a modelled control
                 // round-trip) instead of the free host-side policy oracle.
@@ -233,7 +233,7 @@ void System::wire_node(Node& n) {
                              local_counter = static_cast<obs::Counter*>(nullptr)](
                                 vm::Interpreter& vm, const model::Method& m,
                                 const Value& receiver,
-                                std::vector<Value> args) mutable {
+                                std::span<const Value> args) mutable {
                 Node& self = node(node_id);
                 ProxyMethod& meth = methods[&m];
                 if (meth.gen != vm.pool().generation()) {
@@ -269,7 +269,7 @@ void System::wire_node(Node& n) {
                             adapt_replica_reads_->add();
                             return vm.call_virtual(Value::of_ref(rep->oid),
                                                    m.name, meth.desc,
-                                                   std::move(args));
+                                                   {args.begin(), args.end()});
                         }
                     } else {
                         invalidate_replicas(target_node, req.target_oid, cls);
@@ -284,7 +284,7 @@ void System::wire_node(Node& n) {
                             &metrics_.counter("runtime.local_calls." + cls);
                     local_counter->add();
                     return vm.call_virtual(Value::of_ref(req.target_oid), m.name,
-                                           meth.desc, std::move(args));
+                                           meth.desc, {args.begin(), args.end()});
                 }
                 // Resolved through the matrix cap: past class_matrix_cap
                 // distinct edges this is the overflow aggregate pair.

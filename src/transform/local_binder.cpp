@@ -21,7 +21,7 @@ void bind_local_factories(Interpreter& interp, const TransformReport& report) {
         const std::string o_local = naming::o_local(cls);
         interp.register_native(
             naming::o_factory(cls), "make", "()L" + naming::o_int(cls) + ";",
-            [o_local](Interpreter& vm, const Value&, std::vector<Value>) {
+            [o_local](Interpreter& vm, const Value&, std::span<const Value>) {
                 return vm.construct(o_local, "()V", {});
             });
 
@@ -31,7 +31,7 @@ void bind_local_factories(Interpreter& interp, const TransformReport& report) {
         interp.register_native(
             c_factory, "discover", "()" + c_int_desc,
             [initialized, cls, c_local, c_factory, c_int_desc](
-                Interpreter& vm, const Value&, std::vector<Value>) {
+                Interpreter& vm, const Value&, std::span<const Value>) {
                 Value me = vm.call_static(c_local, naming::kSingletonGetter,
                                           "()" + c_int_desc);
                 if (initialized->insert(cls).second) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <tuple>
 
@@ -26,6 +27,19 @@ constexpr int kMaxCallDepth = 2000;
 std::string native_key(const std::string& owner, const std::string& name,
                        const std::string& desc) {
     return owner + "#" + name + desc;
+}
+
+/// Moves the top `n` operands of `stack` into `locals`, in order.
+void take_args(std::vector<Value>& stack, std::size_t n, std::vector<Value>& locals) {
+    const auto first = stack.end() - static_cast<std::ptrdiff_t>(n);
+    locals.assign(std::make_move_iterator(first), std::make_move_iterator(stack.end()));
+    stack.erase(first, stack.end());
+}
+
+/// Moves the host's arguments after whatever `locals` already holds.
+void append_args(std::vector<Value>& locals, std::vector<Value>& args) {
+    locals.insert(locals.end(), std::make_move_iterator(args.begin()),
+                  std::make_move_iterator(args.end()));
 }
 
 /// d2i/d2l: the double clamped to T's range, NaN -> 0.
@@ -103,7 +117,8 @@ void Interpreter::throw_guest(Value thrown) {
     throw GuestThrow{std::move(thrown)};
 }
 
-Value Interpreter::at_api_boundary(const std::function<Value()>& body) {
+template <class Body>
+Value Interpreter::at_api_boundary(Body&& body) {
     try {
         return body();
     } catch (GuestThrow& gt) {
@@ -142,54 +157,44 @@ ObjId Interpreter::allocate_with(const ClassFile& cls, const model::Layout& layo
 
 Value Interpreter::construct(const std::string& class_name, const std::string& ctor_desc,
                              std::vector<Value> args) {
-    return at_api_boundary([&] { return construct_impl(class_name, ctor_desc, std::move(args)); });
-}
-
-Value Interpreter::construct_impl(const std::string& class_name, const std::string& ctor_desc,
-                                  std::vector<Value> args) {
-    ensure_initialized(class_name);
-    ObjId id = allocate(class_name);
-    const ClassFile& cls = pool_->get(class_name);
-    const Method* ctor = cls.find_method("<init>", ctor_desc);
-    if (!ctor) throw VmError("no constructor " + class_name + ".<init>" + ctor_desc);
-    std::vector<Value> locals;
-    locals.reserve(args.size() + 1);
-    locals.push_back(Value::of_ref(id));
-    for (Value& a : args) locals.push_back(std::move(a));
-    invoke(cls, *ctor, std::move(locals));
-    return Value::of_ref(id);
+    return at_api_boundary([&] {
+        ensure_initialized(class_name);
+        ObjId id = allocate(class_name);
+        const ClassFile& cls = pool_->get(class_name);
+        const Method* ctor = cls.find_method("<init>", ctor_desc);
+        if (!ctor) throw VmError("no constructor " + class_name + ".<init>" + ctor_desc);
+        Frame& f = next_frame();
+        f.locals.push_back(Value::of_ref(id));
+        append_args(f.locals, args);
+        invoke(cls, *ctor, f);
+        return Value::of_ref(id);
+    });
 }
 
 Value Interpreter::call_static(const std::string& owner, const std::string& name,
                                const std::string& desc, std::vector<Value> args) {
-    return at_api_boundary([&] { return call_static_impl(owner, name, desc, std::move(args)); });
-}
-
-Value Interpreter::call_static_impl(const std::string& owner, const std::string& name,
-                                    const std::string& desc, std::vector<Value> args) {
-    ensure_initialized(owner);
-    const Method* m = pool_->resolve_static(owner, name, desc);
-    if (!m) throw VmError("unresolved static method " + owner + "." + name + desc);
-    ++counters_.invokes_static;
-    return invoke(pool_->get(owner), *m, std::move(args));
+    return at_api_boundary([&] {
+        ensure_initialized(owner);
+        const Method* m = pool_->resolve_static(owner, name, desc);
+        if (!m) throw VmError("unresolved static method " + owner + "." + name + desc);
+        ++counters_.invokes_static;
+        Frame& f = next_frame();
+        append_args(f.locals, args);
+        return invoke(pool_->get(owner), *m, f);
+    });
 }
 
 Value Interpreter::call_virtual(const Value& receiver, const std::string& name,
                                 const std::string& desc, std::vector<Value> args) {
-    return at_api_boundary(
-        [&] { return call_virtual_impl(receiver, name, desc, std::move(args)); });
-}
-
-Value Interpreter::call_virtual_impl(const Value& receiver, const std::string& name,
-                                     const std::string& desc, std::vector<Value> args) {
-    const ClassFile& dyn = class_of(receiver.as_ref());
-    const Method& m = resolve_virtual_cached(dyn.name, name, desc);
-    ++counters_.invokes_virtual;
-    std::vector<Value> locals;
-    locals.reserve(args.size() + 1);
-    locals.push_back(receiver);
-    for (Value& a : args) locals.push_back(std::move(a));
-    return invoke(dyn, m, std::move(locals));
+    return at_api_boundary([&] {
+        const ClassFile& dyn = class_of(receiver.as_ref());
+        const Method& m = resolve_virtual_cached(dyn.name, name, desc);
+        ++counters_.invokes_virtual;
+        Frame& f = next_frame();
+        f.locals.push_back(receiver);
+        append_args(f.locals, args);
+        return invoke(dyn, m, f);
+    });
 }
 
 Value Interpreter::get_static_field(const std::string& owner, const std::string& field) {
@@ -226,6 +231,11 @@ Value Interpreter::get_field(ObjId obj, const std::string& field) {
     return o.fields[static_cast<std::size_t>(layout.index_of(field))];
 }
 
+Value Interpreter::get_field_at(ObjId obj, std::size_t slot) {
+    ++counters_.field_reads;
+    return heap_.get(obj).fields[slot];
+}
+
 void Interpreter::set_field(ObjId obj, const std::string& field, Value v) {
     Object& o = heap_.get(obj);
     const model::Layout& layout = pool_->layout_of(o.cls->name);
@@ -248,7 +258,7 @@ void Interpreter::ensure_initialized(const std::string& class_name) {
     // Initialise the superclass first, JVM-style.
     if (!cls.super_name.empty()) ensure_initialized(cls.super_name);
     if (const Method* clinit = cls.find_method("<clinit>", "()V")) {
-        invoke(cls, *clinit, {});
+        invoke(cls, *clinit, next_frame());
     }
     initializing_.erase(class_name);
     initialized_.insert(class_name);
@@ -320,15 +330,15 @@ const Method& Interpreter::resolve_virtual_cached(const std::string& dynamic,
         vcache_.clear();
         vcache_gen_ = cache_gen();
     }
-    std::string key = dynamic;
-    key += '#';
-    key += name;
-    key += desc;
-    auto it = vcache_.find(key);
+    vcache_key_.assign(dynamic);
+    vcache_key_ += '#';
+    vcache_key_ += name;
+    vcache_key_ += desc;
+    auto it = vcache_.find(vcache_key_);
     if (it != vcache_.end()) return *it->second;
     const Method* m = pool_->resolve_virtual(dynamic, name, desc);
     if (!m) throw VmError("unresolved virtual method " + dynamic + "." + name + desc);
-    vcache_.emplace(std::move(key), m);
+    vcache_.emplace(vcache_key_, m);
     return *m;
 }
 
@@ -369,16 +379,32 @@ Interpreter::NativeBinding Interpreter::bind_native(const ClassFile& cls,
     return b;
 }
 
-[[gnu::noinline]] Value Interpreter::invoke_native_entry(
-    const ClassFile& cls, const Method& m, std::vector<Value> locals_with_receiver) {
-    Value receiver = m.is_static ? Value::null() : locals_with_receiver.front();
-    std::vector<Value> args(locals_with_receiver.begin() + (m.is_static ? 0 : 1),
-                            locals_with_receiver.end());
+Interpreter::Frame& Interpreter::next_frame() {
+    if (frames_live_ == frames_.size()) frames_.emplace_back();
+    Frame& f = frames_[frames_live_];
+    f.locals.clear();
+    return f;
+}
+
+[[gnu::noinline]] Value Interpreter::invoke_native_entry(const ClassFile& cls,
+                                                         const Method& m, Frame& frame) {
     ++counters_.native_calls;
     NativeBinding& b = native_bindings_[&m];
     if (b.gen != cache_gen() || b.natives_gen != natives_gen_) b = bind_native(cls, m);
-    if (b.fn) return (*b.fn)(*this, receiver, std::move(args));
-    return (*b.class_fn)(*this, m, receiver, std::move(args));
+    const Value none;
+    const std::span<const Value> locals(frame.locals);
+    const Value& receiver = m.is_static ? none : locals.front();
+    const std::span<const Value> args = locals.subspan(m.is_static ? 0 : 1);
+    ++frames_live_;  // the native's own depth: re-entry fills the next frame
+    try {
+        Value result = b.fn ? (*b.fn)(*this, receiver, args)
+                            : (*b.class_fn)(*this, m, receiver, args);
+        --frames_live_;
+        return result;
+    } catch (...) {
+        --frames_live_;
+        throw;
+    }
 }
 
 [[gnu::noinline]] bool Interpreter::native_stack_exhausted() {
@@ -394,13 +420,14 @@ Interpreter::NativeBinding Interpreter::bind_native(const ClassFile& cls,
         const std::size_t reserve = std::size_t{1} << 20;
         return limit > 2 * reserve ? limit - reserve : limit / 2;
     }();
+    // Addresses of locals in different frames compare only as integers.
     const char probe = 0;
+    const auto here = reinterpret_cast<std::uintptr_t>(&probe);
     if (call_depth_ <= 1) {
-        stack_base_ = &probe;
+        stack_base_ = here;
         return false;
     }
-    return stack_base_ > &probe &&
-           static_cast<std::size_t>(stack_base_ - &probe) > budget;
+    return stack_base_ > here && stack_base_ - here > budget;
 }
 
 [[gnu::noinline]] void Interpreter::throw_stack_overflow(const ClassFile& cls,
@@ -408,25 +435,27 @@ Interpreter::NativeBinding Interpreter::bind_native(const ClassFile& cls,
     throw VmError("guest call stack overflow in " + cls.name + "." + m.name);
 }
 
-Value Interpreter::invoke(const ClassFile& cls, const Method& m,
-                          std::vector<Value> locals_with_receiver) {
-    if (m.is_native) return invoke_native_entry(cls, m, std::move(locals_with_receiver));
+Value Interpreter::invoke(const ClassFile& cls, const Method& m, Frame& frame) {
+    if (m.is_native) return invoke_native_entry(cls, m, frame);
     if (m.is_abstract)
         throw VmError("invoke of abstract method " + cls.name + "." + m.name);
     if (++call_depth_ > kMaxCallDepth || native_stack_exhausted()) {
         --call_depth_;
         throw_stack_overflow(cls, m);
     }
-    locals_with_receiver.resize(static_cast<std::size_t>(m.code.max_locals));
+    frame.locals.resize(static_cast<std::size_t>(m.code.max_locals));
+    ++frames_live_;
     const std::uint64_t instr_before = profile_methods_ ? counters_.instructions : 0;
     try {
-        Value result = execute(cls, m, std::move(locals_with_receiver));
+        Value result = execute(cls, m, frame);
         --call_depth_;
+        --frames_live_;
         if (profile_methods_)
             record_method_profile(cls, m, counters_.instructions - instr_before);
         return result;
     } catch (...) {
         --call_depth_;
+        --frames_live_;
         throw;
     }
 }
@@ -651,8 +680,9 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
 
 // The invoke bodies are out of line too, but unlike the cold helpers they
 // sit ON the recursion path: one of them is live per guest frame.  That is
-// still a win — execute() used to hold the argument vectors and temporaries
-// of all three shapes at once, in every frame.
+// still a win — inlined, execute() would hold the temporaries of all three
+// shapes at once, in every frame.  Each moves its operands straight into
+// the callee's frame buffers (next_frame), so a warm call allocates nothing.
 
 [[gnu::noinline]] void Interpreter::op_invoke_virtual(const Instruction& i,
                                                       SiteCache& sc,
@@ -666,13 +696,9 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     } else {
         std::tie(nargs_i, ret_void) = sig_info(i.desc);
     }
-    std::size_t nargs = static_cast<std::size_t>(nargs_i);
-    std::vector<Value> locals2(nargs + 1);
-    for (std::size_t k = nargs + 1; k >= 1; --k) {
-        locals2[k - 1] = std::move(stack.back());
-        stack.pop_back();
-    }
-    Object& recv = heap_.get(locals2[0].as_ref());
+    Frame& callee = next_frame();
+    take_args(stack, static_cast<std::size_t>(nargs_i) + 1, callee.locals);
+    Object& recv = heap_.get(callee.locals[0].as_ref());
     const ClassFile* dyn;
     const Method* target;
     if (sc.gen == gen && sc.cls == recv.cls) {
@@ -692,7 +718,7 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     }
     if (i.op == Op::InvokeVirtual) ++counters_.invokes_virtual;
     else ++counters_.invokes_interface;
-    Value r = invoke(*dyn, *target, std::move(locals2));
+    Value r = invoke(*dyn, *target, callee);
     if (!ret_void) stack.push_back(std::move(r));
 }
 
@@ -713,14 +739,10 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     } else {
         ++counters_.ic_invoke_hits;
     }
-    std::size_t nargs = static_cast<std::size_t>(sc.nargs);
-    std::vector<Value> locals2(nargs);
-    for (std::size_t k = nargs; k >= 1; --k) {
-        locals2[k - 1] = std::move(stack.back());
-        stack.pop_back();
-    }
+    Frame& callee = next_frame();
+    take_args(stack, static_cast<std::size_t>(sc.nargs), callee.locals);
     ++counters_.invokes_static;
-    Value r = invoke(*sc.cls, *sc.target, std::move(locals2));
+    Value r = invoke(*sc.cls, *sc.target, callee);
     if (!sc.ret_void) stack.push_back(std::move(r));
 }
 
@@ -742,14 +764,10 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     } else {
         ++counters_.ic_invoke_hits;
     }
-    std::size_t nargs = static_cast<std::size_t>(sc.nargs);
-    std::vector<Value> locals2(nargs + 1);
-    for (std::size_t k = nargs + 1; k >= 1; --k) {
-        locals2[k - 1] = std::move(stack.back());
-        stack.pop_back();
-    }
+    Frame& callee = next_frame();
+    take_args(stack, static_cast<std::size_t>(sc.nargs) + 1, callee.locals);
     ++counters_.invokes_special;
-    invoke(*sc.cls, *sc.target, std::move(locals2));
+    invoke(*sc.cls, *sc.target, callee);
 }
 
 [[gnu::noinline]] void Interpreter::push_concat(const Value& a, const Value& b,
@@ -786,11 +804,12 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     throw VmError("pc out of range in " + cls.name + "." + m.name);
 }
 
-Value Interpreter::execute(const ClassFile& cls, const Method& m,
-                           std::vector<Value> locals) {
+Value Interpreter::execute(const ClassFile& cls, const Method& m, Frame& frame) {
     const std::vector<Instruction>& code = m.code.instrs;
     SiteCache* const sites = caches_for(m);
-    std::vector<Value> stack;
+    std::vector<Value>& locals = frame.locals;
+    std::vector<Value>& stack = frame.stack;
+    stack.clear();
     stack.reserve(8);
     int pc = 0;
 

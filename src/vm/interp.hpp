@@ -25,7 +25,9 @@
 // embedder as GuestException.
 #pragma once
 
+#include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -97,12 +99,15 @@ struct Counters {
 class Interpreter {
 public:
     /// Native method: receives the interpreter, the receiver (null Value
-    /// for static natives) and the arguments; returns the result.
+    /// for static natives) and the arguments; returns the result.  The
+    /// receiver and the span view the native's own frame, which stays put
+    /// until it returns, even when it calls back into the interpreter.
     using NativeFn =
-        std::function<Value(Interpreter&, const Value& receiver, std::vector<Value> args)>;
+        std::function<Value(Interpreter&, const Value& receiver, std::span<const Value> args)>;
     /// Class-level native handler: additionally receives the method.
-    using ClassNativeFn = std::function<Value(Interpreter&, const model::Method& method,
-                                              const Value& receiver, std::vector<Value> args)>;
+    using ClassNativeFn =
+        std::function<Value(Interpreter&, const model::Method& method, const Value& receiver,
+                            std::span<const Value> args)>;
 
     /// The pool must outlive the interpreter and should be verified.
     explicit Interpreter(const model::ClassPool& pool);
@@ -145,6 +150,9 @@ public:
 
     /// Instance field access by name (for natives / the runtime).
     Value get_field(ObjId obj, const std::string& field);
+    /// Reads `fields[slot]` of `obj`, a slot of its class's
+    /// ClassPool::layout_of; counts as a field read like get_field.
+    Value get_field_at(ObjId obj, std::size_t slot);
     void set_field(ObjId obj, const std::string& field, Value v);
 
     /// Class of a heap object.
@@ -257,17 +265,24 @@ private:
         bool ret_void = false;                  // invoke: returns void
     };
 
-    Value at_api_boundary(const std::function<Value()>& body);
-    Value construct_impl(const std::string& class_name, const std::string& ctor_desc,
-                         std::vector<Value> args);
-    Value call_static_impl(const std::string& owner, const std::string& name,
-                           const std::string& desc, std::vector<Value> args);
-    Value call_virtual_impl(const Value& receiver, const std::string& name,
-                            const std::string& desc, std::vector<Value> args);
-    Value execute(const model::ClassFile& cls, const model::Method& m,
-                  std::vector<Value> locals);
-    Value invoke(const model::ClassFile& cls, const model::Method& m,
-                 std::vector<Value> locals_with_receiver);
+    /// The buffers of one live frame: a guest frame's locals and operand
+    /// stack, or a native frame's receiver and arguments (in `locals`).
+    /// frames_[k] serves every k-th live frame in turn, so a warmed-up call
+    /// reuses the capacity the last frame at its depth left behind.
+    struct Frame {
+        std::vector<Value> locals;
+        std::vector<Value> stack;
+    };
+    /// The buffers for the next frame, `locals` emptied for the caller to
+    /// fill; invoke() claims them.
+    Frame& next_frame();
+
+    template <class Body>
+    Value at_api_boundary(Body&& body);
+    Value execute(const model::ClassFile& cls, const model::Method& m, Frame& frame);
+    /// Runs `m` in `frame`, which must be next_frame() with the receiver
+    /// and arguments in `locals`.
+    Value invoke(const model::ClassFile& cls, const model::Method& m, Frame& frame);
     /// The native bound to one method, resolved once per method and
     /// reused while `gen == cache_gen()` and `natives_gen == natives_gen_`
     /// — so a proxied call never rebuilds a lookup key.  Exactly one of
@@ -318,7 +333,7 @@ private:
     void op_invoke_special(const model::Instruction& i, SiteCache& sc,
                            std::vector<Value>& stack);
     Value invoke_native_entry(const model::ClassFile& cls, const model::Method& m,
-                              std::vector<Value> locals_with_receiver);
+                              Frame& frame);
     /// True when the *native* stack is close to exhaustion.  The guest
     /// depth guard (kMaxCallDepth) assumes native frames are small; under
     /// instrumented builds (ASan redzones) they are not, and the process
@@ -349,8 +364,14 @@ private:
     std::unordered_map<const model::Method*, obs::Histogram*> method_hist_;
     std::string output_;
     std::int64_t logical_time_ = 0;
-    int call_depth_ = 0;
-    const char* stack_base_ = nullptr;  // see native_stack_exhausted()
+    int call_depth_ = 0;                // live guest frames
+    std::uintptr_t stack_base_ = 0;     // see native_stack_exhausted()
+    /// Frame buffers by depth; a deque, so growing it never moves the
+    /// buffers of a live frame.  frames_live_ counts the live guest and
+    /// native frames: a native holds its own frame, so a call it makes
+    /// back into the interpreter fills the next one, not its arguments.
+    std::deque<Frame> frames_;
+    std::size_t frames_live_ = 0;
 
     /// Static storage of one class.  `names` remembers which field each
     /// slot held so values survive a pool mutation that reorders or
@@ -371,6 +392,7 @@ private:
     std::unordered_map<const model::Method*, NativeBinding> native_bindings_;
     std::unordered_map<std::string, const model::Method*> vcache_;
     std::uint64_t vcache_gen_ = 0;
+    std::string vcache_key_;  // reused lookup buffer of resolve_virtual_cached
     std::unordered_map<std::string, std::pair<int, bool>> sig_cache_;
     /// Per-method quickening side tables (see SiteCache).  Entries
     /// invalidate lazily via the generation check, so a pool mutation

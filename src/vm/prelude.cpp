@@ -39,17 +39,17 @@ void install_prelude(model::ClassPool& pool) {
 
 void bind_prelude_natives(Interpreter& interp) {
     interp.register_native(kSysClass, "print", "(S)V",
-                           [](Interpreter& vm, const Value&, std::vector<Value> args) {
-                               vm.append_output(args.at(0).as_str());
+                           [](Interpreter& vm, const Value&, std::span<const Value> args) {
+                               vm.append_output(args[0].as_str());
                                return Value::null();
                            });
     interp.register_native(kSysClass, "println", "(S)V",
-                           [](Interpreter& vm, const Value&, std::vector<Value> args) {
-                               vm.append_output(args.at(0).as_str() + "\n");
+                           [](Interpreter& vm, const Value&, std::span<const Value> args) {
+                               vm.append_output(args[0].as_str() + "\n");
                                return Value::null();
                            });
     interp.register_native(kSysClass, "time", "()J",
-                           [](Interpreter& vm, const Value&, std::vector<Value>) {
+                           [](Interpreter& vm, const Value&, std::span<const Value>) {
                                return Value::of_long(vm.logical_time());
                            });
 }

@@ -264,7 +264,7 @@ class RawMain {
     system.add_node();
     system.node(0).interp().register_native(
         "RawMain", "hook", "()I",
-        [](vm::Interpreter&, const Value&, std::vector<Value>) {
+        [](vm::Interpreter&, const Value&, std::span<const Value>) {
             return Value::of_int(77);
         });
     EXPECT_EQ(system.call_static(0, "RawMain", "run", "()I").as_int(), 77);

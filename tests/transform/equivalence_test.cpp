@@ -543,8 +543,8 @@ class Main {
 
     auto bind_magic = [](vm::Interpreter& vm) {
         vm.register_native("RawHelper", "magic", "(I)I",
-                           [](vm::Interpreter&, const vm::Value&, std::vector<vm::Value> a) {
-                               return vm::Value::of_int(a.at(0).as_int() * 111);
+                           [](vm::Interpreter&, const vm::Value&, std::span<const vm::Value> a) {
+                               return vm::Value::of_int(a[0].as_int() * 111);
                            });
     };
 

@@ -89,6 +89,85 @@ class A {
               "bottom");
 }
 
+// Frames reuse their buffers by depth: after a throw unwinds five frames,
+// caught in the guest or escaping to the embedder, the next calls at the
+// same depths start from their own arguments, not the dead frames' state.
+TEST(GuestExceptions, CallsAfterAnUnwindSeeFreshFrames) {
+    Fixture f(R"(
+class A {
+  static method deep (IJ)J {
+    load 0
+    const 0
+    cmple
+    iffalse Rec
+    new Throwable
+    dup
+    const "bottom"
+    invokespecial Throwable.<init> (S)V
+    throw
+  Rec:
+    load 0
+    const 1
+    sub
+    load 1
+    const 2L
+    mul
+    invokestatic A.deep (IJ)J
+    returnvalue
+  }
+  static method sumDown (IJ)J {
+    load 0
+    const 0
+    cmple
+    iffalse Rec
+    load 1
+    returnvalue
+  Rec:
+    load 0
+    const 1
+    sub
+    load 1
+    load 0
+    conv J
+    add
+    invokestatic A.sumDown (IJ)J
+    returnvalue
+  }
+  static method catchIt (I)S {
+  S:
+    load 0
+    const 1L
+    invokestatic A.deep (IJ)J
+    pop
+  E:
+    const "no-throw"
+    returnvalue
+  H:
+    invokevirtual Throwable.getMsg ()S
+    returnvalue
+    catch Throwable from S to E using H
+  }
+}
+)");
+    for (int round = 0; round < 3; ++round) {
+        EXPECT_EQ(f.interp->call_static("A", "catchIt", "(I)S", {Value::of_int(4)}).as_str(),
+                  "bottom");
+        EXPECT_EQ(f.interp
+                      ->call_static("A", "sumDown", "(IJ)J",
+                                    {Value::of_int(5), Value::of_long(1000)})
+                      .as_long(),
+                  1015);
+        EXPECT_THROW(f.interp->call_static("A", "deep", "(IJ)J",
+                                           {Value::of_int(4), Value::of_long(3)}),
+                     GuestException);
+        EXPECT_EQ(f.interp
+                      ->call_static("A", "sumDown", "(IJ)J",
+                                    {Value::of_int(4), Value::of_long(-10)})
+                      .as_long(),
+                  0);
+    }
+}
+
 TEST(GuestExceptions, UncaughtSurfacesAsGuestException) {
     Fixture f(R"(
 class A {
@@ -228,7 +307,7 @@ class Remote {
 }
 )");
     f.interp->register_native(
-        "Remote", "call", "()I", [](Interpreter& vm, const Value&, std::vector<Value>) {
+        "Remote", "call", "()I", [](Interpreter& vm, const Value&, std::span<const Value>) {
             Value t = vm.construct("Throwable", "(S)V", {Value::of_str("remote fault")});
             vm.throw_guest(t);
             return Value::null();  // unreachable

@@ -494,8 +494,8 @@ class Host {
 }
 )");
     f.interp->register_native("Host", "twice", "(I)I",
-                              [](Interpreter&, const Value&, std::vector<Value> args) {
-                                  return Value::of_int(args.at(0).as_int() * 2);
+                              [](Interpreter&, const Value&, std::span<const Value> args) {
+                                  return Value::of_int(args[0].as_int() * 2);
                               });
     EXPECT_EQ(
         f.interp->call_static("Host", "viaNative", "(I)I", {Value::of_int(21)}).as_int(), 42);
@@ -513,14 +513,64 @@ class ProxyLike {
 )");
     f.interp->register_class_native(
         "ProxyLike", [](Interpreter&, const model::Method& m, const Value&,
-                        std::vector<Value> args) {
-            if (m.name == "alpha") return Value::of_int(args.at(0).as_int() + 1);
-            return Value::of_str("echo:" + args.at(0).as_str());
+                        std::span<const Value> args) {
+            if (m.name == "alpha") return Value::of_int(args[0].as_int() + 1);
+            return Value::of_str("echo:" + args[0].as_str());
         });
     Value p = f.interp->construct("ProxyLike", "()V", {});
     EXPECT_EQ(f.interp->call_virtual(p, "alpha", "(I)I", {Value::of_int(1)}).as_int(), 2);
     EXPECT_EQ(f.interp->call_virtual(p, "beta", "(S)S", {Value::of_str("x")}).as_str(),
               "echo:x");
+}
+
+// A native's arguments live in its own frame: a call it makes back into
+// the interpreter, with arguments of its own and guest frames below it,
+// fills the frames after that one and leaves the span intact.
+TEST(Interp, ReentrantNativeKeepsItsArguments) {
+    Fixture f(R"(
+class Host {
+  native static method mix (II)I
+  static method sum3 (III)I {
+    load 0
+    load 1
+    add
+    load 2
+    add
+    returnvalue
+  }
+  static method viaGuest (III)I {
+    load 2
+    load 1
+    load 0
+    invokestatic Host.sum3 (III)I
+    returnvalue
+  }
+  static method viaNative (II)I {
+    load 0
+    load 1
+    invokestatic Host.mix (II)I
+    returnvalue
+  }
+}
+)");
+    std::vector<std::int32_t> seen;
+    f.interp->register_native(
+        "Host", "mix", "(II)I", [&seen](Interpreter& vm, const Value&, std::span<const Value> args) {
+            const Value inner = vm.call_static(
+                "Host", "viaGuest", "(III)I",
+                {Value::of_int(100), Value::of_int(200), Value::of_int(300)});
+            seen.push_back(args[0].as_int());
+            seen.push_back(args[1].as_int());
+            return Value::of_int(args[0].as_int() * 1000 + args[1].as_int() + inner.as_int());
+        });
+    EXPECT_EQ(f.interp->call_static("Host", "viaNative", "(II)I",
+                                    {Value::of_int(7), Value::of_int(9)})
+                  .as_int(),
+              7609);
+    EXPECT_EQ(f.interp->call_static("Host", "mix", "(II)I", {Value::of_int(4), Value::of_int(5)})
+                  .as_int(),
+              4605);
+    EXPECT_EQ(seen, (std::vector<std::int32_t>{7, 9, 4, 5}));
 }
 
 TEST(Interp, UnboundNativeThrows) {
@@ -599,7 +649,7 @@ class Sub extends Base {
 }
 )");
     f.interp->register_native("Base", "tag", "()S",
-                              [](Interpreter&, const Value&, std::vector<Value>) {
+                              [](Interpreter&, const Value&, std::span<const Value>) {
                                   return Value::of_str("base-native");
                               });
     Value s = f.interp->construct("Sub", "()V", {});

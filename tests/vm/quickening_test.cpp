@@ -417,7 +417,7 @@ TEST(Quickening, WarmSitesComputeTheSameValuesAsCold) {
 // invalidation rules: re-registration and pool rewrites both rebind.
 
 Interpreter::NativeFn returning(std::int32_t v) {
-    return [v](Interpreter&, const Value&, std::vector<Value>) {
+    return [v](Interpreter&, const Value&, std::span<const Value>) {
         return Value::of_int(v);
     };
 }
@@ -453,7 +453,7 @@ class ProxyLike {
 )");
     auto handler = [](std::int32_t base) {
         return [base](Interpreter&, const model::Method& m, const Value&,
-                      std::vector<Value>) {
+                      std::span<const Value>) {
             return Value::of_int(base + (m.name == "alpha" ? 1 : 2));
         };
     };
