@@ -96,6 +96,8 @@ void read_call_body(R& r, CallRequest& req, const char* who) {
     req.method = r.str();
     req.desc = r.str();
     const std::uint32_t n = r.u32();
+    // Each value takes at least its tag byte: a larger count is corrupt.
+    if (n > r.remaining()) throw CodecError(std::string(who) + ": argument count exceeds frame");
     req.args.reserve(n);
     for (std::uint32_t k = 0; k < n; ++k) req.args.push_back(read_value(r, who));
 }

@@ -58,10 +58,9 @@ class CdrReader {
 public:
     explicit CdrReader(const Bytes& data) : r_(data) {}
     void align4() {
-        while (consumed_ % 4 != 0) {
-            r_.u8();
-            ++consumed_;
-        }
+        const std::size_t pad = (4 - consumed_ % 4) % 4;
+        r_.text(pad);
+        consumed_ += pad;
     }
     std::uint8_t u8() {
         ++consumed_;
@@ -85,13 +84,12 @@ public:
         return r_.f64();
     }
     std::string str() {
-        std::uint32_t n = u32();
-        std::string out;
-        out.reserve(n);
-        for (std::uint32_t k = 0; k < n; ++k) out += static_cast<char>(u8());
-        return out;
+        const std::uint32_t n = u32();
+        consumed_ += n;
+        return std::string(r_.text(n));
     }
     bool at_end() const { return r_.at_end(); }
+    std::size_t remaining() const { return r_.remaining(); }
 
 private:
     ByteReader r_;

@@ -1,8 +1,9 @@
 #include "net/soapx.hpp"
 
+#include <array>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <map>
 #include <string_view>
 
 #include "support/error.hpp"
@@ -15,17 +16,23 @@ namespace {
 // ---- encoding -----------------------------------------------------------
 //
 // The document is appended piecewise to the caller's ByteWriter (in the
-// RPC path a pooled frame), never assembled in an intermediate
-// ostringstream.  The numeric formats below must stay byte-identical to
-// the historical ostream output: std::to_string matches operator<< for
-// integers, and "%.17g" matches a precision(17) defaultfloat stream for
-// doubles (both pinned by SoapxFormat tests).
+// RPC path a pooled frame), with no intermediate string.  The numeric
+// formats must stay byte-identical to the historical ostream output:
+// std::to_chars matches operator<< for integers, and "%.17g" matches a
+// precision(17) defaultfloat stream for doubles (both pinned by
+// SoapxFormat tests).
 
 void append_text(ByteWriter& w, std::string_view v) { w.text(v); }
 
+void append_escaped(ByteWriter& w, std::string_view v) {
+    xml_escape_to(v, [&w](std::string_view run) { w.text(run); });
+}
+
 template <typename Int>
 void append_int(ByteWriter& w, Int v) {
-    w.text(std::to_string(v));
+    char buf[24];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+    w.text(std::string_view(buf, static_cast<std::size_t>(end - buf)));
 }
 
 void append_double(ByteWriter& w, double v) {
@@ -47,7 +54,7 @@ const char* tag_name(ValueTag t) {
     return "?";
 }
 
-ValueTag tag_from_name(const std::string& name) {
+ValueTag tag_from_name(std::string_view name) {
     if (name == "null") return ValueTag::Null;
     if (name == "bool") return ValueTag::Bool;
     if (name == "int") return ValueTag::Int;
@@ -55,7 +62,7 @@ ValueTag tag_from_name(const std::string& name) {
     if (name == "double") return ValueTag::Double;
     if (name == "string") return ValueTag::Str;
     if (name == "ref") return ValueTag::Ref;
-    throw CodecError("soapx: unknown value type " + name);
+    throw CodecError("soapx: unknown value type " + std::string(name));
 }
 
 void encode_value(ByteWriter& w, std::string_view element, const MarshalledValue& v) {
@@ -71,7 +78,7 @@ void encode_value(ByteWriter& w, std::string_view element, const MarshalledValue
             append_text(w, "\" oid=\"");
             append_int(w, v.ref_oid);
             append_text(w, "\" class=\"");
-            append_text(w, xml_escape(v.ref_class));
+            append_escaped(w, v.ref_class);
             append_text(w, "\">");
             break;
         case ValueTag::Null:
@@ -95,7 +102,7 @@ void encode_value(ByteWriter& w, std::string_view element, const MarshalledValue
             break;
         case ValueTag::Str:
             append_text(w, ">");
-            append_text(w, xml_escape(v.s));
+            append_escaped(w, v.s);
             break;
     }
     append_text(w, "</");
@@ -112,173 +119,180 @@ const char* kind_name(RequestKind k) {
     return "?";
 }
 
-RequestKind kind_from_name(const std::string& name) {
+RequestKind kind_from_name(std::string_view name) {
     if (name == "invoke") return RequestKind::Invoke;
     if (name == "create") return RequestKind::Create;
     if (name == "discover") return RequestKind::Discover;
-    throw CodecError("soapx: unknown request kind " + name);
+    throw CodecError("soapx: unknown request kind " + std::string(name));
 }
 
 /// Parses `text` as one whole number token within `Num`'s range: no sign
 /// on unsigned fields, no trailing bytes, no empty value.  Everything the
-/// encoder writes (std::to_string, and "%.17g" including inf and nan)
-/// round-trips.
+/// encoder writes (std::to_chars, and "%.17g" including inf and nan)
+/// round-trips.  `text` is read still escaped: no number holds an entity's
+/// character, so an escaped one is as malformed as its unescaped form.
 template <typename Num>
-Num parse_number(const std::string& text, std::string_view what) {
+Num parse_number(std::string_view text, std::string_view what) {
     if (const std::optional<Num> v = parse_whole<Num>(text)) return *v;
-    throw CodecError("soapx: bad number " + std::string(what) + "=\"" + text + "\"");
+    throw CodecError("soapx: bad number " + std::string(what) + "=\"" + std::string(text) + "\"");
 }
 
-// ---- a tiny element parser (handles exactly what we emit) ---------------
+// ---- decoding (a pull parser for exactly what we emit) ------------------
+//
+// The decoder asks for the elements it expects, in order; the parser reads
+// the frame once and never recurses.  Names, attribute values and text are
+// slices of the frame until a field keeps one as a string.
 
-struct Element {
-    std::string name;
-    std::map<std::string, std::string> attrs;
-    std::string text;                // concatenated character data
-    std::vector<Element> children;
+/// Most elements open at once; the encoder writes 4 levels.
+constexpr std::size_t kMaxDepth = 8;
+/// Most attributes on one element; a request carries 9 at most.
+constexpr std::size_t kMaxAttrs = 16;
 
-    const std::string& attr(const std::string& key) const {
-        auto it = attrs.find(key);
-        if (it == attrs.end()) throw CodecError("soapx: missing attribute " + key);
-        return it->second;
+class Reader {
+public:
+    /// Opens <Envelope><Body><`payload`>, which wrap every frame's payload.
+    Reader(const Bytes& data, std::string_view payload)
+        : text_(reinterpret_cast<const char*>(data.data()), data.size()) {
+        const std::string_view path[] = {"Envelope", "Body", payload};
+        for (const std::string_view name : path)
+            if (open() != name) fail("expected <" + std::string(name) + ">");
     }
 
-    /// Optional attribute: `fallback` when absent (reliability extension
-    /// attributes are only emitted when nonzero).
-    const std::string& attr_or(const std::string& key,
-                               const std::string& fallback) const {
-        auto it = attrs.find(key);
-        return it == attrs.end() ? fallback : it->second;
+    /// Reads the next start tag, skipping character data before it, and
+    /// returns the element's name.  Its attributes replace the last ones.
+    std::string_view open() {
+        if (closing()) fail("expected an element");
+        if (depth_ == kMaxDepth) fail("elements nested deeper than " + std::to_string(kMaxDepth));
+        const std::size_t start = ++pos_;
+        while (pos_ < text_.size() &&
+               (std::isalnum(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '_'))
+            ++pos_;
+        const std::string_view name = text_.substr(start, pos_ - start);
+        if (name.empty()) fail("empty element name");
+        attrs_ = 0;
+        for (skip_ws(); !at('>'); skip_ws()) {
+            if (pos_ >= text_.size()) fail("unterminated tag");
+            const std::size_t key_start = pos_;
+            while (pos_ < text_.size() && text_[pos_] != '=' &&
+                   !std::isspace(static_cast<unsigned char>(text_[pos_])))
+                ++pos_;
+            const std::string_view key = text_.substr(key_start, pos_ - key_start);
+            skip_ws();
+            if (!at('=')) fail("expected '='");
+            ++pos_;
+            skip_ws();
+            if (!at('"')) fail("expected '\"'");
+            ++pos_;
+            const std::string_view value = run('"', "attribute");
+            ++pos_;
+            for (std::size_t a = 0; a < attrs_; ++a)
+                if (attr_[a].key == key) fail("repeated attribute " + std::string(key));
+            if (attrs_ == kMaxAttrs) fail("more than " + std::to_string(kMaxAttrs) + " attributes");
+            attr_[attrs_++] = {key, value};
+        }
+        ++pos_;
+        open_[depth_++] = name;
+        return name;
+    }
+
+    /// True when the next tag, after any character data, is a close tag.
+    bool closing() {
+        run('<', "element");
+        return pos_ + 1 < text_.size() && text_[pos_ + 1] == '/';
+    }
+
+    /// The character data of the element just opened, still escaped.
+    std::string_view text() { return run('<', "element"); }
+
+    /// Reads the close tag of the innermost open element.
+    void close() {
+        const std::string_view name = open_[depth_ - 1];
+        if (!closing()) fail("expected </" + std::string(name) + ">");
+        pos_ += 2;
+        const std::string_view close = run('>', "close tag");
+        ++pos_;
+        if (close != name)
+            fail("mismatched close tag " + std::string(close) + " for " + std::string(name));
+        --depth_;
+    }
+
+    /// Closes every open element; only whitespace may follow.
+    void finish() {
+        while (depth_ != 0) close();
+        skip_ws();
+        if (pos_ != text_.size()) fail("trailing content");
+    }
+
+    /// Attribute `key` of the element just opened, else `fallback` (the
+    /// reliability attributes are only emitted when nonzero), else an error.
+    std::string_view attr(const char* key, const char* fallback = nullptr) const {
+        for (std::size_t a = 0; a < attrs_; ++a)
+            if (attr_[a].key == key) return attr_[a].value;
+        if (fallback) return fallback;
+        throw CodecError(std::string("soapx: missing attribute ") + key);
     }
 
     template <typename Num>
-    Num number(const std::string& key) const {
-        return parse_number<Num>(attr(key), key);
-    }
-};
-
-// The scanner walks the wire bytes in place (string_view over the Bytes
-// payload) — decode no longer copies the document into a std::string
-// before parsing.
-class Scanner {
-public:
-    explicit Scanner(std::string_view text) : text_(text) {}
-
-    Element parse_document() {
-        Element root = parse_element();
-        skip_ws();
-        if (pos_ != text_.size()) throw CodecError("soapx: trailing content");
-        return root;
+    Num number(const char* key, const char* fallback = nullptr) const {
+        return parse_number<Num>(attr(key, fallback), key);
     }
 
 private:
+    struct Attr { std::string_view key, value; };  // value still escaped
+
+    bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
     void skip_ws() {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
+        while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_])))
             ++pos_;
     }
 
-    [[noreturn]] void fail(const std::string& what) {
+    /// The slice up to the next `c`, which is left unread.  A malformed
+    /// entity fails the frame even in a slice no field reads.
+    std::string_view run(char c, const char* what) {
+        const std::size_t end = text_.find(c, pos_);
+        if (end == std::string_view::npos) {
+            pos_ = text_.size();
+            fail(std::string("unterminated ") + what);
+        }
+        const std::string_view s = text_.substr(pos_, end - pos_);
+        if (s.find('&') != std::string_view::npos) xml_unescape(s);
+        pos_ = end;
+        return s;
+    }
+
+    [[noreturn]] void fail(const std::string& what) const {
         throw CodecError("soapx: " + what + " at offset " + std::to_string(pos_));
-    }
-
-    Element parse_element() {
-        skip_ws();
-        if (pos_ >= text_.size() || text_[pos_] != '<') fail("expected '<'");
-        ++pos_;
-        Element el;
-        while (pos_ < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '_'))
-            el.name += text_[pos_++];
-        if (el.name.empty()) fail("empty element name");
-        // Attributes.
-        while (true) {
-            skip_ws();
-            if (pos_ >= text_.size()) fail("unterminated tag");
-            if (text_[pos_] == '>') {
-                ++pos_;
-                break;
-            }
-            if (text_[pos_] == '/') {
-                // self-closing
-                ++pos_;
-                if (pos_ >= text_.size() || text_[pos_] != '>') fail("bad self-close");
-                ++pos_;
-                return el;
-            }
-            std::string key;
-            while (pos_ < text_.size() && text_[pos_] != '=' &&
-                   !std::isspace(static_cast<unsigned char>(text_[pos_])))
-                key += text_[pos_++];
-            skip_ws();
-            if (pos_ >= text_.size() || text_[pos_] != '=') fail("expected '='");
-            ++pos_;
-            skip_ws();
-            if (pos_ >= text_.size() || text_[pos_] != '"') fail("expected '\"'");
-            ++pos_;
-            const std::size_t start = pos_;
-            while (pos_ < text_.size() && text_[pos_] != '"') ++pos_;
-            if (pos_ >= text_.size()) fail("unterminated attribute");
-            el.attrs[key] = xml_unescape(text_.substr(start, pos_ - start));
-            ++pos_;
-        }
-        // Content: text and child elements until matching close tag.
-        while (true) {
-            if (pos_ >= text_.size()) fail("unterminated element " + el.name);
-            if (text_[pos_] == '<') {
-                if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '/') {
-                    pos_ += 2;
-                    const std::size_t start = pos_;
-                    while (pos_ < text_.size() && text_[pos_] != '>') ++pos_;
-                    if (pos_ >= text_.size()) fail("unterminated close tag");
-                    std::string_view close = text_.substr(start, pos_ - start);
-                    ++pos_;
-                    if (close != el.name)
-                        fail("mismatched close tag " + std::string(close) + " for " +
-                             el.name);
-                    el.text = xml_unescape(el.text);
-                    return el;
-                }
-                el.children.push_back(parse_element());
-            } else {
-                el.text += text_[pos_++];
-            }
-        }
     }
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    std::array<std::string_view, kMaxDepth> open_;  // open elements, outermost first
+    std::size_t depth_ = 0;
+    std::array<Attr, kMaxAttrs> attr_;
+    std::size_t attrs_ = 0;
 };
 
-MarshalledValue decode_value(const Element& el) {
+/// Decodes the value element just opened, through its close tag.
+MarshalledValue decode_value(Reader& r, std::string_view element) {
     MarshalledValue v;
-    v.tag = tag_from_name(el.attr("type"));
-    switch (v.tag) {
-        case ValueTag::Null: break;
-        case ValueTag::Bool: v.b = el.text == "true"; break;
-        case ValueTag::Int: v.i = parse_number<std::int32_t>(el.text, el.name); break;
-        case ValueTag::Long: v.j = parse_number<std::int64_t>(el.text, el.name); break;
-        case ValueTag::Double: v.d = parse_number<double>(el.text, el.name); break;
-        case ValueTag::Str: v.s = el.text; break;
-        case ValueTag::Ref:
-            v.ref_node = el.number<std::int32_t>("node");
-            v.ref_oid = el.number<std::uint64_t>("oid");
-            v.ref_class = el.attr("class");
-            break;
+    v.tag = tag_from_name(r.attr("type"));
+    if (v.tag == ValueTag::Ref) {
+        v.ref_node = r.number<std::int32_t>("node");
+        v.ref_oid = r.number<std::uint64_t>("oid");
+        v.ref_class = xml_unescape(r.attr("class"));
     }
+    const std::string_view text = r.text();
+    switch (v.tag) {
+        case ValueTag::Null: case ValueTag::Ref: break;
+        case ValueTag::Bool: v.b = text == "true"; break;
+        case ValueTag::Int: v.i = parse_number<std::int32_t>(text, element); break;
+        case ValueTag::Long: v.j = parse_number<std::int64_t>(text, element); break;
+        case ValueTag::Double: v.d = parse_number<double>(text, element); break;
+        case ValueTag::Str: v.s = xml_unescape(text); break;
+    }
+    r.close();
     return v;
-}
-
-const Element& only_child(const Element& el, const char* name) {
-    if (el.children.size() != 1 || el.children[0].name != name)
-        throw CodecError(std::string("soapx: expected single <") + name + "> in <" +
-                         el.name + ">");
-    return el.children[0];
-}
-
-std::string_view as_text(const Bytes& data) {
-    if (data.empty()) return {};
-    return std::string_view(reinterpret_cast<const char*>(data.data()), data.size());
 }
 
 }  // namespace
@@ -298,11 +312,11 @@ void SoapxCodec::encode_request_into(const CallRequest& req, ByteWriter& w) cons
     append_text(w, "\" target=\"");
     append_int(w, req.target_oid);
     append_text(w, "\" class=\"");
-    append_text(w, xml_escape(req.cls));
+    append_escaped(w, req.cls);
     append_text(w, "\" method=\"");
-    append_text(w, xml_escape(req.method));
+    append_escaped(w, req.method);
     append_text(w, "\" desc=\"");
-    append_text(w, xml_escape(req.desc));
+    append_escaped(w, req.desc);
     append_text(w, "\"");
     // Reliability attributes only appear when set, so base-protocol
     // traffic keeps its original byte size (EXPERIMENTS.md E5).
@@ -322,25 +336,24 @@ void SoapxCodec::encode_request_into(const CallRequest& req, ByteWriter& w) cons
 }
 
 CallRequest SoapxCodec::decode_request(const Bytes& data) const {
-    Element envelope = Scanner(as_text(data)).parse_document();
-    if (envelope.name != "Envelope") throw CodecError("soapx: expected <Envelope>");
-    const Element& request = only_child(only_child(envelope, "Body"), "Request");
+    Reader r(data, "Request");
     CallRequest req;
-    req.kind = kind_from_name(request.attr("kind"));
-    req.request_id = request.number<std::uint64_t>("id");
-    req.src_node = request.number<std::int32_t>("src");
-    req.target_oid = request.number<std::uint64_t>("target");
-    req.cls = request.attr("class");
-    req.method = request.attr("method");
-    req.desc = request.attr("desc");
-    static const std::string kZero = "0";
-    req.attempt = parse_number<std::uint32_t>(request.attr_or("attempt", kZero), "attempt");
-    req.deadline_us =
-        parse_number<std::uint64_t>(request.attr_or("deadline", kZero), "deadline");
-    for (const Element& child : request.children) {
-        if (child.name != "arg") throw CodecError("soapx: unexpected <" + child.name + ">");
-        req.args.push_back(decode_value(child));
+    req.kind = kind_from_name(r.attr("kind"));
+    req.request_id = r.number<std::uint64_t>("id");
+    req.src_node = r.number<std::int32_t>("src");
+    req.target_oid = r.number<std::uint64_t>("target");
+    req.cls = xml_unescape(r.attr("class"));
+    req.method = xml_unescape(r.attr("method"));
+    req.desc = xml_unescape(r.attr("desc"));
+    req.attempt = r.number<std::uint32_t>("attempt", "0");
+    req.deadline_us = r.number<std::uint64_t>("deadline", "0");
+    while (!r.closing()) {
+        const std::string_view element = r.open();
+        if (element != "arg")
+            throw CodecError("soapx: unexpected <" + std::string(element) + ">");
+        req.args.push_back(decode_value(r, element));
     }
+    r.finish();
     return req;
 }
 
@@ -350,9 +363,9 @@ void SoapxCodec::encode_reply_into(const CallReply& reply, ByteWriter& w) const 
     append_text(w, "\">");
     if (reply.is_fault) {
         append_text(w, "<fault class=\"");
-        append_text(w, xml_escape(reply.fault_class));
+        append_escaped(w, reply.fault_class);
         append_text(w, "\">");
-        append_text(w, xml_escape(reply.fault_msg));
+        append_escaped(w, reply.fault_msg);
         append_text(w, "</fault>");
     } else {
         encode_value(w, "result", reply.result);
@@ -361,23 +374,21 @@ void SoapxCodec::encode_reply_into(const CallReply& reply, ByteWriter& w) const 
 }
 
 CallReply SoapxCodec::decode_reply(const Bytes& data) const {
-    Element envelope = Scanner(as_text(data)).parse_document();
-    if (envelope.name != "Envelope") throw CodecError("soapx: expected <Envelope>");
-    const Element& reply_el = only_child(only_child(envelope, "Body"), "Reply");
+    Reader r(data, "Reply");
     CallReply reply;
-    reply.request_id = reply_el.number<std::uint64_t>("id");
-    if (reply_el.children.size() != 1)
-        throw CodecError("soapx: reply must have exactly one child");
-    const Element& payload = reply_el.children[0];
-    if (payload.name == "fault") {
+    reply.request_id = r.number<std::uint64_t>("id");
+    const std::string_view payload = r.open();
+    if (payload == "fault") {
         reply.is_fault = true;
-        reply.fault_class = payload.attr("class");
-        reply.fault_msg = payload.text;
-    } else if (payload.name == "result") {
-        reply.result = decode_value(payload);
+        reply.fault_class = xml_unescape(r.attr("class"));
+        reply.fault_msg = xml_unescape(r.text());
+        r.close();
+    } else if (payload == "result") {
+        reply.result = decode_value(r, payload);
     } else {
-        throw CodecError("soapx: unexpected reply payload <" + payload.name + ">");
+        throw CodecError("soapx: unexpected reply payload <" + std::string(payload) + ">");
     }
+    r.finish();  // a second payload fails as a missing </Reply>
     return reply;
 }
 

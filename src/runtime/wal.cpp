@@ -206,13 +206,13 @@ void Wal::emit(std::uint32_t crc, std::span<const std::uint8_t> head,
                std::span<const std::uint8_t> tail) {
     Bytes& sink = in_snapshot_ ? scratch_ : log_;
     const std::size_t len = head.size() + tail.size();
-    const std::size_t at = sink.size();
-    sink.resize(at + 8 + len);
-    std::uint8_t* out = sink.data() + at;
-    store_le32(out, static_cast<std::uint32_t>(len));
-    store_le32(out + 4, crc);
-    out = std::copy(head.begin(), head.end(), out + 8);
-    std::copy(tail.begin(), tail.end(), out);
+    std::uint8_t header[8];
+    store_le32(header, static_cast<std::uint32_t>(len));
+    store_le32(header + 4, crc);
+    // Appended, not resized into: a resize would zero the tail first.
+    sink.insert(sink.end(), header, header + 8);
+    sink.insert(sink.end(), head.begin(), head.end());
+    sink.insert(sink.end(), tail.begin(), tail.end());
     if (!in_snapshot_) {
         ++stats_.records;
         if (records_ctr_) records_ctr_->add();

@@ -42,15 +42,19 @@ void ByteWriter::f64(double v) {
 
 void ByteWriter::str(std::string_view v) {
     u32(static_cast<std::uint32_t>(v.size()));
-    buf_->insert(buf_->end(), v.begin(), v.end());
+    text(v);
 }
 
 void ByteWriter::raw(const Bytes& v) { buf_->insert(buf_->end(), v.begin(), v.end()); }
 
-void ByteWriter::text(std::string_view v) { buf_->insert(buf_->end(), v.begin(), v.end()); }
+// A byte-pointer range is one memmove; a `char` range would copy per byte.
+void ByteWriter::text(std::string_view v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+    buf_->insert(buf_->end(), p, p + v.size());
+}
 
 void ByteReader::need(std::size_t n) const {
-    if (pos_ + n > data_->size()) throw CodecError("truncated message");
+    if (n > data_->size() - pos_) throw CodecError("truncated message");
 }
 
 std::uint8_t ByteReader::u8() {
@@ -101,10 +105,11 @@ double ByteReader::f64() {
     return v;
 }
 
-std::string ByteReader::str() {
-    std::uint32_t n = u32();
+std::string ByteReader::str() { return std::string(text(u32())); }
+
+std::string_view ByteReader::text(std::size_t n) {
     need(n);
-    std::string s(reinterpret_cast<const char*>(data_->data() + pos_), n);
+    const std::string_view s(reinterpret_cast<const char*>(data_->data() + pos_), n);
     pos_ += n;
     return s;
 }

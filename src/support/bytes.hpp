@@ -72,6 +72,9 @@ public:
     std::int64_t i64();
     double f64();
     std::string str();
+    /// The next `n` bytes as characters, no length prefix (the
+    /// counterpart of ByteWriter::text).
+    std::string_view text(std::size_t n);
 
     bool at_end() const noexcept { return pos_ == data_->size(); }
     std::size_t remaining() const noexcept { return data_->size() - pos_; }

@@ -55,40 +55,22 @@ bool ends_with(std::string_view s, std::string_view suffix) {
     return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
-std::string xml_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-            case '&': out += "&amp;"; break;
-            case '<': out += "&lt;"; break;
-            case '>': out += "&gt;"; break;
-            case '"': out += "&quot;"; break;
-            default: out += c;
-        }
-    }
-    return out;
-}
-
 std::string xml_unescape(std::string_view s) {
     std::string out;
     out.reserve(s.size());
-    std::size_t i = 0;
-    while (i < s.size()) {
-        if (s[i] != '&') {
-            out += s[i++];
-            continue;
-        }
-        std::size_t semi = s.find(';', i);
+    for (std::size_t amp; (amp = s.find('&')) != std::string_view::npos;) {
+        out += s.substr(0, amp);
+        const std::size_t semi = s.find(';', amp);
         if (semi == std::string_view::npos) throw CodecError("unterminated XML entity");
-        std::string_view ent = s.substr(i + 1, semi - i - 1);
+        const std::string_view ent = s.substr(amp + 1, semi - amp - 1);
         if (ent == "amp") out += '&';
         else if (ent == "lt") out += '<';
         else if (ent == "gt") out += '>';
         else if (ent == "quot") out += '"';
         else throw CodecError("unknown XML entity: " + std::string(ent));
-        i = semi + 1;
+        s.remove_prefix(semi + 1);
     }
+    out += s;
     return out;
 }
 

@@ -35,10 +35,28 @@ std::optional<T> parse_whole(std::string_view s) {
     return v;
 }
 
-/// Escapes &, <, >, " for embedding in SOAPX documents.
-std::string xml_escape(std::string_view s);
+/// Passes `s` to `out(std::string_view)` escaped for SOAPX documents: the
+/// runs between &, <, >, " whole, and each of those as its entity.
+template <class Out>
+void xml_escape_to(std::string_view s, Out&& out) {
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        std::string_view entity;
+        switch (s[i]) {
+            case '&': entity = "&amp;"; break;
+            case '<': entity = "&lt;"; break;
+            case '>': entity = "&gt;"; break;
+            case '"': entity = "&quot;"; break;
+            default: continue;
+        }
+        out(s.substr(run, i - run));
+        out(entity);
+        run = i + 1;
+    }
+    out(s.substr(run));
+}
 
-/// Inverse of xml_escape; throws CodecError on malformed entities.
+/// Inverse of xml_escape_to; throws CodecError on malformed entities.
 std::string xml_unescape(std::string_view s);
 
 }  // namespace rafda

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "net/codec.hpp"
 #include "net/rmib.hpp"
@@ -368,9 +371,9 @@ TEST(RmibBatch, LargeIdDeltaRoundTrips) {
 // ---- SOAPX numeric formatting pins --------------------------------------
 //
 // The streaming encoder replaced an ostringstream; these differential
-// tests pin that std::to_string and snprintf("%.17g") reproduce the
-// historical ostream output byte for byte, which the E5/E8 wire-size
-// guarantees depend on.
+// tests pin that std::to_string, the std::to_chars the encoder now uses
+// for integers, and snprintf("%.17g") reproduce the historical ostream
+// output byte for byte, which the E5/E8 wire-size guarantees depend on.
 
 TEST(SoapxFormat, ToStringMatchesOstreamForIntegers) {
     for (long long v : {0LL, 1LL, -1LL, 42LL, -12345678901234LL,
@@ -378,6 +381,9 @@ TEST(SoapxFormat, ToStringMatchesOstreamForIntegers) {
         std::ostringstream os;
         os << v;
         EXPECT_EQ(std::to_string(v), os.str()) << v;
+        char buf[24];
+        const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+        EXPECT_EQ(std::string(buf, end), os.str()) << v;
     }
 }
 
@@ -497,6 +503,134 @@ TEST(Codecs, CrossCodecMessagesAreIncompatible) {
     SoapxCodec soapx;
     EXPECT_THROW(rmib.decode_request(soapx.encode_request(sample_request())), CodecError);
 }
+
+TEST(Codecs, SoapRejectsDeepNestingWithoutRecursingIntoIt) {
+    // The encoder's documents are 4 elements deep; a hostile frame of
+    // 100,000 nested elements must fail as a CodecError, not exhaust the
+    // native stack.
+    std::string open;
+    for (int k = 0; k < 100000; ++k) open += "<a>";
+    std::string closed = open;
+    for (int k = 0; k < 100000; ++k) closed += "</a>";
+    const SoapxCodec soapx;
+    for (const std::string& xml : {open, closed}) {
+        EXPECT_THROW(soapx.decode_request(Bytes(xml.begin(), xml.end())), CodecError);
+        EXPECT_THROW(soapx.decode_reply(Bytes(xml.begin(), xml.end())), CodecError);
+    }
+}
+
+TEST(Codecs, SoapDecodesSpacedElementsAndRejectsSelfClosingOnes) {
+    // Hand-written documents: whitespace between elements still decodes;
+    // a self-closing element, which the encoder never writes, does not.
+    const std::string head =
+        "<Envelope>\n <Body>\n  <Request kind=\"invoke\" id=\"9\" src=\"1\" target=\"5\""
+        " class=\"\" method=\"m\" desc=\"(I)I\">\n";
+    const std::string tail = "\n  </Request>\n </Body>\n</Envelope>\n";
+    const std::string spaced = head + "   <arg type=\"string\"> a &amp; b </arg>" + tail;
+    const CallRequest req = SoapxCodec().decode_request(Bytes(spaced.begin(), spaced.end()));
+    ASSERT_EQ(req.args.size(), 1u);
+    EXPECT_EQ(req.args[0], MarshalledValue::of_str(" a & b "));
+    const std::string closed = head + "   <arg type=\"null\"/>" + tail;
+    EXPECT_THROW(SoapxCodec().decode_request(Bytes(closed.begin(), closed.end())), CodecError);
+}
+
+TEST(Codecs, SoapRejectsRepeatedAttributes) {
+    // A repeated attribute is an XML well-formedness error; it must not
+    // let the last value win.
+    const SoapxCodec soapx;
+    const std::string ok = "src=\"1\" target=\"5\"";
+    EXPECT_THROW(soapx.decode_request(soap_request("id=\"1\" id=\"2\" " + ok)), CodecError);
+    const std::string arg =
+        "<Envelope><Body><Reply id=\"1\"><result type=\"int\" type=\"long\">7</result>"
+        "</Reply></Body></Envelope>";
+    EXPECT_THROW(soapx.decode_reply(Bytes(arg.begin(), arg.end())), CodecError);
+}
+
+TEST(Codecs, BinaryCodecsRejectAnArgumentCountBeyondTheFrame) {
+    // A corrupt count must be a CodecError, not a multi-gigabyte reserve.
+    CallRequest req;
+    req.method = "m";
+    for (const char* protocol : {"RMI", "CORBA"}) {
+        const auto codec = make_codec(protocol);
+        Bytes b = codec->encode_request(req);
+        for (int k = 1; k <= 4; ++k) b[b.size() - k] = 0xFF;  // the trailing u32 count
+        EXPECT_THROW(codec->decode_request(b), CodecError) << protocol;
+    }
+}
+
+// ---- fuzz smoke: mutated frames decode or throw CodecError ---------------
+//
+// Frames arrive from the (simulated) network, so every decoder must treat
+// them as untrusted: each truncation and each seeded bit flip of a valid
+// frame either decodes or throws CodecError — never crashes, hangs or
+// throws anything else.  tools/check.sh runs these under ASan+UBSan.
+
+class CodecFuzz : public ::testing::TestWithParam<const char*> {
+protected:
+    std::unique_ptr<Codec> codec_ = make_codec(GetParam());
+
+    /// Valid frames, each tagged with whether it is a request.
+    std::vector<std::pair<Bytes, bool>> frames() const {
+        CallRequest reliable = sample_request();
+        reliable.attempt = 2;
+        reliable.deadline_us = 90'000;
+        CallReply ok;
+        ok.request_id = 7;
+        ok.result = MarshalledValue::of_str("a<b & \"c\"");
+        CallReply fault;
+        fault.request_id = 8;
+        fault.is_fault = true;
+        fault.fault_class = "Boom";
+        fault.fault_msg = "it & broke";
+        return {{codec_->encode_request(sample_request()), true},
+                {codec_->encode_request(reliable), true},
+                {codec_->encode_reply(ok), false},
+                {codec_->encode_reply(fault), false}};
+    }
+
+    /// Decodes `b`; returns true when it decoded, false on CodecError.
+    bool decodes(const Bytes& b, bool request) const {
+        try {
+            if (request) codec_->decode_request(b);
+            else codec_->decode_reply(b);
+            return true;
+        } catch (const CodecError&) {
+            return false;
+        }
+    }
+};
+
+TEST_P(CodecFuzz, EveryTruncationThrowsCodecError) {
+    for (const auto& [frame, request] : frames()) {
+        ASSERT_TRUE(decodes(frame, request));
+        for (std::size_t n = 0; n < frame.size(); ++n)
+            EXPECT_FALSE(decodes(Bytes(frame.begin(), frame.begin() + n), request))
+                << GetParam() << " frame cut at " << n << " of " << frame.size();
+    }
+}
+
+TEST_P(CodecFuzz, BitFlipsDecodeOrThrowCodecError) {
+    std::uint64_t lcg = 0x9E3779B97F4A7C15ull;  // deterministic, seedless
+    auto next = [&lcg] {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return lcg >> 16;
+    };
+    int decoded = 0, rejected = 0;
+    for (const auto& [frame, request] : frames()) {
+        for (int trial = 0; trial < 400; ++trial) {
+            Bytes bad = frame;
+            const int flips = 1 + static_cast<int>(next() % 3);
+            for (int f = 0; f < flips; ++f)
+                bad[next() % bad.size()] ^= static_cast<std::uint8_t>(1u << (next() % 8));
+            ++(decodes(bad, request) ? decoded : rejected);
+        }
+    }
+    // Both outcomes occur: the smoke reaches past the first check.
+    EXPECT_GT(decoded, 0) << GetParam();
+    EXPECT_GT(rejected, 0) << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, CodecFuzz, ::testing::Values("RMI", "CORBA", "SOAP"));
 
 }  // namespace
 }  // namespace rafda::net

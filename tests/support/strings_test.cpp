@@ -39,6 +39,12 @@ TEST(Strings, StartsEndsWith) {
     EXPECT_FALSE(ends_with("Int", "_Int"));
 }
 
+std::string xml_escape(std::string_view s) {
+    std::string out;
+    xml_escape_to(s, [&out](std::string_view run) { out += run; });
+    return out;
+}
+
 TEST(Strings, XmlEscapeRoundTrip) {
     const std::string nasty = R"(a<b>&"c"&amp;)";
     EXPECT_EQ(xml_unescape(xml_escape(nasty)), nasty);

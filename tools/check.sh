@@ -62,6 +62,16 @@ case " $presets " in
     done
     echo "experiment determinism OK: all 15 sidecars byte-identical across runs"
 
+    # Doc numbers (gating): every number EXPERIMENTS.md tags with its
+    # sidecar field (`<!-- E5.RMI_wire_bytes_per_call -->`) must equal
+    # that field of the sidecars this run just wrote.
+    echo "== EXPERIMENTS.md tagged numbers =="
+    if command -v python3 >/dev/null 2>&1; then
+        python3 tools/doc_check.py --sidecars .
+    else
+        echo "WARN: python3 not found; doc_check skipped"
+    fi
+
     # Durability invariants (gating): E15's own summary must assert
     # exactly-once across the crash (executions == tasks after WAL
     # replay) and a relocation identical to the uncrashed baseline.
@@ -172,6 +182,12 @@ case " $presets " in
     build-sanitize/tests/model/binio_test --gtest_filter='BinIoFuzz.*'
     build-sanitize/tests/model/verifier_test \
         --gtest_filter='Verifier.Negative*:Verifier.LookupsOnACyclicHierarchyEnd'
+    # Codec fuzz smoke: every truncation and seeded bit flips of valid
+    # RMIB, CORBX and SOAPX frames (the bytes a node takes off the
+    # network) decode or throw CodecError, plus the SOAPX nesting bomb.
+    echo "== codec fuzz smoke (sanitize) =="
+    build-sanitize/tests/net/codecs_test \
+        --gtest_filter='*CodecFuzz.*:Codecs.SoapRejectsDeepNesting*:Codecs.BinaryCodecsReject*'
 
     # Cross-build check (gating): every sidecar value comes from the seeded
     # simulation or exact VM counters, so the Debug+ASan+UBSan runner must
