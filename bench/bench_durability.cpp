@@ -5,9 +5,9 @@
 // reply path is down, so the client retries; before the retry lands the
 // server crashes and restarts.  Soft state loses the reply cache with the
 // node, so the post-restart retry re-executes — a duplicate the client
-// cannot see.  A durable node replays its WAL (snapshot + log) on restart
-// and the recovered reply cache answers the retry: executions == tasks,
-// exactly-once across the crash it used to die on.  The third arm rebuilds
+// cannot see.  A durable node replays its WAL (snapshot, log and reply
+// stream) on restart and the recovered reply cache answers the retry:
+// executions == tasks, exactly-once across the crash it used to die on.  The third arm rebuilds
 // the crashed server's image on a *different* live node
 // (migration-by-recovery) and checks per-call results against an uncrashed
 // baseline.  Everything derives from the seeded simulation, so the summary
@@ -105,7 +105,7 @@ RunResult run_crash_workload(bool durable) {
     if (durable) {
         const runtime::Wal* wal = system.node(0).wal();
         r.wal_records = wal->stats().records;
-        r.wal_bytes = wal->log().size() + wal->snapshot().size();
+        r.wal_bytes = wal->log().size() + wal->snapshot().size() + wal->replies().size();
         r.wal_snapshots = wal->stats().snapshots;
         r.wal_recoveries = wal->stats().recoveries;
     }

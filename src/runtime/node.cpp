@@ -47,7 +47,6 @@ void Node::reconcile_reply(std::uint64_t t) {
 }
 
 void Node::clock_changed() {
-    if (clock_gauge_) clock_gauge_->set(static_cast<std::int64_t>(clock_us_));
     system_->network().observe(clock_us_);
     const std::int64_t now = static_cast<std::int64_t>(clock_us_);
     if (interp_.logical_time() < now) interp_.advance_time(now - interp_.logical_time());
@@ -182,7 +181,11 @@ void Node::enable_durability(const DurabilityPolicy& policy) {
     if (wal_) return;
     durability_ = policy;
     wal_ = std::make_unique<Wal>();
-    for (CachedReply& e : reply_cache_) e.record.encode(e.request_id, e.reply);
+    obs::Registry& m = system_->metrics();
+    wal_->attach_counters(&m.counter("wal.records"), &m.counter("wal.bytes"),
+                          &m.counter("wal.snapshots"));
+    for (const CachedReply& e : reply_cache_)
+        wal_->append_reply(clock_us_, e.request_id, e.reply);
     last_snapshot_us_ = clock_us_;
     interp_.set_observer(this);
 }
@@ -224,11 +227,8 @@ void Node::cache_reply(std::uint64_t request_id, const net::CallReply& reply,
         reply_index_.erase(reply_cache_.front().request_id);
         reply_cache_.pop_front();
     }
-    CachedReply& entry = reply_cache_.emplace_back(CachedReply{request_id, reply, {}});
-    slot->second = &entry;
-    if (!wal_) return;
-    entry.record.encode(request_id, reply);
-    if (journal) wal_->append_reply(clock_us_, entry.record);
+    slot->second = &reply_cache_.emplace_back(CachedReply{request_id, reply});
+    if (wal_ && journal) wal_->append_reply(clock_us_, request_id, reply);
 }
 
 void Node::maybe_snapshot() {
@@ -268,10 +268,8 @@ void Node::take_snapshot() {
     for (const auto& [key, local_oid] : imported_)
         wal_->append_proxy_import(t, std::get<0>(key), std::get<1>(key),
                                   std::get<2>(key), std::get<3>(key), local_oid);
-    // Reply cache in FIFO order so replay reproduces the eviction queue.
-    // Each record reuses the entry's stored encoding.
-    for (const CachedReply& e : reply_cache_) wal_->append_reply(t, e.record);
     wal_->commit_snapshot();
+    wal_->trim_replies(reply_cache_.size());
     last_snapshot_us_ = clock_us_;
     log_debug("node", "node ", id_, " checkpoint: ", wal_->snapshot().size(),
               " bytes, log truncated");
@@ -318,8 +316,9 @@ vm::ObjId Node::restore_objects(const WalImage& img, bool journal) {
 
 void Node::recover_from_wal() {
     // Crash semantics: everything volatile dies; the durable image is the
-    // snapshot plus the log, decoded before anything is wiped.  The
-    // observer is detached so the restore does not re-journal itself.
+    // snapshot, the log and the reply stream, decoded before anything is
+    // wiped.  The observer is detached so the restore does not re-journal
+    // itself.
     WalImage img;
     const Wal::ReplayResult res = wal_->recover(img);
     interp_.set_observer(nullptr);

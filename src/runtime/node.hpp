@@ -85,18 +85,19 @@ public:
     void apply_restarts(std::uint64_t restarts);
 
     /// Turns on the durability layer (DESIGN.md §20): creates this node's
-    /// WAL, installs the VM mutation observer so every heap and static
-    /// mutation is journalled, and arms snapshotting at `policy`'s
-    /// interval.  Off (the default) leaves every legacy code path — and
+    /// WAL, journals the replies already cached, installs the VM mutation
+    /// observer so every heap and static mutation is journalled, and arms
+    /// snapshotting at `policy`'s interval.  Off (the default) leaves every legacy code path — and
     /// every legacy experiment byte — untouched.
     void enable_durability(const DurabilityPolicy& policy);
     bool durable() const noexcept { return wal_ != nullptr; }
     Wal* wal() noexcept { return wal_.get(); }
     const Wal* wal() const noexcept { return wal_.get(); }
 
-    /// Writes a fresh checkpoint of the node's entire state (heap,
-    /// statics, initialised classes, singletons, imported proxies, reply
-    /// cache) and truncates the log.  No-op when durability is off.
+    /// Writes a fresh checkpoint of the node's state (heap, statics,
+    /// initialised classes, singletons, imported proxies), truncates the
+    /// log and drops the reply-stream records the cache has evicted.
+    /// No-op when durability is off.
     void take_snapshot();
 
     /// Guest value -> wire value.  Throws RuntimeError for references to
@@ -132,9 +133,9 @@ public:
 private:
     friend class System;
 
-    /// Publishes a clock change: mirrors the runtime.node<N>.clock_us
-    /// gauge, advances the network's global watermark and pulls the
-    /// guest-visible logical time (Sys.time) up to the clock.
+    /// Publishes a clock change: advances the network's global watermark
+    /// and pulls the guest-visible logical time (Sys.time) up to the
+    /// clock.
     void clock_changed();
 
     // vm::MutationObserver — journals guest mutations into the WAL,
@@ -158,7 +159,7 @@ private:
     /// Snapshot-interval check, called at request-dispatch boundaries
     /// (a clean point: no guest frame is live).
     void maybe_snapshot();
-    /// Durable restart: decodes the snapshot and log, wipes the VM and
+    /// Durable restart: decodes the durable image, wipes the VM and
     /// node state, then restores the pre-crash image from the decode.
     void recover_from_wal();
     /// Allocates `img`'s objects after this node's heap, in image order,
@@ -172,7 +173,6 @@ private:
     net::NodeId id_;
     vm::Interpreter interp_;
     std::uint64_t clock_us_ = 0;
-    obs::Gauge* clock_gauge_ = nullptr;  // set when System wires the node
     /// (origin node, origin oid, interface, protocol) -> local proxy object.
     std::map<WalImage::ImportKey, vm::ObjId> imported_;
     std::map<std::string, vm::ObjId> singletons_;
@@ -184,16 +184,19 @@ private:
         std::size_t oid = 0;
     };
     std::unordered_map<const model::ClassFile*, ProxySlots> proxy_slots_;
-    /// One reply-cache entry.  While the node is durable it also holds
-    /// the reply's WAL encoding, made once and shared by the live Reply
-    /// record and every checkpoint until the entry is evicted.
     struct CachedReply {
         std::uint64_t request_id;
         net::CallReply reply;
-        EncodedReply record;
     };
     /// Bounded reply cache in FIFO order (eviction at the policy's
-    /// dedup_capacity); populated only while dedup is enabled.
+    /// dedup_capacity); populated only while dedup is enabled.  While the
+    /// node is durable the cache is always a suffix of the WAL's reply
+    /// stream, in the same order: every entry is appended as it is
+    /// cached, and a checkpoint drops only records older than the oldest
+    /// entry.  Replaying the stream into a FIFO of the same capacity
+    /// therefore rebuilds the cache exactly — also when an evicted request
+    /// id is executed and cached again, since its new record follows the
+    /// eviction of the old one.
     std::deque<CachedReply> reply_cache_;
     /// request id -> its reply_cache_ entry (deque push_back/pop_front
     /// leave references to the other entries valid).

@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/metrics.hpp"
-
 namespace rafda::runtime {
 
 struct RetryPolicy {
@@ -63,25 +61,19 @@ struct BatchPolicy {
 };
 
 /// Closed/open/half-open breaker state for one (node, protocol) edge.
-/// State is mirrored into a registry gauge so `rafdac faults` and tests
-/// can observe transitions without poking at internals.
+/// RpcPath samples the state through a registry probe so `rafdac faults`
+/// and tests can observe transitions without poking at internals.
 struct CircuitBreaker {
     enum class State : std::int64_t { Closed = 0, Open = 1, HalfOpen = 2 };
 
     State state = State::Closed;
     std::uint32_t consecutive_failures = 0;
     std::uint64_t opened_at_us = 0;
-    obs::Gauge* state_gauge = nullptr;
-
-    void set_state(State s) {
-        state = s;
-        if (state_gauge) state_gauge->set(static_cast<std::int64_t>(s));
-    }
 
     /// A reply came back (fault replies count too: the transport works).
     void record_success() {
         consecutive_failures = 0;
-        if (state != State::Closed) set_state(State::Closed);
+        state = State::Closed;
     }
 
     /// A transport-level failure (drop, down link, crashed node).
@@ -91,7 +83,7 @@ struct CircuitBreaker {
         if (state == State::HalfOpen ||
             (state == State::Closed && consecutive_failures >= threshold)) {
             opened_at_us = now_us;
-            set_state(State::Open);
+            state = State::Open;
             return true;
         }
         return false;

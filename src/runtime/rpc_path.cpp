@@ -55,10 +55,11 @@ Protocol& RpcPath::protocol(const std::string& name) {
 CircuitBreaker& RpcPath::breaker(net::NodeId dst, const std::string& protocol) {
     auto it = breakers_.find({dst, protocol});
     if (it == breakers_.end()) {
-        CircuitBreaker b;
-        b.state_gauge = &metrics_.gauge("rpc.breaker." + std::to_string(dst) + "." +
-                                        protocol + ".state");
-        it = breakers_.emplace(std::make_pair(dst, protocol), b).first;
+        // Map entries never move, so the probe can hold the breaker.
+        it = breakers_.emplace(std::make_pair(dst, protocol), CircuitBreaker{}).first;
+        metrics_.register_probe(
+            "rpc.breaker." + std::to_string(dst) + "." + protocol + ".state",
+            [&b = it->second] { return static_cast<std::int64_t>(b.state); });
     }
     return it->second;
 }
@@ -104,7 +105,7 @@ net::CallReply RpcPath::rpc(net::NodeId src, net::NodeId dst, Protocol& proto,
         // learned about the transport), so they don't bump the counter.
         if (br && br->state == CircuitBreaker::State::Open) {
             if (caller.clock_us() >= br->opened_at_us + rp.breaker_cooldown_us) {
-                br->set_state(CircuitBreaker::State::HalfOpen);
+                br->state = CircuitBreaker::State::HalfOpen;
                 journal_.record(obs::JournalEvent::Kind::Breaker, caller.clock_us(), dst,
                                 src, 2, 0, proto.name);
             } else {
@@ -454,10 +455,6 @@ RpcTotals RpcPath::totals() const {
         t.bytes += p.request_bytes->value() + p.reply_bytes->value();
     }
     return t;
-}
-
-void RpcPath::republish_breakers() {
-    for (auto& [_, b] : breakers_) b.set_state(b.state);
 }
 
 }  // namespace rafda::runtime

@@ -146,10 +146,6 @@ public:
 
     RpcTotals totals() const;
 
-    /// Re-publishes every breaker's state gauge after a registry reset:
-    /// breaker state is semantic, not accounting.
-    void republish_breakers();
-
 private:
     /// One wire round-trip: no retries, no breaker.
     net::CallReply rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& proto,

@@ -103,32 +103,22 @@ Node& System::add_node() {
     nodes_.push_back(std::move(owned));
     node.interp().attach_metrics(&metrics_, "vm.node" + std::to_string(node.id()));
     node.interp().set_method_profiling(method_profiling_);
-    node.clock_gauge_ =
-        &metrics_.gauge("runtime.node" + std::to_string(node.id()) + ".clock_us");
+    metrics_.register_probe("runtime.node" + std::to_string(node.id()) + ".clock_us",
+                            [&node] { return static_cast<std::int64_t>(node.clock_us()); });
     wire_node(node);
-    if (durability_.enabled) {
-        node.enable_durability(durability_);
-        node.wal()->attach_counters(wal_records_, wal_bytes_, wal_snapshots_);
-    }
+    if (durability_.enabled) node.enable_durability(durability_);
     return node;
 }
 
 void System::enable_durability(DurabilityPolicy policy) {
     policy.enabled = true;
     durability_ = policy;
-    if (!wal_records_) {
-        wal_records_ = &metrics_.counter("wal.records");
-        wal_bytes_ = &metrics_.counter("wal.bytes");
-        wal_snapshots_ = &metrics_.counter("wal.snapshots");
-        // Recoveries are rare: their counters are looked up by name.
-        metrics_.counter("wal.recoveries");
-        metrics_.counter("wal.replayed_records");
-        metrics_.counter("wal.relocated_objects");
-    }
-    for (const auto& n : nodes_) {
-        n->enable_durability(durability_);
-        n->wal()->attach_counters(wal_records_, wal_bytes_, wal_snapshots_);
-    }
+    // Each node's WAL binds wal.records/bytes/snapshots itself; the rest
+    // are rare and looked up by name.
+    for (const char* name : {"wal.records", "wal.bytes", "wal.snapshots", "wal.recoveries",
+                             "wal.replayed_records", "wal.relocated_objects"})
+        metrics_.counter(name);
+    for (const auto& n : nodes_) n->enable_durability(durability_);
 }
 
 void System::observe_restarts() {
@@ -427,15 +417,17 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
     // record naming an object the image never allocated throws here,
     // before the target is touched.  Statics and class-init marks are
     // per-address-space: the target's own <clinit> runs govern there.
+    const Wal& wal = *c.wal();
     WalImage img;
-    Wal::replay(c.wal()->snapshot(), img);
-    Wal::replay(c.wal()->log(), img);
+    for (const Bytes* stream : {&wal.snapshot(), &wal.log(), &wal.replies()})
+        Wal::replay(*stream, img);
 
     // Reading the image is a bulk transfer from the crashed node's stable
     // storage to the target: charged on the wire like a migration, and
     // like migration it is a stop-the-world control operation (DESIGN.md
     // §13 barrier).
-    const std::size_t image_bytes = c.wal()->snapshot().size() + c.wal()->log().size();
+    const std::size_t image_bytes =
+        wal.snapshot().size() + wal.log().size() + wal.replies().size();
     net::Delivery landed =
         network_.transfer_at(crashed, target, image_bytes, t.clock_us());
     barrier(landed.at_us);
@@ -898,9 +890,6 @@ void System::reset_stats() {
     journal_.rebase(network_.now_us());
     // The adaptation windows are deltas of the counters just zeroed.
     if (adapt_) adapt_->rebase();
-    // Breaker *state* is semantic, not accounting: re-publish it so the
-    // zeroed gauges don't claim every breaker is closed.
-    rpc_.republish_breakers();
 }
 
 }  // namespace rafda::runtime

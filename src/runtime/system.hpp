@@ -402,9 +402,6 @@ private:
     /// Migration-by-recovery bookkeeping: crashed node -> where its image
     /// went.  Entries die when the node itself restarts (note_recovery).
     std::map<net::NodeId, Relocation> relocations_;
-    obs::Counter* wal_records_ = nullptr;
-    obs::Counter* wal_bytes_ = nullptr;
-    obs::Counter* wal_snapshots_ = nullptr;
 };
 
 }  // namespace rafda::runtime

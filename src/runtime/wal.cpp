@@ -40,20 +40,6 @@ void store_le32(std::uint8_t* p, std::uint32_t v) {
     for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-// GF(2) polynomial arithmetic modulo the CRC polynomial, in the reflected
-// bit order the CRC uses (x^0 is bit 31) — zlib's crc32_combine machinery.
-
-/// a·b mod P.  Branch-free per bit of `a` (the operands are effectively
-/// random, so a taken/not-taken branch would mispredict half the time).
-constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
-    std::uint32_t p = 0;
-    for (; a; a <<= 1) {
-        p ^= b & (0u - (a >> 31));
-        b = (b >> 1) ^ (kCrcPoly & (0u - (b & 1)));
-    }
-    return p;
-}
-
 // -- Value codecs -------------------------------------------------------
 // vm::Value refs are plain object ids, meaningful relative to the heap
 // the WAL belongs to — replay reproduces the same ids, so they round-trip
@@ -165,31 +151,6 @@ std::uint32_t wal_crc32(const std::uint8_t* data, std::size_t len) {
     return c ^ 0xFFFFFFFFu;
 }
 
-std::uint32_t wal_crc32_shift(std::size_t len) {
-    // One table step on a zero byte multiplies the register by x^8, so
-    // running x^0 through `len` zero bytes leaves x^(8·len) mod P.  The
-    // zero high word drops four of each eight-byte step's lookups.
-    std::uint32_t c = 1u << 31;  // x^0
-    for (; len >= 8; len -= 8)
-        c = kCrc[7][c & 0xFFu] ^ kCrc[6][(c >> 8) & 0xFFu] ^
-            kCrc[5][(c >> 16) & 0xFFu] ^ kCrc[4][c >> 24];
-    for (; len; --len) c = kCrc[0][c & 0xFFu] ^ (c >> 8);
-    return c;
-}
-
-std::uint32_t wal_crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                                std::uint32_t shift_b) {
-    return multmodp(shift_b, crc_a) ^ crc_b;
-}
-
-void EncodedReply::encode(std::uint64_t request_id, const net::CallReply& reply) {
-    ByteWriter w(body);
-    w.varu64(request_id);
-    put_reply(w, reply);
-    crc = wal_crc32(body.data(), body.size());
-    shift = wal_crc32_shift(body.size());
-}
-
 WalImage::Object& WalImage::object(std::uint64_t oid) {
     if (oid == 0 || oid > objects.size())
         throw CodecError("WAL record names object " + std::to_string(oid) +
@@ -202,26 +163,21 @@ void Wal::stamp(ByteWriter& w, Kind kind, std::uint64_t t_us) {
     w.varu64(t_us);
 }
 
-void Wal::emit(std::uint32_t crc, std::span<const std::uint8_t> head,
-               std::span<const std::uint8_t> tail) {
-    Bytes& sink = in_snapshot_ ? scratch_ : log_;
-    const std::size_t len = head.size() + tail.size();
+void Wal::frame() { frame(in_snapshot_ ? scratch_ : log_); }
+
+void Wal::frame(Bytes& sink) {
+    const std::size_t len = payload_.size();
     std::uint8_t header[8];
     store_le32(header, static_cast<std::uint32_t>(len));
-    store_le32(header + 4, crc);
+    store_le32(header + 4, wal_crc32(payload_.data(), len));
     // Appended, not resized into: a resize would zero the tail first.
     sink.insert(sink.end(), header, header + 8);
-    sink.insert(sink.end(), head.begin(), head.end());
-    sink.insert(sink.end(), tail.begin(), tail.end());
-    if (!in_snapshot_) {
+    sink.insert(sink.end(), payload_.begin(), payload_.end());
+    if (&sink != &scratch_) {
         ++stats_.records;
         if (records_ctr_) records_ctr_->add();
         if (bytes_ctr_) bytes_ctr_->add(8 + len);
     }
-}
-
-void Wal::frame() {
-    emit(wal_crc32(payload_.data(), payload_.size()), payload_, {});
 }
 
 void Wal::append_alloc(std::uint64_t t_us, const std::string& cls) {
@@ -298,19 +254,12 @@ void Wal::append_proxy_import(std::uint64_t t_us, std::int32_t origin_node,
 
 void Wal::append_reply(std::uint64_t t_us, std::uint64_t request_id,
                        const net::CallReply& reply) {
-    reply_.encode(request_id, reply);
-    append_reply(t_us, reply_);
-}
-
-void Wal::append_reply(std::uint64_t t_us, const EncodedReply& reply) {
-    if (reply_prefix_.empty() || t_us != reply_prefix_t_) {
-        ByteWriter w(reply_prefix_);
-        stamp(w, Kind::Reply, t_us);
-        reply_prefix_t_ = t_us;
-        reply_prefix_crc_ = wal_crc32(reply_prefix_.data(), reply_prefix_.size());
-    }
-    emit(wal_crc32_combine(reply_prefix_crc_, reply.crc, reply.shift), reply_prefix_,
-         reply.body);
+    ByteWriter w(payload_);
+    stamp(w, Kind::Reply, t_us);
+    w.varu64(request_id);
+    put_reply(w, reply);
+    frame(replies_);
+    ++reply_records_;
 }
 
 void Wal::append_move(Kind kind, std::uint64_t t_us, std::uint64_t oid,
@@ -339,6 +288,14 @@ void Wal::commit_snapshot() {
     ++stats_.snapshots;
     if (snapshots_ctr_) snapshots_ctr_->add();
     if (bytes_ctr_) bytes_ctr_->add(snapshot_.size());
+}
+
+void Wal::trim_replies(std::size_t live) {
+    if (reply_records_ <= live) return;
+    std::size_t pos = 0;
+    for (; reply_records_ > live; --reply_records_)
+        pos += 8 + load_le32(replies_.data() + pos);
+    replies_.erase(replies_.begin(), replies_.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
 Wal::ReplayResult Wal::replay(const Bytes& stream, WalVisitor& v) {
@@ -439,12 +396,13 @@ Wal::ReplayResult Wal::replay(const Bytes& stream, WalVisitor& v) {
 }
 
 Wal::ReplayResult Wal::recover(WalVisitor& v) {
-    ReplayResult snap = replay(snapshot_, v);
-    ReplayResult tail = replay(log_, v);
     ReplayResult total;
-    total.records = snap.records + tail.records;
-    total.bytes = snap.bytes + tail.bytes;
-    total.clean = snap.clean && tail.clean;
+    for (const Bytes* stream : {&snapshot_, &log_, &replies_}) {
+        const ReplayResult part = replay(*stream, v);
+        total.records += part.records;
+        total.bytes += part.bytes;
+        total.clean = total.clean && part.clean;
+    }
     ++stats_.recoveries;
     stats_.replayed += total.records;
     return total;

@@ -1,22 +1,23 @@
 // Per-node durability: write-ahead log + snapshot (DESIGN.md §20).
 //
-// A node's durable image is two byte streams of identical record format:
+// A node's durable image is three byte streams of identical record format:
 //
-//   * the *snapshot* — a checkpoint of the whole node state (heap,
-//     statics, initialised classes, singleton registry, imported proxies,
-//     reply cache) written as a compact logical replay, and
+//   * the *snapshot* — a checkpoint of the node's heap, statics,
+//     initialised classes, singleton registry and imported proxies,
+//     written as a compact logical replay;
 //   * the *log* — every mutation since that snapshot, appended as it
-//     happens.
+//     happens; and
+//   * the *reply stream* — one Reply record per reply the node cached, in
+//     FIFO order.  A checkpoint never copies it: it only drops the oldest
+//     records, those the bounded reply cache has evicted since.
 //
 // Records are CRC-framed: `[u32 len][u32 crc32][payload]` with the CRC
 // over the payload, and the payload `[u8 kind][varu64 t_us][fields...]`
-// stamped with the node's virtual clock at append time.  A Reply record's
-// fields are encoded once per cached reply (EncodedReply) and reused by
-// every checkpoint, whose record CRCs come from CRC combination rather
-// than a second pass over the bytes.  Recovery replays
-// the snapshot and then the log; a torn tail (truncated frame or CRC
-// mismatch — the moral equivalent of a crash mid-write) stops replay
-// cleanly at the last complete record, applying nothing of the tail.
+// stamped with the node's virtual clock at append time.  Recovery replays
+// the snapshot, then the log, then the reply stream; a torn tail
+// (truncated frame or CRC mismatch — the moral equivalent of a crash
+// mid-write) stops that stream's replay cleanly at its last complete
+// record, applying nothing of the tail.
 //
 // The WAL never reads clocks, draws randomness, or advances virtual time
 // — appends are a pure function of the mutations they record, which is
@@ -26,7 +27,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -52,7 +52,7 @@ struct DurabilityPolicy {
 
 /// Lifetime accounting for one node's WAL, mirrored into wal.* counters.
 struct WalStats {
-    std::uint64_t records = 0;    // live-log records appended
+    std::uint64_t records = 0;    // live records appended (log and reply stream)
     std::uint64_t snapshots = 0;  // checkpoints taken
     std::uint64_t recoveries = 0;
     std::uint64_t replayed = 0;   // records applied across all recoveries
@@ -100,12 +100,12 @@ public:
                              std::uint64_t /*remote_oid*/) {}
 };
 
-/// A node's durable image (snapshot + log) decoded into the state it
-/// describes: the one reader of replayed records, shared by a node's
-/// restart and by migration-by-recovery (Node::restore_objects).  A
-/// transmute or relocate replaces the object by its proxy.  A record that
-/// names an object the image never allocated is rejected while decoding
-/// (CodecError), before anything is restored.
+/// A node's durable image (snapshot, log and reply stream) decoded into
+/// the state it describes: the one reader of replayed records, shared by
+/// a node's restart and by migration-by-recovery (Node::restore_objects).
+/// A transmute or relocate replaces the object by its proxy.  A record
+/// that names an object the image never allocated is rejected while
+/// decoding (CodecError), before anything is restored.
 class WalImage final : public WalVisitor {
 public:
     struct Object {
@@ -183,19 +183,6 @@ private:
     Object& object(std::uint64_t oid);
 };
 
-/// A Reply record's fields — `[varu64 request_id][reply]` — encoded once,
-/// with the CRC and CRC shift that let any `[kind][t_us]` prefix be
-/// combined in without re-reading them.  A node keeps one per reply-cache
-/// entry, so the live record and every later checkpoint share it.
-struct EncodedReply {
-    Bytes body;
-    std::uint32_t crc = 0;           // wal_crc32 over body
-    std::uint32_t shift = 1u << 31;  // wal_crc32_shift(body.size()); x^0 when empty
-
-    /// (Re)encodes `reply` under `request_id`, reusing body's capacity.
-    void encode(std::uint64_t request_id, const net::CallReply& reply);
-};
-
 class Wal {
 public:
     /// Outcome of one stream replay.
@@ -229,13 +216,10 @@ public:
     void append_proxy_import(std::uint64_t t_us, std::int32_t origin_node,
                              std::uint64_t origin_oid, const std::string& iface,
                              const std::string& protocol, std::uint64_t local_oid);
+    /// Appends a Reply record to the reply stream, not the log; it counts
+    /// as a live record like any log append.
     void append_reply(std::uint64_t t_us, std::uint64_t request_id,
                       const net::CallReply& reply);
-    /// The same Reply record from an encoding made earlier: the record
-    /// bytes are copied and its CRC is combined from the stamp prefix's
-    /// (memoized per `t_us`, so a checkpoint checksums it once) and the
-    /// body's.
-    void append_reply(std::uint64_t t_us, const EncodedReply& reply);
     void append_transmute(std::uint64_t t_us, std::uint64_t oid,
                           const std::string& proxy_cls, std::int32_t node,
                           std::uint64_t remote_oid) {
@@ -253,20 +237,26 @@ public:
     /// begin and commit count as snapshot bytes, not log records.
     void begin_snapshot();
     /// Seals the checkpoint and truncates the log: the durable image is
-    /// now (snapshot, empty log).
+    /// now (snapshot, empty log, reply stream).
     void commit_snapshot();
+    /// Drops the oldest reply-stream records until at most `live` remain.
+    void trim_replies(std::size_t live);
 
     // -- Recovery -------------------------------------------------------
     /// Replays one framed stream into `v`; stops at the first torn or
     /// corrupt frame.  Static so tests can replay arbitrary byte strings.
     static ReplayResult replay(const Bytes& stream, WalVisitor& v);
-    /// Replays the snapshot then the log; updates recovery stats.
+    /// Replays the snapshot, the log, then the reply stream; updates
+    /// recovery stats.
     ReplayResult recover(WalVisitor& v);
 
     const Bytes& log() const noexcept { return log_; }
     const Bytes& snapshot() const noexcept { return snapshot_; }
+    const Bytes& replies() const noexcept { return replies_; }
     /// True when nothing durable has been recorded yet.
-    bool empty() const noexcept { return log_.empty() && snapshot_.empty(); }
+    bool empty() const noexcept {
+        return log_.empty() && snapshot_.empty() && replies_.empty();
+    }
     const WalStats& stats() const noexcept { return stats_; }
 
     /// Mirrors appends into system-wide counters (`wal.records`,
@@ -301,11 +291,9 @@ private:
                      const std::string& proxy_cls, std::int32_t node,
                      std::uint64_t remote_oid);
     /// Frames payload_ (kind + stamp + fields already encoded) with its
-    /// length and CRC into the current sink.
+    /// length and CRC into `sink`, by default the current one.
     void frame();
-    /// Appends `[u32 len][u32 crc][head][tail]` to the current sink.
-    void emit(std::uint32_t crc, std::span<const std::uint8_t> head,
-              std::span<const std::uint8_t> tail);
+    void frame(Bytes& sink);
     /// Starts a payload: [u8 kind][varu64 t_us].
     static void stamp(ByteWriter& w, Kind kind, std::uint64_t t_us);
 
@@ -314,10 +302,8 @@ private:
     Bytes scratch_;            // checkpoint under construction
     bool in_snapshot_ = false;
     Bytes payload_;            // record being encoded; capacity reused
-    EncodedReply reply_;       // append_reply(t, id, reply)'s encoding
-    Bytes reply_prefix_;       // [Reply][varu64 reply_prefix_t_]
-    std::uint64_t reply_prefix_t_ = 0;
-    std::uint32_t reply_prefix_crc_ = 0;
+    Bytes replies_;
+    std::size_t reply_records_ = 0;  // records in replies_
     WalStats stats_;
     obs::Counter* records_ctr_ = nullptr;
     obs::Counter* bytes_ctr_ = nullptr;
@@ -328,13 +314,5 @@ private:
 /// eight bytes per step (slicing-by-8); exposed for tests that hand-build
 /// or corrupt frames.
 std::uint32_t wal_crc32(const std::uint8_t* data, std::size_t len);
-
-/// x^(8·len) mod P: the operator that advances a CRC past `len` bytes.
-std::uint32_t wal_crc32_shift(std::size_t len);
-
-/// CRC of A‖B from crc(A), crc(B) and B's shift — zlib's crc32_combine
-/// algebra: multmodp(shift_b, crc_a) ^ crc_b.
-std::uint32_t wal_crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                                std::uint32_t shift_b);
 
 }  // namespace rafda::runtime

@@ -87,12 +87,16 @@ std::uint64_t ByteReader::u64() {
 
 std::uint64_t ByteReader::varu64() {
     std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
+    for (int shift = 0; shift < 63; shift += 7) {
         std::uint8_t b = u8();
         v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
         if (!(b & 0x80)) return v;
     }
-    throw CodecError("varint too long");
+    // The 10th byte holds bit 63 alone: anything above it, or a further
+    // continuation, would not fit in 64 bits.
+    const std::uint8_t last = u8();
+    if (last > 1) throw CodecError("varint too long");
+    return v | static_cast<std::uint64_t>(last) << 63;
 }
 
 std::int32_t ByteReader::i32() { return static_cast<std::int32_t>(u32()); }

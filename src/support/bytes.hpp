@@ -66,7 +66,9 @@ public:
     std::uint16_t u16();
     std::uint32_t u32();
     std::uint64_t u64();
-    /// Counterpart of ByteWriter::varu64; throws CodecError past 10 bytes.
+    /// Counterpart of ByteWriter::varu64.  Throws CodecError when the
+    /// value does not fit in 64 bits: more than 10 bytes, or a 10th byte
+    /// with any bit above bit 0 set (continuation included).
     std::uint64_t varu64();
     std::int32_t i32();
     std::int64_t i64();

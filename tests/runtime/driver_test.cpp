@@ -118,6 +118,24 @@ TEST(WorkloadDriver, LinkOccupancyAndClockGaugesAreExported) {
     }
 }
 
+TEST(WorkloadDriver, ClockGaugesReadEachNodesClockAfterResetStats) {
+    // The clock gauges sample the nodes' clocks: a registry reset zeroes
+    // accounting, not the time a node has reached.
+    model::ClassPool pool = make_pool();
+    System system(pool);
+    drive(system, 4, 8);
+    system.reset_stats();
+
+    const obs::Snapshot snap = system.metrics().snapshot();
+    for (net::NodeId n = 0; n < 5; ++n) {
+        const obs::Sample* clock =
+            snap.find("runtime.node" + std::to_string(n) + ".clock_us");
+        ASSERT_NE(clock, nullptr) << n;
+        EXPECT_GT(system.node(n).clock_us(), 0u) << n;
+        EXPECT_EQ(clock->gauge, static_cast<std::int64_t>(system.node(n).clock_us())) << n;
+    }
+}
+
 TEST(WorkloadDriver, DeterministicFromTheSeed) {
     model::ClassPool pool = make_pool();
     auto once = [&pool] {

@@ -309,65 +309,21 @@ TEST_F(DurableFixture, RestartWithDedupCapacityZeroCachesNothing) {
     EXPECT_EQ(counter("rpc.dedup_hits"), 1u);
 }
 
-/// Re-appends every replayed record through Wal's field-by-field API.
-struct Reappend final : WalVisitor {
-    explicit Reappend(Wal& out) : w(out) {}
-    Wal& w;
-    std::size_t replies = 0;
+/// (request id, reply) pairs a stream decodes to, in stream order.
+std::vector<std::pair<std::uint64_t, net::CallReply>> decode_replies(const Bytes& stream) {
+    WalImage img;
+    EXPECT_TRUE(Wal::replay(stream, img).clean);
+    return img.replies;
+}
 
-    void on_alloc(std::uint64_t t, const std::string& cls) override {
-        w.append_alloc(t, cls);
-    }
-    void on_alloc_array(std::uint64_t t, const std::string& elem,
-                        std::uint64_t n) override {
-        w.append_alloc_array(t, elem, n);
-    }
-    void on_field_put(std::uint64_t t, std::uint64_t oid, std::uint64_t slot,
-                      const Value& v) override {
-        w.append_field_put(t, oid, slot, v);
-    }
-    void on_array_put(std::uint64_t t, std::uint64_t oid, std::uint64_t index,
-                      const Value& v) override {
-        w.append_array_put(t, oid, index, v);
-    }
-    void on_static_put(std::uint64_t t, const std::string& cls, const std::string& field,
-                       const Value& v) override {
-        w.append_static_put(t, cls, field, v);
-    }
-    void on_class_init(std::uint64_t t, const std::string& cls) override {
-        w.append_class_init(t, cls);
-    }
-    void on_singleton(std::uint64_t t, const std::string& cls, std::uint64_t oid) override {
-        w.append_singleton(t, cls, oid);
-    }
-    void on_singleton_drop(std::uint64_t t, const std::string& cls) override {
-        w.append_singleton_drop(t, cls);
-    }
-    void on_proxy_import(std::uint64_t t, std::int32_t node, std::uint64_t oid,
-                         const std::string& iface, const std::string& protocol,
-                         std::uint64_t local) override {
-        w.append_proxy_import(t, node, oid, iface, protocol, local);
-    }
-    void on_reply(std::uint64_t t, std::uint64_t id, const net::CallReply& reply) override {
-        ++replies;
-        w.append_reply(t, id, reply);
-    }
-    void on_transmute(std::uint64_t t, std::uint64_t oid, const std::string& cls,
-                      std::int32_t node, std::uint64_t remote) override {
-        w.append_transmute(t, oid, cls, node, remote);
-    }
-    void on_relocate(std::uint64_t t, std::uint64_t oid, const std::string& cls,
-                     std::int32_t node, std::uint64_t remote) override {
-        w.append_relocate(t, oid, cls, node, remote);
-    }
-};
-
-TEST_F(DurableFixture, CheckpointMatchesFreshEncodingAndIsRebuiltByRestart) {
-    // Checkpoints copy each cached reply's stored encoding and combine its
-    // CRC; the oracle is the plain field-by-field append of the same
-    // records, which must produce the same bytes.
+TEST_F(DurableFixture, CheckpointTrimsTheReplyStreamAndIsRebuiltByRestart) {
+    // A checkpoint copies no cached reply: it writes heap state only and
+    // drops the reply-stream records the FIFO cache has evicted, leaving
+    // exactly the cache.  The oracle is a FIFO of the same capacity fed
+    // the untrimmed stream.
+    constexpr std::size_t kCapacity = 48;
     system->rpc_path().reliability().dedup = true;
-    system->rpc_path().reliability().dedup_capacity = 48;  // FIFO eviction churns
+    system->rpc_path().reliability().dedup_capacity = kCapacity;  // FIFO eviction churns
     Value svc = system->construct(0, "Service", "()V");
     for (int k = 0; k < 120; ++k) {
         system->node(0).interp().call_virtual(svc, "work", "(I)I", {Value::of_int(k)});
@@ -376,37 +332,90 @@ TEST_F(DurableFixture, CheckpointMatchesFreshEncodingAndIsRebuiltByRestart) {
     EXPECT_EQ(counter("rpc.dedup_hits"), 60u);
 
     Node& server = system->node(1);
+    std::vector<std::pair<std::uint64_t, net::CallReply>> fifo;
+    for (const auto& entry : decode_replies(server.wal()->replies())) {
+        const auto same_id = [&](const auto& e) { return e.first == entry.first; };
+        if (std::any_of(fifo.begin(), fifo.end(), same_id)) continue;
+        if (fifo.size() == kCapacity) fifo.erase(fifo.begin());
+        fifo.push_back(entry);
+    }
+    ASSERT_EQ(fifo.size(), kCapacity);
+    const Bytes untrimmed = server.wal()->replies();
+
     server.take_snapshot();
-    const Bytes checkpoint = server.wal()->snapshot();
-    Wal fresh;
-    Reappend oracle(fresh);
-    EXPECT_TRUE(Wal::replay(checkpoint, oracle).clean);
-    EXPECT_EQ(oracle.replies, 48u);
-    EXPECT_EQ(fresh.log(), checkpoint);
+    EXPECT_TRUE(decode_replies(server.wal()->snapshot()).empty());
+    EXPECT_EQ(decode_replies(server.wal()->replies()), fifo);
+    const Bytes& stream = server.wal()->replies();
+    EXPECT_TRUE(std::equal(stream.rbegin(), stream.rend(), untrimmed.rbegin()));
 
     // Crash and restart in place with no calls in between: replay rebuilds
-    // every stored encoding, so the next checkpoint is the same bytes.
+    // the same cache, so the next checkpoint writes the same snapshot and
+    // trims nothing.
+    const Bytes checkpoint = server.wal()->snapshot();
+    const Bytes replies = server.wal()->replies();
     server.apply_restarts(1);
     ASSERT_EQ(server.wal()->stats().recoveries, 1u);
     server.take_snapshot();
     EXPECT_EQ(server.wal()->snapshot(), checkpoint);
+    EXPECT_EQ(server.wal()->replies(), replies);
+
+    // The rebuilt cache answers every Create it holds without executing it.
+    std::uint64_t hits = counter("rpc.dedup_hits");
+    for (const auto& [id, reply] : fifo) {
+        if (id < 5000 || id >= 5060) continue;  // a work() call
+        EXPECT_EQ(send_create(id).result.ref_oid, reply.result.ref_oid) << id;
+        EXPECT_EQ(counter("rpc.dedup_hits"), ++hits) << id;
+    }
+}
+
+TEST_F(DurableFixture, ReexecutedEvictedIdReplaysIntoTheSameCache) {
+    // Request 1 is evicted, then executed and cached again: its second
+    // Reply record follows the eviction, so a restart's replay evicts the
+    // first copy the same way and keeps the second reply.
+    system->rpc_path().reliability().dedup = true;
+    system->rpc_path().reliability().dedup_capacity = 2;
+    send_create(1);
+    send_create(2);
+    send_create(3);                               // evicts 1
+    const net::CallReply again = send_create(1);  // re-executes; evicts 2
+    EXPECT_EQ(counter("rpc.dedup_hits"), 0u);
+    Node& server = system->node(1);
+    const auto stream = decode_replies(server.wal()->replies());
+    ASSERT_EQ(stream.size(), 4u);
+    EXPECT_EQ(stream.back().first, 1u);
+
+    server.take_snapshot();
+    const auto trimmed = decode_replies(server.wal()->replies());
+    ASSERT_EQ(trimmed.size(), 2u);
+    EXPECT_EQ(trimmed[0].first, 3u);
+    EXPECT_EQ(trimmed[1].first, 1u);
+
+    server.apply_restarts(1);
+    ASSERT_EQ(server.wal()->stats().recoveries, 1u);
+    EXPECT_EQ(send_create(1).result.ref_oid, again.result.ref_oid);
+    EXPECT_FALSE(send_create(3).is_fault);
+    EXPECT_EQ(counter("rpc.dedup_hits"), 2u);
+    send_create(2);  // evicted before the restart: executes again
+    EXPECT_EQ(counter("rpc.dedup_hits"), 2u);
 }
 
 TEST_F(DurableFixture, DurabilitySwitchedOnLaterEncodesTheCachedReplies) {
-    // Replies cached while the node was volatile get their WAL encoding
-    // when durability comes on, so the first checkpoint carries them whole.
+    // Replies cached while the node was volatile enter the reply stream
+    // when durability comes on: durable at once, before any checkpoint.
     make_system(/*durable=*/false);
     system->rpc_path().reliability().dedup = true;
     for (std::uint64_t id = 700; id < 710; ++id) send_create(id);
     system->enable_durability(DurabilityPolicy{});
 
     Node& server = system->node(1);
-    server.take_snapshot();
-    Wal fresh;
-    Reappend oracle(fresh);
-    EXPECT_TRUE(Wal::replay(server.wal()->snapshot(), oracle).clean);
-    EXPECT_EQ(oracle.replies, 10u);
-    EXPECT_EQ(fresh.log(), server.wal()->snapshot());
+    EXPECT_TRUE(server.wal()->snapshot().empty());
+    EXPECT_TRUE(server.wal()->log().empty());
+    const auto stream = decode_replies(server.wal()->replies());
+    ASSERT_EQ(stream.size(), 10u);
+    for (std::uint64_t k = 0; k < 10; ++k) EXPECT_EQ(stream[k].first, 700 + k);
+    EXPECT_EQ(server.wal()->stats().records, 10u);
+    EXPECT_EQ(counter("wal.records"), 10u);
+    EXPECT_EQ(counter("wal.bytes"), server.wal()->replies().size());
 }
 
 TEST_F(DurableFixture, RecoveryRejectsARecordNamingAnUnallocatedObject) {
@@ -551,6 +560,7 @@ struct ImageSystem {
         system->node(n).take_snapshot();
         WalImage img;
         EXPECT_TRUE(Wal::replay(wal.snapshot(), img).clean);
+        EXPECT_TRUE(Wal::replay(wal.replies(), img).clean);
         wal = before;
         return img;
     }

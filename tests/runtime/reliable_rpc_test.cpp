@@ -283,6 +283,22 @@ TEST_F(ReliableFixture, BreakerOpensFailsFastAndRecovers) {
     EXPECT_EQ(system->metrics().snapshot().find("rpc.breaker.1.RMI.state")->gauge, 0);
 }
 
+TEST_F(ReliableFixture, OpenBreakerStillReadsOpenAfterResetStats) {
+    // Breaker state is semantic, not accounting: zeroing the registry
+    // must not make an open breaker read closed.
+    RetryPolicy& rp = system->rpc_path().reliability();
+    rp.breaker_threshold = 1;
+    system->network().set_link(0, 1, net::LinkParams{100, 0.0, 1.0});
+    EXPECT_THROW(send_create(1), System::Dropped);
+    ASSERT_EQ(system->metrics().snapshot().find("rpc.breaker.1.RMI.state")->gauge, 1);
+
+    system->reset_stats();
+    const obs::Snapshot snap = system->metrics().snapshot();
+    const obs::Sample* state = snap.find("rpc.breaker.1.RMI.state");
+    ASSERT_NE(state, nullptr);
+    EXPECT_EQ(state->gauge, 1);
+}
+
 TEST_F(ReliableFixture, HalfOpenProbeFailureReopens) {
     RetryPolicy& rp = system->rpc_path().reliability();
     rp.breaker_threshold = 1;

@@ -1,12 +1,14 @@
 // WAL framing and replay (DESIGN.md §20): every record kind round-trips,
-// a torn tail — the log truncated at *any* byte offset inside the final
-// record — stops replay cleanly at the last complete record, corrupted
+// a torn tail — the log or the reply stream truncated at *any* byte
+// offset — stops replay cleanly at the last complete record, corrupted
 // frames are rejected by the CRC rather than silently applied, a
 // checksummed record with unread payload bytes is a framing error, a
-// committed snapshot truncates the log, and the slicing-by-8 CRC and its
-// combine algebra agree with a bit-at-a-time reference.
+// committed snapshot truncates the log and leaves the reply stream to
+// trim_replies, and the slicing-by-8 CRC agrees with a bit-at-a-time
+// reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -139,18 +141,31 @@ TEST(Wal, EveryRecordKindRoundTrips) {
     append_all_kinds(wal);
     EXPECT_EQ(wal.stats().records, 19u);
 
+    // Reply records go to the reply stream; everything else to the log.
     RecordingVisitor v;
     Wal::ReplayResult r = Wal::replay(wal.log(), v);
     EXPECT_TRUE(r.clean);
-    EXPECT_EQ(r.records, 19u);
+    EXPECT_EQ(r.records, 16u);
     EXPECT_EQ(r.bytes, wal.log().size());
-    ASSERT_EQ(v.events.size(), 19u);
+    ASSERT_EQ(v.events.size(), 16u);
     EXPECT_EQ(v.events[0], "alloc 1 Service");
     EXPECT_EQ(v.events[1], "array 2 I 4");
     EXPECT_EQ(v.events[2], "field 3 1.0=i42");
     EXPECT_EQ(v.events[8], "aput 9 2[3]=r1");
     EXPECT_EQ(v.events[13], "import 14 2:17 IService/RMI as 5");
-    EXPECT_EQ(v.events[18], "relocate 19 6 -> Service__Proxy@3:12");
+    EXPECT_EQ(v.events[14], "transmute 18 4 -> Service__Proxy@2:11");
+    EXPECT_EQ(v.events[15], "relocate 19 6 -> Service__Proxy@3:12");
+
+    RecordingVisitor replies;
+    r = Wal::replay(wal.replies(), replies);
+    EXPECT_TRUE(r.clean);
+    EXPECT_EQ(r.records, 3u);
+    EXPECT_EQ(r.bytes, wal.replies().size());
+    ASSERT_EQ(replies.events.size(), 3u);
+    EXPECT_EQ(replies.events[0], "reply 15 900 id=900 fault=0 tag=2 fc= fm=");
+    EXPECT_EQ(replies.events[1],
+              "reply 16 901 id=901 fault=0 tag=6 fc= fm= ref=1:33:Service");
+    EXPECT_EQ(replies.events[2], "reply 17 902 id=902 fault=1 tag=0 fc=RemoteFault fm=boom");
 
     // The same bytes replay to the same events, bit for bit.
     RecordingVisitor again;
@@ -190,34 +205,70 @@ TEST(Wal, TornTailTruncatedAtEveryByteOffsetStopsCleanly) {
     }
 }
 
+TEST(Wal, TornTailOfTheReplyStreamRestoresTheCompletePrefix) {
+    // A crash mid-append to the reply stream: cut it at every byte offset
+    // and recover the whole image.  The heap records and every complete
+    // Reply record come back; nothing of the torn one does.
+    Wal wal;
+    wal.append_alloc(1, "Service");
+    wal.append_field_put(2, 1, 0, Value::of_int(42));
+    std::vector<std::size_t> bounds{0};
+    for (std::uint64_t id = 40; id < 44; ++id) {
+        net::CallReply reply;
+        reply.request_id = id;
+        reply.result = net::MarshalledValue::of_str(std::string(id - 38, 'r'));
+        wal.append_reply(id, id, reply);
+        bounds.push_back(wal.replies().size());
+    }
+    const Bytes& full = wal.replies();
+    for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+        const Bytes torn(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut));
+        WalImage img;
+        EXPECT_TRUE(Wal::replay(wal.log(), img).clean);
+        const Wal::ReplayResult r = Wal::replay(torn, img);
+        const std::size_t whole = static_cast<std::size_t>(
+            std::upper_bound(bounds.begin(), bounds.end(), cut) - bounds.begin() - 1);
+        ASSERT_EQ(img.objects.size(), 1u) << "cut at " << cut;
+        EXPECT_EQ(img.objects[0].fields.at(0), Value::of_int(42)) << "cut at " << cut;
+        ASSERT_EQ(img.replies.size(), whole) << "cut at " << cut;
+        for (std::size_t k = 0; k < whole; ++k)
+            EXPECT_EQ(img.replies[k].first, 40 + k) << "cut at " << cut;
+        EXPECT_EQ(r.records, whole) << "cut at " << cut;
+        EXPECT_EQ(r.bytes, bounds[whole]) << "cut at " << cut;
+        EXPECT_EQ(r.clean, cut == bounds[whole]) << "cut at " << cut;
+    }
+}
+
 TEST(Wal, BitFlipAnywhereNeverSurvivesReplay) {
-    // CRC fuzz: flip one bit anywhere in the stream and replay.  The
+    // CRC fuzz: flip one bit anywhere in a stream and replay.  The
     // damaged stream must yield a strict prefix of the original events —
     // the flip is detected (length, CRC, or payload) and replay stops;
     // it is never silently applied as a different record.
     Wal wal;
     append_all_kinds(wal);
-    const Bytes& good = wal.log();
-    RecordingVisitor reference;
-    Wal::replay(good, reference);
+    for (const Bytes* stream : {&wal.log(), &wal.replies()}) {
+        const Bytes& good = *stream;
+        RecordingVisitor reference;
+        Wal::replay(good, reference);
 
-    std::uint64_t lcg = 0x9E3779B97F4A7C15ull;  // deterministic, seedless
-    for (int trial = 0; trial < 200; ++trial) {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        const std::size_t byte = (lcg >> 16) % good.size();
-        const int bit = (lcg >> 8) & 7;
-        Bytes bad = good;
-        bad[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        std::uint64_t lcg = 0x9E3779B97F4A7C15ull;  // deterministic, seedless
+        for (int trial = 0; trial < 200; ++trial) {
+            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+            const std::size_t byte = (lcg >> 16) % good.size();
+            const int bit = (lcg >> 8) & 7;
+            Bytes bad = good;
+            bad[byte] ^= static_cast<std::uint8_t>(1u << bit);
 
-        RecordingVisitor v;
-        Wal::ReplayResult r = Wal::replay(bad, v);
-        EXPECT_FALSE(r.clean && r.records == reference.events.size())
-            << "flip at byte " << byte << " bit " << bit << " went undetected";
-        ASSERT_LT(v.events.size(), reference.events.size());
-        EXPECT_TRUE(std::equal(v.events.begin(), v.events.end(),
-                               reference.events.begin()))
-            << "flip at byte " << byte << " bit " << bit
-            << " surfaced a corrupted record";
+            RecordingVisitor v;
+            Wal::ReplayResult r = Wal::replay(bad, v);
+            EXPECT_FALSE(r.clean && r.records == reference.events.size())
+                << "flip at byte " << byte << " bit " << bit << " went undetected";
+            ASSERT_LT(v.events.size(), reference.events.size());
+            EXPECT_TRUE(std::equal(v.events.begin(), v.events.end(),
+                                   reference.events.begin()))
+                << "flip at byte " << byte << " bit " << bit
+                << " surfaced a corrupted record";
+        }
     }
 }
 
@@ -254,6 +305,48 @@ TEST(Wal, SnapshotTruncatesLogAndRecoverReplaysBoth) {
     EXPECT_EQ(wal.stats().replayed, 3u);
 }
 
+TEST(Wal, SnapshotLeavesTheReplyStreamAndTrimDropsTheOldest) {
+    Wal wal;
+    net::CallReply reply;
+    for (std::uint64_t id = 1; id <= 5; ++id) {
+        reply.request_id = id;
+        wal.append_reply(id, id, reply);
+    }
+    wal.append_alloc(6, "Service");
+    EXPECT_EQ(wal.stats().records, 6u);
+    const Bytes before = wal.replies();
+
+    wal.begin_snapshot();
+    wal.append_alloc(7, "Service");
+    wal.commit_snapshot();
+    EXPECT_TRUE(wal.log().empty());
+    EXPECT_EQ(wal.replies(), before);
+
+    // Trimming to the two live replies keeps the stream's last two
+    // records, byte for byte; a larger bound drops nothing.
+    wal.trim_replies(2);
+    ASSERT_LT(wal.replies().size(), before.size());
+    EXPECT_TRUE(std::equal(wal.replies().rbegin(), wal.replies().rend(), before.rbegin()));
+    const Bytes trimmed = wal.replies();
+    wal.trim_replies(2);
+    wal.trim_replies(9);
+    EXPECT_EQ(wal.replies(), trimmed);
+
+    // Recovery replays the snapshot, the log, then the reply stream.
+    RecordingVisitor v;
+    const Wal::ReplayResult r = wal.recover(v);
+    EXPECT_TRUE(r.clean);
+    EXPECT_EQ(r.records, 3u);
+    EXPECT_EQ(r.bytes, wal.snapshot().size() + trimmed.size());
+    ASSERT_EQ(v.events.size(), 3u);
+    EXPECT_EQ(v.events[0], "alloc 7 Service");
+    EXPECT_EQ(v.events[1].rfind("reply 4 4 ", 0), 0u) << v.events[1];
+    EXPECT_EQ(v.events[2].rfind("reply 5 5 ", 0), 0u) << v.events[2];
+
+    wal.trim_replies(0);
+    EXPECT_TRUE(wal.replies().empty());
+}
+
 TEST(Wal, EmptyAndCrcKnownAnswer) {
     Wal wal;
     EXPECT_TRUE(wal.empty());
@@ -265,52 +358,11 @@ TEST(Wal, EmptyAndCrcKnownAnswer) {
     EXPECT_EQ(wal_crc32(reinterpret_cast<const std::uint8_t*>(kat), 9),
               0xCBF43926u);
     EXPECT_EQ(wal_crc32(nullptr, 0), 0u);
-}
 
-TEST(Wal, StoredReplyEncodingFramesLikeAFreshOne) {
-    // A reply encoded once and appended under several stamps — with the
-    // stamp changing between appends, as live records and checkpoints
-    // interleave — frames exactly as the field-by-field append does.
-    net::CallReply ok;
-    ok.request_id = 77;
-    ok.result = net::MarshalledValue::of_long(-5);
-    net::CallReply ref;
-    ref.request_id = 78;
-    ref.result = net::MarshalledValue::of_ref(3, 1ull << 40, "Service_O_Int");
-    net::CallReply fault;
-    fault.request_id = 79;
-    fault.is_fault = true;
-    fault.fault_class = "RemoteFault";
-    fault.fault_msg = std::string(300, 'x');  // body past one slicing step
-    EncodedReply ok_enc, ref_enc, fault_enc;
-    ok_enc.encode(77, ok);
-    ref_enc.encode(78, ref);
-    fault_enc.encode(79, fault);
-
-    Wal fresh, stored;
-    for (std::uint64_t t : {1ull, 1ull, 300ull, 300ull, 1ull << 35, 2ull}) {
-        fresh.append_reply(t, 77, ok);
-        fresh.append_reply(t, 78, ref);
-        fresh.append_reply(t, 79, fault);
-        stored.append_reply(t, ok_enc);
-        stored.append_reply(t, ref_enc);
-        stored.append_reply(t, fault_enc);
-    }
-    EXPECT_EQ(stored.log(), fresh.log());
-    EXPECT_EQ(stored.stats().records, fresh.stats().records);
-    // Both sides share the stamp-prefix memo, so the stamps are checked
-    // against the replay too.
-    RecordingVisitor v;
-    EXPECT_TRUE(Wal::replay(stored.log(), v).clean);
-    ASSERT_EQ(v.events.size(), 18u);
-    std::size_t i = 0;
-    for (std::uint64_t t : {1ull, 1ull, 300ull, 300ull, 1ull << 35, 2ull})
-        for (std::uint64_t id : {77u, 78u, 79u})
-            EXPECT_EQ(v.events[i++].rfind("reply " + std::to_string(t) + " " +
-                                              std::to_string(id) + " ",
-                                          0),
-                      0u)
-                << v.events[i - 1];
+    // A reply alone makes the image non-empty too.
+    Wal replies_only;
+    replies_only.append_reply(1, 1, net::CallReply{});
+    EXPECT_FALSE(replies_only.empty());
 }
 
 /// Hand-frames `payload` exactly as the WAL does: [u32 len][u32 crc].
@@ -377,30 +429,6 @@ TEST(Wal, CrcMatchesBitwiseReferenceAtEveryLengthAndOffset) {
                 << "offset " << off << " length " << len;
         }
     }
-}
-
-TEST(Wal, CrcCombineEqualsWholeBufferCrcOnRandomSplits) {
-    std::uint64_t lcg = 0x5EED;
-    auto next = [&] {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        return lcg >> 33;
-    };
-    for (int trial = 0; trial < 400; ++trial) {
-        const std::size_t len = next() % 600;
-        const Bytes whole = lcg_bytes(len, next());
-        // Trials 0 and 1 pin the empty halves; the rest split anywhere.
-        const std::size_t split = trial == 0 ? 0 : trial == 1 ? len : next() % (len + 1);
-        const std::uint8_t* b = whole.data() + split;
-        const std::size_t len_b = len - split;
-        EXPECT_EQ(wal_crc32_combine(wal_crc32(whole.data(), split), wal_crc32(b, len_b),
-                                    wal_crc32_shift(len_b)),
-                  wal_crc32(whole.data(), len))
-            << "length " << len << " split " << split;
-    }
-    // The zero-length shift is the identity, and an empty prefix adds
-    // nothing.
-    EXPECT_EQ(wal_crc32_combine(0x12345678u, 0, wal_crc32_shift(0)), 0x12345678u);
-    EXPECT_EQ(wal_crc32_combine(0, 0x9ABCDEF0u, wal_crc32_shift(17)), 0x9ABCDEF0u);
 }
 
 }  // namespace

@@ -134,6 +134,39 @@ TEST(Bytes, VaruRejectsOverlongEncoding) {
     EXPECT_THROW(r.varu64(), CodecError);
 }
 
+TEST(Bytes, VaruRejectsBitsPast64) {
+    // Nine continuation bytes carry 63 bits; the 10th byte may set bit 63
+    // only.  0x7E there used to decode to 0 instead of throwing.
+    Bytes high(9, 0x80);
+    high.push_back(0x7E);
+    ByteReader r(high);
+    EXPECT_THROW(r.varu64(), CodecError);
+    // A continuation bit on the 10th byte overflows as well.
+    Bytes more(9, 0x80);
+    more.push_back(0x81);
+    more.push_back(0x00);
+    ByteReader m(more);
+    EXPECT_THROW(m.varu64(), CodecError);
+}
+
+TEST(Bytes, VaruDecodesTheLongestValidEncoding) {
+    // UINT64_MAX is nine 0xFF bytes and a final 0x01.
+    Bytes max(9, 0xFF);
+    max.push_back(0x01);
+    ByteReader r(max);
+    EXPECT_EQ(r.varu64(), std::numeric_limits<std::uint64_t>::max());
+    EXPECT_TRUE(r.at_end());
+    ByteWriter w;
+    w.varu64(std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(w.data(), max);
+    // Bit 63 alone, spelt with nine zero payloads.
+    Bytes top(9, 0x80);
+    top.push_back(0x01);
+    ByteReader t(top);
+    EXPECT_EQ(t.varu64(), std::uint64_t{1} << 63);
+    EXPECT_TRUE(t.at_end());
+}
+
 TEST(Bytes, BorrowingWriterClearsAndKeepsCapacity) {
     Bytes pooled;
     pooled.reserve(1024);

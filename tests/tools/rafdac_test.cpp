@@ -433,6 +433,28 @@ TEST_F(RafdacAdaptCli, AdaptJsonRoundTripsThroughParser) {
     EXPECT_NE(r.output.find("\"bytes_saved_est\":"), std::string::npos);
 }
 
+TEST_F(RafdacCli, WalReportsEachNodesReplyStream) {
+    // A durable server with dedup on journals every reply it caches into
+    // its reply stream; `rafdac wal` shows that stream's bytes per node.
+    const std::string durable_cfg = cfg_ + ".durable";
+    std::ofstream(durable_cfg) << "protocol default SOAP\n"
+                                  "instance Greeter on 1 via SOAP\n"
+                                  "dedup on\n"
+                                  "durable on\n";
+    RunResult table = run_cli("wal " + app_ + " " + durable_cfg + " Main 2");
+    EXPECT_EQ(table.status, 0);
+    EXPECT_NE(table.output.find("reply_B"), std::string::npos) << table.output;
+
+    RunResult r = run_cli("wal " + app_ + " " + durable_cfg + " Main 2 --json");
+    EXPECT_EQ(r.status, 0);
+    EXPECT_TRUE(json_parses(r.output)) << r.output;
+    const std::size_t server = r.output.find("{\"node\":1,");
+    ASSERT_NE(server, std::string::npos) << r.output;
+    const std::size_t field = r.output.find("\"reply_bytes\":", server);
+    ASSERT_NE(field, std::string::npos) << r.output;
+    EXPECT_NE(r.output[field + std::strlen("\"reply_bytes\":")], '0') << r.output;
+}
+
 TEST_F(RafdacCli, UsageAndErrors) {
     EXPECT_EQ(run_cli("").status, 1);
     EXPECT_EQ(run_cli("frobnicate x").status, 1);

@@ -165,10 +165,10 @@ PYEOF
 esac
 
 # Fuzz smokes (gating when the sanitize preset ran).  WAL replay: the torn-tail
-# sweep and the bit-flip fuzz replay adversarial byte streams through the
-# frame decoder — exactly the code that parses untrusted durable state on
-# recovery — and the CRC sweeps run the slicing-by-8 kernel's word loads
-# over exactly-sized buffers, all under ASan+UBSan.
+# sweeps (log and reply stream) and the bit-flip fuzz replay adversarial byte
+# streams through the frame decoder — exactly the code that parses untrusted
+# durable state on recovery — and the CRC sweep runs the slicing-by-8
+# kernel's word loads over exactly-sized buffers, all under ASan+UBSan.
 case " $presets " in
 *" sanitize "*)
     echo "== WAL replay fuzz smoke (sanitize) =="

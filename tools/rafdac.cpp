@@ -477,8 +477,8 @@ int cmd_faults(const std::string& input, const std::string& config_path,
     return 0;
 }
 
-/// Per-node durability report after a run (DESIGN.md §20): WAL/snapshot
-/// sizes, checkpoint and recovery counts, plus the system-wide wal.*
+/// Per-node durability report after a run (DESIGN.md §20): log, snapshot
+/// and reply-stream sizes, checkpoint and recovery counts, plus the system-wide wal.*
 /// counters and any migration-by-recovery relocations.  Durability comes
 /// from the config's `durable` line; a config without one reports every
 /// node as soft-state.
@@ -507,6 +507,7 @@ int cmd_wal(const std::string& input, const std::string& config_path,
                 const runtime::WalStats& s = n.wal()->stats();
                 os << ",\"log_bytes\":" << n.wal()->log().size()
                    << ",\"snapshot_bytes\":" << n.wal()->snapshot().size()
+                   << ",\"reply_bytes\":" << n.wal()->replies().size()
                    << ",\"records\":" << s.records << ",\"snapshots\":" << s.snapshots
                    << ",\"recoveries\":" << s.recoveries
                    << ",\"replayed\":" << s.replayed;
@@ -533,7 +534,8 @@ int cmd_wal(const std::string& input, const std::string& config_path,
                   << system.durability().snapshot_interval_us << "us)";
     std::cout << "\n"
               << std::left << std::setw(6) << "node" << std::right << std::setw(10)
-              << "log_B" << std::setw(12) << "snap_B" << std::setw(10) << "records"
+              << "log_B" << std::setw(12) << "snap_B" << std::setw(10) << "reply_B"
+              << std::setw(10) << "records"
               << std::setw(10) << "snaps" << std::setw(10) << "recov"
               << std::setw(10) << "replayed" << "  relocated\n";
     for (int k = 0; k < nodes; ++k) {
@@ -542,12 +544,13 @@ int cmd_wal(const std::string& input, const std::string& config_path,
         if (n.durable()) {
             const runtime::WalStats& s = n.wal()->stats();
             std::cout << std::setw(10) << n.wal()->log().size() << std::setw(12)
-                      << n.wal()->snapshot().size() << std::setw(10) << s.records
+                      << n.wal()->snapshot().size() << std::setw(10)
+                      << n.wal()->replies().size() << std::setw(10) << s.records
                       << std::setw(10) << s.snapshots << std::setw(10)
                       << s.recoveries << std::setw(10) << s.replayed;
         } else {
             std::cout << std::setw(10) << "-" << std::setw(12) << "-"
-                      << std::setw(10) << "-" << std::setw(10) << "-"
+                      << std::setw(10) << "-" << std::setw(10) << "-" << std::setw(10) << "-"
                       << std::setw(10) << "-" << std::setw(10) << "-";
         }
         if (const runtime::System::Relocation* rel =
