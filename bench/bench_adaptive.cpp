@@ -16,10 +16,11 @@
 //     invalidate consistency) and the read traffic leaves the wire;
 //   - headline: adaptation-on finishes strictly earlier and moves
 //     strictly fewer wire bytes than adaptation-off on the same seed,
-//     with identical per-call results — and the on-configuration runs
-//     twice to pin bit-for-bit determinism (same decisions at the same
-//     virtual times, same digests).
+//     with identical per-client result streams — and the on-configuration
+//     runs twice to pin bit-for-bit determinism (same decisions at the
+//     same virtual times, same digests).
 #include <cstdio>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -90,7 +91,11 @@ struct RunResult {
     std::uint64_t bytes_saved_est = 0;
     net::NodeId hot_home = -1;          // where Hot ended up
     std::vector<DecisionKey> decisions;
-    std::vector<std::int32_t> results;  // per-call returns, both classes
+    /// Each client node's returns in issue order, both classes.  Keyed by
+    /// client because adaptation moves virtual time, and with it how the
+    /// clients' calls interleave in host order; each client's own stream
+    /// is what moving an object must not change.
+    std::map<net::NodeId, std::vector<std::int32_t>> results;
     std::vector<runtime::WorkloadDriver::Window> windows;
     std::string traffic_matrix;
 };
@@ -124,12 +129,12 @@ RunResult run_workload(bool adapt) {
     runtime::WorkloadDriver driver(system);
     driver.set_window_us(kWindowUs);
     auto bump = [&r](runtime::System& sys, net::NodeId node) {
-        r.results.push_back(
+        r.results[node].push_back(
             sys.call_static(node, "Hot", "bump", "(I)I", {Value::of_int(1)})
                 .as_int());
     };
     auto read = [&r](runtime::System& sys, net::NodeId node) {
-        r.results.push_back(
+        r.results[node].push_back(
             sys.call_static(node, "Table", "lookup", "()I").as_int());
     };
 
@@ -281,8 +286,9 @@ int e14() {
         "expected shape: the controller migrates the write-heavy Hot singleton\n"
         "to each phase's dominant caller and replicates the read-mostly Table to\n"
         "its readers — adaptation-on finishes earlier and moves fewer wire bytes\n"
-        "than adaptation-off on the same seed, with identical per-call results\n"
-        "and a visible post-migration drop in the windowed wire-byte series.\n\n");
+        "than adaptation-off on the same seed, with identical per-client result\n"
+        "streams and a visible post-migration drop in the windowed wire-byte\n"
+        "series.\n\n");
     emit_summary();
     return 0;
 }

@@ -4,12 +4,11 @@
 // A fleet of RAFDA_SCALE_CLIENTS lightweight clients (default 10⁵) spread
 // over RAFDA_SCALE_NODES nodes (default 104: 4 server nodes + 100 client
 // nodes) each drives RAFDA_SCALE_TASKS Service.work calls against the
-// server tier, scheduled in VirtualClock fairness: the event heap always
-// runs the client earliest in virtual time, and SimNetwork completions
-// fold into the same order digest.  The sharded object directory
-// (RAFDA_SCALE_SHARDS shards, default 8) serves a resolution per client
-// node, so lookup traffic spreads over the ring instead of serializing
-// through one registry node.
+// server tier.  The event heap always runs the client earliest in virtual
+// time, and SimNetwork completions fold into the same order digest.  The
+// sharded object directory (RAFDA_SCALE_SHARDS shards, default 8) serves a
+// resolution per client node, so lookup traffic spreads over the ring
+// instead of serializing through one registry node.
 //
 // What the summary has to witness:
 //   * determinism — two full runs produce identical makespan, wire bytes
@@ -108,7 +107,6 @@ ScaleResult run_fleet(std::uint64_t clients, std::uint64_t total_nodes,
     }
 
     runtime::WorkloadDriver driver(system);
-    driver.set_fairness(runtime::WorkloadDriver::Fairness::VirtualClock);
     driver.add_fleet(client_nodes, clients, tasks_each,
                      [&services](runtime::System& sys, net::NodeId node) {
                          sys.node(node).interp().call_virtual(

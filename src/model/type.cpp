@@ -19,20 +19,6 @@ std::optional<Kind> primitive_kind(char c) {
 
 }  // namespace
 
-std::string_view kind_name(Kind k) {
-    switch (k) {
-        case Kind::Void: return "void";
-        case Kind::Bool: return "bool";
-        case Kind::Int: return "int";
-        case Kind::Long: return "long";
-        case Kind::Double: return "double";
-        case Kind::Str: return "string";
-        case Kind::Ref: return "ref";
-        case Kind::Arr: return "array";
-    }
-    return "?";
-}
-
 TypeDesc::TypeDesc(Kind kind) : kind_(kind) {
     if (kind == Kind::Ref) throw ParseError("reference type requires a class name", 0);
 }

@@ -23,9 +23,6 @@ namespace rafda::model {
 
 enum class Kind : std::uint8_t { Void, Bool, Int, Long, Double, Str, Ref, Arr };
 
-/// Returns a human-readable name ("int", "ref", ...) for diagnostics.
-std::string_view kind_name(Kind k);
-
 /// The innermost element of a (possibly nested) array type, or the type
 /// itself when it is no array.  The view points into the descriptor or
 /// TypeDesc it was read from.

@@ -129,8 +129,6 @@ void Registry::register_probe(const std::string& name,
     probes_[name] = std::move(fn);
 }
 
-void Registry::remove_probe(const std::string& name) { probes_.erase(name); }
-
 void Registry::remove_probes_with_prefix(const std::string& prefix) {
     for (auto it = probes_.lower_bound(prefix); it != probes_.end();) {
         if (it->first.compare(0, prefix.size(), prefix) != 0) break;

@@ -156,9 +156,8 @@ public:
     /// Registers a read-only probe sampled at snapshot() time, for state
     /// owned elsewhere (e.g. a VM's instruction counter).  Re-registering
     /// a name replaces the previous probe.  The callable must outlive the
-    /// registry or be removed with remove_probe.
+    /// registry or be removed with remove_probes_with_prefix.
     void register_probe(const std::string& name, std::function<std::int64_t()> fn);
-    void remove_probe(const std::string& name);
     /// Removes every probe whose name starts with `prefix`.
     void remove_probes_with_prefix(const std::string& prefix);
 

@@ -5,10 +5,9 @@
 // not a config-time decision but a control loop over runtime measurement.
 // This engine is that loop.  A periodic controller tick — scheduled by the
 // WorkloadDriver as an ordinary EventHeap event, so it is deterministic
-// from the seed and fairness-mode agnostic — samples windowed deltas of
-// the per-(class, src, dst) traffic matrix, the per-method latency
-// histograms and the per-link byte counters, then for every observed
-// class either:
+// from the seed — samples windowed deltas of the per-(class, src, dst)
+// traffic matrix, the per-method latency histograms and the per-link byte
+// counters, then for every observed class either:
 //
 //   * replicates — the window is read-mostly (read/write ratio >=
 //     `replicate_ratio`, classified against the original bytecode) and

@@ -41,7 +41,6 @@ void WorkloadDriver::add_fleet(std::vector<net::NodeId> nodes,
 WorkloadDriver::Report WorkloadDriver::run() {
     Report report;
     if (clients_.empty() && fleets_.empty()) return report;
-    const bool vclock = fairness_ == Fairness::VirtualClock;
 
     report.clients.reserve(clients_.size());
     for (Client& c : clients_) {
@@ -147,8 +146,7 @@ WorkloadDriver::Report WorkloadDriver::run() {
             c.node, burst, [&](std::size_t b) -> Task& { return c.tasks[c.next + b]; },
             c.faults, c.recovered);
         c.next += burst;
-        if (c.next < c.tasks.size())
-            heap.post(vclock ? clock : e.at_us + 1, c.node, e.kind, e.a);
+        if (c.next < c.tasks.size()) heap.post(clock, c.node, e.kind, e.a);
     });
 
     // Continuation: one burst for a fleet client.  `a` packs (fleet,
@@ -165,24 +163,15 @@ WorkloadDriver::Report WorkloadDriver::run() {
             fleet_recovered);
         fleet_tasks += burst;
         if (const std::uint64_t remaining = e.b - burst)
-            heap.post(vclock ? clock : e.at_us + 1, nid, e.kind, e.a, remaining);
+            heap.post(clock, nid, e.kind, e.a, remaining);
     });
 
-    // Kind 2 is reserved and never posted.  Network completions need no
-    // continuation — SimNetwork has fully accounted a transfer when its
-    // sink fires — so they fold into the digest below instead of riding
-    // the heap.  Event kinds are digested, so the slot keeps the heartbeat
-    // at kind 3 and RoundRobin digests (E14, E15) stable.
-    heap.register_handler([](const Event&) {});
-
     // Controller heartbeat for the adaptation engine (DESIGN.md §19): an
-    // ordinary heap event, so adaptation decisions sit at deterministic
-    // points of the same popped stream as client work in either fairness
-    // mode.  The engine's own interval gate decides whether a heartbeat
-    // becomes a tick, so the RoundRobin cadence (one heartbeat per round)
-    // and the VirtualClock cadence (one per interval) behave identically
-    // in watermark terms.  Never posted while adaptation is off — the
-    // event stream, digest and wire schedule stay byte-identical.
+    // ordinary heap event, one per interval, so adaptation decisions sit
+    // at deterministic points of the same popped stream as client work.
+    // The engine's own interval gate decides whether a heartbeat becomes
+    // a tick.  Never posted while adaptation is off — the event stream,
+    // digest and wire schedule stay byte-identical.
     const std::uint64_t adapt_interval =
         system_->adaptation_enabled()
             ? system_->adaptation()->policy().interval_us
@@ -193,68 +182,58 @@ WorkloadDriver::Report WorkloadDriver::run() {
     // that; once the last step has run the controller goes quiet.
     const std::uint32_t kAdaptTick = heap.register_handler([&](const Event& e) {
         system_->adaptation_tick();
-        if (!heap.empty())
-            heap.post(vclock ? e.at_us + adapt_interval : e.at_us + 1, e.node,
-                      e.kind);
+        if (!heap.empty()) heap.post(e.at_us + adapt_interval, e.node, e.kind);
     });
 
-    // Seed the heap: explicit clients in registration order, then fleet
-    // clients in index order.  In RoundRobin mode every initial event is
-    // at round 0 and the tie-break sequence reproduces the legacy
-    // client-iteration order exactly.
+    // Seed the heap at each client's clock: explicit clients in
+    // registration order, then fleet clients in index order (equal clocks
+    // tie-break in post order).
     for (std::size_t i = 0; i < clients_.size(); ++i) {
         if (clients_[i].tasks.empty()) continue;
-        heap.post(vclock ? system_->node(clients_[i].node).clock_us() : 0,
-                  clients_[i].node, kClientStep, i);
+        heap.post(system_->node(clients_[i].node).clock_us(), clients_[i].node,
+                  kClientStep, i);
     }
     for (std::size_t fi = 0; fi < fleets_.size(); ++fi) {
         Fleet& f = fleets_[fi];
         for (std::uint64_t ci = 0; ci < f.clients; ++ci) {
             const net::NodeId nid = f.nodes[ci % f.nodes.size()];
-            heap.post(vclock ? system_->node(nid).clock_us() : 0, nid,
-                      kFleetStep, (static_cast<std::uint64_t>(fi) << 32) | ci,
-                      f.tasks_each);
+            heap.post(system_->node(nid).clock_us(), nid, kFleetStep,
+                      (static_cast<std::uint64_t>(fi) << 32) | ci, f.tasks_each);
         }
     }
 
     if (adapt_interval)
-        heap.post(vclock ? system_->network().now_us() + adapt_interval : 1, 0,
-                  kAdaptTick);
+        heap.post(system_->network().now_us() + adapt_interval, 0, kAdaptTick);
 
-    // VirtualClock runs witness the network's own transfer stream in the
-    // order digest: each completion folds (src, dst) and (at_us,
-    // delivered) as it is sequenced, between the pops of the client steps
-    // that caused it.  Nothing is posted, so the heap never holds more
-    // than one event per live client plus the heartbeat.
-    if (vclock)
-        system_->network().set_completion_sink(
-            [&heap](net::NodeId src, net::NodeId dst, std::uint64_t at_us,
-                    bool delivered) {
-                heap.fold((static_cast<std::uint64_t>(
-                               static_cast<std::uint32_t>(src))
-                           << 32) |
-                          static_cast<std::uint32_t>(dst));
-                heap.fold((at_us << 1) | (delivered ? 1 : 0));
-            });
+    // The order digest witnesses the network's own transfer stream: each
+    // completion folds (src, dst) and (at_us, delivered) as it is
+    // sequenced, between the pops of the client steps that caused it.
+    // Nothing is posted, so the heap never holds more than one event per
+    // live client plus the heartbeat.  The sink refers to this frame's
+    // heap, so it is removed on every exit, exceptional ones included.
+    struct SinkReset {
+        net::SimNetwork& net;
+        ~SinkReset() { net.set_completion_sink(nullptr); }
+    } sink_reset{system_->network()};
+    system_->network().set_completion_sink(
+        [&heap](net::NodeId src, net::NodeId dst, std::uint64_t at_us,
+                bool delivered) {
+            heap.fold((static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
+                       << 32) |
+                      static_cast<std::uint32_t>(dst));
+            heap.fold((at_us << 1) | (delivered ? 1 : 0));
+        });
 
-    // Dispatch loop.  RoundRobin keys are round numbers: a popped key
-    // change is a round boundary, the legacy window-check point.
-    // VirtualClock keys are clocks; windows are checked after each burst.
-    // With durability on, the watermark sweep after each burst lets idle
+    // Dispatch loop; windows are checked after each burst.  With
+    // durability on, the watermark sweep after each burst lets idle
     // crashed nodes recover as soon as their window ends instead of
-    // waiting for the next request to land on them (DESIGN.md §20); the
-    // flag is hoisted so the legacy loop body is untouched when off.
+    // waiting for the next request to land on them (DESIGN.md §20).
     const bool durable = system_->durability_enabled();
-    std::uint64_t cur_key = 0;
     while (!heap.empty()) {
-        Event e = heap.pop();
-        if (!vclock && window_us_ && e.at_us != cur_key) close_whole_windows();
-        cur_key = e.at_us;
-        heap.dispatch(e);
+        heap.dispatch(heap.pop());
         if (durable) system_->observe_restarts();
-        if (vclock && window_us_) close_whole_windows();
+        if (window_us_) close_whole_windows();
     }
-    if (vclock) system_->network().set_completion_sink(nullptr);
     // Close the observation loop: backfill realized savings for decisions
     // from the final window (observe-only; the makespan is already set).
     if (adapt_interval) system_->adaptation_finalize();

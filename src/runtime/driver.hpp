@@ -13,26 +13,17 @@
 //
 // Scheduling is a single EventHeap: every pending client is one POD event
 // (its continuation is "run the next burst"), so 10⁵–10⁶ clients cost
-// O(bytes per pending event), not O(queues × stack).  Two fairness modes
-// pick the event key:
+// O(bytes per pending event), not O(queues × stack).  The event key is
+// the client node's clock, so the next client to run is always the one
+// earliest in virtual time (equal clocks run in post order) — the
+// event-driven order of a discrete-event simulator.  SimNetwork transfer
+// completions fold into the heap's order digest as they are sequenced, so
+// the digest witnesses network and client work on one timeline while the
+// heap holds only client steps (and the adaptation heartbeat).
 //
-//  - RoundRobin (default): the key is the client's completed-burst count,
-//    so the heap dispatches exactly the legacy round-robin interleaving —
-//    one invocation per client per round, clients in registration order
-//    within a round (the tie-break sequence preserves post order).  Legacy
-//    workloads are a *degenerate event order* of the new scheduler, which
-//    is why every pre-refactor bench JSON stays byte-identical.
-//  - VirtualClock: the key is the client node's clock, so the next client
-//    to run is always the one earliest in virtual time — the event-driven
-//    order a discrete-event simulator wants at scale, and the mode
-//    bench_scale (E13) runs.  SimNetwork transfer completions fold into
-//    the heap's order digest as they are sequenced, so the digest
-//    witnesses network and client work on one timeline while the heap
-//    holds only client steps (and the adaptation heartbeat).
-//
-// Either way the dispatch order is a pure function of the workload and
-// the network seed — runs are bit-for-bit reproducible, and the heap's
-// order digest makes that checkable in one comparison.
+// The dispatch order is a pure function of the workload and the network
+// seed — runs are bit-for-bit reproducible, and the heap's order digest
+// makes that checkable in one comparison.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +44,9 @@ public:
     /// one client's fault must not kill the whole workload.
     using Task = std::function<void(System&, net::NodeId)>;
 
-    /// Event-key policy; see the header comment.
-    enum class Fairness { RoundRobin, VirtualClock };
+    /// Virtual-time order is the only dispatch order; this one-value enum
+    /// and set_fairness() remain for existing callers and do nothing.
+    enum class Fairness { VirtualClock };
 
     explicit WorkloadDriver(System& system) : system_(&system) {}
 
@@ -123,13 +115,13 @@ public:
 
     /// Enables time-windowed deltas: while running, every `w` µs of
     /// virtual time closes a Window snapshot of the RPC counters.  0 (the
-    /// default) disables windowing.  Window boundaries are checked at
-    /// round boundaries (RoundRobin) or after each burst (VirtualClock),
-    /// so a window closes at the first such edge past it — deterministic,
+    /// default) disables windowing.  Boundaries are checked against the
+    /// network's watermark after each burst, so a window closes after the
+    /// first burst that carries the watermark past it — deterministic,
     /// since the dispatch order is.
     void set_window_us(std::uint64_t w) { window_us_ = w; }
 
-    /// Client pipelining (DESIGN.md §17): each round a client issues up
+    /// Client pipelining (DESIGN.md §17): each step a client issues up
     /// to `depth` consecutive invocations in node pipeline mode — reply
     /// waits are deferred to the end of the burst, so successive requests
     /// stream onto the link while it is still busy (the workload shape
@@ -142,10 +134,7 @@ public:
         pipeline_depth_ = depth ? depth : 1;
     }
 
-    /// Selects the event-key policy for subsequent run() calls.  The
-    /// default, RoundRobin, reproduces the legacy interleaving exactly.
-    void set_fairness(Fairness f) { fairness_ = f; }
-    Fairness fairness() const noexcept { return fairness_; }
+    void set_fairness(Fairness) {}
 
     /// Runs every queue to exhaustion through the event heap.  Can be
     /// called again after queueing more work; clocks carry over (virtual
@@ -172,7 +161,6 @@ private:
     std::vector<Fleet> fleets_;
     std::uint64_t window_us_ = 0;
     std::size_t pipeline_depth_ = 1;
-    Fairness fairness_ = Fairness::RoundRobin;
 };
 
 }  // namespace rafda::runtime

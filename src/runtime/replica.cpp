@@ -132,12 +132,4 @@ ReplicaManager::primaries_of_class(const std::string& cls) const {
     return out;
 }
 
-void ReplicaManager::visit(
-    net::NodeId primary_node, std::uint64_t primary_oid,
-    const std::function<void(const Replica&)>& fn) const {
-    auto it = entries_.find({primary_node, primary_oid});
-    if (it == entries_.end()) return;
-    for (const auto& [_, r] : it->second.copies) fn(r);
-}
-
 }  // namespace rafda::runtime

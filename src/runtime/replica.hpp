@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -83,10 +82,6 @@ public:
     /// just got a raw reference to the singleton of cls" through this.
     std::vector<std::pair<net::NodeId, std::uint64_t>> primaries_of_class(
         const std::string& cls) const;
-
-    /// Copies of one primary in reader order (for tests and `rafdac adapt`).
-    void visit(net::NodeId primary_node, std::uint64_t primary_oid,
-               const std::function<void(const Replica&)>& fn) const;
 
 private:
     bool method_is_readonly_rec(const std::string& cls, const std::string& method,

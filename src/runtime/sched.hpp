@@ -72,7 +72,7 @@ public:
     void fold(std::uint64_t word) noexcept;
 
     /// Pops and returns the minimum (at_us, seq) event without dispatching
-    /// it (the driver's loop wants control between pop and handle).
+    /// it (the driver's loop wants control between events).
     Event pop();
 
     /// Invokes the registered handler for a popped event.

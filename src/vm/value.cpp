@@ -10,15 +10,6 @@ void Value::throw_bad_tag(const char* want) const {
     throw VmError(std::string("value is not ") + want + " (got " + display() + ")");
 }
 
-model::Kind Value::kind() const {
-    if (is_null() || is_ref()) return model::Kind::Ref;
-    if (is_bool()) return model::Kind::Bool;
-    if (is_int()) return model::Kind::Int;
-    if (is_long()) return model::Kind::Long;
-    if (is_double()) return model::Kind::Double;
-    return model::Kind::Str;
-}
-
 std::string Value::display() const {
     if (is_null()) return "null";
     if (is_bool()) return as_bool() ? "true" : "false";

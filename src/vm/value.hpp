@@ -151,10 +151,6 @@ public:
         throw_bad_tag("numeric");
     }
 
-    /// Kind of this value in descriptor terms; Ref for references,
-    /// Void never occurs.
-    model::Kind kind() const;
-
     /// Human-readable rendering (used by Concat and by guest printing).
     std::string display() const;
 

@@ -315,7 +315,6 @@ TEST(WorkloadDriver, FleetClientsAggregateIntoTotals) {
         services[static_cast<std::size_t>(n)] = system.construct(n, "Service", "()V");
 
     WorkloadDriver driver(system);
-    driver.set_fairness(WorkloadDriver::Fairness::VirtualClock);
     driver.add_fleet(client_nodes, /*clients=*/10, /*tasks_each=*/4,
                      [&services](System& sys, net::NodeId node) {
                          sys.node(node).interp().call_virtual(
@@ -329,7 +328,7 @@ TEST(WorkloadDriver, FleetClientsAggregateIntoTotals) {
     EXPECT_EQ(report.fleet_clients, 10u);
     EXPECT_EQ(report.tasks_run, 40u);
     EXPECT_TRUE(report.clients.empty());
-    // VirtualClock dispatches exactly one step event per task: network
+    // The driver dispatches exactly one step event per task: network
     // completions fold into the digest without entering the heap.
     EXPECT_EQ(report.events_dispatched, 40u);
     EXPECT_GT(report.peak_pending_events, 0u);
@@ -341,7 +340,7 @@ TEST(WorkloadDriver, FleetClientsAggregateIntoTotals) {
 }
 
 TEST(WorkloadDriver, VirtualClockAdaptationHeartbeatStopsWithTheLastStep) {
-    // The adaptation heartbeat rides the VirtualClock heap beside the
+    // The adaptation heartbeat rides the event heap beside the
     // client steps and re-posts only while a step is pending.  Pins the
     // tick count, the heartbeat count and every decision of one seeded
     // run: a hot singleton on node 0, called only from node 1.
@@ -374,7 +373,6 @@ class Counter {
     system.enable_adaptation(policy);
 
     WorkloadDriver driver(system);
-    driver.set_fairness(WorkloadDriver::Fairness::VirtualClock);
     auto bump = [](System& sys, net::NodeId node) {
         sys.call_static(node, "Counter", "bump", "(I)I", {Value::of_int(1)});
     };
@@ -409,12 +407,12 @@ class Counter {
 
 TEST(WorkloadDriver, EventOrderDigestIsReproducible) {
     // Same seed, same workload ⇒ the popped event stream folds to the same
-    // digest in both fairness modes — the one-word determinism witness the
-    // scale bench gates on.  (Runs under any RAFDA_TRANSFORM_THREADS or
-    // ctest -j: host parallelism only affects the transform pipeline,
-    // never the virtual-time schedule.)
+    // digest — the one-word determinism witness the scale bench gates on.
+    // (Runs under any RAFDA_TRANSFORM_THREADS or ctest -j: host
+    // parallelism only affects the transform pipeline, never the
+    // virtual-time schedule.)
     model::ClassPool pool = make_pool();
-    auto once = [&pool](WorkloadDriver::Fairness fairness) {
+    auto once = [&pool] {
         System system(pool);
         system.add_node();
         std::vector<net::NodeId> client_nodes;
@@ -428,7 +426,6 @@ TEST(WorkloadDriver, EventOrderDigestIsReproducible) {
             services[static_cast<std::size_t>(n)] =
                 system.construct(n, "Service", "()V");
         WorkloadDriver driver(system);
-        driver.set_fairness(fairness);
         driver.add_fleet(client_nodes, 12, 3,
                          [&services](System& sys, net::NodeId node) {
                              sys.node(node).interp().call_virtual(
@@ -439,37 +436,51 @@ TEST(WorkloadDriver, EventOrderDigestIsReproducible) {
         return std::tuple{r.event_order_digest, r.makespan_us, r.tasks_run,
                           system.network().total_stats().bytes};
     };
-    EXPECT_EQ(once(WorkloadDriver::Fairness::RoundRobin),
-              once(WorkloadDriver::Fairness::RoundRobin));
-    EXPECT_EQ(once(WorkloadDriver::Fairness::VirtualClock),
-              once(WorkloadDriver::Fairness::VirtualClock));
+    EXPECT_EQ(once(), once());
 }
 
-TEST(WorkloadDriver, FairnessModesAgreeOnOutcomesNotOrder) {
-    // Both modes run the same tasks to completion; only the interleaving
-    // (and therefore the latency shape) may differ.
+TEST(WorkloadDriver, DispatchFollowsVirtualTime) {
+    // Four clients on 20/110/200/290 µs links to one server: the fast
+    // client finishes a call long before the slow ones, so round order
+    // and virtual-time order differ.  Every task must start no earlier in
+    // virtual time than the task dispatched before it, and the run must
+    // do exactly the work of the clients run one after another.
     model::ClassPool pool = make_pool();
-    auto totals = [&pool](WorkloadDriver::Fairness fairness) {
-        System system(pool);
-        WorkloadDriver::Report r;
+    constexpr int kCalls = 8;
+    const std::uint64_t latencies[] = {20, 110, 200, 290};
+
+    System system(pool);
+    system.add_node();  // server
+    for (int k = 1; k <= 4; ++k) {
         system.add_node();
-        for (int k = 1; k <= 4; ++k) system.add_node();
-        system.policy().set_instance_home("Service", 0, "RMI");
-        WorkloadDriver driver(system);
-        driver.set_fairness(fairness);
-        for (int k = 1; k <= 4; ++k) {
-            const auto client = static_cast<net::NodeId>(k);
-            Value svc = system.construct(client, "Service", "()V");
-            driver.add_client(client, 8, [svc](System& sys, net::NodeId node) {
-                sys.node(node).interp().call_virtual(svc, "work", "(J)J",
-                                                     {Value::of_long(7)});
-            });
-        }
-        r = driver.run();
-        return std::pair{r.tasks_run, r.faults};
-    };
-    EXPECT_EQ(totals(WorkloadDriver::Fairness::RoundRobin),
-              totals(WorkloadDriver::Fairness::VirtualClock));
+        const auto client = static_cast<net::NodeId>(k);
+        const net::LinkParams link{latencies[k - 1], 125.0, 0.0};
+        system.network().set_link(client, 0, link);
+        system.network().set_link(0, client, link);
+    }
+    system.policy().set_instance_home("Service", 0, "RMI");
+    WorkloadDriver driver(system);
+    std::vector<std::uint64_t> starts;
+    for (int k = 1; k <= 4; ++k) {
+        const auto client = static_cast<net::NodeId>(k);
+        Value svc = system.construct(client, "Service", "()V");
+        driver.add_client(client, kCalls,
+                          [svc, &starts](System& sys, net::NodeId node) {
+                              starts.push_back(sys.node(node).clock_us());
+                              sys.node(node).interp().call_virtual(
+                                  svc, "work", "(J)J", {Value::of_long(7)});
+                          });
+    }
+    WorkloadDriver::Report r = driver.run();
+
+    ASSERT_EQ(starts.size(), 4u * kCalls);
+    for (std::size_t i = 1; i < starts.size(); ++i)
+        EXPECT_LE(starts[i - 1], starts[i]) << "task " << i;
+
+    // The clients run one after another would complete every task
+    // without a fault; the interleaving must not change that.
+    EXPECT_EQ(r.tasks_run, 4u * kCalls);
+    EXPECT_EQ(r.faults, 0u);
 }
 
 TEST(WorkloadDriver, MatrixCapOverflowPreservesTotals) {

@@ -696,7 +696,7 @@ EngineOutcome run_engine_workload(bool durable) {
     // The crash opens after the warm-up and closes before the Service
     // client's traffic runs out: no dispatched call ever straddles the
     // window, so the client's small steps (and the controller heartbeats
-    // interleaved with them on the VirtualClock timeline) carry virtual
+    // interleaved with them on the same virtual timeline) carry virtual
     // time *through* the window instead of one stalled retry loop
     // dragging it across in a single dispatch.  The first heartbeat fires
     // at t_start + interval, inside the window by construction.
@@ -710,7 +710,6 @@ EngineOutcome run_engine_workload(bool durable) {
     system.network().fault_plan().add(w);
 
     WorkloadDriver driver(system);
-    driver.set_fairness(WorkloadDriver::Fairness::VirtualClock);
     // Node 2: 40 Service calls span the whole window, then 12 more bumps
     // land after the in-window recovery has moved Counter off node 0 —
     // exactly-once across the relocation means all 20 bumps count once.
