@@ -113,8 +113,9 @@ int main() {
     std::cout << "window 1 (everything on node 2, callers on node 0): " << before
               << "us\n\n";
 
-    // One forced tick: the controller scores the window just observed.
-    system.adaptation_tick(/*force=*/true);
+    // One tick, at the web tier's clock: the controller scores the window
+    // just observed.
+    engine.tick(system.node(0).clock_us());
     std::cout << "controller decisions:\n";
     for (const runtime::AdaptDecision& d : engine.decisions())
         std::cout << "  " << runtime::adapt_action_name(d.action) << " " << d.cls

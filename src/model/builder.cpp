@@ -40,7 +40,6 @@ CodeBuilder& CodeBuilder::branch(Op op, Label label) {
 
 CodeBuilder& CodeBuilder::go(Label label) { return branch(Op::Goto, label); }
 CodeBuilder& CodeBuilder::if_true(Label label) { return branch(Op::IfTrue, label); }
-CodeBuilder& CodeBuilder::if_false(Label label) { return branch(Op::IfFalse, label); }
 
 CodeBuilder& CodeBuilder::handler(Label from, Label to, Label target,
                                   std::string class_name) {

@@ -28,7 +28,6 @@ public:
     CodeBuilder& const_bool(bool v) { return op(ins::const_bool(v)); }
     CodeBuilder& const_int(std::int32_t v) { return op(ins::const_int(v)); }
     CodeBuilder& const_long(std::int64_t v) { return op(ins::const_long(v)); }
-    CodeBuilder& const_double(double v) { return op(ins::const_double(v)); }
     CodeBuilder& const_str(std::string v) { return op(ins::const_str(std::move(v))); }
     CodeBuilder& load(int slot) { return op(ins::load(slot)); }
     CodeBuilder& store(int slot) { return op(ins::store(slot)); }
@@ -36,11 +35,8 @@ public:
     CodeBuilder& pop() { return op(ins::pop()); }
     CodeBuilder& swap() { return op(ins::swap()); }
     CodeBuilder& add() { return op(ins::add()); }
-    CodeBuilder& sub() { return op(ins::sub()); }
     CodeBuilder& mul() { return op(ins::mul()); }
-    CodeBuilder& div() { return op(ins::div()); }
     CodeBuilder& rem() { return op(ins::rem()); }
-    CodeBuilder& neg() { return op(ins::neg()); }
     CodeBuilder& cmp(Op cmp_op) { return op(ins::cmp(cmp_op)); }
     CodeBuilder& conv(Kind target) { return op(ins::conv(target)); }
     CodeBuilder& concat() { return op(ins::concat()); }
@@ -71,11 +67,9 @@ public:
     }
     CodeBuilder& ret() { return op(ins::ret()); }
     CodeBuilder& ret_value() { return op(ins::ret_value()); }
-    CodeBuilder& throw_() { return op(ins::throw_()); }
     CodeBuilder& new_array(const TypeDesc& elem) { return op(ins::new_array(elem)); }
     CodeBuilder& aload() { return op(ins::aload()); }
     CodeBuilder& astore() { return op(ins::astore()); }
-    CodeBuilder& alen() { return op(ins::alen()); }
 
     /// Creates a fresh, unbound label.
     Label new_label();
@@ -83,7 +77,6 @@ public:
     CodeBuilder& bind(Label label);
     CodeBuilder& go(Label label);
     CodeBuilder& if_true(Label label);
-    CodeBuilder& if_false(Label label);
 
     /// Registers a try/catch over [from, to) labels.
     CodeBuilder& handler(Label from, Label to, Label target, std::string class_name);

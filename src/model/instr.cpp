@@ -148,12 +148,6 @@ Instruction const_long(std::int64_t v) {
     return i;
 }
 
-Instruction const_double(double v) {
-    Instruction i = simple(Op::Const);
-    i.k = v;
-    return i;
-}
-
 Instruction const_str(std::string v) {
     Instruction i = simple(Op::Const);
     i.k = std::move(v);
@@ -176,11 +170,8 @@ Instruction dup() { return simple(Op::Dup); }
 Instruction pop() { return simple(Op::Pop); }
 Instruction swap() { return simple(Op::Swap); }
 Instruction add() { return simple(Op::Add); }
-Instruction sub() { return simple(Op::Sub); }
 Instruction mul() { return simple(Op::Mul); }
-Instruction div() { return simple(Op::Div); }
 Instruction rem() { return simple(Op::Rem); }
-Instruction neg() { return simple(Op::Neg); }
 
 Instruction cmp(Op cmp_op) { return simple(cmp_op); }
 
@@ -200,12 +191,6 @@ Instruction go(int target) {
 
 Instruction if_true(int target) {
     Instruction i = simple(Op::IfTrue);
-    i.a = target;
-    return i;
-}
-
-Instruction if_false(int target) {
-    Instruction i = simple(Op::IfFalse);
     i.a = target;
     return i;
 }
@@ -250,7 +235,6 @@ Instruction invoke_special(std::string owner, std::string member, const MethodSi
 
 Instruction ret() { return simple(Op::Return); }
 Instruction ret_value() { return simple(Op::ReturnValue); }
-Instruction throw_() { return simple(Op::Throw); }
 
 Instruction new_array(const TypeDesc& elem) {
     Instruction i = simple(Op::NewArray);
@@ -260,7 +244,6 @@ Instruction new_array(const TypeDesc& elem) {
 
 Instruction aload() { return simple(Op::ALoad); }
 Instruction astore() { return simple(Op::AStore); }
-Instruction alen() { return simple(Op::ALen); }
 
 }  // namespace ins
 

@@ -103,7 +103,6 @@ Instruction const_null();
 Instruction const_bool(bool v);
 Instruction const_int(std::int32_t v);
 Instruction const_long(std::int64_t v);
-Instruction const_double(double v);
 Instruction const_str(std::string v);
 Instruction load(int slot);
 Instruction store(int slot);
@@ -111,17 +110,13 @@ Instruction dup();
 Instruction pop();
 Instruction swap();
 Instruction add();
-Instruction sub();
 Instruction mul();
-Instruction div();
 Instruction rem();
-Instruction neg();
 Instruction cmp(Op cmp_op);
 Instruction conv(Kind target);
 Instruction concat();
 Instruction go(int target);
 Instruction if_true(int target);
-Instruction if_false(int target);
 Instruction new_(std::string owner);
 Instruction get_field(std::string owner, std::string member, const TypeDesc& type);
 Instruction put_field(std::string owner, std::string member, const TypeDesc& type);
@@ -133,11 +128,9 @@ Instruction invoke_static(std::string owner, std::string member, const MethodSig
 Instruction invoke_special(std::string owner, std::string member, const MethodSig& sig);
 Instruction ret();
 Instruction ret_value();
-Instruction throw_();
 Instruction new_array(const TypeDesc& elem);
 Instruction aload();
 Instruction astore();
-Instruction alen();
 
 }  // namespace ins
 

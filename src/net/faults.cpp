@@ -56,15 +56,6 @@ std::uint64_t FaultPlan::restarts_before(NodeId node, std::uint64_t t) const {
     return restarts;
 }
 
-void FaultPlan::notify_restarts(NodeId node, std::uint64_t t) const {
-    if (!on_restart_) return;
-    const std::uint64_t restarts = restarts_before(node, t);
-    std::uint64_t& seen = notified_restarts_[node];
-    if (restarts <= seen) return;
-    seen = restarts;
-    on_restart_(node, restarts, t);
-}
-
 void FaultPlan::visit(const std::function<void(const FaultWindow&)>& fn) const {
     for (const FaultWindow& w : windows_) fn(w);
 }

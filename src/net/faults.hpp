@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -77,32 +76,16 @@ public:
 
     /// Number of NodeCrash windows for `node` that have *ended* at or
     /// before `t` — i.e. how many restarts the node has been through.
-    /// Monotone in `t`, so a callee can detect "I restarted since my last
-    /// request" by comparing against a remembered value.
+    /// Monotone in `t`, so a node detects "I restarted since I last
+    /// looked" by comparing against the count it remembers
+    /// (Node::apply_restarts, DESIGN.md §20).
     std::uint64_t restarts_before(NodeId node, std::uint64_t t) const;
-
-    /// Restart observation callback: `fn(node, restarts, t_us)` fires from
-    /// notify_restarts whenever the restart count observed for a node
-    /// increases.  The runtime installs the node-recovery hook here so
-    /// restart detection stays pull-based (no event is scheduled for the
-    /// window edge itself) but flows through one seam.
-    using RestartCallback =
-        std::function<void(NodeId, std::uint64_t restarts, std::uint64_t t_us)>;
-    void set_restart_callback(RestartCallback fn) { on_restart_ = std::move(fn); }
-
-    /// Computes restarts_before(node, t) and fires the restart callback if
-    /// the count rose since the last notification for `node`.  Const —
-    /// observation must stay legal anywhere the plan is visible — with the
-    /// last-notified memo mutable for exactly that reason.
-    void notify_restarts(NodeId node, std::uint64_t t) const;
 
     /// Windows in insertion order, for tables and exports.
     void visit(const std::function<void(const FaultWindow&)>& fn) const;
 
 private:
     std::vector<FaultWindow> windows_;
-    RestartCallback on_restart_;
-    mutable std::map<NodeId, std::uint64_t> notified_restarts_;
 };
 
 /// Human-readable name of a fault kind ("down", "flap", "drop", "crash").

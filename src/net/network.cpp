@@ -101,13 +101,13 @@ Delivery SimNetwork::sequence_transfer(NodeId src, NodeId dst, std::size_t size,
         const std::uint64_t fail_at = depart + params.latency_us;
         stats.busy_us += fail_at - depart;
         busy_until = fail_at;
-        observe(fail_at);
+        horizon_us_ = std::max(horizon_us_, fail_at);
         if (metrics) {
             metrics->drops->add();
             metrics->busy_us->add(params.latency_us);
             metrics->utilization_ppm->set(static_cast<std::int64_t>(
                 stats.busy_us * 1'000'000 /
-                std::max<std::uint64_t>(1, clock_us_ - stats_epoch_us_)));
+                std::max<std::uint64_t>(1, horizon_us_ - stats_epoch_us_)));
         }
         if (completion_sink_) completion_sink_(src, dst, fail_at, false);
         return Delivery{false, fail_at, coalesce};
@@ -128,7 +128,7 @@ Delivery SimNetwork::sequence_transfer(NodeId src, NodeId dst, std::size_t size,
         static_cast<std::uint64_t>(std::llround(serialization));
     stats.busy_us += arrival - depart;
     busy_until = arrival;
-    observe(arrival);
+    horizon_us_ = std::max(horizon_us_, arrival);
     if (metrics) {
         if (coalesce)
             metrics->coalesced->add();
@@ -138,7 +138,7 @@ Delivery SimNetwork::sequence_transfer(NodeId src, NodeId dst, std::size_t size,
         metrics->busy_us->add(arrival - depart);
         metrics->utilization_ppm->set(static_cast<std::int64_t>(
             stats.busy_us * 1'000'000 /
-            std::max<std::uint64_t>(1, clock_us_ - stats_epoch_us_)));
+            std::max<std::uint64_t>(1, horizon_us_ - stats_epoch_us_)));
     }
     if (completion_sink_) completion_sink_(src, dst, arrival, true);
     return Delivery{true, arrival, coalesce};
@@ -190,7 +190,7 @@ void SimNetwork::reset_stats() {
     // growing from t=0 and post-reset utilization is biased toward zero.
     // busy_until is left alone: channel occupancy is physical link state,
     // so a message in flight still blocks the link across a reset.
-    stats_epoch_us_ = clock_us_;
+    stats_epoch_us_ = horizon_us_;
     for (auto& [_, l] : links_) {
         l.stats = LinkStats{};
         // Keep the registry mirrors in step: they are cumulative shadows

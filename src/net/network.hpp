@@ -11,11 +11,11 @@
 // Each directed link is a channel that can carry one message at a time, so
 // contending transfers queue behind `busy_until` instead of being free —
 // this is what makes a multi-client workload exhibit real contention
-// (DESIGN.md §13).  `now_us()` is the global watermark: the latest event
-// completion observed anywhere, which for a single sequential caller
-// reduces exactly to the old single-global-clock behaviour.  Fault
-// injection drops messages deterministically from a seeded PRNG, so
-// experiments are exactly reproducible.
+// (DESIGN.md §13).  The network keeps no clock of its own: each node's
+// clock stamps its own work, and `now_us()` is only the network's horizon,
+// the latest completion it has sequenced, for utilization denominators and
+// reports.  Fault injection drops messages deterministically from a seeded
+// PRNG, so experiments are exactly reproducible.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +76,9 @@ public:
 
     /// Sequences one transfer of `size` bytes sent at `send_us` on the
     /// sender's clock: the message departs when the link frees up, the
-    /// link stays busy until the arrival time, and the global watermark
-    /// advances to the returned event time.  Drops (fault injection) still
-    /// occupy the link for the propagation delay.
+    /// link stays busy until the arrival time, and the horizon advances to
+    /// the returned event time.  Drops (fault injection) still occupy the
+    /// link for the propagation delay.
     Delivery transfer_at(NodeId src, NodeId dst, std::size_t size,
                          std::uint64_t send_us);
 
@@ -95,15 +95,11 @@ public:
     Delivery transfer_coalesced_at(NodeId src, NodeId dst, std::size_t size,
                                    std::uint64_t send_us);
 
-    /// Pulls the global watermark up to `t` (no-op when already past):
-    /// how per-node clock advances become visible to `now_us()`.
-    void observe(std::uint64_t t) noexcept {
-        if (t > clock_us_) clock_us_ = t;
-    }
-
-    /// Global virtual-time watermark: the latest event completion observed
-    /// anywhere in the system.
-    std::uint64_t now_us() const noexcept { return clock_us_; }
+    /// The network's horizon: the latest completion (arrival, or loss
+    /// point) it has sequenced.  Utilization denominators and reports read
+    /// it; no runtime decision does — a node's clock or the driver's event
+    /// time is "now" for those (DESIGN.md §13).
+    std::uint64_t now_us() const noexcept { return horizon_us_; }
 
     /// Time until which the directed link is occupied (0 = never used).
     std::uint64_t link_busy_until(NodeId src, NodeId dst) const;
@@ -117,7 +113,7 @@ public:
     /// reset_stats(), in (src, dst) order, for tables and exports.
     void visit_links(
         const std::function<void(NodeId, NodeId, const LinkStats&)>& fn) const;
-    /// Clears per-link stats and marks the current watermark as the new
+    /// Clears per-link stats and marks the current horizon as the new
     /// epoch for utilization_ppm, so post-reset utilization is busy time
     /// over time *since the reset* rather than since t=0.  Channel
     /// occupancy (`busy_until`) deliberately survives: it is physical
@@ -149,9 +145,9 @@ public:
     /// Pass nullptr to detach; the journal must outlive the network.
     void attach_journal(obs::Journal* journal) { journal_ = journal; }
 
-    /// Watermark value at the last reset_stats(): the epoch the
+    /// Horizon value at the last reset_stats(): the epoch the
     /// utilization_ppm denominators — and, via System::reset_stats(), the
-    /// journal and windowed-delta epochs — measure from.
+    /// journal — measure from.
     std::uint64_t stats_epoch_us() const noexcept { return stats_epoch_us_; }
 
     /// Publishes each sequenced transfer's completion (arrival when
@@ -221,8 +217,9 @@ private:
     std::unordered_map<std::uint64_t, Link> links_;
     obs::Registry* registry_ = nullptr;
     obs::Journal* journal_ = nullptr;
-    std::uint64_t clock_us_ = 0;
-    /// Watermark value at the last reset_stats(); utilization_ppm
+    /// Latest completion sequenced (now_us()).
+    std::uint64_t horizon_us_ = 0;
+    /// Horizon value at the last reset_stats(); utilization_ppm
     /// denominators measure elapsed time from here.
     std::uint64_t stats_epoch_us_ = 0;
     std::uint64_t seed_;

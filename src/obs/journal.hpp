@@ -110,9 +110,10 @@ public:
     /// Events lost off the back of the ring.
     std::uint64_t overwritten() const noexcept { return total_ - size_; }
 
-    /// Virtual time the current observation window started: 0 at birth,
-    /// reset_stats() rebases it to the watermark so journal contents and
-    /// utilization denominators describe the same window (DESIGN.md §16).
+    /// Virtual time the current observation window started: 0 at birth;
+    /// System::reset_stats() rebases it to the network's stats epoch, so
+    /// journal contents and utilization denominators describe the same
+    /// window (DESIGN.md §16).
     std::uint64_t epoch_us() const noexcept { return epoch_us_; }
 
     /// Drops every event and starts a new observation window at `epoch`.

@@ -35,9 +35,6 @@ const char* adapt_action_name(AdaptDecision::Action a) {
 
 AdaptationEngine::AdaptationEngine(System& system, AdaptPolicy policy)
     : system_(&system), policy_(policy) {
-    // First tick is due one interval in: the controller needs a window of
-    // observation before it can score anything.
-    next_due_ = system_->network().now_us() + policy_.interval_us;
     obs::Registry& reg = system_->metrics();
     decisions_ctr_ = &reg.counter("adapt.decisions");
     migrations_ctr_ = &reg.counter("adapt.migrations");
@@ -290,9 +287,7 @@ void AdaptationEngine::decide_class(
              " (projected window saving ", rec.projected_saved_bytes, " bytes)");
 }
 
-bool AdaptationEngine::tick(std::uint64_t now_us, bool force) {
-    if (!force && now_us < next_due_) return false;
-    next_due_ = now_us + policy_.interval_us;
+void AdaptationEngine::tick(std::uint64_t now_us) {
     ++ticks_;
 
     std::map<std::string, ClassWindow> windows;
@@ -301,7 +296,6 @@ bool AdaptationEngine::tick(std::uint64_t now_us, bool force) {
     backfill_realized(windows);
     for (const auto& [cls, w] : windows)
         decide_class(cls, w, link_bytes, now_us);
-    return true;
 }
 
 void AdaptationEngine::finalize() {

@@ -82,7 +82,7 @@ struct AdaptDecision {
     };
 
     std::uint64_t seq = 0;   // decision order, 1-based
-    std::uint64_t t_us = 0;  // watermark at the tick that decided
+    std::uint64_t t_us = 0;  // the tick's time (the heartbeat event's)
     std::string cls;
     Action action = Action::Migrate;
     net::NodeId from = 0;
@@ -106,11 +106,11 @@ public:
 
     const AdaptPolicy& policy() const noexcept { return policy_; }
 
-    /// One controller tick at watermark `now_us`.  Gated on the interval
-    /// (`now_us >= next_due`) unless `force`; returns true when the tick
-    /// ran.  Safe to call from any scheduler — the gate makes calling
-    /// cadence irrelevant to behaviour.
-    bool tick(std::uint64_t now_us, bool force = false);
+    /// One controller tick, deciding at virtual time `now_us`: samples the
+    /// windows since the last tick and acts on them.  Every call is a
+    /// tick; the caller owns the cadence (the WorkloadDriver's heartbeat
+    /// event, one per `interval_us`) and passes the clock it decides at.
+    void tick(std::uint64_t now_us);
 
     /// Closes the observation loop without acting: backfills realized
     /// savings for decisions still pending.  The driver calls this once
@@ -171,7 +171,6 @@ private:
 
     System* system_;
     AdaptPolicy policy_;
-    std::uint64_t next_due_ = 0;
     std::uint64_t ticks_ = 0;
     std::vector<AdaptDecision> decisions_;
     std::vector<std::size_t> pending_;  // indices awaiting realized backfill

@@ -64,33 +64,18 @@ WorkloadDriver::Report WorkloadDriver::run() {
     // task alone).
     obs::Counter& retries = system_->metrics().counter("rpc.retries");
 
-    // Cumulative RPC counters across all protocols, for window deltas.
-    std::uint64_t window_start = system_->network().now_us();
-    auto [win_calls, win_bytes] =
-        window_us_ ? system_->rpc_totals() : System::RpcTotals{};
-    std::uint64_t win_tasks_done = 0;
-    std::uint64_t tasks_done = 0;
-    auto close_window = [&](std::uint64_t end) {
-        const auto [calls, bytes] = system_->rpc_totals();
-        Window w;
-        w.start_us = window_start;
-        w.end_us = end;
-        w.tasks = tasks_done - win_tasks_done;
-        // A reset_stats() mid-run rewinds the cumulative counters; clamp
-        // the delta instead of underflowing and re-anchor the baseline.
-        w.rpc_calls = calls >= win_calls ? calls - win_calls : calls;
-        w.wire_bytes = bytes >= win_bytes ? bytes - win_bytes : bytes;
-        report.windows.push_back(w);
-        window_start = end;
-        win_calls = calls;
-        win_bytes = bytes;
-        win_tasks_done = tasks_done;
-    };
-    auto close_whole_windows = [&] {
-        // Close every whole window the watermark has passed; boundary
-        // times are exact multiples so series align across runs.
-        while (system_->network().now_us() >= window_start + window_us_)
-            close_window(window_start + window_us_);
+    // Windows bucket each task by its completion time: window k covers
+    // (k·w, (k+1)·w] of virtual time, clipped to the run, so every task
+    // counts in the window that holds the clock its latency sample ends at.
+    // Its rpc_totals() delta goes with it.  Slots are created on demand;
+    // the bounds are filled in once the run's end is known.
+    const std::uint64_t first_window = window_us_ ? report.start_us / window_us_ : 0;
+    auto window_of = [&](std::uint64_t t) -> Window& {
+        const std::uint64_t k =
+            t > report.start_us ? (t - 1) / window_us_ : first_window;
+        const std::size_t i = static_cast<std::size_t>(k - first_window);
+        if (i >= report.windows.size()) report.windows.resize(i + 1);
+        return report.windows[i];
     };
 
     std::vector<std::uint64_t> latencies;
@@ -117,8 +102,22 @@ WorkloadDriver::Report WorkloadDriver::run() {
         Node& node = system_->node(nid);
         if (burst > 1) node.set_pipeline(true);
         const std::uint64_t t0 = node.clock_us();
+        System::RpcTotals before;
+        // One task's latency sample ends at `done`, its completion time.
+        auto complete = [&](std::uint64_t done) {
+            latencies.push_back(done - t0);
+            if (!window_us_) return;
+            const auto [calls, bytes] = system_->rpc_totals();
+            Window& w = window_of(done);
+            ++w.tasks;
+            // A reset_stats() mid-task rewinds the cumulative counters;
+            // clamp the delta instead of underflowing.
+            w.rpc_calls += calls >= before.calls ? calls - before.calls : calls;
+            w.wire_bytes += bytes >= before.bytes ? bytes - before.bytes : bytes;
+        };
         for (std::size_t b = 0; b < burst; ++b) {
             const std::uint64_t retries_before = retries.value();
+            if (window_us_) before = system_->rpc_totals();
             try {
                 task(b)(*system_, nid);
                 if (retries.value() != retries_before) ++recovered;
@@ -127,13 +126,12 @@ WorkloadDriver::Report WorkloadDriver::run() {
                 log_debug("driver", "client on node ", nid, " raised ",
                           ex.class_name(), ": ", ex.message());
             }
-            // The last burst member's latency is recorded after the
-            // drain, so it covers the whole burst's reply horizon.
-            if (b + 1 < burst) latencies.push_back(node.clock_us() - t0);
-            ++tasks_done;
+            // The last burst member completes after the drain, so its
+            // sample covers the whole burst's reply horizon.
+            if (b + 1 < burst) complete(node.clock_us());
         }
         if (burst > 1) node.set_pipeline(false);
-        latencies.push_back(node.clock_us() - t0);
+        complete(node.clock_us());
         return node.clock_us();
     };
 
@@ -169,19 +167,17 @@ WorkloadDriver::Report WorkloadDriver::run() {
     // Controller heartbeat for the adaptation engine (DESIGN.md §19): an
     // ordinary heap event, one per interval, so adaptation decisions sit
     // at deterministic points of the same popped stream as client work.
-    // The engine's own interval gate decides whether a heartbeat becomes
-    // a tick.  Never posted while adaptation is off — the event stream,
-    // digest and wire schedule stay byte-identical.
-    const std::uint64_t adapt_interval =
-        system_->adaptation_enabled()
-            ? system_->adaptation()->policy().interval_us
-            : 0;
+    // Every heartbeat is a tick at its own event time.  Never posted while
+    // adaptation is off — the event stream, digest and wire schedule stay
+    // byte-identical.
+    AdaptationEngine* engine = system_->adaptation();
+    const std::uint64_t adapt_interval = engine ? engine->policy().interval_us : 0;
     // Stop rule: the heartbeat re-posts while any client or fleet step is
     // pending.  The heap holds only steps and this one heartbeat, which is
     // popped while its handler runs, so a non-empty heap means exactly
     // that; once the last step has run the controller goes quiet.
     const std::uint32_t kAdaptTick = heap.register_handler([&](const Event& e) {
-        system_->adaptation_tick();
+        engine->tick(e.at_us);
         if (!heap.empty()) heap.post(e.at_us + adapt_interval, e.node, e.kind);
     });
 
@@ -202,8 +198,9 @@ WorkloadDriver::Report WorkloadDriver::run() {
         }
     }
 
-    if (adapt_interval)
-        heap.post(system_->network().now_us() + adapt_interval, 0, kAdaptTick);
+    // The first heartbeat comes one interval into the run: the controller
+    // needs a window of observation before it can score anything.
+    if (adapt_interval) heap.post(report.start_us + adapt_interval, 0, kAdaptTick);
 
     // The order digest witnesses the network's own transfer stream: each
     // completion folds (src, dst) and (at_us, delivered) as it is
@@ -224,26 +221,18 @@ WorkloadDriver::Report WorkloadDriver::run() {
             heap.fold((at_us << 1) | (delivered ? 1 : 0));
         });
 
-    // Dispatch loop; windows are checked after each burst.  With
-    // durability on, the watermark sweep after each burst lets idle
-    // crashed nodes recover as soon as their window ends instead of
-    // waiting for the next request to land on them (DESIGN.md §20).
+    // Dispatch loop.  With durability on, the restart sweep after each
+    // event lets idle crashed nodes recover once the popped event's time
+    // passes their window's end, instead of waiting for the next request
+    // to land on them (DESIGN.md §20).
     const bool durable = system_->durability_enabled();
     while (!heap.empty()) {
         heap.dispatch(heap.pop());
-        if (durable) system_->observe_restarts();
-        if (window_us_) close_whole_windows();
+        if (durable) system_->observe_restarts(heap.last_popped_at());
     }
     // Close the observation loop: backfill realized savings for decisions
     // from the final window (observe-only; the makespan is already set).
-    if (adapt_interval) system_->adaptation_finalize();
-
-    if (window_us_) {
-        close_whole_windows();
-        if (tasks_done > win_tasks_done ||
-            system_->network().now_us() > window_start)
-            close_window(system_->network().now_us());
-    }
+    if (engine) engine->finalize();
 
     if (!latencies.empty()) {
         std::sort(latencies.begin(), latencies.end());
@@ -285,6 +274,16 @@ WorkloadDriver::Report WorkloadDriver::run() {
     report.faults += fleet_faults;
     report.recovered += fleet_recovered;
     report.makespan_us = report.end_us - report.start_us;
+    if (window_us_) {
+        // Every window from the run's start to its end is listed, empty
+        // ones included; the first and last are clipped to the run.
+        window_of(report.end_us);
+        for (std::size_t i = 0; i < report.windows.size(); ++i) {
+            const std::uint64_t k = first_window + i;
+            report.windows[i].start_us = std::max(k * window_us_, report.start_us);
+            report.windows[i].end_us = std::min((k + 1) * window_us_, report.end_us);
+        }
+    }
     report.events_dispatched = heap.dispatched();
     report.peak_pending_events = heap.peak_pending();
     report.event_order_digest = heap.order_digest();

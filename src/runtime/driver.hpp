@@ -19,7 +19,10 @@
 // event-driven order of a discrete-event simulator.  SimNetwork transfer
 // completions fold into the heap's order digest as they are sequenced, so
 // the digest witnesses network and client work on one timeline while the
-// heap holds only client steps (and the adaptation heartbeat).
+// heap holds only client steps (and the adaptation heartbeat).  The popped
+// event's time is the simulation clock for the driver and the controller:
+// heartbeats tick the AdaptationEngine at it and the durable restart sweep
+// reads it, while each node's own clock stamps the node's work.
 //
 // The dispatch order is a pure function of the workload and the network
 // seed — runs are bit-for-bit reproducible, and the heap's order digest
@@ -73,15 +76,16 @@ public:
         std::uint64_t faults = 0;     // tasks that surfaced a guest exception
         std::uint64_t recovered = 0;  // tasks that completed but needed retries
     };
-    /// One closed observation window (see set_window_us): deltas of the
-    /// system-wide RPC counters over [start_us, end_us) of virtual time,
-    /// for bench time series.
+    /// One observation window (see set_window_us): the tasks that
+    /// completed in (start_us, end_us] of virtual time — the first window
+    /// also holds a task completing at start_us — and the system-wide RPC
+    /// counter deltas those tasks caused, for bench time series.
     struct Window {
         std::uint64_t start_us = 0;
         std::uint64_t end_us = 0;
         std::uint64_t tasks = 0;       // tasks completed in the window
-        std::uint64_t rpc_calls = 0;   // Invoke+Create+Discover sent
-        std::uint64_t wire_bytes = 0;  // request + reply bytes
+        std::uint64_t rpc_calls = 0;   // Invoke+Create+Discover they sent
+        std::uint64_t wire_bytes = 0;  // request + reply bytes they moved
     };
 
     struct Report {
@@ -100,8 +104,8 @@ public:
         std::uint64_t latency_p50_us = 0;
         std::uint64_t latency_p95_us = 0;
         std::uint64_t latency_p99_us = 0;
-        /// Closed windows, oldest first; empty unless set_window_us(>0).
-        /// The trailing partial window is closed at drain.
+        /// Windows, oldest first, from start_us to end_us with empty ones
+        /// listed; none unless set_window_us(>0).
         std::vector<Window> windows;
         /// Per-client detail for explicitly added clients only; fleet
         /// clients aggregate into the totals above.
@@ -113,12 +117,11 @@ public:
         std::uint64_t event_order_digest = 0;   // FNV-1a over the pop stream
     };
 
-    /// Enables time-windowed deltas: while running, every `w` µs of
-    /// virtual time closes a Window snapshot of the RPC counters.  0 (the
-    /// default) disables windowing.  Boundaries are checked against the
-    /// network's watermark after each burst, so a window closes after the
-    /// first burst that carries the watermark past it — deterministic,
-    /// since the dispatch order is.
+    /// Enables time-windowed deltas: window k covers (k·w, (k+1)·w] of
+    /// absolute virtual time, clipped to [Report::start_us, end_us].  Each
+    /// task counts in the window holding its completion time (the client
+    /// clock its latency sample ends at), together with the RPC calls and
+    /// bytes it caused.  0 (the default) disables windowing.
     void set_window_us(std::uint64_t w) { window_us_ = w; }
 
     /// Client pipelining (DESIGN.md §17): each step a client issues up

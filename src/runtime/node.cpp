@@ -47,7 +47,6 @@ void Node::reconcile_reply(std::uint64_t t) {
 }
 
 void Node::clock_changed() {
-    system_->network().observe(clock_us_);
     const std::int64_t now = static_cast<std::int64_t>(clock_us_);
     if (interp_.logical_time() < now) interp_.advance_time(now - interp_.logical_time());
 }

@@ -75,7 +75,10 @@ public:
                                   std::uint64_t arrival_us);
 
     /// Crash/restart bookkeeping: `restarts` is the number of NodeCrash
-    /// windows for this node that have ended so far.  With durability off
+    /// windows for this node that have ended so far, as the caller's clock
+    /// sees it (FaultPlan::restarts_before; an RPC arrival or the driver's
+    /// sweep).  Only a count above the last one seen restarts the node, so
+    /// each window restarts it once, whoever reports it first.  With durability off
     /// a newly observed restart sheds the node's soft state — the reply
     /// cache — which is what makes post-crash dedup a best-effort
     /// guarantee (the heap and singletons are modelled as durable; see
@@ -133,9 +136,8 @@ public:
 private:
     friend class System;
 
-    /// Publishes a clock change: advances the network's global watermark
-    /// and pulls the guest-visible logical time (Sys.time) up to the
-    /// clock.
+    /// Pulls the guest-visible logical time (Sys.time) up to the clock.
+    /// The clock is this node's alone: nothing else is told it moved.
     void clock_changed();
 
     // vm::MutationObserver — journals guest mutations into the WAL,
@@ -201,6 +203,7 @@ private:
     /// request id -> its reply_cache_ entry (deque push_back/pop_front
     /// leave references to the other entries valid).
     std::unordered_map<std::uint64_t, const CachedReply*> reply_index_;
+    /// Restarts already applied: the one memo of them (apply_restarts).
     std::uint64_t restarts_seen_ = 0;
     /// Pipeline mode: deferred success-path reply horizon (max arrival
     /// seen since the mode was turned on; drained by set_pipeline(false)).

@@ -1,7 +1,7 @@
 #include "runtime/policy_config.hpp"
 
-#include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "net/codec.hpp"
 #include "support/error.hpp"
@@ -19,28 +19,31 @@ void check_protocol(const std::string& proto, int lineno) {
     }
 }
 
+/// `tok` as one whole number in its field's own type T (parse_whole: no
+/// sign prefix, no trailing bytes, within T's range); `what` names it in
+/// the error.
+template <class T>
+T parse_number(const std::string& tok, int lineno, const char* what = "number") {
+    const std::optional<T> v = parse_whole<T>(tok);
+    if (!v) throw ParseError(std::string("bad ") + what + " '" + tok + "'", lineno);
+    return *v;
+}
+
 net::NodeId parse_node(const std::string& tok, int lineno) {
-    char* end = nullptr;
-    long v = std::strtol(tok.c_str(), &end, 10);
-    if (!end || *end != '\0' || v < 0)
-        throw ParseError("bad node id '" + tok + "'", lineno);
-    return static_cast<net::NodeId>(v);
+    const net::NodeId v = parse_number<net::NodeId>(tok, lineno, "node id");
+    if (v < 0) throw ParseError("bad node id '" + tok + "'", lineno);
+    return v;
 }
 
 std::uint64_t parse_u64(const std::string& tok, int lineno) {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (!end || *end != '\0' || tok.empty() || tok[0] == '-')
-        throw ParseError("bad number '" + tok + "'", lineno);
-    return static_cast<std::uint64_t>(v);
+    return parse_number<std::uint64_t>(tok, lineno);
 }
 
 /// A whole-token number in [lo, hi]; `what` names it in the error.
 double parse_real(const std::string& tok, double lo, double hi, const char* what,
                   int lineno) {
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (tok.empty() || *end != '\0' || !(v >= lo && v <= hi))
+    const double v = parse_number<double>(tok, lineno, what);
+    if (!(v >= lo && v <= hi))
         throw ParseError(std::string("bad ") + what + " '" + tok + "'", lineno);
     return v;
 }
@@ -143,9 +146,9 @@ void apply_policy_config(std::string_view text, DistributionPolicy& policy,
                     "syntax: retry attempts N [base B] [multiplier M] [cap C] "
                     "[jitter J] [budget N] [deadline D]",
                     lineno);
-            const std::uint64_t attempts = parse_u64(toks[2], lineno);
+            const auto attempts = parse_number<std::uint32_t>(toks[2], lineno);
             if (attempts == 0) throw ParseError("attempts must be >= 1", lineno);
-            reliability->attempts = static_cast<std::uint32_t>(attempts);
+            reliability->attempts = attempts;
             for (std::size_t t = 3; t + 1 < toks.size(); t += 2) {
                 const std::string& key = toks[t];
                 const std::string& val = toks[t + 1];
@@ -171,8 +174,7 @@ void apply_policy_config(std::string_view text, DistributionPolicy& policy,
             if (toks.size() == 4) {
                 if (toks[2] != "capacity")
                     throw ParseError("expected 'capacity N'", lineno);
-                reliability->dedup_capacity =
-                    static_cast<std::size_t>(parse_u64(toks[3], lineno));
+                reliability->dedup_capacity = parse_number<std::size_t>(toks[3], lineno);
             }
         } else if (head == "breaker") {
             // breaker threshold N [cooldown C]
@@ -180,8 +182,7 @@ void apply_policy_config(std::string_view text, DistributionPolicy& policy,
                 throw ParseError("'breaker' line given but no reliability policy", lineno);
             if ((toks.size() != 3 && toks.size() != 5) || toks[1] != "threshold")
                 throw ParseError("syntax: breaker threshold N [cooldown C]", lineno);
-            reliability->breaker_threshold =
-                static_cast<std::uint32_t>(parse_u64(toks[2], lineno));
+            reliability->breaker_threshold = parse_number<std::uint32_t>(toks[2], lineno);
             if (toks.size() == 5) {
                 if (toks[3] != "cooldown")
                     throw ParseError("expected 'cooldown C'", lineno);
@@ -198,10 +199,10 @@ void apply_policy_config(std::string_view text, DistributionPolicy& policy,
             batching->enabled = toks[1] == "on";
             if (toks.size() == 4) {
                 if (toks[2] != "max") throw ParseError("expected 'max N'", lineno);
-                const std::uint64_t max_calls = parse_u64(toks[3], lineno);
+                const auto max_calls = parse_number<std::uint32_t>(toks[3], lineno);
                 if (max_calls < 2)
                     throw ParseError("batch max must be >= 2 (opener + entry)", lineno);
-                batching->max_frame_calls = static_cast<std::uint32_t>(max_calls);
+                batching->max_frame_calls = max_calls;
             }
         } else if (head == "adapt") {
             // adapt on|off [interval N] [migrate-threshold B]

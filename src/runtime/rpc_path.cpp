@@ -322,11 +322,11 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
                            std::to_string(dst));
     }
     // A request landing on a crashed node dies there — never executed.
-    // (The caller observes the failure at the arrival time; a restarted
-    // node first sheds its soft state, which is how reply-cache loss
-    // across a crash is modelled.)
+    // (The caller observes the failure at the arrival time; a node whose
+    // crash window ended by then restarts first — shedding its soft state,
+    // or recovering from its WAL when durable.)
     const net::FaultPlan& plan = network_.fault_plan();
-    plan.notify_restarts(dst, inbound.at_us);
+    callee.apply_restarts(plan.restarts_before(dst, inbound.at_us));
     if (plan.node_down(dst, inbound.at_us)) {
         note_node_fault(dst, true, inbound.at_us);
         throw lose(inbound.at_us, src, dst, "dest_crashed", false,

@@ -1,5 +1,6 @@
 #include "runtime/system.hpp"
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -59,11 +60,19 @@ System::System(const model::ClassPool& original, SystemOptions options)
     network_.set_default_link(options.default_link);
     network_.attach_metrics(&metrics_);
     network_.attach_journal(&journal_);
-    tracer_.set_clock([this](std::int32_t n) {
-        return n >= 0 ? node(n).clock_us() : network_.now_us();
+    // Every span names the node it runs on, and reads that node's clock.
+    tracer_.set_clock([this](std::int32_t n) -> std::uint64_t {
+        return n >= 0 ? node(n).clock_us() : 0;
     });
+    // Log lines show the furthest any node's clock has run.  It is read
+    // only when a line is printed; nothing decides on it (DESIGN.md §13).
     set_log_time_source(
-        [this] { return static_cast<std::int64_t>(network_.now_us()); }, this);
+        [this] {
+            std::uint64_t t = 0;
+            for (const auto& n : nodes_) t = std::max(t, n->clock_us());
+            return static_cast<std::int64_t>(t);
+        },
+        this);
     migrations_counter_ = &metrics_.counter("runtime.migrations");
     migration_bytes_counter_ = &metrics_.counter("runtime.migration_bytes");
     chain_shortenings_counter_ = &metrics_.counter("runtime.chain_shortenings");
@@ -72,14 +81,6 @@ System::System(const model::ClassPool& original, SystemOptions options)
     // pre-transformation truth about what each method touches.
     replicas_.configure(original_);
     durability_ = options.durability;
-    // Restart observation flows through one seam: any notify_restarts call
-    // (RPC arrival, driver sweep) lands on the node's apply_restarts,
-    // which decides soft-state shedding vs WAL recovery (DESIGN.md §20).
-    network_.fault_plan().set_restart_callback(
-        [this](net::NodeId n, std::uint64_t restarts, std::uint64_t) {
-            if (n >= 0 && static_cast<std::size_t>(n) < nodes_.size())
-                nodes_[static_cast<std::size_t>(n)]->apply_restarts(restarts);
-        });
     if (durability_.enabled) enable_durability(durability_);
 }
 
@@ -121,12 +122,11 @@ void System::enable_durability(DurabilityPolicy policy) {
     for (const auto& n : nodes_) n->enable_durability(durability_);
 }
 
-void System::observe_restarts() {
+void System::observe_restarts(std::uint64_t t_us) {
     if (!durability_.enabled) return;
     const net::FaultPlan& plan = network_.fault_plan();
     if (plan.empty()) return;
-    const std::uint64_t now = network_.now_us();
-    for (const auto& n : nodes_) plan.notify_restarts(n->id(), now);
+    for (const auto& n : nodes_) n->apply_restarts(plan.restarts_before(n->id(), t_us));
 }
 
 void System::note_recovery(net::NodeId node_id, const Wal::ReplayResult& res,
@@ -546,14 +546,6 @@ void System::enable_adaptation(AdaptPolicy policy) {
     adapt_ = std::make_unique<AdaptationEngine>(*this, policy);
 }
 
-bool System::adaptation_tick(bool force) {
-    return adapt_ ? adapt_->tick(network_.now_us(), force) : false;
-}
-
-void System::adaptation_finalize() {
-    if (adapt_) adapt_->finalize();
-}
-
 std::pair<net::NodeId, vm::ObjId> System::find_singleton(const std::string& cls) {
     for (const auto& n : nodes_) {
         auto it = n->singletons_.find(cls);
@@ -884,10 +876,10 @@ void System::reset_stats() {
     metrics_.reset();
     tracer_.clear();
     network_.reset_stats();
-    // The journal's observation window must rebase together with the
-    // utilization epoch: both now describe "since the reset", so timeline
+    // The journal's observation window starts at the utilization epoch
+    // the network just set: both describe "since the reset", so timeline
     // events and windowed rates stay comparable (DESIGN.md §16).
-    journal_.rebase(network_.now_us());
+    journal_.rebase(network_.stats_epoch_us());
     // The adaptation windows are deltas of the counters just zeroed.
     if (adapt_) adapt_->rebase();
 }

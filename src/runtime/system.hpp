@@ -135,26 +135,18 @@ public:
 
     /// Closed-loop adaptation (DESIGN.md §19): installs the
     /// AdaptationEngine with `policy` (enabled is forced on).  The
-    /// WorkloadDriver schedules its ticks as EventHeap events; outside a
-    /// driver, call adaptation_tick() at whatever cadence suits — the
-    /// engine gates itself on the policy interval.  Off by default: a run
-    /// that never calls this is byte-identical to one built before the
-    /// engine existed.
+    /// WorkloadDriver ticks it once per heartbeat event, at the event's
+    /// time; outside a driver, call adaptation()->tick(t) with the clock
+    /// the caller decides at.  Off by default: a run that never calls this
+    /// is byte-identical to one built before the engine existed.
     void enable_adaptation(AdaptPolicy policy = {});
     bool adaptation_enabled() const noexcept { return adapt_ != nullptr; }
     AdaptationEngine* adaptation() noexcept { return adapt_.get(); }
     const AdaptationEngine* adaptation() const noexcept { return adapt_.get(); }
-    /// One controller tick at the current watermark (interval-gated unless
-    /// `force`); no-op when adaptation is off.  Returns true if it ran.
-    bool adaptation_tick(bool force = false);
-    /// Backfills realized savings for still-pending decisions (the driver
-    /// calls this once after the workload drains).
-    void adaptation_finalize();
 
     /// Durability (DESIGN.md §20): every node — present and future — gets
-    /// a write-ahead log with periodic snapshots, the wal.* counters are
-    /// registered, and the fault plan's restart seam is armed, so a
-    /// crashed node recovers its pre-crash heap and reply cache on
+    /// a write-ahead log with periodic snapshots and the wal.* counters
+    /// are registered, so a crashed node recovers its pre-crash heap and reply cache on
     /// restart instead of shedding them (exactly-once becomes durable).
     /// `enabled` is forced on.  Off by default: a run that never calls
     /// this is byte-identical to one built before the WAL existed.
@@ -163,10 +155,10 @@ public:
     const DurabilityPolicy& durability() const noexcept { return durability_; }
 
     /// Pull-based restart sweep for drivers (no-op when durability is
-    /// off): notifies every node of crash windows that ended by the
-    /// watermark, so a node recovers promptly even when no request lands
-    /// on it (the RPC path only detects restarts on arrival).
-    void observe_restarts();
+    /// off): restarts every node whose crash window ended by `t_us`, the
+    /// driver's event time, so a node recovers promptly even when no
+    /// request lands on it (the RPC path only detects restarts on arrival).
+    void observe_restarts(std::uint64_t t_us);
 
     /// Journals a completed node recovery and bumps wal.recoveries /
     /// wal.replayed_records; called by Node after a WAL replay.

@@ -58,46 +58,46 @@ struct WalStats {
     std::uint64_t replayed = 0;   // records applied across all recoveries
 };
 
-/// Decoded-record sink for replay.  Every method defaults to a no-op so
-/// implementations (WalImage, tests, tools) override only what they
-/// consume.
+/// Decoded-record sink for replay.  Every method is pure: a visitor
+/// (WalImage, tests, tools) handles every record kind, so a new kind
+/// cannot be skipped silently.
 class WalVisitor {
 public:
     virtual ~WalVisitor() = default;
-    virtual void on_alloc(std::uint64_t /*t_us*/, const std::string& /*cls*/) {}
-    virtual void on_alloc_array(std::uint64_t /*t_us*/,
-                                const std::string& /*elem_desc*/,
-                                std::uint64_t /*length*/) {}
-    virtual void on_field_put(std::uint64_t /*t_us*/, std::uint64_t /*oid*/,
-                              std::uint64_t /*slot*/, const vm::Value& /*v*/) {}
-    virtual void on_array_put(std::uint64_t /*t_us*/, std::uint64_t /*oid*/,
-                              std::uint64_t /*index*/, const vm::Value& /*v*/) {}
-    virtual void on_static_put(std::uint64_t /*t_us*/, const std::string& /*cls*/,
-                               const std::string& /*field*/, const vm::Value& /*v*/) {}
-    virtual void on_class_init(std::uint64_t /*t_us*/, const std::string& /*cls*/) {}
-    virtual void on_singleton(std::uint64_t /*t_us*/, const std::string& /*cls*/,
-                              std::uint64_t /*oid*/) {}
-    virtual void on_singleton_drop(std::uint64_t /*t_us*/,
-                                   const std::string& /*cls*/) {}
-    virtual void on_proxy_import(std::uint64_t /*t_us*/, std::int32_t /*origin_node*/,
-                                 std::uint64_t /*origin_oid*/,
-                                 const std::string& /*iface*/,
-                                 const std::string& /*protocol*/,
-                                 std::uint64_t /*local_oid*/) {}
-    virtual void on_reply(std::uint64_t /*t_us*/, std::uint64_t /*request_id*/,
-                          const net::CallReply& /*reply*/) {}
+    virtual void on_alloc(std::uint64_t t_us, const std::string& cls) = 0;
+    virtual void on_alloc_array(std::uint64_t t_us,
+                                const std::string& elem_desc,
+                                std::uint64_t length) = 0;
+    virtual void on_field_put(std::uint64_t t_us, std::uint64_t oid,
+                              std::uint64_t slot, const vm::Value& v) = 0;
+    virtual void on_array_put(std::uint64_t t_us, std::uint64_t oid,
+                              std::uint64_t index, const vm::Value& v) = 0;
+    virtual void on_static_put(std::uint64_t t_us, const std::string& cls,
+                               const std::string& field, const vm::Value& v) = 0;
+    virtual void on_class_init(std::uint64_t t_us, const std::string& cls) = 0;
+    virtual void on_singleton(std::uint64_t t_us, const std::string& cls,
+                              std::uint64_t oid) = 0;
+    virtual void on_singleton_drop(std::uint64_t t_us,
+                                   const std::string& cls) = 0;
+    virtual void on_proxy_import(std::uint64_t t_us, std::int32_t origin_node,
+                                 std::uint64_t origin_oid,
+                                 const std::string& iface,
+                                 const std::string& protocol,
+                                 std::uint64_t local_oid) = 0;
+    virtual void on_reply(std::uint64_t t_us, std::uint64_t request_id,
+                          const net::CallReply& reply) = 0;
     /// A live migration swapped local object `oid` for a proxy to
     /// (`node`, `remote_oid`) of class `proxy_cls`.
-    virtual void on_transmute(std::uint64_t /*t_us*/, std::uint64_t /*oid*/,
-                              const std::string& /*proxy_cls*/, std::int32_t /*node*/,
-                              std::uint64_t /*remote_oid*/) {}
+    virtual void on_transmute(std::uint64_t t_us, std::uint64_t oid,
+                              const std::string& proxy_cls, std::int32_t node,
+                              std::uint64_t remote_oid) = 0;
     /// Migration-by-recovery moved local object `oid` to (`node`,
     /// `remote_oid`) while this node was down; replay applies the same
     /// substitution a live migration would have (chained relocations
     /// compose in record order).
-    virtual void on_relocate(std::uint64_t /*t_us*/, std::uint64_t /*oid*/,
-                             const std::string& /*proxy_cls*/, std::int32_t /*node*/,
-                             std::uint64_t /*remote_oid*/) {}
+    virtual void on_relocate(std::uint64_t t_us, std::uint64_t oid,
+                             const std::string& proxy_cls, std::int32_t node,
+                             std::uint64_t remote_oid) = 0;
 };
 
 /// A node's durable image (snapshot, log and reply stream) decoded into

@@ -5,7 +5,6 @@
 // sequence another link sees.
 #include <gtest/gtest.h>
 
-#include <tuple>
 #include <vector>
 
 #include "net/network.hpp"
@@ -93,43 +92,6 @@ TEST(FaultPlan, NodeCrashWindowsAndRestartCounting) {
     EXPECT_EQ(plan.restarts_before(1, 350), 1u);
     EXPECT_EQ(plan.restarts_before(1, 400), 2u);
     EXPECT_EQ(plan.restarts_before(2, 400), 0u);
-}
-
-TEST(FaultPlan, NotifyRestartsFiresOncePerCompletedWindowEdge) {
-    // The restart seam (DESIGN.md §20): notify_restarts fires the callback
-    // only when the observed count *rises*, carrying the new count and the
-    // observation time — repeated observations at the same watermark are
-    // silent, and each node's watermark is independent.
-    FaultPlan plan;
-    plan.add(crash_window(1, 100, 200));
-    plan.add(crash_window(1, 300, 400));
-    plan.add(crash_window(2, 100, 150));
-
-    std::vector<std::tuple<NodeId, std::uint64_t, std::uint64_t>> fired;
-    plan.set_restart_callback(
-        [&](NodeId node, std::uint64_t restarts, std::uint64_t t) {
-            fired.emplace_back(node, restarts, t);
-        });
-
-    plan.notify_restarts(1, 50);  // nothing completed yet
-    EXPECT_TRUE(fired.empty());
-    plan.notify_restarts(1, 250);
-    plan.notify_restarts(1, 260);  // same count: silent
-    ASSERT_EQ(fired.size(), 1u);
-    EXPECT_EQ(fired[0], std::make_tuple(NodeId{1}, std::uint64_t{1},
-                                        std::uint64_t{250}));
-    plan.notify_restarts(2, 260);  // node 2's watermark is its own
-    plan.notify_restarts(1, 500);  // second window completed: count jumps
-    ASSERT_EQ(fired.size(), 3u);
-    EXPECT_EQ(fired[1], std::make_tuple(NodeId{2}, std::uint64_t{1},
-                                        std::uint64_t{260}));
-    EXPECT_EQ(fired[2], std::make_tuple(NodeId{1}, std::uint64_t{2},
-                                        std::uint64_t{500}));
-
-    // No callback installed: observation stays legal and silent.
-    FaultPlan bare;
-    bare.add(crash_window(1, 0, 10));
-    bare.notify_restarts(1, 50);
 }
 
 TEST(FaultPlan, KindNames) {
@@ -273,8 +235,12 @@ TEST(SimNetworkStats, ResetRebasesUtilizationEpoch) {
     ASSERT_NE(util, nullptr);
     EXPECT_EQ(util->gauge, 1'000'000);
 
-    net.observe(10'000);  // idle gap
+    // An idle gap on link 0->1: traffic on another link carries the
+    // network's horizon to 10,000 before the reset.
+    net.set_link(2, 3, LinkParams{10'000, 0.0, 0.0});
+    net.transfer_at(2, 3, 10, 0);
     net.reset_stats();
+    EXPECT_EQ(net.stats_epoch_us(), 10'000u);
     EXPECT_EQ(net.stats(0, 1).messages, 0u);
 
     // One transfer occupying the full post-reset window reads 100% again;

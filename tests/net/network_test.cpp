@@ -8,8 +8,8 @@
 namespace rafda::net {
 namespace {
 
-/// transfer_at(src, dst, size, now_us()): sends at the global watermark and
-/// returns the delay, or nullopt when the message was dropped.
+/// transfer_at(src, dst, size, now_us()): sends at the network's horizon
+/// and returns the delay, or nullopt when the message was dropped.
 std::optional<std::uint64_t> send_now(SimNetwork& net, NodeId src, NodeId dst,
                                       std::size_t size) {
     const std::uint64_t send = net.now_us();
@@ -48,7 +48,12 @@ TEST(SimNetwork, ClockAccumulates) {
     net.set_default_link(LinkParams{10, 0.0, 0.0});
     send_now(net, 0, 1, 1);
     send_now(net, 1, 0, 1);
-    net.observe(net.now_us() + 7);  // compute charged to no node
+    // The horizon is the latest completion sequenced on any link: a later
+    // send elsewhere pulls it past the ping-pong's 20 us.
+    net.transfer_at(2, 3, 1, 17);
+    EXPECT_EQ(net.now_us(), 27u);
+    // An earlier completion never pulls it back.
+    net.transfer_at(3, 2, 1, 0);
     EXPECT_EQ(net.now_us(), 27u);
 }
 

@@ -212,12 +212,12 @@ TEST(Adapt, ResetStatsRebasesTheWindows) {
     };
 
     bump(6);
-    ASSERT_TRUE(system.adaptation_tick(/*force=*/true));
+    system.adaptation()->tick(system.node(1).clock_us());
     EXPECT_TRUE(system.adaptation()->decisions().empty());  // 6 < min_window_calls
 
     system.reset_stats();
     bump(10);
-    ASSERT_TRUE(system.adaptation_tick(/*force=*/true));
+    system.adaptation()->tick(system.node(1).clock_us());
     const std::vector<AdaptDecision>& decisions = system.adaptation()->decisions();
     ASSERT_EQ(decisions.size(), 1u);
     EXPECT_EQ(decisions[0].window_calls, 10u);
@@ -374,7 +374,7 @@ TEST_F(AdaptTracked, InstanceMovedOutsideTheEngineIsFollowed) {
     system->migrate_instance(home, oid, 1, "RMI");
     ASSERT_EQ(where().first, 1);
 
-    ASSERT_NO_THROW(system->adaptation_tick(/*force=*/true));
+    ASSERT_NO_THROW(system->adaptation()->tick(system->node(0).clock_us()));
     const std::vector<AdaptDecision>& decisions = system->adaptation()->decisions();
     ASSERT_EQ(decisions.size(), 1u);
     EXPECT_EQ(decisions[0].action, AdaptDecision::Action::Migrate);
@@ -387,7 +387,7 @@ TEST_F(AdaptTracked, InstanceMovedOutsideTheEngineIsFollowed) {
 TEST_F(AdaptTracked, OidStaysCorrectAcrossTwoMoves) {
     // Window 1: node 0 calls, so the engine moves the cell 2 -> 0.
     poke(0, cell, 20);
-    ASSERT_TRUE(system->adaptation_tick(/*force=*/true));
+    system->adaptation()->tick(system->node(0).clock_us());
     const auto [home, oid] = where();
     ASSERT_EQ(home, 0);
 
@@ -395,7 +395,7 @@ TEST_F(AdaptTracked, OidStaysCorrectAcrossTwoMoves) {
     // moves the cell 0 -> 1 from its own tracking entry.
     vm::Value on_1 = system->node(1).import_ref(0, oid, "Cell_O_Int", "RMI");
     poke(1, on_1, 20);
-    ASSERT_TRUE(system->adaptation_tick(/*force=*/true));
+    system->adaptation()->tick(system->node(1).clock_us());
 
     const std::vector<AdaptDecision>& decisions = system->adaptation()->decisions();
     ASSERT_EQ(decisions.size(), 2u);
@@ -412,7 +412,7 @@ TEST_F(AdaptTracked, OidStaysCorrectAcrossTwoMoves) {
 
 TEST_F(AdaptTracked, ClosingTheLoopLowersTheNextWindow) {
     const std::uint64_t before = poke(0, cell, 30);
-    ASSERT_TRUE(system->adaptation_tick(/*force=*/true));
+    system->adaptation()->tick(system->node(0).clock_us());
     system->shorten_chain(0, cell.as_ref());
     const std::uint64_t after = poke(0, cell, 30);
     EXPECT_GT(before, 0u);

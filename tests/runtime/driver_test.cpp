@@ -254,24 +254,22 @@ TEST(WorkloadDriver, WindowsPartitionTheRun) {
     for (std::size_t i = 0; i < report.windows.size(); ++i) {
         const WorkloadDriver::Window& w = report.windows[i];
         EXPECT_LT(w.start_us, w.end_us);
-        // Contiguous, and every boundary except the trailing partial one
-        // is an exact multiple of the window size past the run start.
+        // Contiguous, and every interior boundary is an exact multiple of
+        // the window size (windows are fixed slices of virtual time).
         if (i) {
             EXPECT_EQ(w.start_us, report.windows[i - 1].end_us);
         }
         if (i + 1 < report.windows.size()) {
-            EXPECT_EQ((w.end_us - report.windows[0].start_us) % kWindow, 0u);
+            EXPECT_EQ(w.end_us % kWindow, 0u);
         }
         tasks += w.tasks;
         calls += w.rpc_calls;
     }
     // The windows tile the whole run: totals reconcile with the report.
-    // (The series is anchored on the network watermark, which sits inside
-    // [start_us, end_us] — client clocks run past it while decoding.)
     EXPECT_EQ(tasks, report.tasks_run);
     EXPECT_GE(calls, report.tasks_run);  // every task made >= 1 RPC
-    EXPECT_GE(report.windows.front().start_us, report.start_us);
-    EXPECT_LE(report.windows.back().end_us, report.end_us);
+    EXPECT_EQ(report.windows.front().start_us, report.start_us);
+    EXPECT_EQ(report.windows.back().end_us, report.end_us);
 }
 
 TEST(WorkloadDriver, WindowSeriesIsDeterministic) {
@@ -382,12 +380,12 @@ class Counter {
 
     ASSERT_EQ(report.tasks_run, 64u);
     EXPECT_EQ(report.faults, 0u);
-    // Every dispatched event that is not a step is a heartbeat.  The last
-    // one pops after the final step, finds the interval gate closed and
+    // Every dispatched event that is not a step is a heartbeat, and every
+    // heartbeat is a tick.  The last one pops after the final step and
     // does not re-post: the controller goes quiet with the workload.
     const std::uint64_t heartbeats = report.events_dispatched - report.tasks_run;
-    EXPECT_EQ(heartbeats, 4u);
-    EXPECT_EQ(system.adaptation()->ticks_run(), 2u);
+    EXPECT_EQ(heartbeats, 3u);
+    EXPECT_EQ(system.adaptation()->ticks_run(), 3u);
     std::vector<std::tuple<std::string, std::string, net::NodeId, net::NodeId,
                            std::uint64_t>>
         decisions;
@@ -399,10 +397,128 @@ class Counter {
     EXPECT_EQ(decisions,
               (std::vector<std::tuple<std::string, std::string, net::NodeId,
                                       net::NodeId, std::uint64_t>>{
-                  {"migrate", "Counter", 0, 1, 640},
-                  {"migrate", "Counter", 1, 2, 1860}}));
+                  {"migrate", "Counter", 0, 1, 600},
+                  {"migrate", "Counter", 1, 2, 1200}}));
     EXPECT_EQ(system.find_singleton("Counter").first, 2);
-    EXPECT_EQ(report.makespan_us, 1880u);
+    EXPECT_EQ(report.makespan_us, 1240u);
+}
+
+/// Four clients on 20/110/200/290 µs links bumping a Counter singleton
+/// homed on node 0, with the AdaptationEngine on and 500 µs windows: the
+/// clients' clocks drift apart, the controller moves the singleton, and
+/// every task records the clock it completed at.
+struct SkewedAdaptRun {
+    static constexpr std::uint64_t kWindow = 500;
+    static constexpr std::uint64_t kInterval = 600;
+    std::vector<std::uint64_t> completions;
+    System::RpcTotals before;
+    System::RpcTotals after;
+    WorkloadDriver::Report report;
+    std::uint64_t ticks = 0;
+    std::vector<AdaptDecision> decisions;
+
+    SkewedAdaptRun() {
+        model::ClassPool pool;
+        vm::install_prelude(pool);
+        model::assemble_into(pool, R"(
+class Counter {
+  static field total I
+  static method bump (I)I {
+    getstatic Counter.total I
+    load 0
+    add
+    dup
+    putstatic Counter.total I
+    returnvalue
+  }
+}
+)");
+        model::verify_pool(pool);
+        System system(pool);
+        system.add_node();  // Counter's first home
+        const std::uint64_t latencies[] = {20, 110, 200, 290};
+        for (int k = 1; k <= 4; ++k) {
+            system.add_node();
+            const auto client = static_cast<net::NodeId>(k);
+            const net::LinkParams link{latencies[k - 1], 125.0, 0.0};
+            system.network().set_link(client, 0, link);
+            system.network().set_link(0, client, link);
+        }
+        system.policy().set_singleton_home("Counter", 0, "RMI");
+        AdaptPolicy policy;
+        policy.interval_us = kInterval;
+        policy.migrate_threshold_bytes = 64;
+        policy.min_window_calls = 4;
+        system.enable_adaptation(policy);
+
+        WorkloadDriver driver(system);
+        driver.set_window_us(kWindow);
+        for (int k = 1; k <= 4; ++k)
+            driver.add_client(static_cast<net::NodeId>(k), 24,
+                              [this](System& sys, net::NodeId node) {
+                                  sys.call_static(node, "Counter", "bump", "(I)I",
+                                                  {Value::of_int(1)});
+                                  completions.push_back(sys.node(node).clock_us());
+                              });
+        before = system.rpc_totals();
+        report = driver.run();
+        after = system.rpc_totals();
+        ticks = system.adaptation()->ticks_run();
+        decisions = system.adaptation()->decisions();
+    }
+};
+
+TEST(WorkloadDriver, WindowsHoldEachTaskAtItsCompletion) {
+    // Oracle for the window series: the windows tile the run in fixed
+    // slices of virtual time, and each holds exactly the tasks that
+    // completed inside it, with the calls and bytes those tasks caused.
+    const SkewedAdaptRun run;
+    const WorkloadDriver::Report& r = run.report;
+    ASSERT_EQ(r.tasks_run, 96u);
+    ASSERT_EQ(run.completions.size(), 96u);
+    ASSERT_FALSE(run.decisions.empty());  // the controller did move things
+    ASSERT_FALSE(r.windows.empty());
+    EXPECT_EQ(r.windows.front().start_us, r.start_us);
+    EXPECT_EQ(r.windows.back().end_us, r.end_us);
+
+    std::uint64_t tasks = 0, calls = 0, bytes = 0;
+    for (std::size_t i = 0; i < r.windows.size(); ++i) {
+        const WorkloadDriver::Window& w = r.windows[i];
+        if (i) {
+            EXPECT_EQ(w.start_us, r.windows[i - 1].end_us);
+        }
+        if (i + 1 < r.windows.size()) {
+            EXPECT_EQ(w.end_us % SkewedAdaptRun::kWindow, 0u);
+        }
+        std::uint64_t inside = 0;
+        for (std::uint64_t c : run.completions)
+            if ((i == 0 ? c >= w.start_us : c > w.start_us) && c <= w.end_us) ++inside;
+        EXPECT_EQ(w.tasks, inside) << "window " << i << " (" << w.start_us << ", "
+                                   << w.end_us << "]";
+        tasks += w.tasks;
+        calls += w.rpc_calls;
+        bytes += w.wire_bytes;
+    }
+    EXPECT_EQ(tasks, r.tasks_run);
+    EXPECT_EQ(calls, run.after.calls - run.before.calls);
+    EXPECT_EQ(bytes, run.after.bytes - run.before.bytes);
+}
+
+TEST(WorkloadDriver, EveryHeartbeatIsATickAtItsOwnTime) {
+    // Oracle for the controller clock: the heartbeat is seeded one
+    // interval after the run's start and re-posted every interval, and
+    // each one ticks the engine at its own event time.
+    const SkewedAdaptRun run;
+    const WorkloadDriver::Report& r = run.report;
+    const std::uint64_t heartbeats = r.events_dispatched - r.tasks_run;
+    EXPECT_GT(heartbeats, 0u);
+    EXPECT_EQ(run.ticks, heartbeats);
+    ASSERT_FALSE(run.decisions.empty());
+    for (const AdaptDecision& d : run.decisions) {
+        ASSERT_GT(d.t_us, r.start_us) << "decision " << d.seq;
+        EXPECT_EQ((d.t_us - r.start_us) % SkewedAdaptRun::kInterval, 0u)
+            << "decision " << d.seq << " at " << d.t_us;
+    }
 }
 
 TEST(WorkloadDriver, EventOrderDigestIsReproducible) {

@@ -642,6 +642,97 @@ TEST(RestoreEquivalence, RecoveryOntoAnotherNodeShiftsEveryObjectByTheBase) {
     }
 }
 
+// ---- restarts: one per crash window, whoever sees it first ------------
+
+struct RestartTrace {
+    std::vector<std::uint64_t> starts;           // each task's event time
+    std::vector<std::uint64_t> recoveries_at;    // wal.recoveries at its start
+    std::vector<std::uint64_t> recoveries_after; // ... and at its end
+    std::uint64_t recoveries = 0;
+    std::uint64_t faults = 0;
+    std::int32_t calls = 0;  // the Service's own count after the run
+};
+
+/// Node 1 makes 16 work() calls to a Service homed on `target` over
+/// 300 µs links.  Node 0 is durable like every node and holds the Counter
+/// singleton; `crash`, when set, is a NodeCrash window for it.
+RestartTrace run_restart_trace(net::NodeId target, const net::FaultWindow* crash) {
+    model::ClassPool pool;
+    vm::install_prelude(pool);
+    model::assemble_into(pool, kApp);
+    model::verify_pool(pool);
+    SystemOptions options;
+    options.default_link = net::LinkParams{300, 0.0, 0.0};
+    options.durability.enabled = true;
+    System system(pool, options);
+    for (int k = 0; k < 3; ++k) system.add_node();
+    system.policy().set_singleton_home("Counter", 0, "RMI");
+    system.policy().set_instance_home("Service", target, "RMI");
+    system.call_static(0, "Counter", "bump", "(I)I", {vm::Value::of_int(1)});
+    Value svc = system.construct(1, "Service", "()V");
+    if (crash) system.network().fault_plan().add(*crash);
+
+    RestartTrace t;
+    obs::Counter& recoveries = system.metrics().counter("wal.recoveries");
+    WorkloadDriver driver(system);
+    driver.add_client(1, 16, [&t, &recoveries, svc](System& sys, net::NodeId node) {
+        t.starts.push_back(sys.node(node).clock_us());
+        t.recoveries_at.push_back(recoveries.value());
+        sys.node(node).interp().call_virtual(svc, "work", "(I)I", {vm::Value::of_int(1)});
+        t.recoveries_after.push_back(recoveries.value());
+    });
+    t.faults = driver.run().faults;
+    t.recoveries = recoveries.value();
+    t.calls = system.node(1).interp().call_virtual(svc, "calls", "()I").as_int();
+    return t;
+}
+
+net::FaultWindow node_crash(net::NodeId node, std::uint64_t from, std::uint64_t until) {
+    net::FaultWindow w;
+    w.kind = net::FaultKind::NodeCrash;
+    w.node = node;
+    w.from_us = from;
+    w.until_us = until;
+    return w;
+}
+
+TEST(DurableRestart, EachCrashWindowRestartsItsNodeOnce) {
+    // Sweep first: node 0 is idle, so only the driver's sweep after each
+    // event sees its window end.  It restarts the node after the first
+    // event whose time reaches the window's end, never before, and once.
+    const RestartTrace idle = run_restart_trace(2, nullptr);
+    ASSERT_EQ(idle.starts.size(), 16u);
+    net::FaultWindow w = node_crash(0, idle.starts[4] + 1, idle.starts[8]);
+    const RestartTrace swept = run_restart_trace(2, &w);
+    EXPECT_EQ(swept.starts, idle.starts);
+    bool passed = false;
+    for (std::size_t i = 0; i < swept.starts.size(); ++i) {
+        EXPECT_EQ(swept.recoveries_at[i], passed ? 1u : 0u) << "task " << i;
+        passed = passed || swept.starts[i] >= w.until_us;
+    }
+    EXPECT_TRUE(passed);
+    EXPECT_EQ(swept.recoveries, 1u);
+    EXPECT_EQ(swept.faults, 0u);
+
+    // Arrival first: node 0 crashes and restarts while task 8's request
+    // is on the 300 µs link, so the request's arrival restarts node 0
+    // (from its WAL) while the event time is still before the window's
+    // end.  The sweep then finds nothing new: one restart, and every call
+    // counted once.
+    const RestartTrace served = run_restart_trace(0, nullptr);
+    ASSERT_EQ(served.starts.size(), 16u);
+    const std::uint64_t s = served.starts[8];
+    w = node_crash(0, s + 50, s + 250);
+    const RestartTrace arrived = run_restart_trace(0, &w);
+    ASSERT_EQ(arrived.starts.size(), 16u);
+    EXPECT_EQ(arrived.starts[8], s);
+    EXPECT_EQ(arrived.recoveries_at[8], 0u);
+    EXPECT_EQ(arrived.recoveries_after[8], 1u);
+    EXPECT_EQ(arrived.recoveries, 1u);
+    EXPECT_EQ(arrived.faults, 0u);
+    EXPECT_EQ(arrived.calls, 16);
+}
+
 // ---- the adaptation engine rides migration-by-recovery ----------------
 
 struct EngineOutcome {
@@ -687,11 +778,13 @@ EngineOutcome run_engine_workload(bool durable) {
     // node 1 is the dominant (sole) Counter caller — the source the engine
     // will pick as the recovery target.  This runs outside the driver so
     // the crash window can be anchored to the *measured* virtual time
-    // afterwards; setup RPC costs never skew the window placement.
+    // afterwards; setup RPC costs never skew the window placement.  The
+    // anchor is node 2's clock: node 2 is the driver's only client, so the
+    // run (and its first heartbeat, one interval in) starts from it.
     Value svc = system.construct(2, "Service", "()V");
     for (int k = 0; k < 8; ++k)
         system.call_static(1, "Counter", "bump", "(I)I", {vm::Value::of_int(1)});
-    const std::uint64_t t_start = system.network().now_us();
+    const std::uint64_t t_start = system.node(2).clock_us();
 
     // The crash opens after the warm-up and closes before the Service
     // client's traffic runs out: no dispatched call ever straddles the

@@ -78,11 +78,13 @@ TEST(PolicyConfig, ErrorsCarryLineNumbers) {
 }
 
 TEST(PolicyConfig, MalformedLinkAndRetryNumbersFailAtTheirLine) {
-    // Every number on a link or retry line is parsed as a whole token and
-    // range-checked, as the fault lines already were.
+    // Every number is parsed once, as a whole token in its field's own
+    // type, and range-checked: nothing wraps on the way into a narrower
+    // field, and no sign prefix slips through.
     DistributionPolicy policy;
     net::SimNetwork network;
     RetryPolicy rp;
+    BatchPolicy batch;
     for (const char* line : {
              "link 0 -> 1 latency abc",
              "link 0 -> 1 latency 5x",
@@ -95,10 +97,16 @@ TEST(PolicyConfig, MalformedLinkAndRetryNumbersFailAtTheirLine) {
              "link 0 -> 1 latency abc drop 1.5 bandwidth -3",
              "retry attempts 3 multiplier 2x",
              "retry attempts 3 multiplier abc",
+             "instance X on 4294967297",
+             "retry attempts 4294967297",
+             "breaker threshold 4294967296",
+             "batch on max 4294967297",
+             "retry attempts 3 base 99999999999999999999999",
+             "instance X on +1",
          }) {
         const std::string text = "protocol default RMI\n# two racks\n" + std::string(line);
         try {
-            apply_policy_config(text, policy, &network, &rp);
+            apply_policy_config(text, policy, &network, &rp, &batch);
             ADD_FAILURE() << "accepted: " << line;
         } catch (const ParseError& e) {
             EXPECT_EQ(e.line(), 3) << line;

@@ -32,6 +32,18 @@ done
 
 case " $presets " in
 *" default "*)
+    # One meaning of now (gating): SimNetwork::now_us() is only the
+    # network's horizon, for utilization denominators and reports.  No
+    # runtime decision reads it: the driver and the controller run on the
+    # event heap's clock, and each node's clock stamps its own work
+    # (DESIGN.md §13).
+    echo "== no runtime reads of the network horizon =="
+    if grep -rn 'now_us()' src/runtime; then
+        echo "FAIL: src/runtime reads SimNetwork::now_us()" >&2
+        exit 1
+    fi
+    echo "horizon guard OK: src/runtime never calls now_us()"
+
     # Thread-pool stress (gating): the pool, the verifier's allocation
     # bound and pipeline determinism rerun up to 20 times under parallel
     # load, so a scheduling-dependent failure fails the gate instead of

@@ -6,7 +6,9 @@
 A tagged number is written as `<number> <!-- E<n>.<field> -->`; the
 comment is invisible in rendered markdown.  The number right before the
 tag must equal field <field> of BENCH_E<n>.json in DIR (default: the
-current directory), rounded to as many decimals as the doc shows.
+current directory), rounded to as many decimals as the doc shows.  A
+field may be a dotted path into the sidecar's arrays and objects:
+`E9.windows.0.tasks` is the `tasks` of the first `windows` entry.
 Thousands separators are ignored.  Untagged numbers, such as the advisory
 host wall times, are not checked.
 
@@ -20,7 +22,7 @@ import os
 import re
 import sys
 
-TAG = re.compile(r"<!--\s*(E\d+)\.(\w+)\s*-->")
+TAG = re.compile(r"<!--\s*(E\d+)\.(\w+(?:\.\w+)*)\s*-->")
 NUMBER_BEFORE = re.compile(r"(-?\d[\d,]*(?:\.\d+)?)\s*$")
 
 
@@ -47,16 +49,24 @@ def check(doc_path, sidecar_dir):
                 except OSError as e:
                     sidecars[exp] = None
                     problems.append(f"{where}: cannot read {path}: {e.strerror}")
-            doc = sidecars[exp]
-            if doc is None:
+            value = sidecars[exp]
+            if value is None:
                 continue
-            if field not in doc:
-                problems.append(f"{where}: BENCH_{exp}.json has no field {field}")
+            for key in field.split("."):
+                if isinstance(value, list) and key.isdigit() and int(key) < len(value):
+                    value = value[int(key)]
+                elif isinstance(value, dict) and key in value:
+                    value = value[key]
+                else:
+                    value = None
+                    break
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                problems.append(f"{where}: BENCH_{exp}.json has no number at {field}")
                 continue
             text = num.group(1).replace(",", "")
             decimals = len(text.split(".")[1]) if "." in text else 0
-            if round(float(doc[field]), decimals) != float(text):
-                problems.append(f"{where}: doc says {num.group(1)}, sidecar says {doc[field]}")
+            if round(float(value), decimals) != float(text):
+                problems.append(f"{where}: doc says {num.group(1)}, sidecar says {value}")
     if tags == 0:
         problems.append(f"{doc_path}: no <!-- E<n>.<field> --> tags found")
     return tags, problems
