@@ -10,53 +10,40 @@
 namespace rafda::runtime {
 
 void WorkloadDriver::add_client(net::NodeId node, std::vector<Task> tasks) {
-    for (Client& c : clients_) {
-        if (c.node != node) continue;
-        c.tasks.insert(c.tasks.end(), std::make_move_iterator(tasks.begin()),
-                       std::make_move_iterator(tasks.end()));
-        return;
-    }
-    clients_.push_back(Client{node, std::move(tasks), 0, 0, 0});
+    const std::uint64_t count = tasks.size();
+    add_group(Group{{node}, 1, count, std::move(tasks)});
 }
 
 void WorkloadDriver::add_client(net::NodeId node, std::size_t count, Task task) {
-    std::vector<Task> tasks;
-    tasks.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) tasks.push_back(task);
-    add_client(node, std::move(tasks));
+    add_group(Group{{node}, 1, count, {std::move(task)}});
 }
 
 void WorkloadDriver::add_fleet(std::vector<net::NodeId> nodes,
                                std::uint64_t clients, std::uint32_t tasks_each,
                                Task task) {
-    if (nodes.empty() || clients == 0 || tasks_each == 0) return;
-    Fleet f;
-    f.nodes = std::move(nodes);
-    f.clients = clients;
-    f.tasks_each = tasks_each;
-    f.task = std::move(task);
-    fleets_.push_back(std::move(f));
+    add_group(Group{std::move(nodes), clients, tasks_each, {std::move(task)}});
+}
+
+void WorkloadDriver::add_group(Group group) {
+    if (group.nodes.empty() || group.clients == 0 || group.tasks_each == 0) return;
+    groups_.push_back(std::move(group));
 }
 
 WorkloadDriver::Report WorkloadDriver::run() {
     Report report;
-    if (clients_.empty() && fleets_.empty()) return report;
+    const std::vector<Group> groups = std::move(groups_);
+    groups_.clear();
+    if (groups.empty()) return report;
 
-    report.clients.reserve(clients_.size());
-    for (Client& c : clients_) {
-        ClientReport cr;
-        cr.node = c.node;
-        cr.start_us = system_->node(c.node).clock_us();
-        report.clients.push_back(cr);
-    }
-    bool have_start = false;
-    auto fold_start = [&](std::uint64_t t) {
-        if (!have_start || t < report.start_us) report.start_us = t;
-        have_start = true;
+    // The run's extent folds the clocks of this run's client nodes only:
+    // a group's clients occupy its first min(clients, nodes) nodes.
+    auto each_client_clock = [&](auto&& fn) {
+        for (const Group& g : groups)
+            for (std::size_t i = 0; i < std::min<std::uint64_t>(g.clients, g.nodes.size()); ++i)
+                fn(system_->node(g.nodes[i]).clock_us());
     };
-    for (const ClientReport& cr : report.clients) fold_start(cr.start_us);
-    for (const Fleet& f : fleets_)
-        for (net::NodeId n : f.nodes) fold_start(system_->node(n).clock_us());
+    report.start_us = UINT64_MAX;
+    each_client_clock([&](std::uint64_t t) { report.start_us = std::min(report.start_us, t); });
 
     // Tasks that needed retries but still completed are "recovered":
     // detected by diffing the system-wide rpc.retries counter around each
@@ -79,26 +66,28 @@ WorkloadDriver::Report WorkloadDriver::run() {
     };
 
     std::vector<std::uint64_t> latencies;
-    std::uint64_t fleet_tasks = 0;
-    std::uint64_t fleet_faults = 0;
-    std::uint64_t fleet_recovered = 0;
 
     // The scheduler.  A pending client's whole footprint is its Event; the
-    // handlers below are its continuations ("run the next burst"), so
-    // nothing per-client survives between dispatches except queue cursors
-    // (explicit clients) or the remaining-count riding in the event itself
-    // (fleet clients).  Handler registration order is fixed, so event
-    // kinds — and with them the order digest — are stable across runs.
+    // step handler below is its continuation ("run the next burst"), so
+    // nothing per-client survives between dispatches except the
+    // remaining-count riding in the event itself.  Handler registration
+    // order is fixed — the step is kind 0, the heartbeat kind 1 — so event
+    // kinds, and with them the order digest, are stable across runs.
     EventHeap heap;
 
-    // One burst of `burst` tasks on node `nid`, task(b) being the b-th;
-    // both step handlers below run their client through it.  A burst of
+    // Continuation: one burst of up to pipeline_depth_ tasks for one
+    // client.  `a` packs (group, client); `b` carries the client's
+    // remaining task count, so the event IS the client state.  A burst of
     // more than one is pipelined: reply waits are deferred and the drain
     // closes the burst before the next event dispatches, so the event
     // order — and with it determinism — is untouched.  A guest exception
-    // is absorbed as a fault.  Returns the node's clock after the burst.
-    auto run_burst = [&](net::NodeId nid, std::size_t burst, auto&& task,
-                         std::uint64_t& faults, std::uint64_t& recovered) {
+    // is absorbed as a fault.
+    const std::uint32_t kStep = heap.register_handler([&](const Event& e) {
+        const Group& g = groups[static_cast<std::size_t>(e.a >> 32)];
+        const net::NodeId nid = g.nodes[(e.a & 0xffffffffULL) % g.nodes.size()];
+        const std::uint64_t next = g.tasks_each - e.b;  // the client's next task
+        const std::size_t burst = static_cast<std::size_t>(
+            std::min<std::uint64_t>(pipeline_depth_, e.b));
         Node& node = system_->node(nid);
         if (burst > 1) node.set_pipeline(true);
         const std::uint64_t t0 = node.clock_us();
@@ -119,10 +108,10 @@ WorkloadDriver::Report WorkloadDriver::run() {
             const std::uint64_t retries_before = retries.value();
             if (window_us_) before = system_->rpc_totals();
             try {
-                task(b)(*system_, nid);
-                if (retries.value() != retries_before) ++recovered;
+                g.tasks[(next + b) % g.tasks.size()](*system_, nid);
+                if (retries.value() != retries_before) ++report.recovered;
             } catch (const vm::GuestException& ex) {
-                ++faults;
+                ++report.faults;
                 log_debug("driver", "client on node ", nid, " raised ",
                           ex.class_name(), ": ", ex.message());
             }
@@ -132,36 +121,9 @@ WorkloadDriver::Report WorkloadDriver::run() {
         }
         if (burst > 1) node.set_pipeline(false);
         complete(node.clock_us());
-        return node.clock_us();
-    };
-
-    // Continuation: one burst for an explicitly added client.
-    const std::uint32_t kClientStep = heap.register_handler([&](const Event& e) {
-        Client& c = clients_[static_cast<std::size_t>(e.a)];
-        const std::size_t burst =
-            std::min(pipeline_depth_, c.tasks.size() - c.next);
-        const std::uint64_t clock = run_burst(
-            c.node, burst, [&](std::size_t b) -> Task& { return c.tasks[c.next + b]; },
-            c.faults, c.recovered);
-        c.next += burst;
-        if (c.next < c.tasks.size()) heap.post(clock, c.node, e.kind, e.a);
-    });
-
-    // Continuation: one burst for a fleet client.  `a` packs (fleet,
-    // client); `b` carries the remaining task count, so the event IS the
-    // client state.
-    const std::uint32_t kFleetStep = heap.register_handler([&](const Event& e) {
-        Fleet& f = fleets_[static_cast<std::size_t>(e.a >> 32)];
-        const std::uint64_t ci = e.a & 0xffffffffULL;
-        const net::NodeId nid = f.nodes[ci % f.nodes.size()];
-        const std::size_t burst = static_cast<std::size_t>(
-            std::min<std::uint64_t>(pipeline_depth_, e.b));
-        const std::uint64_t clock = run_burst(
-            nid, burst, [&](std::size_t) -> Task& { return f.task; }, fleet_faults,
-            fleet_recovered);
-        fleet_tasks += burst;
+        report.tasks_run += burst;
         if (const std::uint64_t remaining = e.b - burst)
-            heap.post(clock, nid, e.kind, e.a, remaining);
+            heap.post(node.clock_us(), nid, e.kind, e.a, remaining);
     });
 
     // Controller heartbeat for the adaptation engine (DESIGN.md §19): an
@@ -172,7 +134,7 @@ WorkloadDriver::Report WorkloadDriver::run() {
     // byte-identical.
     AdaptationEngine* engine = system_->adaptation();
     const std::uint64_t adapt_interval = engine ? engine->policy().interval_us : 0;
-    // Stop rule: the heartbeat re-posts while any client or fleet step is
+    // Stop rule: the heartbeat re-posts while any client step is
     // pending.  The heap holds only steps and this one heartbeat, which is
     // popped while its handler runs, so a non-empty heap means exactly
     // that; once the last step has run the controller goes quiet.
@@ -181,20 +143,14 @@ WorkloadDriver::Report WorkloadDriver::run() {
         if (!heap.empty()) heap.post(e.at_us + adapt_interval, e.node, e.kind);
     });
 
-    // Seed the heap at each client's clock: explicit clients in
-    // registration order, then fleet clients in index order (equal clocks
-    // tie-break in post order).
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-        if (clients_[i].tasks.empty()) continue;
-        heap.post(system_->node(clients_[i].node).clock_us(), clients_[i].node,
-                  kClientStep, i);
-    }
-    for (std::size_t fi = 0; fi < fleets_.size(); ++fi) {
-        Fleet& f = fleets_[fi];
-        for (std::uint64_t ci = 0; ci < f.clients; ++ci) {
-            const net::NodeId nid = f.nodes[ci % f.nodes.size()];
-            heap.post(system_->node(nid).clock_us(), nid, kFleetStep,
-                      (static_cast<std::uint64_t>(fi) << 32) | ci, f.tasks_each);
+    // Seed the heap at each client's clock, groups in registration order
+    // and clients in index order (equal clocks tie-break in post order).
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        const Group& g = groups[gi];
+        for (std::uint64_t ci = 0; ci < g.clients; ++ci) {
+            const net::NodeId nid = g.nodes[ci % g.nodes.size()];
+            heap.post(system_->node(nid).clock_us(), nid, kStep,
+                      (static_cast<std::uint64_t>(gi) << 32) | ci, g.tasks_each);
         }
     }
 
@@ -246,33 +202,7 @@ WorkloadDriver::Report WorkloadDriver::run() {
     }
 
     report.end_us = report.start_us;
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-        Client& c = clients_[i];
-        ClientReport& cr = report.clients[i];
-        cr.end_us = system_->node(c.node).clock_us();
-        cr.tasks = c.next;
-        cr.faults = c.faults;
-        cr.recovered = c.recovered;
-        report.tasks_run += c.next;
-        report.faults += c.faults;
-        report.recovered += c.recovered;
-        report.end_us = std::max(report.end_us, cr.end_us);
-        // Consumed queues reset so a subsequent add_client + run() starts
-        // a fresh window for this client.
-        c.tasks.clear();
-        c.next = 0;
-        c.faults = 0;
-        c.recovered = 0;
-    }
-    for (const Fleet& f : fleets_) {
-        report.fleet_clients += f.clients;
-        for (net::NodeId n : f.nodes)
-            report.end_us = std::max(report.end_us, system_->node(n).clock_us());
-    }
-    fleets_.clear();
-    report.tasks_run += fleet_tasks;
-    report.faults += fleet_faults;
-    report.recovered += fleet_recovered;
+    each_client_clock([&](std::uint64_t t) { report.end_us = std::max(report.end_us, t); });
     report.makespan_us = report.end_us - report.start_us;
     if (window_us_) {
         // Every window from the run's start to its end is listed, empty

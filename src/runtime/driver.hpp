@@ -11,18 +11,25 @@
 // (channel occupancy queues contending transfers) and on the server
 // node's clock (requests arriving while it is busy wait their turn).
 //
+// There is one kind of client.  Every add_client/add_fleet call
+// registers one group: `clients` clients spread over its nodes, each
+// running `tasks_each` tasks from the group's task list.  run() consumes
+// the groups registered since the last run, so a run's extent and report
+// cover exactly the clients it ran.
+//
 // Scheduling is a single EventHeap: every pending client is one POD event
-// (its continuation is "run the next burst"), so 10⁵–10⁶ clients cost
-// O(bytes per pending event), not O(queues × stack).  The event key is
-// the client node's clock, so the next client to run is always the one
-// earliest in virtual time (equal clocks run in post order) — the
-// event-driven order of a discrete-event simulator.  SimNetwork transfer
-// completions fold into the heap's order digest as they are sequenced, so
-// the digest witnesses network and client work on one timeline while the
-// heap holds only client steps (and the adaptation heartbeat).  The popped
-// event's time is the simulation clock for the driver and the controller:
-// heartbeats tick the AdaptationEngine at it and the durable restart sweep
-// reads it, while each node's own clock stamps the node's work.
+// (its continuation is "run the next burst", event kind 0), so 10⁵–10⁶
+// clients cost O(bytes per pending event), not O(queues × stack).  The
+// event key is the client node's clock, so the next client to run is
+// always the one earliest in virtual time (equal clocks run in post
+// order) — the event-driven order of a discrete-event simulator.
+// SimNetwork transfer completions fold into the heap's order digest as
+// they are sequenced, so the digest witnesses network and client work on
+// one timeline while the heap holds only client steps (and the adaptation
+// heartbeat, event kind 1).  The popped event's time is the simulation
+// clock for the driver and the controller: heartbeats tick the
+// AdaptationEngine at it and the durable restart sweep reads it, while
+// each node's own clock stamps the node's work.
 //
 // The dispatch order is a pure function of the workload and the network
 // seed — runs are bit-for-bit reproducible, and the heap's order digest
@@ -53,29 +60,21 @@ public:
 
     explicit WorkloadDriver(System& system) : system_(&system) {}
 
-    /// Appends a client with an ordered queue of invocations.
+    /// One client on `node` running `tasks` in order.  Every call
+    /// registers a new client: two calls for one node are two clients
+    /// whose steps interleave on that node's clock.
     void add_client(net::NodeId node, std::vector<Task> tasks);
-    /// Convenience: `count` repetitions of the same invocation.
+    /// One client on `node` running `task` `count` times.
     void add_client(net::NodeId node, std::size_t count, Task task);
 
-    /// Bulk registration for scale runs: `clients` lightweight clients
-    /// spread round-robin across `nodes` (client k lives on nodes[k %
-    /// nodes.size()]), each issuing `tasks_each` repetitions of one shared
-    /// task.  Fleet clients carry no per-client queue or report — their
-    /// entire pending state is the event in the heap — so a million of
-    /// them cost megabytes, not gigabytes.  Tallies aggregate into the
-    /// Report totals; `Report::fleet_clients` counts them.
+    /// Bulk registration for scale runs: `clients` clients spread
+    /// round-robin across `nodes` (client k lives on nodes[k %
+    /// nodes.size()]), each running `tasks_each` repetitions of one shared
+    /// task.  A client's entire pending state is its event in the heap,
+    /// so a million of them cost megabytes, not gigabytes.
     void add_fleet(std::vector<net::NodeId> nodes, std::uint64_t clients,
                    std::uint32_t tasks_each, Task task);
 
-    struct ClientReport {
-        net::NodeId node = 0;
-        std::uint64_t start_us = 0;  // node clock when run() began
-        std::uint64_t end_us = 0;    // node clock when its queue drained
-        std::uint64_t tasks = 0;
-        std::uint64_t faults = 0;     // tasks that surfaced a guest exception
-        std::uint64_t recovered = 0;  // tasks that completed but needed retries
-    };
     /// One observation window (see set_window_us): the tasks that
     /// completed in (start_us, end_us] of virtual time — the first window
     /// also holds a task completing at start_us — and the system-wide RPC
@@ -89,8 +88,8 @@ public:
     };
 
     struct Report {
-        std::uint64_t start_us = 0;     // min client clock at run() entry
-        std::uint64_t end_us = 0;       // max client clock at drain
+        std::uint64_t start_us = 0;     // min clock of this run's clients at entry
+        std::uint64_t end_us = 0;       // max clock of this run's clients at drain
         std::uint64_t makespan_us = 0;  // end_us - start_us
         std::uint64_t tasks_run = 0;
         /// Injected faults split by outcome: `recovered` tasks hit at
@@ -107,11 +106,7 @@ public:
         /// Windows, oldest first, from start_us to end_us with empty ones
         /// listed; none unless set_window_us(>0).
         std::vector<Window> windows;
-        /// Per-client detail for explicitly added clients only; fleet
-        /// clients aggregate into the totals above.
-        std::vector<ClientReport> clients;
         /// Scheduler accounting for the run.
-        std::uint64_t fleet_clients = 0;
         std::uint64_t events_dispatched = 0;
         std::uint64_t peak_pending_events = 0;  // bounded-memory witness
         std::uint64_t event_order_digest = 0;   // FNV-1a over the pop stream
@@ -139,29 +134,25 @@ public:
 
     void set_fairness(Fairness) {}
 
-    /// Runs every queue to exhaustion through the event heap.  Can be
-    /// called again after queueing more work; clocks carry over (virtual
-    /// time never rewinds).
+    /// Runs every client registered since the last run to exhaustion
+    /// through the event heap.  Can be called again after registering
+    /// more clients; clocks carry over (virtual time never rewinds).
     Report run();
 
 private:
-    struct Client {
-        net::NodeId node = 0;
-        std::vector<Task> tasks;
-        std::size_t next = 0;
-        std::uint64_t faults = 0;
-        std::uint64_t recovered = 0;
-    };
-    struct Fleet {
+    /// One add_client/add_fleet call: client c lives on nodes[c %
+    /// nodes.size()] and runs tasks[k % tasks.size()] as its task k, for k
+    /// in [0, tasks_each).
+    struct Group {
         std::vector<net::NodeId> nodes;
         std::uint64_t clients = 0;
-        std::uint32_t tasks_each = 0;
-        Task task;
+        std::uint64_t tasks_each = 0;
+        std::vector<Task> tasks;
     };
+    void add_group(Group group);
 
     System* system_;
-    std::vector<Client> clients_;
-    std::vector<Fleet> fleets_;
+    std::vector<Group> groups_;
     std::uint64_t window_us_ = 0;
     std::size_t pipeline_depth_ = 1;
 };

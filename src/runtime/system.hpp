@@ -60,8 +60,8 @@ struct EdgeTraffic {
 
 /// One class's row of the typed traffic table (DESIGN.md §10): the
 /// registry handles the dispatch path bumps, keyed the way readers want
-/// them, so the adaptation engine, the advisor and the benches never parse
-/// metric names.  Handles are resolved on first use and survive
+/// them, so the adaptation engine and the benches never parse metric
+/// names.  Handles are resolved on first use and survive
 /// System::reset_stats (the values are zeroed in place).
 struct ClassTraffic {
     /// Materialized (src, dst) edges.  At most SystemOptions::

@@ -323,9 +323,7 @@ TEST(WorkloadDriver, FleetClientsAggregateIntoTotals) {
 
     // Fleet clients have no per-client report — their whole state was the
     // pending event — but every task they ran lands in the totals.
-    EXPECT_EQ(report.fleet_clients, 10u);
     EXPECT_EQ(report.tasks_run, 40u);
-    EXPECT_TRUE(report.clients.empty());
     // The driver dispatches exactly one step event per task: network
     // completions fold into the digest without entering the heap.
     EXPECT_EQ(report.events_dispatched, 40u);
@@ -670,6 +668,84 @@ TEST(WorkloadDriver, RerunCarriesClocksForward) {
     EXPECT_GE(second.start_us, first.start_us);
     EXPECT_GT(second.end_us, first.end_us);
     EXPECT_EQ(second.tasks_run, 2u);
+}
+
+TEST(WorkloadDriver, ClientWithoutTasksDoesNotAnchorTheRun) {
+    // A rerun reports only the clients it ran: node 1 idles in the second
+    // run, so its earlier clock must neither open the run nor its first
+    // window.
+    model::ClassPool pool = make_pool();
+    System system(pool);
+    for (int k = 0; k < 3; ++k) system.add_node();
+    system.policy().set_instance_home("Service", 0, "RMI");
+    Value svc1 = system.construct(1, "Service", "()V");
+    Value svc2 = system.construct(2, "Service", "()V");
+    auto work = [](Value svc) {
+        return [svc](System& sys, net::NodeId node) {
+            sys.node(node).interp().call_virtual(svc, "work", "(J)J",
+                                                 {Value::of_long(7)});
+        };
+    };
+    WorkloadDriver driver(system);
+    driver.add_client(1, 2, work(svc1));
+    driver.add_client(2, 12, work(svc2));
+    driver.run();
+    ASSERT_LT(system.node(1).clock_us(), system.node(2).clock_us());
+
+    driver.set_window_us(500);
+    driver.add_client(2, 4, work(svc2));
+    const std::uint64_t entry = system.node(2).clock_us();
+    WorkloadDriver::Report second = driver.run();
+    EXPECT_EQ(second.tasks_run, 4u);
+    EXPECT_EQ(second.start_us, entry);
+    EXPECT_EQ(second.end_us, system.node(2).clock_us());
+    ASSERT_FALSE(second.windows.empty());
+    EXPECT_GT(second.windows.front().tasks, 0u);
+}
+
+TEST(WorkloadDriver, AddedClientIsAOneClientFleet) {
+    // One client model: a queued client, a repeated task and a
+    // one-client fleet are the same client, down to the event digest.
+    model::ClassPool pool = make_pool();
+    enum class Shape { Queue, Repeat, Fleet };
+    auto once = [&pool](Shape shape) {
+        System system(pool);
+        system.add_node();
+        system.add_node();
+        system.policy().set_instance_home("Service", 0, "RMI");
+        Value svc = system.construct(1, "Service", "()V");
+        WorkloadDriver::Task task = [svc](System& sys, net::NodeId node) {
+            sys.node(node).interp().call_virtual(svc, "work", "(J)J",
+                                                 {Value::of_long(7)});
+        };
+        WorkloadDriver driver(system);
+        driver.set_pipeline_depth(2);
+        driver.set_window_us(300);
+        switch (shape) {
+            case Shape::Queue:
+                driver.add_client(1, std::vector<WorkloadDriver::Task>(5, task));
+                break;
+            case Shape::Repeat: driver.add_client(1, 5, task); break;
+            case Shape::Fleet: driver.add_fleet({1}, 1, 5, task); break;
+        }
+        const WorkloadDriver::Report r = driver.run();
+        std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                               std::uint64_t, std::uint64_t>>
+            windows;
+        for (const WorkloadDriver::Window& w : r.windows)
+            windows.emplace_back(w.start_us, w.end_us, w.tasks, w.rpc_calls,
+                                 w.wire_bytes);
+        return std::tuple{r.start_us,         r.end_us,
+                          r.tasks_run,        r.latency_p50_us,
+                          r.latency_p95_us,   r.latency_p99_us,
+                          windows,            r.events_dispatched,
+                          r.event_order_digest};
+    };
+    const auto queue = once(Shape::Queue);
+    EXPECT_EQ(std::get<2>(queue), 5u);
+    EXPECT_GT(std::get<6>(queue).size(), 1u);  // the windows split the run
+    EXPECT_EQ(queue, once(Shape::Repeat));
+    EXPECT_EQ(queue, once(Shape::Fleet));
 }
 
 }  // namespace

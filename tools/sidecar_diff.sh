@@ -10,7 +10,10 @@
 # command does.  Both sides then run `experiments` (all of E1-E15, E13 at
 # check.sh's 10^4-client smoke size) from their own output directory, and
 # every BENCH_E*.json is compared byte for byte.  Sidecars hold no host
-# timings, so nothing is masked.  <base-rev> must already have the runner
+# timings, so nothing is masked.  A sidecar that differs is printed field
+# by field: one line per JSON path (dotted, as tools/doc_check.py tags
+# name them) with its before -> after value, or as a plain diff when
+# python3 is missing.  <base-rev> must already have the runner
 # (bench/experiments.cpp); older revisions are refused.
 #
 # Exits non-zero on any difference or on a sidecar present on one side
@@ -61,6 +64,37 @@ run_side "$work/base/build" "$work/out-base"
 echo "== running experiments: working tree =="
 run_side "$repo/build" "$work/out-head"
 
+field_diff() {  # <before.json> <after.json>
+    command -v python3 >/dev/null 2>&1 && python3 - "$1" "$2" <<'EOF' && return
+import json
+import sys
+
+
+def flatten(value, path, out):
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        out[path] = json.dumps(value)
+        return out
+    for key, item in items:
+        flatten(item, f"{path}.{key}" if path else str(key), out)
+    return out
+
+
+with open(sys.argv[1]) as f:
+    before = flatten(json.load(f), "", {})
+with open(sys.argv[2]) as f:
+    after = flatten(json.load(f), "", {})
+for path in list(before) + [p for p in after if p not in before]:
+    old, new = before.get(path, "(absent)"), after.get(path, "(absent)")
+    if old != new:
+        print(f"  {path}: {old} -> {new}")
+EOF
+    diff "$1" "$2" || true
+}
+
 echo "== comparing sidecars =="
 status=0
 for f in $( (cd "$work/out-base" && ls BENCH_E*.json; cd "$work/out-head" && ls BENCH_E*.json) |
@@ -72,7 +106,7 @@ for f in $( (cd "$work/out-base" && ls BENCH_E*.json; cd "$work/out-head" && ls 
         echo "same    $f"
     else
         echo "DIFFERS $f"
-        diff "$work/out-base/$f" "$work/out-head/$f" || true
+        field_diff "$work/out-base/$f" "$work/out-head/$f"
         status=1
     fi
 done
