@@ -150,4 +150,14 @@ ClassBuilder& ClassBuilder::native_method(std::string name, MethodSig sig, bool 
 
 ClassFile ClassBuilder::build() { return std::move(cf_); }
 
+Method empty_ctor() {
+    CodeBuilder body;
+    body.ret();
+    Method m;
+    m.name = "<init>";
+    m.sig = MethodSig({}, TypeDesc::void_());
+    m.code = body.finish(1);
+    return m;
+}
+
 }  // namespace rafda::model

@@ -99,6 +99,11 @@ private:
     int max_slot_ = -1;
 };
 
+/// `<init>()V` whose body only returns: the parameterless constructor the
+/// paper gives every local implementation and proxy (Sec 2.1), and the one
+/// the wrapper baseline ensures for make().
+Method empty_ctor();
+
 /// Builds one class file.
 class ClassBuilder {
 public:

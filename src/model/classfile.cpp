@@ -48,6 +48,19 @@ bool ClassFile::has_native_method() const {
                        [](const Method& m) { return m.is_native; });
 }
 
+Code remapped(const Code& in, std::vector<Instruction> instrs, const std::vector<int>& new_pc,
+              int max_locals) {
+    auto at = [&](int pc) { return new_pc[static_cast<std::size_t>(pc)]; };
+    Code out;
+    out.max_locals = max_locals;
+    out.instrs = std::move(instrs);
+    for (Instruction& i : out.instrs)
+        if (is_branch(i.op)) i.a = at(i.a);
+    for (const Handler& h : in.handlers)
+        out.handlers.push_back(Handler{at(h.start), at(h.end), at(h.target), h.class_name});
+    return out;
+}
+
 namespace {
 
 void add_type(std::set<std::string>& out, const TypeDesc& t) {

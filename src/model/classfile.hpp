@@ -51,6 +51,14 @@ struct Code {
     bool empty() const noexcept { return instrs.empty(); }
 };
 
+/// A rewrite of `in` as a Code: `instrs` replace `in.instrs`, and every
+/// branch target and handler bound moves by `new_pc`, where `new_pc[pc]`
+/// is the position old instruction `pc` now starts at and
+/// `new_pc[in.instrs.size()]` is the new end.  `in` must be verified, so
+/// every old target indexes `new_pc`.
+Code remapped(const Code& in, std::vector<Instruction> instrs, const std::vector<int>& new_pc,
+              int max_locals);
+
 /// A method.  Constructors are named "<init>", the static initialiser
 /// "<clinit>"; both conventions follow the JVM so transformation rules read
 /// like the paper.
@@ -96,7 +104,6 @@ struct ClassFile {
     /// All methods named `name` declared in this class.
     std::vector<const Method*> methods_named(std::string_view method_name) const;
 
-    bool has_clinit() const { return find_method("<clinit>", "()V") != nullptr; }
     /// True if any declared method is native.
     bool has_native_method() const;
 

@@ -66,7 +66,4 @@ public:
     explicit RuntimeError(const std::string& what) : Error("runtime error: " + what) {}
 };
 
-/// Throws VerifyError with `what` when `cond` is false.
-void verify_that(bool cond, const std::string& what);
-
 }  // namespace rafda

@@ -11,6 +11,13 @@
 //   A_O_Factory  — native make() (policy hook) + init(...) per constructor
 //   A_C_Factory  — native discover() (policy hook) + clinit(that) +
 //                  call_m forwarders for static call sites
+//
+// One member rule decides what each family holds: a get_f/set_f pair per
+// field, then the methods, taking the instance members for the _O_ family
+// and the statics for the _C_ family; constructors and <clinit> go to the
+// factories.  Int, Local and the proxies of both families are built from
+// that one walk (instance proxies add the members inherited from
+// substitutable ancestors and transformable interfaces).
 #pragma once
 
 #include <string>
@@ -28,14 +35,6 @@ struct GeneratorOptions {
     std::vector<std::string> protocols{"RMI", "SOAP"};
 };
 
-/// Members collected for interface extraction: all instance (or static)
-/// properties and methods A exposes, including those inherited from
-/// transformable ancestors (used to emit complete proxies).
-struct ExtractedMember {
-    std::string name;
-    model::MethodSig sig;  // mapped signature
-};
-
 /// Generates the eight artefacts for class `cls` (must be substitutable).
 /// Emitted classes reference families of other substitutable classes by
 /// name; add all families to one pool before verifying.
@@ -43,15 +42,11 @@ std::vector<model::ClassFile> generate_family(const Substitutables& subst,
                                               const model::ClassFile& cls,
                                               const GeneratorOptions& options);
 
-/// Rewrites a transformable user-defined interface in place: method
-/// signatures are mapped to extracted-interface types.
-model::ClassFile rewrite_interface(const Substitutables& subst,
-                                   const model::ClassFile& iface);
-
 /// Rewrites a transformable-but-not-substituted class in place: it keeps
 /// its name, fields and statics, but its types and call sites are redirected
 /// at the substituted families ("Policy dictates which classes are
-/// substitutable", Sec 1).
+/// substitutable", Sec 1).  A transformable user interface only has its
+/// method signatures mapped to extracted-interface types.
 model::ClassFile rewrite_in_place(const Substitutables& subst,
                                   const model::ClassFile& cls);
 

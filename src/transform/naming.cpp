@@ -52,12 +52,4 @@ std::string interface_to_proxy(std::string_view iface, std::string_view protocol
     return base + "Proxy_" + std::string(protocol);
 }
 
-bool is_generated(std::string_view name) {
-    return ends_with(name, "_O_Int") || ends_with(name, "_O_Local") ||
-           ends_with(name, "_C_Int") || ends_with(name, "_C_Local") ||
-           ends_with(name, "_O_Factory") || ends_with(name, "_C_Factory") ||
-           name.find("_O_Proxy_") != std::string_view::npos ||
-           name.find("_C_Proxy_") != std::string_view::npos;
-}
-
 }  // namespace rafda::transform::naming

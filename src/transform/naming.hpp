@@ -37,9 +37,6 @@ inline constexpr const char* kSingletonGetter = "get_me";
 inline constexpr const char* kProxyNodeField = "__node";
 inline constexpr const char* kProxyOidField = "__oid";
 
-/// True if `name` looks like a pipeline-generated class name.
-bool is_generated(std::string_view name);
-
 /// Decomposition of a generated proxy class name.
 struct ProxyName {
     std::string original;  // the application class, e.g. "X"

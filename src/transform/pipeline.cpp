@@ -85,11 +85,9 @@ PipelineResult run_pipeline(const model::ClassPool& original,
         PerClass& slot = produced[i];
         if (!analysis.transformable(cf.name)) {
             slot.artefacts.push_back(cf);  // non-transformable: original form
-        } else if (cf.is_interface) {
-            slot.artefacts.push_back(rewrite_interface(subst, cf));
         } else if (!subst.contains(cf.name)) {
-            // Transformable but, by policy, not substitutable: keep the
-            // class, redirect its references at the substituted families.
+            // A user interface, or a class that policy keeps: same name,
+            // references redirected at the substituted families.
             slot.artefacts.push_back(rewrite_in_place(subst, cf));
         } else {
             slot.substituted = true;

@@ -172,16 +172,12 @@ public:
                     break;
                 }
                 case Op::InvokeStatic: {
-                    // Find the declaring class along the super chain.
-                    std::string declaring = i.owner;
-                    for (const model::ClassFile* cur = pool.find(i.owner); cur;
-                         cur = cur->super_name.empty() ? nullptr
-                                                       : pool.find(cur->super_name)) {
-                        if (cur->find_method(i.member, i.desc)) {
-                            declaring = cur->name;
-                            break;
-                        }
-                    }
+                    // The class on the superclass chain that declares it.
+                    const model::ClassFile* decl =
+                        pool.find_on_chain(pool.find(i.owner), [&](const model::ClassFile& c) {
+                            return c.find_method(i.member, i.desc) != nullptr;
+                        });
+                    const std::string& declaring = decl ? decl->name : i.owner;
                     MethodSig mapped = map_sig(subst, MethodSig::parse(i.desc));
                     if (!subst.contains(declaring)) {
                         emit(model::ins::invoke_static(i.owner, i.member, mapped));
@@ -198,19 +194,7 @@ public:
             }
         }
         new_pc_of_.push_back(static_cast<int>(out_.size()));  // end sentinel
-
-        // Remap branch targets and handlers.
-        Code out;
-        out.instrs = std::move(out_);
-        for (Instruction& i : out.instrs)
-            if (model::is_branch(i.op)) i.a = new_pc_of_[static_cast<std::size_t>(i.a)];
-        for (const model::Handler& h : in_.handlers)
-            out.handlers.push_back(model::Handler{
-                new_pc_of_[static_cast<std::size_t>(h.start)],
-                new_pc_of_[static_cast<std::size_t>(h.end)],
-                new_pc_of_[static_cast<std::size_t>(h.target)], h.class_name});
-        out.max_locals = in_.max_locals + shift;
-        return out;
+        return model::remapped(in_, std::move(out_), new_pc_of_, in_.max_locals + shift);
     }
 
 private:

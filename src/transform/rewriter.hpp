@@ -12,7 +12,12 @@
 //   new C               ->  invokestatic C_O_Factory.make
 //   invokespecial C.<init> -> invokestatic C_O_Factory.init
 //
-// (D is the class on C's superclass chain that declares the static member.)
+// (D is the class on C's superclass chain that declares the static member,
+// found with ClassPool's bounded chain walk.)  Branch targets and handler
+// ranges then move to the new positions through model::remapped, the remap
+// the wrapper baseline shares.  Input code must be verified: the remap
+// indexes by every old target.
+//
 // Code generated for the *static* family (A_C_Local methods and the
 // factory clinit) accesses the statics of its own class through slot 0 —
 // `this` for A_C_Local instance methods, the `that` parameter for
@@ -66,8 +71,8 @@ struct RewriteContext {
     bool static_family = false;
 };
 
-/// Rewrites a method body.  Branch targets and handler ranges are remapped
-/// to the new instruction positions.
+/// Rewrites a verified method body.  Branch targets and handler ranges are
+/// remapped to the new instruction positions.
 model::Code rewrite_code(const RewriteContext& ctx, const model::Code& in);
 
 }  // namespace rafda::transform

@@ -5,6 +5,7 @@
 #include "model/builder.hpp"
 #include "model/verifier.hpp"
 #include "support/error.hpp"
+#include "transform/naming.hpp"
 
 namespace rafda::wrapper {
 
@@ -19,20 +20,15 @@ using model::MethodSig;
 using model::Op;
 using model::TypeDesc;
 using model::Visibility;
+using transform::naming::getter;
+using transform::naming::setter;
 
 std::string wrapper_name(std::string_view cls) { return std::string(cls) + "_Wrapper"; }
-
-bool WrapperReport::is_wrapped(const std::string& cls) const {
-    return std::binary_search(wrapped.begin(), wrapped.end(), cls);
-}
 
 namespace {
 
 constexpr const char* kTargetField = "target";
 constexpr const char* kImplSuffix = "__impl";
-
-std::string getter(const std::string& f) { return "get_" + f; }
-std::string setter(const std::string& f) { return "set_" + f; }
 
 /// Rewrites code so instance-member access goes through wrappers.  Unlike
 /// the RAFDA rewriter, descriptors are left untouched: the VM is
@@ -119,18 +115,7 @@ Code rewrite_for_wrappers(const model::ClassPool& pool,
         }
     }
     new_pc[in.instrs.size()] = static_cast<int>(out.size());
-
-    Code result;
-    result.instrs = std::move(out);
-    for (Instruction& i : result.instrs)
-        if (model::is_branch(i.op)) i.a = new_pc[static_cast<std::size_t>(i.a)];
-    for (const model::Handler& h : in.handlers)
-        result.handlers.push_back(model::Handler{new_pc[static_cast<std::size_t>(h.start)],
-                                                 new_pc[static_cast<std::size_t>(h.end)],
-                                                 new_pc[static_cast<std::size_t>(h.target)],
-                                                 h.class_name});
-    result.max_locals = in.max_locals;
-    return result;
+    return model::remapped(in, std::move(out), new_pc, in.max_locals);
 }
 
 ClassFile make_wrapper(const model::ClassPool& pool, const transform::Analysis& analysis,
@@ -141,14 +126,10 @@ ClassFile make_wrapper(const model::ClassPool& pool, const transform::Analysis& 
 
     // The target field is declared once, on the topmost wrapped ancestor's
     // wrapper, typed with that ancestor — subclass wrappers inherit it.
-    std::string root = cls.name;
-    while (true) {
-        const ClassFile* cur = pool.find(root);
-        if (!cur || cur->super_name.empty() || !analysis.transformable(cur->super_name))
-            break;
-        root = cur->super_name;
-    }
-    const TypeDesc target_t = TypeDesc::ref(root);
+    const ClassFile* root = pool.find_on_chain(&cls, [&](const ClassFile& c) {
+        return c.super_name.empty() || !analysis.transformable(c.super_name);
+    });
+    const TypeDesc target_t = TypeDesc::ref(root ? root->name : cls.name);
 
     // Inheritance: a wrapped subclass's wrapper extends the super's wrapper
     // so wrapper-typed references remain substitutable along the hierarchy.
@@ -157,15 +138,7 @@ ClassFile make_wrapper(const model::ClassPool& pool, const transform::Analysis& 
     else
         b.field(kTargetField, target_t, Visibility::Public);
 
-    {
-        CodeBuilder ctor;
-        ctor.ret();
-        Method m;
-        m.name = "<init>";
-        m.sig = MethodSig({}, TypeDesc::void_());
-        m.code = ctor.finish(1);
-        b.method(std::move(m));
-    }
+    b.method(model::empty_ctor());
 
     // make(): one wrapper + one raw target per logical instance — the
     // wrapper approach's per-object double allocation.
@@ -260,15 +233,7 @@ WrapperResult run_wrapper_pipeline(const model::ClassPool& original, bool verify
             if (m.is_static && !m.is_native && !m.is_abstract)
                 m.code = rewrite_for_wrappers(original, analysis, m.code);
         }
-        if (!kept.find_method("<init>", "()V")) {
-            CodeBuilder ctor;
-            ctor.ret();
-            Method m;
-            m.name = "<init>";
-            m.sig = MethodSig({}, TypeDesc::void_());
-            m.code = ctor.finish(1);
-            kept.methods.push_back(std::move(m));
-        }
+        if (!kept.find_method("<init>", "()V")) kept.methods.push_back(model::empty_ctor());
         out.add(std::move(kept));
         out.add(make_wrapper(original, analysis, *cf));
         wrapped.push_back(cf->name);

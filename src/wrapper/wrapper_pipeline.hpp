@@ -38,9 +38,7 @@ std::string wrapper_name(std::string_view cls);
 
 struct WrapperReport {
     transform::Analysis analysis;
-    std::vector<std::string> wrapped;  // classes that received wrappers
-
-    bool is_wrapped(const std::string& cls) const;
+    std::vector<std::string> wrapped;  // classes that received wrappers, sorted
 };
 
 struct WrapperResult {

@@ -48,9 +48,9 @@ class A {
   }
 }
 )");
-    EXPECT_TRUE(with.has_clinit());
+    EXPECT_NE(with.find_method("<clinit>", "()V"), nullptr);
     ClassFile without = parse_one("class B {\n}\n");
-    EXPECT_FALSE(without.has_clinit());
+    EXPECT_EQ(without.find_method("<clinit>", "()V"), nullptr);
 }
 
 TEST(ClassFile, ReferencedClassesCoverAllEdges) {

@@ -7,16 +7,19 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
+
+#include "model/binio.hpp"
+#include "model/builder.hpp"
 
 namespace {
 
 struct RunResult {
     int status = -1;
-    std::string output;  // stdout only
+    std::string output;
 };
 
-RunResult run_cli(const std::string& args) {
-    std::string cmd = std::string(RAFDAC_PATH) + " " + args + " 2>/dev/null";
+RunResult run_shell(const std::string& cmd) {
     std::array<char, 512> buf{};
     RunResult result;
     FILE* pipe = popen(cmd.c_str(), "r");
@@ -25,6 +28,41 @@ RunResult run_cli(const std::string& args) {
     int rc = pclose(pipe);
     result.status = WEXITSTATUS(rc);
     return result;
+}
+
+/// Runs rafdac; the output is stdout only.
+RunResult run_cli(const std::string& args) {
+    return run_shell(std::string(RAFDAC_PATH) + " " + args + " 2>/dev/null");
+}
+
+/// Runs rafdac under a 10 s timeout (a hang exits 124) with stderr, where
+/// rafdac names a processing error, folded into the output.
+RunResult run_cli_bounded(const std::string& args) {
+    return run_shell("timeout 10 " + std::string(RAFDAC_PATH) + " " + args + " 2>&1");
+}
+
+/// Writes `classes` as a .rirb artefact, unverified, as a foreign tool
+/// might.
+void write_rirb(const std::string& path, std::vector<rafda::model::ClassFile> classes) {
+    rafda::model::ClassPool pool;
+    for (rafda::model::ClassFile& cf : classes) pool.add(std::move(cf));
+    const rafda::Bytes bytes = rafda::model::save_pool(pool);
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A class whose one static method `main()V` has `body` as its code.
+rafda::model::ClassFile class_with_static(const std::string& name, const std::string& super,
+                                          std::vector<rafda::model::Instruction> body) {
+    rafda::model::ClassFile cf = rafda::model::ClassBuilder(name).extends(super).build();
+    rafda::model::Method m;
+    m.name = "main";
+    m.sig = rafda::model::MethodSig({}, rafda::model::TypeDesc::void_());
+    m.is_static = true;
+    m.code.instrs = std::move(body);
+    cf.methods.push_back(std::move(m));
+    return cf;
 }
 
 /// Minimal recursive-descent JSON checker — just enough of a parser to
@@ -453,6 +491,29 @@ TEST_F(RafdacCli, WalReportsEachNodesReplyStream) {
     const std::size_t field = r.output.find("\"reply_bytes\":", server);
     ASSERT_NE(field, std::string::npos) << r.output;
     EXPECT_NE(r.output[field + std::strlen("\"reply_bytes\":")], '0') << r.output;
+}
+
+// .rirb input is verified like .rir before anything transforms it: the
+// pipeline's rewriter indexes branch targets and walks superclass chains
+// on the strength of that check.
+TEST_F(RafdacCli, TransformRejectsUnverifiedRirbBranchTarget) {
+    using namespace rafda::model;
+    const std::string bad = app_ + "_branch.rirb";
+    write_rirb(bad, {class_with_static("X", "", {ins::go(100000), ins::ret()})});
+    RunResult r = run_cli_bounded("transform " + bad + " " + bad + ".out");
+    EXPECT_EQ(r.status, 2) << r.output;
+    EXPECT_NE(r.output.find("branch target out of range"), std::string::npos) << r.output;
+}
+
+TEST_F(RafdacCli, TransformRejectsUnverifiedRirbInheritanceCycle) {
+    using namespace rafda::model;
+    const std::string bad = app_ + "_cycle.rirb";
+    const MethodSig v({}, TypeDesc::void_());
+    write_rirb(bad, {class_with_static("X", "Y", {ins::invoke_static("X", "m", v), ins::ret()}),
+                     ClassBuilder("Y").extends("X").build()});
+    RunResult r = run_cli_bounded("transform " + bad + " " + bad + ".out");
+    EXPECT_EQ(r.status, 2) << r.output;
+    EXPECT_NE(r.output.find("inheritance cycle"), std::string::npos) << r.output;
 }
 
 TEST_F(RafdacCli, UsageAndErrors) {

@@ -23,17 +23,5 @@ TEST(Naming, Properties) {
     EXPECT_EQ(naming::static_forwarder("p"), "call_p");
 }
 
-TEST(Naming, GeneratedDetection) {
-    EXPECT_TRUE(naming::is_generated("X_O_Int"));
-    EXPECT_TRUE(naming::is_generated("X_O_Local"));
-    EXPECT_TRUE(naming::is_generated("X_O_Proxy_SOAP"));
-    EXPECT_TRUE(naming::is_generated("X_C_Proxy_RMI"));
-    EXPECT_TRUE(naming::is_generated("X_O_Factory"));
-    EXPECT_TRUE(naming::is_generated("X_C_Factory"));
-    EXPECT_FALSE(naming::is_generated("X"));
-    EXPECT_FALSE(naming::is_generated("Interesting"));
-    EXPECT_FALSE(naming::is_generated("PrintOINT"));
-}
-
 }  // namespace
 }  // namespace rafda::transform

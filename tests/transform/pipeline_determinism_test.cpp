@@ -2,9 +2,12 @@
 // pool is byte-identical (via save_pool) at every thread count, because
 // per-class artefacts are produced independently and merged in input name
 // order.  These tests pin that contract on both corpus generators and on
-// the environment-variable thread knob.
+// the environment-variable thread knob, and pin the bytes themselves: the
+// golden digests below are what the transformer and the wrapper baseline
+// emit, so a refactor of either that changes one output byte fails here.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "model/binio.hpp"
 #include "obs/metrics.hpp"
 #include "transform/pipeline.hpp"
+#include "wrapper/wrapper_pipeline.hpp"
 
 namespace rafda::transform {
 namespace {
@@ -44,6 +48,55 @@ TEST(PipelineDeterminism, ProgramSeedsIdenticalAcrossThreadCounts) {
         params.classes = 24;
         params.seed = seed;
         check_identical_across_threads(corpus::generate_program(params));
+    }
+}
+
+/// FNV-1a-64 over a saved pool.
+std::uint64_t fnv1a64(const Bytes& bytes) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::uint8_t c : bytes) h = (h ^ c) * 1099511628211ull;
+    return h;
+}
+
+struct Golden {
+    std::size_t size;
+    std::uint64_t digest;
+};
+
+void expect_golden(const Bytes& bytes, Golden golden, const char* what) {
+    EXPECT_EQ(bytes.size(), golden.size) << what;
+    EXPECT_EQ(fnv1a64(bytes), golden.digest) << what;
+}
+
+TEST(PipelineDeterminism, JdkCorpusMatchesGoldenBytes) {
+    corpus::JdkCorpusParams params;
+    params.total_types = 420;
+    model::ClassPool pool = corpus::generate_jdk_corpus(params);
+    const Golden golden{593981, 2957250036290576629ull};
+    expect_golden(transformed_bytes(pool, 1), golden, "1 thread");
+    expect_golden(transformed_bytes(pool, 2), golden, "2 threads");
+}
+
+TEST(PipelineDeterminism, ProgramSeedsMatchGoldenBytes) {
+    struct Row {
+        std::uint64_t seed;
+        Golden transformed;
+        Golden wrapped;
+    };
+    const Row rows[] = {
+        {3, {107492, 8339046572112865710ull}, {93007, 17886903616554436278ull}},
+        {5, {114227, 16030466138561587258ull}, {99973, 13675166937115202808ull}},
+        {7, {112151, 14425394293176164808ull}, {97057, 14808966361606102484ull}},
+    };
+    for (const Row& row : rows) {
+        corpus::ProgramParams params;
+        params.classes = 24;
+        params.seed = row.seed;
+        model::ClassPool pool = corpus::generate_program(params);
+        SCOPED_TRACE(row.seed);
+        expect_golden(transformed_bytes(pool, 1), row.transformed, "transformed");
+        expect_golden(model::save_pool(wrapper::run_wrapper_pipeline(pool).pool), row.wrapped,
+                      "wrapped");
     }
 }
 

@@ -97,17 +97,19 @@ void write_file(const std::string& path, const Bytes& data) {
               static_cast<std::streamsize>(data.size()));
 }
 
-/// Loads a pool from .rir (assembled + prelude) or .rirb (binary).
+/// Loads a pool from .rir (assembled + prelude) or .rirb (binary) and
+/// verifies it: every command, the pipeline included, needs verified input.
 model::ClassPool load_input(const std::string& path, bool* was_binary = nullptr) {
-    if (ends_with(path, ".rirb")) {
-        if (was_binary) *was_binary = true;
-        std::string raw = read_file(path);
-        return model::load_pool(Bytes(raw.begin(), raw.end()));
-    }
-    if (was_binary) *was_binary = false;
+    const bool binary = ends_with(path, ".rirb");
+    if (was_binary) *was_binary = binary;
     model::ClassPool pool;
-    vm::install_prelude(pool);
-    model::assemble_into(pool, read_file(path));
+    if (binary) {
+        std::string raw = read_file(path);
+        pool = model::load_pool(Bytes(raw.begin(), raw.end()));
+    } else {
+        vm::install_prelude(pool);
+        model::assemble_into(pool, read_file(path));
+    }
     model::verify_pool(pool);
     return pool;
 }
