@@ -33,9 +33,9 @@ void write_value(W& w, const MarshalledValue& v) {
     }
 }
 
+/// Decodes one value into `v`, which must be default-constructed.
 template <class R>
-MarshalledValue read_value(R& r, const char* who) {
-    MarshalledValue v;
+void read_value(R& r, MarshalledValue& v, const char* who) {
     const std::uint8_t tag = r.u8();
     if (tag > static_cast<std::uint8_t>(ValueTag::Ref))
         throw CodecError(std::string(who) + ": bad value tag");
@@ -46,14 +46,13 @@ MarshalledValue read_value(R& r, const char* who) {
         case ValueTag::Int: v.i = r.i32(); break;
         case ValueTag::Long: v.j = r.i64(); break;
         case ValueTag::Double: v.d = r.f64(); break;
-        case ValueTag::Str: v.s = r.str(); break;
+        case ValueTag::Str: r.str(v.s); break;
         case ValueTag::Ref:
             v.ref_node = r.i32();
             v.ref_oid = r.u64();
-            v.ref_class = r.str();
+            r.str(v.ref_class);
             break;
     }
-    return v;
 }
 
 /// The reliability extension (attempt + deadline), present only when the
@@ -92,14 +91,15 @@ void write_call_body(W& w, const CallRequest& req) {
 template <class R>
 void read_call_body(R& r, CallRequest& req, const char* who) {
     req.target_oid = r.u64();
-    req.cls = r.str();
-    req.method = r.str();
-    req.desc = r.str();
+    r.str(req.cls);
+    r.str(req.method);
+    r.str(req.desc);
     const std::uint32_t n = r.u32();
     // Each value takes at least its tag byte: a larger count is corrupt.
     if (n > r.remaining()) throw CodecError(std::string(who) + ": argument count exceeds frame");
+    req.args.clear();  // keeps the capacity a reused request grew
     req.args.reserve(n);
-    for (std::uint32_t k = 0; k < n; ++k) req.args.push_back(read_value(r, who));
+    for (std::uint32_t k = 0; k < n; ++k) read_value(r, req.args.emplace_back(), who);
 }
 
 /// A full request after its framing: kind, request id, source and the
@@ -138,10 +138,10 @@ CallReply read_reply(R& r, const char* who) {
     reply.request_id = r.u64();
     reply.is_fault = r.u8() != 0;
     if (reply.is_fault) {
-        reply.fault_class = r.str();
-        reply.fault_msg = r.str();
+        r.str(reply.fault_class);
+        r.str(reply.fault_msg);
     } else {
-        reply.result = read_value(r, who);
+        read_value(r, reply.result, who);
     }
     return reply;
 }

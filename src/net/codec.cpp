@@ -12,7 +12,7 @@ void Codec::encode_batch_entry(const CallRequest&, const BatchContext&,
     throw CodecError(protocol() + ": protocol has no batch-entry framing");
 }
 
-CallRequest Codec::decode_batch_entry(const Bytes&, const BatchContext&) const {
+void Codec::decode_batch_entry_into(const Bytes&, const BatchContext&, CallRequest&) const {
     throw CodecError(protocol() + ": protocol has no batch-entry framing");
 }
 

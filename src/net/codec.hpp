@@ -12,8 +12,11 @@
 //
 // Encoding is zero-copy: the `*_into` methods append the framed message to
 // a caller-supplied ByteWriter, which in the RPC path borrows a frame from
-// the System's BufferPool (DESIGN.md §17).  The Bytes-returning wrappers
-// remain for tests, tools and the migration path.
+// the System's BufferPool (DESIGN.md §17).  Request decoding is
+// allocation-free the same way: `decode_*_into` overwrites a reused
+// CallRequest (the RPC path keeps one per nesting depth, DESIGN.md §11).
+// The Bytes- and CallRequest-returning wrappers are thin non-virtual
+// shims over them for tests and tools.
 #pragma once
 
 #include <memory>
@@ -56,7 +59,18 @@ public:
         return w.take();
     }
 
-    virtual CallRequest decode_request(const Bytes& data) const = 0;
+    /// Decodes a request frame into `req`, overwriting every field — the
+    /// reliability extension reads as zeros when the frame carries none,
+    /// and the accounting fields are zeroed — while keeping the capacity
+    /// of `req.args`, so a reused target decodes without allocating.
+    /// After a CodecError `req` holds an unspecified mix of old and new
+    /// fields; the next successful decode overwrites all of them.
+    virtual void decode_request_into(const Bytes& data, CallRequest& req) const = 0;
+    CallRequest decode_request(const Bytes& data) const {
+        CallRequest req;
+        decode_request_into(data, req);
+        return req;
+    }
     virtual CallReply decode_reply(const Bytes& data) const = 0;
 
     /// True when the protocol defines a compact batch-entry framing for
@@ -69,9 +83,15 @@ public:
     virtual void encode_batch_entry(const CallRequest& req, const BatchContext& ctx,
                                     ByteWriter& w) const;
     /// Decodes a batch-continuation entry against the same context the
-    /// encoder used.  Throws CodecError unless supports_batch_entries().
-    virtual CallRequest decode_batch_entry(const Bytes& data,
-                                           const BatchContext& ctx) const;
+    /// encoder used, overwriting `req` as decode_request_into does.
+    /// Throws CodecError unless supports_batch_entries().
+    virtual void decode_batch_entry_into(const Bytes& data, const BatchContext& ctx,
+                                         CallRequest& req) const;
+    CallRequest decode_batch_entry(const Bytes& data, const BatchContext& ctx) const {
+        CallRequest req;
+        decode_batch_entry_into(data, ctx, req);
+        return req;
+    }
 
     /// Simulated per-byte CPU cost of encoding/decoding, in nanoseconds;
     /// lets experiments model SOAP's parsing overhead without real XML

@@ -83,10 +83,10 @@ public:
         consumed_ += 8;
         return r_.f64();
     }
-    std::string str() {
+    void str(std::string& out) {
         const std::uint32_t n = u32();
         consumed_ += n;
-        return std::string(r_.text(n));
+        out.assign(r_.text(n));
     }
     bool at_end() const { return r_.at_end(); }
     std::size_t remaining() const { return r_.remaining(); }
@@ -131,14 +131,13 @@ void CorbxCodec::encode_request_into(const CallRequest& req, ByteWriter& out) co
     binary::write_request(w, req);
 }
 
-CallRequest CorbxCodec::decode_request(const Bytes& data) const {
+void CorbxCodec::decode_request_into(const Bytes& data, CallRequest& req) const {
     CdrReader r(data);
     const std::uint8_t flags = read_header(r, kTypeRequest);
-    CallRequest req;
+    req.clear_unframed();
     if (flags & kFlagReliable) binary::read_reliability(r, req);
     binary::read_request(r, req, kWho);
     if (!r.at_end()) throw CodecError("corbx: trailing bytes in request");
-    return req;
 }
 
 void CorbxCodec::encode_reply_into(const CallReply& reply, ByteWriter& out) const {

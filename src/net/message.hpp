@@ -73,6 +73,16 @@ struct CallRequest {
     std::string desc;              // Invoke only (transformed descriptor)
     std::vector<MarshalledValue> args;
 
+    /// Zeroes what a frame may leave out — the reliability extension and
+    /// the accounting fields — so that decoding into a reused request
+    /// overwrites every field.
+    void clear_unframed() {
+        stat_class.clear();
+        sim_wire_bytes = 0;
+        attempt = 0;
+        deadline_us = 0;
+    }
+
     bool operator==(const CallRequest&) const = default;
 };
 

@@ -40,18 +40,17 @@ void RmibCodec::encode_request_into(const CallRequest& req, ByteWriter& w) const
     binary::write_request(w, req);
 }
 
-CallRequest RmibCodec::decode_request(const Bytes& data) const {
+void RmibCodec::decode_request_into(const Bytes& data, CallRequest& req) const {
     ByteReader r(data);
     const std::uint8_t magic = r.u8();
     if (magic == kMagicBatchEntry)
         throw CodecError("rmib: batch entry outside a batch frame");
     if (magic != kMagicRequest && magic != kMagicRequestReliable)
         throw CodecError("rmib: bad request magic");
-    CallRequest req;
+    req.clear_unframed();
     if (magic == kMagicRequestReliable) binary::read_reliability(r, req);
     binary::read_request(r, req, kWho);
     if (!r.at_end()) throw CodecError("rmib: trailing bytes in request");
-    return req;
 }
 
 void RmibCodec::encode_batch_entry(const CallRequest& req, const BatchContext& ctx,
@@ -70,21 +69,20 @@ void RmibCodec::encode_batch_entry(const CallRequest& req, const BatchContext& c
     binary::write_call_body(w, req);
 }
 
-CallRequest RmibCodec::decode_batch_entry(const Bytes& data,
-                                          const BatchContext& ctx) const {
+void RmibCodec::decode_batch_entry_into(const Bytes& data, const BatchContext& ctx,
+                                        CallRequest& req) const {
     ByteReader r(data);
     if (r.u8() != kMagicBatchEntry) throw CodecError("rmib: bad batch-entry magic");
     const std::uint8_t flags = r.u8();
     if (flags & ~kEntryFlagReliable)
         throw CodecError("rmib: bad batch-entry flags");
-    CallRequest req;
+    req.clear_unframed();
     req.src_node = ctx.src_node;
     req.request_id = ctx.base_request_id + r.varu64();
     req.kind = binary::read_kind(r, kWho);
     if (flags & kEntryFlagReliable) binary::read_reliability(r, req);
     binary::read_call_body(r, req, kWho);
     if (!r.at_end()) throw CodecError("rmib: trailing bytes in batch entry");
-    return req;
 }
 
 void RmibCodec::encode_reply_into(const CallReply& reply, ByteWriter& w) const {

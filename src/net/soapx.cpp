@@ -335,9 +335,9 @@ void SoapxCodec::encode_request_into(const CallRequest& req, ByteWriter& w) cons
     append_text(w, "</Request></Body></Envelope>");
 }
 
-CallRequest SoapxCodec::decode_request(const Bytes& data) const {
+void SoapxCodec::decode_request_into(const Bytes& data, CallRequest& req) const {
     Reader r(data, "Request");
-    CallRequest req;
+    req.clear_unframed();
     req.kind = kind_from_name(r.attr("kind"));
     req.request_id = r.number<std::uint64_t>("id");
     req.src_node = r.number<std::int32_t>("src");
@@ -347,6 +347,7 @@ CallRequest SoapxCodec::decode_request(const Bytes& data) const {
     req.desc = xml_unescape(r.attr("desc"));
     req.attempt = r.number<std::uint32_t>("attempt", "0");
     req.deadline_us = r.number<std::uint64_t>("deadline", "0");
+    req.args.clear();  // keeps the capacity a reused request grew
     while (!r.closing()) {
         const std::string_view element = r.open();
         if (element != "arg")
@@ -354,7 +355,6 @@ CallRequest SoapxCodec::decode_request(const Bytes& data) const {
         req.args.push_back(decode_value(r, element));
     }
     r.finish();
-    return req;
 }
 
 void SoapxCodec::encode_reply_into(const CallReply& reply, ByteWriter& w) const {

@@ -23,7 +23,7 @@ class SoapxCodec final : public Codec {
 public:
     const std::string& protocol() const override;
     void encode_request_into(const CallRequest& req, ByteWriter& w) const override;
-    CallRequest decode_request(const Bytes& data) const override;
+    void decode_request_into(const Bytes& data, CallRequest& req) const override;
     void encode_reply_into(const CallReply& reply, ByteWriter& w) const override;
     CallReply decode_reply(const Bytes& data) const override;
     double cpu_cost_ns_per_byte() const override { return 4.0; }

@@ -370,14 +370,17 @@ net::CallReply Node::handle_request(const net::CallRequest& req,
     try {
         switch (req.kind) {
             case net::RequestKind::Invoke: {
-                std::vector<Value> args;
-                args.reserve(req.args.size());
+                // This depth's reused buffer; its values move into the
+                // callee's frame.
+                const auto args = import_args_.lease();
+                args->clear();
                 for (const net::MarshalledValue& a : req.args)
-                    args.push_back(import_value(a, protocol));
+                    args->push_back(import_value(a, protocol));
                 obs::ScopedSpan span(
                     system_->tracer(), [&] { return "vm.execute " + req.method; }, id_);
                 Value result = interp_.call_virtual(Value::of_ref(req.target_oid),
-                                                    req.method, req.desc, std::move(args));
+                                                    req.method, req.desc,
+                                                    std::span<Value>(*args));
                 reply.result = interp_.sig_info(req.desc).second
                                    ? net::MarshalledValue::null()
                                    : export_value(result);

@@ -20,6 +20,7 @@
 #include "net/message.hpp"
 #include "net/network.hpp"
 #include "runtime/wal.hpp"
+#include "support/pool.hpp"
 #include "vm/interp.hpp"
 #include "vm/observer.hpp"
 
@@ -203,6 +204,10 @@ private:
     /// request id -> its reply_cache_ entry (deque push_back/pop_front
     /// leave references to the other entries valid).
     std::unordered_map<std::uint64_t, const CachedReply*> reply_index_;
+    /// Imported arguments of the requests being served, one buffer per
+    /// nesting depth: the callee's guest code may call back into this
+    /// node while an outer request is still being served.
+    support::DepthStack<std::vector<vm::Value>> import_args_;
     /// Restarts already applied: the one memo of them (apply_restarts).
     std::uint64_t restarts_seen_ = 0;
     /// Pipeline mode: deferred success-path reply horizon (max arrival

@@ -337,12 +337,17 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
     // The server cannot see the request before both its own prior work and
     // the wire delivery are done: clock reconciliation, join point one.
     callee.reconcile_clock(inbound.at_us);
-    net::CallRequest decoded;
+    // Decoded into this depth's reused request, so a warm call allocates
+    // no argument vector.
+    const auto decoded_slot = decoded_.lease();
+    net::CallRequest& decoded = *decoded_slot;
     {
         obs::ScopedSpan span(
             tracer_, [&] { return "codec.decode_request " + proto.name; }, dst);
-        decoded = coalesce ? c.decode_batch_entry(request_bytes, entry_ctx)
-                           : c.decode_request(request_bytes);
+        if (coalesce)
+            c.decode_batch_entry_into(request_bytes, entry_ctx, decoded);
+        else
+            c.decode_request_into(request_bytes, decoded);
         callee.advance_clock(codec_cost(request_bytes.size()).second);
     }
     net::CallReply reply;
@@ -406,6 +411,12 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
         decoded_reply = c.decode_reply(reply_bytes);
         caller.advance_clock(codec_cost(reply_bytes.size()).second);
     }
+    // The callee answers from the request it decoded, which a nested call
+    // must not have overwritten (DESIGN.md §11).
+    if (decoded_reply.request_id != req.request_id)
+        throw RuntimeError("reply carries request id " +
+                           std::to_string(decoded_reply.request_id) + ", expected " +
+                           std::to_string(req.request_id));
     if (decoded_reply.is_fault) proto.faults->add();
     return decoded_reply;
 }

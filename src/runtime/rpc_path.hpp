@@ -113,6 +113,12 @@ public:
                           net::CallRequest& req, obs::Histogram& latency,
                           obs::Counter* edge_bytes = nullptr);
 
+    /// Requests for outgoing proxy invokes, one per nesting depth (the
+    /// callee of a proxied call may proxy one of its own while the first
+    /// is in flight).  The proxy dispatcher marshals into the one it
+    /// leases, so a warm call allocates no argument vector.
+    support::DepthStack<net::CallRequest>& outgoing() noexcept { return outgoing_; }
+
     /// The next request id; shared by calls and shipped state.
     std::uint64_t next_request_id() { return ++request_counter_; }
 
@@ -178,6 +184,11 @@ private:
     /// Request and reply frames encode straight into pooled storage
     /// (DESIGN.md §17).
     support::BufferPool buffer_pool_;
+    /// The callee side's decode targets, one per RPC nesting depth: a
+    /// callee's guest code may make a nested call while its own decoded
+    /// request is still in use (DESIGN.md §11).
+    support::DepthStack<net::CallRequest> decoded_;
+    support::DepthStack<net::CallRequest> outgoing_;
     std::map<std::pair<net::NodeId, std::string>, CircuitBreaker> breakers_;
     /// Last observed node-crash state per destination (journal edge
     /// detection only, mirroring SimNetwork::fault_seen_ for links).

@@ -231,12 +231,17 @@ void System::wire_node(Node& n) {
                     meth.desc = m.descriptor();
                     meth.latency = nullptr;
                 }
-                net::CallRequest req;
+                // This depth's reused request: every field is set below,
+                // and the argument vector keeps its capacity.
+                const auto slot = rpc_.outgoing().lease();
+                net::CallRequest& req = *slot;
+                req.clear_unframed();
                 req.kind = net::RequestKind::Invoke;
                 req.request_id = rpc_.next_request_id();
                 req.src_node = node_id;
                 const auto [target_node, target_oid] = self.proxy_target(receiver.as_ref());
                 req.target_oid = target_oid;
+                req.cls.clear();
                 req.method = m.name;
                 req.desc = meth.desc;
                 obs::ScopedSpan span(
@@ -283,7 +288,7 @@ void System::wire_node(Node& n) {
                 edge.calls->add();
                 if (!meth.latency) meth.latency = &latency_histogram(*row, cls, m.name);
                 req.stat_class = cls;
-                req.args.reserve(args.size());
+                req.args.clear();
                 for (const Value& a : args) req.args.push_back(self.export_value(a));
                 return rpc_.remote_call(self, target_node, *proto, req, *meth.latency,
                                         edge.bytes);

@@ -1,4 +1,7 @@
-// BufferPool — a free-list pool of message buffers for the RPC hot path.
+// BufferPool — a free-list pool of message buffers for the RPC hot path —
+// and DepthStack, one reusable object per nesting depth of a re-entrant
+// call path (the RPC path's decoded and outgoing requests, a node's
+// imported arguments; DESIGN.md §11).
 //
 // Every remote call used to allocate (and free) a fresh std::vector for
 // the request frame and another for the reply; at steady state those
@@ -18,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -89,6 +93,48 @@ public:
 private:
     BufferPool* pool_;
     Bytes buf_;
+};
+
+/// One reusable object per nesting depth of a re-entrant call path.  A
+/// path that may run again while its own object is still in use — a
+/// callee's guest code making a nested RPC while its decoded request is
+/// live — leases the object of its depth, and a warm call finds the
+/// capacity the last lease at that depth left behind.  Entries never
+/// move, so a live lease stays valid while deeper ones grow the stack;
+/// nothing is allocated before the first lease.
+///
+///   support::DepthStack<net::CallRequest> decoded;
+///   auto req = decoded.lease();   // this depth's request
+///   codec.decode_request_into(frame, *req);
+template <class T>
+class DepthStack {
+public:
+    class Lease {
+    public:
+        explicit Lease(DepthStack& stack) : stack_(stack), obj_(stack.enter()) {}
+        ~Lease() { --stack_.depth_; }
+        Lease(const Lease&) = delete;
+        Lease& operator=(const Lease&) = delete;
+
+        T& operator*() const noexcept { return obj_; }
+        T* operator->() const noexcept { return &obj_; }
+
+    private:
+        DepthStack& stack_;
+        T& obj_;
+    };
+
+    /// The object for the current depth, held until the lease ends.
+    Lease lease() { return Lease(*this); }
+
+private:
+    T& enter() {
+        if (depth_ == slots_.size()) slots_.push_back(std::make_unique<T>());
+        return *slots_[depth_++];
+    }
+
+    std::vector<std::unique_ptr<T>> slots_;
+    std::size_t depth_ = 0;
 };
 
 }  // namespace rafda::support

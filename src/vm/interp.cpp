@@ -37,7 +37,7 @@ void take_args(std::vector<Value>& stack, std::size_t n, std::vector<Value>& loc
 }
 
 /// Moves the host's arguments after whatever `locals` already holds.
-void append_args(std::vector<Value>& locals, std::vector<Value>& args) {
+void append_args(std::vector<Value>& locals, std::span<Value> args) {
     locals.insert(locals.end(), std::make_move_iterator(args.begin()),
                   std::make_move_iterator(args.end()));
 }
@@ -186,6 +186,11 @@ Value Interpreter::call_static(const std::string& owner, const std::string& name
 
 Value Interpreter::call_virtual(const Value& receiver, const std::string& name,
                                 const std::string& desc, std::vector<Value> args) {
+    return call_virtual(receiver, name, desc, std::span<Value>(args));
+}
+
+Value Interpreter::call_virtual(const Value& receiver, const std::string& name,
+                                const std::string& desc, std::span<Value> args) {
     return at_api_boundary([&] {
         const ClassFile& dyn = class_of(receiver.as_ref());
         const Method& m = resolve_virtual_cached(dyn.name, name, desc);
@@ -507,9 +512,6 @@ Value Interpreter::arith(Op op, const Value& a, const Value& b) {
 Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     // Equality on refs/null/bools/strings; ordering only on numerics and
     // strings.
-    auto as_ordering_operands = [&]() -> std::pair<double, double> {
-        return {a.widen_double(), b.widen_double()};
-    };
     bool result = false;
     switch (op) {
         case Op::CmpEq:
@@ -535,7 +537,7 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
                 result = (op == Op::CmpLt && c < 0) || (op == Op::CmpLe && c <= 0) ||
                          (op == Op::CmpGt && c > 0) || (op == Op::CmpGe && c >= 0);
             } else {
-                auto [x, y] = as_ordering_operands();
+                const double x = a.widen_double(), y = b.widen_double();
                 result = (op == Op::CmpLt && x < y) || (op == Op::CmpLe && x <= y) ||
                          (op == Op::CmpGt && x > y) || (op == Op::CmpGe && x >= y);
             }

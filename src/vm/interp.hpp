@@ -143,6 +143,11 @@ public:
     /// Virtual dispatch on `receiver` (must be a ref).
     Value call_virtual(const Value& receiver, const std::string& name,
                        const std::string& desc, std::vector<Value> args = {});
+    /// The same, moving `args` straight into the callee's frame, so a
+    /// caller that reuses its own argument buffer builds no vector.  The
+    /// buffer's values are left moved-from.
+    Value call_virtual(const Value& receiver, const std::string& name,
+                       const std::string& desc, std::span<Value> args);
 
     /// Static field access (runs <clinit> first if needed).
     Value get_static_field(const std::string& owner, const std::string& field);

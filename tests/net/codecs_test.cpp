@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,6 +35,19 @@ CallRequest sample_request() {
     req.args.push_back(MarshalledValue::of_double(2.5));
     req.args.push_back(MarshalledValue::of_int(-7));
     return req;
+}
+
+/// The bytes of a hex string; spaces are ignored.
+Bytes hex(std::string_view text) {
+    Bytes out;
+    for (std::size_t k = 0; k < text.size(); ++k) {
+        if (text[k] == ' ') continue;
+        std::uint8_t b = 0;
+        std::from_chars(text.data() + k, text.data() + k + 2, b, 16);
+        out.push_back(b);
+        ++k;
+    }
+    return out;
 }
 
 class BothCodecs : public ::testing::TestWithParam<const char*> {
@@ -173,20 +187,20 @@ INSTANTIATE_TEST_SUITE_P(Protocols, BothCodecs,
                          ::testing::Values("RMI", "SOAP", "CORBA"));
 
 TEST(Codecs, RmibBaseFrameLayoutDecodesWithZeroReliabilityDefaults) {
-    // A frame hand-assembled in the 0xA1 base layout pins it field by
-    // field: no extension words and no trace context, just the request id
-    // followed by the source node.  It decodes with attempt/deadline 0.
-    ByteWriter w;
-    w.u8(0xA1);                     // base request magic
-    w.u8(0);                        // kind = Invoke
-    w.u64(42);                      // request_id
-    w.i32(3);                       // src_node
-    w.u64(77);                      // target_oid
-    w.str("");                      // cls
-    w.str("m");                     // method
-    w.str("()V");                   // desc
-    w.u32(0);                       // nargs
-    const Bytes frame = w.take();
+    // The 0xA1 base layout, written out byte by byte so that neither side
+    // of the comparison goes through ByteWriter: no extension words and no
+    // trace context, just the request id followed by the source node.  It
+    // decodes with attempt/deadline 0.
+    const Bytes frame = hex(
+        "a1"                        // base request magic
+        "00"                        // kind = Invoke
+        "2a00000000000000"          // request_id 42, u64 little-endian
+        "03000000"                  // src_node 3, i32
+        "4d00000000000000"          // target_oid 77
+        "00000000"                  // cls "", u32 length only
+        "01000000 6d"               // method "m"
+        "03000000 282956"           // desc "()V"
+        "00000000");                // nargs
     CallRequest req = RmibCodec().decode_request(frame);
     EXPECT_EQ(req.request_id, 42u);
     EXPECT_EQ(req.src_node, 3);
@@ -558,6 +572,172 @@ TEST(Codecs, BinaryCodecsRejectAnArgumentCountBeyondTheFrame) {
     }
 }
 
+// ---- wire goldens: every byte of one frame per layout ---------------------
+//
+// The expected frames are hex literals, so a change to ByteWriter's byte
+// order or field widths fails here even though encoder and decoder would
+// still agree with each other.
+
+/// Invoke 42 from node 3 on object 77: `m(JS)J` with a long and a string.
+CallRequest golden_request() {
+    CallRequest req;
+    req.request_id = 42;
+    req.src_node = 3;
+    req.target_oid = 77;
+    req.method = "m";
+    req.desc = "(JS)J";
+    req.args = {MarshalledValue::of_long(-2), MarshalledValue::of_str("hi")};
+    return req;
+}
+
+/// The reply to it: 2.5, whose IEEE-754 bits are 0x4004000000000000.
+CallReply golden_reply() {
+    CallReply reply;
+    reply.request_id = 42;
+    reply.result = MarshalledValue::of_double(2.5);
+    return reply;
+}
+
+void expect_golden_request(const Codec& codec, const CallRequest& req, const Bytes& frame) {
+    EXPECT_EQ(codec.encode_request(req), frame);
+    EXPECT_EQ(codec.decode_request(frame), req);
+}
+
+TEST(WireGolden, RmibBaseRequest) {
+    expect_golden_request(RmibCodec(), golden_request(),
+                          hex("a1 00"                       // magic, kind
+                              "2a00000000000000 03000000"   // request_id, src_node
+                              "4d00000000000000"            // target_oid
+                              "00000000"                    // cls ""
+                              "01000000 6d"                 // method "m"
+                              "05000000 284a53294a"         // desc "(JS)J"
+                              "02000000"                    // two arguments
+                              "03 feffffffffffffff"         // Long -2
+                              "05 02000000 6869"));         // Str "hi"
+}
+
+TEST(WireGolden, RmibReliableRequest) {
+    CallRequest req = golden_request();
+    req.attempt = 2;
+    req.deadline_us = 90'000;
+    expect_golden_request(RmibCodec(), req,
+                          hex("a3"                          // reliable magic
+                              "02000000 905f010000000000"   // attempt, deadline_us
+                              "00"                          // kind
+                              "2a00000000000000 03000000"
+                              "4d00000000000000"
+                              "00000000 01000000 6d 05000000 284a53294a"
+                              "02000000 03 feffffffffffffff 05 02000000 6869"));
+}
+
+TEST(WireGolden, CorbxRequest) {
+    // CDR pads to a 4-byte boundary, counted from the frame start, before
+    // every multi-byte value.
+    expect_golden_request(*make_codec("CORBA"), golden_request(),
+                          hex("43524258 0100 00 00"          // "CRBX", 1.0, request, flags
+                              "00000000"                    // body length (unused)
+                              "00 000000"                   // kind, pad
+                              "2a00000000000000 03000000"   // request_id, src_node
+                              "4d00000000000000"            // target_oid
+                              "00000000"                    // cls ""
+                              "01000000 6d 000000"          // method "m", pad
+                              "05000000 284a53294a 000000"  // desc "(JS)J", pad
+                              "02000000"                    // two arguments
+                              "03 000000 feffffffffffffff"  // Long -2
+                              "05 000000 02000000 6869"));  // Str "hi"
+}
+
+TEST(WireGolden, RmibReply) {
+    const Bytes frame = hex("a2 2a00000000000000"  // magic, request_id
+                            "00"                   // not a fault
+                            "04 0000000000000440"); // Double 2.5
+    EXPECT_EQ(RmibCodec().encode_reply(golden_reply()), frame);
+    EXPECT_EQ(RmibCodec().decode_reply(frame), golden_reply());
+}
+
+TEST(WireGolden, CorbxReply) {
+    const auto corba = make_codec("CORBA");
+    const Bytes frame = hex("43524258 0100 01 00 00000000"  // header: reply
+                            "2a00000000000000"              // request_id
+                            "00 04 0000"                    // not a fault, Double, pad
+                            "0000000000000440");            // 2.5
+    EXPECT_EQ(corba->encode_reply(golden_reply()), frame);
+    EXPECT_EQ(corba->decode_reply(frame), golden_reply());
+}
+
+// ---- decoding into a reused request ---------------------------------------
+//
+// The RPC path decodes every request into the CallRequest its nesting
+// depth used last time (DESIGN.md §11).  Frame A leaves that target with
+// the reliability extension, more arguments and a string too long for the
+// small-string buffer; base frame B must then overwrite all of it.
+
+/// Frame A's request: reliable, five arguments, long strings.
+CallRequest rich_request() {
+    CallRequest req = sample_request();
+    req.attempt = 4;
+    req.deadline_us = 77'000;
+    req.cls = "SomeRatherLongClassName";
+    req.method = "aMethodNameLongerThanFifteen";
+    req.args.resize(5);
+    req.args[2] = MarshalledValue::of_str("a string well past fifteen characters");
+    return req;
+}
+
+/// Frame B's request: no extension, one short argument.
+CallRequest lean_request() {
+    CallRequest req;
+    req.request_id = 43;
+    req.src_node = 3;
+    req.target_oid = 9;
+    req.method = "n";
+    req.desc = "(I)V";
+    req.args = {MarshalledValue::of_int(5)};
+    return req;
+}
+
+class ReusedDecodeTarget : public ::testing::TestWithParam<const char*> {
+protected:
+    std::unique_ptr<Codec> codec_ = make_codec(GetParam());
+};
+
+TEST_P(ReusedDecodeTarget, OverwritesEveryFieldOfTheLastRequest) {
+    const Bytes a = codec_->encode_request(rich_request());
+    const Bytes b = codec_->encode_request(lean_request());
+    CallRequest target;
+    codec_->decode_request_into(a, target);
+    ASSERT_EQ(target, rich_request());
+    // Accounting fields never travel; a reused target must not keep them.
+    target.stat_class = "Leftover";
+    target.sim_wire_bytes = 999;
+    const std::size_t capacity = target.args.capacity();
+    codec_->decode_request_into(b, target);
+    EXPECT_EQ(target, codec_->decode_request(b));
+    EXPECT_EQ(target, lean_request());
+    EXPECT_EQ(target.args.capacity(), capacity);
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, ReusedDecodeTarget,
+                         ::testing::Values("RMI", "SOAP", "CORBA"));
+
+TEST(RmibBatch, ReusedDecodeTargetOverwritesEveryField) {
+    RmibCodec rmib;
+    const BatchContext ctx{3, 40};
+    CallRequest rich = rich_request();
+    rich.src_node = ctx.src_node;
+    ByteWriter wa, wb;
+    rmib.encode_batch_entry(rich, ctx, wa);
+    rmib.encode_batch_entry(lean_request(), ctx, wb);
+    CallRequest target;
+    rmib.decode_batch_entry_into(wa.data(), ctx, target);
+    ASSERT_EQ(target, rich);
+    target.stat_class = "Leftover";
+    target.sim_wire_bytes = 999;
+    rmib.decode_batch_entry_into(wb.data(), ctx, target);
+    EXPECT_EQ(target, rmib.decode_batch_entry(wb.data(), ctx));
+    EXPECT_EQ(target, lean_request());
+}
+
 // ---- fuzz smoke: mutated frames decode or throw CodecError ---------------
 //
 // Frames arrive from the (simulated) network, so every decoder must treat
@@ -598,6 +778,30 @@ protected:
             return false;
         }
     }
+
+    /// Decodes request frame `bad` into `target`, which a previous decode
+    /// left dirty, then the good `frame`: whatever `bad` did, the good
+    /// frame must overwrite the target completely.  Returns whether `bad`
+    /// decoded.
+    bool decodes_into(const Bytes& bad, const Bytes& frame, CallRequest& target) const {
+        bool ok = true;
+        try {
+            codec_->decode_request_into(bad, target);
+        } catch (const CodecError&) {
+            ok = false;
+        }
+        codec_->decode_request_into(frame, target);
+        EXPECT_EQ(target, codec_->decode_request(frame)) << GetParam();
+        return ok;
+    }
+
+    /// A target dirty with a different request than any fuzzed frame.
+    CallRequest dirty_target() const {
+        CallRequest target;
+        codec_->decode_request_into(codec_->encode_request(rich_request()), target);
+        target.stat_class = "Leftover";
+        return target;
+    }
 };
 
 TEST_P(CodecFuzz, EveryTruncationThrowsCodecError) {
@@ -626,6 +830,38 @@ TEST_P(CodecFuzz, BitFlipsDecodeOrThrowCodecError) {
         }
     }
     // Both outcomes occur: the smoke reaches past the first check.
+    EXPECT_GT(decoded, 0) << GetParam();
+    EXPECT_GT(rejected, 0) << GetParam();
+}
+
+TEST_P(CodecFuzz, EveryTruncationIntoADirtyTargetIsOverwrittenByTheNextFrame) {
+    CallRequest target = dirty_target();
+    for (const auto& [frame, request] : frames()) {
+        if (!request) continue;
+        for (std::size_t n = 0; n < frame.size(); ++n)
+            EXPECT_FALSE(decodes_into(Bytes(frame.begin(), frame.begin() + n), frame, target))
+                << GetParam() << " frame cut at " << n << " of " << frame.size();
+    }
+}
+
+TEST_P(CodecFuzz, BitFlipsIntoADirtyTargetAreOverwrittenByTheNextFrame) {
+    std::uint64_t lcg = 0x2545F4914F6CDD1Dull;  // deterministic, seedless
+    auto next = [&lcg] {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return lcg >> 16;
+    };
+    CallRequest target = dirty_target();
+    int decoded = 0, rejected = 0;
+    for (const auto& [frame, request] : frames()) {
+        if (!request) continue;
+        for (int trial = 0; trial < 400; ++trial) {
+            Bytes bad = frame;
+            const int flips = 1 + static_cast<int>(next() % 3);
+            for (int f = 0; f < flips; ++f)
+                bad[next() % bad.size()] ^= static_cast<std::uint8_t>(1u << (next() % 8));
+            ++(decodes_into(bad, frame, target) ? decoded : rejected);
+        }
+    }
     EXPECT_GT(decoded, 0) << GetParam();
     EXPECT_GT(rejected, 0) << GetParam();
 }

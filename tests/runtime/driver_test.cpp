@@ -194,7 +194,7 @@ TEST(WorkloadDriver, GuestFaultsAreCountedNotFatal) {
     int attempted = 0;
     driver.add_client(1, 5, [&attempted, svc](System& sys, net::NodeId node) {
         ++attempted;
-        sys.node(node).interp().call_virtual(svc, "boom", "()V", {});
+        sys.node(node).interp().call_virtual(svc, "boom", "()V");
     });
     WorkloadDriver::Report report = driver.run();
     EXPECT_EQ(attempted, 5);

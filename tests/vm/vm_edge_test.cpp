@@ -144,6 +144,80 @@ class A {
                      .as_bool());
 }
 
+TEST(VmEdge, DoubleAndMixedLongDoubleOrdering) {
+    // Anything but int/int (and string/string) orders in compare()'s
+    // widening path: both operands as doubles.
+    Fixture f(R"(
+class A {
+  static method lt (DD)Z {
+    load 0
+    load 1
+    cmplt
+    returnvalue
+  }
+  static method le (JD)Z {
+    load 0
+    load 1
+    cmple
+    returnvalue
+  }
+  static method gt (DJ)Z {
+    load 0
+    load 1
+    cmpgt
+    returnvalue
+  }
+  static method ge (JD)Z {
+    load 0
+    load 1
+    cmpge
+    returnvalue
+  }
+}
+)");
+    auto test = [&](const char* name, const char* desc, Value a, Value b) {
+        return f.interp->call_static("A", name, desc, {a, b}).as_bool();
+    };
+    const Value nan = Value::of_double(std::numeric_limits<double>::quiet_NaN());
+    EXPECT_TRUE(test("lt", "(DD)Z", Value::of_double(-0.5), Value::of_double(0.25)));
+    EXPECT_FALSE(test("lt", "(DD)Z", Value::of_double(0.25), Value::of_double(0.25)));
+    EXPECT_FALSE(test("lt", "(DD)Z", Value::of_double(1.0), nan));
+    EXPECT_FALSE(test("lt", "(DD)Z", nan, Value::of_double(1.0)));
+    EXPECT_TRUE(test("le", "(JD)Z", Value::of_long(3), Value::of_double(3.0)));
+    EXPECT_FALSE(test("le", "(JD)Z", Value::of_long(4), Value::of_double(3.5)));
+    EXPECT_TRUE(test("gt", "(DJ)Z", Value::of_double(-2.5), Value::of_long(-3)));
+    EXPECT_FALSE(test("gt", "(DJ)Z", Value::of_double(-3.0), Value::of_long(-3)));
+    EXPECT_TRUE(test("ge", "(JD)Z", Value::of_long(-7), Value::of_double(-7.0)));
+    EXPECT_FALSE(test("ge", "(JD)Z", Value::of_long(-7), Value::of_double(-6.5)));
+    EXPECT_FALSE(test("ge", "(JD)Z", Value::of_long(0), nan));
+}
+
+TEST(VmEdge, CodeThatFallsOffItsEndIsAVmError) {
+    // The verifier rejects a method whose last instruction falls through
+    // (Verifier.FallOffEnd); this pool is never verified, so the
+    // interpreter's own pc guard must stop it before code[pc] reads past
+    // the end.  The sanitize preset runs this under ASan.
+    model::ClassPool pool;
+    install_prelude(pool);
+    model::assemble_into(pool, R"(
+class A {
+  static method f ()I {
+    const 1
+    const 2
+    add
+  }
+}
+)");
+    Interpreter interp(pool);
+    try {
+        interp.call_static("A", "f", "()I");
+        FAIL() << "expected VmError";
+    } catch (const VmError& e) {
+        EXPECT_NE(std::string(e.what()).find("pc out of range in A.f"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(VmEdge, HeapTransmutePreservesIdentity) {
     Fixture f(R"(
 class Before {
