@@ -1,5 +1,5 @@
-// ShardedDirectory — consistent-hash-placed lookup tables for exported
-// objects and singletons (DESIGN.md §18).
+// ShardedDirectory — consistent-hash-placed relocation tables and the
+// cost model of placement lookups (DESIGN.md §18).
 //
 // Without it, every "where does X live?" question is answered by the
 // host-side policy map: a free, central oracle — the simulation analogue
@@ -7,9 +7,11 @@
 // exactly the serialization point a million-client deployment cannot
 // afford.  With the directory enabled, resolution becomes a modelled
 // distributed operation: keys hash onto a ring of virtual points owned by
-// the shard nodes, the owning shard's export table answers, and a
-// resolution from a non-owner costs a control round-trip on the simulated
-// network (charged in virtual time, occupying real links).  Migration
+// the shard nodes, and a resolution from a non-owner costs a control
+// round-trip on the simulated network (charged in virtual time, occupying
+// real links).  A singleton's home is the policy's fact; the directory
+// only says which shard answers for it and caches the answer per node.
+// An object's relocation hops are the directory's own fact: migration
 // updates the owning shard's table, so lookups after `migrate_instance`
 // resolve directly to the new home instead of chasing proxy chains.
 //
@@ -20,13 +22,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/network.hpp"
+#include "runtime/policy.hpp"
 
 namespace rafda::runtime {
 
@@ -46,49 +48,28 @@ struct DirectoryPolicy {
     std::uint32_t shards = 0;
 };
 
-/// Where an entry lives: a node plus, for singletons, the protocol the
-/// asker should speak to it.
-struct DirLocation {
-    net::NodeId node = 0;
-    std::uint64_t oid = 0;       // object entries only
-    std::string protocol;        // singleton entries only
-};
-
 class ShardedDirectory {
 public:
-    /// Builds the consistent-hash ring over `owners` (deterministic: ring
-    /// points depend only on node ids and kDirectoryVnodes).  Empty
-    /// `owners` disables the directory.
-    void configure(std::vector<net::NodeId> owners);
+    /// Builds the consistent-hash ring over shard owners 0 .. shards-1
+    /// (deterministic: ring points depend only on node ids and
+    /// kDirectoryVnodes).  0 shards disables the directory.
+    void configure(std::size_t shards);
 
     bool enabled() const noexcept { return !ring_.empty(); }
-    const std::vector<net::NodeId>& owners() const noexcept { return owners_; }
 
     /// The shard node owning `key` on the ring (first point clockwise of
     /// the key's hash).  Pure in (key, ring): stable across node crashes
     /// and restarts.
     net::NodeId owner(const std::string& key) const;
 
-    /// Stable 64-bit key hash (FNV-1a); exposed for tests.
-    static std::uint64_t hash_key(const std::string& key) noexcept;
-
-    /// Owner of the singleton entry for `cls` / the object entry for
-    /// (node, oid) — the shard a lookup must be routed to.
+    /// The shard a lookup must be routed to: the one answering for `cls`'s
+    /// singleton / holding (node, oid)'s relocation entry.
     net::NodeId singleton_owner(const std::string& cls) const {
         return owner("S/" + cls);
     }
-    net::NodeId object_owner(net::NodeId node, std::uint64_t oid) const {
-        return owner("O/" + std::to_string(node) + "/" + std::to_string(oid));
-    }
+    net::NodeId object_owner(net::NodeId node, std::uint64_t oid) const;
 
-    // ---- shard tables (authoritative control-plane state) ----
-
-    /// Records/overwrites the singleton home for `cls` in its owning
-    /// shard's table.
-    void put_singleton(const std::string& cls, net::NodeId home,
-                       const std::string& protocol);
-    /// Looks up a singleton entry; nullptr when never recorded.
-    const DirLocation* find_singleton(const std::string& cls) const;
+    // ---- relocation tables (authoritative control-plane state) ----
 
     /// Records that the object formerly at (node, oid) now lives at
     /// (to, new_oid) — one migration hop in the relocation map.
@@ -99,33 +80,27 @@ public:
     std::pair<net::NodeId, std::uint64_t> chase_object(net::NodeId node,
                                                        std::uint64_t oid) const;
 
-    /// Entries held by each shard owner, in owner order (for gauges and
-    /// the shard-balance story).
-    void visit_shards(
-        const std::function<void(net::NodeId, std::size_t)>& fn) const;
-    std::size_t total_entries() const noexcept;
+    /// Relocation entries over every shard (the directory.entries gauge).
+    std::size_t total_entries() const noexcept { return relocations_.size(); }
 
     // ---- per-node resolution caches (soft state) ----
 
     /// Cached singleton resolution for (asker, cls); nullptr on miss.
-    const DirLocation* cached_singleton(net::NodeId asker,
-                                        const std::string& cls) const;
-    void cache_singleton(net::NodeId asker, const std::string& cls,
-                         const DirLocation& loc);
+    const Placement* cached_singleton(net::NodeId asker, const std::string& cls) const;
+    void cache_singleton(net::NodeId asker, const std::string& cls, const Placement& p);
     /// Drops every per-node cache — migration is a stop-the-world barrier,
     /// so invalidation is global and exact.
     void invalidate_caches();
 
 private:
-    std::map<std::string, DirLocation>& table_for(const std::string& key);
-
-    std::vector<net::NodeId> owners_;
     /// Sorted ring points: (hash, shard node).
     std::vector<std::pair<std::uint64_t, net::NodeId>> ring_;
-    /// Per-shard-owner export tables: key -> location.
-    std::map<net::NodeId, std::map<std::string, DirLocation>> tables_;
-    /// Per-node caches: (asker, key) -> location.
-    std::map<net::NodeId, std::map<std::string, DirLocation>> caches_;
+    /// Every shard's relocation entries: (node, oid) key -> where it moved.
+    /// Which shard holds an entry is a pure function of its key
+    /// (object_owner), so one map holds all the shards' tables.
+    std::map<std::string, std::pair<net::NodeId, std::uint64_t>> relocations_;
+    /// Per-node singleton caches: asker -> cls -> placement.
+    std::map<net::NodeId, std::map<std::string, Placement>> caches_;
 };
 
 }  // namespace rafda::runtime

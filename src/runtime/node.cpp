@@ -130,17 +130,30 @@ void Node::set_proxy_target(vm::ObjId proxy, net::NodeId node, vm::ObjId oid) {
 }
 
 Value Node::local_singleton(const std::string& cls) {
-    auto it = singletons_.find(cls);
-    if (it != singletons_.end()) return Value::of_ref(it->second);
+    if (const vm::ObjId oid = singleton(cls)) return Value::of_ref(oid);
     const std::string c_int_desc = "L" + transform::naming::c_int(cls) + ";";
     Value me = interp_.call_static(transform::naming::c_local(cls),
                                    transform::naming::kSingletonGetter, "()" + c_int_desc);
     // Record before clinit so initialisation cycles terminate (JVM-style).
-    singletons_[cls] = me.as_ref();
-    if (wal_) wal_->append_singleton(clock_us_, cls, me.as_ref());
+    adopt_singleton(cls, me.as_ref(), clock_us_);
     interp_.call_static(transform::naming::c_factory(cls), "clinit",
                         "(" + c_int_desc + ")V", {me});
     return me;
+}
+
+vm::ObjId Node::singleton(const std::string& cls) const {
+    const auto it = singletons_.find(cls);
+    return it == singletons_.end() ? 0 : it->second;
+}
+
+void Node::adopt_singleton(const std::string& cls, vm::ObjId oid, std::uint64_t t_us) {
+    singletons_[cls] = oid;
+    if (wal_) wal_->append_singleton(t_us, cls, oid);
+}
+
+void Node::drop_singleton(const std::string& cls, std::uint64_t t_us) {
+    singletons_.erase(cls);
+    if (wal_) wal_->append_singleton_drop(t_us, cls);
 }
 
 void Node::throw_remote_fault(const std::string& msg) {

@@ -126,6 +126,13 @@ public:
     /// Local singleton bookkeeping for Discover handling; creates the
     /// singleton and runs clinit on first use.
     vm::Value local_singleton(const std::string& cls);
+    /// This node's registered `cls` singleton; 0 when it holds none.
+    vm::ObjId singleton(const std::string& cls) const;
+    /// Registers `oid` as this node's `cls` singleton (a migrated or
+    /// recovered instance) / forgets the registration; a durable node
+    /// journals either, stamped `t_us`.
+    void adopt_singleton(const std::string& cls, vm::ObjId oid, std::uint64_t t_us);
+    void drop_singleton(const std::string& cls, std::uint64_t t_us);
 
     /// Raises a guest RemoteFault carrying `msg`.
     [[noreturn]] void throw_remote_fault(const std::string& msg);

@@ -14,6 +14,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 
 #include "net/network.hpp"
 
@@ -29,38 +30,45 @@ struct Placement {
 class DistributionPolicy {
 public:
     /// Protocol used when a placement does not name one.
-    void set_default_protocol(std::string protocol);
+    void set_default_protocol(std::string protocol) { default_protocol_ = std::move(protocol); }
     const std::string& default_protocol() const noexcept { return default_protocol_; }
 
     /// Instances of `cls` are created on `node` (empty protocol = default).
-    void set_instance_home(const std::string& cls, net::NodeId node,
-                           std::string protocol = "");
+    void set_instance_home(const std::string& cls, net::NodeId node, std::string protocol = "") {
+        instance_homes_[cls] = Placement{node, std::move(protocol)};
+    }
 
     /// The singleton for `cls`'s static members lives on `node`.
-    void set_singleton_home(const std::string& cls, net::NodeId node,
-                            std::string protocol = "");
+    void set_singleton_home(const std::string& cls, net::NodeId node, std::string protocol = "") {
+        singleton_homes_[cls] = Placement{node, std::move(protocol)};
+    }
 
     /// Where an instance of `cls` created by code on `creating_node` lives.
     /// Default: on the creating node itself.
-    Placement instance_placement(const std::string& cls, net::NodeId creating_node) const;
+    Placement instance_placement(const std::string& cls, net::NodeId creating_node) const {
+        return placement(instance_homes_, cls, creating_node);
+    }
 
     /// Where `cls`'s singleton lives.  Default: node 0, so static state
     /// stays unique across the system even with no explicit policy.
-    Placement singleton_placement(const std::string& cls, net::NodeId asking_node) const;
+    Placement singleton_placement(const std::string& cls, net::NodeId) const {
+        return placement(singleton_homes_, cls, 0);
+    }
 
 private:
-    struct Home {
-        net::NodeId node = 0;
-        std::string protocol;  // empty = default
-    };
-
-    std::string resolved(const std::string& protocol) const {
-        return protocol.empty() ? default_protocol_ : protocol;
+    /// `cls`'s home in `homes`, else `fallback`; an empty protocol reads
+    /// as the default at the time of asking.
+    Placement placement(const std::map<std::string, Placement>& homes, const std::string& cls,
+                        net::NodeId fallback) const {
+        const auto it = homes.find(cls);
+        if (it == homes.end()) return Placement{fallback, default_protocol_};
+        const Placement& home = it->second;
+        return Placement{home.node, home.protocol.empty() ? default_protocol_ : home.protocol};
     }
 
     std::string default_protocol_ = "RMI";
-    std::map<std::string, Home> instance_homes_;
-    std::map<std::string, Home> singleton_homes_;
+    std::map<std::string, Placement> instance_homes_;
+    std::map<std::string, Placement> singleton_homes_;
 };
 
 }  // namespace rafda::runtime

@@ -56,6 +56,7 @@ System::System(const model::ClassPool& original, SystemOptions options)
       network_(options.network_seed),
       rpc_(*this, result_.report.protocols(), options.reliability, options.batching,
            options.network_seed),
+      locator_(*this),
       class_matrix_cap_(options.class_matrix_cap) {
     network_.set_default_link(options.default_link);
     network_.attach_metrics(&metrics_);
@@ -133,7 +134,7 @@ void System::note_recovery(net::NodeId node_id, const Wal::ReplayResult& res,
                            std::uint64_t t_us) {
     // The node is alive again and its replay applied any Relocate records,
     // so it forwards for itself now — the relocation entry has served.
-    relocations_.erase(node_id);
+    locator_.node_restarted(node_id);
     if (durability_.enabled) {
         metrics_.counter("wal.recoveries").add();
         metrics_.counter("wal.replayed_records").add(res.records);
@@ -173,7 +174,7 @@ void System::wire_node(Node& n) {
             naming::o_factory(cls), "make", "()" + o_int_desc,
             [this, cls, node_id, o_local, factory_call](vm::Interpreter& vm, const Value&,
                                                         std::span<const Value>) {
-                Placement p = policy_.instance_placement(cls, node_id);
+                Placement p = locator_.instance_home(cls, node_id);
                 if (p.node == node_id) return vm.construct(o_local, "()V", {});
                 return factory_call(net::RequestKind::Create, p);
             });
@@ -187,9 +188,7 @@ void System::wire_node(Node& n) {
                 // With the sharded directory enabled the singleton home is
                 // resolved through the owning shard (a modelled control
                 // round-trip) instead of the free host-side policy oracle.
-                Placement p = directory_.enabled()
-                                  ? directory_discover(cls, node_id)
-                                  : policy_.singleton_placement(cls, node_id);
+                Placement p = locator_.singleton_home(cls, node_id);
                 if (p.node == node_id) {
                     // A raw local reference is about to escape the dispatch
                     // seam: the adaptation engine's replication gate needs
@@ -327,7 +326,7 @@ Value System::construct(net::NodeId node_id, const std::string& cls,
 
 vm::ObjId System::migrate_instance(net::NodeId from, vm::ObjId oid, net::NodeId to,
                                    const std::string& protocol) {
-    const std::string proto = protocol.empty() ? policy_.default_protocol() : protocol;
+    const std::string proto = locator_.protocol(protocol);
     Node& f = node(from);
     Node& t = node(to);
     const std::string& cls_name = f.interp().class_of(oid).name;
@@ -367,13 +366,8 @@ vm::ObjId System::migrate_instance(net::NodeId from, vm::ObjId oid, net::NodeId 
 
     migrations_counter_->add();
     migration_bytes_counter_->add(state.bytes);
-    if (directory_.enabled()) {
-        // The owning shard learns the relocation, so directory lookups for
-        // (from, oid) resolve straight to the new home instead of chasing
-        // the proxy chain.
-        directory_.put_object(from, oid, to, new_oid);
-        directory_changed();
-    }
+    locator_.object_moved(from, oid, to, new_oid);
+    locator_.publish();
     journal_.record(obs::JournalEvent::Kind::Migrate, state.landed.at_us, from, to, oid,
                     new_oid, cls_name);
     log_info("runtime", "migrated ", cls_name, " (", from, ",", oid, ") -> (", to, ",",
@@ -383,31 +377,26 @@ vm::ObjId System::migrate_instance(net::NodeId from, vm::ObjId oid, net::NodeId 
 
 void System::migrate_singleton(const std::string& cls, net::NodeId to,
                                const std::string& protocol) {
-    const std::string proto = protocol.empty() ? policy_.default_protocol() : protocol;
-    Placement current = policy_.singleton_placement(cls, to);
-    policy_.set_singleton_home(cls, to, proto);
-    if (directory_.enabled()) {
-        directory_.put_singleton(cls, to, proto);
-        directory_changed();
-    }
-    if (current.node == to) return;
-    Node& home = node(current.node);
-    auto it = home.singletons_.find(cls);
-    if (it == home.singletons_.end()) return;  // not created yet: policy is enough
-    vm::ObjId new_oid = migrate_instance(current.node, it->second, to, proto);
+    const std::string proto = locator_.protocol(protocol);
+    const net::NodeId from = locator_.singleton_node(cls);
+    locator_.singleton_moved(cls, to, proto);
+    locator_.publish();
+    if (from == to) return;
+    Node& home = node(from);
+    const vm::ObjId oid = home.singleton(cls);
+    if (!oid) return;  // not created yet: the placement is enough
+    const vm::ObjId new_oid = migrate_instance(from, oid, to, proto);
     Node& tgt = node(to);
-    tgt.singletons_[cls] = new_oid;
-    if (tgt.durable()) tgt.wal()->append_singleton(tgt.clock_us(), cls, new_oid);
-    home.singletons_.erase(cls);
-    if (home.durable()) home.wal()->append_singleton_drop(home.clock_us(), cls);
+    tgt.adopt_singleton(cls, new_oid, tgt.clock_us());
+    home.drop_singleton(cls, home.clock_us());
 }
 
 std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
                                       const std::string& protocol) {
     if (crashed == target)
         throw RuntimeError("recover_node_onto: target is the crashed node itself");
-    if (relocations_.count(crashed)) return 0;  // already relocated this crash
-    const std::string proto = protocol.empty() ? policy_.default_protocol() : protocol;
+    if (locator_.relocation_of(crashed)) return 0;  // already relocated this crash
+    const std::string proto = locator_.protocol(protocol);
     Node& c = node(crashed);
     Node& t = node(target);
     if (!c.durable() || c.wal()->empty())
@@ -447,13 +436,10 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
     }
 
     // Singleton registry: the recovered instances are the authoritative
-    // singletons, and policy + directory must send future discover()
-    // traffic to their new home.
+    // singletons, and future discover() traffic goes to their new home.
     for (const auto& [cls, old_oid] : img.singletons) {
-        t.singletons_[cls] = base + old_oid;
-        if (t.durable()) t.wal()->append_singleton(t.clock_us(), cls, base + old_oid);
-        policy_.set_singleton_home(cls, target, proto);
-        if (directory_.enabled()) directory_.put_singleton(cls, target, proto);
+        t.adopt_singleton(cls, base + old_oid, t.clock_us());
+        locator_.singleton_moved(cls, target, proto);
     }
 
     // Imported-proxy table: the copies of the crashed node's proxies keep
@@ -501,18 +487,12 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
         c.wal()->append_relocate(landed.at_us, old_oid,
                                  naming::interface_to_proxy(*iface, proto), target,
                                  base + old_oid);
-        // A relocated singleton is no longer this node's singleton: the
-        // drop record makes the restart replay erase the registration
-        // (mirroring migrate_singleton), and the in-memory erase keeps
-        // find_singleton from reporting the dead node as home meanwhile —
-        // that memory is volatile state the restart wipes anyway.
+        // A relocated singleton is no longer this node's: the drop record
+        // makes the restart replay erase the registration, as after
+        // migrate_singleton.
         const auto sit = singleton_of.find(old_oid);
-        if (sit != singleton_of.end()) {
-            c.wal()->append_singleton_drop(landed.at_us, sit->second);
-            c.singletons_.erase(sit->second);
-        }
-        if (directory_.enabled()) directory_.put_object(crashed, old_oid, target,
-                                                        base + old_oid);
+        if (sit != singleton_of.end()) c.drop_singleton(sit->second, landed.at_us);
+        locator_.object_moved(crashed, old_oid, target, base + old_oid);
         ++relocated;
     }
 
@@ -533,7 +513,7 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
         }
     }
 
-    if (directory_.enabled()) directory_changed();
+    locator_.publish();
     if (durability_.enabled) metrics_.counter("wal.relocated_objects").add(relocated);
     journal_.record(obs::JournalEvent::Kind::Recover, landed.at_us, crashed, target,
                     img.objects.size(), image_bytes, {});
@@ -541,7 +521,7 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
              img.objects.size(), " objects (", relocated, " relocated, ",
              img.replies.size(), " cached replies) from a ", image_bytes,
              "-byte durable image");
-    relocations_[crashed] = Relocation{target, std::move(remap)};
+    locator_.node_relocated(crashed, Relocation{target, std::move(remap)});
     return img.objects.size();
 }
 
@@ -552,11 +532,11 @@ void System::enable_adaptation(AdaptPolicy policy) {
 }
 
 std::pair<net::NodeId, vm::ObjId> System::find_singleton(const std::string& cls) {
-    for (const auto& n : nodes_) {
-        auto it = n->singletons_.find(cls);
-        if (it != n->singletons_.end()) return {n->id(), it->second};
-    }
-    return {-1, 0};
+    const net::NodeId home = locator_.singleton_node(cls);
+    const vm::ObjId oid =
+        static_cast<std::size_t>(home) < nodes_.size() ? node(home).singleton(cls) : 0;
+    if (!oid) return {-1, 0};
+    return {home, oid};
 }
 
 void System::ensure_replica_counters() {
@@ -572,7 +552,7 @@ vm::ObjId System::create_replica(net::NodeId primary, vm::ObjId oid,
         throw RuntimeError("replica reader is the primary's own node");
     ensure_replica_counters();
     Node& r = node(reader);
-    const std::string proto = policy_.default_protocol();
+    const std::string proto = locator_.protocol();
     // Reliable control channel, like migration — but NOT a barrier: only
     // the reader learns (its clock reconciles to the landing).
     const ShippedState state = ship_state(node(primary), oid, reader, proto);
@@ -588,7 +568,7 @@ void System::refresh_replica(const std::string& cls, net::NodeId primary,
                              vm::ObjId oid, Replica& r) {
     ensure_replica_counters();
     Node& reader = node(r.node);
-    const std::string proto = policy_.default_protocol();
+    const std::string proto = locator_.protocol();
     const ShippedState state = ship_state(node(primary), oid, r.node, proto);
     reader.reconcile_clock(state.landed.at_us);
     install_state(reader, state, proto, r.oid);
@@ -634,14 +614,6 @@ void System::barrier(std::uint64_t t_us) {
     rpc_.close_batch_lanes();
 }
 
-void System::directory_changed() {
-    // Stale per-node caches are shed at the barrier the control operation
-    // already imposes.
-    directory_.invalidate_caches();
-    dir_updates_->add();
-    dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
-}
-
 void System::invalidate_replicas(net::NodeId primary, vm::ObjId oid,
                                  const std::string& cls) {
     const std::vector<Replica*> flipped = replicas_.invalidate(primary, oid);
@@ -655,15 +627,13 @@ void System::invalidate_replicas(net::NodeId primary, vm::ObjId oid,
     // recipient reconciles to the arrival — it processed the message.
     net::NodeId origin = primary;
     std::uint64_t origin_clock = p.clock_us();
-    if (directory_.enabled()) {
-        const net::NodeId owner = directory_.object_owner(primary, oid);
-        if (owner != primary) {
-            net::Delivery hop =
-                network_.transfer_at(primary, owner, kDirectoryLookupBytes, origin_clock);
-            node(owner).reconcile_clock(hop.at_us);
-            origin = owner;
-            origin_clock = node(owner).clock_us();
-        }
+    const net::NodeId owner = locator_.entry_owner(primary, oid);
+    if (owner != primary) {
+        net::Delivery hop =
+            network_.transfer_at(primary, owner, kDirectoryLookupBytes, origin_clock);
+        node(owner).reconcile_clock(hop.at_us);
+        origin = owner;
+        origin_clock = node(owner).clock_us();
     }
     std::uint64_t last_t = origin_clock;
     for (Replica* rep : flipped) {
@@ -772,75 +742,6 @@ int System::shorten_chain(net::NodeId node_id, vm::ObjId oid) {
     chain_shortenings_counter_->add();
     chain_hops_removed_counter_->add(static_cast<std::uint64_t>(hops));
     return hops;
-}
-
-void System::enable_directory(DirectoryPolicy policy) {
-    const std::size_t shards =
-        policy.shards == 0
-            ? nodes_.size()
-            : std::min<std::size_t>(policy.shards, nodes_.size());
-    if (shards == 0)
-        throw RuntimeError("enable_directory requires at least one node");
-    std::vector<net::NodeId> owners;
-    owners.reserve(shards);
-    for (std::size_t k = 0; k < shards; ++k)
-        owners.push_back(static_cast<net::NodeId>(k));
-    directory_.configure(std::move(owners));
-    dir_lookups_ = &metrics_.counter("directory.lookups");
-    dir_remote_ = &metrics_.counter("directory.remote");
-    dir_cache_hits_ = &metrics_.counter("directory.cache_hits");
-    dir_updates_ = &metrics_.counter("directory.updates");
-    dir_entries_ = &metrics_.gauge("directory.entries");
-}
-
-void System::directory_control_trip(net::NodeId asker, net::NodeId owner) {
-    dir_remote_->add();
-    Node& a = node(asker);
-    Node& o = node(owner);
-    net::Delivery query =
-        network_.transfer_at(asker, owner, kDirectoryLookupBytes, a.clock_us());
-    o.reconcile_clock(query.at_us);
-    // Serving the lookup costs the shard node CPU — the serialization a
-    // single-shard directory concentrates and the ring spreads.
-    o.advance_clock(kDirectoryLookupCpuUs);
-    net::Delivery answer =
-        network_.transfer_at(owner, asker, kDirectoryLookupBytes, o.clock_us());
-    a.reconcile_clock(answer.at_us);
-}
-
-Placement System::directory_discover(const std::string& cls, net::NodeId asker) {
-    dir_lookups_->add();
-    if (const DirLocation* hit = directory_.cached_singleton(asker, cls)) {
-        dir_cache_hits_->add();
-        return Placement{hit->node, hit->protocol};
-    }
-    const net::NodeId owner = directory_.singleton_owner(cls);
-    if (owner != asker) directory_control_trip(asker, owner);
-    const DirLocation* entry = directory_.find_singleton(cls);
-    if (!entry) {
-        // First demand: the shard materializes the entry from the
-        // placement policy's initial assignment.
-        Placement p = policy_.singleton_placement(cls, asker);
-        directory_.put_singleton(cls, p.node, p.protocol);
-        dir_updates_->add();
-        dir_entries_->set(static_cast<std::int64_t>(directory_.total_entries()));
-        entry = directory_.find_singleton(cls);
-    }
-    directory_.cache_singleton(asker, cls, *entry);
-    return Placement{entry->node, entry->protocol};
-}
-
-std::pair<net::NodeId, vm::ObjId> System::directory_resolve(net::NodeId asker,
-                                                            net::NodeId node_id,
-                                                            vm::ObjId oid) {
-    if (!directory_.enabled())
-        throw RuntimeError("directory_resolve requires enable_directory()");
-    dir_lookups_->add();
-    const net::NodeId owner =
-        directory_.object_owner(node_id, static_cast<std::uint64_t>(oid));
-    if (owner != asker) directory_control_trip(asker, owner);
-    auto [n, o] = directory_.chase_object(node_id, static_cast<std::uint64_t>(oid));
-    return {n, static_cast<vm::ObjId>(o)};
 }
 
 EdgeTraffic System::traffic_edge(ClassTraffic& row, const std::string& cls,

@@ -21,9 +21,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/adapt.hpp"
-#include "runtime/directory.hpp"
+#include "runtime/locator.hpp"
 #include "runtime/node.hpp"
-#include "runtime/policy.hpp"
 #include "runtime/reliable.hpp"
 #include "runtime/replica.hpp"
 #include "runtime/rpc_path.hpp"
@@ -93,7 +92,7 @@ public:
     std::size_t node_count() const noexcept { return nodes_.size(); }
 
     net::SimNetwork& network() noexcept { return network_; }
-    DistributionPolicy& policy() noexcept { return policy_; }
+    DistributionPolicy& policy() noexcept { return locator_.policy(); }
 
     /// Enables the sharded object directory (DESIGN.md §18): singleton
     /// discover() and object-relocation lookups route to the shard node
@@ -102,9 +101,8 @@ public:
     /// first `policy.shards` node ids (0 = every node owns a shard); call
     /// after the nodes exist and before driving traffic.  Off by default —
     /// legacy runs stay byte-identical.
-    void enable_directory(DirectoryPolicy policy = {});
-    ShardedDirectory& directory() noexcept { return directory_; }
-    const ShardedDirectory& directory() const noexcept { return directory_; }
+    void enable_directory(DirectoryPolicy policy = {}) { locator_.enable_directory(policy); }
+    ShardedDirectory& directory() noexcept { return locator_.directory(); }
 
     /// Directory-backed object resolution: `asker` queries the shard that
     /// owns (node, oid)'s relocation entry (a control round-trip in
@@ -112,8 +110,9 @@ public:
     /// location recorded by past migrations.  The directory analogue of
     /// resolve_terminal, which walks the actual proxy chain instead.
     std::pair<net::NodeId, vm::ObjId> directory_resolve(net::NodeId asker,
-                                                        net::NodeId node,
-                                                        vm::ObjId oid);
+                                                        net::NodeId node, vm::ObjId oid) {
+        return locator_.resolve(asker, node, oid);
+    }
 
     /// The process-wide measurement substrate: every counter the runtime,
     /// network and VMs maintain lives here (DESIGN.md "Observability").
@@ -179,22 +178,16 @@ public:
     std::size_t recover_node_onto(net::NodeId crashed, net::NodeId target,
                                   const std::string& protocol = "");
 
-    /// Outcome of the last migration-by-recovery for a crashed node.
-    struct Relocation {
-        net::NodeId target = -1;
-        /// Old oid on the crashed node -> new oid on `target`.
-        std::map<vm::ObjId, vm::ObjId> remap;
-    };
+    using Relocation = runtime::Relocation;
     /// Non-null while `crashed`'s image has been relocated and the node
     /// has not yet restarted (a restart replays the Relocate records and
     /// clears this — the node is then a live forwarder again).
     const Relocation* relocation_of(net::NodeId crashed) const {
-        const auto it = relocations_.find(crashed);
-        return it == relocations_.end() ? nullptr : &it->second;
+        return locator_.relocation_of(crashed);
     }
 
-    /// Actual home of the instantiated `cls` singleton: scans the node
-    /// set for its C_Local instance.  {-1, 0} when never discovered.
+    /// Actual home of the instantiated `cls` singleton: the registry of
+    /// the node its placement names.  {-1, 0} when never discovered.
     std::pair<net::NodeId, vm::ObjId> find_singleton(const std::string& cls);
 
     /// Installs a node-local read replica of the object at (primary, oid)
@@ -296,16 +289,6 @@ private:
     obs::Histogram& latency_histogram(ClassTraffic& row, const std::string& cls,
                                       const std::string& method);
 
-    /// Singleton placement via the directory: per-node cache, then a
-    /// control round-trip to the owning shard (first demand materializes
-    /// the entry from the policy's initial assignment).
-    Placement directory_discover(const std::string& cls, net::NodeId asker);
-    /// Charges one lookup round-trip asker -> owner -> asker on the
-    /// simulated network plus the shard's lookup CPU.  The control channel
-    /// is modelled reliable (like migration): loss costs time, never the
-    /// outcome.
-    void directory_control_trip(net::NodeId asker, net::NodeId owner);
-
     void wire_node(Node& node);
     /// An object's field state in flight over the reliable control channel
     /// (migration, replica creation and refresh).
@@ -328,9 +311,6 @@ private:
     /// Stop-the-world control barrier (DESIGN.md §13): every node
     /// reconciles to `t_us` and no batch lane stays joinable.
     void barrier(std::uint64_t t_us);
-    /// After a directory write: sheds per-node caches and republishes the
-    /// directory.updates / directory.entries metrics.
-    void directory_changed();
 
     /// Write-invalidate (DESIGN.md §19): marks every copy of the primary
     /// stale and charges one control message per freshly invalidated copy
@@ -360,13 +340,8 @@ private:
     transform::PipelineResult result_;
     net::SimNetwork network_;
     RpcPath rpc_;
-    DistributionPolicy policy_;
-    ShardedDirectory directory_;
-    obs::Counter* dir_lookups_ = nullptr;
-    obs::Counter* dir_remote_ = nullptr;
-    obs::Counter* dir_cache_hits_ = nullptr;
-    obs::Counter* dir_updates_ = nullptr;
-    obs::Gauge* dir_entries_ = nullptr;
+    /// Every placement fact: policy homes, directory, relocations.
+    Locator locator_;
     /// The typed traffic table, the number of edges it materialized
     /// (bounded by class_matrix_cap) and the overflow aggregates beyond.
     TrafficTable traffic_;
@@ -391,9 +366,6 @@ private:
     /// Durability (DESIGN.md §20).  Counters exist only once
     /// enable_durability ran — the off state registers nothing.
     DurabilityPolicy durability_;
-    /// Migration-by-recovery bookkeeping: crashed node -> where its image
-    /// went.  Entries die when the node itself restarts (note_recovery).
-    std::map<net::NodeId, Relocation> relocations_;
 };
 
 }  // namespace rafda::runtime

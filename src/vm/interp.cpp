@@ -511,13 +511,17 @@ Value Interpreter::arith(Op op, const Value& a, const Value& b) {
 
 Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     // Equality on refs/null/bools/strings; ordering only on numerics and
-    // strings.
+    // strings.  Two integral operands compare exactly as int64 (a double
+    // cannot tell longs past 2^53 apart); a double operand promotes both.
+    const bool integral = (a.is_int() || a.is_long()) && (b.is_int() || b.is_long());
     bool result = false;
     switch (op) {
         case Op::CmpEq:
         case Op::CmpNe: {
             bool eq;
-            if (a.is_numeric() && b.is_numeric()) {
+            if (integral) {
+                eq = a.widen_integral() == b.widen_integral();
+            } else if (a.is_numeric() && b.is_numeric()) {
                 eq = a.widen_double() == b.widen_double();
             } else if ((a.is_null() || a.is_ref()) && (b.is_null() || b.is_ref())) {
                 eq = (a.is_null() && b.is_null()) ||
@@ -537,9 +541,12 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
                 result = (op == Op::CmpLt && c < 0) || (op == Op::CmpLe && c <= 0) ||
                          (op == Op::CmpGt && c > 0) || (op == Op::CmpGe && c >= 0);
             } else {
-                const double x = a.widen_double(), y = b.widen_double();
-                result = (op == Op::CmpLt && x < y) || (op == Op::CmpLe && x <= y) ||
-                         (op == Op::CmpGt && x > y) || (op == Op::CmpGe && x >= y);
+                const auto ordered = [op](auto x, auto y) {
+                    return (op == Op::CmpLt && x < y) || (op == Op::CmpLe && x <= y) ||
+                           (op == Op::CmpGt && x > y) || (op == Op::CmpGe && x >= y);
+                };
+                result = integral ? ordered(a.widen_integral(), b.widen_integral())
+                                  : ordered(a.widen_double(), b.widen_double());
             }
             break;
         }

@@ -2,9 +2,12 @@
 // updates and restart stability (DESIGN.md §18).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "model/assembler.hpp"
 #include "model/verifier.hpp"
@@ -20,12 +23,9 @@ using vm::Value;
 
 // ---- unit level: the ring and the shard tables ----
 
-ShardedDirectory make_directory(std::uint32_t owners) {
-    std::vector<net::NodeId> ids;
-    for (std::uint32_t k = 0; k < owners; ++k)
-        ids.push_back(static_cast<net::NodeId>(k));
+ShardedDirectory make_directory(std::size_t shards) {
     ShardedDirectory dir;
-    dir.configure(ids);
+    dir.configure(shards);
     return dir;
 }
 
@@ -68,33 +68,27 @@ TEST(ShardedDirectory, ChaseObjectFollowsRelocationHops) {
 }
 
 TEST(ShardedDirectory, SingletonEntriesLiveInTheirOwningShard) {
+    // A singleton's home is the policy's fact; the directory names the
+    // shard that answers for it: the ring's owner of the singleton key,
+    // one of the four owners, the same on an independently configured
+    // ring.
     ShardedDirectory dir = make_directory(4);
-    dir.put_singleton("Registry", 3, "RMI");
-    const DirLocation* loc = dir.find_singleton("Registry");
-    ASSERT_NE(loc, nullptr);
-    EXPECT_EQ(loc->node, 3);
-    EXPECT_EQ(loc->protocol, "RMI");
-    // Overwrite on migration: the same shard's entry is replaced.
-    dir.put_singleton("Registry", 1, "SOAP");
-    loc = dir.find_singleton("Registry");
-    ASSERT_NE(loc, nullptr);
-    EXPECT_EQ(loc->node, 1);
-    EXPECT_EQ(loc->protocol, "SOAP");
-    EXPECT_EQ(dir.find_singleton("Nope"), nullptr);
-    // Entry counts land on the owner the ring picked for the key.
-    std::size_t total = 0;
-    dir.visit_shards([&](net::NodeId, std::size_t n) { total += n; });
-    EXPECT_EQ(total, 1u);
+    const net::NodeId owner = dir.singleton_owner("Registry");
+    EXPECT_EQ(owner, dir.owner("S/Registry"));
+    EXPECT_EQ(owner, make_directory(4).singleton_owner("Registry"));
+    EXPECT_GE(owner, 0);
+    EXPECT_LT(owner, 4);
+    // Caching an answer stores no entry: the tables hold relocations only.
+    dir.cache_singleton(2, "Registry", Placement{3, "SOAP"});
+    EXPECT_EQ(dir.total_entries(), 0u);
 }
 
 TEST(ShardedDirectory, CachesInvalidateGlobally) {
     ShardedDirectory dir = make_directory(2);
     EXPECT_EQ(dir.cached_singleton(5, "Registry"), nullptr);
-    DirLocation loc;
-    loc.node = 1;
-    loc.protocol = "RMI";
-    dir.cache_singleton(5, "Registry", loc);
+    dir.cache_singleton(5, "Registry", Placement{1, "RMI"});
     ASSERT_NE(dir.cached_singleton(5, "Registry"), nullptr);
+    EXPECT_EQ(*dir.cached_singleton(5, "Registry"), (Placement{1, "RMI"}));
     EXPECT_EQ(dir.cached_singleton(6, "Registry"), nullptr);  // per-node
     dir.invalidate_caches();
     EXPECT_EQ(dir.cached_singleton(5, "Registry"), nullptr);
@@ -248,6 +242,116 @@ TEST_F(DirectorySystemFixture, OwnershipIsStableAcrossNodeRestart) {
     EXPECT_EQ(system->directory().object_owner(0, oid), owner_before);
     EXPECT_EQ(system->directory_resolve(1, 0, oid),
               (std::pair<net::NodeId, vm::ObjId>{2, on2}));
+}
+
+/// Registry's bumps from nodes 1, 1 and 2 on three nodes, the home
+/// rewritten to node 2 through the policy (no migration) after the first,
+/// and then where find_singleton says the singleton lives.
+std::vector<std::int64_t> rewrite_home_midway(const model::ClassPool& pool, bool directory) {
+    System system(pool);
+    for (int k = 0; k < 3; ++k) system.add_node();
+    if (directory) system.enable_directory();
+    std::vector<std::int64_t> out;
+    out.push_back(system.call_static(1, "Registry", "bump", "()I").as_int());
+    system.policy().set_singleton_home("Registry", 2);
+    out.push_back(system.call_static(1, "Registry", "bump", "()I").as_int());
+    out.push_back(system.call_static(2, "Registry", "bump", "()I").as_int());
+    out.push_back(system.find_singleton("Registry").first);
+    return out;
+}
+
+TEST(DirectoryRewrite, AHomeRewrittenThroughThePolicyReachesCachedAskers) {
+    // Node 1's cached answer names the old home; the policy no longer
+    // gives it, so node 1 looks the home up again and both its bump and
+    // node 2's reach the new singleton on node 2, as without a directory.
+    const model::ClassPool pool = make_pool();
+    const std::vector<std::int64_t> off = rewrite_home_midway(pool, false);
+    EXPECT_EQ(off, (std::vector<std::int64_t>{1, 1, 2, 2}));
+    EXPECT_EQ(rewrite_home_midway(pool, true), off);
+}
+
+// ---- migration-by-recovery composed with the directory ----
+
+/// What one recover-onto run answers, compared across directory settings:
+/// the directory prices lookups, it never changes an answer.
+struct RecoveryOutcome {
+    std::vector<std::int64_t> results;
+    std::pair<net::NodeId, vm::ObjId> singleton{-1, 0};
+    net::NodeId relocated_to = -1;
+    std::map<vm::ObjId, vm::ObjId> remap;
+    bool operator==(const RecoveryOutcome&) const = default;
+};
+
+/// Four durable nodes; the Registry singleton and a Service live on node
+/// 1.  Nodes 2 and 3 bump, node 1 crashes for good, its image is
+/// recovered onto node 0, then both bump again and node 0 calls the
+/// Service through its (repointed) proxy.  `shards` < 0 leaves the
+/// directory off.
+RecoveryOutcome recover_onto(const model::ClassPool& pool, int shards) {
+    SystemOptions options;
+    options.durability.enabled = true;
+    System system(pool, options);
+    for (int k = 0; k < 4; ++k) system.add_node();
+    if (shards >= 0) {
+        DirectoryPolicy policy;
+        policy.shards = static_cast<std::uint32_t>(shards);
+        system.enable_directory(policy);
+    }
+    system.policy().set_singleton_home("Registry", 1, "RMI");
+    system.policy().set_instance_home("Service", 1, "RMI");
+
+    RecoveryOutcome out;
+    const auto bump = [&](net::NodeId n) {
+        out.results.push_back(system.call_static(n, "Registry", "bump", "()I").as_int());
+    };
+    const Value svc = system.construct(0, "Service", "()V");
+    const auto [svc_node, svc_oid] = system.node(0).proxy_target(svc.as_ref());
+    EXPECT_EQ(svc_node, 1);
+    bump(2);
+    bump(3);
+
+    std::uint64_t now = 0;
+    for (std::size_t k = 0; k < system.node_count(); ++k)
+        now = std::max(now, system.node(static_cast<net::NodeId>(k)).clock_us());
+    net::FaultWindow crash;
+    crash.kind = net::FaultKind::NodeCrash;
+    crash.node = 1;
+    crash.from_us = now;
+    crash.until_us = ~0ULL;
+    system.network().fault_plan().add(crash);
+    EXPECT_GT(system.recover_node_onto(1, 0), 0u);
+
+    bump(2);
+    bump(3);
+    out.results.push_back(system.node(0)
+                              .interp()
+                              .call_virtual(svc, "work", "(J)J", {Value::of_long(7)})
+                              .as_long());
+    out.singleton = system.find_singleton("Registry");
+    if (const System::Relocation* rel = system.relocation_of(1)) {
+        out.relocated_to = rel->target;
+        out.remap = rel->remap;
+    }
+    if (shards >= 0) {
+        // A non-owner asks its shard where the recovered object lives:
+        // the relocation entry answers with its new home directly.
+        const net::NodeId owner = system.directory().object_owner(svc_node, svc_oid);
+        const net::NodeId asker = owner == 2 ? 3 : 2;
+        EXPECT_EQ(system.directory_resolve(asker, svc_node, svc_oid),
+                  (std::pair<net::NodeId, vm::ObjId>{0, out.remap.at(svc_oid)}));
+    }
+    return out;
+}
+
+TEST(DirectoryRecovery, RecoverOntoAgreesWithTheDirectoryOffAndOn) {
+    const model::ClassPool pool = make_pool();
+    const RecoveryOutcome off = recover_onto(pool, -1);
+    EXPECT_EQ(off.results, (std::vector<std::int64_t>{1, 2, 3, 4, 7}));
+    EXPECT_EQ(off.singleton.first, 0);
+    EXPECT_EQ(off.relocated_to, 0);
+    EXPECT_FALSE(off.remap.empty());
+    EXPECT_EQ(recover_onto(pool, 1), off);
+    EXPECT_EQ(recover_onto(pool, 4), off);
 }
 
 }  // namespace

@@ -18,7 +18,10 @@
 //     middleware cannot see must not leave replicas lying about state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "model/verifier.hpp"
 #include "runtime/driver.hpp"
 #include "runtime/system.hpp"
+#include "support/log.hpp"
 #include "vm/prelude.hpp"
 
 namespace rafda::runtime {
@@ -244,6 +248,48 @@ TEST(Replica, LocalDiscoverOnTheHomeInvalidatesConservatively) {
     // The reader's next lookup refreshes and sees the local write.
     EXPECT_EQ(system->call_static(1, "Table", "lookup", "()I").as_int(), 13);
     EXPECT_GE(system->metrics().counter("adapt.replica_refreshes").value(), 1u);
+}
+
+/// Redirects std::clog into a string for the scope of a test.
+class ClogCapture {
+public:
+    ClogCapture() : old_(std::clog.rdbuf(buffer_.rdbuf())) {}
+    ~ClogCapture() { std::clog.rdbuf(old_); }
+    std::string str() const { return buffer_.str(); }
+
+private:
+    std::ostringstream buffer_;
+    std::streambuf* old_;
+};
+
+TEST(Replica, LogLinesCarryTheFurthestNodeClock) {
+    model::ClassPool pool;
+    auto system = make_system(pool);
+    system->call_static(1, "Table", "seed", "(II)V",
+                        {Value::of_int(3), Value::of_int(4)});
+    const auto [home, oid] = system->find_singleton("Table");
+    ASSERT_EQ(home, 0);
+    // A bystander runs ahead; replication is no barrier, so it stays the
+    // furthest clock while only the reader reconciles.
+    system->node(2).advance_clock(50'000);
+
+    set_log_level(LogLevel::Info);
+    std::string line;
+    {
+        ClogCapture capture;
+        system->create_replica(0, oid, "Table", 1);
+        line = capture.str();
+    }
+    set_log_level(LogLevel::Off);
+
+    std::uint64_t furthest = 0;
+    for (net::NodeId n = 0; n < 3; ++n)
+        furthest = std::max(furthest, system->node(n).clock_us());
+    EXPECT_EQ(furthest, system->node(2).clock_us());
+    EXPECT_LT(system->node(1).clock_us(), furthest);
+    EXPECT_EQ(line, "[INFO ] [t=" + std::to_string(furthest) +
+                        "us] [runtime] replicated Table (0," + std::to_string(oid) +
+                        ") -> node 1\n");
 }
 
 }  // namespace

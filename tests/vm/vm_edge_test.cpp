@@ -145,8 +145,9 @@ class A {
 }
 
 TEST(VmEdge, DoubleAndMixedLongDoubleOrdering) {
-    // Anything but int/int (and string/string) orders in compare()'s
-    // widening path: both operands as doubles.
+    // A pair with a double orders in compare()'s widening path, both
+    // operands as doubles; int/long pairs compare exactly as int64, so
+    // longs past 2^53 stay distinct.
     Fixture f(R"(
 class A {
   static method lt (DD)Z {
@@ -173,6 +174,30 @@ class A {
     cmpge
     returnvalue
   }
+  static method gtjj (JJ)Z {
+    load 0
+    load 1
+    cmpgt
+    returnvalue
+  }
+  static method eqjj (JJ)Z {
+    load 0
+    load 1
+    cmpeq
+    returnvalue
+  }
+  static method ltij (IJ)Z {
+    load 0
+    load 1
+    cmplt
+    returnvalue
+  }
+  static method neji (JI)Z {
+    load 0
+    load 1
+    cmpne
+    returnvalue
+  }
 }
 )");
     auto test = [&](const char* name, const char* desc, Value a, Value b) {
@@ -190,6 +215,23 @@ class A {
     EXPECT_TRUE(test("ge", "(JD)Z", Value::of_long(-7), Value::of_double(-7.0)));
     EXPECT_FALSE(test("ge", "(JD)Z", Value::of_long(-7), Value::of_double(-6.5)));
     EXPECT_FALSE(test("ge", "(JD)Z", Value::of_long(0), nan));
+    // Longs that one double cannot tell apart.
+    constexpr std::int64_t k2p53 = std::int64_t{1} << 53;
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    EXPECT_TRUE(test("gtjj", "(JJ)Z", Value::of_long(k2p53 + 1), Value::of_long(k2p53)));
+    EXPECT_FALSE(test("gtjj", "(JJ)Z", Value::of_long(k2p53), Value::of_long(k2p53 + 1)));
+    EXPECT_FALSE(test("eqjj", "(JJ)Z", Value::of_long(k2p53 + 1), Value::of_long(k2p53)));
+    EXPECT_TRUE(test("gtjj", "(JJ)Z", Value::of_long(kMax), Value::of_long(kMax - 1)));
+    EXPECT_FALSE(test("eqjj", "(JJ)Z", Value::of_long(kMax), Value::of_long(kMax - 1)));
+    EXPECT_TRUE(test("eqjj", "(JJ)Z", Value::of_long(kMax), Value::of_long(kMax)));
+    // int against long at the int boundary: the int widens to int64.
+    constexpr std::int32_t kIntMax = std::numeric_limits<std::int32_t>::max();
+    EXPECT_TRUE(test("ltij", "(IJ)Z", Value::of_int(kIntMax),
+                     Value::of_long(std::int64_t{kIntMax} + 1)));
+    EXPECT_FALSE(test("ltij", "(IJ)Z", Value::of_int(kIntMax), Value::of_long(kIntMax)));
+    EXPECT_FALSE(test("neji", "(JI)Z", Value::of_long(kIntMax), Value::of_int(kIntMax)));
+    EXPECT_TRUE(test("neji", "(JI)Z", Value::of_long(std::int64_t{kIntMax} + 1),
+                     Value::of_int(kIntMax)));
 }
 
 TEST(VmEdge, CodeThatFallsOffItsEndIsAVmError) {

@@ -44,6 +44,21 @@ case " $presets " in
     fi
     echo "horizon guard OK: src/runtime never calls now_us()"
 
+    # One owner per placement fact (gating): only the Locator asks the
+    # policy for a placement or touches the directory, and only a Node
+    # touches its singleton registry (DESIGN.md §18).
+    echo "== placement has one owner =="
+    if grep -rlE 'directory_\.|(singleton|instance)_placement\(' src/runtime |
+        grep -vE '/(locator|policy|directory)\.[hc]pp$'; then
+        echo "FAIL: placement decided outside runtime/locator" >&2
+        exit 1
+    fi
+    if grep -rl 'singletons_' src | grep -vE '/runtime/node\.[hc]pp$'; then
+        echo "FAIL: a singleton registry written outside runtime/node" >&2
+        exit 1
+    fi
+    echo "placement guard OK: the Locator places, each Node owns its registry"
+
     # Thread-pool stress (gating): the pool, the verifier's allocation
     # bound and pipeline determinism rerun up to 20 times under parallel
     # load, so a scheduling-dependent failure fails the gate instead of
