@@ -117,7 +117,7 @@ const Layout& ClassPool::static_layout_of(std::string_view name) const {
     return static_layouts_.emplace(std::string(name), std::move(layout)).first->second;
 }
 
-const Method* ClassPool::resolve_virtual(std::string_view dynamic,
+const Method* ClassPool::resolve_virtual(const ClassFile* dynamic,
                                          std::string_view method_name,
                                          std::string_view desc) const {
     const Method* m = nullptr;
@@ -125,7 +125,7 @@ const Method* ClassPool::resolve_virtual(std::string_view dynamic,
         m = cf.find_method(method_name, desc);
         return m && !m->is_abstract;
     };
-    return find_on_chain(find(dynamic), concrete) ? m : nullptr;
+    return find_on_chain(dynamic, concrete) ? m : nullptr;
 }
 
 const Method* ClassPool::resolve_static(std::string_view owner,

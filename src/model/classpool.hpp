@@ -94,10 +94,10 @@ public:
     /// Static field layout of `name` (declared statics only).
     const Layout& static_layout_of(std::string_view name) const;
 
-    /// Resolves a virtual call on dynamic class `dynamic`: walks the
-    /// superclass chain for a non-abstract method `name`+`desc`.
-    /// Returns nullptr if unresolved.
-    const Method* resolve_virtual(std::string_view dynamic, std::string_view method_name,
+    /// Resolves a virtual call on dynamic class `dynamic` (null resolves
+    /// nothing): the first non-abstract method `name`+`desc` up its
+    /// superclass chain.  Returns nullptr if unresolved.
+    const Method* resolve_virtual(const ClassFile* dynamic, std::string_view method_name,
                                   std::string_view desc) const;
 
     /// Resolves a static method: walks the superclass chain from `owner`.

@@ -139,7 +139,7 @@ void AdaptationEngine::decide_class(
     const std::string& cls, const ClassWindow& w,
     const std::map<std::pair<net::NodeId, net::NodeId>, std::uint64_t>& link_bytes,
     std::uint64_t now_us) {
-    if (w.calls < policy_.min_window_calls) return;
+    if (w.calls < policy_.min_window_calls || unshippable_.count(cls)) return;
 
     net::NodeId home = 0;
     std::uint64_t oid = 0;
@@ -155,8 +155,7 @@ void AdaptationEngine::decide_class(
         classified ? static_cast<double>(w.reads) / static_cast<double>(classified)
                    : 0.0;
     if (classified >= policy_.min_window_calls &&
-        read_share >= policy_.replicate_ratio && w.local_discovers == 0 &&
-        no_replicate_.count(cls) == 0) {
+        read_share >= policy_.replicate_ratio && w.local_discovers == 0) {
         for (const auto& [edge, e] : w.edges) {
             const auto [src, dst] = edge;
             if (dst != home || src == home) continue;
@@ -166,7 +165,7 @@ void AdaptationEngine::decide_class(
             } catch (const std::exception& ex) {
                 log_info("adapt", "class ", cls, " is not replicable: ",
                          ex.what());
-                no_replicate_.insert(cls);
+                unshippable_.insert(cls);
                 return;
             }
             replications_ctr_->add();

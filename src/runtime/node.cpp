@@ -10,7 +10,9 @@ namespace rafda::runtime {
 
 using transform::naming::interface_to_proxy;
 using transform::naming::kProxyNodeField;
+using transform::naming::kProxyNodeSlot;
 using transform::naming::kProxyOidField;
+using transform::naming::kProxyOidSlot;
 using vm::Value;
 
 Node::Node(System& system, net::NodeId id, const model::ClassPool& pool)
@@ -112,16 +114,13 @@ Value Node::import_ref(net::NodeId node, std::uint64_t oid, const std::string& i
 }
 
 std::pair<net::NodeId, vm::ObjId> Node::proxy_target(vm::ObjId proxy) {
-    const model::ClassPool& pool = interp_.pool();
-    const model::ClassFile& cls = interp_.class_of(proxy);
-    ProxySlots& slots = proxy_slots_[&cls];
-    if (slots.gen != pool.generation()) {
-        const model::Layout& layout = pool.layout_of(cls.name);
-        slots = {pool.generation(), static_cast<std::size_t>(layout.index_of(kProxyNodeField)),
-                 static_cast<std::size_t>(layout.index_of(kProxyOidField))};
-    }
-    return {interp_.get_field_at(proxy, slots.node).as_int(),
-            static_cast<vm::ObjId>(interp_.get_field_at(proxy, slots.oid).as_long())};
+    // get_field_at does not bounds-check; as_int/as_long check the tags.
+    const vm::Object& o = interp_.heap().get(proxy);
+    if (o.is_array || o.fields.size() < 2)
+        throw RuntimeError("object " + std::to_string(proxy) + " on node " +
+                           std::to_string(id_) + " is not a proxy");
+    return {interp_.get_field_at(proxy, kProxyNodeSlot).as_int(),
+            static_cast<vm::ObjId>(interp_.get_field_at(proxy, kProxyOidSlot).as_long())};
 }
 
 void Node::set_proxy_target(vm::ObjId proxy, net::NodeId node, vm::ObjId oid) {
@@ -394,9 +393,7 @@ net::CallReply Node::handle_request(const net::CallRequest& req,
                 Value result = interp_.call_virtual(Value::of_ref(req.target_oid),
                                                     req.method, req.desc,
                                                     std::span<Value>(*args));
-                reply.result = interp_.sig_info(req.desc).second
-                                   ? net::MarshalledValue::null()
-                                   : export_value(result);
+                reply.result = export_value(result);  // a void method returns null
                 break;
             }
             case net::RequestKind::Create: {

@@ -186,14 +186,6 @@ private:
     /// (origin node, origin oid, interface, protocol) -> local proxy object.
     std::map<WalImage::ImportKey, vm::ObjId> imported_;
     std::map<std::string, vm::ObjId> singletons_;
-    /// Layout slots of the two routing fields per proxy class, valid while
-    /// `gen` is the pool generation (proxy_target).
-    struct ProxySlots {
-        std::uint64_t gen = 0;
-        std::size_t node = 0;
-        std::size_t oid = 0;
-    };
-    std::unordered_map<const model::ClassFile*, ProxySlots> proxy_slots_;
     struct CachedReply {
         std::uint64_t request_id;
         net::CallReply reply;

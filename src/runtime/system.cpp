@@ -355,9 +355,10 @@ vm::ObjId System::migrate_instance(net::NodeId from, vm::ObjId oid, net::NodeId 
     // remote, and proxies elsewhere chain through it (Figure 1).
     const model::ClassFile& proxy_cls =
         result_.pool.get(naming::interface_to_proxy(*iface, proto));
-    f.interp().heap().transmute(
-        oid, proxy_cls,
-        {Value::of_int(to), Value::of_long(static_cast<std::int64_t>(new_oid))});
+    std::vector<Value> routing(2);
+    routing[naming::kProxyNodeSlot] = Value::of_int(to);
+    routing[naming::kProxyOidSlot] = Value::of_long(static_cast<std::int64_t>(new_oid));
+    f.interp().heap().transmute(oid, proxy_cls, std::move(routing));
     // The transmute bypasses the VM's mutation paths (it is a runtime
     // substitution, not guest code), so the WAL must hear about it
     // explicitly or a recovered `from` would resurrect the migrated object.

@@ -35,6 +35,7 @@
 #include "net/message.hpp"
 #include "obs/metrics.hpp"
 #include "support/bytes.hpp"
+#include "transform/naming.hpp"
 #include "vm/value.hpp"
 
 namespace rafda::runtime {
@@ -170,8 +171,9 @@ public:
         object(oid) = {false,
                        proxy_cls,
                        0,
-                       {{0, vm::Value::of_int(node)},
-                        {1, vm::Value::of_long(static_cast<std::int64_t>(remote_oid))}}};
+                       {{transform::naming::kProxyNodeSlot, vm::Value::of_int(node)},
+                        {transform::naming::kProxyOidSlot,
+                         vm::Value::of_long(static_cast<std::int64_t>(remote_oid))}}};
     }
     void on_relocate(std::uint64_t t_us, std::uint64_t oid, const std::string& proxy_cls,
                      std::int32_t node, std::uint64_t remote_oid) override {

@@ -4,6 +4,7 @@
 // and A_C_Factory; every field f gains get_f/set_f property accessors.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,9 +34,13 @@ inline constexpr const char* kSingletonField = "me";
 inline constexpr const char* kSingletonGetter = "get_me";
 
 /// Fields every generated proxy carries so the middleware can route calls:
-/// the node the real object lives on and its object id there.
+/// the node the real object lives on (an int) and its object id there (a
+/// long), declared in this order and nothing else, so they are always
+/// these two slots of the proxy's layout.
 inline constexpr const char* kProxyNodeField = "__node";
 inline constexpr const char* kProxyOidField = "__oid";
+inline constexpr std::size_t kProxyNodeSlot = 0;
+inline constexpr std::size_t kProxyOidSlot = 1;
 
 /// Decomposition of a generated proxy class name.
 struct ProxyName {

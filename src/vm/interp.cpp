@@ -4,7 +4,6 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
-#include <tuple>
 
 #ifdef __unix__
 #include <sys/resource.h>
@@ -27,6 +26,14 @@ constexpr int kMaxCallDepth = 2000;
 std::string native_key(const std::string& owner, const std::string& name,
                        const std::string& desc) {
     return owner + "#" + name + desc;
+}
+
+/// The first non-abstract `name`+`desc` up the chain from `dyn`.
+const Method& virtual_target(const model::ClassPool& pool, const ClassFile& dyn,
+                             const std::string& name, const std::string& desc) {
+    const Method* m = pool.resolve_virtual(&dyn, name, desc);
+    if (!m) throw VmError("unresolved virtual method " + dyn.name + "." + name + desc);
+    return *m;
 }
 
 /// Moves the top `n` operands of `stack` into `locals`, in order.
@@ -64,7 +71,7 @@ void Interpreter::attach_metrics(obs::Registry* registry, std::string prefix) {
     if (metrics_) metrics_->remove_probes_with_prefix(metrics_prefix_ + ".");
     metrics_ = registry;
     metrics_prefix_ = std::move(prefix);
-    method_hist_.clear();
+    for (auto& entry : memos_) entry.second.hist = nullptr;
     if (!metrics_) {
         profile_methods_ = false;
         return;
@@ -92,14 +99,11 @@ void Interpreter::attach_metrics(obs::Registry* registry, std::string prefix) {
 }
 
 void Interpreter::record_method_profile(const ClassFile& cls, const Method& m,
-                                        std::uint64_t instructions) {
-    auto it = method_hist_.find(&m);
-    if (it == method_hist_.end()) {
-        obs::Histogram& h = metrics_->histogram(metrics_prefix_ + ".method_instr." +
-                                                cls.name + "." + m.name);
-        it = method_hist_.emplace(&m, &h).first;
-    }
-    it->second->record(instructions);
+                                        MethodMemo& memo, std::uint64_t instructions) {
+    if (!memo.hist)
+        memo.hist = &metrics_->histogram(metrics_prefix_ + ".method_instr." + cls.name +
+                                         "." + m.name);
+    memo.hist->record(instructions);
 }
 
 GuestException Interpreter::make_guest_exception(ObjId obj) {
@@ -193,7 +197,7 @@ Value Interpreter::call_virtual(const Value& receiver, const std::string& name,
                                 const std::string& desc, std::span<Value> args) {
     return at_api_boundary([&] {
         const ClassFile& dyn = class_of(receiver.as_ref());
-        const Method& m = resolve_virtual_cached(dyn.name, name, desc);
+        const Method& m = virtual_target(*pool_, dyn, name, desc);
         ++counters_.invokes_virtual;
         Frame& f = next_frame();
         f.locals.push_back(receiver);
@@ -318,46 +322,22 @@ void Interpreter::reconcile_statics() {
     }
 }
 
-std::pair<int, bool> Interpreter::sig_info(const std::string& desc) {
-    auto it = sig_cache_.find(desc);
-    if (it != sig_cache_.end()) return it->second;
-    MethodSig sig = MethodSig::parse(desc);
-    auto info = std::make_pair(static_cast<int>(sig.params().size()),
-                               sig.ret().is_void());
-    sig_cache_.emplace(desc, info);
-    return info;
-}
-
-const Method& Interpreter::resolve_virtual_cached(const std::string& dynamic,
-                                                  const std::string& name,
-                                                  const std::string& desc) {
-    if (vcache_gen_ != cache_gen()) {
-        vcache_.clear();
-        vcache_gen_ = cache_gen();
+Interpreter::MethodMemo& Interpreter::memo_of(const Method& m) {
+    MethodMemo& memo = memos_[&m];
+    if (memo.gen != cache_gen()) {
+        memo.gen = cache_gen();
+        memo.fn = nullptr;
+        memo.class_fn = nullptr;
+        memo.hist = nullptr;
     }
-    vcache_key_.assign(dynamic);
-    vcache_key_ += '#';
-    vcache_key_ += name;
-    vcache_key_ += desc;
-    auto it = vcache_.find(vcache_key_);
-    if (it != vcache_.end()) return *it->second;
-    const Method* m = pool_->resolve_virtual(dynamic, name, desc);
-    if (!m) throw VmError("unresolved virtual method " + dynamic + "." + name + desc);
-    vcache_.emplace(vcache_key_, m);
-    return *m;
-}
-
-Interpreter::SiteCache* Interpreter::caches_for(const Method& m) {
-    std::vector<SiteCache>& sites = site_caches_[&m];
     // Sized lazily (and re-sized if a mutable-pool rewrite changed the
     // body, or a recycled Method address collides with a dead entry).
-    if (sites.size() != m.code.instrs.size())
-        sites.assign(m.code.instrs.size(), SiteCache{});
-    return sites.data();
+    if (memo.sites.size() != m.code.instrs.size())
+        memo.sites.assign(m.code.instrs.size(), SiteCache{});
+    return memo;
 }
 
-Interpreter::NativeBinding Interpreter::bind_native(const ClassFile& cls,
-                                                    const Method& m) {
+void Interpreter::bind_native(const ClassFile& cls, const Method& m, MethodMemo& memo) {
     // The declaring class may differ from `cls` for inherited natives;
     // resolve against the class that actually declares the method.
     const std::string desc = m.descriptor();
@@ -369,19 +349,18 @@ Interpreter::NativeBinding Interpreter::bind_native(const ClassFile& cls,
             break;
         }
     }
-    NativeBinding b;
-    b.gen = cache_gen();
-    b.natives_gen = natives_gen_;
+    memo.natives_gen = natives_gen_;
+    memo.fn = nullptr;
+    memo.class_fn = nullptr;
     auto it = natives_.find(native_key(declaring->name, m.name, desc));
     if (it != natives_.end()) {
-        b.fn = &it->second;
-        return b;
+        memo.fn = &it->second;
+        return;
     }
     auto cit = class_natives_.find(declaring->name);
     if (cit == class_natives_.end())
         throw VmError("unbound native method " + declaring->name + "." + m.name + desc);
-    b.class_fn = &cit->second;
-    return b;
+    memo.class_fn = &cit->second;
 }
 
 Interpreter::Frame& Interpreter::next_frame() {
@@ -392,18 +371,19 @@ Interpreter::Frame& Interpreter::next_frame() {
 }
 
 [[gnu::noinline]] Value Interpreter::invoke_native_entry(const ClassFile& cls,
-                                                         const Method& m, Frame& frame) {
+                                                         const Method& m, MethodMemo& memo,
+                                                         Frame& frame) {
     ++counters_.native_calls;
-    NativeBinding& b = native_bindings_[&m];
-    if (b.gen != cache_gen() || b.natives_gen != natives_gen_) b = bind_native(cls, m);
+    if (!(memo.fn || memo.class_fn) || memo.natives_gen != natives_gen_)
+        bind_native(cls, m, memo);
     const Value none;
     const std::span<const Value> locals(frame.locals);
     const Value& receiver = m.is_static ? none : locals.front();
     const std::span<const Value> args = locals.subspan(m.is_static ? 0 : 1);
     ++frames_live_;  // the native's own depth: re-entry fills the next frame
     try {
-        Value result = b.fn ? (*b.fn)(*this, receiver, args)
-                            : (*b.class_fn)(*this, m, receiver, args);
+        Value result = memo.fn ? (*memo.fn)(*this, receiver, args)
+                               : (*memo.class_fn)(*this, m, receiver, args);
         --frames_live_;
         return result;
     } catch (...) {
@@ -441,7 +421,8 @@ Interpreter::Frame& Interpreter::next_frame() {
 }
 
 Value Interpreter::invoke(const ClassFile& cls, const Method& m, Frame& frame) {
-    if (m.is_native) return invoke_native_entry(cls, m, frame);
+    MethodMemo& memo = memo_of(m);
+    if (m.is_native) return invoke_native_entry(cls, m, memo, frame);
     if (m.is_abstract)
         throw VmError("invoke of abstract method " + cls.name + "." + m.name);
     if (++call_depth_ > kMaxCallDepth || native_stack_exhausted()) {
@@ -452,11 +433,11 @@ Value Interpreter::invoke(const ClassFile& cls, const Method& m, Frame& frame) {
     ++frames_live_;
     const std::uint64_t instr_before = profile_methods_ ? counters_.instructions : 0;
     try {
-        Value result = execute(cls, m, frame);
+        Value result = execute(cls, m, memo, frame);
         --call_depth_;
         --frames_live_;
         if (profile_methods_)
-            record_method_profile(cls, m, counters_.instructions - instr_before);
+            record_method_profile(cls, m, memo, counters_.instructions - instr_before);
         return result;
     } catch (...) {
         --call_depth_;
@@ -697,13 +678,12 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
                                                       SiteCache& sc,
                                                       std::vector<Value>& stack) {
     const std::uint64_t gen = cache_gen();
-    int nargs_i;
-    bool ret_void;
-    if (sc.gen == gen) {
-        nargs_i = sc.nargs;
-        ret_void = sc.ret_void;
-    } else {
-        std::tie(nargs_i, ret_void) = sig_info(i.desc);
+    int nargs_i = sc.nargs;
+    bool ret_void = sc.ret_void;
+    if (sc.gen != gen) {
+        const model::MethodShape shape = MethodSig::shape_of(i.desc);
+        nargs_i = static_cast<int>(shape.params);
+        ret_void = !shape.returns_value;
     }
     Frame& callee = next_frame();
     take_args(stack, static_cast<std::size_t>(nargs_i) + 1, callee.locals);
@@ -718,7 +698,7 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
         ++counters_.ic_invoke_misses;
         if (recv.is_array) throw VmError("class_of on an array");
         dyn = recv.cls;
-        target = &resolve_virtual_cached(dyn->name, i.member, i.desc);
+        target = &virtual_target(*pool_, *dyn, i.member, i.desc);
         sc.cls = dyn;
         sc.target = target;
         sc.nargs = nargs_i;
@@ -736,14 +716,14 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
                                                      std::vector<Value>& stack) {
     if (sc.gen != cache_gen()) {
         ++counters_.ic_invoke_misses;
-        auto [nargs_i, ret_void] = sig_info(i.desc);
+        const model::MethodShape shape = MethodSig::shape_of(i.desc);
         ensure_initialized(i.owner);
         const Method* target = pool_->resolve_static(i.owner, i.member, i.desc);
         if (!target) throw VmError("unresolved static " + i.owner + "." + i.member);
         sc.cls = &pool_->get(i.owner);
         sc.target = target;
-        sc.nargs = nargs_i;
-        sc.ret_void = ret_void;
+        sc.nargs = static_cast<int>(shape.params);
+        sc.ret_void = !shape.returns_value;
         sc.gen = cache_gen();
     } else {
         ++counters_.ic_invoke_hits;
@@ -760,14 +740,13 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
                                                       std::vector<Value>& stack) {
     if (sc.gen != cache_gen()) {
         ++counters_.ic_invoke_misses;
-        auto [nargs_i, ret_void] = sig_info(i.desc);
-        (void)ret_void;
+        const model::MethodShape shape = MethodSig::shape_of(i.desc);
         const ClassFile& owner = pool_->get(i.owner);
         const Method* ctor = owner.find_method(i.member, i.desc);
         if (!ctor) throw VmError("unresolved ctor " + i.owner + i.desc);
         sc.cls = &owner;
         sc.target = ctor;
-        sc.nargs = nargs_i;
+        sc.nargs = static_cast<int>(shape.params);
         sc.ret_void = true;
         sc.gen = cache_gen();
     } else {
@@ -813,9 +792,10 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
     throw VmError("pc out of range in " + cls.name + "." + m.name);
 }
 
-Value Interpreter::execute(const ClassFile& cls, const Method& m, Frame& frame) {
+Value Interpreter::execute(const ClassFile& cls, const Method& m, MethodMemo& memo,
+                           Frame& frame) {
     const std::vector<Instruction>& code = m.code.instrs;
-    SiteCache* const sites = caches_for(m);
+    SiteCache* const sites = memo.sites.data();
     std::vector<Value>& locals = frame.locals;
     std::vector<Value>& stack = frame.stack;
     stack.clear();
@@ -1087,8 +1067,8 @@ void Interpreter::reset_vm_state() {
     initialized_.clear();
     initializing_.clear();
     output_.clear();
-    // Every SiteCache, the virtual cache and the statics epoch were tied
-    // to the old incarnation; bumping it makes them all miss lazily.  The
+    // Every SiteCache, method memo and the statics epoch were tied to the
+    // old incarnation; bumping it makes them all miss lazily.  The
     // dangling SiteCache::statics pointers into the cleared map are never
     // dereferenced: the fast paths re-check `gen == cache_gen()` first.
     ++incarnation_;

@@ -125,10 +125,6 @@ public:
                          const std::string& desc, NativeFn fn);
     void register_class_native(const std::string& owner, ClassNativeFn fn);
 
-    /// Cached (parameter count, returns void) per method descriptor, so
-    /// hot paths never re-parse signatures.
-    std::pair<int, bool> sig_info(const std::string& desc);
-
     /// Allocates an instance of `class_name` (no constructor run).
     ObjId allocate(const std::string& class_name);
 
@@ -186,8 +182,9 @@ public:
 
     /// Opt-in per-method profiling: records a histogram
     /// `<prefix>.method_instr.<Cls>.<method>` of *inclusive* instructions
-    /// per non-native call.  Off by default — the extra hash lookup per
-    /// invoke is not free; `rafdac stats` and tests enable it explicitly.
+    /// per non-native call, found through the method's memo.  Off by
+    /// default — it reads the instruction counter twice and records once
+    /// per invoke; `rafdac stats` and tests enable it explicitly.
     /// Requires attach_metrics first.
     void set_method_profiling(bool on) { profile_methods_ = on && metrics_; }
 
@@ -282,31 +279,36 @@ private:
     /// fill; invoke() claims them.
     Frame& next_frame();
 
-    template <class Body>
-    Value at_api_boundary(Body&& body);
-    Value execute(const model::ClassFile& cls, const model::Method& m, Frame& frame);
-    /// Runs `m` in `frame`, which must be next_frame() with the receiver
-    /// and arguments in `locals`.
-    Value invoke(const model::ClassFile& cls, const model::Method& m, Frame& frame);
-    /// The native bound to one method, resolved once per method and
-    /// reused while `gen == cache_gen()` and `natives_gen == natives_gen_`
-    /// — so a proxied call never rebuilds a lookup key.  Exactly one of
-    /// `fn` / `class_fn` is set; both point into natives_/class_natives_,
-    /// whose nodes stay put.
-    struct NativeBinding {
+    /// Everything the interpreter memoizes about one method, found once
+    /// per invoke.  `sites` is the quickening side table, one SiteCache per
+    /// instruction; each slot checks its own `gen`, because a pool bump can
+    /// land while the method still runs.  The native binding and the
+    /// profile histogram hold while `gen == cache_gen()` (a rewrite may
+    /// hand this Method's address to another method), the binding also
+    /// while `natives_gen == natives_gen_`.  At most one of `fn` /
+    /// `class_fn` is set; both point into natives_/class_natives_, whose
+    /// nodes stay put.
+    struct MethodMemo {
         std::uint64_t gen = 0;
         std::uint64_t natives_gen = 0;
         const NativeFn* fn = nullptr;
         const ClassNativeFn* class_fn = nullptr;
+        obs::Histogram* hist = nullptr;
+        std::vector<SiteCache> sites;
     };
-    NativeBinding bind_native(const model::ClassFile& cls, const model::Method& m);
-    const model::Method& resolve_virtual_cached(const std::string& dynamic,
-                                                const std::string& name,
-                                                const std::string& desc);
+    /// The memo of `m`: binding and histogram dropped when stale, the site
+    /// table sized to the code.
+    MethodMemo& memo_of(const model::Method& m);
+    void bind_native(const model::ClassFile& cls, const model::Method& m, MethodMemo& memo);
+
+    template <class Body>
+    Value at_api_boundary(Body&& body);
+    Value execute(const model::ClassFile& cls, const model::Method& m, MethodMemo& memo,
+                  Frame& frame);
+    /// Runs `m` in `frame`, which must be next_frame() with the receiver
+    /// and arguments in `locals`.
+    Value invoke(const model::ClassFile& cls, const model::Method& m, Frame& frame);
     std::vector<Value>& statics_of(const std::string& class_name);
-    /// The side table of `m` (one SiteCache per instruction), created on
-    /// first execution.
-    SiteCache* caches_for(const model::Method& m);
     ObjId allocate_with(const model::ClassFile& cls, const model::Layout& layout);
     /// Re-keys the static storage to the current pool generation: classes
     /// that vanished are dropped, surviving fields keep their values by
@@ -338,7 +340,7 @@ private:
     void op_invoke_special(const model::Instruction& i, SiteCache& sc,
                            std::vector<Value>& stack);
     Value invoke_native_entry(const model::ClassFile& cls, const model::Method& m,
-                              Frame& frame);
+                              MethodMemo& memo, Frame& frame);
     /// True when the *native* stack is close to exhaustion.  The guest
     /// depth guard (kMaxCallDepth) assumes native frames are small; under
     /// instrumented builds (ASan redzones) they are not, and the process
@@ -356,7 +358,7 @@ private:
                                      const model::Method& m);
 
     void record_method_profile(const model::ClassFile& cls, const model::Method& m,
-                               std::uint64_t instructions);
+                               MethodMemo& memo, std::uint64_t instructions);
 
     const model::ClassPool* pool_;
     Heap heap_;
@@ -366,7 +368,6 @@ private:
     obs::Registry* metrics_ = nullptr;
     std::string metrics_prefix_;
     bool profile_methods_ = false;
-    std::unordered_map<const model::Method*, obs::Histogram*> method_hist_;
     std::string output_;
     std::int64_t logical_time_ = 0;
     int call_depth_ = 0;                // live guest frames
@@ -394,15 +395,9 @@ private:
     /// Bumped by every register_native / register_class_native, so a
     /// re-registration invalidates the bindings already resolved.
     std::uint64_t natives_gen_ = 0;
-    std::unordered_map<const model::Method*, NativeBinding> native_bindings_;
-    std::unordered_map<std::string, const model::Method*> vcache_;
-    std::uint64_t vcache_gen_ = 0;
-    std::string vcache_key_;  // reused lookup buffer of resolve_virtual_cached
-    std::unordered_map<std::string, std::pair<int, bool>> sig_cache_;
-    /// Per-method quickening side tables (see SiteCache).  Entries
-    /// invalidate lazily via the generation check, so a pool mutation
-    /// costs nothing here until a stale site is re-executed.
-    std::unordered_map<const model::Method*, std::vector<SiteCache>> site_caches_;
+    /// One memo per method (see MethodMemo).  Entries invalidate lazily,
+    /// so a pool mutation costs nothing here until a stale method runs.
+    std::unordered_map<const model::Method*, MethodMemo> memos_;
 };
 
 }  // namespace rafda::vm

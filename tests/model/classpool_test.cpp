@@ -116,14 +116,14 @@ class BadPuppy extends Dog {
 
 TEST(ClassPool, ResolveVirtualWalksSuperChain) {
     ClassPool pool = make_pool();
-    const Method* m = pool.resolve_virtual("Puppy", "speak", "()S");
+    const Method* m = pool.resolve_virtual(pool.find("Puppy"), "speak", "()S");
     ASSERT_NE(m, nullptr);
     // Puppy inherits Dog's override.
     EXPECT_EQ(std::get<std::string>(m->code.instrs[0].k), "woof");
-    const Method* base = pool.resolve_virtual("Animal", "speak", "()S");
+    const Method* base = pool.resolve_virtual(pool.find("Animal"), "speak", "()S");
     ASSERT_NE(base, nullptr);
     EXPECT_EQ(std::get<std::string>(base->code.instrs[0].k), "...");
-    EXPECT_EQ(pool.resolve_virtual("Puppy", "fly", "()V"), nullptr);
+    EXPECT_EQ(pool.resolve_virtual(pool.find("Puppy"), "fly", "()V"), nullptr);
 }
 
 TEST(ClassPool, ResolveStaticField) {

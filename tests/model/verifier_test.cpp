@@ -700,7 +700,7 @@ class Loop extends Loop {
         "Loop.f()V at pc 6: new of abstract class Loop",
     };
     EXPECT_EQ(verify_pool_collect(pool), expected);
-    EXPECT_EQ(pool.resolve_virtual("Loop", "g", "()V"), nullptr);
+    EXPECT_EQ(pool.resolve_virtual(pool.find("Loop"), "g", "()V"), nullptr);
 }
 
 TEST(Verifier, MalformedDescriptorsThrowTheParsersError) {

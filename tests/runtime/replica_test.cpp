@@ -15,7 +15,9 @@
 //     forgotten, not served stale;
 //   - a raw local reference escaping the dispatch seam on the home node
 //     (local discover) conservatively invalidates — the one access the
-//     middleware cannot see must not leave replicas lying about state.
+//     middleware cannot see must not leave replicas lying about state;
+//   - a class whose state cannot ship (it holds an array) is vetoed once:
+//     the engine neither retries the replica nor migrates it instead.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -290,6 +292,89 @@ TEST(Replica, LogLinesCarryTheFurthestNodeClock) {
     EXPECT_EQ(line, "[INFO ] [t=" + std::to_string(furthest) +
                         "us] [runtime] replicated Table (0," + std::to_string(oid) +
                         ") -> node 1\n");
+}
+
+/// Read-mostly like Table, but its state holds an array, which
+/// Node::export_value refuses to ship: create_replica throws for it.
+constexpr const char* kArrayApp = R"(
+class Ring {
+  static field slots [I
+  static method seed (I)V {
+    const 4
+    newarray I
+    putstatic Ring.slots [I
+    getstatic Ring.slots [I
+    const 0
+    load 0
+    astore
+    return
+  }
+  static method lookup ()I {
+    getstatic Ring.slots [I
+    const 0
+    aload
+    returnvalue
+  }
+}
+)";
+
+struct VetoOutcome {
+    std::vector<std::int32_t> results;
+    std::uint64_t replications = 0;
+    std::size_t decisions = 0;
+    std::string log;
+};
+
+VetoOutcome run_array_readers(bool adapt) {
+    model::ClassPool pool;
+    vm::install_prelude(pool);
+    model::assemble_into(pool, kArrayApp);
+    model::verify_pool(pool);
+    SystemOptions options;
+    options.network_seed = 23;
+    options.default_link = net::LinkParams{20, 0.0, 0.0};
+    System system(pool, options);
+    for (int n = 0; n < 3; ++n) system.add_node();
+    system.policy().set_singleton_home("Ring", 0, "RMI");
+    if (adapt) system.enable_adaptation(replicate_policy());
+    system.call_static(1, "Ring", "seed", "(I)V", {Value::of_int(7)});
+
+    VetoOutcome out;
+    WorkloadDriver driver(system);
+    auto reader = [&out](System& sys, net::NodeId node) {
+        out.results.push_back(sys.call_static(node, "Ring", "lookup", "()I").as_int());
+    };
+    driver.add_client(1, 20, reader);
+    driver.add_client(2, 20, reader);
+    set_log_level(LogLevel::Info);
+    {
+        ClogCapture capture;
+        driver.run();
+        out.log = capture.str();
+    }
+    set_log_level(LogLevel::Off);
+    out.replications = system.metrics().counter("adapt.replications").value();
+    if (adapt) out.decisions = system.adaptation()->decisions().size();
+    return out;
+}
+
+TEST(Replica, UnshippableStateVetoesReplicationOnce) {
+    const VetoOutcome off = run_array_readers(false);
+    const VetoOutcome on = run_array_readers(true);
+
+    // The engine tried once and logged the veto.  Later ticks neither
+    // retry nor migrate the class instead: a migration would ship the
+    // same state.
+    const std::string veto = "class Ring is not replicable";
+    const std::size_t first = on.log.find(veto);
+    ASSERT_NE(first, std::string::npos) << on.log;
+    EXPECT_EQ(on.log.find(veto, first + 1), std::string::npos) << on.log;
+    EXPECT_EQ(on.decisions, 0u);
+    EXPECT_EQ(on.replications, 0u);
+
+    // Every reader still got the truth, exactly as with the engine off.
+    EXPECT_EQ(on.results, off.results);
+    EXPECT_EQ(on.results, std::vector<std::int32_t>(40, 7));
 }
 
 }  // namespace

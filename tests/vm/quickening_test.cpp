@@ -181,7 +181,7 @@ class Driver {
 TEST(Quickening, InPlaceOverrideAfterRunIsPickedUp) {
     // A VM whose pool is rewritten after first execution must not dispatch
     // to a stale Method*: the mutable handout bumps the generation, which
-    // invalidates both the per-site caches and the host-API vcache.
+    // invalidates the per-site caches; the host API resolves afresh.
     Fixture f(R"(
 class Base {
   ctor ()V {
@@ -492,6 +492,42 @@ class Host {
     cls->methods.erase(cls->methods.begin());
     ASSERT_EQ(f.pool.get("Host").find_method("b", "()I"), a_addr);
     EXPECT_EQ(f.interp->call_static("Host", "b", "()I").as_int(), 2);
+}
+
+TEST(MethodProfile, PoolRewriteAfterRunRecordsUnderTheMethodThatRan) {
+    // The profile histogram is memoized per Method address like the native
+    // binding: erasing `a` after it ran shifts `b` into a's old storage, so
+    // b's calls must not be recorded under a's name.
+    obs::Registry registry;  // outlives the interpreter, which detaches on exit
+    Fixture f(R"(
+class Host {
+  static method a ()I {
+    const 1
+    returnvalue
+  }
+  static method b ()I {
+    const 2
+    returnvalue
+  }
+}
+)");
+    f.interp->attach_metrics(&registry, "vm");
+    f.interp->set_method_profiling(true);
+    const model::Method* a_addr = f.pool.get("Host").find_method("a", "()I");
+    EXPECT_EQ(f.interp->call_static("Host", "a", "()I").as_int(), 1);
+
+    ClassFile* cls = f.pool.find_mutable("Host");
+    ASSERT_NE(cls, nullptr);
+    cls->methods.erase(cls->methods.begin());
+    ASSERT_EQ(f.pool.get("Host").find_method("b", "()I"), a_addr);
+    EXPECT_EQ(f.interp->call_static("Host", "b", "()I").as_int(), 2);
+
+    const obs::Histogram* a = registry.find_histogram("vm.method_instr.Host.a");
+    const obs::Histogram* b = registry.find_histogram("vm.method_instr.Host.b");
+    ASSERT_NE(a, nullptr);
+    EXPECT_EQ(a->count(), 1u);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(b->count(), 1u);
 }
 
 TEST(NativeBinding, EveryCallIsCounted) {
