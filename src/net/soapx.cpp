@@ -1,7 +1,6 @@
 #include "net/soapx.hpp"
 
 #include <array>
-#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <string_view>
@@ -143,6 +142,14 @@ Num parse_number(std::string_view text, std::string_view what) {
 // the frame once and never recurses.  Names, attribute values and text are
 // slices of the frame until a field keeps one as a string.
 
+/// The "C" locale's isalnum plus '_', and its isspace, inline and
+/// independent of whatever locale the host process sets.
+constexpr bool is_name_char(char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
+           c == '_';
+}
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
 /// Most elements open at once; the encoder writes 4 levels.
 constexpr std::size_t kMaxDepth = 8;
 /// Most attributes on one element; a request carries 9 at most.
@@ -164,17 +171,14 @@ public:
         if (closing()) fail("expected an element");
         if (depth_ == kMaxDepth) fail("elements nested deeper than " + std::to_string(kMaxDepth));
         const std::size_t start = ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '_'))
-            ++pos_;
+        while (pos_ < text_.size() && is_name_char(text_[pos_])) ++pos_;
         const std::string_view name = text_.substr(start, pos_ - start);
         if (name.empty()) fail("empty element name");
         attrs_ = 0;
         for (skip_ws(); !at('>'); skip_ws()) {
             if (pos_ >= text_.size()) fail("unterminated tag");
             const std::size_t key_start = pos_;
-            while (pos_ < text_.size() && text_[pos_] != '=' &&
-                   !std::isspace(static_cast<unsigned char>(text_[pos_])))
+            while (pos_ < text_.size() && text_[pos_] != '=' && !is_space(text_[pos_]))
                 ++pos_;
             const std::string_view key = text_.substr(key_start, pos_ - key_start);
             skip_ws();
@@ -243,8 +247,7 @@ private:
     bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
 
     void skip_ws() {
-        while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
+        while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
     }
 
     /// The slice up to the next `c`, which is left unread.  A malformed

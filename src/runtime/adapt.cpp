@@ -271,11 +271,19 @@ void AdaptationEngine::decide_class(
         return;
     }
 
-    if (is_singleton) {
-        system_->migrate_singleton(cls, best);
-    } else {
-        const std::uint64_t new_oid = system_->migrate_instance(home, oid, best);
-        tracked_[cls] = {best, new_oid};
+    try {
+        if (is_singleton) {
+            system_->migrate_singleton(cls, best);
+        } else {
+            const std::uint64_t new_oid = system_->migrate_instance(home, oid, best);
+            tracked_[cls] = {best, new_oid};
+        }
+    } catch (const std::exception& ex) {
+        // The state did not ship, so nothing moved; a later tick would
+        // fail the same way.
+        log_info("adapt", "class ", cls, " is not migratable: ", ex.what());
+        unshippable_.insert(cls);
+        return;
     }
     migrations_ctr_->add();
     bytes_saved_ctr_->add(d.projected_saved_bytes);

@@ -186,9 +186,9 @@ private:
     obs::Counter* replications_ctr_ = nullptr;
     obs::Counter* bytes_saved_ctr_ = nullptr;
 
-    /// Classes whose state failed to ship to a replica (e.g. it holds an
-    /// array): migration ships the same state, so they are never placed
-    /// again.
+    /// Classes whose state failed to ship to a replica or in a migration
+    /// (e.g. it holds an array): both ship the same state, so they are
+    /// never placed again.
     std::set<std::string> unshippable_;
     /// Explicitly tracked instances: cls -> (node, oid).
     std::map<std::string, std::pair<net::NodeId, std::uint64_t>> tracked_;

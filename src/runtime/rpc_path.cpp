@@ -98,6 +98,7 @@ net::CallReply RpcPath::rpc(net::NodeId src, net::NodeId dst, Protocol& proto,
     const net::FaultPlan& plan = network_.fault_plan();
 
     Dropped last{"", false};
+    net::CallReply reply;
     for (std::uint32_t attempt = 0;; ++attempt) {
         // Circuit breaker gate: while open, fail fast with no wire traffic
         // until the cooldown has elapsed, then let one half-open probe
@@ -115,7 +116,6 @@ net::CallReply RpcPath::rpc(net::NodeId src, net::NodeId dst, Protocol& proto,
                               last.executed_remotely, /*fast_fail=*/true};
             }
         }
-        bool failed = false;
         // A destination known to be crashed fails fast (the simulation
         // analogue of connection-refused): no latency is charged and no
         // PRNG is drawn, but the attempt still counts against the policy.
@@ -124,11 +124,11 @@ net::CallReply RpcPath::rpc(net::NodeId src, net::NodeId dst, Protocol& proto,
             note_node_fault(dst, true, caller.clock_us());
             last = Dropped{"node " + std::to_string(dst) + " is down",
                            /*executed_remotely=*/false, /*fast_fail=*/true};
-            failed = true;
         } else {
             note_node_fault(dst, false, caller.clock_us());
             req.attempt = attempt;
-            try {
+            bool delivered;
+            {
                 obs::ScopedSpan span;
                 if (attempt > 0) {
                     span = obs::ScopedSpan(
@@ -136,7 +136,9 @@ net::CallReply RpcPath::rpc(net::NodeId src, net::NodeId dst, Protocol& proto,
                         src);
                     tracer_.note("request_id", req.request_id);
                 }
-                net::CallReply reply = rpc_attempt(src, dst, proto, req);
+                delivered = rpc_attempt(src, dst, proto, req, reply, last);
+            }
+            if (delivered) {
                 // Any decoded reply — fault or not — proves the transport
                 // round-trip works; guest-level faults never trip the
                 // breaker and are never retried.
@@ -148,13 +150,9 @@ net::CallReply RpcPath::rpc(net::NodeId src, net::NodeId dst, Protocol& proto,
                                         caller.clock_us(), dst, src, 0, 0, proto.name);
                 }
                 return reply;
-            } catch (const Dropped& d) {
-                last = d;
-                failed = true;
             }
         }
-        if (failed && br &&
-            br->record_failure(rp.breaker_threshold, caller.clock_us())) {
+        if (br && br->record_failure(rp.breaker_threshold, caller.clock_us())) {
             log_info("runtime", "breaker opened for node ", dst, " via ", proto.name);
             journal_.record(obs::JournalEvent::Kind::Breaker, caller.clock_us(), dst, src,
                             1, 0, proto.name);
@@ -198,8 +196,8 @@ void RpcPath::note_node_fault(net::NodeId dst, bool down, std::uint64_t t_us) {
     it->second = down;
 }
 
-net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& proto,
-                                    net::CallRequest& req) {
+bool RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& proto,
+                          net::CallRequest& req, net::CallReply& out, Dropped& loss) {
     const net::Codec& c = *proto.codec;
     Node& caller = system_.node(src);
     Node& callee = system_.node(dst);
@@ -220,8 +218,9 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
         return std::pair<std::uint64_t, std::uint64_t>{total / 2, total - total / 2};
     };
     // A message lost at `at_us` on the link from -> to: the caller observes
-    // the failure then.  `executed` marks the reply-loss arm of
-    // at-most-once, where the callee already ran the call (DESIGN.md §12).
+    // the failure then, and the attempt reports it in `loss`.  `executed`
+    // marks the reply-loss arm of at-most-once, where the callee already
+    // ran the call (DESIGN.md §12).
     auto lose = [&](std::uint64_t at_us, net::NodeId from, net::NodeId to,
                     const char* where, bool executed, std::string what) {
         proto.drops->add();
@@ -229,7 +228,8 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
         journal_.record(obs::JournalEvent::Kind::RpcDrop, at_us, from, to,
                         req.request_id, 0, where);
         caller.reconcile_clock(at_us);
-        return Dropped{std::move(what), executed};
+        loss = Dropped{std::move(what), executed};
+        return false;
     };
 
     // The request frame encodes straight into a pooled buffer; no
@@ -317,9 +317,9 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
         // The decode half of the codec budget is never spent on a lost
         // request — it never reached a parser.
         if (!inbound.delivered)
-            throw lose(inbound.at_us, src, dst, "request", false,
-                       "request lost on link " + std::to_string(src) + "->" +
-                           std::to_string(dst));
+            return lose(inbound.at_us, src, dst, "request", false,
+                        "request lost on link " + std::to_string(src) + "->" +
+                            std::to_string(dst));
     }
     // A request landing on a crashed node dies there — never executed.
     // (The caller observes the failure at the arrival time; a node whose
@@ -329,8 +329,8 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
     callee.apply_restarts(plan.restarts_before(dst, inbound.at_us));
     if (plan.node_down(dst, inbound.at_us)) {
         note_node_fault(dst, true, inbound.at_us);
-        throw lose(inbound.at_us, src, dst, "dest_crashed", false,
-                   "request reached crashed node " + std::to_string(dst));
+        return lose(inbound.at_us, src, dst, "dest_crashed", false,
+                    "request reached crashed node " + std::to_string(dst));
     }
     journal_.record(obs::JournalEvent::Kind::RpcArrive, inbound.at_us, dst, src,
                     req.request_id, request_bytes.size(), {});
@@ -390,9 +390,9 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
         // request on that link must open its own frame.
         if (lane) batch_lanes_[{dst, src}].joinable = false;
         if (!outbound.delivered)
-            throw lose(outbound.at_us, dst, src, "reply", true,
-                       "reply lost on link " + std::to_string(dst) + "->" +
-                           std::to_string(src));
+            return lose(outbound.at_us, dst, src, "reply", true,
+                        "reply lost on link " + std::to_string(dst) + "->" +
+                            std::to_string(src));
     }
     // Join point two: the caller resumes no earlier than the reply arrival.
     // The server is NOT pulled forward by the reply's flight time — it is
@@ -404,21 +404,19 @@ net::CallReply RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& 
     caller.reconcile_reply(outbound.at_us);
     journal_.record(obs::JournalEvent::Kind::RpcReply, outbound.at_us, src, dst,
                     req.request_id, reply_bytes.size(), {});
-    net::CallReply decoded_reply;
     {
         obs::ScopedSpan span(tracer_, [&] { return "codec.decode_reply " + proto.name; },
                              src);
-        decoded_reply = c.decode_reply(reply_bytes);
+        out = c.decode_reply(reply_bytes);
         caller.advance_clock(codec_cost(reply_bytes.size()).second);
     }
     // The callee answers from the request it decoded, which a nested call
     // must not have overwritten (DESIGN.md §11).
-    if (decoded_reply.request_id != req.request_id)
-        throw RuntimeError("reply carries request id " +
-                           std::to_string(decoded_reply.request_id) + ", expected " +
-                           std::to_string(req.request_id));
-    if (decoded_reply.is_fault) proto.faults->add();
-    return decoded_reply;
+    if (out.request_id != req.request_id)
+        throw RuntimeError("reply carries request id " + std::to_string(out.request_id) +
+                           ", expected " + std::to_string(req.request_id));
+    if (out.is_fault) proto.faults->add();
+    return true;
 }
 
 Value RpcPath::remote_call(Node& self, net::NodeId dst, Protocol& proto,

@@ -153,9 +153,12 @@ public:
     RpcTotals totals() const;
 
 private:
-    /// One wire round-trip: no retries, no breaker.
-    net::CallReply rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& proto,
-                               net::CallRequest& req);
+    /// One wire round-trip: no retries, no breaker.  Returns true with the
+    /// decoded reply in `out`, or false with the lost request, lost reply
+    /// or crashed destination described in `loss`; rpc() decides whether
+    /// that loss is retried or thrown.
+    bool rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& proto,
+                     net::CallRequest& req, net::CallReply& out, Dropped& loss);
     CircuitBreaker& breaker(net::NodeId dst, const std::string& protocol);
     /// Journal edge detection for node-crash windows: records a FaultEdge
     /// (peer=-1) when `down` differs from the last observation for `dst`.

@@ -380,16 +380,19 @@ void System::migrate_singleton(const std::string& cls, net::NodeId to,
                                const std::string& protocol) {
     const std::string proto = locator_.protocol(protocol);
     const net::NodeId from = locator_.singleton_node(cls);
+    // The instance (if one exists yet) moves first: a state that cannot
+    // ship throws before the placement names `to`, leaving both as they were.
+    if (from != to) {
+        Node& home = node(from);
+        if (const vm::ObjId oid = home.singleton(cls)) {
+            const vm::ObjId new_oid = migrate_instance(from, oid, to, proto);
+            Node& tgt = node(to);
+            tgt.adopt_singleton(cls, new_oid, tgt.clock_us());
+            home.drop_singleton(cls, home.clock_us());
+        }
+    }
     locator_.singleton_moved(cls, to, proto);
     locator_.publish();
-    if (from == to) return;
-    Node& home = node(from);
-    const vm::ObjId oid = home.singleton(cls);
-    if (!oid) return;  // not created yet: the placement is enough
-    const vm::ObjId new_oid = migrate_instance(from, oid, to, proto);
-    Node& tgt = node(to);
-    tgt.adopt_singleton(cls, new_oid, tgt.clock_us());
-    home.drop_singleton(cls, home.clock_us());
 }
 
 std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,

@@ -233,6 +233,8 @@ public:
 
     /// Moves the static-members singleton of `cls` from its current home to
     /// node `to` and updates the policy so future discover() calls go there.
+    /// The state ships first: when it cannot (it holds an array), this
+    /// throws with the instance and the placement both unchanged.
     void migrate_singleton(const std::string& cls, net::NodeId to,
                            const std::string& protocol = "");
 

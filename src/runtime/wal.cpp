@@ -13,17 +13,17 @@ namespace {
 
 constexpr std::uint32_t kCrcPoly = 0xEDB88320u;
 
-// Slicing-by-8 tables, built at compile time: kCrc[0] is the classic
+// Slicing-by-16 tables, built at compile time: kCrc[0] is the classic
 // byte-at-a-time table; kCrc[k][n] is the CRC of byte n followed by k
-// zero bytes, so one step folds eight input bytes with eight lookups.
-constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
-    std::array<std::array<std::uint32_t, 256>, 8> t{};
+// zero bytes, so one step folds sixteen input bytes with sixteen lookups.
+constexpr std::array<std::array<std::uint32_t, 256>, 16> make_crc_tables() {
+    std::array<std::array<std::uint32_t, 256>, 16> t{};
     for (std::uint32_t n = 0; n < 256; ++n) {
         std::uint32_t c = n;
         for (int k = 0; k < 8; ++k) c = (c & 1) ? kCrcPoly ^ (c >> 1) : c >> 1;
         t[0][n] = c;
     }
-    for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t k = 1; k < 16; ++k)
         for (std::uint32_t n = 0; n < 256; ++n)
             t[k][n] = (t[k - 1][n] >> 8) ^ t[0][t[k - 1][n] & 0xFFu];
     return t;
@@ -139,14 +139,16 @@ net::CallReply get_reply(ByteReader& r) {
 }  // namespace
 
 std::uint32_t wal_crc32(const std::uint8_t* data, std::size_t len) {
+    // The four bytes of `w`, which lie `k` to `k + 3` bytes before the end
+    // of the step, folded with kCrc[k + 3] .. kCrc[k].
+    const auto fold = [](std::uint32_t w, std::size_t k) {
+        return kCrc[k + 3][w & 0xFFu] ^ kCrc[k + 2][(w >> 8) & 0xFFu] ^
+               kCrc[k + 1][(w >> 16) & 0xFFu] ^ kCrc[k][w >> 24];
+    };
     std::uint32_t c = 0xFFFFFFFFu;
-    for (; len >= 8; data += 8, len -= 8) {
-        const std::uint32_t lo = c ^ load_le32(data);
-        const std::uint32_t hi = load_le32(data + 4);
-        c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
-            kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^ kCrc[3][hi & 0xFFu] ^
-            kCrc[2][(hi >> 8) & 0xFFu] ^ kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
-    }
+    for (; len >= 16; data += 16, len -= 16)
+        c = fold(c ^ load_le32(data), 12) ^ fold(load_le32(data + 4), 8) ^
+            fold(load_le32(data + 8), 4) ^ fold(load_le32(data + 12), 0);
     for (; len; ++data, --len) c = kCrc[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
@@ -158,21 +160,18 @@ WalImage::Object& WalImage::object(std::uint64_t oid) {
     return objects[oid - 1];
 }
 
-void Wal::stamp(ByteWriter& w, Kind kind, std::uint64_t t_us) {
+template <class Fields>
+void Wal::frame(Bytes& sink, Kind kind, std::uint64_t t_us, Fields&& fields) {
+    const std::size_t at = sink.size();
+    ByteWriter w(sink, ByteWriter::Append{});
+    w.u64(0);  // the header, patched once the payload's length is known
     w.u8(static_cast<std::uint8_t>(kind));
     w.varu64(t_us);
-}
-
-void Wal::frame() { frame(in_snapshot_ ? scratch_ : log_); }
-
-void Wal::frame(Bytes& sink) {
-    const std::size_t len = payload_.size();
-    std::uint8_t header[8];
+    fields(w);
+    const std::size_t len = sink.size() - at - 8;
+    std::uint8_t* header = sink.data() + at;
     store_le32(header, static_cast<std::uint32_t>(len));
-    store_le32(header + 4, wal_crc32(payload_.data(), len));
-    // Appended, not resized into: a resize would zero the tail first.
-    sink.insert(sink.end(), header, header + 8);
-    sink.insert(sink.end(), payload_.begin(), payload_.end());
+    store_le32(header + 4, wal_crc32(header + 8, len));
     if (&sink != &scratch_) {
         ++stats_.records;
         if (records_ctr_) records_ctr_->add();
@@ -181,97 +180,81 @@ void Wal::frame(Bytes& sink) {
 }
 
 void Wal::append_alloc(std::uint64_t t_us, const std::string& cls) {
-    ByteWriter w(payload_);
-    stamp(w, Kind::Alloc, t_us);
-    w.str(cls);
-    frame();
+    frame(current(), Kind::Alloc, t_us, [&](ByteWriter& w) { w.str(cls); });
 }
 
 void Wal::append_alloc_array(std::uint64_t t_us, const std::string& elem_desc,
                              std::uint64_t length) {
-    ByteWriter w(payload_);
-    stamp(w, Kind::AllocArray, t_us);
-    w.str(elem_desc);
-    w.varu64(length);
-    frame();
+    frame(current(), Kind::AllocArray, t_us, [&](ByteWriter& w) {
+        w.str(elem_desc);
+        w.varu64(length);
+    });
 }
 
 void Wal::append_put(Kind kind, std::uint64_t t_us, std::uint64_t oid, std::uint64_t slot,
                      const vm::Value& v) {
-    ByteWriter w(payload_);
-    stamp(w, kind, t_us);
-    w.varu64(oid);
-    w.varu64(slot);
-    put_value(w, v);
-    frame();
+    frame(current(), kind, t_us, [&](ByteWriter& w) {
+        w.varu64(oid);
+        w.varu64(slot);
+        put_value(w, v);
+    });
 }
 
 void Wal::append_static_put(std::uint64_t t_us, const std::string& cls,
                             const std::string& field, const vm::Value& v) {
-    ByteWriter w(payload_);
-    stamp(w, Kind::StaticPut, t_us);
-    w.str(cls);
-    w.str(field);
-    put_value(w, v);
-    frame();
+    frame(current(), Kind::StaticPut, t_us, [&](ByteWriter& w) {
+        w.str(cls);
+        w.str(field);
+        put_value(w, v);
+    });
 }
 
 void Wal::append_class_init(std::uint64_t t_us, const std::string& cls) {
-    ByteWriter w(payload_);
-    stamp(w, Kind::ClassInit, t_us);
-    w.str(cls);
-    frame();
+    frame(current(), Kind::ClassInit, t_us, [&](ByteWriter& w) { w.str(cls); });
 }
 
 void Wal::append_singleton(std::uint64_t t_us, const std::string& cls,
                            std::uint64_t oid) {
-    ByteWriter w(payload_);
-    stamp(w, Kind::Singleton, t_us);
-    w.str(cls);
-    w.varu64(oid);
-    frame();
+    frame(current(), Kind::Singleton, t_us, [&](ByteWriter& w) {
+        w.str(cls);
+        w.varu64(oid);
+    });
 }
 
 void Wal::append_singleton_drop(std::uint64_t t_us, const std::string& cls) {
-    ByteWriter w(payload_);
-    stamp(w, Kind::SingletonDrop, t_us);
-    w.str(cls);
-    frame();
+    frame(current(), Kind::SingletonDrop, t_us, [&](ByteWriter& w) { w.str(cls); });
 }
 
 void Wal::append_proxy_import(std::uint64_t t_us, std::int32_t origin_node,
                               std::uint64_t origin_oid, const std::string& iface,
                               const std::string& protocol, std::uint64_t local_oid) {
-    ByteWriter w(payload_);
-    stamp(w, Kind::ProxyImport, t_us);
-    w.i32(origin_node);
-    w.varu64(origin_oid);
-    w.str(iface);
-    w.str(protocol);
-    w.varu64(local_oid);
-    frame();
+    frame(current(), Kind::ProxyImport, t_us, [&](ByteWriter& w) {
+        w.i32(origin_node);
+        w.varu64(origin_oid);
+        w.str(iface);
+        w.str(protocol);
+        w.varu64(local_oid);
+    });
 }
 
 void Wal::append_reply(std::uint64_t t_us, std::uint64_t request_id,
                        const net::CallReply& reply) {
-    ByteWriter w(payload_);
-    stamp(w, Kind::Reply, t_us);
-    w.varu64(request_id);
-    put_reply(w, reply);
-    frame(replies_);
+    frame(replies_, Kind::Reply, t_us, [&](ByteWriter& w) {
+        w.varu64(request_id);
+        put_reply(w, reply);
+    });
     ++reply_records_;
 }
 
 void Wal::append_move(Kind kind, std::uint64_t t_us, std::uint64_t oid,
                       const std::string& proxy_cls, std::int32_t node,
                       std::uint64_t remote_oid) {
-    ByteWriter w(payload_);
-    stamp(w, kind, t_us);
-    w.varu64(oid);
-    w.str(proxy_cls);
-    w.i32(node);
-    w.varu64(remote_oid);
-    frame();
+    frame(current(), kind, t_us, [&](ByteWriter& w) {
+        w.varu64(oid);
+        w.str(proxy_cls);
+        w.i32(node);
+        w.varu64(remote_oid);
+    });
 }
 
 void Wal::begin_snapshot() {
@@ -291,14 +274,19 @@ void Wal::commit_snapshot() {
 }
 
 void Wal::trim_replies(std::size_t live) {
-    if (reply_records_ <= live) return;
-    std::size_t pos = 0;
     for (; reply_records_ > live; --reply_records_)
-        pos += 8 + load_le32(replies_.data() + pos);
-    replies_.erase(replies_.begin(), replies_.begin() + static_cast<std::ptrdiff_t>(pos));
+        replies_head_ += 8 + load_le32(replies_.data() + replies_head_);
+    // Reclaim the dead prefix once it outweighs half the live bytes.
+    if (2 * replies_head_ > replies_.size() - replies_head_) compact_replies();
 }
 
-Wal::ReplayResult Wal::replay(const Bytes& stream, WalVisitor& v) {
+void Wal::compact_replies() const {
+    replies_.erase(replies_.begin(),
+                   replies_.begin() + static_cast<std::ptrdiff_t>(replies_head_));
+    replies_head_ = 0;
+}
+
+Wal::ReplayResult Wal::replay(ByteSpan stream, WalVisitor& v) {
     ReplayResult result;
     std::size_t pos = 0;
     while (pos + 8 <= stream.size()) {
@@ -397,8 +385,9 @@ Wal::ReplayResult Wal::replay(const Bytes& stream, WalVisitor& v) {
 
 Wal::ReplayResult Wal::recover(WalVisitor& v) {
     ReplayResult total;
-    for (const Bytes* stream : {&snapshot_, &log_, &replies_}) {
-        const ReplayResult part = replay(*stream, v);
+    const ByteSpan live_replies = ByteSpan(replies_).subspan(replies_head_);
+    for (const ByteSpan stream : {ByteSpan(snapshot_), ByteSpan(log_), live_replies}) {
+        const ReplayResult part = replay(stream, v);
         total.records += part.records;
         total.bytes += part.bytes;
         total.clean = total.clean && part.clean;

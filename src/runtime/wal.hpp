@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -187,6 +188,8 @@ private:
 
 class Wal {
 public:
+    using ByteSpan = std::span<const std::uint8_t>;
+
     /// Outcome of one stream replay.
     struct ReplayResult {
         std::uint64_t records = 0;  // complete records applied
@@ -241,23 +244,34 @@ public:
     /// Seals the checkpoint and truncates the log: the durable image is
     /// now (snapshot, empty log, reply stream).
     void commit_snapshot();
-    /// Drops the oldest reply-stream records until at most `live` remain.
+    /// Drops the oldest reply-stream records until at most `live` remain,
+    /// by advancing the stream's head.  The dead prefix is reclaimed only
+    /// once it outweighs half the live bytes, so each appended byte moves
+    /// at most twice on average and the buffer stays within 1.5 times its
+    /// live bytes.
     void trim_replies(std::size_t live);
 
     // -- Recovery -------------------------------------------------------
     /// Replays one framed stream into `v`; stops at the first torn or
     /// corrupt frame.  Static so tests can replay arbitrary byte strings.
-    static ReplayResult replay(const Bytes& stream, WalVisitor& v);
+    static ReplayResult replay(ByteSpan stream, WalVisitor& v);
     /// Replays the snapshot, the log, then the reply stream; updates
     /// recovery stats.
     ReplayResult recover(WalVisitor& v);
 
     const Bytes& log() const noexcept { return log_; }
     const Bytes& snapshot() const noexcept { return snapshot_; }
-    const Bytes& replies() const noexcept { return replies_; }
+    /// The live reply records, oldest first.  Reclaims the prefix
+    /// trim_replies dropped first, so a read (statistics, migration by
+    /// recovery) may move the live bytes once; trimming and recover()
+    /// never do.
+    const Bytes& replies() const {
+        if (replies_head_) compact_replies();
+        return replies_;
+    }
     /// True when nothing durable has been recorded yet.
     bool empty() const noexcept {
-        return log_.empty() && snapshot_.empty() && replies_.empty();
+        return log_.empty() && snapshot_.empty() && replies_.size() == replies_head_;
     }
     const WalStats& stats() const noexcept { return stats_; }
 
@@ -292,20 +306,28 @@ private:
     void append_move(Kind kind, std::uint64_t t_us, std::uint64_t oid,
                      const std::string& proxy_cls, std::int32_t node,
                      std::uint64_t remote_oid);
-    /// Frames payload_ (kind + stamp + fields already encoded) with its
-    /// length and CRC into `sink`, by default the current one.
-    void frame();
-    void frame(Bytes& sink);
-    /// Starts a payload: [u8 kind][varu64 t_us].
-    static void stamp(ByteWriter& w, Kind kind, std::uint64_t t_us);
+    /// Appends one record to `sink` where it will live: reserves the
+    /// 8-byte header, writes [u8 kind][varu64 t_us] and then `fields(w)`,
+    /// and patches the length and CRC into the header.
+    template <class Fields>
+    void frame(Bytes& sink, Kind kind, std::uint64_t t_us, Fields&& fields);
+    /// The stream log-kind records go to: the checkpoint under
+    /// construction, else the log.
+    Bytes& current() noexcept { return in_snapshot_ ? scratch_ : log_; }
+    /// Drops the trimmed prefix of the reply stream, so its live records
+    /// start at offset 0.
+    void compact_replies() const;
 
     Bytes log_;
     Bytes snapshot_;
     Bytes scratch_;            // checkpoint under construction
     bool in_snapshot_ = false;
-    Bytes payload_;            // record being encoded; capacity reused
-    Bytes replies_;
-    std::size_t reply_records_ = 0;  // records in replies_
+    /// The reply stream; its live records start at `replies_head_`.  The
+    /// bytes before it are records trim_replies dropped and no compaction
+    /// has reclaimed yet.  Mutable because replies() compacts on read.
+    mutable Bytes replies_;
+    mutable std::size_t replies_head_ = 0;
+    std::size_t reply_records_ = 0;  // live records in replies_
     WalStats stats_;
     obs::Counter* records_ctr_ = nullptr;
     obs::Counter* bytes_ctr_ = nullptr;
@@ -313,8 +335,8 @@ private:
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`,
-/// eight bytes per step (slicing-by-8); exposed for tests that hand-build
-/// or corrupt frames.
+/// sixteen bytes per step (slicing-by-16); exposed for tests that
+/// hand-build or corrupt frames.
 std::uint32_t wal_crc32(const std::uint8_t* data, std::size_t len);
 
 }  // namespace rafda::runtime

@@ -12,7 +12,8 @@
 //
 // A ByteWriter can either own its buffer (the historical behaviour) or
 // borrow one — e.g. a frame leased from a support::BufferPool — so encode
-// paths append straight into pooled storage with no final copy.
+// paths append straight into pooled storage with no final copy.  A
+// borrowing writer starts the buffer afresh unless it is told to append.
 #pragma once
 
 #include <bit>
@@ -34,6 +35,10 @@ public:
     /// kept).  The caller owns the buffer; it must outlive the writer and
     /// `take()` must not be used.
     explicit ByteWriter(Bytes& external) : buf_(&external) { external.clear(); }
+    /// Appending mode: borrows `external` like the above, but keeps its
+    /// bytes and appends after them.
+    struct Append {};
+    ByteWriter(Bytes& external, Append) : buf_(&external) {}
     ByteWriter(const ByteWriter&) = delete;
     ByteWriter& operator=(const ByteWriter&) = delete;
 

@@ -17,7 +17,8 @@
 //     (local discover) conservatively invalidates — the one access the
 //     middleware cannot see must not leave replicas lying about state;
 //   - a class whose state cannot ship (it holds an array) is vetoed once:
-//     the engine neither retries the replica nor migrates it instead.
+//     the engine neither retries the replica nor migrates it instead, and
+//     a failed migration leaves the instance and its placement in place.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -322,10 +323,16 @@ struct VetoOutcome {
     std::vector<std::int32_t> results;
     std::uint64_t replications = 0;
     std::size_t decisions = 0;
+    std::uint64_t faults = 0;
+    std::pair<net::NodeId, vm::ObjId> home_before{-1, 0};
+    std::pair<net::NodeId, vm::ObjId> home_after{-1, 0};
     std::string log;
 };
 
-VetoOutcome run_array_readers(bool adapt) {
+/// Ring's singleton on node 0, seeded from node 1.  Readers on nodes 1
+/// and 2 make 20 `lookup` calls each; with `writes`, node 1 instead makes
+/// 30 `seed` calls, a write-heavy window the engine would migrate.
+VetoOutcome run_ring(bool adapt, bool writes) {
     model::ClassPool pool;
     vm::install_prelude(pool);
     model::assemble_into(pool, kArrayApp);
@@ -340,27 +347,36 @@ VetoOutcome run_array_readers(bool adapt) {
     system.call_static(1, "Ring", "seed", "(I)V", {Value::of_int(7)});
 
     VetoOutcome out;
+    out.home_before = system.find_singleton("Ring");
     WorkloadDriver driver(system);
-    auto reader = [&out](System& sys, net::NodeId node) {
-        out.results.push_back(sys.call_static(node, "Ring", "lookup", "()I").as_int());
-    };
-    driver.add_client(1, 20, reader);
-    driver.add_client(2, 20, reader);
+    if (writes) {
+        driver.add_client(1, 30, [](System& sys, net::NodeId node) {
+            sys.call_static(node, "Ring", "seed", "(I)V", {Value::of_int(9)});
+        });
+    } else {
+        auto reader = [&out](System& sys, net::NodeId node) {
+            out.results.push_back(sys.call_static(node, "Ring", "lookup", "()I").as_int());
+        };
+        driver.add_client(1, 20, reader);
+        driver.add_client(2, 20, reader);
+    }
     set_log_level(LogLevel::Info);
     {
         ClogCapture capture;
-        driver.run();
+        out.faults = driver.run().faults;
         out.log = capture.str();
     }
     set_log_level(LogLevel::Off);
+    out.home_after = system.find_singleton("Ring");
+    if (writes) out.results.push_back(system.call_static(2, "Ring", "lookup", "()I").as_int());
     out.replications = system.metrics().counter("adapt.replications").value();
     if (adapt) out.decisions = system.adaptation()->decisions().size();
     return out;
 }
 
 TEST(Replica, UnshippableStateVetoesReplicationOnce) {
-    const VetoOutcome off = run_array_readers(false);
-    const VetoOutcome on = run_array_readers(true);
+    const VetoOutcome off = run_ring(false, false);
+    const VetoOutcome on = run_ring(true, false);
 
     // The engine tried once and logged the veto.  Later ticks neither
     // retry nor migrate the class instead: a migration would ship the
@@ -375,6 +391,25 @@ TEST(Replica, UnshippableStateVetoesReplicationOnce) {
     // Every reader still got the truth, exactly as with the engine off.
     EXPECT_EQ(on.results, off.results);
     EXPECT_EQ(on.results, std::vector<std::int32_t>(40, 7));
+}
+
+TEST(Replica, UnshippableStateVetoesMigrationOnce) {
+    // A write-heavy window skips the replication tier, so the first time
+    // the engine meets Ring's array is in a migration to node 1.  That
+    // migration must fail before anything moves: the run completes, the
+    // singleton stays on node 0 where its instance is, and the class is
+    // vetoed with one log line instead of failing at every tick.
+    const VetoOutcome on = run_ring(true, true);
+    EXPECT_EQ(on.faults, 0u);
+    EXPECT_EQ(on.home_before.first, 0);
+    EXPECT_EQ(on.home_after, on.home_before);
+    const std::string veto = "class Ring is not migratable";
+    const std::size_t first = on.log.find(veto);
+    ASSERT_NE(first, std::string::npos) << on.log;
+    EXPECT_EQ(on.log.find(veto, first + 1), std::string::npos) << on.log;
+    EXPECT_EQ(on.decisions, 0u);
+    // The last write is what a reader elsewhere sees.
+    EXPECT_EQ(on.results, std::vector<std::int32_t>{9});
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 // frames are rejected by the CRC rather than silently applied, a
 // checksummed record with unread payload bytes is a framing error, a
 // committed snapshot truncates the log and leaves the reply stream to
-// trim_replies, and the slicing-by-8 CRC agrees with a bit-at-a-time
+// trim_replies, which leaves exactly the records an erase of the trimmed
+// prefix would, and the slicing-by-16 CRC agrees with a bit-at-a-time
 // reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <sstream>
 #include <vector>
 
@@ -347,6 +349,95 @@ TEST(Wal, SnapshotLeavesTheReplyStreamAndTrimDropsTheOldest) {
     EXPECT_TRUE(wal.replies().empty());
 }
 
+/// The byte offset of each record in a framed stream, and its end.
+std::vector<std::size_t> record_starts(const Bytes& stream) {
+    std::vector<std::size_t> starts{0};
+    while (starts.back() < stream.size()) {
+        const std::uint8_t* p = stream.data() + starts.back();
+        const std::uint32_t len = static_cast<std::uint32_t>(p[0]) | p[1] << 8 | p[2] << 16 |
+                                  static_cast<std::uint32_t>(p[3]) << 24;
+        starts.push_back(starts.back() + 8 + len);
+    }
+    return starts;
+}
+
+TEST(Wal, TrimByHeadLeavesTheSuffixAnEraseWould) {
+    // A seeded mix of appends, trims and reads.  The reference keeps every
+    // record in an untrimmed stream, and its suffix of the last `live`
+    // records is what erasing the trimmed prefix leaves.  recover() (which
+    // never compacts) and replies() (which does) must both see exactly it;
+    // the reads come only every few steps, so most trims leave a dead
+    // prefix behind and many compactions run inside trim_replies.
+    Wal wal;
+    Wal untrimmed;
+    std::size_t appended = 0;
+    std::size_t live = 0;
+    std::uint64_t lcg = 0x7121;
+    for (int step = 0; step < 3000; ++step) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        if ((lcg >> 33) % 3 != 0) {
+            net::CallReply reply;
+            reply.request_id = ++appended;
+            reply.result = net::MarshalledValue::of_str(std::string((lcg >> 40) % 300, 'v'));
+            wal.append_reply(appended, appended, reply);
+            untrimmed.append_reply(appended, appended, reply);
+            ++live;
+        } else {
+            const std::size_t keep = (lcg >> 40) % 24;
+            wal.trim_replies(keep);
+            live = std::min(live, keep);
+        }
+        const Bytes& all = untrimmed.replies();
+        const std::vector<std::size_t> starts = record_starts(all);
+        const Bytes suffix(all.begin() + static_cast<std::ptrdiff_t>(starts[appended - live]),
+                           all.end());
+        RecordingVisitor expected;
+        ASSERT_TRUE(Wal::replay(suffix, expected).clean);
+        RecordingVisitor recovered;
+        const Wal::ReplayResult r = wal.recover(recovered);
+        ASSERT_TRUE(r.clean) << "step " << step;
+        ASSERT_EQ(r.bytes, suffix.size()) << "step " << step;
+        ASSERT_EQ(recovered.events, expected.events) << "step " << step;
+        ASSERT_EQ(wal.empty(), live == 0) << "step " << step;
+        if (step % 7 == 0) {
+            ASSERT_EQ(wal.replies(), suffix) << "step " << step;
+        }
+    }
+}
+
+TEST(Wal, TrimmedReplyStreamRebuildsTheNodesReplyCache) {
+    // A node's reply cache is a FIFO of `capacity` replies, and each
+    // checkpoint trims the stream to the cache's size.  Replaying the
+    // stream into an empty FIFO of the same capacity, as a restart does,
+    // must give back the cache's exact contents, at every step.
+    constexpr std::size_t kCapacity = 16;
+    using Fifo = std::deque<std::pair<std::uint64_t, std::string>>;
+    const auto push = [](Fifo& fifo, std::uint64_t id, const net::CallReply& reply) {
+        while (fifo.size() >= kCapacity) fifo.pop_front();
+        fifo.emplace_back(id, reply.result.s);
+    };
+    Wal wal;
+    Fifo cache;
+    std::uint64_t lcg = 0xCAC4E;
+    for (std::uint64_t step = 1; step <= 2000; ++step) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        if ((lcg >> 33) % 5 != 0) {
+            net::CallReply reply;
+            reply.request_id = step;
+            reply.result = net::MarshalledValue::of_str(std::string((lcg >> 40) % 200, 'c'));
+            wal.append_reply(step, step, reply);
+            push(cache, step, reply);
+        } else {
+            wal.trim_replies(cache.size());  // a checkpoint
+        }
+        WalImage img;
+        ASSERT_TRUE(wal.recover(img).clean);
+        Fifo rebuilt;
+        for (const auto& [id, reply] : img.replies) push(rebuilt, id, reply);
+        ASSERT_EQ(rebuilt, cache) << "step " << step;
+    }
+}
+
 TEST(Wal, EmptyAndCrcKnownAnswer) {
     Wal wal;
     EXPECT_TRUE(wal.empty());
@@ -416,11 +507,12 @@ Bytes lcg_bytes(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(Wal, CrcMatchesBitwiseReferenceAtEveryLengthAndOffset) {
-    // Every length 0..1024 from each of the 8 start offsets an 8-byte step
-    // can be misaligned by.  Each input lives in a buffer that ends exactly
-    // where it does, so an over-read is a heap overflow under ASan.
-    const Bytes master = lcg_bytes(1024 + 8, 0xC0FFEE);
-    for (std::size_t off = 0; off < 8; ++off) {
+    // Every length 0..1024 (the 16-byte loop and each of its 16 tail
+    // lengths) from each of the 16 start offsets a 16-byte step can be
+    // misaligned by.  Each input lives in a buffer that ends exactly where
+    // it does, so an over-read is a heap overflow under ASan.
+    const Bytes master = lcg_bytes(1024 + 16, 0xC0FFEE);
+    for (std::size_t off = 0; off < 16; ++off) {
         for (std::size_t len = 0; len <= 1024; ++len) {
             const Bytes buf(master.begin(),
                             master.begin() + static_cast<std::ptrdiff_t>(off + len));
