@@ -59,8 +59,9 @@ void print_experiment_tables(const model::ClassPool& pool) {
 }
 
 /// Host wall time of the closure analysis over the calibrated corpus,
-/// serial and on the transform thread pool.  The first run fills the
-/// per-class reference caches; best-of-N keeps the warm runs.
+/// serial and on the transform thread pool.  No run leaves state for the
+/// next, so every run is a cold analysis, the one production pays;
+/// best-of-N only trims host noise.
 void print_host_analysis(const model::ClassPool& pool) {
     const std::size_t threads = transform::resolve_transform_threads(0);
     support::ThreadPool workers(threads);

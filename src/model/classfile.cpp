@@ -98,16 +98,4 @@ std::vector<std::string> ClassFile::referenced_classes() const {
     return {out.begin(), out.end()};
 }
 
-const std::vector<std::string>& ClassFile::referenced_classes_cached(
-    std::uint64_t pool_generation) const {
-    // Generation 0 never matches the never-filled stamp: ClassPool
-    // generations start at 1, so 0 can only come from a pool-less caller
-    // and must not alias "cache is cold".
-    if (refs_cache_.generation != pool_generation || pool_generation == 0) {
-        refs_cache_.refs = referenced_classes();
-        refs_cache_.generation = pool_generation;
-    }
-    return refs_cache_.refs;
-}
-
 }  // namespace rafda::model

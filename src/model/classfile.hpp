@@ -110,40 +110,6 @@ struct ClassFile {
     /// Class names this class references: super, interfaces, field types,
     /// method signatures, and symbolic operands inside code.  Sorted, unique.
     std::vector<std::string> referenced_classes() const;
-
-    /// Cached variant for classes owned by a ClassPool: the result is
-    /// memoized against the pool's generation counter, so repeated graph
-    /// walks over an unmutated pool rebuild nothing.  The caller passes
-    /// `pool.generation()`; any mutation path bumps it (see classpool.hpp),
-    /// which invalidates the cache on the next call.  Not safe to call
-    /// concurrently on the *same* ClassFile while the cache is cold;
-    /// distinct ClassFiles are independent.
-    const std::vector<std::string>& referenced_classes_cached(
-        std::uint64_t pool_generation) const;
-
-private:
-    /// Memoized referenced_classes() keyed on a pool generation.  Copies
-    /// and moves reset the cache: a ClassFile landing in another pool must
-    /// not carry a stamp that could collide with the new pool's counter.
-    struct RefsCache {
-        std::vector<std::string> refs;
-        std::uint64_t generation = 0;  // 0 = never filled (pools start at 1)
-
-        RefsCache() = default;
-        RefsCache(const RefsCache&) noexcept {}
-        RefsCache& operator=(const RefsCache&) noexcept {
-            refs.clear();
-            generation = 0;
-            return *this;
-        }
-        RefsCache(RefsCache&&) noexcept {}
-        RefsCache& operator=(RefsCache&&) noexcept {
-            refs.clear();
-            generation = 0;
-            return *this;
-        }
-    };
-    mutable RefsCache refs_cache_;
 };
 
 }  // namespace rafda::model

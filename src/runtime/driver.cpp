@@ -68,12 +68,14 @@ WorkloadDriver::Report WorkloadDriver::run() {
     std::vector<std::uint64_t> latencies;
 
     // The scheduler.  A pending client's whole footprint is its Event; the
-    // step handler below is its continuation ("run the next burst"), so
-    // nothing per-client survives between dispatches except the
-    // remaining-count riding in the event itself.  Handler registration
-    // order is fixed — the step is kind 0, the heartbeat kind 1 — so event
-    // kinds, and with them the order digest, are stable across runs.
+    // step below is its continuation ("run the next burst"), so nothing
+    // per-client survives between dispatches except the remaining-count
+    // riding in the event itself.  The order digest folds each event's
+    // kind, so the two kind numbers are fixed: the step is 0, the
+    // heartbeat 1.
     EventHeap heap;
+    constexpr std::uint32_t kStep = 0;
+    constexpr std::uint32_t kAdaptTick = 1;
 
     // Continuation: one burst of up to pipeline_depth_ tasks for one
     // client.  `a` packs (group, client); `b` carries the client's
@@ -82,7 +84,7 @@ WorkloadDriver::Report WorkloadDriver::run() {
     // closes the burst before the next event dispatches, so the event
     // order — and with it determinism — is untouched.  A guest exception
     // is absorbed as a fault.
-    const std::uint32_t kStep = heap.register_handler([&](const Event& e) {
+    auto step = [&](const Event& e) {
         const Group& g = groups[static_cast<std::size_t>(e.a >> 32)];
         const net::NodeId nid = g.nodes[(e.a & 0xffffffffULL) % g.nodes.size()];
         const std::uint64_t next = g.tasks_each - e.b;  // the client's next task
@@ -123,8 +125,8 @@ WorkloadDriver::Report WorkloadDriver::run() {
         complete(node.clock_us());
         report.tasks_run += burst;
         if (const std::uint64_t remaining = e.b - burst)
-            heap.post(node.clock_us(), nid, e.kind, e.a, remaining);
-    });
+            heap.post(node.clock_us(), nid, kStep, e.a, remaining);
+    };
 
     // Controller heartbeat for the adaptation engine (DESIGN.md §19): an
     // ordinary heap event, one per interval, so adaptation decisions sit
@@ -136,12 +138,12 @@ WorkloadDriver::Report WorkloadDriver::run() {
     const std::uint64_t adapt_interval = engine ? engine->policy().interval_us : 0;
     // Stop rule: the heartbeat re-posts while any client step is
     // pending.  The heap holds only steps and this one heartbeat, which is
-    // popped while its handler runs, so a non-empty heap means exactly
-    // that; once the last step has run the controller goes quiet.
-    const std::uint32_t kAdaptTick = heap.register_handler([&](const Event& e) {
+    // popped while it runs, so a non-empty heap means exactly that; once
+    // the last step has run the controller goes quiet.
+    auto heartbeat = [&](const Event& e) {
         engine->tick(e.at_us);
-        if (!heap.empty()) heap.post(e.at_us + adapt_interval, e.node, e.kind);
-    });
+        if (!heap.empty()) heap.post(e.at_us + adapt_interval, e.node, kAdaptTick);
+    };
 
     // Seed the heap at each client's clock, groups in registration order
     // and clients in index order (equal clocks tie-break in post order).
@@ -183,7 +185,9 @@ WorkloadDriver::Report WorkloadDriver::run() {
     // to land on them (DESIGN.md §20).
     const bool durable = system_->durability_enabled();
     while (!heap.empty()) {
-        heap.dispatch(heap.pop());
+        const Event e = heap.pop();
+        if (e.kind == kStep) step(e);
+        else heartbeat(e);
         if (durable) system_->observe_restarts(heap.last_popped_at());
     }
     // Close the observation loop: backfill realized savings for decisions

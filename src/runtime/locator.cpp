@@ -22,7 +22,7 @@ void Locator::enable_directory(DirectoryPolicy policy) {
 }
 
 Placement Locator::singleton_home(const std::string& cls, net::NodeId asker) {
-    Placement p = policy_.singleton_placement(cls, asker);
+    Placement p = policy_.singleton_placement(cls);
     if (!directory_.enabled()) return p;
     lookups_->add();
     // A cached answer holds only while the policy still gives it: a home

@@ -60,7 +60,7 @@ public:
     /// The node whose registry holds `cls`'s singleton, read at no
     /// modelled cost (inspection and control operations).
     net::NodeId singleton_node(const std::string& cls) const {
-        return policy_.singleton_placement(cls, -1).node;
+        return policy_.singleton_placement(cls).node;
     }
     /// System::directory_resolve: the terminal location recorded for
     /// (node, oid), after a round trip to its shard unless `asker` owns it.

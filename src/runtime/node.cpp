@@ -188,9 +188,8 @@ void Node::apply_restarts(std::uint64_t restarts) {
 // ---------------------------------------------------------------------------
 // Durability (DESIGN.md §20)
 
-void Node::enable_durability(const DurabilityPolicy& policy) {
+void Node::enable_durability() {
     if (wal_) return;
-    durability_ = policy;
     wal_ = std::make_unique<Wal>();
     obs::Registry& m = system_->metrics();
     wal_->attach_counters(&m.counter("wal.records"), &m.counter("wal.bytes"),
@@ -243,8 +242,9 @@ void Node::cache_reply(std::uint64_t request_id, const net::CallReply& reply,
 }
 
 void Node::maybe_snapshot() {
-    if (!wal_ || !durability_.snapshot_interval_us) return;
-    if (clock_us_ - last_snapshot_us_ < durability_.snapshot_interval_us) return;
+    if (!wal_) return;
+    const std::uint64_t interval = system_->durability().snapshot_interval_us;
+    if (!interval || clock_us_ - last_snapshot_us_ < interval) return;
     take_snapshot();
 }
 

@@ -91,9 +91,10 @@ public:
     /// Turns on the durability layer (DESIGN.md §20): creates this node's
     /// WAL, journals the replies already cached, installs the VM mutation
     /// observer so every heap and static mutation is journalled, and arms
-    /// snapshotting at `policy`'s interval.  Off (the default) leaves every legacy code path — and
-    /// every legacy experiment byte — untouched.
-    void enable_durability(const DurabilityPolicy& policy);
+    /// snapshotting at the interval of System::durability(), read at each
+    /// check.  Off (the default) leaves every legacy code path — and every
+    /// legacy experiment byte — untouched.
+    void enable_durability();
     bool durable() const noexcept { return wal_ != nullptr; }
     Wal* wal() noexcept { return wal_.get(); }
     const Wal* wal() const noexcept { return wal_.get(); }
@@ -215,7 +216,6 @@ private:
     std::uint64_t pipeline_horizon_us_ = 0;
     /// Durability layer (null = off; DESIGN.md §20).
     std::unique_ptr<Wal> wal_;
-    DurabilityPolicy durability_;
     std::uint64_t last_snapshot_us_ = 0;
 };
 

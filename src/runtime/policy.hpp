@@ -51,7 +51,7 @@ public:
 
     /// Where `cls`'s singleton lives.  Default: node 0, so static state
     /// stays unique across the system even with no explicit policy.
-    Placement singleton_placement(const std::string& cls, net::NodeId) const {
+    Placement singleton_placement(const std::string& cls) const {
         return placement(singleton_homes_, cls, 0);
     }
 

@@ -6,11 +6,6 @@
 
 namespace rafda::runtime {
 
-std::uint32_t EventHeap::register_handler(Handler fn) {
-    handlers_.push_back(std::move(fn));
-    return static_cast<std::uint32_t>(handlers_.size() - 1);
-}
-
 std::uint64_t EventHeap::post(std::uint64_t at_us, std::int32_t node,
                               std::uint32_t kind, std::uint64_t a, std::uint64_t b) {
     Event e;
@@ -49,17 +44,6 @@ Event EventHeap::pop() {
     last_at_ = e.at_us;
     fold_digest(e);
     return e;
-}
-
-void EventHeap::dispatch(const Event& e) {
-    if (e.kind >= handlers_.size())
-        throw RuntimeError("EventHeap: event with unregistered kind " +
-                           std::to_string(e.kind));
-    handlers_[e.kind](e);
-}
-
-void EventHeap::run() {
-    while (!heap_.empty()) dispatch(pop());
 }
 
 }  // namespace rafda::runtime

@@ -17,17 +17,21 @@
 // execution history, never on heap internals or host iteration order.
 // The popped stream is folded into an FNV-1a digest so "same seed ⇒ same
 // event order" is a one-word comparison in tests and bench summaries.
+//
+// The heap is only a queue: it orders, counts and digests events, and the
+// loop that pops them decides what each kind means (WorkloadDriver::run
+// has two, a client step and the adaptation heartbeat).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace rafda::runtime {
 
-/// One pending event.  `kind` selects a handler registered with the heap;
-/// `a`/`b` are opaque continuation state (typically a client index and a
-/// step argument) — the whole struct is the per-pending-client footprint.
+/// One pending event.  `kind` tells the popping loop what to run (the heap
+/// only orders and digests it); `a`/`b` are opaque continuation state
+/// (typically a client index and a step argument) — the whole struct is
+/// the per-pending-client footprint.
 struct Event {
     std::uint64_t at_us = 0;
     std::uint64_t seq = 0;  // assigned by post(); total-order tie-break
@@ -39,14 +43,14 @@ struct Event {
 
 class EventHeap {
 public:
-    using Handler = std::function<void(const Event&)>;
-
-    /// Registers a continuation and returns its `kind` id.  Handlers are
-    /// registered once per run, never per event — events stay POD.
-    std::uint32_t register_handler(Handler fn);
+    /// Returns kind 0 and drops `fn`: the heap stores no handler, the loop
+    /// that pops an event runs it.  Kept only because perfbench's heap
+    /// replay still names its one kind this way (ROADMAP item 12).
+    template <typename Fn>
+    std::uint32_t register_handler(Fn&&) const noexcept { return 0; }
 
     /// Schedules an event; returns its sequence number.  Events posted at
-    /// equal `at_us` dispatch in post order (deterministic tie-break).
+    /// equal `at_us` pop in post order (deterministic tie-break).
     std::uint64_t post(std::uint64_t at_us, std::int32_t node, std::uint32_t kind,
                        std::uint64_t a = 0, std::uint64_t b = 0);
 
@@ -71,16 +75,10 @@ public:
     /// completions) is still witnessed by the digest.
     void fold(std::uint64_t word) noexcept;
 
-    /// Pops and returns the minimum (at_us, seq) event without dispatching
-    /// it (the driver's loop wants control between events).
+    /// Removes and returns the minimum (at_us, seq) event, counted as
+    /// dispatched.  The caller runs it; events it posts meanwhile merge
+    /// into the same order.
     Event pop();
-
-    /// Invokes the registered handler for a popped event.
-    void dispatch(const Event& e);
-
-    /// Pops and dispatches events until the heap drains.  Handlers may
-    /// post further events; they are merged into the same order.
-    void run();
 
 private:
     static bool later(const Event& x, const Event& y) noexcept {
@@ -89,7 +87,6 @@ private:
     void fold_digest(const Event& e) noexcept;
 
     std::vector<Event> heap_;  // binary min-heap via std::push/pop_heap
-    std::vector<Handler> handlers_;
     std::uint64_t next_seq_ = 0;
     std::uint64_t posted_ = 0;
     std::uint64_t dispatched_ = 0;

@@ -108,7 +108,7 @@ Node& System::add_node() {
     metrics_.register_probe("runtime.node" + std::to_string(node.id()) + ".clock_us",
                             [&node] { return static_cast<std::int64_t>(node.clock_us()); });
     wire_node(node);
-    if (durability_.enabled) node.enable_durability(durability_);
+    if (durability_.enabled) node.enable_durability();
     return node;
 }
 
@@ -120,7 +120,7 @@ void System::enable_durability(DurabilityPolicy policy) {
     for (const char* name : {"wal.records", "wal.bytes", "wal.snapshots", "wal.recoveries",
                              "wal.replayed_records", "wal.relocated_objects"})
         metrics_.counter(name);
-    for (const auto& n : nodes_) n->enable_durability(durability_);
+    for (const auto& n : nodes_) n->enable_durability();
 }
 
 void System::observe_restarts(std::uint64_t t_us) {

@@ -77,7 +77,6 @@ ClassGraph build_graph(const model::ClassPool& pool, support::ThreadPool* thread
     g.refs.resize(n);
     g.has_native.assign(n, 0);
 
-    const std::uint64_t generation = pool.generation();
     auto build_one = [&](std::size_t i) {
         const model::ClassFile& cf = *g.classes[i];
         g.has_native[i] = cf.has_native_method() ? 1 : 0;
@@ -90,16 +89,16 @@ ClassGraph build_graph(const model::ClassPool& pool, support::ThreadPool* thread
             const Id s = g.ids.find(iface);
             if (s != kNoId) g.hierarchy[i].push_back(s);
         }
-        const std::vector<std::string>& refs = cf.referenced_classes_cached(generation);
+        const std::vector<std::string> refs = cf.referenced_classes();
         g.refs[i].reserve(refs.size());
         for (const std::string& ref : refs) {
             const Id r = g.ids.find(ref);
             if (r != kNoId) g.refs[i].push_back(r);
         }
     };
-    // Every item touches a distinct ClassFile (distinct cache), and the
-    // interner is only read (const find) after the serial intern loop, so
-    // the fan-out is race-free.
+    // Every item writes only its own slots, and the interner is only read
+    // (const find) after the serial intern loop, so the fan-out is
+    // race-free.
     if (threads) {
         threads->for_each_index(n, build_one);
     } else {

@@ -678,15 +678,13 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
                                                       SiteCache& sc,
                                                       std::vector<Value>& stack) {
     const std::uint64_t gen = cache_gen();
-    int nargs_i = sc.nargs;
-    bool ret_void = sc.ret_void;
-    if (sc.gen != gen) {
-        const model::MethodShape shape = MethodSig::shape_of(i.desc);
-        nargs_i = static_cast<int>(shape.params);
-        ret_void = !shape.returns_value;
-    }
+    // The arity is needed before the receiver is seen.  A valid site's
+    // target was resolved from this site's descriptor, so its arity is the
+    // site's whatever class the receiver turns out to have.
+    const std::size_t nparams = sc.gen == gen ? sc.target->sig.params().size()
+                                              : MethodSig::shape_of(i.desc).params;
     Frame& callee = next_frame();
-    take_args(stack, static_cast<std::size_t>(nargs_i) + 1, callee.locals);
+    take_args(stack, nparams + 1, callee.locals);
     Object& recv = heap_.get(callee.locals[0].as_ref());
     const ClassFile* dyn;
     const Method* target;
@@ -701,14 +699,13 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
         target = &virtual_target(*pool_, *dyn, i.member, i.desc);
         sc.cls = dyn;
         sc.target = target;
-        sc.nargs = nargs_i;
-        sc.ret_void = ret_void;
         sc.gen = gen;
     }
     if (i.op == Op::InvokeVirtual) ++counters_.invokes_virtual;
     else ++counters_.invokes_interface;
+    const bool returns_value = !target->sig.ret().is_void();
     Value r = invoke(*dyn, *target, callee);
-    if (!ret_void) stack.push_back(std::move(r));
+    if (returns_value) stack.push_back(std::move(r));
 }
 
 [[gnu::noinline]] void Interpreter::op_invoke_static(const Instruction& i,
@@ -716,23 +713,22 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
                                                      std::vector<Value>& stack) {
     if (sc.gen != cache_gen()) {
         ++counters_.ic_invoke_misses;
-        const model::MethodShape shape = MethodSig::shape_of(i.desc);
         ensure_initialized(i.owner);
         const Method* target = pool_->resolve_static(i.owner, i.member, i.desc);
         if (!target) throw VmError("unresolved static " + i.owner + "." + i.member);
         sc.cls = &pool_->get(i.owner);
         sc.target = target;
-        sc.nargs = static_cast<int>(shape.params);
-        sc.ret_void = !shape.returns_value;
         sc.gen = cache_gen();
     } else {
         ++counters_.ic_invoke_hits;
     }
+    const Method& target = *sc.target;
     Frame& callee = next_frame();
-    take_args(stack, static_cast<std::size_t>(sc.nargs), callee.locals);
+    take_args(stack, target.sig.params().size(), callee.locals);
     ++counters_.invokes_static;
-    Value r = invoke(*sc.cls, *sc.target, callee);
-    if (!sc.ret_void) stack.push_back(std::move(r));
+    const bool returns_value = !target.sig.ret().is_void();
+    Value r = invoke(*sc.cls, target, callee);
+    if (returns_value) stack.push_back(std::move(r));
 }
 
 [[gnu::noinline]] void Interpreter::op_invoke_special(const Instruction& i,
@@ -740,20 +736,17 @@ Value Interpreter::compare(Op op, const Value& a, const Value& b) {
                                                       std::vector<Value>& stack) {
     if (sc.gen != cache_gen()) {
         ++counters_.ic_invoke_misses;
-        const model::MethodShape shape = MethodSig::shape_of(i.desc);
         const ClassFile& owner = pool_->get(i.owner);
         const Method* ctor = owner.find_method(i.member, i.desc);
         if (!ctor) throw VmError("unresolved ctor " + i.owner + i.desc);
         sc.cls = &owner;
         sc.target = ctor;
-        sc.nargs = static_cast<int>(shape.params);
-        sc.ret_void = true;
         sc.gen = cache_gen();
     } else {
         ++counters_.ic_invoke_hits;
     }
     Frame& callee = next_frame();
-    take_args(stack, static_cast<std::size_t>(sc.nargs) + 1, callee.locals);
+    take_args(stack, sc.target->sig.params().size() + 1, callee.locals);
     ++counters_.invokes_special;
     invoke(*sc.cls, *sc.target, callee);
 }

@@ -252,7 +252,9 @@ private:
     /// method's code so model::Instr stays immutable.  A slot is valid
     /// only while `gen == pool_->generation()` (and, for receiver-keyed
     /// sites, while `cls` matches the receiver's class); `gen` starts at
-    /// 0, which the pool never reports, so empty slots always miss.
+    /// 0, which the pool never reports, so empty slots always miss.  An
+    /// invoke site's operand shape is its `target`'s `sig`, resolved from
+    /// the site's own descriptor.
     struct SiteCache {
         std::uint64_t gen = 0;
         const model::ClassFile* cls = nullptr;  // receiver class (fields,
@@ -263,8 +265,6 @@ private:
         const model::Method* target = nullptr;  // invoke target
         std::vector<Value>* statics = nullptr;  // declaring class's statics
         const model::Layout* layout = nullptr;  // New: instance layout
-        int nargs = 0;                          // invoke: parameter count
-        bool ret_void = false;                  // invoke: returns void
     };
 
     /// The buffers of one live frame: a guest frame's locals and operand

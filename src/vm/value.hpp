@@ -25,17 +25,6 @@ namespace rafda::vm {
 /// Heap object id; valid ids start at 1.
 using ObjId = std::uint64_t;
 
-/// Distinguishes references from other integral values (kept for
-/// callers that name the type; Value stores the id directly).
-struct Ref {
-    ObjId id = 0;
-    bool operator==(const Ref&) const = default;
-};
-
-struct NullValue {
-    bool operator==(const NullValue&) const = default;
-};
-
 class Value {
 public:
     Value() noexcept : tag_(Tag::Null), j_(0) {}

@@ -68,6 +68,16 @@ class SigDep {
 }
 class ArrDep {
 }
+class Callee {
+}
+class ArgDep {
+}
+class RetDep {
+}
+class Holder {
+}
+class HeldDep {
+}
 class Subject extends Dep implements Api {
   field fd LFieldDep;
   method f ()V {
@@ -88,11 +98,23 @@ class Subject extends Dep implements Api {
     returnvalue
     catch Err from S to E using H
   }
+  static method h ()V {
+    const null
+    invokestatic Callee.make (LArgDep;)LRetDep;
+    pop
+    const null
+    getfield Holder.held LHeldDep;
+    pop
+    return
+  }
 }
 )");
     const ClassFile& subject = classes.back();
     std::vector<std::string> refs = subject.referenced_classes();
-    for (const char* expected : {"Dep", "Api", "FieldDep", "SigDep", "Err"}) {
+    // Operands count too: an invoke's owner and descriptor types, a field
+    // access's owner and type.
+    for (const char* expected : {"Dep", "Api", "FieldDep", "SigDep", "Err", "Callee",
+                                 "ArgDep", "RetDep", "Holder", "HeldDep"}) {
         EXPECT_TRUE(std::find(refs.begin(), refs.end(), expected) != refs.end())
             << expected;
     }
@@ -127,85 +149,6 @@ class A {
     EXPECT_TRUE(cf.has_native_method());
     ClassFile clean = parse_one("class B {\n method m ()V {\n return\n }\n}\n");
     EXPECT_FALSE(clean.has_native_method());
-}
-
-TEST(ClassFile, ReferencedClassesCachedMatchesUncached) {
-    ClassPool pool;
-    assemble_into(pool, R"(
-class Dep {
-}
-class Other {
-}
-class Subject extends Dep {
-  field o LOther;
-}
-)");
-    const ClassFile& subject = *pool.find("Subject");
-    const std::vector<std::string>& cached =
-        subject.referenced_classes_cached(pool.generation());
-    EXPECT_EQ(cached, subject.referenced_classes());
-    // Same generation: the memoized vector itself is returned.
-    const std::vector<std::string>& again =
-        subject.referenced_classes_cached(pool.generation());
-    EXPECT_EQ(&again, &cached);
-}
-
-TEST(ClassFile, ReferencedClassesCacheInvalidatesOnGenerationBump) {
-    ClassPool pool;
-    assemble_into(pool, R"(
-class Dep {
-}
-class NewSuper {
-}
-class Subject extends Dep {
-}
-)");
-    const ClassFile* subject = pool.find("Subject");
-    std::vector<std::string> before =
-        subject->referenced_classes_cached(pool.generation());
-    EXPECT_EQ(before, (std::vector<std::string>{"Dep"}));
-
-    // get_mutable bumps the pool generation; the next cached call with the
-    // new stamp must recompute and see the rewritten hierarchy.
-    pool.get_mutable("Subject").super_name = "NewSuper";
-    std::vector<std::string> after =
-        subject->referenced_classes_cached(pool.generation());
-    EXPECT_EQ(after, (std::vector<std::string>{"NewSuper"}));
-}
-
-TEST(ClassFile, ReferencedClassesCacheResetsOnCopyAndMove) {
-    ClassPool pool;
-    assemble_into(pool, R"(
-class Dep {
-}
-class Subject extends Dep {
-}
-)");
-    const ClassFile& subject = *pool.find("Subject");
-    (void)subject.referenced_classes_cached(pool.generation());  // warm cache
-
-    // A copy (or move) dropped into another pool must not reuse the old
-    // stamp: the other pool's counter could coincide while its contents
-    // differ.  Passing the warmed stamp to the copy must still recompute —
-    // observable because the copy's hierarchy is edited pre-call.
-    ClassFile copy = subject;
-    copy.super_name = "Elsewhere";
-    std::vector<std::string> refs = copy.referenced_classes_cached(pool.generation());
-    EXPECT_EQ(refs, (std::vector<std::string>{"Elsewhere"}));
-
-    ClassFile moved = std::move(copy);
-    moved.super_name = "Dep";
-    EXPECT_EQ(moved.referenced_classes_cached(pool.generation()),
-              (std::vector<std::string>{"Dep"}));
-}
-
-TEST(ClassFile, ReferencedClassesCachedNeverTrustsGenerationZero) {
-    // Generation 0 marks "never filled"; a caller passing 0 (no pool) must
-    // always get a fresh computation, not a stale hit.
-    ClassFile cf = parse_one("class A extends B {\n}\n");
-    EXPECT_EQ(cf.referenced_classes_cached(0), (std::vector<std::string>{"B"}));
-    cf.super_name = "C";
-    EXPECT_EQ(cf.referenced_classes_cached(0), (std::vector<std::string>{"C"}));
 }
 
 }  // namespace

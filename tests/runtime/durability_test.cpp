@@ -418,6 +418,25 @@ TEST_F(DurableFixture, DurabilitySwitchedOnLaterEncodesTheCachedReplies) {
     EXPECT_EQ(counter("wal.bytes"), server.wal()->replies().size());
 }
 
+TEST_F(DurableFixture, ReEnablingDurabilityRetimesExistingNodesSnapshots) {
+    // A second enable_durability changes the snapshot interval of the
+    // nodes that already have a WAL, not only of nodes added later: every
+    // node checks the System's one policy.
+    Value svc = system->construct(0, "Service", "()V");
+    Node& server = system->node(1);
+    const std::uint64_t t0 = server.clock_us();
+    DurabilityPolicy often;
+    often.snapshot_interval_us = 500;
+    system->enable_durability(often);
+    for (int k = 0; k < 40; ++k)
+        system->node(0).interp().call_virtual(svc, "work", "(I)I", {Value::of_int(k)});
+    const std::uint64_t elapsed = server.clock_us() - t0;
+    // The construction-time interval (10,000 us) would have taken none.
+    ASSERT_LT(elapsed, 10'000u);
+    EXPECT_GE(server.wal()->stats().snapshots, elapsed / 1'000);
+    EXPECT_GT(server.wal()->stats().snapshots, 0u);
+}
+
 TEST_F(DurableFixture, RecoveryRejectsARecordNamingAnUnallocatedObject) {
     // A CRC-valid log whose FieldPut names an object the image never
     // allocated: both readers of a durable image reject it while decoding,

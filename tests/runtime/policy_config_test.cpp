@@ -27,10 +27,10 @@ link 1 -> 0 latency 250
               (Placement{1, "SOAP"}));
     // 'via' omitted: the default protocol applies.
     EXPECT_EQ(policy.instance_placement("Worker", 5), (Placement{0, "CORBA"}));
-    EXPECT_EQ(policy.singleton_placement("Registry", 0), (Placement{1, "RMI"}));
+    EXPECT_EQ(policy.singleton_placement("Registry"), (Placement{1, "RMI"}));
     // Unmentioned classes keep the defaults.
     EXPECT_EQ(policy.instance_placement("Other", 3), (Placement{3, "CORBA"}));
-    EXPECT_EQ(policy.singleton_placement("Other", 3), (Placement{0, "CORBA"}));
+    EXPECT_EQ(policy.singleton_placement("Other"), (Placement{0, "CORBA"}));
 
     EXPECT_EQ(network.link(0, 1).latency_us, 250u);
     EXPECT_DOUBLE_EQ(network.link(0, 1).drop_probability, 0.01);

@@ -199,7 +199,7 @@ TEST_F(Fig1Fixture, MigrateSingletonMovesStaticState) {
     // Counter continues where it left off; new discover()s go to node 1.
     EXPECT_EQ(system->call_static(1, "Registry", "bump", "()I").as_int(), 3);
     EXPECT_EQ(system->call_static(0, "Registry", "bump", "()I").as_int(), 4);
-    EXPECT_EQ(system->policy().singleton_placement("Registry", 0).node, 1);
+    EXPECT_EQ(system->policy().singleton_placement("Registry").node, 1);
 }
 
 TEST_F(Fig1Fixture, MigrateSingletonBeforeCreationJustMovesPolicy) {

@@ -10,17 +10,28 @@
 namespace rafda::runtime {
 namespace {
 
+/// Pops every event, in order, into `fn` — which may post more.
+template <typename Fn>
+void drain(EventHeap& heap, Fn&& fn) {
+    while (!heap.empty()) fn(heap.pop());
+}
+
+/// Pops every event, in order, and returns its `a`.
+std::vector<std::uint64_t> drain_a(EventHeap& heap) {
+    std::vector<std::uint64_t> popped;
+    drain(heap, [&popped](const Event& e) { popped.push_back(e.a); });
+    return popped;
+}
+
 TEST(EventHeap, PopsInVirtualTimeOrder) {
     EventHeap heap;
     std::vector<std::uint64_t> popped;
-    const std::uint32_t kind = heap.register_handler(
-        [&popped](const Event& e) { popped.push_back(e.at_us); });
-    heap.post(500, 0, kind);
-    heap.post(10, 0, kind);
-    heap.post(10'000, 0, kind);
-    heap.post(0, 0, kind);
-    heap.post(499, 0, kind);
-    heap.run();
+    heap.post(500, 0, 0);
+    heap.post(10, 0, 0);
+    heap.post(10'000, 0, 0);
+    heap.post(0, 0, 0);
+    heap.post(499, 0, 0);
+    drain(heap, [&popped](const Event& e) { popped.push_back(e.at_us); });
     EXPECT_EQ(popped, (std::vector<std::uint64_t>{0, 10, 499, 500, 10'000}));
     EXPECT_EQ(heap.dispatched(), 5u);
     EXPECT_EQ(heap.last_popped_at(), 10'000u);
@@ -33,11 +44,8 @@ TEST(EventHeap, EqualTimestampsPopInPostOrder) {
     // never heap internals.  (A plain std::priority_queue of (at_us, ...)
     // would be free to swap them.)
     EventHeap heap;
-    std::vector<std::uint64_t> popped;
-    const std::uint32_t kind =
-        heap.register_handler([&popped](const Event& e) { popped.push_back(e.a); });
-    for (std::uint64_t k = 0; k < 64; ++k) heap.post(7'777, 0, kind, /*a=*/k);
-    heap.run();
+    for (std::uint64_t k = 0; k < 64; ++k) heap.post(7'777, 0, 0, /*a=*/k);
+    const std::vector<std::uint64_t> popped = drain_a(heap);
     ASSERT_EQ(popped.size(), 64u);
     for (std::uint64_t k = 0; k < 64; ++k) EXPECT_EQ(popped[k], k) << k;
 }
@@ -46,21 +54,17 @@ TEST(EventHeap, TieBreakSurvivesInterleavedEarlierEvents) {
     // Posting an *earlier* event between two equal-timestamp posts must
     // not disturb the tie order of the equal pair.
     EventHeap heap;
-    std::vector<std::uint64_t> popped;
-    const std::uint32_t kind =
-        heap.register_handler([&popped](const Event& e) { popped.push_back(e.a); });
-    heap.post(100, 0, kind, 1);
-    heap.post(50, 0, kind, 99);
-    heap.post(100, 0, kind, 2);
-    heap.run();
-    EXPECT_EQ(popped, (std::vector<std::uint64_t>{99, 1, 2}));
+    heap.post(100, 0, 0, 1);
+    heap.post(50, 0, 0, 99);
+    heap.post(100, 0, 0, 2);
+    EXPECT_EQ(drain_a(heap), (std::vector<std::uint64_t>{99, 1, 2}));
 }
 
 TEST(EventHeap, OrderDigestIsDeterministicAndOrderSensitive) {
     auto digest_of = [](bool flip) {
         EventHeap heap;
-        const std::uint32_t ka = heap.register_handler([](const Event&) {});
-        const std::uint32_t kb = heap.register_handler([](const Event&) {});
+        const std::uint32_t ka = 0;
+        const std::uint32_t kb = 1;
         // Same multiset of timestamps either way; `flip` swaps which kind
         // dispatches first at t=30, which the (at_us, seq, kind) digest
         // must detect.
@@ -68,7 +72,7 @@ TEST(EventHeap, OrderDigestIsDeterministicAndOrderSensitive) {
         heap.post(10, 1, ka);
         heap.post(30, 0, flip ? ka : kb);
         heap.post(20, 2, ka);
-        heap.run();
+        drain_a(heap);
         return heap.order_digest();
     };
     EXPECT_EQ(digest_of(false), digest_of(false));  // same history, same word
@@ -83,10 +87,9 @@ TEST(EventHeap, FoldedWordsJoinTheDigestWithoutEvents) {
     // digest in order with the popped events but posts nothing.
     auto digest_of = [](bool fold_first) {
         EventHeap heap;
-        const std::uint32_t k = heap.register_handler([](const Event&) {});
-        heap.post(10, 0, k);
+        heap.post(10, 0, 0);
         if (fold_first) heap.fold(7);
-        heap.run();
+        drain_a(heap);
         if (!fold_first) heap.fold(7);
         EXPECT_EQ(heap.posted(), 1u);
         EXPECT_EQ(heap.dispatched(), 1u);
@@ -94,26 +97,25 @@ TEST(EventHeap, FoldedWordsJoinTheDigestWithoutEvents) {
         return heap.order_digest();
     };
     EventHeap plain;
-    plain.post(10, 0, plain.register_handler([](const Event&) {}));
-    plain.run();
+    plain.post(10, 0, 0);
+    drain_a(plain);
     EXPECT_NE(digest_of(true), plain.order_digest());
     EXPECT_EQ(digest_of(true), digest_of(true));
     EXPECT_NE(digest_of(true), digest_of(false));
 }
 
 TEST(EventHeap, HandlersRepostIntoTheSameOrder) {
-    // A handler posting follow-up work models a resumable client step: the
-    // new event merges into the global order by (at_us, seq).
+    // Events posted while draining — what the code that runs a popped
+    // event does to model a resumable client step — merge into the global
+    // order by (at_us, seq).
     EventHeap heap;
     std::vector<std::uint64_t> popped;
-    std::uint32_t kind = 0;
-    kind = heap.register_handler([&](const Event& e) {
+    heap.post(0, 0, 0, 0, /*remaining=*/3);
+    heap.post(15, 1, 0, 1, 0);
+    drain(heap, [&](const Event& e) {
         popped.push_back(e.at_us);
-        if (e.b) heap.post(e.at_us + 10, e.node, kind, e.a, e.b - 1);
+        if (e.b) heap.post(e.at_us + 10, e.node, e.kind, e.a, e.b - 1);
     });
-    heap.post(0, 0, kind, 0, /*remaining=*/3);
-    heap.post(15, 1, kind, 1, 0);
-    heap.run();
     // Client 0 steps at 0/10/20/30; the one-shot at 15 lands between.
     EXPECT_EQ(popped, (std::vector<std::uint64_t>{0, 10, 15, 20, 30}));
     EXPECT_EQ(heap.posted(), 5u);
@@ -122,28 +124,13 @@ TEST(EventHeap, HandlersRepostIntoTheSameOrder) {
 
 TEST(EventHeap, PeakPendingTracksTheHighWaterMark) {
     EventHeap heap;
-    const std::uint32_t kind = heap.register_handler([](const Event&) {});
-    for (int k = 0; k < 100; ++k) heap.post(static_cast<std::uint64_t>(k), 0, kind);
+    for (int k = 0; k < 100; ++k) heap.post(static_cast<std::uint64_t>(k), 0, 0);
     EXPECT_EQ(heap.pending(), 100u);
     EXPECT_EQ(heap.peak_pending(), 100u);
-    heap.run();
+    drain_a(heap);
     EXPECT_EQ(heap.pending(), 0u);
     // The mark is a high-water mark: draining must not lower it.
     EXPECT_EQ(heap.peak_pending(), 100u);
-}
-
-TEST(EventHeap, DispatchRoutesByKind) {
-    EventHeap heap;
-    int a_hits = 0, b_hits = 0;
-    const std::uint32_t ka = heap.register_handler([&](const Event&) { ++a_hits; });
-    const std::uint32_t kb = heap.register_handler([&](const Event&) { ++b_hits; });
-    ASSERT_NE(ka, kb);
-    heap.post(1, 0, ka);
-    heap.post(2, 0, kb);
-    heap.post(3, 0, ka);
-    heap.run();
-    EXPECT_EQ(a_hits, 2);
-    EXPECT_EQ(b_hits, 1);
 }
 
 }  // namespace
