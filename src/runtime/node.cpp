@@ -105,9 +105,8 @@ Value Node::import_ref(net::NodeId node, std::uint64_t oid, const std::string& i
     Value proxy = interp_.construct(proxy_cls, "()V", {});
     set_proxy_target(proxy.as_ref(), node, oid);
     imported_.emplace(std::move(key), proxy.as_ref());
-    if (wal_)
-        wal_->append_proxy_import(clock_us_, node, oid, iface, protocol,
-                                  proxy.as_ref());
+    if (durable_)
+        wal_.append_proxy_import(clock_us_, node, oid, iface, protocol, proxy.as_ref());
     log_debug("node", "node ", id_, " imported proxy ", proxy_cls, " for (", node, ",",
               oid, ")");
     return proxy;
@@ -147,12 +146,12 @@ vm::ObjId Node::singleton(const std::string& cls) const {
 
 void Node::adopt_singleton(const std::string& cls, vm::ObjId oid, std::uint64_t t_us) {
     singletons_[cls] = oid;
-    if (wal_) wal_->append_singleton(t_us, cls, oid);
+    if (durable_) wal_.append_singleton(t_us, cls, oid);
 }
 
 void Node::drop_singleton(const std::string& cls, std::uint64_t t_us) {
     singletons_.erase(cls);
-    if (wal_) wal_->append_singleton_drop(t_us, cls);
+    if (durable_) wal_.append_singleton_drop(t_us, cls);
 }
 
 void Node::throw_remote_fault(const std::string& msg) {
@@ -174,84 +173,67 @@ void Node::rethrow_fault(const net::CallReply& reply) {
 void Node::apply_restarts(std::uint64_t restarts) {
     if (restarts <= restarts_seen_) return;
     restarts_seen_ = restarts;
-    if (wal_) {
+    if (durable_) {
         recover_from_wal();
         return;
     }
-    if (!reply_cache_.empty())
-        log_info("node", "node ", id_, " restarted: dropping ", reply_cache_.size(),
+    if (wal_.reply_count())
+        log_info("node", "node ", id_, " restarted: dropping ", wal_.reply_count(),
                  " cached replies");
-    reply_cache_.clear();
-    reply_index_.clear();
+    wal_.trim_replies(0);
 }
 
 // ---------------------------------------------------------------------------
 // Durability (DESIGN.md §20)
 
 void Node::enable_durability() {
-    if (wal_) return;
-    wal_ = std::make_unique<Wal>();
+    if (durable_) return;
+    durable_ = true;
     obs::Registry& m = system_->metrics();
-    wal_->attach_counters(&m.counter("wal.records"), &m.counter("wal.bytes"),
-                          &m.counter("wal.snapshots"));
-    for (const CachedReply& e : reply_cache_)
-        wal_->append_reply(clock_us_, e.request_id, e.reply);
+    wal_.attach_counters(&m.counter("wal.records"), &m.counter("wal.bytes"),
+                         &m.counter("wal.snapshots"));
     last_snapshot_us_ = clock_us_;
     interp_.set_observer(this);
 }
 
 void Node::on_alloc(vm::ObjId, const std::string& cls) {
-    wal_->append_alloc(clock_us_, cls);
+    wal_.append_alloc(clock_us_, cls);
 }
 
 void Node::on_alloc_array(vm::ObjId, const std::string& elem_desc, std::size_t length) {
-    wal_->append_alloc_array(clock_us_, elem_desc, length);
+    wal_.append_alloc_array(clock_us_, elem_desc, length);
 }
 
 void Node::on_field_put(vm::ObjId id, std::size_t slot, const vm::Value& v) {
-    wal_->append_field_put(clock_us_, id, slot, v);
+    wal_.append_field_put(clock_us_, id, slot, v);
 }
 
 void Node::on_array_put(vm::ObjId id, std::size_t index, const vm::Value& v) {
-    wal_->append_array_put(clock_us_, id, index, v);
+    wal_.append_array_put(clock_us_, id, index, v);
 }
 
 void Node::on_static_put(const std::string& cls, const std::string& field,
                          const vm::Value& v) {
-    wal_->append_static_put(clock_us_, cls, field, v);
+    wal_.append_static_put(clock_us_, cls, field, v);
 }
 
 void Node::on_class_init(const std::string& cls) {
-    wal_->append_class_init(clock_us_, cls);
+    wal_.append_class_init(clock_us_, cls);
 }
 
-void Node::cache_reply(std::uint64_t request_id, const net::CallReply& reply,
-                       bool journal) {
-    const RetryPolicy& rp = system_->rpc_path().reliability();
-    // handle_request only caches with a nonzero capacity, but WAL replay
-    // and recover_node_onto reach here whatever the capacity is now.
-    if (rp.dedup_capacity == 0) return;
-    auto [slot, fresh] = reply_index_.try_emplace(request_id, nullptr);
-    if (!fresh) return;
-    while (reply_cache_.size() >= rp.dedup_capacity) {
-        reply_index_.erase(reply_cache_.front().request_id);
-        reply_cache_.pop_front();
-    }
-    slot->second = &reply_cache_.emplace_back(CachedReply{request_id, reply});
-    if (wal_ && journal) wal_->append_reply(clock_us_, request_id, reply);
-}
-
-void Node::maybe_snapshot() {
-    if (!wal_) return;
-    const std::uint64_t interval = system_->durability().snapshot_interval_us;
-    if (!interval || clock_us_ - last_snapshot_us_ < interval) return;
-    take_snapshot();
+void Node::cache_reply(const net::CallReply& reply) {
+    // handle_request only caches with a nonzero capacity, but
+    // recover_node_onto reaches here whatever the capacity is now.
+    const std::size_t capacity = system_->rpc_path().reliability().dedup_capacity;
+    if (capacity == 0 || wal_.holds_reply(reply.request_id)) return;
+    wal_.trim_replies(capacity - 1);
+    wal_.append_reply(clock_us_, reply.request_id, reply);
 }
 
 void Node::take_snapshot() {
-    if (!wal_) return;
+    if (!durable_) return;
     const std::uint64_t t = clock_us_;
-    wal_->begin_snapshot();
+    wal_.begin_snapshot();
     // Heap, in id order: the arena allocates ids sequentially, so replaying
     // these allocations verbatim reproduces every id.  Transmuted objects
     // are checkpointed under their *current* class (a proxy), which is
@@ -260,35 +242,34 @@ void Node::take_snapshot() {
     for (vm::ObjId id = 1; id <= heap.size(); ++id) {
         const vm::Object& o = heap.get(id);
         if (o.is_array) {
-            wal_->append_alloc_array(t, o.elem_type.descriptor(), o.fields.size());
+            wal_.append_alloc_array(t, o.elem_type.descriptor(), o.fields.size());
             for (std::size_t i = 0; i < o.fields.size(); ++i)
-                wal_->append_array_put(t, id, i, o.fields[i]);
+                wal_.append_array_put(t, id, i, o.fields[i]);
         } else {
-            wal_->append_alloc(t, o.cls->name);
+            wal_.append_alloc(t, o.cls->name);
             for (std::size_t i = 0; i < o.fields.size(); ++i)
-                wal_->append_field_put(t, id, i, o.fields[i]);
+                wal_.append_field_put(t, id, i, o.fields[i]);
         }
     }
     interp_.visit_statics(
         [&](const std::string& cls, const std::string& field, const vm::Value& v) {
-            wal_->append_static_put(t, cls, field, v);
+            wal_.append_static_put(t, cls, field, v);
         });
     interp_.visit_initialized(
-        [&](const std::string& cls) { wal_->append_class_init(t, cls); });
-    for (const auto& [cls, oid] : singletons_) wal_->append_singleton(t, cls, oid);
+        [&](const std::string& cls) { wal_.append_class_init(t, cls); });
+    for (const auto& [cls, oid] : singletons_) wal_.append_singleton(t, cls, oid);
     for (const auto& [key, local_oid] : imported_)
-        wal_->append_proxy_import(t, std::get<0>(key), std::get<1>(key),
-                                  std::get<2>(key), std::get<3>(key), local_oid);
-    wal_->commit_snapshot();
-    wal_->trim_replies(reply_cache_.size());
+        wal_.append_proxy_import(t, std::get<0>(key), std::get<1>(key),
+                                 std::get<2>(key), std::get<3>(key), local_oid);
+    wal_.commit_snapshot();
     last_snapshot_us_ = clock_us_;
-    log_debug("node", "node ", id_, " checkpoint: ", wal_->snapshot().size(),
+    log_debug("node", "node ", id_, " checkpoint: ", wal_.snapshot().size(),
               " bytes, log truncated");
 }
 
 vm::ObjId Node::restore_objects(const WalImage& img, bool journal) {
     const vm::ObjId base = interp_.heap().size();
-    const bool log = journal && wal_;
+    const bool log = journal && durable_;
     // Every object is allocated before any field is written: a checkpoint
     // records an object's fields right after its allocation, so they may
     // refer to objects allocated later, and the journalled copy must
@@ -296,10 +277,10 @@ vm::ObjId Node::restore_objects(const WalImage& img, bool journal) {
     for (const WalImage::Object& o : img.objects) {
         if (o.is_array) {
             interp_.restore_array(o.cls, static_cast<std::size_t>(o.length));
-            if (log) wal_->append_alloc_array(clock_us_, o.cls, o.length);
+            if (log) wal_.append_alloc_array(clock_us_, o.cls, o.length);
         } else {
             interp_.restore_object(o.cls);
-            if (log) wal_->append_alloc(clock_us_, o.cls);
+            if (log) wal_.append_alloc(clock_us_, o.cls);
         }
     }
     // References are image-local object ids; proxy node/oid fields are
@@ -317,9 +298,9 @@ vm::ObjId Node::restore_objects(const WalImage& img, bool journal) {
             interp_.restore_field(id, static_cast<std::size_t>(slot), w);
             if (!log) continue;
             if (o.is_array)
-                wal_->append_array_put(clock_us_, id, slot, w);
+                wal_.append_array_put(clock_us_, id, slot, w);
             else
-                wal_->append_field_put(clock_us_, id, slot, w);
+                wal_.append_field_put(clock_us_, id, slot, w);
         }
     }
     return base;
@@ -329,24 +310,21 @@ void Node::recover_from_wal() {
     // Crash semantics: everything volatile dies; the durable image is the
     // snapshot, the log and the reply stream, decoded before anything is
     // wiped.  The observer is detached so the restore does not re-journal
-    // itself.
+    // itself.  The reply stream stays the cache, trimmed to the current capacity.
     WalImage img;
-    const Wal::ReplayResult res = wal_->recover(img);
+    const Wal::ReplayResult res = wal_.recover(img);
     interp_.set_observer(nullptr);
     interp_.reset_vm_state();
-    reply_cache_.clear();
-    reply_index_.clear();
+    wal_.trim_replies(system_->rpc_path().reliability().dedup_capacity);
     restore_objects(img, /*journal=*/false);
     for (const auto& [key, v] : img.statics) interp_.restore_static(key.first, key.second, v);
     for (const std::string& cls : img.initialized) interp_.mark_initialized(cls);
     singletons_ = img.singletons;
     imported_.clear();
     for (const auto& [key, local_oid] : img.imports) imported_[key] = local_oid;
-    for (const auto& [request_id, reply] : img.replies)
-        cache_reply(request_id, reply, /*journal=*/false);
     interp_.set_observer(this);
     log_info("node", "node ", id_, " recovered from WAL: ", res.records,
-             " records replayed (", res.bytes, " bytes), ", reply_cache_.size(),
+             " records replayed (", res.bytes, " bytes), ", wal_.reply_count(),
              " cached replies restored", res.clean ? "" : "; torn tail discarded");
     system_->note_recovery(id_, res, clock_us_);
 }
@@ -356,14 +334,13 @@ net::CallReply Node::handle_request(const net::CallRequest& req,
     const RetryPolicy& rp = system_->rpc_path().reliability();
     const bool dedup = rp.dedup && rp.dedup_capacity > 0;
     if (dedup) {
-        auto it = reply_index_.find(req.request_id);
-        if (it != reply_index_.end()) {
+        if (std::optional<net::CallReply> hit = wal_.find_reply(req.request_id)) {
             // A retry of a request this node already executed: replay the
             // reply.  This is the arm that turns at-most-once into
             // exactly-once — the retried Create/Invoke must NOT run again
             // (it would leak an instance / duplicate a side effect).
             system_->rpc_path().note_dedup_hit(req.request_id, id_, clock_us_);
-            return it->second->reply;
+            return std::move(*hit);
         }
     }
     net::CallReply reply;
@@ -411,10 +388,11 @@ net::CallReply Node::handle_request(const net::CallRequest& req,
         reply.fault_class = e.class_name();
         reply.fault_msg = e.message();
     }
-    if (dedup) cache_reply(req.request_id, reply, /*journal=*/true);
+    if (dedup) cache_reply(reply);
     // Request boundaries are the clean checkpoint points: no guest frame
     // is live, so the heap is a consistent cut.
-    maybe_snapshot();
+    const std::uint64_t interval = system_->durability().snapshot_interval_us;
+    if (durable_ && interval && clock_us_ - last_snapshot_us_ >= interval) take_snapshot();
     return reply;
 }
 

@@ -11,11 +11,8 @@
 //     exceptions into fault replies.
 #pragma once
 
-#include <deque>
 #include <map>
-#include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "net/message.hpp"
 #include "net/network.hpp"
@@ -84,25 +81,25 @@ public:
     /// cache — which is what makes post-crash dedup a best-effort
     /// guarantee (the heap and singletons are modelled as durable; see
     /// DESIGN.md §15).  With durability on the whole VM is wiped and
-    /// rebuilt from the snapshot + WAL, reply cache included, so dedup
-    /// survives the crash (DESIGN.md §20).
+    /// rebuilt from the snapshot + WAL, and the reply cache is kept, so
+    /// dedup survives the crash (DESIGN.md §20).
     void apply_restarts(std::uint64_t restarts);
 
-    /// Turns on the durability layer (DESIGN.md §20): creates this node's
-    /// WAL, journals the replies already cached, installs the VM mutation
-    /// observer so every heap and static mutation is journalled, and arms
-    /// snapshotting at the interval of System::durability(), read at each
-    /// check.  Off (the default) leaves every legacy code path — and every
-    /// legacy experiment byte — untouched.
+    /// Turns on the durability layer (DESIGN.md §20): exposes this node's
+    /// WAL, whose reply stream (the replies already cached) becomes
+    /// durable as it stands, installs the VM mutation observer so every
+    /// heap and static mutation is journalled, and arms snapshotting at
+    /// the interval of System::durability(), read at each check.  Off
+    /// (the default) registers no wal.* counter and journals nothing.
     void enable_durability();
-    bool durable() const noexcept { return wal_ != nullptr; }
-    Wal* wal() noexcept { return wal_.get(); }
-    const Wal* wal() const noexcept { return wal_.get(); }
+    bool durable() const noexcept { return durable_; }
+    Wal* wal() noexcept { return durable_ ? &wal_ : nullptr; }
+    const Wal* wal() const noexcept { return durable_ ? &wal_ : nullptr; }
 
     /// Writes a fresh checkpoint of the node's state (heap, statics,
-    /// initialised classes, singletons, imported proxies), truncates the
-    /// log and drops the reply-stream records the cache has evicted.
-    /// No-op when durability is off.
+    /// initialised classes, singletons, imported proxies) and truncates
+    /// the log; the reply stream is left as it is.  No-op when durability
+    /// is off.
     void take_snapshot();
 
     /// Guest value -> wire value.  Throws RuntimeError for references to
@@ -161,15 +158,10 @@ private:
                        const vm::Value& v) override;
     void on_class_init(const std::string& cls) override;
 
-    /// Bounded FIFO insert into the reply cache (shared by handle_request
-    /// and WAL replay); appends a Reply record when `journal` is set and
-    /// durability is on.  Capacity 0 caches nothing, and a request id
-    /// already cached keeps its first reply.
-    void cache_reply(std::uint64_t request_id, const net::CallReply& reply,
-                     bool journal);
-    /// Snapshot-interval check, called at request-dispatch boundaries
-    /// (a clean point: no guest frame is live).
-    void maybe_snapshot();
+    /// Bounded FIFO insert into the reply cache: evicts down to one below
+    /// the policy's dedup_capacity, then appends.  Capacity 0 caches
+    /// nothing, and a request id already cached keeps its first reply.
+    void cache_reply(const net::CallReply& reply);
     /// Durable restart: decodes the durable image, wipes the VM and
     /// node state, then restores the pre-crash image from the decode.
     void recover_from_wal();
@@ -187,23 +179,6 @@ private:
     /// (origin node, origin oid, interface, protocol) -> local proxy object.
     std::map<WalImage::ImportKey, vm::ObjId> imported_;
     std::map<std::string, vm::ObjId> singletons_;
-    struct CachedReply {
-        std::uint64_t request_id;
-        net::CallReply reply;
-    };
-    /// Bounded reply cache in FIFO order (eviction at the policy's
-    /// dedup_capacity); populated only while dedup is enabled.  While the
-    /// node is durable the cache is always a suffix of the WAL's reply
-    /// stream, in the same order: every entry is appended as it is
-    /// cached, and a checkpoint drops only records older than the oldest
-    /// entry.  Replaying the stream into a FIFO of the same capacity
-    /// therefore rebuilds the cache exactly — also when an evicted request
-    /// id is executed and cached again, since its new record follows the
-    /// eviction of the old one.
-    std::deque<CachedReply> reply_cache_;
-    /// request id -> its reply_cache_ entry (deque push_back/pop_front
-    /// leave references to the other entries valid).
-    std::unordered_map<std::uint64_t, const CachedReply*> reply_index_;
     /// Imported arguments of the requests being served, one buffer per
     /// nesting depth: the callee's guest code may call back into this
     /// node while an outer request is still being served.
@@ -214,8 +189,9 @@ private:
     /// seen since the mode was turned on; drained by set_pipeline(false)).
     bool pipeline_ = false;
     std::uint64_t pipeline_horizon_us_ = 0;
-    /// Durability layer (null = off; DESIGN.md §20).
-    std::unique_ptr<Wal> wal_;
+    /// The reply cache; the whole durability layer once durable_ is set.
+    Wal wal_;
+    bool durable_ = false;
     std::uint64_t last_snapshot_us_ = 0;
 };
 

@@ -469,7 +469,7 @@ std::size_t System::recover_node_onto(net::NodeId crashed, net::NodeId target,
                 reply.result.ref_oid = it->second;
             }
         }
-        t.cache_reply(rid, reply, /*journal=*/true);
+        t.cache_reply(reply);
     }
 
     // Relocation records into the *crashed* node's own WAL: when it

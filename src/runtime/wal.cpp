@@ -239,6 +239,7 @@ void Wal::append_proxy_import(std::uint64_t t_us, std::int32_t origin_node,
 
 void Wal::append_reply(std::uint64_t t_us, std::uint64_t request_id,
                        const net::CallReply& reply) {
+    reply_index_.insert_or_assign(request_id, replies_base_ + replies_.size());
     frame(replies_, Kind::Reply, t_us, [&](ByteWriter& w) {
         w.varu64(request_id);
         put_reply(w, reply);
@@ -274,15 +275,35 @@ void Wal::commit_snapshot() {
 }
 
 void Wal::trim_replies(std::size_t live) {
-    for (; reply_records_ > live; --reply_records_)
+    for (; reply_records_ > live; --reply_records_) {
+        const auto it = reply_index_.find(reply_at(replies_head_).varu64());
+        if (it != reply_index_.end() && it->second == replies_base_ + replies_head_)
+            reply_index_.erase(it);
         replies_head_ += 8 + load_le32(replies_.data() + replies_head_);
+    }
     // Reclaim the dead prefix once it outweighs half the live bytes.
     if (2 * replies_head_ > replies_.size() - replies_head_) compact_replies();
+}
+
+std::optional<net::CallReply> Wal::find_reply(std::uint64_t request_id) const {
+    const auto it = reply_index_.find(request_id);
+    if (it == reply_index_.end()) return std::nullopt;
+    ByteReader r = reply_at(static_cast<std::size_t>(it->second - replies_base_));
+    r.varu64();
+    return get_reply(r);
+}
+
+ByteReader Wal::reply_at(std::size_t pos) const {
+    ByteReader r(ByteSpan(replies_).subspan(pos + 8, load_le32(replies_.data() + pos)));
+    r.u8();
+    r.varu64();
+    return r;
 }
 
 void Wal::compact_replies() const {
     replies_.erase(replies_.begin(),
                    replies_.begin() + static_cast<std::ptrdiff_t>(replies_head_));
+    replies_base_ += replies_head_;
     replies_head_ = 0;
 }
 
@@ -298,8 +319,7 @@ Wal::ReplayResult Wal::replay(ByteSpan stream, WalVisitor& v) {
         // A whole, checksummed record: decode and apply.  A decode error
         // despite a matching CRC means a framing bug, not torn state —
         // surface it.
-        Bytes body(payload, payload + len);
-        ByteReader r(body);
+        ByteReader r(ByteSpan(payload, len));
         const Kind kind = static_cast<Kind>(r.u8());
         const std::uint64_t t = r.varu64();
         switch (kind) {
@@ -392,6 +412,10 @@ Wal::ReplayResult Wal::recover(WalVisitor& v) {
         total.bytes += part.bytes;
         total.clean = total.clean && part.clean;
     }
+    reply_index_.clear();
+    for (std::size_t pos = replies_head_; pos < replies_.size();
+         pos += 8 + load_le32(replies_.data() + pos))
+        reply_index_.insert_or_assign(reply_at(pos).varu64(), replies_base_ + pos);
     ++stats_.recoveries;
     stats_.replayed += total.records;
     return total;

@@ -7,9 +7,9 @@
 //     written as a compact logical replay;
 //   * the *log* — every mutation since that snapshot, appended as it
 //     happens; and
-//   * the *reply stream* — one Reply record per reply the node cached, in
-//     FIFO order.  A checkpoint never copies it: it only drops the oldest
-//     records, those the bounded reply cache has evicted since.
+//   * the *reply stream* — the node's dedup cache itself: one Reply record
+//     per cached reply, in FIFO order, indexed by request id.  Eviction
+//     trims it, so a checkpoint never touches it.
 //
 // Records are CRC-framed: `[u32 len][u32 crc32][payload]` with the CRC
 // over the payload, and the payload `[u8 kind][varu64 t_us][fields...]`
@@ -26,10 +26,12 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,8 +44,8 @@
 namespace rafda::runtime {
 
 /// Durability knobs (policy grammar: `durable on|off [snapshot-interval N]`).
-/// Off by default: no observer is installed, no WAL exists, and every
-/// legacy experiment byte is untouched.
+/// Off by default: no observer is installed and only the reply stream is
+/// kept.
 struct DurabilityPolicy {
     bool enabled = false;
     /// Virtual µs between heap snapshots, checked at request-dispatch
@@ -54,7 +56,7 @@ struct DurabilityPolicy {
 
 /// Lifetime accounting for one node's WAL, mirrored into wal.* counters.
 struct WalStats {
-    std::uint64_t records = 0;    // live records appended (log and reply stream)
+    std::uint64_t records = 0;    // records appended, trimmed since or not
     std::uint64_t snapshots = 0;  // checkpoints taken
     std::uint64_t recoveries = 0;
     std::uint64_t replayed = 0;   // records applied across all recoveries
@@ -221,8 +223,8 @@ public:
     void append_proxy_import(std::uint64_t t_us, std::int32_t origin_node,
                              std::uint64_t origin_oid, const std::string& iface,
                              const std::string& protocol, std::uint64_t local_oid);
-    /// Appends a Reply record to the reply stream, not the log; it counts
-    /// as a live record like any log append.
+    /// Appends a Reply record to the reply stream, not the log, indexed
+    /// under `request_id` (an id appended twice is found at its newest).
     void append_reply(std::uint64_t t_us, std::uint64_t request_id,
                       const net::CallReply& reply);
     void append_transmute(std::uint64_t t_us, std::uint64_t oid,
@@ -245,18 +247,22 @@ public:
     /// now (snapshot, empty log, reply stream).
     void commit_snapshot();
     /// Drops the oldest reply-stream records until at most `live` remain,
-    /// by advancing the stream's head.  The dead prefix is reclaimed only
-    /// once it outweighs half the live bytes, so each appended byte moves
-    /// at most twice on average and the buffer stays within 1.5 times its
-    /// live bytes.
+    /// by advancing the stream's head, and unindexes them.  The dead prefix
+    /// is reclaimed only once it outweighs half the live bytes, so each
+    /// appended byte moves at most twice on average and the buffer stays
+    /// within 1.5 times its live bytes.
     void trim_replies(std::size_t live);
+    /// The reply the stream holds for `request_id`, decoded in place.
+    std::optional<net::CallReply> find_reply(std::uint64_t request_id) const;
+    bool holds_reply(std::uint64_t id) const { return reply_index_.contains(id); }
+    std::size_t reply_count() const noexcept { return reply_records_; }
 
     // -- Recovery -------------------------------------------------------
     /// Replays one framed stream into `v`; stops at the first torn or
     /// corrupt frame.  Static so tests can replay arbitrary byte strings.
     static ReplayResult replay(ByteSpan stream, WalVisitor& v);
     /// Replays the snapshot, the log, then the reply stream; updates
-    /// recovery stats.
+    /// recovery stats and rebuilds the reply index, as a restart must.
     ReplayResult recover(WalVisitor& v);
 
     const Bytes& log() const noexcept { return log_; }
@@ -276,12 +282,16 @@ public:
     const WalStats& stats() const noexcept { return stats_; }
 
     /// Mirrors appends into system-wide counters (`wal.records`,
-    /// `wal.bytes`, `wal.snapshots`).  Null pointers detach.
+    /// `wal.bytes`, `wal.snapshots`), once, as a node turns durable: its
+    /// cached replies are its first durable records, counted from here.
     void attach_counters(obs::Counter* records, obs::Counter* bytes,
                          obs::Counter* snapshots) {
         records_ctr_ = records;
         bytes_ctr_ = bytes;
         snapshots_ctr_ = snapshots;
+        stats_.records = reply_records_;
+        records->add(reply_records_);
+        bytes->add(replies_.size() - replies_head_);
     }
 
 private:
@@ -317,6 +327,9 @@ private:
     /// Drops the trimmed prefix of the reply stream, so its live records
     /// start at offset 0.
     void compact_replies() const;
+    /// A reader over the Reply record at `pos` in replies_, positioned
+    /// after its kind and stamp (at the request id).
+    ByteReader reply_at(std::size_t pos) const;
 
     Bytes log_;
     Bytes snapshot_;
@@ -327,7 +340,11 @@ private:
     /// has reclaimed yet.  Mutable because replies() compacts on read.
     mutable Bytes replies_;
     mutable std::size_t replies_head_ = 0;
+    /// Bytes compactions erased from replies_' front: a record at `pos`
+    /// has the stable offset `replies_base_ + pos`, which the index holds.
+    mutable std::uint64_t replies_base_ = 0;
     std::size_t reply_records_ = 0;  // live records in replies_
+    std::unordered_map<std::uint64_t, std::uint64_t> reply_index_;
     WalStats stats_;
     obs::Counter* records_ctr_ = nullptr;
     obs::Counter* bytes_ctr_ = nullptr;

@@ -19,6 +19,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -94,15 +95,15 @@ private:
     Bytes* buf_ = &owned_;
 };
 
-/// Consumes primitive values from a byte span; throws CodecError on
-/// truncation.
+/// Consumes primitive values from a byte span it does not own (a whole
+/// Bytes converts implicitly); throws CodecError on truncation.
 class ByteReader {
 public:
-    explicit ByteReader(const Bytes& data) : data_(&data) {}
+    explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
     std::uint8_t u8() {
         need(1);
-        return (*data_)[pos_++];
+        return data_[pos_++];
     }
     std::uint16_t u16() { return get_le<std::uint16_t>(); }
     std::uint32_t u32() { return get_le<std::uint32_t>(); }
@@ -121,17 +122,17 @@ public:
     /// counterpart of ByteWriter::text).
     std::string_view text(std::size_t n) {
         need(n);
-        const std::string_view s(reinterpret_cast<const char*>(data_->data() + pos_), n);
+        const std::string_view s(reinterpret_cast<const char*>(data_.data() + pos_), n);
         pos_ += n;
         return s;
     }
 
-    bool at_end() const noexcept { return pos_ == data_->size(); }
-    std::size_t remaining() const noexcept { return data_->size() - pos_; }
+    bool at_end() const noexcept { return pos_ == data_.size(); }
+    std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
 private:
     void need(std::size_t n) const {
-        if (n > data_->size() - pos_) throw_truncated();
+        if (n > data_.size() - pos_) throw_truncated();
     }
     [[noreturn]] static void throw_truncated();
 
@@ -140,7 +141,7 @@ private:
     template <class U>
     U get_le() {
         need(sizeof(U));
-        const std::uint8_t* p = data_->data() + pos_;
+        const std::uint8_t* p = data_.data() + pos_;
         U v = 0;
 #pragma GCC unroll 8
         for (std::size_t k = 0; k < sizeof(U); ++k)
@@ -149,7 +150,7 @@ private:
         return v;
     }
 
-    const Bytes* data_;
+    std::span<const std::uint8_t> data_;
     std::size_t pos_ = 0;
 };
 

@@ -109,14 +109,14 @@ struct DurableFixture : ::testing::Test {
         system->network().fault_plan().add(w);
     }
 
-    net::CallReply send_create(std::uint64_t request_id) {
+    net::CallReply send_create(std::uint64_t request_id, net::NodeId server = 1) {
         net::CallRequest req;
         req.kind = net::RequestKind::Create;
         req.cls = "Service";
         req.request_id = request_id;
         req.src_node = 0;
         RpcPath& path = system->rpc_path();
-        return path.rpc(0, 1, path.protocol("RMI"), req);
+        return path.rpc(0, server, path.protocol("RMI"), req);
     }
 };
 
@@ -316,11 +316,12 @@ std::vector<std::pair<std::uint64_t, net::CallReply>> decode_replies(const Bytes
     return img.replies;
 }
 
-TEST_F(DurableFixture, CheckpointTrimsTheReplyStreamAndIsRebuiltByRestart) {
-    // A checkpoint copies no cached reply: it writes heap state only and
-    // drops the reply-stream records the FIFO cache has evicted, leaving
-    // exactly the cache.  The oracle is a FIFO of the same capacity fed
-    // the untrimmed stream.
+TEST_F(DurableFixture, CheckpointLeavesTheReplyStreamAndRestartRebuildsTheCache) {
+    // The reply stream is the cache: eviction trims it, so it holds a FIFO
+    // of exactly `kCapacity` distinct replies.  A checkpoint copies no
+    // cached reply and leaves the stream as it is, and a restart rebuilds
+    // the same cache from it.  The oracle is a FIFO of the same capacity
+    // fed the stream.
     constexpr std::size_t kCapacity = 48;
     system->rpc_path().reliability().dedup = true;
     system->rpc_path().reliability().dedup_capacity = kCapacity;  // FIFO eviction churns
@@ -340,17 +341,16 @@ TEST_F(DurableFixture, CheckpointTrimsTheReplyStreamAndIsRebuiltByRestart) {
         fifo.push_back(entry);
     }
     ASSERT_EQ(fifo.size(), kCapacity);
-    const Bytes untrimmed = server.wal()->replies();
+    const Bytes before = server.wal()->replies();
 
     server.take_snapshot();
     EXPECT_TRUE(decode_replies(server.wal()->snapshot()).empty());
     EXPECT_EQ(decode_replies(server.wal()->replies()), fifo);
-    const Bytes& stream = server.wal()->replies();
-    EXPECT_TRUE(std::equal(stream.rbegin(), stream.rend(), untrimmed.rbegin()));
+    EXPECT_EQ(server.wal()->replies(), before);
 
     // Crash and restart in place with no calls in between: replay rebuilds
     // the same cache, so the next checkpoint writes the same snapshot and
-    // trims nothing.
+    // the stream is unchanged.
     const Bytes checkpoint = server.wal()->snapshot();
     const Bytes replies = server.wal()->replies();
     server.apply_restarts(1);
@@ -369,9 +369,10 @@ TEST_F(DurableFixture, CheckpointTrimsTheReplyStreamAndIsRebuiltByRestart) {
 }
 
 TEST_F(DurableFixture, ReexecutedEvictedIdReplaysIntoTheSameCache) {
-    // Request 1 is evicted, then executed and cached again: its second
-    // Reply record follows the eviction, so a restart's replay evicts the
-    // first copy the same way and keeps the second reply.
+    // Request 1 is evicted, then executed and cached again.  Eviction
+    // trims the stream at once, so before any checkpoint it holds exactly
+    // the cache, [3, 1], with the second reply; a checkpoint leaves it so,
+    // and a restart rebuilds the same cache.
     system->rpc_path().reliability().dedup = true;
     system->rpc_path().reliability().dedup_capacity = 2;
     send_create(1);
@@ -381,14 +382,13 @@ TEST_F(DurableFixture, ReexecutedEvictedIdReplaysIntoTheSameCache) {
     EXPECT_EQ(counter("rpc.dedup_hits"), 0u);
     Node& server = system->node(1);
     const auto stream = decode_replies(server.wal()->replies());
-    ASSERT_EQ(stream.size(), 4u);
-    EXPECT_EQ(stream.back().first, 1u);
+    ASSERT_EQ(stream.size(), 2u);
+    EXPECT_EQ(stream[0].first, 3u);
+    EXPECT_EQ(stream[1].first, 1u);
+    EXPECT_EQ(stream[1].second, again);
 
     server.take_snapshot();
-    const auto trimmed = decode_replies(server.wal()->replies());
-    ASSERT_EQ(trimmed.size(), 2u);
-    EXPECT_EQ(trimmed[0].first, 3u);
-    EXPECT_EQ(trimmed[1].first, 1u);
+    EXPECT_EQ(decode_replies(server.wal()->replies()), stream);
 
     server.apply_restarts(1);
     ASSERT_EQ(server.wal()->stats().recoveries, 1u);
@@ -397,6 +397,25 @@ TEST_F(DurableFixture, ReexecutedEvictedIdReplaysIntoTheSameCache) {
     EXPECT_EQ(counter("rpc.dedup_hits"), 2u);
     send_create(2);  // evicted before the restart: executes again
     EXPECT_EQ(counter("rpc.dedup_hits"), 2u);
+}
+
+TEST_F(DurableFixture, RecoveryOntoATargetKeepsItsOwnReplyForASharedId) {
+    // Request id 42 is cached on the crashed node and, separately, on the
+    // recovery target.  Recovery caches the crashed node's replies on the
+    // target, and an id the target already holds keeps its first reply:
+    // one record for it, and a retry answers as before the recovery.
+    system->rpc_path().reliability().dedup = true;
+    send_create(42);
+    const net::CallReply own = send_create(42, 2);
+    crash_window(1, system->node(0).clock_us(), ~0ULL);
+    system->recover_node_onto(1, 2);
+
+    const auto stream = decode_replies(system->node(2).wal()->replies());
+    EXPECT_EQ(std::count_if(stream.begin(), stream.end(),
+                            [](const auto& e) { return e.first == 42; }),
+              1);
+    EXPECT_EQ(send_create(42, 2), own);
+    EXPECT_EQ(counter("rpc.dedup_hits"), 1u);
 }
 
 TEST_F(DurableFixture, DurabilitySwitchedOnLaterEncodesTheCachedReplies) {
