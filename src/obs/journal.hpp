@@ -13,8 +13,8 @@
 // Overhead discipline (DESIGN.md §16):
 //   * Disabled (the default) record() is a single inline `enabled()`
 //     branch, so call sites need no guard of their own: the detail is a
-//     string_view over text the caller already holds.  Only a detail that
-//     has to be *built* (concatenated) is built under `enabled()`.
+//     string_view over text the caller already holds, or two joined with
+//     "." in the slot.
 //     Nothing is allocated until the first enable.
 //   * Enabled, the ring is allocated once at `capacity()` slots and then
 //     reused; recording is a slot assignment (the detail is copied into
@@ -100,7 +100,15 @@ public:
     void record(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t node,
                 std::int32_t peer, std::uint64_t a, std::uint64_t b,
                 std::string_view detail) {
-        if (enabled_) append(kind, t_us, node, peer, a, b, detail);
+        if (enabled_) append(kind, t_us, node, peer, a, b, detail, {});
+    }
+    /// The same with the detail `detail` + "." + `suffix` (just `detail`
+    /// when `suffix` is empty), joined in the slot, so the caller builds
+    /// nothing.
+    void record(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t node,
+                std::int32_t peer, std::uint64_t a, std::uint64_t b, std::string_view detail,
+                std::string_view suffix) {
+        if (enabled_) append(kind, t_us, node, peer, a, b, detail, suffix);
     }
 
     /// Events currently held (<= capacity()).
@@ -129,8 +137,8 @@ public:
 
 private:
     void append(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t node,
-                std::int32_t peer, std::uint64_t a, std::uint64_t b,
-                std::string_view detail);
+                std::int32_t peer, std::uint64_t a, std::uint64_t b, std::string_view detail,
+                std::string_view suffix);
 
     bool enabled_ = false;
     std::size_t capacity_ = kDefaultCapacity;

@@ -53,14 +53,14 @@ void Node::clock_changed() {
     if (interp_.logical_time() < now) interp_.advance_time(now - interp_.logical_time());
 }
 
-net::MarshalledValue Node::export_value(const Value& v) {
+net::MarshalledValue Node::export_value(Value v) {
     using net::MarshalledValue;
     if (v.is_null()) return MarshalledValue::null();
     if (v.is_bool()) return MarshalledValue::of_bool(v.as_bool());
     if (v.is_int()) return MarshalledValue::of_int(v.as_int());
     if (v.is_long()) return MarshalledValue::of_long(v.as_long());
     if (v.is_double()) return MarshalledValue::of_double(v.as_double());
-    if (v.is_str()) return MarshalledValue::of_str(v.as_str());
+    if (v.is_str()) return MarshalledValue::of_str(v.take_str());
 
     vm::ObjId oid = v.as_ref();
     if (interp_.heap().get(oid).is_array)
@@ -81,14 +81,14 @@ net::MarshalledValue Node::export_value(const Value& v) {
     throw RuntimeError("cannot marshal reference to non-substitutable class " + cls);
 }
 
-Value Node::import_value(const net::MarshalledValue& m, const std::string& protocol) {
+Value Node::import_value(net::MarshalledValue m, const std::string& protocol) {
     switch (m.tag) {
         case net::ValueTag::Null: return Value::null();
         case net::ValueTag::Bool: return Value::of_bool(m.b);
         case net::ValueTag::Int: return Value::of_int(m.i);
         case net::ValueTag::Long: return Value::of_long(m.j);
         case net::ValueTag::Double: return Value::of_double(m.d);
-        case net::ValueTag::Str: return Value::of_str(m.s);
+        case net::ValueTag::Str: return Value::of_str(std::move(m.s));
         case net::ValueTag::Ref: return import_ref(m.ref_node, m.ref_oid, m.ref_class, protocol);
     }
     throw RuntimeError("bad marshalled value tag");
@@ -308,11 +308,12 @@ vm::ObjId Node::restore_objects(const WalImage& img, bool journal) {
 
 void Node::recover_from_wal() {
     // Crash semantics: everything volatile dies; the durable image is the
-    // snapshot, the log and the reply stream, decoded before anything is
-    // wiped.  The observer is detached so the restore does not re-journal
-    // itself.  The reply stream stays the cache, trimmed to the current capacity.
+    // snapshot and the log, decoded before anything is wiped, and the
+    // reply stream, which stays the cache (counted, not decoded), trimmed
+    // to the current capacity.  The observer is detached so the restore
+    // does not re-journal itself.
     WalImage img;
-    const Wal::ReplayResult res = wal_.recover(img);
+    const Wal::ReplayResult res = wal_.recover(img, Wal::Replies::Count);
     interp_.set_observer(nullptr);
     interp_.reset_vm_state();
     wal_.trim_replies(system_->rpc_path().reliability().dedup_capacity);
@@ -329,7 +330,7 @@ void Node::recover_from_wal() {
     system_->note_recovery(id_, res, clock_us_);
 }
 
-net::CallReply Node::handle_request(const net::CallRequest& req,
+net::CallReply Node::handle_request(net::CallRequest& req,
                                     const std::string& protocol, std::uint64_t arrival_us) {
     const RetryPolicy& rp = system_->rpc_path().reliability();
     const bool dedup = rp.dedup && rp.dedup_capacity > 0;
@@ -359,18 +360,18 @@ net::CallReply Node::handle_request(const net::CallRequest& req,
     try {
         switch (req.kind) {
             case net::RequestKind::Invoke: {
-                // This depth's reused buffer; its values move into the
-                // callee's frame.
+                // This depth's reused buffer; the decoded arguments move
+                // into it, and its values into the callee's frame.
                 const auto args = import_args_.lease();
                 args->clear();
-                for (const net::MarshalledValue& a : req.args)
-                    args->push_back(import_value(a, protocol));
+                for (net::MarshalledValue& a : req.args)
+                    args->push_back(import_value(std::move(a), protocol));
                 obs::ScopedSpan span(
                     system_->tracer(), [&] { return "vm.execute " + req.method; }, id_);
                 Value result = interp_.call_virtual(Value::of_ref(req.target_oid),
                                                     req.method, req.desc,
                                                     std::span<Value>(*args));
-                reply.result = export_value(result);  // a void method returns null
+                reply.result = export_value(std::move(result));  // void returns null
                 break;
             }
             case net::RequestKind::Create: {

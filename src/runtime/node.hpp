@@ -68,8 +68,9 @@ public:
     /// cached reply instead of re-executing (exactly-once, DESIGN.md §15).
     /// Expired requests (deadline_us before `arrival_us`, the virtual time
     /// the network delivered the request) are refused with a RemoteFault
-    /// reply before any guest code runs.
-    net::CallReply handle_request(const net::CallRequest& req, const std::string& protocol,
+    /// reply before any guest code runs.  The arguments' strings move into
+    /// the callee's frame, so `req.args` is spent afterwards.
+    net::CallReply handle_request(net::CallRequest& req, const std::string& protocol,
                                   std::uint64_t arrival_us);
 
     /// Crash/restart bookkeeping: `restarts` is the number of NodeCrash
@@ -102,13 +103,14 @@ public:
     /// is off.
     void take_snapshot();
 
-    /// Guest value -> wire value.  Throws RuntimeError for references to
-    /// objects that have no generated family (non-substitutable classes).
-    net::MarshalledValue export_value(const vm::Value& v);
+    /// Guest value -> wire value; a string moves.  Throws RuntimeError for
+    /// references to objects that have no generated family
+    /// (non-substitutable classes).
+    net::MarshalledValue export_value(vm::Value v);
 
-    /// Wire value -> guest value; remote references become proxies speaking
-    /// `protocol`.
-    vm::Value import_value(const net::MarshalledValue& m, const std::string& protocol);
+    /// Wire value -> guest value; a string moves, and remote references
+    /// become proxies speaking `protocol`.
+    vm::Value import_value(net::MarshalledValue m, const std::string& protocol);
 
     /// Returns a guest reference to (node, oid) seen through `iface`
     /// ("X_O_Int"/"X_C_Int"): the raw object when local, a deduplicated

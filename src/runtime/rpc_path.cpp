@@ -274,13 +274,13 @@ bool RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& proto,
         caller.advance_clock(codec_cost(request_bytes.size()).first);
     }
     const std::uint64_t send_us = caller.clock_us();
-    if (journal_.enabled())  // the only detail built per call
+    // "Class.method", or the protocol for a call no proxy made.
+    if (req.stat_class.empty())
         journal_.record(obs::JournalEvent::Kind::RpcSend, send_us, src, dst,
-                        req.request_id, request_bytes.size(),
-                        req.stat_class.empty()
-                            ? proto.name
-                            : req.stat_class +
-                                  (req.method.empty() ? "" : "." + req.method));
+                        req.request_id, request_bytes.size(), proto.name);
+    else
+        journal_.record(obs::JournalEvent::Kind::RpcSend, send_us, src, dst,
+                        req.request_id, request_bytes.size(), req.stat_class, req.method);
     net::Delivery inbound;
     {
         obs::ScopedSpan span(
@@ -436,7 +436,7 @@ Value RpcPath::remote_call(Node& self, net::NodeId dst, Protocol& proto,
     }
     account();
     if (reply.is_fault) self.rethrow_fault(reply);
-    return self.import_value(reply.result, proto.name);
+    return self.import_value(std::move(reply.result), proto.name);
 }
 
 void RpcPath::note_dedup_hit(std::uint64_t request_id, net::NodeId node,

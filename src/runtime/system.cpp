@@ -222,7 +222,7 @@ void System::wire_node(Node& n) {
                              local_counter = static_cast<obs::Counter*>(nullptr)](
                                 vm::Interpreter& vm, const model::Method& m,
                                 const Value& receiver,
-                                std::span<const Value> args) mutable {
+                                std::span<Value> args) mutable {
                 Node& self = node(node_id);
                 ProxyMethod& meth = methods[&m];
                 if (meth.gen != vm.pool().generation()) {
@@ -262,8 +262,7 @@ void System::wire_node(Node& n) {
                                                 req.target_oid, *rep);
                             adapt_replica_reads_->add();
                             return vm.call_virtual(Value::of_ref(rep->oid),
-                                                   m.name, meth.desc,
-                                                   {args.begin(), args.end()});
+                                                   m.name, meth.desc, args);
                         }
                     } else {
                         invalidate_replicas(target_node, req.target_oid, cls);
@@ -278,7 +277,7 @@ void System::wire_node(Node& n) {
                             &metrics_.counter("runtime.local_calls." + cls);
                     local_counter->add();
                     return vm.call_virtual(Value::of_ref(req.target_oid), m.name,
-                                           meth.desc, {args.begin(), args.end()});
+                                           meth.desc, args);
                 }
                 // Resolved through the matrix cap: past class_matrix_cap
                 // distinct edges this is the overflow aggregate pair.
@@ -287,8 +286,10 @@ void System::wire_node(Node& n) {
                 edge.calls->add();
                 if (!meth.latency) meth.latency = &latency_histogram(*row, cls, m.name);
                 req.stat_class = cls;
+                // The arguments are this native's own: they move to the
+                // wire.
                 req.args.clear();
-                for (const Value& a : args) req.args.push_back(self.export_value(a));
+                for (Value& a : args) req.args.push_back(self.export_value(std::move(a)));
                 return rpc_.remote_call(self, target_node, *proto, req, *meth.latency,
                                         edge.bytes);
             };

@@ -31,12 +31,12 @@
 #include <span>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "net/message.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/reply_index.hpp"
 #include "support/bytes.hpp"
 #include "transform/naming.hpp"
 #include "vm/value.hpp"
@@ -254,16 +254,23 @@ public:
     void trim_replies(std::size_t live);
     /// The reply the stream holds for `request_id`, decoded in place.
     std::optional<net::CallReply> find_reply(std::uint64_t request_id) const;
-    bool holds_reply(std::uint64_t id) const { return reply_index_.contains(id); }
+    bool holds_reply(std::uint64_t id) const noexcept { return reply_index_.contains(id); }
     std::size_t reply_count() const noexcept { return reply_records_; }
 
     // -- Recovery -------------------------------------------------------
+    /// What replay does with a Reply record: decode it for
+    /// WalVisitor::on_reply, or only count it.  A counted record is still
+    /// framed and CRC-checked, so the ReplayResult is the same either way.
+    enum class Replies : std::uint8_t { Decode, Count };
     /// Replays one framed stream into `v`; stops at the first torn or
     /// corrupt frame.  Static so tests can replay arbitrary byte strings.
-    static ReplayResult replay(ByteSpan stream, WalVisitor& v);
+    static ReplayResult replay(ByteSpan stream, WalVisitor& v,
+                               Replies replies = Replies::Decode);
     /// Replays the snapshot, the log, then the reply stream; updates
-    /// recovery stats and rebuilds the reply index, as a restart must.
-    ReplayResult recover(WalVisitor& v);
+    /// recovery stats and rebuilds the reply index, as a restart must.  A
+    /// node's own restart counts its replies: the stream is its cache as
+    /// it stands, so nothing needs them decoded.
+    ReplayResult recover(WalVisitor& v, Replies replies = Replies::Decode);
 
     const Bytes& log() const noexcept { return log_; }
     const Bytes& snapshot() const noexcept { return snapshot_; }
@@ -344,16 +351,26 @@ private:
     /// has the stable offset `replies_base_ + pos`, which the index holds.
     mutable std::uint64_t replies_base_ = 0;
     std::size_t reply_records_ = 0;  // live records in replies_
-    std::unordered_map<std::uint64_t, std::uint64_t> reply_index_;
+    ReplyIndex reply_index_;
     WalStats stats_;
     obs::Counter* records_ctr_ = nullptr;
     obs::Counter* bytes_ctr_ = nullptr;
     obs::Counter* snapshots_ctr_ = nullptr;
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`,
-/// sixteen bytes per step (slicing-by-16); exposed for tests that
-/// hand-build or corrupt frames.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`;
+/// exposed for tests that hand-build or corrupt frames.  From 64 bytes on
+/// a CPU with PCLMULQDQ (checked once) it runs the carry-less-multiply
+/// kernel, which folds 64 bytes per step; otherwise slicing-by-16, which
+/// also finishes the carry-less kernel's last 0-15 bytes.
 std::uint32_t wal_crc32(const std::uint8_t* data, std::size_t len);
+
+/// The two kernels behind wal_crc32, each over any length, so tests can
+/// check both against a reference: slicing-by-16, and the carry-less
+/// multiply kernel, which is null on a CPU without PCLMULQDQ (or not
+/// x86-64).
+using CrcKernel = std::uint32_t (*)(const std::uint8_t* data, std::size_t len);
+std::uint32_t wal_crc32_slicing(const std::uint8_t* data, std::size_t len);
+CrcKernel wal_crc32_clmul();
 
 }  // namespace rafda::runtime

@@ -377,9 +377,9 @@ Interpreter::Frame& Interpreter::next_frame() {
     if (!(memo.fn || memo.class_fn) || memo.natives_gen != natives_gen_)
         bind_native(cls, m, memo);
     const Value none;
-    const std::span<const Value> locals(frame.locals);
+    const std::span<Value> locals(frame.locals);
     const Value& receiver = m.is_static ? none : locals.front();
-    const std::span<const Value> args = locals.subspan(m.is_static ? 0 : 1);
+    const std::span<Value> args = locals.subspan(m.is_static ? 0 : 1);
     ++frames_live_;  // the native's own depth: re-entry fills the next frame
     try {
         Value result = memo.fn ? (*memo.fn)(*this, receiver, args)

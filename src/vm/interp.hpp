@@ -104,10 +104,12 @@ public:
     /// until it returns, even when it calls back into the interpreter.
     using NativeFn =
         std::function<Value(Interpreter&, const Value& receiver, std::span<const Value> args)>;
-    /// Class-level native handler: additionally receives the method.
+    /// Class-level native handler: additionally receives the method.  It
+    /// owns its arguments: the frame they live in is discarded when it
+    /// returns, so it may move them out.
     using ClassNativeFn =
         std::function<Value(Interpreter&, const model::Method& method, const Value& receiver,
-                            std::span<const Value> args)>;
+                            std::span<Value> args)>;
 
     /// The pool must outlive the interpreter and should be verified.
     explicit Interpreter(const model::ClassPool& pool);

@@ -122,6 +122,12 @@ public:
         if (tag_ != Tag::Str) throw_bad_tag("string");
         return s_;
     }
+    /// Moves the string out, leaving this Value a moved-from string;
+    /// throws VmError when the tag does not match.
+    std::string take_str() {
+        if (tag_ != Tag::Str) throw_bad_tag("string");
+        return std::move(s_);
+    }
     ObjId as_ref() const {
         if (tag_ != Tag::Ref) throw_bad_tag("reference");
         return r_;

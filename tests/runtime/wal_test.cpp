@@ -5,8 +5,8 @@
 // checksummed record with unread payload bytes is a framing error, a
 // committed snapshot truncates the log and leaves the reply stream to
 // trim_replies, which leaves exactly the records an erase of the trimmed
-// prefix would, and the slicing-by-16 CRC agrees with a bit-at-a-time
-// reference.
+// prefix would, and both CRC kernels (slicing-by-16 and carry-less
+// multiply) agree with a bit-at-a-time reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -486,7 +486,7 @@ TEST(Wal, TrailingPayloadBytesUnderAGoodCrcThrow) {
 }
 
 /// CRC-32 one bit at a time straight from the reflected polynomial: the
-/// oracle the table-driven kernel must reproduce.
+/// oracle both kernels must reproduce.
 std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t len) {
     std::uint32_t c = 0xFFFFFFFFu;
     for (std::size_t i = 0; i < len; ++i) {
@@ -507,20 +507,29 @@ Bytes lcg_bytes(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(Wal, CrcMatchesBitwiseReferenceAtEveryLengthAndOffset) {
-    // Every length 0..1024 (the 16-byte loop and each of its 16 tail
-    // lengths) from each of the 16 start offsets a 16-byte step can be
-    // misaligned by.  Each input lives in a buffer that ends exactly where
-    // it does, so an over-read is a heap overflow under ASan.
+    // Every length 0..1024 (the 64-byte folds, the 16-byte folds and each
+    // of the 16 tail lengths) from each of the 16 start offsets a 16-byte
+    // step can be misaligned by, through wal_crc32 and each kernel behind
+    // it.  Each input lives in a buffer that ends exactly where it does,
+    // so an over-read is a heap overflow under ASan.
+    const CrcKernel clmul = wal_crc32_clmul();
     const Bytes master = lcg_bytes(1024 + 16, 0xC0FFEE);
     for (std::size_t off = 0; off < 16; ++off) {
         for (std::size_t len = 0; len <= 1024; ++len) {
             const Bytes buf(master.begin(),
                             master.begin() + static_cast<std::ptrdiff_t>(off + len));
-            ASSERT_EQ(wal_crc32(buf.data() + off, len),
-                      crc32_bitwise(buf.data() + off, len))
-                << "offset " << off << " length " << len;
+            const std::uint8_t* data = buf.data() + off;
+            const std::uint32_t want = crc32_bitwise(data, len);
+            ASSERT_EQ(wal_crc32(data, len), want) << "offset " << off << " length " << len;
+            ASSERT_EQ(wal_crc32_slicing(data, len), want)
+                << "slicing, offset " << off << " length " << len;
+            if (clmul) {
+                ASSERT_EQ(clmul(data, len), want)
+                    << "clmul, offset " << off << " length " << len;
+            }
         }
     }
+    if (!clmul) GTEST_SKIP() << "no PCLMULQDQ on this CPU: the carry-less kernel is unchecked";
 }
 
 }  // namespace
