@@ -96,18 +96,12 @@ public:
     /// Appends one event; a no-op while disabled.  When the ring is full
     /// the oldest event is overwritten.  `detail` is copied into the
     /// slot's reused string (truncated at kMaxDetail), so recording is
-    /// O(1) and allocation-free once every slot has been written.
-    void record(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t node,
-                std::int32_t peer, std::uint64_t a, std::uint64_t b,
-                std::string_view detail) {
-        if (enabled_) append(kind, t_us, node, peer, a, b, detail, {});
-    }
-    /// The same with the detail `detail` + "." + `suffix` (just `detail`
-    /// when `suffix` is empty), joined in the slot, so the caller builds
-    /// nothing.
+    /// O(1) and allocation-free once every slot has been written.  A
+    /// non-empty `suffix` makes the detail `detail` + "." + `suffix`,
+    /// joined in the slot, so the caller builds nothing.
     void record(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t node,
                 std::int32_t peer, std::uint64_t a, std::uint64_t b, std::string_view detail,
-                std::string_view suffix) {
+                std::string_view suffix = {}) {
         if (enabled_) append(kind, t_us, node, peer, a, b, detail, suffix);
     }
 

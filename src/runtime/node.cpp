@@ -53,7 +53,7 @@ void Node::clock_changed() {
     if (interp_.logical_time() < now) interp_.advance_time(now - interp_.logical_time());
 }
 
-net::MarshalledValue Node::export_value(Value v) {
+net::MarshalledValue Node::export_value(Value&& v) {
     using net::MarshalledValue;
     if (v.is_null()) return MarshalledValue::null();
     if (v.is_bool()) return MarshalledValue::of_bool(v.as_bool());
@@ -81,7 +81,7 @@ net::MarshalledValue Node::export_value(Value v) {
     throw RuntimeError("cannot marshal reference to non-substitutable class " + cls);
 }
 
-Value Node::import_value(net::MarshalledValue m, const std::string& protocol) {
+Value Node::import_value(net::MarshalledValue&& m, const std::string& protocol) {
     switch (m.tag) {
         case net::ValueTag::Null: return Value::null();
         case net::ValueTag::Bool: return Value::of_bool(m.b);
@@ -376,7 +376,7 @@ net::CallReply Node::handle_request(net::CallRequest& req,
             }
             case net::RequestKind::Create: {
                 Value obj = interp_.construct(transform::naming::o_local(req.cls), "()V", {});
-                reply.result = export_value(obj);
+                reply.result = export_value(std::move(obj));
                 break;
             }
             case net::RequestKind::Discover: {

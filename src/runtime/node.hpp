@@ -103,14 +103,14 @@ public:
     /// is off.
     void take_snapshot();
 
-    /// Guest value -> wire value; a string moves.  Throws RuntimeError for
-    /// references to objects that have no generated family
-    /// (non-substitutable classes).
-    net::MarshalledValue export_value(vm::Value v);
+    /// Guest value -> wire value; a string moves out of `v`.  Throws
+    /// RuntimeError for references to objects that have no generated
+    /// family (non-substitutable classes).
+    net::MarshalledValue export_value(vm::Value&& v);
 
-    /// Wire value -> guest value; a string moves, and remote references
-    /// become proxies speaking `protocol`.
-    vm::Value import_value(net::MarshalledValue m, const std::string& protocol);
+    /// Wire value -> guest value; a string moves out of `m`, and remote
+    /// references become proxies speaking `protocol`.
+    vm::Value import_value(net::MarshalledValue&& m, const std::string& protocol);
 
     /// Returns a guest reference to (node, oid) seen through `iface`
     /// ("X_O_Int"/"X_C_Int"): the raw object when local, a deduplicated

@@ -345,7 +345,7 @@ vm::ObjId System::migrate_instance(net::NodeId from, vm::ObjId oid, net::NodeId 
     // operation — the vacated slot and the policy tables are global state —
     // so it is a synchronization barrier at the landing time (DESIGN.md
     // §13), which is exactly the old global-clock behaviour.
-    const ShippedState state = ship_state(f, oid, to, proto);
+    ShippedState state = ship_state(f, oid, to, proto);
     barrier(state.landed.at_us);
     // Replicas of the moved object lose their provenance at the same
     // barrier — the primary no longer lives at (from, oid).
@@ -560,7 +560,7 @@ vm::ObjId System::create_replica(net::NodeId primary, vm::ObjId oid,
     const std::string proto = locator_.protocol();
     // Reliable control channel, like migration — but NOT a barrier: only
     // the reader learns (its clock reconciles to the landing).
-    const ShippedState state = ship_state(node(primary), oid, reader, proto);
+    ShippedState state = ship_state(node(primary), oid, reader, proto);
     r.reconcile_clock(state.landed.at_us);
     const vm::ObjId copy = install_state(r, state, proto);
     replicas_.put(primary, oid, cls, Replica{reader, copy, true});
@@ -574,7 +574,7 @@ void System::refresh_replica(const std::string& cls, net::NodeId primary,
     ensure_replica_counters();
     Node& reader = node(r.node);
     const std::string proto = locator_.protocol();
-    const ShippedState state = ship_state(node(primary), oid, r.node, proto);
+    ShippedState state = ship_state(node(primary), oid, r.node, proto);
     reader.reconcile_clock(state.landed.at_us);
     install_state(reader, state, proto, r.oid);
     r.valid = true;
@@ -601,12 +601,12 @@ System::ShippedState System::ship_state(Node& from, vm::ObjId oid, net::NodeId t
     return s;
 }
 
-vm::ObjId System::install_state(Node& to, const ShippedState& s,
-                                const std::string& proto, vm::ObjId into) {
+vm::ObjId System::install_state(Node& to, ShippedState& s, const std::string& proto,
+                                vm::ObjId into) {
     if (!into) into = to.interp().allocate(*s.cls);
     for (std::size_t k = 0; k < s.layout->slots.size(); ++k)
         to.interp().set_field(into, s.layout->slots[k].name,
-                              to.import_value(s.fields[k], proto));
+                              to.import_value(std::move(s.fields[k]), proto));
     return into;
 }
 

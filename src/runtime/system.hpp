@@ -307,8 +307,9 @@ private:
     ShippedState ship_state(Node& from, vm::ObjId oid, net::NodeId to,
                             const std::string& proto);
     /// Imports shipped state into object `into` on `to` (0 = a fresh
-    /// instance of the shipped class); returns the object id.
-    vm::ObjId install_state(Node& to, const ShippedState& s, const std::string& proto,
+    /// instance of the shipped class); returns the object id.  The fields
+    /// move into the object, so `s.fields` is spent afterwards.
+    vm::ObjId install_state(Node& to, ShippedState& s, const std::string& proto,
                             vm::ObjId into = 0);
     /// Stop-the-world control barrier (DESIGN.md §13): every node
     /// reconciles to `t_us` and no batch lane stays joinable.

@@ -41,15 +41,15 @@ TEST_F(MarshalFixture, PrimitivesRoundTrip) {
     for (const Value& v :
          {Value::null(), Value::of_bool(true), Value::of_int(-3), Value::of_long(1LL << 40),
           Value::of_double(2.5), Value::of_str("hi <&> there")}) {
-        MarshalledValue m = n0.export_value(v);
-        EXPECT_EQ(n0.import_value(m, "RMI"), v);
+        MarshalledValue m = n0.export_value(Value(v));
+        EXPECT_EQ(n0.import_value(MarshalledValue(m), "RMI"), v);
     }
 }
 
 TEST_F(MarshalFixture, LocalImplExportsAsRemoteRef) {
     Node& n0 = system->node(0);
     Value w = system->construct(0, "Widget", "()V");
-    MarshalledValue m = n0.export_value(w);
+    MarshalledValue m = n0.export_value(Value(w));
     EXPECT_EQ(m.tag, ValueTag::Ref);
     EXPECT_EQ(m.ref_node, 0);
     EXPECT_EQ(m.ref_oid, w.as_ref());
@@ -59,7 +59,7 @@ TEST_F(MarshalFixture, LocalImplExportsAsRemoteRef) {
 TEST_F(MarshalFixture, ImportOnOwningNodeIsIdentity) {
     Node& n0 = system->node(0);
     Value w = system->construct(0, "Widget", "()V");
-    Value back = n0.import_value(n0.export_value(w), "RMI");
+    Value back = n0.import_value(n0.export_value(Value(w)), "RMI");
     EXPECT_EQ(back.as_ref(), w.as_ref());
     EXPECT_EQ(n0.interp().class_of(back.as_ref()).name, "Widget_O_Local");
 }
@@ -68,13 +68,13 @@ TEST_F(MarshalFixture, ImportElsewhereCreatesProxyOnce) {
     Node& n0 = system->node(0);
     Node& n1 = system->node(1);
     Value w = system->construct(0, "Widget", "()V");
-    MarshalledValue m = n0.export_value(w);
-    Value p1 = n1.import_value(m, "RMI");
-    Value p2 = n1.import_value(m, "RMI");
+    MarshalledValue m = n0.export_value(Value(w));
+    Value p1 = n1.import_value(MarshalledValue(m), "RMI");
+    Value p2 = n1.import_value(MarshalledValue(m), "RMI");
     EXPECT_EQ(p1.as_ref(), p2.as_ref());  // deduplicated
     EXPECT_EQ(n1.interp().class_of(p1.as_ref()).name, "Widget_O_Proxy_RMI");
     // A different protocol gets its own proxy object.
-    Value p3 = n1.import_value(m, "SOAP");
+    Value p3 = n1.import_value(MarshalledValue(m), "SOAP");
     EXPECT_NE(p3.as_ref(), p1.as_ref());
     EXPECT_EQ(n1.interp().class_of(p3.as_ref()).name, "Widget_O_Proxy_SOAP");
 }
@@ -83,9 +83,9 @@ TEST_F(MarshalFixture, ProxyReExportsItsTarget) {
     Node& n0 = system->node(0);
     Node& n1 = system->node(1);
     Value w = system->construct(0, "Widget", "()V");
-    Value proxy_on_1 = n1.import_value(n0.export_value(w), "RMI");
+    Value proxy_on_1 = n1.import_value(n0.export_value(Value(w)), "RMI");
     // Exporting node 1's proxy yields the *original* location, not node 1.
-    MarshalledValue m = n1.export_value(proxy_on_1);
+    MarshalledValue m = n1.export_value(Value(proxy_on_1));
     EXPECT_EQ(m.ref_node, 0);
     EXPECT_EQ(m.ref_oid, w.as_ref());
     EXPECT_EQ(m.ref_class, "Widget_O_Int");
@@ -123,13 +123,13 @@ TEST_F(MarshalFixture, TransitiveReferenceKeepsTheOriginalTarget) {
     Node& n2 = system->node(2);
     Value w = system->construct(0, "Widget", "()V");
 
-    Value proxy_on_1 = n1.import_value(n0.export_value(w), "RMI");
-    Value via_1 = n2.import_value(n1.export_value(proxy_on_1), "RMI");
-    Value direct = n2.import_value(n0.export_value(w), "RMI");
+    Value proxy_on_1 = n1.import_value(n0.export_value(Value(w)), "RMI");
+    Value via_1 = n2.import_value(n1.export_value(Value(proxy_on_1)), "RMI");
+    Value direct = n2.import_value(n0.export_value(Value(w)), "RMI");
     EXPECT_EQ(via_1.as_ref(), direct.as_ref());
 
     // And the forwarded proxy still names the owner when node 2 exports it.
-    MarshalledValue m = n2.export_value(via_1);
+    MarshalledValue m = n2.export_value(Value(via_1));
     EXPECT_EQ(m.ref_node, 0);
     EXPECT_EQ(m.ref_oid, w.as_ref());
 }
@@ -137,15 +137,15 @@ TEST_F(MarshalFixture, TransitiveReferenceKeepsTheOriginalTarget) {
 TEST_F(MarshalFixture, NonSubstitutableObjectRefuses) {
     Node& n0 = system->node(0);
     Value t = n0.interp().construct("Throwable", "(S)V", {Value::of_str("x")});
-    EXPECT_THROW(n0.export_value(t), RuntimeError);
+    EXPECT_THROW(n0.export_value(Value(t)), RuntimeError);
 }
 
 TEST_F(MarshalFixture, SingletonExportsCFamilyInterface) {
     // Force singleton creation on node 0, then export it.
     Value me = system->node(0).local_singleton("Widget");
-    MarshalledValue m = system->node(0).export_value(me);
+    MarshalledValue m = system->node(0).export_value(Value(me));
     EXPECT_EQ(m.ref_class, "Widget_C_Int");
-    Value p = system->node(1).import_value(m, "SOAP");
+    Value p = system->node(1).import_value(MarshalledValue(m), "SOAP");
     EXPECT_EQ(system->node(1).interp().class_of(p.as_ref()).name, "Widget_C_Proxy_SOAP");
 }
 
