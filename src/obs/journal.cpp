@@ -40,7 +40,7 @@ void Journal::set_capacity(std::size_t n) {
 
 void Journal::append(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t node,
                      std::int32_t peer, std::uint64_t a, std::uint64_t b,
-                     std::string_view detail, std::string_view suffix) {
+                     std::string_view detail) {
     JournalEvent& slot = ring_[head_];
     slot.kind = kind;
     slot.seq = next_seq_++;
@@ -53,14 +53,8 @@ void Journal::append(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t n
     // ring's lifetime (reuse pool), so an unbounded detail would pin
     // arbitrary heap per slot at scale.  kMaxDetail covers every emitter's
     // legitimate payload (protocol names, methods, "request"/"reply").
-    // A joined detail is cut exactly where cutting `detail.suffix` would be.
     slot.detail.assign(detail.substr(0, kMaxDetail));
-    if (!suffix.empty() && detail.size() < kMaxDetail) {
-        slot.detail += '.';
-        slot.detail.append(suffix.substr(0, kMaxDetail - detail.size() - 1));
-    }
-    if (detail.size() + (suffix.empty() ? 0 : 1 + suffix.size()) > kMaxDetail)
-        slot.detail += "...";
+    if (detail.size() > kMaxDetail) slot.detail += "...";
     if (slot.detail.capacity() > kMaxDetail + 16) slot.detail.shrink_to_fit();
     head_ = (head_ + 1) % capacity_;
     if (size_ < capacity_) ++size_;

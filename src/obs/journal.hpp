@@ -13,8 +13,8 @@
 // Overhead discipline (DESIGN.md §16):
 //   * Disabled (the default) record() is a single inline `enabled()`
 //     branch, so call sites need no guard of their own: the detail is a
-//     string_view over text the caller already holds, or two joined with
-//     "." in the slot.
+//     string_view over text the caller already holds.  Only a detail that
+//     has to be *built* (concatenated) is built under `enabled()`.
 //     Nothing is allocated until the first enable.
 //   * Enabled, the ring is allocated once at `capacity()` slots and then
 //     reused; recording is a slot assignment (the detail is copied into
@@ -96,13 +96,11 @@ public:
     /// Appends one event; a no-op while disabled.  When the ring is full
     /// the oldest event is overwritten.  `detail` is copied into the
     /// slot's reused string (truncated at kMaxDetail), so recording is
-    /// O(1) and allocation-free once every slot has been written.  A
-    /// non-empty `suffix` makes the detail `detail` + "." + `suffix`,
-    /// joined in the slot, so the caller builds nothing.
+    /// O(1) and allocation-free once every slot has been written.
     void record(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t node,
-                std::int32_t peer, std::uint64_t a, std::uint64_t b, std::string_view detail,
-                std::string_view suffix = {}) {
-        if (enabled_) append(kind, t_us, node, peer, a, b, detail, suffix);
+                std::int32_t peer, std::uint64_t a, std::uint64_t b,
+                std::string_view detail) {
+        if (enabled_) append(kind, t_us, node, peer, a, b, detail);
     }
 
     /// Events currently held (<= capacity()).
@@ -131,8 +129,8 @@ public:
 
 private:
     void append(JournalEvent::Kind kind, std::uint64_t t_us, std::int32_t node,
-                std::int32_t peer, std::uint64_t a, std::uint64_t b, std::string_view detail,
-                std::string_view suffix);
+                std::int32_t peer, std::uint64_t a, std::uint64_t b,
+                std::string_view detail);
 
     bool enabled_ = false;
     std::size_t capacity_ = kDefaultCapacity;

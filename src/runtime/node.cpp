@@ -313,7 +313,7 @@ void Node::recover_from_wal() {
     // to the current capacity.  The observer is detached so the restore
     // does not re-journal itself.
     WalImage img;
-    const Wal::ReplayResult res = wal_.recover(img, Wal::Replies::Count);
+    const Wal::ReplayResult res = wal_.recover(img);
     interp_.set_observer(nullptr);
     interp_.reset_vm_state();
     wal_.trim_replies(system_->rpc_path().reliability().dedup_capacity);

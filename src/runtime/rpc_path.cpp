@@ -274,13 +274,13 @@ bool RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& proto,
         caller.advance_clock(codec_cost(request_bytes.size()).first);
     }
     const std::uint64_t send_us = caller.clock_us();
-    // "Class.method", or the protocol for a call no proxy made.
-    if (req.stat_class.empty())
+    if (journal_.enabled())  // the only detail built per call
         journal_.record(obs::JournalEvent::Kind::RpcSend, send_us, src, dst,
-                        req.request_id, request_bytes.size(), proto.name);
-    else
-        journal_.record(obs::JournalEvent::Kind::RpcSend, send_us, src, dst,
-                        req.request_id, request_bytes.size(), req.stat_class, req.method);
+                        req.request_id, request_bytes.size(),
+                        req.stat_class.empty()
+                            ? proto.name
+                            : req.stat_class +
+                                  (req.method.empty() ? "" : "." + req.method));
     net::Delivery inbound;
     {
         obs::ScopedSpan span(

@@ -213,6 +213,29 @@ net::CallReply get_reply(ByteReader& r) {
     return reply;
 }
 
+/// Reads past one reply exactly as get_reply would, building nothing, so
+/// a counted Reply record is held to the same framing as a decoded one.
+void skip_reply(ByteReader& r) {
+    r.varu64();
+    r.u8();
+    switch (static_cast<net::ValueTag>(r.u8())) {
+        case net::ValueTag::Null: break;
+        case net::ValueTag::Bool: r.u8(); break;
+        case net::ValueTag::Int: r.i32(); break;
+        case net::ValueTag::Long: r.i64(); break;
+        case net::ValueTag::Double: r.f64(); break;
+        case net::ValueTag::Str: r.text(r.u32()); break;
+        case net::ValueTag::Ref:
+            r.i32();
+            r.varu64();
+            r.text(r.u32());
+            break;
+        default: throw CodecError("bad WAL marshalled tag");
+    }
+    r.text(r.u32());
+    r.text(r.u32());
+}
+
 }  // namespace
 
 std::uint32_t wal_crc32_slicing(const std::uint8_t* data, std::size_t len) {
@@ -451,12 +474,11 @@ Wal::ReplayResult Wal::replay(ByteSpan stream, WalVisitor& v, Replies replies) {
                 break;
             }
             case Kind::Reply: {
-                if (replies == Replies::Count) {
-                    r.text(r.remaining());
-                    break;
-                }
                 std::uint64_t req = r.varu64();
-                v.on_reply(t, req, get_reply(r));
+                if (replies == Replies::Count)
+                    skip_reply(r);
+                else
+                    v.on_reply(t, req, get_reply(r));
                 break;
             }
             case Kind::Transmute:
@@ -487,11 +509,11 @@ Wal::ReplayResult Wal::replay(ByteSpan stream, WalVisitor& v, Replies replies) {
     return result;
 }
 
-Wal::ReplayResult Wal::recover(WalVisitor& v, Replies replies) {
+Wal::ReplayResult Wal::recover(WalVisitor& v) {
     ReplayResult total;
     const ByteSpan live_replies = ByteSpan(replies_).subspan(replies_head_);
     for (const ByteSpan stream : {ByteSpan(snapshot_), ByteSpan(log_), live_replies}) {
-        const ReplayResult part = replay(stream, v, replies);
+        const ReplayResult part = replay(stream, v, Replies::Count);
         total.records += part.records;
         total.bytes += part.bytes;
         total.clean = total.clean && part.clean;

@@ -260,17 +260,20 @@ public:
     // -- Recovery -------------------------------------------------------
     /// What replay does with a Reply record: decode it for
     /// WalVisitor::on_reply, or only count it.  A counted record is still
-    /// framed and CRC-checked, so the ReplayResult is the same either way.
+    /// CRC-checked and read through to its end, building nothing, so a
+    /// malformed one throws as it would decoded and the ReplayResult is
+    /// the same either way.
     enum class Replies : std::uint8_t { Decode, Count };
     /// Replays one framed stream into `v`; stops at the first torn or
     /// corrupt frame.  Static so tests can replay arbitrary byte strings.
     static ReplayResult replay(ByteSpan stream, WalVisitor& v,
                                Replies replies = Replies::Decode);
     /// Replays the snapshot, the log, then the reply stream; updates
-    /// recovery stats and rebuilds the reply index, as a restart must.  A
-    /// node's own restart counts its replies: the stream is its cache as
-    /// it stands, so nothing needs them decoded.
-    ReplayResult recover(WalVisitor& v, Replies replies = Replies::Decode);
+    /// recovery stats and rebuilds the reply index, as a restart must.  The
+    /// replies are counted, not decoded: the stream is the restarted
+    /// node's cache as it stands.  A reader that needs them decoded
+    /// replays replies() itself.
+    ReplayResult recover(WalVisitor& v);
 
     const Bytes& log() const noexcept { return log_; }
     const Bytes& snapshot() const noexcept { return snapshot_; }

@@ -72,30 +72,6 @@ TEST(Journal, WrapAroundKeepsNewestAndCountsOverwritten) {
     }
 }
 
-TEST(Journal, JoinedDetailIsTheBuiltStringCutTheSameWay) {
-    // record(detail, suffix) must leave exactly what recording the built
-    // string `detail + "." + suffix` (just `detail` for an empty suffix)
-    // would, on both sides of the kMaxDetail cut.
-    Journal joined;
-    Journal built;
-    for (Journal* j : {&joined, &built}) {
-        j->set_capacity(1);
-        j->set_enabled(true);
-    }
-    const std::size_t max = Journal::kMaxDetail + 3;
-    for (std::size_t d = 0; d <= max; ++d) {
-        for (std::size_t s = 0; s <= max; ++s) {
-            const std::string detail(d, 'c');
-            const std::string suffix(s, 'm');
-            joined.record(Kind::RpcSend, 1, 0, 1, 1, 0, detail, suffix);
-            built.record(Kind::RpcSend, 1, 0, 1, 1, 0,
-                         suffix.empty() ? detail : detail + "." + suffix);
-            ASSERT_EQ(collect(joined).at(0).detail, collect(built).at(0).detail)
-                << "detail " << d << " suffix " << s;
-        }
-    }
-}
-
 TEST(Journal, StringViewDetailsTruncateAndSurviveWrap) {
     // record() copies the viewed text into the slot's reused string: only
     // the view is copied, details past kMaxDetail are cut with "...", and a

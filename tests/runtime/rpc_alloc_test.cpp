@@ -82,15 +82,10 @@ class Service {
 }
 )";
 
-/// kServiceApp with its class named `cls`.
-model::ClassPool service_pool(const std::string& cls = "Service") {
-    std::string app = kServiceApp;
-    for (std::size_t at = 0; (at = app.find("Service", at)) != std::string::npos;
-         at += cls.size())
-        app.replace(at, 7, cls);
+model::ClassPool service_pool() {
     model::ClassPool pool;
     vm::install_prelude(pool);
-    model::assemble_into(pool, app);
+    model::assemble_into(pool, kServiceApp);
     model::verify_pool(pool);
     return pool;
 }
@@ -145,15 +140,14 @@ TEST(RpcAlloc, WarmLocalGuestCallAllocatesNothing) {
 /// rpc_reliable's shape without its losses: node 0 serves, durable, with
 /// dedup on and a cache smaller than the warm-up, batching on and the
 /// journal on with a ring smaller than the warm-up; nodes 1-3 each hold a
-/// proxy to their own `cls` instance on it, over RMI, CORBA and SOAP.
+/// proxy to their own Service instance on it, over RMI, CORBA and SOAP.
 struct ReliableNodes {
     static constexpr const char* kProtocols[3] = {"RMI", "CORBA", "SOAP"};
     model::ClassPool pool;
     std::unique_ptr<System> system;
     std::vector<Value> proxies;  // proxies[k] lives on node k + 1
 
-    explicit ReliableNodes(const std::string& cls, std::size_t dedup_capacity = 64)
-        : pool(service_pool(cls)) {
+    explicit ReliableNodes(std::size_t dedup_capacity = 64) : pool(service_pool()) {
         SystemOptions options;
         options.pipeline.threads = 1;
         options.pipeline.generator.protocols.emplace_back("CORBA");
@@ -167,8 +161,8 @@ struct ReliableNodes {
         system->journal().set_capacity(256);
         system->journal().set_enabled(true);
         for (int k = 1; k <= 3; ++k) {
-            system->policy().set_instance_home(cls, 0, kProtocols[k - 1]);
-            proxies.push_back(system->construct(k, cls, "()V"));
+            system->policy().set_instance_home("Service", 0, kProtocols[k - 1]);
+            proxies.push_back(system->construct(k, "Service", "()V"));
         }
     }
 
@@ -201,38 +195,32 @@ TEST(RpcAlloc, WarmReliableCallAllocatesNothing) {
     //   3. the caller's decoded result.
     // Everything else moves: the proxy's argument onto the wire, the
     // decoded argument into the callee's frame, the result onto the wire
-    // and the decoded result to the guest.  The journal joins the
-    // RpcSend detail in its slot, so a class name too long to live inline
-    // costs nothing either.
+    // and the decoded result to the guest.  The journal's RpcSend detail,
+    // "Service.work" or "Service.echo", is short enough to live inline.
     constexpr std::uint64_t kEchoAllocations = 3;
     const std::string payload(64, 'p');
-    for (const std::string cls : {"Service", "InventoryService"}) {
-        ReliableNodes f(cls);
-        bool checkpointed = false;
-        for (int round = 0; round < 200; ++round)
-            for (std::size_t k = 0; k < 3; ++k) {
-                reliable_call(f, k, Value::of_long(arg(round)), checkpointed);
-                reliable_call(f, k, Value::of_str(payload), checkpointed);
-            }
+    ReliableNodes f;
+    bool checkpointed = false;
+    for (int round = 0; round < 200; ++round)
         for (std::size_t k = 0; k < 3; ++k) {
-            int clean = 0;
-            for (int n = 0; n < 16; ++n) {
-                const std::uint64_t work =
-                    reliable_call(f, k, Value::of_long(arg(n)), checkpointed);
-                if (!checkpointed) {
-                    ++clean;
-                    EXPECT_EQ(work, 0u) << cls << " work via " << ReliableNodes::kProtocols[k];
-                }
-                const std::uint64_t echo =
-                    reliable_call(f, k, Value::of_str(payload), checkpointed);
-                if (!checkpointed) {
-                    ++clean;
-                    EXPECT_EQ(echo, kEchoAllocations)
-                        << cls << " echo via " << ReliableNodes::kProtocols[k];
-                }
-            }
-            EXPECT_GE(clean, 24) << "too few calls ran without a checkpoint";
+            reliable_call(f, k, Value::of_long(arg(round)), checkpointed);
+            reliable_call(f, k, Value::of_str(payload), checkpointed);
         }
+    for (std::size_t k = 0; k < 3; ++k) {
+        int clean = 0;
+        for (int n = 0; n < 16; ++n) {
+            const std::uint64_t work = reliable_call(f, k, Value::of_long(arg(n)), checkpointed);
+            if (!checkpointed) {
+                ++clean;
+                EXPECT_EQ(work, 0u) << "work via " << ReliableNodes::kProtocols[k];
+            }
+            const std::uint64_t echo = reliable_call(f, k, Value::of_str(payload), checkpointed);
+            if (!checkpointed) {
+                ++clean;
+                EXPECT_EQ(echo, kEchoAllocations) << "echo via " << ReliableNodes::kProtocols[k];
+            }
+        }
+        EXPECT_GE(clean, 24) << "too few calls ran without a checkpoint";
     }
 }
 
@@ -244,7 +232,7 @@ TEST(RpcAlloc, DurableRestartLeavesItsCachedRepliesEncoded) {
     const std::string payload(64, 'r');
     std::uint64_t restart_allocations[2] = {};
     for (const std::size_t capacity : {std::size_t{1}, std::size_t{256}}) {
-        ReliableNodes f("Service", capacity);
+        ReliableNodes f(capacity);
         f.system->journal().set_enabled(false);
         for (int n = 0; n < 128; ++n) {
             bool checkpointed = false;

@@ -2,8 +2,8 @@
 // a torn tail — the log or the reply stream truncated at *any* byte
 // offset — stops replay cleanly at the last complete record, corrupted
 // frames are rejected by the CRC rather than silently applied, a
-// checksummed record with unread payload bytes is a framing error, a
-// committed snapshot truncates the log and leaves the reply stream to
+// checksummed record with unread payload bytes is a framing error (a
+// counted Reply record as much as a decoded one), a committed snapshot truncates the log and leaves the reply stream to
 // trim_replies, which leaves exactly the records an erase of the trimmed
 // prefix would, and both CRC kernels (slicing-by-16 and carry-less
 // multiply) agree with a bit-at-a-time reference.
@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "runtime/wal.hpp"
@@ -334,16 +336,19 @@ TEST(Wal, SnapshotLeavesTheReplyStreamAndTrimDropsTheOldest) {
     wal.trim_replies(9);
     EXPECT_EQ(wal.replies(), trimmed);
 
-    // Recovery replays the snapshot, the log, then the reply stream.
+    // Recovery replays the snapshot, the log, then the reply stream, whose
+    // records it counts; replaying the stream itself decodes them.
     RecordingVisitor v;
     const Wal::ReplayResult r = wal.recover(v);
     EXPECT_TRUE(r.clean);
     EXPECT_EQ(r.records, 3u);
     EXPECT_EQ(r.bytes, wal.snapshot().size() + trimmed.size());
-    ASSERT_EQ(v.events.size(), 3u);
-    EXPECT_EQ(v.events[0], "alloc 7 Service");
-    EXPECT_EQ(v.events[1].rfind("reply 4 4 ", 0), 0u) << v.events[1];
-    EXPECT_EQ(v.events[2].rfind("reply 5 5 ", 0), 0u) << v.events[2];
+    EXPECT_EQ(v.events, std::vector<std::string>{"alloc 7 Service"});
+    RecordingVisitor replies;
+    ASSERT_TRUE(Wal::replay(wal.replies(), replies).clean);
+    ASSERT_EQ(replies.events.size(), 2u);
+    EXPECT_EQ(replies.events[0].rfind("reply 4 4 ", 0), 0u) << replies.events[0];
+    EXPECT_EQ(replies.events[1].rfind("reply 5 5 ", 0), 0u) << replies.events[1];
 
     wal.trim_replies(0);
     EXPECT_TRUE(wal.replies().empty());
@@ -365,20 +370,24 @@ TEST(Wal, TrimByHeadLeavesTheSuffixAnEraseWould) {
     // A seeded mix of appends, trims and reads.  The reference keeps every
     // record in an untrimmed stream, and its suffix of the last `live`
     // records is what erasing the trimmed prefix leaves.  recover() (which
-    // never compacts) and replies() (which does) must both see exactly it;
-    // the reads come only every few steps, so most trims leave a dead
-    // prefix behind and many compactions run inside trim_replies.
+    // never compacts) must count exactly its records and bytes and index
+    // exactly its ids, each found with its own reply, and replies() (which
+    // does compact) must return it; the reads come only every few steps,
+    // so most trims leave a dead prefix behind and many compactions run
+    // inside trim_replies.
     Wal wal;
     Wal untrimmed;
     std::size_t appended = 0;
     std::size_t live = 0;
+    std::vector<std::size_t> lengths;  // lengths[id - 1]: reply id's string
     std::uint64_t lcg = 0x7121;
     for (int step = 0; step < 3000; ++step) {
         lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
         if ((lcg >> 33) % 3 != 0) {
             net::CallReply reply;
             reply.request_id = ++appended;
-            reply.result = net::MarshalledValue::of_str(std::string((lcg >> 40) % 300, 'v'));
+            lengths.push_back((lcg >> 40) % 300);
+            reply.result = net::MarshalledValue::of_str(std::string(lengths.back(), 'v'));
             wal.append_reply(appended, appended, reply);
             untrimmed.append_reply(appended, appended, reply);
             ++live;
@@ -391,13 +400,22 @@ TEST(Wal, TrimByHeadLeavesTheSuffixAnEraseWould) {
         const std::vector<std::size_t> starts = record_starts(all);
         const Bytes suffix(all.begin() + static_cast<std::ptrdiff_t>(starts[appended - live]),
                            all.end());
-        RecordingVisitor expected;
-        ASSERT_TRUE(Wal::replay(suffix, expected).clean);
         RecordingVisitor recovered;
         const Wal::ReplayResult r = wal.recover(recovered);
         ASSERT_TRUE(r.clean) << "step " << step;
+        ASSERT_EQ(r.records, live) << "step " << step;
         ASSERT_EQ(r.bytes, suffix.size()) << "step " << step;
-        ASSERT_EQ(recovered.events, expected.events) << "step " << step;
+        ASSERT_TRUE(recovered.events.empty()) << "step " << step;
+        for (std::uint64_t id = 1; id <= appended; ++id) {
+            if (id + live <= appended) {
+                ASSERT_FALSE(wal.holds_reply(id)) << "step " << step << " id " << id;
+                continue;
+            }
+            const std::optional<net::CallReply> found = wal.find_reply(id);
+            ASSERT_TRUE(found) << "step " << step << " id " << id;
+            ASSERT_EQ(found->request_id, id) << "step " << step;
+            ASSERT_EQ(found->result.s, std::string(lengths[id - 1], 'v')) << "step " << step;
+        }
         ASSERT_EQ(wal.empty(), live == 0) << "step " << step;
         if (step % 7 == 0) {
             ASSERT_EQ(wal.replies(), suffix) << "step " << step;
@@ -408,8 +426,9 @@ TEST(Wal, TrimByHeadLeavesTheSuffixAnEraseWould) {
 TEST(Wal, TrimmedReplyStreamRebuildsTheNodesReplyCache) {
     // A node's reply cache is a FIFO of `capacity` replies, and each
     // checkpoint trims the stream to the cache's size.  Replaying the
-    // stream into an empty FIFO of the same capacity, as a restart does,
-    // must give back the cache's exact contents, at every step.
+    // stream into an empty FIFO of the same capacity, as recovery onto
+    // another node does, must give back the cache's exact contents, at
+    // every step.
     constexpr std::size_t kCapacity = 16;
     using Fifo = std::deque<std::pair<std::uint64_t, std::string>>;
     const auto push = [](Fifo& fifo, std::uint64_t id, const net::CallReply& reply) {
@@ -431,7 +450,7 @@ TEST(Wal, TrimmedReplyStreamRebuildsTheNodesReplyCache) {
             wal.trim_replies(cache.size());  // a checkpoint
         }
         WalImage img;
-        ASSERT_TRUE(wal.recover(img).clean);
+        ASSERT_TRUE(Wal::replay(wal.replies(), img).clean);
         Fifo rebuilt;
         for (const auto& [id, reply] : img.replies) push(rebuilt, id, reply);
         ASSERT_EQ(rebuilt, cache) << "step " << step;
@@ -483,6 +502,78 @@ TEST(Wal, TrailingPayloadBytesUnderAGoodCrcThrow) {
     padded.push_back(0xAB);
     RecordingVisitor v;
     EXPECT_THROW(Wal::replay(hand_frame(padded), v), CodecError);
+}
+
+/// Replays `stream` once decoding and once counting its replies: both must
+/// throw CodecError, or both must return the same result.  Returns
+/// whether they threw.
+bool same_verdict_decoded_and_counted(const Bytes& stream, const std::string& what) {
+    RecordingVisitor decoded;
+    RecordingVisitor counted;
+    std::optional<Wal::ReplayResult> d;
+    std::optional<Wal::ReplayResult> c;
+    try {
+        d = Wal::replay(stream, decoded);
+    } catch (const CodecError&) {
+    }
+    try {
+        c = Wal::replay(stream, counted, Wal::Replies::Count);
+    } catch (const CodecError&) {
+    }
+    EXPECT_EQ(d.has_value(), c.has_value()) << what;
+    if (d && c) {
+        EXPECT_EQ(d->records, c->records) << what;
+        EXPECT_EQ(d->bytes, c->bytes) << what;
+        EXPECT_EQ(d->clean, c->clean) << what;
+    }
+    return !c;
+}
+
+TEST(Wal, CountedRepliesAreCheckedAsStrictlyAsDecodedOnes) {
+    // A node's restart (recover(), before it wipes anything) counts its
+    // Reply records instead of decoding them, yet a checksummed record
+    // that does not decode is a framing bug and must still throw.  Every
+    // Reply payload below is re-framed under a good CRC cut short at
+    // each length, with a byte too many, and with each single bit
+    // flipped; counting must throw exactly when decoding does.
+    Wal wal;
+    std::vector<net::CallReply> replies(8);
+    replies[1].result = net::MarshalledValue::of_bool(true);
+    replies[2].result = net::MarshalledValue::of_int(-7);
+    replies[3].result = net::MarshalledValue::of_long(1ll << 40);
+    replies[4].result = net::MarshalledValue::of_double(2.5);
+    replies[5].result = net::MarshalledValue::of_str("echo");
+    replies[6].result = net::MarshalledValue::of_ref(3, 300, "Service");
+    replies[7].is_fault = true;
+    replies[7].fault_class = "java/lang/RuntimeException";
+    replies[7].fault_msg = "boom";
+    for (std::uint64_t id = 0; id < replies.size(); ++id) {
+        replies[id].request_id = id + 1;
+        wal.append_reply(id + 1, id + 1, replies[id]);
+    }
+    const Bytes& stream = wal.replies();
+    ASSERT_FALSE(same_verdict_decoded_and_counted(stream, "the stream as written"));
+    const std::vector<std::size_t> starts = record_starts(stream);
+    for (std::size_t k = 0; k + 1 < starts.size(); ++k) {
+        const Bytes payload(stream.begin() + static_cast<std::ptrdiff_t>(starts[k] + 8),
+                            stream.begin() + static_cast<std::ptrdiff_t>(starts[k + 1]));
+        const std::string record = "record " + std::to_string(k);
+        ASSERT_FALSE(same_verdict_decoded_and_counted(hand_frame(payload), record));
+        for (std::size_t len = 0; len < payload.size(); ++len) {
+            const Bytes cut(payload.begin(), payload.begin() + static_cast<std::ptrdiff_t>(len));
+            EXPECT_TRUE(same_verdict_decoded_and_counted(
+                hand_frame(cut), record + " cut to " + std::to_string(len)));
+        }
+        Bytes padded = payload;
+        padded.push_back(0);
+        EXPECT_TRUE(same_verdict_decoded_and_counted(hand_frame(padded), record + " padded"));
+        for (std::size_t bit = 0; bit < payload.size() * 8; ++bit) {
+            Bytes flipped = payload;
+            flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            same_verdict_decoded_and_counted(hand_frame(flipped),
+                                             record + " bit " + std::to_string(bit));
+        }
+    }
 }
 
 /// CRC-32 one bit at a time straight from the reflected polynomial: the
