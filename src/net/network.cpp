@@ -61,18 +61,18 @@ Delivery SimNetwork::transfer_coalesced_at(NodeId src, NodeId dst, std::size_t s
 }
 
 Delivery SimNetwork::sequence_transfer(NodeId src, NodeId dst, std::size_t size,
-                                       std::uint64_t send_us, bool try_coalesce) {
+                                       std::uint64_t send_us, bool entry) {
     Link& l = link_record(src, dst);
     const LinkParams& params = l.params ? *l.params : default_link_;
     LinkStats& stats = l.stats;
     LinkMetrics* metrics = registry_ ? &link_metrics(src, dst, l) : nullptr;
-    std::uint64_t& busy_until = l.busy_until;
-    // The channel carries one message at a time: a transfer sent while the
-    // link is occupied queues behind the in-flight one — unless the caller
-    // asked to coalesce, in which case the bytes join the in-flight frame
-    // at its tail instead of waiting for the link to free up.
-    const bool coalesce = try_coalesce && send_us < busy_until;
-    const std::uint64_t depart = std::max(send_us, busy_until);
+    // The channel is held only while bytes serialize.  A transfer sent
+    // before the previous one's bytes are out (to the sub-µs remainder)
+    // departs behind them and inherits that remainder; one sent to an idle
+    // link starts from zero, so a lone frame charges llround(size/bw).
+    if (static_cast<double>(send_us) >= static_cast<double>(l.busy_until) + l.carry_us)
+        l.carry_us = 0.0;
+    const std::uint64_t depart = std::max(send_us, l.busy_until);
     // Scheduled faults are evaluated at the departure time. A down/flapped
     // link loses the message without consuming a PRNG draw (pure function
     // of virtual time); a drop-rate override substitutes its probability
@@ -93,55 +93,35 @@ Delivery SimNetwork::sequence_transfer(NodeId src, NodeId dst, std::size_t size,
                              .value_or(params.drop_probability);
         lost = l.rng.chance(p);
     }
-    if (lost) {
-        ++stats.drops;
-        // A lost message still occupied the link before it died: charge
-        // the propagation delay so loss is not free in virtual time (a
-        // free drop would bias adaptation experiments toward lossy links).
-        const std::uint64_t fail_at = depart + params.latency_us;
-        stats.busy_us += fail_at - depart;
-        busy_until = fail_at;
-        horizon_us_ = std::max(horizon_us_, fail_at);
-        if (metrics) {
-            metrics->drops->add();
-            metrics->busy_us->add(params.latency_us);
-            metrics->utilization_ppm->set(static_cast<std::int64_t>(
-                stats.busy_us * 1'000'000 /
-                std::max<std::uint64_t>(1, horizon_us_ - stats_epoch_us_)));
-        }
-        if (completion_sink_) completion_sink_(src, dst, fail_at, false);
-        return Delivery{false, fail_at, coalesce};
-    }
-    if (coalesce)
-        ++stats.coalesced;
-    else
-        ++stats.messages;
-    stats.bytes += size;
-    double serialization =
-        params.bandwidth_bytes_per_us > 0
-            ? static_cast<double>(size) / params.bandwidth_bytes_per_us
-            : 0.0;
-    // A coalesced entry rides the in-flight frame: it pays its own
-    // serialization time but shares the frame's propagation delay.
-    const std::uint64_t arrival =
-        depart + (coalesce ? 0 : params.latency_us) +
-        static_cast<std::uint64_t>(std::llround(serialization));
-    stats.busy_us += arrival - depart;
-    busy_until = arrival;
-    horizon_us_ = std::max(horizon_us_, arrival);
+    // One rule for frames, entries and losses: serialize, then propagate.
+    // A lost message held the channel all the same, and its loss becomes
+    // observable when it would have arrived (a free drop would bias
+    // adaptation experiments toward lossy links).
+    const double exact =
+        l.carry_us + (params.bandwidth_bytes_per_us > 0
+                          ? static_cast<double>(size) / params.bandwidth_bytes_per_us
+                          : 0.0);
+    // An empty transfer behind a rounded-up one (remainder -0.5) must
+    // charge 0, not -1.
+    const auto serialization =
+        static_cast<std::uint64_t>(std::llround(std::max(0.0, exact)));
+    l.carry_us = exact - static_cast<double>(serialization);
+    l.busy_until = depart + serialization;
+    const std::uint64_t at = l.busy_until + params.latency_us;
+    stats.busy_us += serialization;
+    horizon_us_ = std::max(horizon_us_, at);
+    ++(lost ? stats.drops : entry ? stats.coalesced : stats.messages);
+    if (!lost) stats.bytes += size;
     if (metrics) {
-        if (coalesce)
-            metrics->coalesced->add();
-        else
-            metrics->messages->add();
-        metrics->bytes->add(size);
-        metrics->busy_us->add(arrival - depart);
+        (lost ? metrics->drops : entry ? metrics->coalesced : metrics->messages)->add();
+        if (!lost) metrics->bytes->add(size);
+        metrics->busy_us->add(serialization);
         metrics->utilization_ppm->set(static_cast<std::int64_t>(
             stats.busy_us * 1'000'000 /
             std::max<std::uint64_t>(1, horizon_us_ - stats_epoch_us_)));
     }
-    if (completion_sink_) completion_sink_(src, dst, arrival, true);
-    return Delivery{true, arrival, coalesce};
+    if (completion_sink_) completion_sink_(src, dst, at, !lost);
+    return Delivery{!lost, at};
 }
 
 std::uint64_t SimNetwork::link_busy_until(NodeId src, NodeId dst) const {
@@ -189,7 +169,7 @@ void SimNetwork::reset_stats() {
     // elapsed *since the reset* — without this epoch the denominator keeps
     // growing from t=0 and post-reset utilization is biased toward zero.
     // busy_until is left alone: channel occupancy is physical link state,
-    // so a message in flight still blocks the link across a reset.
+    // so bytes still serializing block the link across a reset.
     stats_epoch_us_ = horizon_us_;
     for (auto& [_, l] : links_) {
         l.stats = LinkStats{};

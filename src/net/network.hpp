@@ -6,12 +6,15 @@
 // time (the sender's virtual clock) and a computed arrival time
 //
 //   depart  = max(send_time, link busy_until)
-//   arrival = depart + latency + size/bandwidth
+//   busy_until = depart + size/bandwidth
+//   arrival = depart + size/bandwidth + latency
 //
-// Each directed link is a channel that can carry one message at a time, so
-// contending transfers queue behind `busy_until` instead of being free —
-// this is what makes a multi-client workload exhibit real contention
-// (DESIGN.md §13).  The network keeps no clock of its own: each node's
+// Each directed link is a pipe: the channel is held only while a message's
+// bytes serialize, and propagation overlaps whatever is sent next.
+// Transfers sent while earlier bytes are still going out queue behind
+// `busy_until`, so a multi-client workload contends for bandwidth
+// (DESIGN.md §13).  Frames, batch entries and losses all follow this one
+// rule.  The network keeps no clock of its own: each node's
 // clock stamps its own work, and `now_us()` is only the network's horizon,
 // the latest completion it has sequenced, for utilization denominators and
 // reports.  Fault injection drops messages deterministically from a seeded
@@ -45,23 +48,21 @@ struct LinkStats {
     std::uint64_t messages = 0;
     std::uint64_t bytes = 0;
     std::uint64_t drops = 0;
-    /// Entries appended to an already-in-flight frame instead of opening
-    /// a new one (transfer_coalesced_at).
+    /// Entries appended to an open frame, one still serializing, instead
+    /// of opening a new one (transfer_coalesced_at).
     std::uint64_t coalesced = 0;
-    /// Total virtual time the link spent occupied (sum of depart→arrival
-    /// windows, drops included up to the loss point).
+    /// Total virtual time the channel spent serializing bytes, drops
+    /// included (propagation does not occupy it).
     std::uint64_t busy_us = 0;
 };
 
 /// Outcome of one sequenced transfer.  `at_us` is the arrival time when
-/// delivered, or the time the loss becomes observable (depart + latency)
-/// when dropped — the link was occupied either way.  `coalesced` reports
-/// whether the bytes rode an already-in-flight frame (and so paid no
-/// fresh propagation delay).
+/// delivered, or the time the loss becomes observable when dropped — the
+/// time it would have arrived, since a lost message was serialized onto
+/// the channel all the same.
 struct Delivery {
     bool delivered = false;
     std::uint64_t at_us = 0;
-    bool coalesced = false;
 };
 
 class SimNetwork {
@@ -75,23 +76,20 @@ public:
     const LinkParams& link(NodeId src, NodeId dst) const;
 
     /// Sequences one transfer of `size` bytes sent at `send_us` on the
-    /// sender's clock: the message departs when the link frees up, the
-    /// link stays busy until the arrival time, and the horizon advances to
-    /// the returned event time.  Drops (fault injection) still occupy the
-    /// link for the propagation delay.
+    /// sender's clock: the message departs when the channel frees up,
+    /// holds it while its bytes serialize, and arrives one latency later;
+    /// the horizon advances to the returned event time.  A sub-µs
+    /// serialization remainder carries to a transfer sent back to back
+    /// (before the channel frees up), so a burst of small frames is not
+    /// free; one sent to an idle link starts from a zero remainder.
+    /// Drops (fault injection) hold the channel the same way.
     Delivery transfer_at(NodeId src, NodeId dst, std::size_t size,
                          std::uint64_t send_us);
 
-    /// Like transfer_at, but when the link is still occupied at `send_us`
-    /// the bytes are appended to the in-flight frame instead of queueing
-    /// behind it: the entry departs at busy_until and arrives after its
-    /// serialization time alone — it shares the frame's propagation delay
-    /// rather than paying a fresh one (cut-through pipelining; DESIGN.md
-    /// §17).  Fault evaluation and the per-link drop stream are consulted
-    /// exactly as transfer_at would at the same departure time, so a
-    /// coalesced schedule makes the identical PRNG draws.  On a free link
-    /// this degrades to transfer_at (Delivery.coalesced = false), letting
-    /// callers probe link_busy_until() and append atomically.
+    /// transfer_at for a batch entry appended to an open frame (DESIGN.md
+    /// §17): the same timing, fault evaluation and drop draws, but counted
+    /// in LinkStats::coalesced instead of messages.  The caller decides
+    /// the join (send_us < link_busy_until()).
     Delivery transfer_coalesced_at(NodeId src, NodeId dst, std::size_t size,
                                    std::uint64_t send_us);
 
@@ -190,6 +188,9 @@ private:
         }
         /// Time until which the channel is occupied (0 = never used).
         std::uint64_t busy_until = 0;
+        /// Serialization remainder (exact minus charged µs, in [-0.5,
+        /// 0.5)) of the last transfer, carried to a back-to-back one.
+        double carry_us = 0.0;
         /// Last fault-plan down-state a transfer observed (journal edge
         /// detection only; a never-evaluated link counts as up, so the
         /// first observation of a down link records an entering edge).
@@ -210,7 +211,7 @@ private:
     const Link* find_link(NodeId src, NodeId dst) const;
     LinkMetrics& link_metrics(NodeId src, NodeId dst, Link& l);
     Delivery sequence_transfer(NodeId src, NodeId dst, std::size_t size,
-                               std::uint64_t send_us, bool try_coalesce);
+                               std::uint64_t send_us, bool entry);
 
     LinkParams default_link_;
     /// One record per directed link, keyed by link_key(src, dst).

@@ -29,8 +29,7 @@ RpcPath::RpcPath(System& system, const std::vector<std::string>& protocols,
       breaker_open_(&metrics_.counter("rpc.breaker_open")),
       batch_frames_(&metrics_.counter("rpc.batch.frames")),
       batch_coalesced_(&metrics_.counter("rpc.batch.coalesced")),
-      batch_entry_bytes_(&metrics_.counter("rpc.batch.entry_bytes")),
-      batch_latency_saved_us_(&metrics_.counter("rpc.batch.latency_saved_us")) {
+      batch_entry_bytes_(&metrics_.counter("rpc.batch.entry_bytes")) {
     for (const std::string& name : protocols)
         protocols_.emplace(name, Protocol{name, net::make_codec(name)});
     // Pool traffic is sampled live at snapshot time (cumulative over the
@@ -249,12 +248,12 @@ bool RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& proto,
     {
         obs::ScopedSpan span(
             tracer_, [&] { return "codec.encode_request " + proto.name; }, src);
-        // Batch join: if the directed link still carries an earlier
-        // same-protocol request frame with room, tentatively encode this
-        // call as a compact continuation entry.  The join must be decided
-        // against the clock *after* the encode charge (the entry's own
-        // size sets the charge), so encode first and fall back to a full
-        // frame when the link turns out to be free by then.
+        // Batch join: if the directed link is still serializing an
+        // earlier same-protocol request frame with room, tentatively
+        // encode this call as a compact continuation entry.  The join must
+        // be decided against the clock *after* the encode charge (the
+        // entry's own size sets the charge), so encode first and fall back
+        // to a full frame when the link turns out to be free by then.
         if (lane && lane->joinable && lane->protocol == &proto &&
             c.supports_batch_entries() &&
             1 + lane->entries < std::max<std::uint32_t>(2, batching_.max_frame_calls)) {
@@ -300,13 +299,10 @@ bool RpcPath::rpc_attempt(net::NodeId src, net::NodeId dst, Protocol& proto,
             if (++lane->entries == 1) batch_frames_->add();
             batch_coalesced_->add();
             batch_entry_bytes_->add(request_bytes.size());
-            // The entry rode the open frame's propagation window instead
-            // of paying its own.
-            batch_latency_saved_us_->add(network_.link(src, dst).latency_us);
             tracer_.note("coalesced", "request");
         } else if (inbound.delivered) {
             // This full frame now occupies the link; a same-protocol
-            // follower may append to it while it is in flight.
+            // follower may append to it while its bytes are going out.
             *lane = BatchLane{&proto, net::BatchContext{src, req.request_id}, 0,
                               c.supports_batch_entries()};
         } else {

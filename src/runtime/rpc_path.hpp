@@ -208,7 +208,6 @@ private:
     obs::Counter* batch_frames_;
     obs::Counter* batch_coalesced_;
     obs::Counter* batch_entry_bytes_;
-    obs::Counter* batch_latency_saved_us_;
 };
 
 }  // namespace rafda::runtime

@@ -128,9 +128,9 @@ TEST(SimNetworkFaults, PartitionEvaluatedAtDepartureTime) {
     // occupancy departs inside the window — and dies there.  Membership is
     // judged at departure, the moment the message actually hits the wire.
     SimNetwork net(7);
-    net.set_link(0, 1, LinkParams{600, 0.0, 0.0});
+    net.set_link(0, 1, LinkParams{100, 1.0, 0.0});
     net.fault_plan().add(link_window(FaultKind::LinkDown, 0, 1, 500, 2000));
-    Delivery first = net.transfer_at(0, 1, 10, 0);  // occupies link until 600
+    Delivery first = net.transfer_at(0, 1, 600, 0);  // serializes until 600
     EXPECT_TRUE(first.delivered);
     Delivery queued = net.transfer_at(0, 1, 10, 100);  // departs at 600 >= 500
     EXPECT_FALSE(queued.delivered);
@@ -227,9 +227,9 @@ TEST(SimNetworkStats, ResetRebasesUtilizationEpoch) {
     SimNetwork net(1);
     obs::Registry registry;
     net.attach_metrics(&registry);
-    net.set_link(0, 1, LinkParams{100, 0.0, 0.0});
+    net.set_link(0, 1, LinkParams{0, 1.0, 0.0});
 
-    net.transfer_at(0, 1, 10, 0);  // busy [0,100) over elapsed 100 -> 100%
+    net.transfer_at(0, 1, 100, 0);  // busy [0,100) over elapsed 100 -> 100%
     obs::Snapshot before = registry.snapshot();
     const obs::Sample* util = before.find("net.link.0.1.utilization_ppm");
     ASSERT_NE(util, nullptr);
@@ -245,7 +245,7 @@ TEST(SimNetworkStats, ResetRebasesUtilizationEpoch) {
 
     // One transfer occupying the full post-reset window reads 100% again;
     // against a t=0 denominator it would read ~1%.
-    net.transfer_at(0, 1, 10, 10'000);
+    net.transfer_at(0, 1, 100, 10'000);
     obs::Snapshot after = registry.snapshot();
     util = after.find("net.link.0.1.utilization_ppm");
     ASSERT_NE(util, nullptr);
@@ -254,15 +254,15 @@ TEST(SimNetworkStats, ResetRebasesUtilizationEpoch) {
 }
 
 TEST(SimNetworkStats, BusyUntilSurvivesReset) {
-    // Channel occupancy is physical link state: a message in flight still
-    // blocks the link across a stats reset.
+    // Channel occupancy is physical link state: bytes still serializing
+    // block the link across a stats reset.
     SimNetwork net(1);
-    net.set_link(0, 1, LinkParams{500, 0.0, 0.0});
-    net.transfer_at(0, 1, 10, 0);  // link busy until 500
+    net.set_link(0, 1, LinkParams{500, 1.0, 0.0});
+    net.transfer_at(0, 1, 200, 0);  // channel held until 200
     net.reset_stats();
-    EXPECT_EQ(net.link_busy_until(0, 1), 500u);
-    Delivery d = net.transfer_at(0, 1, 10, 100);  // queues behind the flight
-    EXPECT_EQ(d.at_us, 1000u);
+    EXPECT_EQ(net.link_busy_until(0, 1), 200u);
+    Delivery d = net.transfer_at(0, 1, 10, 100);  // departs at 200
+    EXPECT_EQ(d.at_us, 710u);
 }
 
 }  // namespace

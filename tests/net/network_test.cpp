@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace rafda::net {
@@ -159,27 +160,29 @@ TEST(SimNetwork, TransfersBeforeAttachAreNotBackfilled) {
 
 TEST(SimNetwork, ContendingTransfersQueueOnTheLink) {
     // Two transfers sent at the same instant share one directed channel:
-    // the second departs only when the first has fully drained.
+    // the second departs once the first's bytes are out, and the two
+    // propagate concurrently.
     SimNetwork net;
     net.set_default_link(LinkParams{100, 1000.0, 0.0});  // 100us + size/1000
     Delivery first = net.transfer_at(0, 1, 5000, 0);     // departs 0, arrives 105
-    Delivery second = net.transfer_at(0, 1, 5000, 0);    // queued until 105
+    Delivery second = net.transfer_at(0, 1, 5000, 0);    // departs 5, arrives 110
     ASSERT_TRUE(first.delivered);
     ASSERT_TRUE(second.delivered);
     EXPECT_EQ(first.at_us, 105u);
-    EXPECT_EQ(second.at_us, 210u);
-    EXPECT_EQ(net.link_busy_until(0, 1), 210u);
+    EXPECT_EQ(second.at_us, 110u);
+    EXPECT_EQ(net.link_busy_until(0, 1), 10u);
     // The reverse direction is an independent channel: no queueing.
     EXPECT_EQ(net.transfer_at(1, 0, 5000, 0).at_us, 105u);
 }
 
 TEST(SimNetwork, SendAfterBusyWindowDoesNotQueue) {
     SimNetwork net;
-    net.set_default_link(LinkParams{10, 0.0, 0.0});
-    EXPECT_EQ(net.transfer_at(0, 1, 1, 0).at_us, 10u);
-    // Sending once the channel is idle again pays only its own latency.
-    EXPECT_EQ(net.transfer_at(0, 1, 1, 50).at_us, 60u);
-    EXPECT_EQ(net.link_busy_until(0, 1), 60u);
+    net.set_default_link(LinkParams{10, 1.0, 0.0});
+    EXPECT_EQ(net.transfer_at(0, 1, 2, 0).at_us, 12u);  // channel held [0, 2)
+    // Sending once the bytes are out pays only its own serialization and
+    // latency, though the first message is still propagating.
+    EXPECT_EQ(net.transfer_at(0, 1, 2, 5).at_us, 17u);
+    EXPECT_EQ(net.link_busy_until(0, 1), 7u);
 }
 
 TEST(SimNetwork, BusyTimeIsAccountedPerLink) {
@@ -187,14 +190,15 @@ TEST(SimNetwork, BusyTimeIsAccountedPerLink) {
     net.set_default_link(LinkParams{100, 1000.0, 0.0});
     net.transfer_at(0, 1, 5000, 0);
     net.transfer_at(0, 1, 5000, 0);
-    EXPECT_EQ(net.stats(0, 1).busy_us, 210u);
-    EXPECT_EQ(net.total_stats().busy_us, 210u);
+    // Serialization only: 5us each; the propagation is not occupancy.
+    EXPECT_EQ(net.stats(0, 1).busy_us, 10u);
+    EXPECT_EQ(net.total_stats().busy_us, 10u);
     std::size_t links = 0;
     net.visit_links([&links](NodeId src, NodeId dst, const LinkStats& s) {
         ++links;
         EXPECT_EQ(src, 0u);
         EXPECT_EQ(dst, 1u);
-        EXPECT_EQ(s.busy_us, 210u);
+        EXPECT_EQ(s.busy_us, 10u);
     });
     EXPECT_EQ(links, 1u);
 }
@@ -205,7 +209,7 @@ TEST(SimNetwork, ReadsNeverCreateListedLinks) {
     // so in the `rafdac net` tables).
     SimNetwork net;
     net.set_default_link(LinkParams{10, 0.0, 0.0});
-    net.set_link(2, 3, LinkParams{5, 0.0, 0.0});
+    net.set_link(2, 3, LinkParams{5, 1.0, 0.0});
     net.transfer_at(1, 0, 1, 0);
     EXPECT_EQ(net.stats(0, 1).messages, 0u);  // idle, never used
     EXPECT_EQ(net.stats(2, 3).busy_us, 0u);   // configured, never used
@@ -218,15 +222,15 @@ TEST(SimNetwork, ReadsNeverCreateListedLinks) {
     EXPECT_EQ(net.total_stats().messages, 1u);
 
     // A reset clears the accounting and the listing but keeps channel
-    // occupancy: a message in flight still blocks the link.
-    net.transfer_at(2, 3, 1, 100);
+    // occupancy: bytes still serializing block the link.
+    net.transfer_at(2, 3, 4, 100);  // channel held [100, 104)
     net.reset_stats();
-    EXPECT_EQ(net.link_busy_until(2, 3), 105u);
+    EXPECT_EQ(net.link_busy_until(2, 3), 104u);
     EXPECT_EQ(net.stats(2, 3).messages, 0u);
     std::size_t after_reset = 0;
     net.visit_links([&after_reset](NodeId, NodeId, const LinkStats&) { ++after_reset; });
     EXPECT_EQ(after_reset, 0u);
-    EXPECT_EQ(net.transfer_at(2, 3, 1, 100).at_us, 110u);  // queues behind 105
+    EXPECT_EQ(net.transfer_at(2, 3, 1, 100).at_us, 110u);  // departs at 104
 }
 
 TEST(SimNetwork, VisitLinksIsOrderedBySourceThenDestination) {
@@ -282,52 +286,71 @@ TEST(SimNetwork, ResetStatsAlsoResetsMirroredRegistryCounters) {
 }
 
 TEST(SimNetwork, DropStillOccupiesTheChannel) {
-    // A dropped message occupied the channel for its propagation delay;
-    // the next sender queues behind that window.
+    // A dropped message occupied the channel while it serialized, and its
+    // loss shows when it would have arrived; the next sender queues behind
+    // the serialization window.
     SimNetwork net;
-    net.set_default_link(LinkParams{50, 0.0, 1.0});
+    net.set_default_link(LinkParams{50, 100.0, 1.0});
     Delivery d = net.transfer_at(0, 1, 1000, 0);
     EXPECT_FALSE(d.delivered);
-    EXPECT_EQ(d.at_us, 50u);
-    EXPECT_EQ(net.stats(0, 1).busy_us, 50u);
-    EXPECT_EQ(net.link_busy_until(0, 1), 50u);
+    EXPECT_EQ(d.at_us, 60u);
+    EXPECT_EQ(net.stats(0, 1).busy_us, 10u);
+    EXPECT_EQ(net.link_busy_until(0, 1), 10u);
+    EXPECT_EQ(net.transfer_at(0, 1, 1000, 0).at_us, 70u);
 }
 
-TEST(SimNetwork, CoalescedTransferSkipsPropagationOnBusyLink) {
-    // 100us latency, 1000 bytes/us.  The frame occupies [0, 105); an
-    // entry sent at 10 joins its tail: departs at 105, pays only its own
-    // serialization (2us), no second propagation delay.
+TEST(SimNetwork, BackToBackFramesPayTheirSerialization) {
+    // 60 bytes at 125 B/us serialize in 0.48us, which rounds to 0.  The
+    // remainder carries from frame to frame while the channel is still
+    // busy, so a burst of 1,000 costs its 480us of serialization instead
+    // of nothing.
     SimNetwork net;
-    net.set_default_link(LinkParams{100, 1000.0, 0.0});
-    Delivery frame = net.transfer_at(0, 1, 5000, 0);
-    ASSERT_TRUE(frame.delivered);
-    EXPECT_EQ(frame.at_us, 105u);
-    EXPECT_FALSE(frame.coalesced);
+    net.set_default_link(LinkParams{100, 125.0, 0.0});
+    Delivery last;
+    for (int k = 0; k < 1000; ++k) last = net.transfer_at(0, 1, 60, 0);
+    ASSERT_TRUE(last.delivered);
+    EXPECT_NEAR(static_cast<double>(last.at_us), 580.0, 1.0);
+    EXPECT_NEAR(static_cast<double>(net.stats(0, 1).busy_us), 480.0, 1.0);
+    // A frame sent to the idle link starts from a zero remainder: a lone
+    // 60-byte frame still costs llround(0.48) = 0.
+    EXPECT_EQ(net.transfer_at(0, 1, 60, 10'000).at_us, 10'100u);
+}
 
-    Delivery entry = net.transfer_coalesced_at(0, 1, 2000, 10);
-    ASSERT_TRUE(entry.delivered);
-    EXPECT_TRUE(entry.coalesced);
-    EXPECT_EQ(entry.at_us, 107u);
-    EXPECT_EQ(net.link_busy_until(0, 1), 107u);
+TEST(SimNetwork, EmptyTransferAfterARoundedUpFrameChargesNothing) {
+    // 500 bytes at 1000 B/us is 0.5us, charged as 1: the carried
+    // remainder is -0.5.  An empty transfer sent back to back is charged
+    // 0us, never -1.
+    SimNetwork net;
+    net.set_default_link(LinkParams{10, 1000.0, 0.0});
+    EXPECT_EQ(net.transfer_at(0, 1, 500, 0).at_us, 11u);
+    EXPECT_EQ(net.transfer_at(0, 1, 0, 0).at_us, 11u);
+    EXPECT_EQ(net.link_busy_until(0, 1), 1u);
+}
 
-    // Entries extend the frame: one message, one coalesced continuation.
-    EXPECT_EQ(net.stats(0, 1).messages, 1u);
-    EXPECT_EQ(net.stats(0, 1).coalesced, 1u);
-    EXPECT_EQ(net.stats(0, 1).bytes, 7000u);
+TEST(SimNetwork, CoalescedTransferTimesLikeAFrame) {
+    // A batch entry is timed by the frame rule: it departs when the open
+    // frame's bytes are out (5us), holds the channel for its own 2us and
+    // propagates for the full 100us.  It differs from a frame sent at the
+    // same instant only in the counter it bumps.
+    auto run = [](bool entry) {
+        SimNetwork net;
+        net.set_default_link(LinkParams{100, 1000.0, 0.0});
+        EXPECT_EQ(net.transfer_at(0, 1, 5000, 0).at_us, 105u);
+        const Delivery d = entry ? net.transfer_coalesced_at(0, 1, 2000, 3)
+                                 : net.transfer_at(0, 1, 2000, 3);
+        EXPECT_TRUE(d.delivered);
+        EXPECT_EQ(d.at_us, 107u);
+        EXPECT_EQ(net.link_busy_until(0, 1), 7u);
+        EXPECT_EQ(net.stats(0, 1).busy_us, 7u);
+        EXPECT_EQ(net.stats(0, 1).bytes, 7000u);
+        return std::pair{net.stats(0, 1).messages, net.stats(0, 1).coalesced};
+    };
+    EXPECT_EQ(run(false), (std::pair<std::uint64_t, std::uint64_t>{2, 0}));
+    EXPECT_EQ(run(true), (std::pair<std::uint64_t, std::uint64_t>{1, 1}));
+    SimNetwork net;
+    net.transfer_at(0, 1, 5000, 0);
+    net.transfer_coalesced_at(0, 1, 2000, 3);
     EXPECT_EQ(net.total_stats().coalesced, 1u);
-}
-
-TEST(SimNetwork, CoalescedTransferDegradesToPlainOnFreeLink) {
-    // No frame in flight at the send time: the "coalesced" request is an
-    // ordinary transfer, full latency charged, flag off.
-    SimNetwork net;
-    net.set_default_link(LinkParams{100, 1000.0, 0.0});
-    Delivery d = net.transfer_coalesced_at(0, 1, 5000, 0);
-    ASSERT_TRUE(d.delivered);
-    EXPECT_FALSE(d.coalesced);
-    EXPECT_EQ(d.at_us, 105u);
-    EXPECT_EQ(net.stats(0, 1).messages, 1u);
-    EXPECT_EQ(net.stats(0, 1).coalesced, 0u);
 }
 
 TEST(SimNetwork, CoalescedDrawsMatchPlainTransfersOnLossyLinks) {
@@ -336,14 +359,14 @@ TEST(SimNetwork, CoalescedDrawsMatchPlainTransfersOnLossyLinks) {
     // the same event sequence loses the same messages either way.
     auto run = [](bool coalesce) {
         SimNetwork net(1234);
-        net.set_default_link(LinkParams{100, 1000.0, 0.25});
+        net.set_default_link(LinkParams{100, 10.0, 0.25});
         std::vector<bool> outcomes;
         std::uint64_t t = 0;
         for (int k = 0; k < 64; ++k) {
             Delivery d = coalesce ? net.transfer_coalesced_at(0, 1, 1000, t)
                                   : net.transfer_at(0, 1, 1000, t);
             outcomes.push_back(d.delivered);
-            t += 10;  // well inside the previous transfer's window
+            t += 10;  // well inside the previous transfer's 100us of bytes
         }
         return outcomes;
     };
@@ -352,16 +375,18 @@ TEST(SimNetwork, CoalescedDrawsMatchPlainTransfersOnLossyLinks) {
 
 TEST(SimNetwork, CoalescedDropChargesLatencyLikePlainDrop) {
     // A lost entry still died on the wire: the loss accounting (drop
-    // count, latency-only busy charge) is identical to a plain drop.
+    // count, serialization busy charge, loss seen one latency later) is
+    // identical to a plain drop.
     SimNetwork net;
-    net.set_default_link(LinkParams{50, 0.0, 1.0});
-    net.transfer_at(0, 1, 100, 0);  // occupy [0, 50)
-    Delivery d = net.transfer_coalesced_at(0, 1, 100, 10);
+    net.set_default_link(LinkParams{50, 10.0, 1.0});
+    net.transfer_at(0, 1, 100, 0);  // channel held [0, 10)
+    Delivery d = net.transfer_coalesced_at(0, 1, 100, 5);
     EXPECT_FALSE(d.delivered);
-    EXPECT_EQ(d.at_us, 100u);  // departs at 50, dies 50us later
+    EXPECT_EQ(d.at_us, 70u);  // departs at 10, serializes 10us, dies 50us later
     EXPECT_EQ(net.stats(0, 1).drops, 2u);
     EXPECT_EQ(net.stats(0, 1).coalesced, 0u);
-    EXPECT_EQ(net.link_busy_until(0, 1), 100u);
+    EXPECT_EQ(net.stats(0, 1).busy_us, 20u);
+    EXPECT_EQ(net.link_busy_until(0, 1), 20u);
 }
 
 TEST(SimNetwork, ResetStatsClearsCoalescedCount) {
@@ -369,8 +394,8 @@ TEST(SimNetwork, ResetStatsClearsCoalescedCount) {
     SimNetwork net;
     net.set_default_link(LinkParams{100, 1000.0, 0.0});
     net.attach_metrics(&reg);
-    net.transfer_at(0, 1, 1000, 0);
-    net.transfer_coalesced_at(0, 1, 1000, 10);
+    net.transfer_at(0, 1, 5000, 0);             // channel held [0, 5)
+    net.transfer_coalesced_at(0, 1, 1000, 1);  // joins while it is held
     ASSERT_EQ(net.stats(0, 1).coalesced, 1u);
     ASSERT_EQ(reg.snapshot().counter_value("net.link.0.1.coalesced"), 1u);
     net.reset_stats();

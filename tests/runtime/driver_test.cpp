@@ -94,15 +94,29 @@ TEST(WorkloadDriver, ConcurrentMakespanBeatsSerialisedClients) {
     EXPECT_GE(eight.makespan_us, one.makespan_us);
 }
 
+/// Options for a thin 1 byte/us link, where every frame serializes in a
+/// whole number of microseconds (one per byte) and so occupies its
+/// channel measurably; the default link sends a small frame in under
+/// 1 us.
+SystemOptions thin_link() {
+    SystemOptions options;
+    options.default_link = net::LinkParams{100, 1.0, 0.0};
+    return options;
+}
+
 TEST(WorkloadDriver, LinkOccupancyAndClockGaugesAreExported) {
     model::ClassPool pool = make_pool();
-    System system(pool);
+    System system(pool, thin_link());
     drive(system, 4, 8);
 
     obs::Snapshot snap = system.metrics().snapshot();
     for (int client = 1; client <= 4; ++client) {
         const std::string prefix = "net.link." + std::to_string(client) + ".0.";
+        // The channel is held while bytes serialize: one us per byte.
         EXPECT_GT(snap.counter_value(prefix + "busy_us"), 0u) << prefix;
+        EXPECT_EQ(snap.counter_value(prefix + "busy_us"),
+                  snap.counter_value(prefix + "bytes"))
+            << prefix;
         const obs::Sample* util = snap.find(prefix + "utilization_ppm");
         ASSERT_NE(util, nullptr) << prefix;
         EXPECT_GT(util->gauge, 0) << prefix;
@@ -206,13 +220,15 @@ TEST(WorkloadDriver, ContendedLinkQueuesTransfers) {
     // Two clients sharing one *directed* link toward the server: force
     // both through the same source node id is impossible (each node owns
     // its link), so instead check the inbound links' busy windows overlap
-    // the makespan — occupancy accounted, nothing double-booked.
+    // the makespan — occupancy accounted as serialization time only
+    // (one us per byte here), nothing double-booked.
     model::ClassPool pool = make_pool();
-    System system(pool);
+    System system(pool, thin_link());
     WorkloadDriver::Report report = drive(system, 2, 8);
     const net::SimNetwork& net = system.network();
     EXPECT_GT(net.stats(1, 0).busy_us, 0u);
-    EXPECT_GT(net.stats(2, 0).busy_us, 0u);
+    EXPECT_EQ(net.stats(1, 0).busy_us, net.stats(1, 0).bytes);
+    EXPECT_EQ(net.stats(2, 0).busy_us, net.stats(2, 0).bytes);
     EXPECT_LE(net.stats(1, 0).busy_us, report.makespan_us + report.start_us);
     EXPECT_LE(net.link_busy_until(1, 0), report.end_us);
 }
@@ -398,7 +414,8 @@ class Counter {
                   {"migrate", "Counter", 0, 1, 600},
                   {"migrate", "Counter", 1, 2, 1200}}));
     EXPECT_EQ(system.find_singleton("Counter").first, 2);
-    EXPECT_EQ(report.makespan_us, 1240u);
+    // Propagation does not hold the channel (1,240 us when it did).
+    EXPECT_EQ(report.makespan_us, 1200u);
 }
 
 /// Four clients on 20/110/200/290 µs links bumping a Counter singleton

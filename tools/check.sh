@@ -107,16 +107,22 @@ case " $presets " in
     grep -q '"relocation_match":1' BENCH_E15.json
     echo "durability invariants OK: exactly_once + relocation_match"
 
-    # Reliability and adaptation invariants (gating): E10's retries+dedup
-    # run must execute every task exactly once, and E14's adapted run
-    # must return each client the same stream as the unadapted run, beat
-    # it on makespan and wire bytes, and replay bit for bit.
-    echo "== reliability and adaptation invariants (E10 E14) =="
+    # Reliability, batching and adaptation invariants (gating): E10's
+    # retries+dedup run must execute every task exactly once; E12's
+    # batched run must return the unbatched run's results, stay
+    # exactly-once under the E10 fault plan and replay bit for bit; and
+    # E14's adapted run must return each client the same stream as the
+    # unadapted run, beat it on makespan and wire bytes, and replay bit
+    # for bit.
+    echo "== reliability, batching and adaptation invariants (E10 E12 E14) =="
     grep -q '"exactly_once":1' BENCH_E10.json
+    grep -q '"identical_results":1' BENCH_E12.json
+    grep -q '"faulty_exactly_once":1' BENCH_E12.json
+    grep -q '"deterministic":1' BENCH_E12.json
     grep -q '"identical_results":1' BENCH_E14.json
     grep -q '"adapted_wins":1' BENCH_E14.json
     grep -q '"deterministic":1' BENCH_E14.json
-    echo "invariants OK: E10 exactly_once, E14 identical_results + adapted_wins + deterministic"
+    echo "invariants OK: E10 exactly_once, E12 identical_results + faulty_exactly_once + deterministic, E14 identical_results + adapted_wins + deterministic"
 
     # Scheduler determinism contract (gating): the event-heap refactor's
     # headline claim — dispatch order is a pure function of workload and

@@ -314,8 +314,7 @@ int cmd_net(const std::string& input, const std::string& config_path,
         os << "],\"batch\":{\"frames\":" << reg.counter("rpc.batch.frames").value()
            << ",\"coalesced\":" << reg.counter("rpc.batch.coalesced").value()
            << ",\"entry_bytes\":" << reg.counter("rpc.batch.entry_bytes").value()
-           << ",\"latency_saved_us\":"
-           << reg.counter("rpc.batch.latency_saved_us").value() << "}}";
+           << "}}";
         std::cout << os.str() << "\n";
         return 0;
     }
@@ -360,9 +359,7 @@ int cmd_net(const std::string& input, const std::string& config_path,
     if (std::uint64_t frames = system.metrics().counter("rpc.batch.frames").value())
         std::cout << "batch: " << frames << " frame(s), "
                   << system.metrics().counter("rpc.batch.coalesced").value()
-                  << " coalesced call(s), "
-                  << system.metrics().counter("rpc.batch.latency_saved_us").value()
-                  << "us latency saved\n";
+                  << " coalesced call(s)\n";
     const int shown_nodes =
         all ? nodes : std::min(nodes, static_cast<int>(kNetTableLinks));
     for (int k = 0; k < shown_nodes; ++k)
